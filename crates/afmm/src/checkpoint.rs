@@ -44,6 +44,9 @@ pub struct EngineSnapshot {
     pub tree: TreeSnapshot,
     pub plan: Option<ListsSnapshot>,
     pub plan_stale: bool,
+    /// Bodies were re-binned after the plan last reconciled its counts;
+    /// restore reconciles before auditing.
+    pub counts_pending: bool,
 }
 
 /// Plain-data image of a [`StrategyTracker`](crate::StrategyTracker): the
@@ -217,7 +220,11 @@ fn w_engine(out: &mut String, e: &EngineSnapshot) {
         Some(p) => w_plan(out, p),
         None => out.push_str("null"),
     }
-    let _ = write!(out, ",\"plan_stale\":{}}}", e.plan_stale);
+    let _ = write!(
+        out,
+        ",\"plan_stale\":{},\"counts_pending\":{}}}",
+        e.plan_stale, e.counts_pending
+    );
 }
 
 fn w_filter(out: &mut String, f: &FilterSnapshot) {
@@ -800,6 +807,12 @@ fn r_engine(v: &JVal) -> Result<EngineSnapshot, String> {
         tree: r_tree(v.get("tree")?)?,
         plan: v.get("plan")?.opt(r_plan)?,
         plan_stale: v.get("plan_stale")?.boolean()?,
+        // Absent in snapshots written before the field existed; those were
+        // only restorable when nothing was pending.
+        counts_pending: match v.get("counts_pending") {
+            Ok(b) => b.boolean()?,
+            Err(_) => false,
+        },
     })
 }
 

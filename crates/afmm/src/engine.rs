@@ -1,7 +1,7 @@
 use crate::config::{FmmParams, HeteroNode};
 use crate::exec::{time_step_with_jobs_policy, ExecPolicy, TimingReport};
 use crate::plan::ExecutionPlan;
-use fmm_math::{DerivScratch, ExpansionOps, Kernel, OpFlops};
+use fmm_math::{BodyTile, DerivScratch, ExpansionOps, FieldTile, Kernel, OpFlops};
 use geom::Vec3;
 use octree::{
     build_adaptive, build_adaptive_in_cube, BuildParams, EnforceOutcome, InteractionLists, NodeId,
@@ -22,6 +22,92 @@ static EMPTY_LISTS: InteractionLists = InteractionLists {
 pub struct FmmSolution {
     pub pot: Vec<f64>,
     pub field: Vec<Vec3>,
+}
+
+/// The solve's input bodies — positions and strength channels — as flat
+/// structure-of-arrays lanes in **tree order** (index i = tree-order
+/// position i), gathered once per solve. Leaf body ranges are contiguous in
+/// tree order, so a leaf's tile is a plain sub-slice of every lane.
+#[derive(Default)]
+struct BodyBuffers {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+    /// Channel-major strengths: channel `c` of tree position `i` at
+    /// `strength[c * n + i]`.
+    strength: Vec<f64>,
+}
+
+impl BodyBuffers {
+    /// Gather the caller's AoS bodies (`sd` strengths each) into tree order.
+    fn gather(&mut self, order: &[u32], pos: &[Vec3], strength: &[f64], sd: usize) {
+        for lane in [&mut self.x, &mut self.y, &mut self.z] {
+            lane.clear();
+            // Exactly n: amortized push growth would round the lanes up to a
+            // power of two and grow the body buffers past their AoS size.
+            lane.reserve_exact(order.len());
+        }
+        for &b in order {
+            let p = pos[b as usize];
+            self.x.push(p.x);
+            self.y.push(p.y);
+            self.z.push(p.z);
+        }
+        self.strength.clear();
+        for c in 0..sd {
+            self.strength
+                .extend(order.iter().map(|&b| strength[sd * b as usize + c]));
+        }
+    }
+
+    /// The bodies at tree positions `r` (one leaf's range) as a tile.
+    fn tile(&self, r: std::ops::Range<usize>) -> BodyTile<'_> {
+        // Strength window from the first channel's `r.start` to the last
+        // channel's `r.end`; stride `n` steps from one channel to the next.
+        let n = self.x.len();
+        let last = self.strength.len() - n;
+        BodyTile::new(
+            &self.x[r.clone()],
+            &self.y[r.clone()],
+            &self.z[r.clone()],
+            &self.strength[r.start..last + r.end],
+            n,
+        )
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let lanes = [&self.x, &self.y, &self.z, &self.strength];
+        lanes.iter().map(|l| l.capacity()).sum::<usize>() * std::mem::size_of::<f64>()
+    }
+}
+
+/// The solve's per-body outputs, tree-ordered SoA lanes like
+/// [`BodyBuffers`]: the operators accumulate straight into leaf windows of
+/// these.
+#[derive(Default)]
+struct FieldBuffers {
+    pot: Vec<f64>,
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+}
+
+impl FieldBuffers {
+    fn reset(&mut self, n: usize) {
+        for lane in [&mut self.pot, &mut self.x, &mut self.y, &mut self.z] {
+            lane.clear();
+            lane.resize(n, 0.0);
+        }
+    }
+
+    fn tile(&mut self) -> FieldTile<'_> {
+        FieldTile::new(&mut self.pot, &mut self.x, &mut self.y, &mut self.z)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let lanes = [&self.pot, &self.x, &self.y, &self.z];
+        lanes.iter().map(|l| l.capacity()).sum::<usize>() * std::mem::size_of::<f64>()
+    }
 }
 
 /// The adaptive-FMM engine: owns the spatial decomposition and all expansion
@@ -47,11 +133,8 @@ pub struct FmmEngine<K: Kernel> {
     tree: Octree,
     /// Fixed simulation cube, if the workload pins one.
     domain: Option<(Vec3, f64)>,
-    // Tree-ordered buffers (index i = tree-order position i).
-    pos_t: Vec<Vec3>,
-    str_t: Vec<f64>,
-    pot_t: Vec<f64>,
-    out_t: Vec<Vec3>,
+    bodies: BodyBuffers,
+    field: FieldBuffers,
     // Expansion storage, node-major: node id × channel × coefficient.
     multipoles: Vec<f64>,
     locals: Vec<f64>,
@@ -64,6 +147,11 @@ pub struct FmmEngine<K: Kernel> {
     /// ([`FmmEngine::tree_mut`], [`FmmEngine::rebuild`]); the next refresh
     /// then rebuilds the plan instead of trusting its incremental state.
     plan_stale: bool,
+    /// Bodies were re-binned since the plan last reconciled its per-node
+    /// counts ([`FmmEngine::rebin`] sets it, [`FmmEngine::refresh_plan`]
+    /// clears it). Until then the plan's population snapshot lags the tree
+    /// by design, which audits and checkpoints must not mistake for rot.
+    counts_pending: bool,
     /// Telemetry handle, shared with the plan; disabled by default.
     rec: telemetry::Recorder,
     /// How [`FmmEngine::time_step`] schedules the virtual solve (Barrier
@@ -119,14 +207,13 @@ impl<K: Kernel> FmmEngine<K> {
             ops,
             tree,
             domain,
-            pos_t: Vec::new(),
-            str_t: Vec::new(),
-            pot_t: Vec::new(),
-            out_t: Vec::new(),
+            bodies: BodyBuffers::default(),
+            field: FieldBuffers::default(),
             multipoles: Vec::new(),
             locals: Vec::new(),
             plan: None,
             plan_stale: true,
+            counts_pending: false,
             rec: telemetry::Recorder::disabled(),
             exec_policy: ExecPolicy::default(),
         }
@@ -220,6 +307,7 @@ impl<K: Kernel> FmmEngine<K> {
     /// not, so the next refresh patches counts instead of re-traversing.
     pub fn rebin(&mut self, pos: &[Vec3]) {
         self.tree.rebin(pos);
+        self.counts_pending = true;
     }
 
     /// Change the leaf capacity the *current* tree enforces, without
@@ -298,6 +386,7 @@ impl<K: Kernel> FmmEngine<K> {
     /// trusted plan exists, otherwise a cheap count reconciliation
     /// ([`ExecutionPlan::refresh_counts`]).
     pub fn refresh_plan(&mut self) -> PlanRefresh {
+        self.counts_pending = false;
         match self.plan.as_mut() {
             Some(plan) if !self.plan_stale => plan.refresh_counts(&self.tree),
             Some(plan) => {
@@ -362,18 +451,26 @@ impl<K: Kernel> FmmEngine<K> {
     /// Verify the live plan's invariants (inverse-list symmetry, per-node
     /// `OpCounts` consistency, stamp/epoch monotonicity, population
     /// snapshot). A missing or stale plan passes vacuously — nothing cached
-    /// is being trusted.
+    /// is being trusted. Between a [`FmmEngine::rebin`] and the next
+    /// [`FmmEngine::refresh_plan`] the counts lag the tree legitimately, so
+    /// the audit runs on a reconciled copy of the plan.
     pub fn audit_plan(&self) -> Result<(), crate::Error> {
-        match &self.plan {
-            Some(plan) if !self.plan_stale => {
-                plan.audit(&self.tree)
-                    .map_err(|detail| crate::Error::AuditFailed {
-                        what: "plan",
-                        detail,
-                    })
-            }
-            _ => Ok(()),
-        }
+        let Some(plan) = self.plan.as_ref().filter(|_| !self.plan_stale) else {
+            return Ok(());
+        };
+        let reconciled = self.counts_pending.then(|| {
+            let mut copy = plan.clone();
+            copy.refresh_counts(&self.tree);
+            copy
+        });
+        reconciled
+            .as_ref()
+            .unwrap_or(plan)
+            .audit(&self.tree)
+            .map_err(|detail| crate::Error::AuditFailed {
+                what: "plan",
+                detail,
+            })
     }
 
     /// Verify every body coordinate is finite — NaN positions silently
@@ -398,10 +495,8 @@ impl<K: Kernel> FmmEngine<K> {
         use std::mem::size_of;
         self.tree.heap_bytes()
             + self.plan.as_ref().map_or(0, ExecutionPlan::heap_bytes)
-            + self.pos_t.capacity() * size_of::<Vec3>()
-            + self.str_t.capacity() * size_of::<f64>()
-            + self.pot_t.capacity() * size_of::<f64>()
-            + self.out_t.capacity() * size_of::<Vec3>()
+            + self.bodies.heap_bytes()
+            + self.field.heap_bytes()
             + self.multipoles.capacity() * size_of::<f64>()
             + self.locals.capacity() * size_of::<f64>()
     }
@@ -432,6 +527,7 @@ impl<K: Kernel> FmmEngine<K> {
                 .filter(|_| !self.plan_stale)
                 .map(ExecutionPlan::snapshot),
             plan_stale: self.plan_stale,
+            counts_pending: self.counts_pending,
         }
     }
 
@@ -445,7 +541,16 @@ impl<K: Kernel> FmmEngine<K> {
         let tree = Octree::from_snapshot(snap.tree).map_err(crate::Error::Checkpoint)?;
         let plan = match snap.plan {
             Some(ps) => {
-                let plan = ExecutionPlan::from_snapshot(ps).map_err(crate::Error::Checkpoint)?;
+                let mut plan =
+                    ExecutionPlan::from_snapshot(ps).map_err(crate::Error::Checkpoint)?;
+                // A snapshot taken between `rebin` and the next refresh (the
+                // state `GravitySim::step` leaves) carries counts one
+                // reconciliation behind its tree. Do that reconciliation now
+                // — exactly what the next step would have started with — so
+                // the audit judges a consistent plan.
+                if snap.counts_pending {
+                    plan.refresh_counts(&tree);
+                }
                 plan.audit(&tree).map_err(|detail| {
                     crate::Error::Checkpoint(format!("restored plan: {detail}"))
                 })?;
@@ -509,21 +614,8 @@ impl<K: Kernel> FmmEngine<K> {
 
         self.refresh_lists();
 
-        // Gather into tree order.
-        let order = self.tree.order();
-        self.pos_t.clear();
-        self.pos_t.extend(order.iter().map(|&b| pos[b as usize]));
-        self.str_t.clear();
-        self.str_t.reserve(sd * n);
-        for &b in order {
-            let b = b as usize;
-            self.str_t
-                .extend_from_slice(&strength[sd * b..sd * (b + 1)]);
-        }
-        self.pot_t.clear();
-        self.pot_t.resize(n, 0.0);
-        self.out_t.clear();
-        self.out_t.resize(n, Vec3::ZERO);
+        self.bodies.gather(self.tree.order(), pos, strength, sd);
+        self.field.reset(n);
 
         let n_nodes = self.tree.num_nodes();
         self.multipoles.clear();
@@ -532,9 +624,10 @@ impl<K: Kernel> FmmEngine<K> {
         self.locals.resize(n_nodes * stride, 0.0);
 
         if n > 0 {
-            // One allocation scope over the three numeric phases: their
-            // per-level update collects are inherent to collect-then-write,
-            // so "phase" is measured (not zero-gated) by the memory
+            // One allocation scope over the three numeric phases: the
+            // sweeps' per-level update collects are inherent to
+            // collect-then-write (the near field writes in place), so
+            // "phase" is measured (not zero-gated) by the memory
             // observatory, unlike "rebin"/"plan.refresh".
             let _mem = telemetry::AllocScope::enter("phase");
             {
@@ -555,9 +648,10 @@ impl<K: Kernel> FmmEngine<K> {
         // Scatter results back to original order.
         let mut pot = vec![0.0; n];
         let mut field = vec![Vec3::ZERO; n];
+        let out = &self.field;
         for (i, &b) in self.tree.order().iter().enumerate() {
-            pot[b as usize] = self.pot_t[i];
-            field[b as usize] = self.out_t[i];
+            pot[b as usize] = out.pot[i];
+            field[b as usize] = Vec3::new(out.x[i], out.y[i], out.z[i]);
         }
         Ok(FmmSolution { pot, field })
     }
@@ -568,9 +662,7 @@ impl<K: Kernel> FmmEngine<K> {
         let kernel = &self.kernel;
         let ops = &self.ops;
         let tree = &self.tree;
-        let pos_t = &self.pos_t;
-        let str_t = &self.str_t;
-        let sd = kernel.strength_dim();
+        let bodies = &self.bodies;
         let ch = kernel.channels();
         for lv in levels.iter().rev() {
             // Each node at this level computes its expansion from bodies
@@ -584,15 +676,7 @@ impl<K: Kernel> FmmEngine<K> {
                     let node = tree.node(id);
                     let mut m = vec![0.0; stride];
                     if node.is_leaf() {
-                        let r = node.range();
-                        kernel.p2m(
-                            ops,
-                            node.center,
-                            &pos_t[r.clone()],
-                            &str_t[sd * r.start..sd * r.end],
-                            &mut m,
-                            pow,
-                        );
+                        kernel.p2m_tile(ops, node.center, bodies.tile(node.range()), &mut m, pow);
                     } else {
                         for c in tree.visible_children(id) {
                             let cn = tree.node(c);
@@ -663,8 +747,9 @@ impl<K: Kernel> FmmEngine<K> {
     }
 
     /// Per-leaf L2P (far field applied to bodies) and P2P (direct
-    /// interactions with non-separated leaves). Each leaf writes a disjoint
-    /// body range; results are collected per leaf and written back.
+    /// interactions with non-separated leaves), accumulated in place: each
+    /// leaf gets the `&mut` sub-slices of the output lanes that cover its
+    /// body range.
     fn near_field(&mut self) {
         let tree = &self.tree;
         let ops = &self.ops;
@@ -674,44 +759,38 @@ impl<K: Kernel> FmmEngine<K> {
             .as_ref()
             .expect("plan refreshed in try_solve")
             .lists();
-        let pos_t = &self.pos_t;
-        let str_t = &self.str_t;
         let locals = &self.locals;
-        let sd = kernel.strength_dim();
         let stride = kernel.channels() * ops.nterms();
 
+        // Leaves come in DFS (= tree) order, so their ranges ascend and one
+        // split walk down the output lanes hands every leaf its own window.
+        let bodies = &self.bodies;
         let leaves = tree.active_leaves();
-        let updates: Vec<(std::ops::Range<usize>, Vec<f64>, Vec<Vec3>)> = leaves
-            .par_iter()
-            .map_init(Vec::new, |pow, &id| {
+        let mut work = Vec::with_capacity(leaves.len());
+        let mut rest = self.field.tile();
+        let mut at = 0;
+        for id in leaves {
+            let r = tree.node(id).range();
+            let (_, tail) = rest.split_at(r.start - at);
+            let (mine, tail) = tail.split_at(r.len());
+            work.push((id, mine));
+            rest = tail;
+            at = r.end;
+        }
+
+        work.into_par_iter()
+            .for_each_init(Vec::new, |pow, (id, mut out)| {
                 let node = tree.node(id);
-                let r = node.range();
-                let len = r.len();
-                let mut pot = vec![0.0; len];
-                let mut out = vec![Vec3::ZERO; len];
-                let tpos = &pos_t[r.clone()];
+                let tgt = bodies.tile(node.range());
                 // Far field: evaluate the leaf's local expansion.
                 let l = &locals[id as usize * stride..(id as usize + 1) * stride];
-                kernel.l2p(ops, node.center, l, tpos, &mut pot, &mut out, pow);
+                kernel.l2p_tile(ops, node.center, l, tgt, &mut out, pow);
                 // Near field: direct interaction with every source leaf.
                 for &b in &lists.p2p[id as usize] {
-                    let rb = tree.node(b).range();
-                    kernel.p2p(
-                        tpos,
-                        &mut pot,
-                        &mut out,
-                        &pos_t[rb.clone()],
-                        &str_t[sd * rb.start..sd * rb.end],
-                        b == id,
-                    );
+                    let src = bodies.tile(tree.node(b).range());
+                    kernel.p2p_tile(tgt, &mut out, src, b == id);
                 }
-                (r, pot, out)
-            })
-            .collect();
-        for (r, pot, out) in updates {
-            self.pot_t[r.clone()].copy_from_slice(&pot);
-            self.out_t[r].copy_from_slice(&out);
-        }
+            });
     }
 }
 

@@ -929,6 +929,64 @@ mod tests {
         assert!(summary.lb_fraction() >= 0.0);
     }
 
+    /// `GravitySim::step` ends with `rebin` and (when the balancer does not
+    /// act) no refresh, so a checkpoint of its engine carries counts one
+    /// reconciliation behind the tree. Such a snapshot must restore, and
+    /// the restored engine must continue bit-identically.
+    #[test]
+    fn engine_checkpoint_between_rebin_and_refresh_resumes_bit_identically() {
+        let mk = || {
+            GravitySim::new(
+                plummer(900, 1.0, 1.0, 508),
+                1.0,
+                0.01,
+                0.05,
+                FmmParams {
+                    order: 4,
+                    ..Default::default()
+                },
+                HeteroNode::system_a(10, 2),
+                Strategy::Full,
+                small_cfg(),
+                None,
+            )
+        };
+        let (mut whole, mut resumed) = (mk(), mk());
+        // Debug-prints floats shortest-round-trip, so equal text is equal bits.
+        let step_both = |a: &mut GravitySim, b: &mut GravitySim| {
+            let (ra, rb) = (a.step().unwrap(), b.step().unwrap());
+            assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
+        };
+        let mut steps = 0;
+        // Three steps, then on to the first state the bug lived in: a live
+        // plan snapshotted with its counts pending.
+        let snap = loop {
+            step_both(&mut whole, &mut resumed);
+            steps += 1;
+            let snap = whole.engine.checkpoint_state();
+            if steps >= 3 && snap.plan.is_some() && snap.counts_pending {
+                break snap;
+            }
+            assert!(steps < 40, "balancer never left a live plan pending");
+        };
+        whole
+            .engine
+            .audit_plan()
+            .expect("pending counts are not rot");
+
+        let text = crate::checkpoint::engine_to_json(&snap);
+        let snap = crate::checkpoint::engine_from_json(&text).unwrap();
+        resumed.engine = FmmEngine::restore_state(resumed.engine.kernel, snap)
+            .expect("a mid-step snapshot passes its own restore audit");
+        resumed.engine.audit_plan().unwrap();
+
+        for _ in 0..3 {
+            step_both(&mut whole, &mut resumed);
+            assert_eq!(whole.bodies.pos, resumed.bodies.pos);
+            assert_eq!(whole.bodies.vel, resumed.bodies.vel);
+        }
+    }
+
     #[test]
     fn tracker_applies_scheduled_faults() {
         let b = plummer(1500, 1.0, 1.0, 506);

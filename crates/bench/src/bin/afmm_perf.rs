@@ -86,7 +86,53 @@ fn run_and_render(cfg: &SuiteConfig) -> BenchReport {
         "# afmm-perf: {} suite ({} scenarios pending, reps={}, warmup={})",
         cfg.mode, 8, cfg.reps, cfg.warmup
     );
-    run_suite(cfg, &mut |line| eprintln!("# {line}"))
+    let report = run_suite(cfg, &mut |line| eprintln!("# {line}"));
+    print_solve_ledger(&report);
+    report
+}
+
+/// The `solve_step` wall ledger: phase walls against the whole solve, and
+/// the host's measured near-field operator costs beside the cost model's
+/// coefficients for the same operators (virtual core-time per application),
+/// so model-vs-host skew per op is visible at a glance.
+fn print_solve_ledger(report: &BenchReport) {
+    let Some(solve) = report.scenario("solve_step") else {
+        return;
+    };
+    let median = |name: &str| solve.metric(name).map(|m| m.stats.median);
+    let Some(wall) = median("wall_solve_s") else {
+        return;
+    };
+    eprintln!("# solve_step wall ledger (wall_solve_s = {wall:.4} s):");
+    let mut phases = 0.0;
+    for name in ["upsweep_s", "downsweep_s", "near_field_s"] {
+        if let Some(t) = median(name) {
+            phases += t;
+            eprintln!("#   {name:<16} {t:>10.4} s  {:>5.1} %", 100.0 * t / wall);
+        }
+    }
+    eprintln!(
+        "#   {:<16} {phases:>10.4} s  {:>5.1} %",
+        "phases total",
+        100.0 * phases / wall
+    );
+    let model = solve.snapshot.get("cost_model");
+    for (name, unit, coeff) in [
+        ("p2p_ns_per_pair", "ns/pair", "c_cpu_pair"),
+        ("l2p_ns_per_body", "ns/body", "c_l2p"),
+    ] {
+        let (Some(host), Some(c)) = (
+            median(name),
+            model.and_then(|m| m.get(coeff)).and_then(Json::as_f64),
+        ) else {
+            continue;
+        };
+        eprintln!(
+            "#   {name:<16} {host:>10.2} {unit}  host | model {coeff} = {:.2} {unit}  (host/model {:.2})",
+            c * 1e9,
+            host / (c * 1e9)
+        );
+    }
 }
 
 fn write_report(report: &BenchReport, path: &std::path::Path) -> Result<(), String> {

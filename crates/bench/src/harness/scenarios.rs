@@ -173,17 +173,113 @@ fn sample(warmup: usize, reps: usize, mut f: impl FnMut()) -> Vec<f64> {
     (0..reps).map(|_| wall(&mut f).0).collect()
 }
 
+/// Host cost of the two near-field operators over `engine`'s current tree
+/// and lists, each timed in its own pass on tree-ordered SoA lanes like the
+/// solve's: samples of (P2P ns per pair, L2P ns per body). The phase spans
+/// cannot separate the two — L2P and P2P share `solve.near_field`.
+fn near_field_probe(
+    engine: &FmmEngine<GravityKernel>,
+    b: &nbody::Bodies,
+    warmup: usize,
+    reps: usize,
+) -> (Vec<f64>, Vec<f64>) {
+    use fmm_math::{BodyTile, FieldTile, Kernel};
+    let (tree, lists, ops) = (engine.tree(), engine.lists(), engine.expansion_ops());
+    let order = tree.order();
+    let n = order.len();
+    let lane =
+        |axis: usize| -> Vec<f64> { order.iter().map(|&i| b.pos[i as usize][axis]).collect() };
+    let (x, y, z) = (lane(0), lane(1), lane(2));
+    let q: Vec<f64> = order.iter().map(|&i| b.mass[i as usize]).collect();
+    // One strength channel (mass), so a leaf's window is a plain sub-slice
+    // with the whole-problem stride.
+    let tile = |r: std::ops::Range<usize>| {
+        BodyTile::new(&x[r.clone()], &y[r.clone()], &z[r.clone()], &q[r], n)
+    };
+    let (mut pot, mut ox, mut oy, mut oz) =
+        (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let leaves = tree.active_leaves();
+    // L2P costs the same whatever the coefficients hold.
+    let local = vec![0.0; ops.nterms()];
+    let mut pow = Vec::new();
+
+    let mut pairs = 0u64;
+    let p2p = sample(warmup, reps, || {
+        pairs = 0;
+        for &id in &leaves {
+            let r = tree.node(id).range();
+            let mut out = FieldTile::new(
+                &mut pot[r.clone()],
+                &mut ox[r.clone()],
+                &mut oy[r.clone()],
+                &mut oz[r.clone()],
+            );
+            for &src in &lists.p2p[id as usize] {
+                let rs = tree.node(src).range();
+                pairs += (r.len() * rs.len()) as u64;
+                engine
+                    .kernel
+                    .p2p_tile(tile(r.clone()), &mut out, tile(rs), src == id);
+            }
+        }
+    });
+    // One L2P pass is a few ms at quick sizes — short enough for a single
+    // preemption to double it — so a sample is several passes.
+    const L2P_PASSES: usize = 8;
+    let l2p = sample(warmup, reps, || {
+        for _ in 0..L2P_PASSES {
+            for &id in &leaves {
+                let node = tree.node(id);
+                let r = node.range();
+                let mut out = FieldTile::new(
+                    &mut pot[r.clone()],
+                    &mut ox[r.clone()],
+                    &mut oy[r.clone()],
+                    &mut oz[r.clone()],
+                );
+                engine
+                    .kernel
+                    .l2p_tile(ops, node.center, &local, tile(r), &mut out, &mut pow);
+            }
+        }
+    });
+    std::hint::black_box((&pot, &ox, &oy, &oz));
+    let per = |samples: Vec<f64>, count: f64| -> Vec<f64> {
+        samples.iter().map(|s| s * 1e9 / count.max(1.0)).collect()
+    };
+    (per(p2p, pairs as f64), per(l2p, (L2P_PASSES * n) as f64))
+}
+
 /// **solve_step** — one numeric FMM solve (gravity, Plummer sphere) plus
 /// the virtual-node timing of the same tree. The core "is the solver
 /// getting slower" scenario; its snapshot carries the full structural
 /// context including the observed cost-model coefficients.
+///
+/// The wall clock is broken down twice. By phase: `upsweep_s`,
+/// `downsweep_s` and `near_field_s` are the engine's own `solve.*` spans of
+/// the measured solves (informational; they sum to `wall_solve_s` up to the
+/// gather/scatter around them). By operator: `p2p_ns_per_pair` and
+/// `l2p_ns_per_body` from [`near_field_probe`], gated, so a near-field
+/// kernel regression is named rather than smeared over the whole solve.
 fn solve_step(cfg: &SuiteConfig) -> Scenario {
     let s = 96;
     let b = nbody::plummer(cfg.n_solve, 1.0, 1.0, cfg.seed);
     let mut engine = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, s);
+    let rec = telemetry::Recorder::enabled();
+    engine.set_recorder(rec.clone());
     let samples = sample(cfg.warmup, cfg.reps, || {
         std::hint::black_box(engine.solve(&b.pos, &b.mass));
     });
+    engine.set_recorder(telemetry::Recorder::disabled());
+    // One span per solve, warmups first: the last `reps` are the measured ones.
+    let phase = |name: &str| -> Vec<f64> {
+        let spans = rec.events_named(name);
+        spans[spans.len() - cfg.reps..]
+            .iter()
+            .map(|e| e.dur_s.expect("solve phases are spans"))
+            .collect()
+    };
+    let (p2p_ns, l2p_ns) = near_field_probe(&engine, &b, cfg.warmup, cfg.reps);
 
     let node = HeteroNode::system_a(cfg.cores, cfg.gpus);
     let flops = crate::default_flops(&GravityKernel::default());
@@ -215,6 +311,11 @@ fn solve_step(cfg: &SuiteConfig) -> Scenario {
         ]),
         metrics: vec![
             Metric::wall("wall_solve_s", "s", samples, cfg.seed),
+            Metric::wall("p2p_ns_per_pair", "ns", p2p_ns, cfg.seed),
+            Metric::wall("l2p_ns_per_body", "ns", l2p_ns, cfg.seed),
+            Metric::wall("upsweep_s", "s", phase("solve.upsweep"), cfg.seed).informational(),
+            Metric::wall("downsweep_s", "s", phase("solve.downsweep"), cfg.seed).informational(),
+            Metric::wall("near_field_s", "s", phase("solve.near_field"), cfg.seed).informational(),
             Metric::virtual_point("virtual_compute_s", "s", timing.compute()),
             Metric::virtual_point("virtual_cpu_s", "s", timing.t_cpu),
             Metric::virtual_point("virtual_gpu_s", "s", timing.t_gpu),

@@ -156,6 +156,35 @@ fn smoke_suite_runs_and_gates() {
     assert!(solve.snapshot.get("gpu").is_some());
     assert!(solve.snapshot.get("cost_model").is_some());
 
+    // The wall ledger: the two near-field operator costs gate, the phase
+    // walls inform, and the phases account for the solve — sample by
+    // sample, all but the gather/scatter around them (2 %; the median
+    // shrugs off a preemption landing in that sliver).
+    for (name, gate) in [
+        ("p2p_ns_per_pair", true),
+        ("l2p_ns_per_body", true),
+        ("upsweep_s", false),
+        ("downsweep_s", false),
+        ("near_field_s", false),
+    ] {
+        let m = solve.metric(name).unwrap_or_else(|| panic!("{name}"));
+        assert_eq!(m.gate, gate, "{name}");
+        assert!(m.stats.median > 0.0, "{name}");
+    }
+    let samples = |name: &str| &solve.metric(name).unwrap().samples;
+    let wall = samples("wall_solve_s");
+    let accounted: Vec<f64> = (0..wall.len())
+        .map(|i| {
+            let phases: f64 = ["upsweep_s", "downsweep_s", "near_field_s"]
+                .iter()
+                .map(|p| samples(p)[i])
+                .sum();
+            phases / wall[i]
+        })
+        .collect();
+    let frac = summarize(&accounted, 11).median;
+    assert!((0.98..=1.0).contains(&frac), "phases cover {frac} of solve");
+
     // Round trip.
     let text = report.to_json();
     assert!(telemetry::json_syntax_ok(text.trim_end()));

@@ -23,6 +23,8 @@ pub struct ExpansionOps {
     m2l_triples: Vec<(u32, u32, u32)>,
     /// `(−1)^{|α|}` per flat index, used in the multipole-to-field formula.
     sign: Vec<f64>,
+    /// Per axis `d`, every `(β, β − e_d)` with `β_d > 0`, ascending in `β`.
+    peel: [Vec<(u32, u32)>; 3],
 }
 
 impl ExpansionOps {
@@ -30,7 +32,17 @@ impl ExpansionOps {
         let set = MultiIndexSet::new(order);
         let mut sub_triples = Vec::new();
         let mut m2l_triples = Vec::new();
+        let mut peel = [Vec::new(), Vec::new(), Vec::new()];
         for (a, (ai, aj, ak)) in set.iter() {
+            if ai > 0 {
+                peel[0].push((a as u32, set.idx(ai - 1, aj, ak) as u32));
+            }
+            if aj > 0 {
+                peel[1].push((a as u32, set.idx(ai, aj - 1, ak) as u32));
+            }
+            if ak > 0 {
+                peel[2].push((a as u32, set.idx(ai, aj, ak - 1) as u32));
+            }
             // β <= α component-wise.
             for bi in 0..=ai {
                 for bj in 0..=aj {
@@ -66,6 +78,7 @@ impl ExpansionOps {
             sub_triples,
             m2l_triples,
             sign,
+            peel,
         }
     }
 
@@ -84,6 +97,16 @@ impl ExpansionOps {
     #[inline]
     pub fn nterms(&self) -> usize {
         self.set.len()
+    }
+
+    /// Peel table of axis `d` (0 = x, 1 = y, 2 = z): every flat-index pair
+    /// `(β, β − e_d)` with `β_d > 0`, ascending in `β`. One derivative of a
+    /// Taylor sum, `∂_d Σ_β L_β t^β/β! = Σ_{β_d>0} L_β t^{β−e_d}/(β−e_d)!`,
+    /// and one dipole moment, `Σ_{α_d>0} f_d t^{α−e_d}/(α−e_d)!`, are both a
+    /// single pass over this list with no index arithmetic.
+    #[inline]
+    pub fn peel(&self, axis: usize) -> &[(u32, u32)] {
+        &self.peel[axis]
     }
 
     /// Translate a multipole expansion from a child center to its parent:

@@ -14,12 +14,16 @@
 //!
 //! | op  | function |
 //! |-----|----------|
-//! | P2M | [`Kernel::p2m`] |
+//! | P2M | [`Kernel::p2m_tile`] |
 //! | M2M | [`ExpansionOps::m2m`] (kernel-independent) |
 //! | M2L | [`ExpansionOps::m2l`] (kernel-independent, shares one tensor across channels) |
 //! | L2L | [`ExpansionOps::l2l`] (kernel-independent) |
-//! | L2P | [`Kernel::l2p`] |
-//! | P2P | [`Kernel::p2p`] |
+//! | L2P | [`Kernel::l2p_tile`] |
+//! | P2P | [`Kernel::p2p_tile`] |
+//!
+//! The three body-touching operators run on structure-of-arrays
+//! [`BodyTile`]s; [`Kernel::p2m`] / [`Kernel::l2p`] / [`Kernel::p2p`] are
+//! thin `&[Vec3]` adapters over the same implementations.
 //!
 //! Two kernels are provided: Newtonian [`GravityKernel`] (1 harmonic channel)
 //! and the regularized [`StokesletKernel`] of Cortez et al. (7 harmonic
@@ -34,6 +38,7 @@ mod multiindex;
 mod powers;
 mod stokeslet;
 mod tensor;
+mod tile;
 
 pub use expansion::ExpansionOps;
 pub use kernel::{Kernel, OpFlops};
@@ -42,3 +47,4 @@ pub use multiindex::{nterms, MultiIndexSet};
 pub use powers::power_series;
 pub use stokeslet::{StokesletKernel, STOKESLET_CHANNELS};
 pub use tensor::{deriv_1_over_r, DerivScratch};
+pub use tile::{BodyTile, FieldTile, TILE_BLOCK};

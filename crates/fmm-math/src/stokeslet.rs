@@ -1,6 +1,7 @@
 use crate::expansion::ExpansionOps;
 use crate::kernel::Kernel;
 use crate::powers::power_series;
+use crate::tile::{BodyTile, FieldTile};
 use geom::Vec3;
 
 /// Number of harmonic channels in the Stokeslet decomposition.
@@ -72,66 +73,63 @@ impl Kernel for StokesletKernel {
         "stokeslet"
     }
 
-    fn p2m(
+    fn p2m_tile(
         &self,
         ops: &ExpansionOps,
         center: Vec3,
-        pos: &[Vec3],
-        strength: &[f64],
+        src: BodyTile<'_>,
         m: &mut [f64],
         pow_scratch: &mut Vec<f64>,
     ) {
         let nt = ops.nterms();
         debug_assert_eq!(m.len(), STOKESLET_CHANNELS * nt);
-        debug_assert_eq!(strength.len(), 3 * pos.len());
-        let set = ops.set();
-        pow_scratch.resize(nt, 0.0);
-        for (s, &y) in pos.iter().enumerate() {
-            let f = Vec3::new(strength[3 * s], strength[3 * s + 1], strength[3 * s + 2]);
-            power_series(y - center, set, pow_scratch);
-            for (a, (ai, aj, ak)) in set.iter() {
-                let pw = pow_scratch[a];
+        let (fx, fy, fz) = (src.channel(0), src.channel(1), src.channel(2));
+        // Power table, then the per-source dipole moments beside it.
+        pow_scratch.resize(2 * nt, 0.0);
+        let (pow, dip) = pow_scratch.split_at_mut(nt);
+        for s in 0..src.len() {
+            let y = src.pos(s);
+            let f = [fx[s], fy[s], fz[s]];
+            power_series(y - center, ops.set(), pow);
+            // Dipole moment Σ_d f_d (y−c)^{α−e_d}/(α−e_d)!, axis by axis.
+            dip.fill(0.0);
+            for (axis, &fd) in f.iter().enumerate() {
+                for &(a, lo) in ops.peel(axis) {
+                    dip[a as usize] += fd * pow[lo as usize];
+                }
+            }
+            for a in 0..nt {
+                let (pw, dp) = (pow[a], dip[a]);
                 // Charge channels C_i: plain moments with strength f_i.
-                m[a] += f.x * pw;
-                m[nt + a] += f.y * pw;
-                m[2 * nt + a] += f.z * pw;
-                // Dipole moment contribution Σ_d f_d (y−c)^{α−e_d}/(α−e_d)!.
-                let mut dip = 0.0;
-                if ai > 0 {
-                    dip += f.x * pow_scratch[set.idx(ai - 1, aj, ak)];
-                }
-                if aj > 0 {
-                    dip += f.y * pow_scratch[set.idx(ai, aj - 1, ak)];
-                }
-                if ak > 0 {
-                    dip += f.z * pow_scratch[set.idx(ai, aj, ak - 1)];
-                }
-                m[3 * nt + a] += dip;
+                m[a] += f[0] * pw;
+                m[nt + a] += f[1] * pw;
+                m[2 * nt + a] += f[2] * pw;
+                m[3 * nt + a] += dp;
                 // Coordinate-weighted dipole channels E_i.
-                m[4 * nt + a] += y.x * dip;
-                m[5 * nt + a] += y.y * dip;
-                m[6 * nt + a] += y.z * dip;
+                m[4 * nt + a] += y.x * dp;
+                m[5 * nt + a] += y.y * dp;
+                m[6 * nt + a] += y.z * dp;
             }
         }
     }
 
-    fn l2p(
+    fn l2p_tile(
         &self,
         ops: &ExpansionOps,
         center: Vec3,
         l: &[f64],
-        pos: &[Vec3],
-        _pot: &mut [f64],
-        out: &mut [Vec3],
+        tgt: BodyTile<'_>,
+        out: &mut FieldTile<'_>,
         pow_scratch: &mut Vec<f64>,
     ) {
         let nt = ops.nterms();
         debug_assert_eq!(l.len(), STOKESLET_CHANNELS * nt);
-        let set = ops.set();
+        debug_assert_eq!(out.len(), tgt.len());
         let pref = self.prefactor();
         pow_scratch.resize(nt, 0.0);
-        for (i, &x) in pos.iter().enumerate() {
-            power_series(x - center, set, pow_scratch);
+        for i in 0..tgt.len() {
+            let x = tgt.pos(i);
+            power_series(x - center, ops.set(), &mut pow_scratch[..nt]);
             let mut ch = [0.0f64; STOKESLET_CHANNELS];
             for b in 0..nt {
                 let pw = pow_scratch[b];
@@ -139,53 +137,61 @@ impl Kernel for StokesletKernel {
                     *v += l[c * nt + b] * pw;
                 }
             }
-            let u = Vec3::new(
-                ch[0] + x.x * ch[3] - ch[4],
-                ch[1] + x.y * ch[3] - ch[5],
-                ch[2] + x.z * ch[3] - ch[6],
-            );
-            out[i] += u * pref;
+            out.x[i] += (ch[0] + x.x * ch[3] - ch[4]) * pref;
+            out.y[i] += (ch[1] + x.y * ch[3] - ch[5]) * pref;
+            out.z[i] += (ch[2] + x.z * ch[3] - ch[6]) * pref;
         }
     }
 
-    fn p2p(
+    fn p2p_tile(
         &self,
-        tpos: &[Vec3],
-        _tpot: &mut [f64],
-        tout: &mut [Vec3],
-        spos: &[Vec3],
-        sstr: &[f64],
-        self_interaction: bool,
+        tgt: BodyTile<'_>,
+        out: &mut FieldTile<'_>,
+        src: BodyTile<'_>,
+        self_tile: bool,
     ) {
-        debug_assert_eq!(sstr.len(), 3 * spos.len());
-        if self_interaction {
-            debug_assert_eq!(tpos.len(), spos.len());
+        let n = tgt.len();
+        assert_eq!(out.len(), n, "output tile out of sync with targets");
+        if self_tile {
+            assert_eq!(src.len(), n, "a self tile is one body set");
         }
         let e2 = self.epsilon * self.epsilon;
         let pref = self.prefactor();
-        for (i, &x) in tpos.iter().enumerate() {
-            let mut u = Vec3::ZERO;
-            for (j, &y) in spos.iter().enumerate() {
-                if self_interaction && i == j {
-                    // The regularized Stokeslet is finite at r = 0 but the
-                    // self term is handled by the regularization itself;
-                    // include it (standard in the method) unless ε = 0.
-                    if e2 == 0.0 {
-                        continue;
-                    }
-                }
-                let f = Vec3::new(sstr[3 * j], sstr[3 * j + 1], sstr[3 * j + 2]);
-                let d = x - y;
-                let r2 = d.norm_sq();
+        let (tx, ty, tz) = (&tgt.x[..n], &tgt.y[..n], &tgt.z[..n]);
+        let (ux, uy, uz) = (&mut out.x[..n], &mut out.y[..n], &mut out.z[..n]);
+        let (fx, fy, fz) = (src.channel(0), src.channel(1), src.channel(2));
+        // The regularized Stokeslet is finite at r = 0 and the method keeps
+        // that self term; only the singular limit ε = 0 drops its own index.
+        let skip_own = self_tile && e2 == 0.0;
+        for j in 0..src.len() {
+            let (sx, sy, sz) = (src.x[j], src.y[j], src.z[j]);
+            let (fx, fy, fz) = (fx[j] * pref, fy[j] * pref, fz[j] * pref);
+            // Own index: evaluated with the rest of the row (full-width
+            // vector loop) and then put back — skipped by index.
+            let own = skip_own.then(|| (ux[j], uy[j], uz[j]));
+            // One source against every target, element-wise (vectorisable):
+            // one `sqrt` and one divide per pair.
+            for i in 0..n {
+                let dx = tx[i] - sx;
+                let dy = ty[i] - sy;
+                let dz = tz[i] - sz;
+                let r2 = dx * dx + dy * dy + dz * dz;
                 let re2 = r2 + e2;
                 let inv = 1.0 / (re2 * re2.sqrt());
-                u += (f * (r2 + 2.0 * e2) + d * f.dot(d)) * inv;
+                let iso = (r2 + 2.0 * e2) * inv;
+                let fd = (fx * dx + fy * dy + fz * dz) * inv;
+                ux[i] += fx * iso + dx * fd;
+                uy[i] += fy * iso + dy * fd;
+                uz[i] += fz * iso + dz * fd;
             }
-            tout[i] += u * pref;
+            if let Some((x, y, z)) = own {
+                (ux[j], uy[j], uz[j]) = (x, y, z);
+            }
         }
     }
 
     fn p2p_flops_per_pair(&self) -> f64 {
+        // A cost-*model* weight, not an instruction count of `p2p_tile`:
         // ~3 sub, 5 r², 2 add, sqrt+div ≈ 8, dot 5, 2×(3 mul + 3 fma) ≈ 12,
         // scale+add 6 → ≈ 41; noticeably heavier than gravity.
         41.0

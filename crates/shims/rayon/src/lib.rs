@@ -54,6 +54,17 @@ pub mod iter {
             self.0.for_each(f)
         }
 
+        /// rayon's `for_each_init`: `for_each` with per-worker scratch
+        /// state (one worker here, so one `init`).
+        pub fn for_each_init<T, INIT, F>(self, mut init: INIT, mut f: F)
+        where
+            INIT: FnMut() -> T,
+            F: FnMut(&mut T, I::Item),
+        {
+            let mut scratch = init();
+            self.0.for_each(|x| f(&mut scratch, x))
+        }
+
         pub fn collect<C>(self) -> C
         where
             C: FromIterator<I::Item>,

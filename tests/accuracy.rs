@@ -167,3 +167,41 @@ fn solution_invariant_under_tree_maintenance() {
         "rebin of unmoved bodies is a no-op"
     );
 }
+
+/// Accuracy as an explicit tolerance. Kernel rewrites reassociate float
+/// sums, so bit-identity with an earlier commit cannot be the physics
+/// oracle; these bounds are. Each is the relative L2 field error on a
+/// 3000-body Plummer sphere at order 6, θ = 0.6, measured with the scalar
+/// AoS kernels this table was introduced to replace, times 1.01 — a perf
+/// change may move the trailing digits of a sum, never the error level.
+#[test]
+fn field_error_within_pinned_tolerances() {
+    let n = 3000;
+    let b = nbody::plummer(n, 1.0, 1.0, 1009);
+    let f = nbody::random_unit_forces(n, 1010);
+    let stokes = StokesletKernel::new(1e-3, 1.0);
+    let gravity_ref = gravity_direct(&b);
+    let (mut pot, mut stokes_ref) = (vec![0.0; n], vec![Vec3::ZERO; n]);
+    stokes.p2p(&b.pos, &mut pot, &mut stokes_ref, &b.pos, &f, true);
+
+    // (leaf capacity S, gravity bound, Stokeslet bound)
+    let table = [
+        (16, 3.8828e-5 * 1.01, 1.6309e-5 * 1.01),
+        (96, 2.4244e-5 * 1.01, 8.3655e-6 * 1.01),
+        (512, 1.8254e-7 * 1.01, 8.9313e-8 * 1.01),
+    ];
+    for (s, gravity_bound, stokes_bound) in table {
+        let mut e = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, s);
+        let err = rel_err(&e.solve(&b.pos, &b.mass).field, &gravity_ref);
+        assert!(
+            err <= gravity_bound,
+            "gravity S={s}: {err:e} > {gravity_bound:e}"
+        );
+        let mut e = FmmEngine::new(stokes, FmmParams::default(), &b.pos, s);
+        let err = rel_err(&e.solve(&b.pos, &f).field, &stokes_ref);
+        assert!(
+            err <= stokes_bound,
+            "stokeslet S={s}: {err:e} > {stokes_bound:e}"
+        );
+    }
+}
