@@ -16,8 +16,10 @@
 //! lists are captured verbatim because their iteration order drives the
 //! float-summation order of every downstream reduction.
 //!
-//! Like the `telemetry` crate, this module is dependency-free: it carries
-//! its own writer and a minimal recursive-descent JSON parser.
+//! The writer streams into a `String`; reading goes through the workspace's
+//! one JSON parser ([`telemetry::json`]), whose exact `u64` integers carry
+//! the bit patterns, and no input — truncated, tampered or hostile — makes
+//! a restore panic: every failure is an [`Error::Checkpoint`].
 
 use crate::balance::{BalancerSnapshot, LbConfig, LbState, Strategy};
 use crate::config::FmmParams;
@@ -26,9 +28,10 @@ use crate::error::Error;
 use crate::filter::FilterSnapshot;
 use crate::simulate::StepRecord;
 use geom::Vec3;
-use gpu_sim::{DeviceStatus, FaultEvent, FaultSchedule, TimedFault};
-use octree::{ListsSnapshot, Mac, Node, OpCounts, TreeSnapshot, NONE};
+use gpu_sim::{DeviceStatus, FaultEvent, FaultSchedule};
+use octree::{ListsSnapshot, Mac, Node, OpCounts, TreeSnapshot};
 use std::fmt::Write as _;
+use telemetry::json::{push_opt, push_seq, Json};
 
 /// Version of the on-disk schema. Bump on any incompatible layout change;
 /// restore refuses snapshots from a different version.
@@ -86,41 +89,26 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 // ---- writer ----
+//
+// Streams straight into a `String` (no tree for a million-body snapshot);
+// brackets, commas and `null`s come from the shared `push_seq`/`push_opt`.
 
 fn w_f64(out: &mut String, v: f64) {
     let _ = write!(out, "{}", v.to_bits());
 }
 
 fn w_vec3(out: &mut String, v: Vec3) {
-    out.push('[');
-    w_f64(out, v.x);
-    out.push(',');
-    w_f64(out, v.y);
-    out.push(',');
-    w_f64(out, v.z);
-    out.push(']');
+    push_seq(out, [v.x, v.y, v.z], w_f64);
 }
 
 fn w_u64_slice<T: Copy + Into<u64>>(out: &mut String, xs: &[T]) {
-    out.push('[');
-    for (i, &x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    push_seq(out, xs, |out, &x| {
         let _ = write!(out, "{}", x.into());
-    }
-    out.push(']');
+    });
 }
 
 fn w_lists(out: &mut String, lists: &[Vec<u32>]) {
-    out.push('[');
-    for (i, l) in lists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        w_u64_slice(out, l);
-    }
-    out.push(']');
+    push_seq(out, lists, |out, l| w_u64_slice(out, l));
 }
 
 fn w_counts(out: &mut String, c: &OpCounts) {
@@ -138,26 +126,20 @@ fn w_counts(out: &mut String, c: &OpCounts) {
 }
 
 fn w_tree(out: &mut String, t: &TreeSnapshot) {
-    out.push_str("{\"nodes\":[");
-    for (i, n) in t.nodes.iter().enumerate() {
-        if i > 0 {
+    out.push_str("{\"nodes\":");
+    push_seq(out, &t.nodes, |out, n| {
+        out.push('[');
+        for v in [n.center.x, n.center.y, n.center.z, n.half_width] {
+            w_f64(out, v);
             out.push(',');
         }
-        out.push('[');
-        w_f64(out, n.center.x);
-        out.push(',');
-        w_f64(out, n.center.y);
-        out.push(',');
-        w_f64(out, n.center.z);
-        out.push(',');
-        w_f64(out, n.half_width);
         let _ = write!(
             out,
-            ",{},{},{},{},{},{}]",
+            "{},{},{},{},{},{}]",
             n.level, n.parent, n.first_child, n.begin, n.end, n.collapsed as u8
         );
-    }
-    out.push_str("],\"order\":");
+    });
+    out.push_str(",\"order\":");
     w_u64_slice(out, &t.order);
     out.push_str(",\"codes\":");
     w_u64_slice(out, &t.codes);
@@ -179,14 +161,9 @@ fn w_plan(out: &mut String, p: &ListsSnapshot) {
     w_lists(out, &p.rev_m2l);
     out.push_str(",\"rev_p2p\":");
     w_lists(out, &p.rev_p2p);
-    out.push_str(",\"node_counts\":[");
-    for (i, c) in p.node_counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        w_counts(out, c);
-    }
-    out.push_str("],\"totals\":");
+    out.push_str(",\"node_counts\":");
+    push_seq(out, &p.node_counts, w_counts);
+    out.push_str(",\"totals\":");
     w_counts(out, &p.totals);
     out.push_str(",\"body_count\":");
     w_u64_slice(out, &p.body_count);
@@ -199,27 +176,13 @@ fn w_engine(out: &mut String, e: &EngineSnapshot) {
     let _ = write!(out, "{{\"order\":{},\"theta\":", e.params.order);
     w_f64(out, e.params.mac.theta);
     let _ = write!(out, ",\"max_level\":{},\"domain\":", e.params.max_level);
-    match e.domain {
-        Some((c, hw)) => {
-            out.push('[');
-            w_f64(out, c.x);
-            out.push(',');
-            w_f64(out, c.y);
-            out.push(',');
-            w_f64(out, c.z);
-            out.push(',');
-            w_f64(out, hw);
-            out.push(']');
-        }
-        None => out.push_str("null"),
-    }
+    push_opt(out, e.domain, |out, (c, hw)| {
+        push_seq(out, [c.x, c.y, c.z, hw], w_f64)
+    });
     out.push_str(",\"tree\":");
     w_tree(out, &e.tree);
     out.push_str(",\"plan\":");
-    match &e.plan {
-        Some(p) => w_plan(out, p),
-        None => out.push_str("null"),
-    }
+    push_opt(out, e.plan.as_ref(), w_plan);
     let _ = write!(
         out,
         ",\"plan_stale\":{},\"counts_pending\":{}}}",
@@ -228,20 +191,12 @@ fn w_engine(out: &mut String, e: &EngineSnapshot) {
 }
 
 fn w_filter(out: &mut String, f: &FilterSnapshot) {
-    out.push_str("{\"window\":[");
-    for (i, &v) in f.window.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        w_f64(out, v);
-    }
-    let _ = write!(out, "],\"k\":{},\"alpha\":", f.k);
+    out.push_str("{\"window\":");
+    push_seq(out, f.window.iter().copied(), w_f64);
+    let _ = write!(out, ",\"k\":{},\"alpha\":", f.k);
     w_f64(out, f.alpha);
     out.push_str(",\"ewma\":");
-    match f.ewma {
-        Some(v) => w_f64(out, v),
-        None => out.push_str("null"),
-    }
+    push_opt(out, f.ewma, w_f64);
     let _ = write!(out, ",\"rejected\":{}}}", f.rejected);
 }
 
@@ -299,53 +254,41 @@ fn w_balancer(out: &mut String, b: &BalancerSnapshot) {
     );
     w_f64(out, b.best_compute);
     out.push_str(",\"incr_best\":");
-    match b.incr_best {
-        Some((s, t)) => {
-            let _ = write!(out, "[{s},");
-            w_f64(out, t);
-            out.push(']');
-        }
-        None => out.push_str("null"),
-    }
+    push_opt(out, b.incr_best, |out, (s, t)| {
+        let _ = write!(out, "[{s},");
+        w_f64(out, t);
+        out.push(']');
+    });
     out.push_str(",\"incr_dir_up\":");
-    match b.incr_dir_up {
-        Some(up) => {
-            let _ = write!(out, "{up}");
-        }
-        None => out.push_str("null"),
-    }
+    push_opt(out, b.incr_dir_up, |out, up| {
+        let _ = write!(out, "{up}");
+    });
     let _ = write!(
         out,
         ",\"incr_flipped\":{},\"regress_count\":{},\"last_online\":",
         b.incr_flipped, b.regress_count
     );
-    match b.last_online {
-        Some(n) => {
-            let _ = write!(out, "{n}");
-        }
-        None => out.push_str("null"),
-    }
+    push_opt(out, b.last_online, |out, n| {
+        let _ = write!(out, "{n}");
+    });
     let _ = write!(out, ",\"reset_best_next\":{}}}", b.reset_best_next);
 }
 
 fn w_record(out: &mut String, r: &StepRecord) {
     let _ = write!(out, "[{},{},\"{}\",", r.step, r.s, r.state.name());
-    w_f64(out, r.t_cpu);
-    out.push(',');
-    w_f64(out, r.t_gpu);
-    out.push(',');
-    w_f64(out, r.t_lb);
-    out.push(',');
-    w_f64(out, r.gpu_efficiency);
-    let _ = write!(out, ",{},{}]", r.p2p_interactions, r.m2l_ops);
+    for v in [r.t_cpu, r.t_gpu, r.t_lb, r.gpu_efficiency] {
+        w_f64(out, v);
+        out.push(',');
+    }
+    let _ = write!(out, "{},{}]", r.p2p_interactions, r.m2l_ops);
 }
 
 fn w_tracker(out: &mut String, t: &TrackerSnapshot) {
     out.push_str("{\"engine\":");
     w_engine(out, &t.engine);
-    out.push_str(",\"model\":[");
+    out.push_str(",\"model\":");
     let m = &t.model;
-    for (i, v) in [
+    let coeffs = [
         m.c_p2m,
         m.c_m2m,
         m.c_m2l,
@@ -355,53 +298,26 @@ fn w_tracker(out: &mut String, t: &TrackerSnapshot) {
         m.c_node,
         m.parallel_rate,
         m.c_gpu_pair,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        if i > 0 {
-            out.push(',');
-        }
-        w_f64(out, v);
-    }
-    let _ = write!(
-        out,
-        "],\"model_observed\":{},\"balancer\":",
-        m.is_observed()
-    );
+    ];
+    push_seq(out, coeffs, w_f64);
+    let _ = write!(out, ",\"model_observed\":{},\"balancer\":", m.is_observed());
     w_balancer(out, &t.balancer);
-    out.push_str(",\"records\":[");
-    for (i, r) in t.records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        w_record(out, r);
-    }
-    let _ = write!(out, "],\"first\":{},\"faults\":[", t.first);
-    for (i, tf) in t.faults.events().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    out.push_str(",\"records\":");
+    push_seq(out, &t.records, w_record);
+    let _ = write!(out, ",\"first\":{},\"faults\":", t.first);
+    push_seq(out, t.faults.events(), |out, tf| {
         let _ = write!(out, "[{},", tf.step);
         w_fault_event(out, &tf.event);
         out.push(']');
-    }
-    out.push_str("],\"gpu_status\":");
-    match &t.gpu_status {
-        Some(st) => {
-            out.push('[');
-            for (i, d) in st.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{},", d.online as u8);
-                w_f64(out, d.slowdown);
-                out.push(']');
-            }
+    });
+    out.push_str(",\"gpu_status\":");
+    push_opt(out, t.gpu_status.as_ref(), |out, st| {
+        push_seq(out, st, |out, d| {
+            let _ = write!(out, "[{},", d.online as u8);
+            w_f64(out, d.slowdown);
             out.push(']');
-        }
-        None => out.push_str("null"),
-    }
+        })
+    });
     out.push_str(",\"cpu_load\":");
     w_f64(out, t.cpu_load);
     out.push_str(",\"noise_sigma\":");
@@ -410,18 +326,9 @@ fn w_tracker(out: &mut String, t: &TrackerSnapshot) {
     w_filter(out, &t.filter_cpu);
     out.push_str(",\"filter_gpu\":");
     w_filter(out, &t.filter_gpu);
-    out.push_str(",\"pos\":[");
-    for (i, p) in t.pos.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        w_f64(out, p.x);
-        out.push(',');
-        w_f64(out, p.y);
-        out.push(',');
-        w_f64(out, p.z);
-    }
-    out.push_str("]}");
+    out.push_str(",\"pos\":");
+    push_seq(out, t.pos.iter().flat_map(|p| [p.x, p.y, p.z]), w_f64);
+    out.push('}');
 }
 
 /// Wrap a payload in the versioned, checksummed envelope.
@@ -446,393 +353,170 @@ pub fn tracker_to_json(snap: &TrackerSnapshot) -> String {
     seal("tracker", payload)
 }
 
-// ---- minimal JSON parser ----
+// ---- typed readers over the parsed tree ----
 
-/// Parsed JSON value. Numbers keep their raw text: the format writes every
-/// number as a decimal `u64` (floats as bit patterns), so interpretation is
-/// the reader's job and no precision is lost in a double round-trip.
-#[derive(Clone, Debug)]
-enum JVal {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
+type Read<T> = Result<T, String>;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            at: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.at)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.at) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.at += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.at) == Some(&b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<JVal, String> {
-        self.skip_ws();
-        match self.bytes.get(self.at) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JVal::Str(self.string()?)),
-            Some(b't') => self.literal("true", JVal::Bool(true)),
-            Some(b'f') => self.literal("false", JVal::Bool(false)),
-            Some(b'n') => self.literal("null", JVal::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: JVal) -> Result<JVal, String> {
-        if self.bytes[self.at..].starts_with(lit.as_bytes()) {
-            self.at += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err("bad literal"))
-        }
-    }
-
-    fn number(&mut self) -> Result<JVal, String> {
-        let start = self.at;
-        if self.bytes.get(self.at) == Some(&b'-') {
-            self.at += 1;
-        }
-        while matches!(self.bytes.get(self.at), Some(b) if b.is_ascii_digit()) {
-            self.at += 1;
-        }
-        if self.at == start {
-            return Err(self.err("empty number"));
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.at]).map_err(|_| "utf8")?;
-        Ok(JVal::Num(raw.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.bytes.get(self.at) {
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.bytes.get(self.at) {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        _ => return Err(self.err("unsupported escape")),
-                    }
-                    self.at += 1;
-                }
-                Some(&b) if b < 0x80 => {
-                    s.push(b as char);
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.at..]).map_err(|_| "utf8")?;
-                    let ch = rest.chars().next().ok_or("eof in string")?;
-                    s.push(ch);
-                    self.at += ch.len_utf8();
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JVal, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.at) == Some(&b']') {
-            self.at += 1;
-            return Ok(JVal::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.at) {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JVal, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.at) == Some(&b'}') {
-            self.at += 1;
-            return Ok(JVal::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.bytes.get(self.at) {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(JVal::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
+fn field<'a>(v: &'a Json, key: &str) -> Read<&'a Json> {
+    match v {
+        Json::Obj(_) => v.get(key).ok_or_else(|| format!("missing field '{key}'")),
+        _ => Err(format!("'{key}' looked up on a non-object")),
     }
 }
 
-// ---- typed readers over JVal ----
+fn r_arr(v: &Json) -> Read<&[Json]> {
+    v.as_arr().ok_or_else(|| "expected an array".into())
+}
 
-impl JVal {
-    fn get<'a>(&'a self, key: &str) -> Result<&'a JVal, String> {
-        match self {
-            JVal::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field '{key}'")),
-            _ => Err(format!("'{key}' looked up on a non-object")),
-        }
-    }
+/// An array of exactly `N` elements, so destructuring it cannot index out
+/// of bounds whatever the file holds.
+fn r_tuple<'a, const N: usize>(v: &'a Json, what: &str) -> Read<&'a [Json; N]> {
+    r_arr(v)?
+        .try_into()
+        .map_err(|_| format!("{what} needs {N} fields"))
+}
 
-    fn arr(&self) -> Result<&[JVal], String> {
-        match self {
-            JVal::Arr(items) => Ok(items),
-            _ => Err("expected an array".into()),
-        }
-    }
+fn r_vec<T>(v: &Json, read: impl Fn(&Json) -> Read<T>) -> Read<Vec<T>> {
+    r_arr(v)?.iter().map(read).collect()
+}
 
-    fn str(&self) -> Result<&str, String> {
-        match self {
-            JVal::Str(s) => Ok(s),
-            _ => Err("expected a string".into()),
-        }
-    }
+fn r_str(v: &Json) -> Read<&str> {
+    v.as_str().ok_or_else(|| "expected a string".into())
+}
 
-    fn boolean(&self) -> Result<bool, String> {
-        match self {
-            JVal::Bool(b) => Ok(*b),
-            _ => Err("expected a bool".into()),
-        }
-    }
+fn r_bool(v: &Json) -> Read<bool> {
+    v.as_bool().ok_or_else(|| "expected a bool".into())
+}
 
-    fn u64(&self) -> Result<u64, String> {
-        match self {
-            JVal::Num(raw) => raw.parse::<u64>().map_err(|e| format!("bad u64: {e}")),
-            _ => Err("expected a number".into()),
-        }
-    }
-
-    fn usize(&self) -> Result<usize, String> {
-        Ok(self.u64()? as usize)
-    }
-
-    fn u32(&self) -> Result<u32, String> {
-        let v = self.u64()?;
-        u32::try_from(v).map_err(|_| format!("{v} overflows u32"))
-    }
-
-    /// An `f64` stored as its bit pattern.
-    fn f64bits(&self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn opt<T>(&self, read: impl FnOnce(&JVal) -> Result<T, String>) -> Result<Option<T>, String> {
-        match self {
-            JVal::Null => Ok(None),
-            v => read(v).map(Some),
-        }
+/// Integer tokens only: floats travel as bit patterns, so a value that went
+/// through `f64` on the way in would come out as a different float.
+fn r_u64(v: &Json) -> Read<u64> {
+    match *v {
+        Json::U64(x) => Ok(x),
+        _ => Err("expected an unsigned integer".into()),
     }
 }
 
-fn r_vec3(v: &JVal) -> Result<Vec3, String> {
-    let a = v.arr()?;
-    if a.len() != 3 {
-        return Err("Vec3 needs 3 components".into());
+fn r_int<T: TryFrom<u64>>(v: &Json) -> Read<T> {
+    let x = r_u64(v)?;
+    T::try_from(x).map_err(|_| format!("{x} overflows {}", std::any::type_name::<T>()))
+}
+
+/// An `f64` stored as its bit pattern.
+fn r_f64(v: &Json) -> Read<f64> {
+    r_u64(v).map(f64::from_bits)
+}
+
+fn r_opt<T>(v: &Json, read: impl FnOnce(&Json) -> Read<T>) -> Read<Option<T>> {
+    match v {
+        Json::Null => Ok(None),
+        v => read(v).map(Some),
     }
-    Ok(Vec3::new(a[0].f64bits()?, a[1].f64bits()?, a[2].f64bits()?))
 }
 
-fn r_u32_vec(v: &JVal) -> Result<Vec<u32>, String> {
-    v.arr()?.iter().map(JVal::u32).collect()
+fn r_vec3(v: &Json) -> Read<Vec3> {
+    let [x, y, z] = r_tuple(v, "Vec3")?;
+    Ok(Vec3::new(r_f64(x)?, r_f64(y)?, r_f64(z)?))
 }
 
-fn r_lists(v: &JVal) -> Result<Vec<Vec<u32>>, String> {
-    v.arr()?.iter().map(r_u32_vec).collect()
+fn r_lists(v: &Json) -> Read<Vec<Vec<u32>>> {
+    r_vec(v, |l| r_vec(l, r_int))
 }
 
-fn r_counts(v: &JVal) -> Result<OpCounts, String> {
-    let a = v.arr()?;
-    if a.len() != 7 {
-        return Err("OpCounts needs 7 fields".into());
-    }
+fn r_counts(v: &Json) -> Read<OpCounts> {
+    let [p2m, m2m, m2l, l2l, l2p, p2p, active] = r_tuple(v, "OpCounts")?;
     Ok(OpCounts {
-        p2m_bodies: a[0].u64()?,
-        m2m_ops: a[1].u64()?,
-        m2l_ops: a[2].u64()?,
-        l2l_ops: a[3].u64()?,
-        l2p_bodies: a[4].u64()?,
-        p2p_interactions: a[5].u64()?,
-        active_nodes: a[6].u64()?,
+        p2m_bodies: r_u64(p2m)?,
+        m2m_ops: r_u64(m2m)?,
+        m2l_ops: r_u64(m2l)?,
+        l2l_ops: r_u64(l2l)?,
+        l2p_bodies: r_u64(l2p)?,
+        p2p_interactions: r_u64(p2p)?,
+        active_nodes: r_u64(active)?,
     })
 }
 
-fn r_tree(v: &JVal) -> Result<TreeSnapshot, String> {
-    let mut nodes = Vec::new();
-    for n in v.get("nodes")?.arr()? {
-        let a = n.arr()?;
-        if a.len() != 10 {
-            return Err("node needs 10 fields".into());
-        }
-        let level = a[4].u64()?;
-        nodes.push(Node {
-            center: Vec3::new(a[0].f64bits()?, a[1].f64bits()?, a[2].f64bits()?),
-            half_width: a[3].f64bits()?,
-            level: u16::try_from(level).map_err(|_| format!("level {level} overflows u16"))?,
-            parent: a[5].u32()?,
-            first_child: a[6].u32()?,
-            begin: a[7].u32()?,
-            end: a[8].u32()?,
-            collapsed: a[9].u64()? != 0,
-        });
-        let (p, fc) = (
-            nodes.last().unwrap().parent,
-            nodes.last().unwrap().first_child,
-        );
-        let _ = (p == NONE, fc == NONE); // NONE round-trips as a plain u32
-    }
-    let codes = v
-        .get("codes")?
-        .arr()?
-        .iter()
-        .map(JVal::u64)
-        .collect::<Result<Vec<u64>, _>>()?;
-    let max_level = v.get("max_level")?.u64()?;
+fn r_node(v: &Json) -> Read<Node> {
+    let [cx, cy, cz, hw, level, parent, first_child, begin, end, collapsed] = r_tuple(v, "node")?;
+    Ok(Node {
+        center: Vec3::new(r_f64(cx)?, r_f64(cy)?, r_f64(cz)?),
+        half_width: r_f64(hw)?,
+        level: r_int(level)?,
+        parent: r_int(parent)?,
+        first_child: r_int(first_child)?,
+        begin: r_int(begin)?,
+        end: r_int(end)?,
+        collapsed: r_u64(collapsed)? != 0,
+    })
+}
+
+fn r_tree(v: &Json) -> Read<TreeSnapshot> {
     Ok(TreeSnapshot {
-        nodes,
-        order: r_u32_vec(v.get("order")?)?,
-        codes,
-        s_value: v.get("s_value")?.usize()?,
-        root_center: r_vec3(v.get("root_center")?)?,
-        root_half_width: v.get("root_half_width")?.f64bits()?,
-        max_level: u16::try_from(max_level).map_err(|_| "max_level overflows u16".to_string())?,
+        nodes: r_vec(field(v, "nodes")?, r_node)?,
+        order: r_vec(field(v, "order")?, r_int)?,
+        codes: r_vec(field(v, "codes")?, r_u64)?,
+        s_value: r_int(field(v, "s_value")?)?,
+        root_center: r_vec3(field(v, "root_center")?)?,
+        root_half_width: r_f64(field(v, "root_half_width")?)?,
+        max_level: r_int(field(v, "max_level")?)?,
     })
 }
 
-fn r_plan(v: &JVal) -> Result<ListsSnapshot, String> {
+fn r_plan(v: &Json) -> Read<ListsSnapshot> {
     Ok(ListsSnapshot {
-        theta: v.get("theta")?.f64bits()?,
-        m2l: r_lists(v.get("m2l")?)?,
-        p2p: r_lists(v.get("p2p")?)?,
-        rev_m2l: r_lists(v.get("rev_m2l")?)?,
-        rev_p2p: r_lists(v.get("rev_p2p")?)?,
-        node_counts: v
-            .get("node_counts")?
-            .arr()?
-            .iter()
-            .map(r_counts)
-            .collect::<Result<_, _>>()?,
-        totals: r_counts(v.get("totals")?)?,
-        body_count: r_u32_vec(v.get("body_count")?)?,
-        stamp: r_u32_vec(v.get("stamp")?)?,
-        epoch: v.get("epoch")?.u32()?,
+        theta: r_f64(field(v, "theta")?)?,
+        m2l: r_lists(field(v, "m2l")?)?,
+        p2p: r_lists(field(v, "p2p")?)?,
+        rev_m2l: r_lists(field(v, "rev_m2l")?)?,
+        rev_p2p: r_lists(field(v, "rev_p2p")?)?,
+        node_counts: r_vec(field(v, "node_counts")?, r_counts)?,
+        totals: r_counts(field(v, "totals")?)?,
+        body_count: r_vec(field(v, "body_count")?, r_int)?,
+        stamp: r_vec(field(v, "stamp")?, r_int)?,
+        epoch: r_int(field(v, "epoch")?)?,
     })
 }
 
-fn r_engine(v: &JVal) -> Result<EngineSnapshot, String> {
-    let theta = v.get("theta")?.f64bits()?;
+fn r_engine(v: &Json) -> Read<EngineSnapshot> {
+    let theta = r_f64(field(v, "theta")?)?;
     if !(theta > 0.0 && theta <= 1.0) {
         return Err(format!("MAC theta {theta} out of (0, 1]"));
     }
-    let domain = v.get("domain")?.opt(|d| {
-        let a = d.arr()?;
-        if a.len() != 4 {
-            return Err("domain needs [cx, cy, cz, hw]".into());
-        }
-        Ok((
-            Vec3::new(a[0].f64bits()?, a[1].f64bits()?, a[2].f64bits()?),
-            a[3].f64bits()?,
-        ))
+    let domain = r_opt(field(v, "domain")?, |d| {
+        let [cx, cy, cz, hw] = r_tuple(d, "domain")?;
+        Ok((Vec3::new(r_f64(cx)?, r_f64(cy)?, r_f64(cz)?), r_f64(hw)?))
     })?;
     Ok(EngineSnapshot {
         params: FmmParams {
-            order: v.get("order")?.usize()?,
+            order: r_int(field(v, "order")?)?,
             mac: Mac::new(theta),
-            max_level: u16::try_from(v.get("max_level")?.u64()?)
-                .map_err(|_| "max_level overflows u16".to_string())?,
+            max_level: r_int(field(v, "max_level")?)?,
         },
         domain,
-        tree: r_tree(v.get("tree")?)?,
-        plan: v.get("plan")?.opt(r_plan)?,
-        plan_stale: v.get("plan_stale")?.boolean()?,
+        tree: r_tree(field(v, "tree")?)?,
+        plan: r_opt(field(v, "plan")?, r_plan)?,
+        plan_stale: r_bool(field(v, "plan_stale")?)?,
         // Absent in snapshots written before the field existed; those were
         // only restorable when nothing was pending.
         counts_pending: match v.get("counts_pending") {
-            Ok(b) => b.boolean()?,
-            Err(_) => false,
+            Some(b) => r_bool(b)?,
+            None => false,
         },
     })
 }
 
-fn r_filter(v: &JVal) -> Result<FilterSnapshot, String> {
+fn r_filter(v: &Json) -> Read<FilterSnapshot> {
     Ok(FilterSnapshot {
-        window: v
-            .get("window")?
-            .arr()?
-            .iter()
-            .map(JVal::f64bits)
-            .collect::<Result<_, _>>()?,
-        k: v.get("k")?.usize()?,
-        alpha: v.get("alpha")?.f64bits()?,
-        ewma: v.get("ewma")?.opt(JVal::f64bits)?,
-        rejected: v.get("rejected")?.u64()?,
+        window: r_vec(field(v, "window")?, r_f64)?,
+        k: r_int(field(v, "k")?)?,
+        alpha: r_f64(field(v, "alpha")?)?,
+        ewma: r_opt(field(v, "ewma")?, r_f64)?,
+        rejected: r_u64(field(v, "rejected")?)?,
     })
 }
 
-fn r_strategy(name: &str) -> Result<Strategy, String> {
-    match name {
+fn r_strategy(v: &Json) -> Read<Strategy> {
+    match r_str(v)? {
         "static_s" => Ok(Strategy::StaticS),
         "enforce_only" => Ok(Strategy::EnforceOnly),
         "full" => Ok(Strategy::Full),
@@ -840,8 +524,8 @@ fn r_strategy(name: &str) -> Result<Strategy, String> {
     }
 }
 
-fn r_state(name: &str) -> Result<LbState, String> {
-    match name {
+fn r_state(v: &Json) -> Read<LbState> {
+    match r_str(v)? {
         "search" => Ok(LbState::Search),
         "incremental" => Ok(LbState::Incremental),
         "observation" => Ok(LbState::Observation),
@@ -851,221 +535,182 @@ fn r_state(name: &str) -> Result<LbState, String> {
     }
 }
 
-fn r_balancer(v: &JVal) -> Result<BalancerSnapshot, String> {
+fn r_balancer(v: &Json) -> Read<BalancerSnapshot> {
     Ok(BalancerSnapshot {
         cfg: LbConfig {
-            s_min: v.get("s_min")?.usize()?,
-            s_max: v.get("s_max")?.usize()?,
-            eps_switch_s: v.get("eps")?.f64bits()?,
-            regression_frac: v.get("reg_frac")?.f64bits()?,
-            use_fgo: v.get("use_fgo")?.boolean()?,
-            fgo_batch_frac: v.get("fgo_batch")?.f64bits()?,
-            fgo_max_rounds: v.get("fgo_rounds")?.usize()?,
-            incr_factor: v.get("incr_factor")?.f64bits()?,
-            incr_tol: v.get("incr_tol")?.f64bits()?,
-            regression_hysteresis: v.get("hysteresis")?.usize()?,
+            s_min: r_int(field(v, "s_min")?)?,
+            s_max: r_int(field(v, "s_max")?)?,
+            eps_switch_s: r_f64(field(v, "eps")?)?,
+            regression_frac: r_f64(field(v, "reg_frac")?)?,
+            use_fgo: r_bool(field(v, "use_fgo")?)?,
+            fgo_batch_frac: r_f64(field(v, "fgo_batch")?)?,
+            fgo_max_rounds: r_int(field(v, "fgo_rounds")?)?,
+            incr_factor: r_f64(field(v, "incr_factor")?)?,
+            incr_tol: r_f64(field(v, "incr_tol")?)?,
+            regression_hysteresis: r_int(field(v, "hysteresis")?)?,
         },
-        strategy: r_strategy(v.get("strategy")?.str()?)?,
-        state: r_state(v.get("state")?.str()?)?,
-        s: v.get("s")?.usize()?,
-        lo: v.get("lo")?.usize()?,
-        hi: v.get("hi")?.usize()?,
-        best_compute: v.get("best")?.f64bits()?,
-        incr_best: v.get("incr_best")?.opt(|p| {
-            let a = p.arr()?;
-            if a.len() != 2 {
-                return Err("incr_best needs [s, t]".into());
-            }
-            Ok((a[0].usize()?, a[1].f64bits()?))
+        strategy: r_strategy(field(v, "strategy")?)?,
+        state: r_state(field(v, "state")?)?,
+        s: r_int(field(v, "s")?)?,
+        lo: r_int(field(v, "lo")?)?,
+        hi: r_int(field(v, "hi")?)?,
+        best_compute: r_f64(field(v, "best")?)?,
+        incr_best: r_opt(field(v, "incr_best")?, |p| {
+            let [s, t] = r_tuple(p, "incr_best")?;
+            Ok((r_int(s)?, r_f64(t)?))
         })?,
-        incr_dir_up: v.get("incr_dir_up")?.opt(JVal::boolean)?,
-        incr_flipped: v.get("incr_flipped")?.boolean()?,
-        regress_count: v.get("regress_count")?.usize()?,
-        last_online: v.get("last_online")?.opt(JVal::usize)?,
-        reset_best_next: v.get("reset_best_next")?.boolean()?,
+        incr_dir_up: r_opt(field(v, "incr_dir_up")?, r_bool)?,
+        incr_flipped: r_bool(field(v, "incr_flipped")?)?,
+        regress_count: r_int(field(v, "regress_count")?)?,
+        last_online: r_opt(field(v, "last_online")?, r_int)?,
+        reset_best_next: r_bool(field(v, "reset_best_next")?)?,
     })
 }
 
-fn r_record(v: &JVal) -> Result<StepRecord, String> {
-    let a = v.arr()?;
-    if a.len() != 9 {
-        return Err("step record needs 9 fields".into());
-    }
+fn r_record(v: &Json) -> Read<StepRecord> {
+    let [step, s, state, t_cpu, t_gpu, t_lb, eff, p2p, m2l] = r_tuple(v, "step record")?;
     Ok(StepRecord {
-        step: a[0].usize()?,
-        s: a[1].usize()?,
-        state: r_state(a[2].str()?)?,
-        t_cpu: a[3].f64bits()?,
-        t_gpu: a[4].f64bits()?,
-        t_lb: a[5].f64bits()?,
-        gpu_efficiency: a[6].f64bits()?,
-        p2p_interactions: a[7].u64()?,
-        m2l_ops: a[8].u64()?,
+        step: r_int(step)?,
+        s: r_int(s)?,
+        state: r_state(state)?,
+        t_cpu: r_f64(t_cpu)?,
+        t_gpu: r_f64(t_gpu)?,
+        t_lb: r_f64(t_lb)?,
+        gpu_efficiency: r_f64(eff)?,
+        p2p_interactions: r_u64(p2p)?,
+        m2l_ops: r_u64(m2l)?,
     })
 }
 
-fn r_fault_event(v: &JVal) -> Result<FaultEvent, String> {
-    let a = v.arr()?;
-    match a.first().ok_or("empty fault event")?.str()? {
-        "gpu_slowdown" => Ok(FaultEvent::GpuSlowdown {
-            device: a[1].usize()?,
-            factor: a[2].f64bits()?,
-        }),
-        "gpu_dropout" => Ok(FaultEvent::GpuDropout {
-            device: a[1].usize()?,
-        }),
-        "gpu_recover" => Ok(FaultEvent::GpuRecover {
-            device: a[1].usize()?,
-        }),
-        "cpu_load" => Ok(FaultEvent::ExternalCpuLoad {
-            factor: a[1].f64bits()?,
-        }),
-        "noise" => Ok(FaultEvent::TimingNoise {
-            sigma: a[1].f64bits()?,
-        }),
-        other => Err(format!("unknown fault event '{other}'")),
-    }
-}
-
-fn r_tracker(v: &JVal) -> Result<TrackerSnapshot, String> {
-    let model_coeffs = v.get("model")?.arr()?;
-    if model_coeffs.len() != 9 {
-        return Err("model needs 9 coefficients".into());
-    }
-    let mut model = CostModel::new();
-    model.c_p2m = model_coeffs[0].f64bits()?;
-    model.c_m2m = model_coeffs[1].f64bits()?;
-    model.c_m2l = model_coeffs[2].f64bits()?;
-    model.c_l2l = model_coeffs[3].f64bits()?;
-    model.c_l2p = model_coeffs[4].f64bits()?;
-    model.c_cpu_pair = model_coeffs[5].f64bits()?;
-    model.c_node = model_coeffs[6].f64bits()?;
-    model.parallel_rate = model_coeffs[7].f64bits()?;
-    model.c_gpu_pair = model_coeffs[8].f64bits()?;
-    model.set_observed(v.get("model_observed")?.boolean()?);
-    let mut events = Vec::new();
-    for tf in v.get("faults")?.arr()? {
-        let pair = tf.arr()?;
-        if pair.len() != 2 {
-            return Err("timed fault needs [step, event]".into());
-        }
-        events.push(TimedFault {
-            step: pair[0].usize()?,
-            event: r_fault_event(&pair[1])?,
+fn r_fault_event(v: &Json) -> Read<FaultEvent> {
+    let tag = r_str(r_arr(v)?.first().ok_or("empty fault event")?)?;
+    if tag == "gpu_slowdown" {
+        let [_, device, factor] = r_tuple(v, tag)?;
+        return Ok(FaultEvent::GpuSlowdown {
+            device: r_int(device)?,
+            factor: r_f64(factor)?,
         });
     }
+    let [_, arg] = r_tuple(v, tag)?;
+    Ok(match tag {
+        "gpu_dropout" => FaultEvent::GpuDropout {
+            device: r_int(arg)?,
+        },
+        "gpu_recover" => FaultEvent::GpuRecover {
+            device: r_int(arg)?,
+        },
+        "cpu_load" => FaultEvent::ExternalCpuLoad {
+            factor: r_f64(arg)?,
+        },
+        "noise" => FaultEvent::TimingNoise { sigma: r_f64(arg)? },
+        other => return Err(format!("unknown fault event '{other}'")),
+    })
+}
+
+fn r_tracker(v: &Json) -> Read<TrackerSnapshot> {
+    let [p2m, m2m, m2l, l2l, l2p, cpu_pair, node, rate, gpu_pair] =
+        r_tuple(field(v, "model")?, "model")?;
+    let mut model = CostModel::new();
+    model.c_p2m = r_f64(p2m)?;
+    model.c_m2m = r_f64(m2m)?;
+    model.c_m2l = r_f64(m2l)?;
+    model.c_l2l = r_f64(l2l)?;
+    model.c_l2p = r_f64(l2p)?;
+    model.c_cpu_pair = r_f64(cpu_pair)?;
+    model.c_node = r_f64(node)?;
+    model.parallel_rate = r_f64(rate)?;
+    model.c_gpu_pair = r_f64(gpu_pair)?;
+    model.set_observed(r_bool(field(v, "model_observed")?)?);
     // Rebuild through push(): within-step insertion order is preserved for
     // an already-sorted script, and cross-step order is re-established even
     // if the text was hand-edited.
     let mut faults = FaultSchedule::new();
-    for tf in events {
-        faults.push(tf.step, tf.event);
+    for tf in r_arr(field(v, "faults")?)? {
+        let [step, event] = r_tuple(tf, "timed fault")?;
+        faults.push(r_int(step)?, r_fault_event(event)?);
     }
-    let gpu_status = v.get("gpu_status")?.opt(|st| {
-        st.arr()?
-            .iter()
-            .map(|d| {
-                let a = d.arr()?;
-                if a.len() != 2 {
-                    return Err("device status needs [online, slowdown]".into());
-                }
-                Ok(DeviceStatus {
-                    online: a[0].u64()? != 0,
-                    slowdown: a[1].f64bits()?,
-                })
+    let gpu_status = r_opt(field(v, "gpu_status")?, |st| {
+        r_vec(st, |d| {
+            let [online, slowdown] = r_tuple(d, "device status")?;
+            Ok(DeviceStatus {
+                online: r_u64(online)? != 0,
+                slowdown: r_f64(slowdown)?,
             })
-            .collect::<Result<Vec<DeviceStatus>, String>>()
+        })
     })?;
-    let flat = v.get("pos")?.arr()?;
+    let flat = r_arr(field(v, "pos")?)?;
     if flat.len() % 3 != 0 {
         return Err("pos stream length not a multiple of 3".into());
     }
-    let mut pos = Vec::with_capacity(flat.len() / 3);
-    for xyz in flat.chunks_exact(3) {
-        pos.push(Vec3::new(
-            xyz[0].f64bits()?,
-            xyz[1].f64bits()?,
-            xyz[2].f64bits()?,
-        ));
-    }
+    let pos = flat
+        .chunks_exact(3)
+        .map(|xyz| Ok(Vec3::new(r_f64(&xyz[0])?, r_f64(&xyz[1])?, r_f64(&xyz[2])?)))
+        .collect::<Read<_>>()?;
     Ok(TrackerSnapshot {
-        engine: r_engine(v.get("engine")?)?,
+        engine: r_engine(field(v, "engine")?)?,
         model,
-        balancer: r_balancer(v.get("balancer")?)?,
-        records: v
-            .get("records")?
-            .arr()?
-            .iter()
-            .map(r_record)
-            .collect::<Result<_, _>>()?,
-        first: v.get("first")?.boolean()?,
+        balancer: r_balancer(field(v, "balancer")?)?,
+        records: r_vec(field(v, "records")?, r_record)?,
+        first: r_bool(field(v, "first")?)?,
         faults,
         gpu_status,
-        cpu_load: v.get("cpu_load")?.f64bits()?,
-        noise_sigma: v.get("noise_sigma")?.f64bits()?,
-        noise_state: v.get("noise_state")?.u64()?,
-        filter_cpu: r_filter(v.get("filter_cpu")?)?,
-        filter_gpu: r_filter(v.get("filter_gpu")?)?,
+        cpu_load: r_f64(field(v, "cpu_load")?)?,
+        noise_sigma: r_f64(field(v, "noise_sigma")?)?,
+        noise_state: r_u64(field(v, "noise_state")?)?,
+        filter_cpu: r_filter(field(v, "filter_cpu")?)?,
+        filter_gpu: r_filter(field(v, "filter_gpu")?)?,
         pos,
     })
 }
 
 // ---- envelope verification ----
 
-/// Parse and verify the envelope: schema version, kind, and checksum over
-/// the exact payload bytes. Returns the parsed payload.
-fn open(text: &str, kind: &str) -> Result<JVal, Error> {
-    let root = Parser::new(text)
-        .value()
-        .map_err(|e| Error::Checkpoint(format!("parse: {e}")))?;
-    let version = root
-        .get("schema_version")
-        .and_then(|v| v.u64())
-        .map_err(Error::Checkpoint)?;
-    if version != SCHEMA_VERSION as u64 {
-        return Err(Error::Checkpoint(format!(
-            "schema version {version} unsupported (this build reads {SCHEMA_VERSION})"
-        )));
-    }
-    let got_kind = root
-        .get("kind")
-        .and_then(|v| v.str().map(str::to_string))
-        .map_err(Error::Checkpoint)?;
-    if got_kind != kind {
-        return Err(Error::Checkpoint(format!(
-            "checkpoint kind '{got_kind}', expected '{kind}'"
-        )));
-    }
-    let declared = root
-        .get("checksum")
-        .and_then(|v| v.str().map(str::to_string))
-        .map_err(Error::Checkpoint)?;
-    // The payload is the last envelope field; checksum the exact bytes the
-    // writer produced (envelopes are machine-generated, not pretty-printed).
-    let marker = "\"payload\":";
-    let at = text
-        .find(marker)
-        .ok_or_else(|| Error::Checkpoint("no payload field".into()))?;
-    let payload_text = &text[at + marker.len()..text.len() - 1];
-    let actual = format!("{:016x}", fnv1a64(payload_text.as_bytes()));
-    if declared != actual {
-        return Err(Error::Checkpoint(format!(
-            "checksum mismatch: declared {declared}, computed {actual}"
-        )));
-    }
-    root.get("payload").cloned().map_err(Error::Checkpoint)
+/// Parse the whole document, verify the envelope — schema version, kind,
+/// and checksum over the exact payload bytes — then hand the payload to
+/// `read`. Every failure, from any layer, is an [`Error::Checkpoint`].
+fn open<T>(text: &str, kind: &str, read: fn(&Json) -> Read<T>) -> Result<T, Error> {
+    let verified = || -> Read<T> {
+        let root = Json::parse(text).map_err(|e| format!("parse: {e}"))?;
+        let version = r_u64(field(&root, "schema_version")?)?;
+        if version != SCHEMA_VERSION as u64 {
+            return Err(format!(
+                "schema version {version} unsupported (this build reads {SCHEMA_VERSION})"
+            ));
+        }
+        let got_kind = r_str(field(&root, "kind")?)?;
+        if got_kind != kind {
+            return Err(format!("checkpoint kind '{got_kind}', expected '{kind}'"));
+        }
+        let declared = r_str(field(&root, "checksum")?)?;
+        // The payload is the last envelope field, so its bytes run from the
+        // first `"payload":` (no string can contain that text unescaped) to
+        // the brace that closes the document; envelopes are machine-written,
+        // only whitespace after that brace is tolerated.
+        let payload_text = text
+            .trim_end_matches([' ', '\t', '\n', '\r'])
+            .strip_suffix('}')
+            .and_then(|body| body.split_once("\"payload\":"))
+            .map(|(_, payload)| payload)
+            .ok_or("no payload field")?;
+        let actual = format!("{:016x}", fnv1a64(payload_text.as_bytes()));
+        if declared != actual {
+            return Err(format!(
+                "checksum mismatch: declared {declared}, computed {actual}"
+            ));
+        }
+        read(field(&root, "payload")?)
+    };
+    verified().map_err(Error::Checkpoint)
 }
 
 /// Parse and verify an engine checkpoint.
 pub fn engine_from_json(text: &str) -> Result<EngineSnapshot, Error> {
-    let payload = open(text, "engine")?;
-    r_engine(&payload).map_err(Error::Checkpoint)
+    open(text, "engine", r_engine)
 }
 
 /// Parse and verify a tracker checkpoint.
 pub fn tracker_from_json(text: &str) -> Result<TrackerSnapshot, Error> {
-    let payload = open(text, "tracker")?;
-    r_tracker(&payload).map_err(Error::Checkpoint)
+    open(text, "tracker", r_tracker)
 }
 
 #[cfg(test)]
@@ -1073,6 +718,7 @@ mod tests {
     use super::*;
     use crate::config::{FmmParams, HeteroNode};
     use crate::engine::FmmEngine;
+    use crate::simulate::StrategyTracker;
     use fmm_math::GravityKernel;
     use nbody::plummer;
 
@@ -1081,6 +727,44 @@ mod tests {
         let mut e = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, 48);
         e.refresh_lists();
         e
+    }
+
+    /// A tracker checkpoint whose fault script holds one event of each arity.
+    fn sample_tracker_text() -> String {
+        let b = plummer(300, 1.0, 1.0, 902);
+        let mut t = StrategyTracker::new(
+            GravityKernel::default(),
+            FmmParams::default(),
+            HeteroNode::system_a(4, 2),
+            Strategy::Full,
+            LbConfig::default(),
+            &b.pos,
+            None,
+        );
+        t.set_fault_schedule(
+            FaultSchedule::new()
+                .with(
+                    2,
+                    FaultEvent::GpuSlowdown {
+                        device: 0,
+                        factor: 2.0,
+                    },
+                )
+                .with(5, FaultEvent::GpuDropout { device: 1 }),
+        );
+        t.checkpoint(&b.pos)
+    }
+
+    /// `text` with its payload rewritten by `edit` and the checksum
+    /// recomputed, so the typed readers behind the checksum are reached.
+    fn resealed(text: &str, kind: &str, edit: impl FnOnce(&str) -> String) -> String {
+        let body = text.strip_suffix('}').unwrap();
+        let (_, payload) = body.split_once("\"payload\":").unwrap();
+        seal(kind, edit(payload))
+    }
+
+    fn is_checkpoint_err<T: std::fmt::Debug>(r: &Result<T, Error>) -> bool {
+        matches!(r, Err(Error::Checkpoint(_)))
     }
 
     #[test]
@@ -1114,9 +798,27 @@ mod tests {
         for v in [f64::NAN, f64::INFINITY, -0.0, 1.0e-308] {
             out.clear();
             w_f64(&mut out, v);
-            let parsed = Parser::new(&out).value().unwrap();
-            assert_eq!(parsed.f64bits().unwrap().to_bits(), v.to_bits());
+            let parsed = Json::parse(&out).unwrap();
+            assert_eq!(r_f64(&parsed).unwrap().to_bits(), v.to_bits());
         }
+        // A bit pattern spelled as a float token has been through rounding.
+        assert!(r_f64(&Json::parse("4e18").unwrap()).is_err());
+    }
+
+    /// The writer's bytes are the schema-v1 format: checksum and length as
+    /// first written (commit 932a1c7) for this seeded engine. If this moves,
+    /// old checkpoints stop restoring and `SCHEMA_VERSION` must move too.
+    #[test]
+    fn engine_checkpoint_bytes_are_pinned() {
+        let text = engine_to_json(&sample_engine().checkpoint_state());
+        assert!(
+            text.starts_with(
+                "{\"schema_version\":1,\"kind\":\"engine\",\"checksum\":\"9f006982a9db3074\","
+            ),
+            "{}",
+            &text[..80]
+        );
+        assert_eq!(text.len(), 65418);
     }
 
     #[test]
@@ -1174,9 +876,67 @@ mod tests {
     #[test]
     fn garbage_inputs_produce_structured_errors() {
         for text in ["", "{", "[1,2", "{\"schema_version\":true}", "nonsense"] {
-            assert!(matches!(engine_from_json(text), Err(Error::Checkpoint(_))));
+            assert!(is_checkpoint_err(&engine_from_json(text)));
         }
-        let node = HeteroNode::serial();
-        let _ = node; // silence unused in cfg(test) without gpus
+    }
+
+    #[test]
+    fn trailing_bytes_are_whitespace_or_an_error() {
+        let text = engine_to_json(&sample_engine().checkpoint_state());
+        // A multi-byte tail: no byte arithmetic may land inside the `é`.
+        assert!(is_checkpoint_err(&engine_from_json(&format!("{text}é"))));
+        assert!(is_checkpoint_err(&engine_from_json(&format!("{text}}}"))));
+        assert!(is_checkpoint_err(&engine_from_json(&format!("{text} x"))));
+        // An editor's final newline is not tampering.
+        engine_from_json(&format!("{text}\r\n")).unwrap();
+        // Whitespace inside the envelope is: the checksum covers exact bytes.
+        let spaced = format!("{} }}", text.strip_suffix('}').unwrap());
+        let err = engine_from_json(&spaced);
+        assert!(
+            matches!(err, Err(Error::Checkpoint(ref m)) if m.contains("checksum")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn short_arrays_under_a_valid_checksum_are_errors() {
+        let text = sample_tracker_text();
+        tracker_from_json(&resealed(&text, "tracker", str::to_string)).unwrap();
+        // The checksum is valid, so only the readers' arity checks stand
+        // between these and an out-of-bounds index.
+        for (full, short) in [
+            ("[\"gpu_dropout\",1]", "[\"gpu_dropout\"]"),
+            (
+                "[\"gpu_slowdown\",0,4611686018427387904]",
+                "[\"gpu_slowdown\",0]",
+            ),
+            ("[5,[\"gpu_dropout\",1]]", "[5]"),
+        ] {
+            assert!(text.contains(full), "fixture lost {full}");
+            let cut = resealed(&text, "tracker", |p| p.replacen(full, short, 1));
+            assert!(is_checkpoint_err(&tracker_from_json(&cut)), "{short}");
+        }
+        let engine = engine_to_json(&sample_engine().checkpoint_state());
+        let cut = resealed(&engine, "engine", |p| {
+            p.replacen("\"nodes\":[[", "\"nodes\":[[7],[", 1)
+        });
+        assert!(is_checkpoint_err(&engine_from_json(&cut)));
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_on_a_small_stack() {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let deep = "[".repeat(300_000);
+                assert!(is_checkpoint_err(&engine_from_json(&deep)));
+                let in_payload = format!(
+                    "{{\"schema_version\":1,\"kind\":\"engine\",\"checksum\":\"\",\"payload\":{deep}"
+                );
+                assert!(is_checkpoint_err(&engine_from_json(&in_payload)));
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

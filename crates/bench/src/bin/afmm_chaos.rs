@@ -35,6 +35,7 @@ use afmm::{
 use fmm_math::GravityKernel;
 use geom::Vec3;
 use nbody::plummer;
+use telemetry::json::{obj, Json};
 
 /// A disturbance must be healed within this many supervised steps.
 const RECOVERY_BOUND: usize = 5;
@@ -66,7 +67,7 @@ struct Outcome {
 
 impl Outcome {
     fn wrong_answer(&self) -> bool {
-        self.completed && !(self.field_err < FIELD_TOL)
+        self.completed && (self.field_err.is_nan() || self.field_err >= FIELD_TOL)
     }
 
     fn recovery_bounded(&self) -> bool {
@@ -236,14 +237,6 @@ fn run_scenario(seed: u64, steps: usize, base_bodies: usize, trace: bool) -> Out
     }
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6e}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let smoke = raw.iter().any(|a| a == "--smoke");
@@ -271,12 +264,8 @@ fn main() {
         let out = run_scenario(seed, steps, bodies, seed == 0);
         if !out.completed || out.wrong_answer() || !out.recovery_bounded() {
             eprintln!(
-                "# seed {}: completed={} field_err={} max_streak={} {}",
-                out.seed,
-                out.completed,
-                json_f64(out.field_err),
-                out.max_recovery_streak,
-                out.note
+                "# seed {}: completed={} field_err={:.6e} max_streak={} {}",
+                out.seed, out.completed, out.field_err, out.max_recovery_streak, out.note
             );
         }
         outcomes.push(out);
@@ -300,45 +289,51 @@ fn main() {
         .map(|o| o.field_err)
         .fold(0.0f64, f64::max);
 
-    let rows: Vec<String> = outcomes
+    let count = |n: usize| Json::U64(n as u64);
+    let rows = outcomes
         .iter()
         .map(|o| {
-            format!(
-                concat!(
-                    "    {{\"seed\": {}, \"devices\": {}, \"bodies\": {}, ",
-                    "\"events\": {}, \"corruptions\": {}, \"completed\": {}, ",
-                    "\"max_recovery_streak\": {}, \"field_err\": {}, ",
-                    "\"retries\": {}, \"rebuilds\": {}, \"cpu_fallbacks\": {}, ",
-                    "\"restores\": {}, \"audit_failures\": {}, \"panics\": {}}}"
-                ),
-                o.seed,
-                o.devices,
-                o.bodies,
-                o.events,
-                o.corruptions,
-                o.completed,
-                o.max_recovery_streak,
-                json_f64(o.field_err),
-                o.retries,
-                o.rebuilds,
-                o.cpu_fallbacks,
-                o.restores,
-                o.audit_failures,
-                o.panics,
-            )
+            obj(vec![
+                ("seed", Json::U64(o.seed)),
+                ("devices", count(o.devices)),
+                ("bodies", count(o.bodies)),
+                ("events", count(o.events)),
+                ("corruptions", count(o.corruptions)),
+                ("completed", Json::Bool(o.completed)),
+                ("max_recovery_streak", count(o.max_recovery_streak)),
+                ("field_err", Json::F64(o.field_err)),
+                ("retries", Json::U64(o.retries)),
+                ("rebuilds", Json::U64(o.rebuilds)),
+                ("cpu_fallbacks", Json::U64(o.cpu_fallbacks)),
+                ("restores", Json::U64(o.restores)),
+                ("audit_failures", Json::U64(o.audit_failures)),
+                ("panics", Json::U64(o.panics)),
+            ])
         })
         .collect();
-    let doc = format!(
-        "{{\n  \"config\": {{\"scenarios\": {scenarios}, \"steps\": {steps}, \
-         \"bodies\": {bodies}, \"smoke\": {smoke}, \"recovery_bound\": {RECOVERY_BOUND}, \
-         \"field_tol\": {FIELD_TOL:e}}},\n  \
-         \"summary\": {{\"incomplete\": {incomplete}, \"wrong_answers\": {wrong}, \
-         \"recovery_unbounded\": {unbounded}, \"recovered_scenarios\": {recovered}, \
-         \"max_recovery_streak\": {max_streak}, \"worst_field_err\": {}}},\n  \
-         \"scenarios\": [\n{}\n  ]\n}}\n",
-        json_f64(worst_err),
-        rows.join(",\n"),
-    );
+    let config = obj(vec![
+        ("scenarios", count(scenarios)),
+        ("steps", count(steps)),
+        ("bodies", count(bodies)),
+        ("smoke", Json::Bool(smoke)),
+        ("recovery_bound", count(RECOVERY_BOUND)),
+        ("field_tol", Json::F64(FIELD_TOL)),
+    ]);
+    let summary = obj(vec![
+        ("incomplete", count(incomplete)),
+        ("wrong_answers", count(wrong)),
+        ("recovery_unbounded", count(unbounded)),
+        ("recovered_scenarios", count(recovered)),
+        ("max_recovery_streak", count(max_streak)),
+        ("worst_field_err", Json::F64(worst_err)),
+    ]);
+    let mut doc = obj(vec![
+        ("config", config),
+        ("summary", summary),
+        ("scenarios", Json::Arr(rows)),
+    ])
+    .to_json();
+    doc.push('\n');
     let path = bench::out_path("BENCH_chaos.json");
     if let Err(e) = std::fs::write(&path, &doc) {
         eprintln!("# FAIL: write {}: {e}", path.display());
@@ -348,9 +343,8 @@ fn main() {
     println!(
         "# {} scenarios: {recovered} exercised a recovery rung, \
          max recovery streak {max_streak} (bound {RECOVERY_BOUND}), \
-         worst field error {} (tol {FIELD_TOL:e})",
+         worst field error {worst_err:.6e} (tol {FIELD_TOL:e})",
         outcomes.len(),
-        json_f64(worst_err),
     );
     println!("# report: {}", path.display());
 

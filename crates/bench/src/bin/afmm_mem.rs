@@ -68,7 +68,7 @@ fn warm_workload(n: usize, warmup: usize) -> Workload {
     }
 }
 
-fn step(engine: &mut FmmEngine<GravityKernel>, pos: &mut Vec<Vec3>, mass: &[f64]) {
+fn step(engine: &mut FmmEngine<GravityKernel>, pos: &mut [Vec3], mass: &[f64]) {
     for p in pos.iter_mut() {
         *p *= 0.9995;
     }

@@ -39,8 +39,9 @@ static ALLOC: telemetry::CountingAlloc = telemetry::CountingAlloc;
 
 use bench::harness::{
     compare, host_key, render_history, render_trends, run_suite, synthesize_baseline, trend_rows,
-    BenchReport, CompareConfig, Json, Ledger, LedgerEntry, SuiteConfig, Verdict,
+    BenchReport, CompareConfig, Ledger, LedgerEntry, SuiteConfig, Verdict,
 };
+use telemetry::json::Json;
 
 const USAGE: &str = "usage: afmm-perf <run|compare|baseline|record|history|trend|calibration> [...]
   run [--quick|--smoke] [-o out.json]   run the suite, write a BenchReport JSON

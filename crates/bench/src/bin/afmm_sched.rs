@@ -347,7 +347,7 @@ fn cmd_gantt(args: &[String]) -> ExitCode {
         ));
     }
     let json = ChromeTraceExporter::export(&records);
-    debug_assert!(telemetry::json_syntax_ok(&json));
+    debug_assert!(telemetry::json::Json::parse(&json).is_ok());
     // Default output goes through `bench::out_path` (honoring
     // `$BENCH_OUT_DIR`) so CI runs land artifacts in the scratch dir
     // instead of the working tree; `-o` still overrides verbatim.

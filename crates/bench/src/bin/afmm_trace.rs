@@ -74,7 +74,7 @@ fn cmd_export(args: &[String]) -> ExitCode {
         Err(e) => return fail(e),
     };
     let json = ChromeTraceExporter::export(&records);
-    debug_assert!(telemetry::json_syntax_ok(&json));
+    debug_assert!(telemetry::json::Json::parse(&json).is_ok());
     // Default output goes through `bench::out_path` (honoring
     // `$BENCH_OUT_DIR`) so CI runs land artifacts in the scratch dir
     // instead of the working tree; `-o` still overrides verbatim.

@@ -18,8 +18,8 @@
 //! no-op StaticS balancer keeps its stale decomposition and never gets back
 //! under the bar.
 //!
-//! Output: a single JSON document (hand-rolled — no serde in the
-//! container), written to `BENCH_fault_scenarios.json` via
+//! Output: a single JSON document (one line, the shared `telemetry::json`
+//! writer), written to `BENCH_fault_scenarios.json` via
 //! [`bench::out_path`] (honours `$BENCH_OUT_DIR`) and echoed to stdout.
 //! Override scale: `fault_scenarios [steps] [bodies]`.
 
@@ -28,6 +28,7 @@ use afmm::{
     TimedFault,
 };
 use fmm_math::GravityKernel;
+use telemetry::json::{obj, Json};
 
 /// One strategy's run through a scenario, reduced to the report metrics.
 struct StrategyOutcome {
@@ -185,14 +186,6 @@ fn run_strategy(
     }
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6e}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn main() {
     let mut args = bench::cli::Args::parse("fault_scenarios", "[steps] [bodies]");
     let steps = args.opt_usize_or_exit("steps", 120);
@@ -207,51 +200,45 @@ fn main() {
         ..Default::default()
     };
 
-    let mut scenario_blobs = Vec::new();
+    let opt_step = |s: Option<usize>| s.map_or(Json::Null, |s| Json::U64(s as u64));
+    let mut scenario_rows = Vec::new();
     for sc in scenarios(fault_step) {
-        let mut strategy_blobs = Vec::new();
+        let mut strategy_rows = Vec::new();
         for (strategy, label) in [(Strategy::Full, "full"), (Strategy::StaticS, "static_s")] {
             let out = run_strategy(
                 strategy, label, &sc.faults, &b.pos, &node, &cfg, steps, fault_step,
             );
-            let ttr = out
-                .time_to_recover
-                .map_or("null".to_string(), |t| t.to_string());
-            let first_anom = out
-                .first_anomaly_step
-                .map_or("null".to_string(), |s| s.to_string());
-            strategy_blobs.push(format!(
-                concat!(
-                    "      {{\"strategy\": \"{}\", \"steady_before\": {}, ",
-                    "\"steady_after\": {}, \"regression_frac\": {}, ",
-                    "\"time_to_recover\": {}, \"total_lb\": {}, \"panicked\": {}, ",
-                    "\"anomalies\": {}, \"first_anomaly_step\": {}}}"
-                ),
-                out.strategy,
-                json_f64(out.steady_before),
-                json_f64(out.steady_after),
-                json_f64(out.regression_frac),
-                ttr,
-                json_f64(out.total_lb),
-                out.panicked,
-                out.anomalies,
-                first_anom,
-            ));
+            strategy_rows.push(obj(vec![
+                ("strategy", Json::Str(out.strategy.into())),
+                ("steady_before", Json::F64(out.steady_before)),
+                ("steady_after", Json::F64(out.steady_after)),
+                ("regression_frac", Json::F64(out.regression_frac)),
+                ("time_to_recover", opt_step(out.time_to_recover)),
+                ("total_lb", Json::F64(out.total_lb)),
+                ("panicked", Json::Bool(out.panicked)),
+                ("anomalies", Json::U64(out.anomalies as u64)),
+                ("first_anomaly_step", opt_step(out.first_anomaly_step)),
+            ]));
         }
-        scenario_blobs.push(format!(
-            "    {{\"name\": \"{}\", \"description\": \"{}\", \"strategies\": [\n{}\n    ]}}",
-            sc.name,
-            sc.description,
-            strategy_blobs.join(",\n"),
-        ));
+        scenario_rows.push(obj(vec![
+            ("name", Json::Str(sc.name.into())),
+            ("description", Json::Str(sc.description.into())),
+            ("strategies", Json::Arr(strategy_rows)),
+        ]));
     }
 
-    let doc = format!(
-        "{{\n  \"config\": {{\"steps\": {steps}, \"bodies\": {n}, \
-         \"fault_step\": {fault_step}, \"node\": \"system_a(10, 2)\"}},\n  \
-         \"scenarios\": [\n{}\n  ]\n}}\n",
-        scenario_blobs.join(",\n"),
-    );
+    let config = obj(vec![
+        ("steps", Json::U64(steps as u64)),
+        ("bodies", Json::U64(n as u64)),
+        ("fault_step", Json::U64(fault_step as u64)),
+        ("node", Json::Str("system_a(10, 2)".into())),
+    ]);
+    let mut doc = obj(vec![
+        ("config", config),
+        ("scenarios", Json::Arr(scenario_rows)),
+    ])
+    .to_json();
+    doc.push('\n');
     let path = bench::out_path("BENCH_fault_scenarios.json");
     if let Err(e) = std::fs::write(&path, &doc) {
         eprintln!("# FAIL: write {}: {e}", path.display());

@@ -15,20 +15,13 @@
 
 use bench::harness::measure_plan_economy;
 use octree::{build_adaptive, BuildParams, Mac};
+use telemetry::json::{obj, Json};
 
 struct Row {
     s: usize,
     rebuild_us: f64,
     patch_us_per_edit: f64,
     edits: usize,
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn main() {
@@ -62,26 +55,26 @@ fn main() {
         });
     }
 
-    let steps: Vec<String> = rows
+    let steps = rows
         .iter()
         .map(|r| {
-            format!(
-                "    {{\"s\": {}, \"rebuild_us\": {}, \"patch_us_per_edit\": {}, \
-                 \"edits\": {}, \"speedup\": {}}}",
-                r.s,
-                json_f64(r.rebuild_us),
-                json_f64(r.patch_us_per_edit),
-                r.edits,
-                json_f64(r.rebuild_us / r.patch_us_per_edit),
-            )
+            obj(vec![
+                ("s", Json::U64(r.s as u64)),
+                ("rebuild_us", Json::F64(r.rebuild_us)),
+                ("patch_us_per_edit", Json::F64(r.patch_us_per_edit)),
+                ("edits", Json::U64(r.edits as u64)),
+                ("speedup", Json::F64(r.rebuild_us / r.patch_us_per_edit)),
+            ])
         })
         .collect();
-    let doc = format!(
-        "{{\n  \"config\": {{\"bodies\": {n}, \"mac_theta\": {}, \"edits_per_s\": \
-         {edits_per_s}, \"rebuild_reps\": {reps}}},\n  \"steps\": [\n{}\n  ]\n}}\n",
-        json_f64(mac.theta),
-        steps.join(",\n"),
-    );
+    let config = obj(vec![
+        ("bodies", Json::U64(n as u64)),
+        ("mac_theta", Json::F64(mac.theta)),
+        ("edits_per_s", Json::U64(edits_per_s as u64)),
+        ("rebuild_reps", Json::U64(reps as u64)),
+    ]);
+    let mut doc = obj(vec![("config", config), ("steps", Json::Arr(steps))]).to_json();
+    doc.push('\n');
 
     let path = bench::out_path("BENCH_plan.json");
     std::fs::write(&path, &doc).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));

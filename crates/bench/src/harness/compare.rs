@@ -21,8 +21,8 @@
 //! objects are identical — a quick-mode report never silently gates
 //! against a full-mode baseline.
 
-use super::json::Json;
 use super::report::{BenchReport, Direction, Metric, MetricKind};
+use telemetry::json::Json;
 
 /// Comparator thresholds; the defaults are deliberately blunt — this gate
 /// exists to catch real regressions (the acceptance bar is 2×), not 3%
@@ -120,8 +120,8 @@ impl CompareReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<24} {:<22} {:>12} {:>12} {:>8}  {}",
-            "scenario", "metric", "old", "new", "delta", "verdict"
+            "{:<24} {:<22} {:>12} {:>12} {:>8}  verdict",
+            "scenario", "metric", "old", "new", "delta"
         );
         for r in &self.rows {
             let delta = if r.verdict == Verdict::Skipped {

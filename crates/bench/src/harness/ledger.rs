@@ -31,11 +31,11 @@
 //! bricking the whole history.
 
 use super::compare::format_value;
-use super::json::{obj, Json};
-use super::report::{BenchReport, Direction, Metric, MetricKind, Scenario, SCHEMA_VERSION};
+use super::report::{BenchReport, Direction, Metric, Scenario, SCHEMA_VERSION};
 use super::stats::{median, MetricStats};
 use std::io::Write as _;
 use std::path::Path;
+use telemetry::json::{obj, Json};
 
 /// Bumped whenever the ledger line shape changes incompatibly.
 pub const LEDGER_SCHEMA_VERSION: u64 = 1;
@@ -128,8 +128,8 @@ impl LedgerEntry {
 
     pub fn to_json_value(&self) -> Json {
         obj(vec![
-            ("schema_version", Json::Num(self.schema_version as f64)),
-            ("unix_s", Json::Num(self.unix_s as f64)),
+            ("schema_version", Json::F64(self.schema_version as f64)),
+            ("unix_s", Json::F64(self.unix_s as f64)),
             ("host", self.host.clone()),
             ("host_key", Json::Str(self.host_key.clone())),
             ("commit", Json::Str(self.commit.clone())),
@@ -221,65 +221,12 @@ fn scenario_to_json(s: &Scenario) -> Json {
         ("params", s.params.clone()),
         (
             "metrics",
-            Json::Arr(
-                s.metrics
-                    .iter()
-                    .map(|m| {
-                        obj(vec![
-                            ("name", Json::Str(m.name.clone())),
-                            ("unit", Json::Str(m.unit.clone())),
-                            ("kind", Json::Str(m.kind.as_str().to_string())),
-                            ("direction", Json::Str(m.direction.as_str().to_string())),
-                            ("gate", Json::Bool(m.gate)),
-                            ("median", Json::Num(m.stats.median)),
-                            ("mad", Json::Num(m.stats.mad)),
-                            ("ci_lo", Json::Num(m.stats.ci_lo)),
-                            ("ci_hi", Json::Num(m.stats.ci_hi)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::Arr(s.metrics.iter().map(|m| m.to_json(false)).collect()),
         ),
     ])
 }
 
 fn scenario_from_json(v: &Json) -> Result<Scenario, String> {
-    let mut metrics = Vec::new();
-    for mv in v
-        .get("metrics")
-        .and_then(Json::as_arr)
-        .ok_or("ledger scenario missing \"metrics\"")?
-    {
-        let str_field = |k: &str| -> Result<String, String> {
-            mv.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("ledger metric missing string field \"{k}\""))
-        };
-        let num_field = |k: &str| -> Result<f64, String> {
-            mv.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("ledger metric missing number field \"{k}\""))
-        };
-        let kind_s = str_field("kind")?;
-        let dir_s = str_field("direction")?;
-        metrics.push(Metric {
-            name: str_field("name")?,
-            unit: str_field("unit")?,
-            kind: MetricKind::from_str(&kind_s)
-                .ok_or_else(|| format!("unknown metric kind \"{kind_s}\""))?,
-            direction: Direction::from_str(&dir_s)
-                .ok_or_else(|| format!("unknown metric direction \"{dir_s}\""))?,
-            gate: mv.get("gate").and_then(Json::as_bool).unwrap_or(true),
-            samples: Vec::new(),
-            stats: MetricStats {
-                median: num_field("median")?,
-                mad: num_field("mad")?,
-                ci_lo: num_field("ci_lo")?,
-                ci_hi: num_field("ci_hi")?,
-            },
-        });
-    }
     Ok(Scenario {
         name: v
             .get("name")
@@ -287,7 +234,13 @@ fn scenario_from_json(v: &Json) -> Result<Scenario, String> {
             .ok_or("ledger scenario missing \"name\"")?
             .to_string(),
         params: v.get("params").cloned().unwrap_or(Json::Obj(Vec::new())),
-        metrics,
+        metrics: v
+            .get("metrics")
+            .and_then(Json::as_arr)
+            .ok_or("ledger scenario missing \"metrics\"")?
+            .iter()
+            .map(|m| Metric::from_json(m, false))
+            .collect::<Result<_, _>>()?,
         snapshot: Json::Obj(Vec::new()),
     })
 }
@@ -612,20 +565,20 @@ mod tests {
             host: obj(vec![
                 ("os", Json::Str("linux".into())),
                 ("arch", Json::Str("x86_64".into())),
-                ("cpus", Json::Num(16.0)),
+                ("cpus", Json::F64(16.0)),
             ]),
             commit: commit.to_string(),
             config: obj(vec![("mode", Json::Str("quick".into()))]),
             scenarios: vec![Scenario {
                 name: "solve_step".to_string(),
-                params: obj(vec![("n", Json::Num(1000.0))]),
+                params: obj(vec![("n", Json::F64(1000.0))]),
                 metrics: vec![
                     Metric::wall("wall_s", "s", vec![wall, wall * 1.01, wall * 0.99], 7),
                     Metric::virtual_point("virtual_compute_s", "s", 0.5),
                 ],
                 snapshot: obj(vec![(
                     "cost_model",
-                    obj(vec![("c_m2l", Json::Num(2.5e-9))]),
+                    obj(vec![("c_m2l", Json::F64(2.5e-9))]),
                 )]),
             }],
         };

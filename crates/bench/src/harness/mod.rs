@@ -20,7 +20,6 @@
 //! `compare --against-ledger`.
 
 pub mod compare;
-pub mod json;
 pub mod ledger;
 pub mod report;
 pub mod scenarios;
@@ -28,7 +27,6 @@ pub mod snapshot;
 pub mod stats;
 
 pub use compare::{compare, CompareConfig, CompareReport, Verdict};
-pub use json::Json;
 pub use ledger::{
     host_key, render_history, render_trends, synthesize_baseline, trend_rows, Ledger, LedgerEntry,
     TrendRow, LEDGER_SCHEMA_VERSION,

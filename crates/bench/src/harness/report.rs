@@ -30,8 +30,8 @@
 //! identical value, on any host), so a virtual change is always a code or
 //! structure change, never noise.
 
-use super::json::{obj, Json};
 use super::stats::MetricStats;
+use telemetry::json::{obj, Json};
 
 /// Bumped whenever the report shape changes incompatibly.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -53,7 +53,7 @@ impl MetricKind {
         }
     }
 
-    pub fn from_str(s: &str) -> Option<Self> {
+    pub fn parse(s: &str) -> Option<Self> {
         match s {
             "wall" => Some(MetricKind::Wall),
             "virtual" => Some(MetricKind::Virtual),
@@ -79,7 +79,7 @@ impl Direction {
         }
     }
 
-    pub fn from_str(s: &str) -> Option<Self> {
+    pub fn parse(s: &str) -> Option<Self> {
         match s {
             "lower" => Some(Direction::Lower),
             "higher" => Some(Direction::Higher),
@@ -149,25 +149,31 @@ impl Metric {
         self
     }
 
-    fn to_json(&self) -> Json {
-        obj(vec![
+    /// The report encoding; a ledger line is the same object without the
+    /// raw samples (`samples: false`).
+    pub(super) fn to_json(&self, samples: bool) -> Json {
+        let mut fields = vec![
             ("name", Json::Str(self.name.clone())),
             ("unit", Json::Str(self.unit.clone())),
             ("kind", Json::Str(self.kind.as_str().to_string())),
             ("direction", Json::Str(self.direction.as_str().to_string())),
             ("gate", Json::Bool(self.gate)),
-            (
-                "samples",
-                Json::Arr(self.samples.iter().map(|&s| Json::Num(s)).collect()),
-            ),
-            ("median", Json::Num(self.stats.median)),
-            ("mad", Json::Num(self.stats.mad)),
-            ("ci_lo", Json::Num(self.stats.ci_lo)),
-            ("ci_hi", Json::Num(self.stats.ci_hi)),
-        ])
+        ];
+        if samples {
+            let raw = self.samples.iter().map(|&s| Json::F64(s)).collect();
+            fields.push(("samples", Json::Arr(raw)));
+        }
+        fields.extend([
+            ("median", Json::F64(self.stats.median)),
+            ("mad", Json::F64(self.stats.mad)),
+            ("ci_lo", Json::F64(self.stats.ci_lo)),
+            ("ci_hi", Json::F64(self.stats.ci_hi)),
+        ]);
+        obj(fields)
     }
 
-    fn from_json(v: &Json) -> Result<Self, String> {
+    /// Inverse of [`Metric::to_json`], `samples` saying which encoding.
+    pub(super) fn from_json(v: &Json, samples: bool) -> Result<Self, String> {
         let str_field = |k: &str| -> Result<String, String> {
             v.get(k)
                 .and_then(Json::as_str)
@@ -184,18 +190,21 @@ impl Metric {
         Ok(Metric {
             name: str_field("name")?,
             unit: str_field("unit")?,
-            kind: MetricKind::from_str(&kind_s)
+            kind: MetricKind::parse(&kind_s)
                 .ok_or_else(|| format!("unknown metric kind \"{kind_s}\""))?,
-            direction: Direction::from_str(&dir_s)
+            direction: Direction::parse(&dir_s)
                 .ok_or_else(|| format!("unknown metric direction \"{dir_s}\""))?,
             gate: v.get("gate").and_then(Json::as_bool).unwrap_or(true),
-            samples: v
-                .get("samples")
-                .and_then(Json::as_arr)
-                .ok_or("metric missing \"samples\"")?
-                .iter()
-                .map(|s| s.as_f64().ok_or("non-numeric sample"))
-                .collect::<Result<_, _>>()?,
+            samples: if samples {
+                v.get("samples")
+                    .and_then(Json::as_arr)
+                    .ok_or("metric missing \"samples\"")?
+                    .iter()
+                    .map(|s| s.as_f64().ok_or("non-numeric sample"))
+                    .collect::<Result<_, _>>()?
+            } else {
+                Vec::new()
+            },
             stats: MetricStats {
                 median: num_field("median")?,
                 mad: num_field("mad")?,
@@ -231,7 +240,7 @@ impl Scenario {
             ("params", self.params.clone()),
             (
                 "metrics",
-                Json::Arr(self.metrics.iter().map(Metric::to_json).collect()),
+                Json::Arr(self.metrics.iter().map(|m| m.to_json(true)).collect()),
             ),
             ("snapshot", self.snapshot.clone()),
         ])
@@ -250,7 +259,7 @@ impl Scenario {
                 .and_then(Json::as_arr)
                 .ok_or("scenario missing \"metrics\"")?
                 .iter()
-                .map(Metric::from_json)
+                .map(|m| Metric::from_json(m, true))
                 .collect::<Result<_, _>>()?,
             snapshot: v.get("snapshot").cloned().unwrap_or(Json::Obj(Vec::new())),
         })
@@ -283,7 +292,7 @@ impl BenchReport {
         obj(vec![
             ("os", Json::Str(std::env::consts::OS.to_string())),
             ("arch", Json::Str(std::env::consts::ARCH.to_string())),
-            ("cpus", Json::Num(cpus as f64)),
+            ("cpus", Json::F64(cpus as f64)),
         ])
     }
 
@@ -302,7 +311,7 @@ impl BenchReport {
 
     pub fn to_json_value(&self) -> Json {
         obj(vec![
-            ("schema_version", Json::Num(self.schema_version as f64)),
+            ("schema_version", Json::F64(self.schema_version as f64)),
             ("host", self.host.clone()),
             ("commit", Json::Str(self.commit.clone())),
             ("config", self.config.clone()),
@@ -418,7 +427,7 @@ mod tests {
             config: obj(vec![("mode", Json::Str("smoke".into()))]),
             scenarios: vec![Scenario {
                 name: "solve_step".to_string(),
-                params: obj(vec![("n", Json::Num(1000.0))]),
+                params: obj(vec![("n", Json::F64(1000.0))]),
                 metrics: vec![
                     Metric::wall("wall_s", "s", vec![0.5, 0.52, 0.49], 1),
                     Metric::virtual_point("virtual_compute_s", "s", 0.123),
@@ -433,7 +442,7 @@ mod tests {
     fn report_round_trips() {
         let r = tiny_report();
         let text = r.to_json();
-        assert!(telemetry::json_syntax_ok(text.trim_end()));
+        assert!(Json::parse(text.trim_end()).is_ok());
         let back = BenchReport::from_json(&text).unwrap();
         assert_eq!(back.commit, "deadbeef");
         let s = back.scenario("solve_step").unwrap();

@@ -23,9 +23,9 @@ use octree::{
     build_adaptive, count_ops, dual_traversal, BuildParams, IncrementalLists, Mac, NodeId, Octree,
 };
 
-use super::json::{obj, Json};
 use super::report::{BenchReport, Metric, Scenario, SCHEMA_VERSION};
 use super::snapshot::{gather, MemFootprint, SnapshotParts};
+use telemetry::json::{obj, Json};
 
 /// Suite-wide configuration; every scenario scales from these knobs.
 #[derive(Clone, Copy, Debug)]
@@ -123,7 +123,8 @@ impl SuiteConfig {
 
 /// Run the whole registry; `progress` receives one line per scenario.
 pub fn run_suite(cfg: &SuiteConfig, progress: &mut dyn FnMut(&str)) -> BenchReport {
-    let runners: [(&str, fn(&SuiteConfig) -> Scenario); 8] = [
+    type Runner = fn(&SuiteConfig) -> Scenario;
+    let runners: [(&str, Runner); 8] = [
         ("solve_step", solve_step),
         ("dag_pipeline", dag_pipeline),
         ("plan_patch_vs_rebuild", plan_patch_vs_rebuild),
@@ -150,9 +151,9 @@ pub fn run_suite(cfg: &SuiteConfig, progress: &mut dyn FnMut(&str)) -> BenchRepo
         commit: BenchReport::current_commit(),
         config: obj(vec![
             ("mode", Json::Str(cfg.mode.to_string())),
-            ("reps", Json::Num(cfg.reps as f64)),
-            ("warmup", Json::Num(cfg.warmup as f64)),
-            ("seed", Json::Num(cfg.seed as f64)),
+            ("reps", Json::F64(cfg.reps as f64)),
+            ("warmup", Json::F64(cfg.warmup as f64)),
+            ("seed", Json::F64(cfg.seed as f64)),
         ]),
         scenarios,
     }
@@ -303,11 +304,11 @@ fn solve_step(cfg: &SuiteConfig) -> Scenario {
     Scenario {
         name: "solve_step".to_string(),
         params: obj(vec![
-            ("n", Json::Num(cfg.n_solve as f64)),
+            ("n", Json::F64(cfg.n_solve as f64)),
             ("distribution", Json::Str("plummer".to_string())),
-            ("s", Json::Num(s as f64)),
-            ("cores", Json::Num(cfg.cores as f64)),
-            ("gpus", Json::Num(cfg.gpus as f64)),
+            ("s", Json::F64(s as f64)),
+            ("cores", Json::F64(cfg.cores as f64)),
+            ("gpus", Json::F64(cfg.gpus as f64)),
         ]),
         metrics: vec![
             Metric::wall("wall_solve_s", "s", samples, cfg.seed),
@@ -408,9 +409,9 @@ fn dag_pipeline(cfg: &SuiteConfig) -> Scenario {
     Scenario {
         name: "dag_pipeline".to_string(),
         params: obj(vec![
-            ("n", Json::Num(cfg.n_solve as f64)),
+            ("n", Json::F64(cfg.n_solve as f64)),
             ("distribution", Json::Str("plummer".to_string())),
-            ("s", Json::Num(s as f64)),
+            ("s", Json::F64(s as f64)),
             (
                 "configs",
                 Json::Str(
@@ -438,27 +439,27 @@ fn sched_snapshot(x: &afmm::SchedXray) -> Json {
         .map(|p| {
             (
                 p.label().to_string(),
-                Json::Num(x.crit_phase_frac[p.index()]),
+                Json::F64(x.crit_phase_frac[p.index()]),
             )
         })
         .collect();
     let lane_util = (0..x.gpu_lanes)
-        .map(|d| Json::Num(x.gpu_lane_util[d]))
+        .map(|d| Json::F64(x.gpu_lane_util[d]))
         .collect();
     obj(vec![
         ("pass", Json::Str(x.pass.label().to_string())),
-        ("cores", Json::Num(x.cores as f64)),
-        ("gpu_lanes", Json::Num(x.gpu_lanes as f64)),
-        ("makespan_s", Json::Num(a.makespan)),
-        ("critpath_len", Json::Num(a.crit_path.len() as f64)),
-        ("critpath_sum_s", Json::Num(a.crit_sum)),
-        ("lane_idle_frac", Json::Num(a.lane_idle_frac)),
-        ("pipeline_overlap", Json::Num(a.pipeline_overlap)),
-        ("crit_cpu_frac", Json::Num(a.crit_cpu_frac)),
-        ("crit_gpu_frac", Json::Num(a.crit_gpu_frac)),
-        ("dependency_frac", Json::Num(a.dependency_frac)),
-        ("starvation_frac", Json::Num(a.resource_cpu_frac)),
-        ("serialization_frac", Json::Num(a.resource_gpu_frac)),
+        ("cores", Json::F64(x.cores as f64)),
+        ("gpu_lanes", Json::F64(x.gpu_lanes as f64)),
+        ("makespan_s", Json::F64(a.makespan)),
+        ("critpath_len", Json::F64(a.crit_path.len() as f64)),
+        ("critpath_sum_s", Json::F64(a.crit_sum)),
+        ("lane_idle_frac", Json::F64(a.lane_idle_frac)),
+        ("pipeline_overlap", Json::F64(a.pipeline_overlap)),
+        ("crit_cpu_frac", Json::F64(a.crit_cpu_frac)),
+        ("crit_gpu_frac", Json::F64(a.crit_gpu_frac)),
+        ("dependency_frac", Json::F64(a.dependency_frac)),
+        ("starvation_frac", Json::F64(a.resource_cpu_frac)),
+        ("serialization_frac", Json::F64(a.resource_gpu_frac)),
         ("crit_phase_frac", Json::Obj(phases)),
         ("gpu_lane_util", Json::Arr(lane_util)),
     ])
@@ -549,10 +550,10 @@ fn plan_patch_vs_rebuild(cfg: &SuiteConfig) -> Scenario {
     Scenario {
         name: "plan_patch_vs_rebuild".to_string(),
         params: obj(vec![
-            ("n", Json::Num(cfg.n_plan as f64)),
+            ("n", Json::F64(cfg.n_plan as f64)),
             ("distribution", Json::Str("plummer".to_string())),
-            ("s", Json::Num(s as f64)),
-            ("edits", Json::Num(edits as f64)),
+            ("s", Json::F64(s as f64)),
+            ("edits", Json::F64(edits as f64)),
         ]),
         metrics: vec![
             Metric::wall("rebuild_us", "us", rebuilds, cfg.seed),
@@ -601,10 +602,10 @@ fn enforce_s(cfg: &SuiteConfig) -> Scenario {
     Scenario {
         name: "enforce_s".to_string(),
         params: obj(vec![
-            ("n", Json::Num(cfg.n_enforce as f64)),
+            ("n", Json::F64(cfg.n_enforce as f64)),
             ("distribution", Json::Str("plummer".to_string())),
-            ("s_from", Json::Num(s_from as f64)),
-            ("s_to", Json::Num(s_to as f64)),
+            ("s_from", Json::F64(s_from as f64)),
+            ("s_to", Json::F64(s_to as f64)),
         ]),
         metrics: vec![
             Metric::wall("enforce_ms", "ms", samples, cfg.seed),
@@ -690,12 +691,12 @@ fn balancer_convergence(cfg: &SuiteConfig) -> Scenario {
     Scenario {
         name: "balancer_convergence".to_string(),
         params: obj(vec![
-            ("n", Json::Num(cfg.n_balance as f64)),
+            ("n", Json::F64(cfg.n_balance as f64)),
             ("distribution", Json::Str("collapsing_plummer".to_string())),
-            ("steps", Json::Num(cfg.balance_steps as f64)),
+            ("steps", Json::F64(cfg.balance_steps as f64)),
             ("strategy", Json::Str("full".to_string())),
-            ("cores", Json::Num(cfg.cores as f64)),
-            ("gpus", Json::Num(cfg.gpus as f64)),
+            ("cores", Json::F64(cfg.cores as f64)),
+            ("gpus", Json::F64(cfg.gpus as f64)),
         ]),
         metrics: vec![
             Metric::wall("wall_run_s", "s", samples, cfg.seed),
@@ -737,9 +738,9 @@ fn telemetry_overhead(cfg: &SuiteConfig) -> Scenario {
     Scenario {
         name: "telemetry_overhead".to_string(),
         params: obj(vec![
-            ("n", Json::Num(cfg.n_overhead as f64)),
+            ("n", Json::F64(cfg.n_overhead as f64)),
             ("distribution", Json::Str("plummer".to_string())),
-            ("s", Json::Num(96.0)),
+            ("s", Json::F64(96.0)),
         ]),
         metrics: vec![
             Metric::wall("wall_base_s", "s", base, cfg.seed),
@@ -807,12 +808,12 @@ fn balancer_faults(cfg: &SuiteConfig) -> Scenario {
     Scenario {
         name: "balancer_faults".to_string(),
         params: obj(vec![
-            ("n", Json::Num(cfg.n_fault as f64)),
+            ("n", Json::F64(cfg.n_fault as f64)),
             ("distribution", Json::Str("plummer".to_string())),
-            ("steps", Json::Num(cfg.fault_steps as f64)),
-            ("fault_step", Json::Num(fault_step as f64)),
-            ("recover_step", Json::Num(recover_step as f64)),
-            ("gpus", Json::Num(cfg.gpus.max(2) as f64)),
+            ("steps", Json::F64(cfg.fault_steps as f64)),
+            ("fault_step", Json::F64(fault_step as f64)),
+            ("recover_step", Json::F64(recover_step as f64)),
+            ("gpus", Json::F64(cfg.gpus.max(2) as f64)),
         ]),
         metrics: vec![
             Metric::wall("wall_run_s", "s", samples, cfg.seed),
@@ -982,11 +983,11 @@ fn memory_profile(cfg: &SuiteConfig) -> Scenario {
     Scenario {
         name: "memory_profile".to_string(),
         params: obj(vec![
-            ("n", Json::Num(cfg.n_solve as f64)),
+            ("n", Json::F64(cfg.n_solve as f64)),
             ("distribution", Json::Str("plummer".to_string())),
-            ("s", Json::Num(s as f64)),
-            ("steps", Json::Num(steps as f64)),
-            ("edits", Json::Num(edits as f64)),
+            ("s", Json::F64(s as f64)),
+            ("steps", Json::F64(steps as f64)),
+            ("edits", Json::F64(edits as f64)),
         ]),
         metrics,
         snapshot,

@@ -22,11 +22,11 @@
 //!   bytes-per-list-entry figures the memory observatory trends. Structural
 //!   accounting works with or without the `memprof` allocator feature.
 
-use super::json::{obj, Json};
 use super::stats::median;
 use afmm::CostModel;
 use gpu_sim::KernelTiming;
 use octree::{InteractionLists, Octree, OpCounts, TreeStats};
+use telemetry::json::{obj, Json};
 
 /// Everything a scenario can attach; absent parts are simply omitted from
 /// the snapshot object.
@@ -122,10 +122,10 @@ fn tree_snapshot(tree: &Octree) -> Json {
             .map(|&id| tree.node(id).count())
             .sum();
         levels.push(obj(vec![
-            ("level", Json::Num(level as f64)),
-            ("nodes", Json::Num(ids.len() as f64)),
-            ("leaves", Json::Num(leaves as f64)),
-            ("bodies", Json::Num(bodies as f64)),
+            ("level", Json::F64(level as f64)),
+            ("nodes", Json::F64(ids.len() as f64)),
+            ("leaves", Json::F64(leaves as f64)),
+            ("bodies", Json::F64(bodies as f64)),
         ]));
     }
 
@@ -157,22 +157,22 @@ fn tree_snapshot(tree: &Octree) -> Json {
                 (1 << (b - 1), (1 << b) - 1)
             };
             obj(vec![
-                ("lo", Json::Num(lo as f64)),
-                ("hi", Json::Num(hi as f64)),
-                ("leaves", Json::Num(n as f64)),
+                ("lo", Json::F64(lo as f64)),
+                ("hi", Json::F64(hi as f64)),
+                ("leaves", Json::F64(n as f64)),
             ])
         })
         .collect();
 
     obj(vec![
-        ("s", Json::Num(tree.s_value() as f64)),
-        ("bodies", Json::Num(tree.num_bodies() as f64)),
-        ("visible_nodes", Json::Num(st.visible_nodes as f64)),
-        ("visible_leaves", Json::Num(st.visible_leaves as f64)),
-        ("nonempty_leaves", Json::Num(st.nonempty_leaves as f64)),
-        ("depth", Json::Num(st.depth as f64)),
-        ("max_leaf", Json::Num(st.max_leaf as f64)),
-        ("mean_leaf", Json::Num(st.mean_leaf)),
+        ("s", Json::F64(tree.s_value() as f64)),
+        ("bodies", Json::F64(tree.num_bodies() as f64)),
+        ("visible_nodes", Json::F64(st.visible_nodes as f64)),
+        ("visible_leaves", Json::F64(st.visible_leaves as f64)),
+        ("nonempty_leaves", Json::F64(st.nonempty_leaves as f64)),
+        ("depth", Json::F64(st.depth as f64)),
+        ("max_leaf", Json::F64(st.max_leaf as f64)),
+        ("mean_leaf", Json::F64(st.mean_leaf)),
         ("levels", Json::Arr(levels)),
         ("leaf_occupancy", Json::Arr(hist_json)),
     ])
@@ -181,18 +181,18 @@ fn tree_snapshot(tree: &Octree) -> Json {
 /// Min/median/p90/max of a length distribution.
 fn length_dist(lens: &[usize]) -> Json {
     if lens.is_empty() {
-        return obj(vec![("count", Json::Num(0.0))]);
+        return obj(vec![("count", Json::F64(0.0))]);
     }
     let mut sorted: Vec<f64> = lens.iter().map(|&l| l as f64).collect();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let p90 = sorted[((0.90 * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1)];
     obj(vec![
-        ("count", Json::Num(sorted.len() as f64)),
-        ("total", Json::Num(sorted.iter().sum::<f64>())),
-        ("min", Json::Num(sorted[0])),
-        ("median", Json::Num(median(&sorted))),
-        ("p90", Json::Num(p90)),
-        ("max", Json::Num(*sorted.last().expect("nonempty"))),
+        ("count", Json::F64(sorted.len() as f64)),
+        ("total", Json::F64(sorted.iter().sum::<f64>())),
+        ("min", Json::F64(sorted[0])),
+        ("median", Json::F64(median(&sorted))),
+        ("p90", Json::F64(p90)),
+        ("max", Json::F64(*sorted.last().expect("nonempty"))),
     ])
 }
 
@@ -215,16 +215,16 @@ fn plan_snapshot(tree: &Octree, lists: &InteractionLists, counts: Option<OpCount
         (
             "op_counts",
             obj(vec![
-                ("p2m_bodies", Json::Num(counts.p2m_bodies as f64)),
-                ("m2m_ops", Json::Num(counts.m2m_ops as f64)),
-                ("m2l_ops", Json::Num(counts.m2l_ops as f64)),
-                ("l2l_ops", Json::Num(counts.l2l_ops as f64)),
-                ("l2p_bodies", Json::Num(counts.l2p_bodies as f64)),
+                ("p2m_bodies", Json::F64(counts.p2m_bodies as f64)),
+                ("m2m_ops", Json::F64(counts.m2m_ops as f64)),
+                ("m2l_ops", Json::F64(counts.m2l_ops as f64)),
+                ("l2l_ops", Json::F64(counts.l2l_ops as f64)),
+                ("l2p_bodies", Json::F64(counts.l2p_bodies as f64)),
                 (
                     "p2p_interactions",
-                    Json::Num(counts.p2p_interactions as f64),
+                    Json::F64(counts.p2p_interactions as f64),
                 ),
-                ("active_nodes", Json::Num(counts.active_nodes as f64)),
+                ("active_nodes", Json::F64(counts.active_nodes as f64)),
             ]),
         ),
         ("m2l_list_len", length_dist(&m2l_lens)),
@@ -246,27 +246,27 @@ fn gpu_snapshot(timing: &KernelTiming) -> Json {
                 0.0
             };
             obj(vec![
-                ("device", Json::Num(device as f64)),
-                ("pairs", Json::Num(r.useful_pairs as f64)),
-                ("share", Json::Num(share)),
-                ("elapsed_s", Json::Num(r.elapsed_s)),
+                ("device", Json::F64(device as f64)),
+                ("pairs", Json::F64(r.useful_pairs as f64)),
+                ("share", Json::F64(share)),
+                ("elapsed_s", Json::F64(r.elapsed_s)),
             ])
         })
         .collect();
     obj(vec![
-        ("devices", Json::Num(timing.per_gpu.len() as f64)),
-        ("total_pairs", Json::Num(total as f64)),
+        ("devices", Json::F64(timing.per_gpu.len() as f64)),
+        ("total_pairs", Json::F64(total as f64)),
         (
             "makespan_s",
-            timing.gpu_time().map(Json::Num).unwrap_or(Json::Null),
+            timing.gpu_time().map(Json::F64).unwrap_or(Json::Null),
         ),
         (
             "imbalance",
-            timing.imbalance().map(Json::Num).unwrap_or(Json::Null),
+            timing.imbalance().map(Json::F64).unwrap_or(Json::Null),
         ),
         (
             "efficiency",
-            timing.efficiency().map(Json::Num).unwrap_or(Json::Null),
+            timing.efficiency().map(Json::F64).unwrap_or(Json::Null),
         ),
         ("interaction_share", Json::Arr(shares)),
     ])
@@ -276,12 +276,12 @@ fn gpu_snapshot(timing: &KernelTiming) -> Json {
 /// from the observed step times over the run.
 fn audit_snapshot(a: &telemetry::AuditStats) -> Json {
     obj(vec![
-        ("count", Json::Num(a.count as f64)),
-        ("acted", Json::Num(a.acted as f64)),
-        ("mean", Json::Num(a.mean)),
-        ("median", Json::Num(a.median)),
-        ("p90", Json::Num(a.p90)),
-        ("max", Json::Num(a.max)),
+        ("count", Json::F64(a.count as f64)),
+        ("acted", Json::F64(a.acted as f64)),
+        ("mean", Json::F64(a.mean)),
+        ("median", Json::F64(a.median)),
+        ("p90", Json::F64(a.p90)),
+        ("max", Json::F64(a.max)),
     ])
 }
 
@@ -292,15 +292,15 @@ fn mem_snapshot(mem: &MemFootprint) -> Json {
         if div == 0 {
             Json::Null
         } else {
-            Json::Num(bytes as f64 / div as f64)
+            Json::F64(bytes as f64 / div as f64)
         }
     };
     obj(vec![
-        ("bodies_bytes", Json::Num(mem.bodies_bytes as f64)),
-        ("tree_bytes", Json::Num(mem.tree_bytes as f64)),
-        ("plan_bytes", Json::Num(mem.plan_bytes as f64)),
-        ("recorder_bytes", Json::Num(mem.recorder_bytes as f64)),
-        ("total_bytes", Json::Num(mem.total_bytes() as f64)),
+        ("bodies_bytes", Json::F64(mem.bodies_bytes as f64)),
+        ("tree_bytes", Json::F64(mem.tree_bytes as f64)),
+        ("plan_bytes", Json::F64(mem.plan_bytes as f64)),
+        ("recorder_bytes", Json::F64(mem.recorder_bytes as f64)),
+        ("total_bytes", Json::F64(mem.total_bytes() as f64)),
         ("bytes_per_body", ratio(mem.bodies_bytes, mem.bodies)),
         ("bytes_per_node", ratio(mem.tree_bytes, mem.nodes)),
         (
@@ -314,15 +314,15 @@ fn mem_snapshot(mem: &MemFootprint) -> Json {
 fn cost_snapshot(cost: &CostModel) -> Json {
     obj(vec![
         ("observed", Json::Bool(cost.is_observed())),
-        ("c_p2m", Json::Num(cost.c_p2m)),
-        ("c_m2m", Json::Num(cost.c_m2m)),
-        ("c_m2l", Json::Num(cost.c_m2l)),
-        ("c_l2l", Json::Num(cost.c_l2l)),
-        ("c_l2p", Json::Num(cost.c_l2p)),
-        ("c_cpu_pair", Json::Num(cost.c_cpu_pair)),
-        ("c_node", Json::Num(cost.c_node)),
-        ("c_gpu_pair", Json::Num(cost.c_gpu_pair)),
-        ("parallel_rate", Json::Num(cost.parallel_rate)),
+        ("c_p2m", Json::F64(cost.c_p2m)),
+        ("c_m2m", Json::F64(cost.c_m2m)),
+        ("c_m2l", Json::F64(cost.c_m2l)),
+        ("c_l2l", Json::F64(cost.c_l2l)),
+        ("c_l2p", Json::F64(cost.c_l2p)),
+        ("c_cpu_pair", Json::F64(cost.c_cpu_pair)),
+        ("c_node", Json::F64(cost.c_node)),
+        ("c_gpu_pair", Json::F64(cost.c_gpu_pair)),
+        ("parallel_rate", Json::F64(cost.parallel_rate)),
     ])
 }
 
@@ -437,7 +437,7 @@ mod tests {
         );
 
         // The whole snapshot is valid JSON.
-        assert!(telemetry::json_syntax_ok(&snap.to_json()));
+        assert!(Json::parse(&snap.to_json()).is_ok());
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! populated snapshots.
 
 use bench::harness::{
-    compare, summarize, BenchReport, CompareConfig, Json, Metric, Scenario, SuiteConfig, Verdict,
+    compare, summarize, BenchReport, CompareConfig, Metric, Scenario, SuiteConfig, Verdict,
     SCHEMA_VERSION,
 };
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use telemetry::json::Json;
 
 /// A one-scenario report whose single wall metric has the given samples.
 fn report_with(samples: Vec<f64>) -> BenchReport {
@@ -20,7 +21,7 @@ fn report_with(samples: Vec<f64>) -> BenchReport {
         config: Json::Obj(vec![("mode".to_string(), Json::Str("test".to_string()))]),
         scenarios: vec![Scenario {
             name: "synthetic".to_string(),
-            params: Json::Obj(vec![("n".to_string(), Json::Num(1000.0))]),
+            params: Json::Obj(vec![("n".to_string(), Json::F64(1000.0))]),
             metrics: vec![Metric::wall("wall_s", "s", samples, 11)],
             snapshot: Json::Obj(Vec::new()),
         }],
@@ -90,7 +91,7 @@ fn informational_metrics_never_gate() {
 fn params_mismatch_skips_instead_of_gating() {
     let old = report_with(noisy_samples(1.0, 0.01, 7, 7));
     let mut new = report_with(noisy_samples(9.0, 0.01, 7, 8));
-    new.scenarios[0].params = Json::Obj(vec![("n".to_string(), Json::Num(2000.0))]);
+    new.scenarios[0].params = Json::Obj(vec![("n".to_string(), Json::F64(2000.0))]);
     let result = compare(&old, &new, &CompareConfig::default());
     assert_eq!(result.regressions(), 0, "{}", result.render());
     assert!(result.rows.iter().all(|r| r.verdict == Verdict::Skipped));
@@ -187,7 +188,7 @@ fn smoke_suite_runs_and_gates() {
 
     // Round trip.
     let text = report.to_json();
-    assert!(telemetry::json_syntax_ok(text.trim_end()));
+    assert!(Json::parse(text.trim_end()).is_ok());
     let back = BenchReport::from_json(&text).unwrap();
     assert_eq!(back.scenarios.len(), report.scenarios.len());
 

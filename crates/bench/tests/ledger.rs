@@ -3,14 +3,14 @@
 //! equivalence with a plain compare, and the `afmm-perf` exit-code
 //! contract driven through the real binary.
 
-use bench::harness::json::obj;
 use bench::harness::{
-    compare, synthesize_baseline, trend_rows, BenchReport, CompareConfig, Json, Ledger,
-    LedgerEntry, Metric, Scenario, Verdict, SCHEMA_VERSION,
+    compare, synthesize_baseline, trend_rows, BenchReport, CompareConfig, Ledger, LedgerEntry,
+    Metric, Scenario, Verdict, SCHEMA_VERSION,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use telemetry::json::{obj, Json};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("afmm-ledger-it-{tag}-{}", std::process::id()));
@@ -27,13 +27,13 @@ fn synthetic_report(commit: &str, wall: f64) -> BenchReport {
         host: obj(vec![
             ("os", Json::Str("linux".into())),
             ("arch", Json::Str("x86_64".into())),
-            ("cpus", Json::Num(16.0)),
+            ("cpus", Json::F64(16.0)),
         ]),
         commit: commit.to_string(),
         config: obj(vec![("mode", Json::Str("quick".into()))]),
         scenarios: vec![Scenario {
             name: "solve_step".to_string(),
-            params: obj(vec![("n", Json::Num(4096.0)), ("s", Json::Num(64.0))]),
+            params: obj(vec![("n", Json::F64(4096.0)), ("s", Json::F64(64.0))]),
             metrics: vec![
                 Metric::wall(
                     "wall_s",

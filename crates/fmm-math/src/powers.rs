@@ -52,8 +52,8 @@ mod tests {
         let mut out = vec![0.0; set.len()];
         power_series(Vec3::ZERO, &set, &mut out);
         assert_eq!(out[0], 1.0);
-        for idx in 1..set.len() {
-            assert_eq!(out[idx], 0.0);
+        for &v in &out[1..] {
+            assert_eq!(v, 0.0);
         }
     }
 

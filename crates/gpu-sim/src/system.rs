@@ -551,7 +551,7 @@ mod tests {
         let jobs = plummer_like_jobs(400);
         let timing = homog(2).execute(&jobs).unwrap();
         let im = timing.imbalance().unwrap();
-        assert!(im >= 1.0 && im < 1.5, "balanced walk, imbalance {im}");
+        assert!((1.0..1.5).contains(&im), "balanced walk, imbalance {im}");
         // Force everything onto one device: the idle one must not count.
         let sys = homog(2);
         let skew = sys

@@ -168,12 +168,12 @@ impl EventRecord {
         out.push('{');
         let _ = write!(
             out,
-            "\"seq\":{},\"step\":{},\"kind\":\"{}\",\"name\":\"{}\"",
+            "\"seq\":{},\"step\":{},\"kind\":\"{}\",\"name\":",
             self.seq,
             self.step,
             self.kind.as_str(),
-            self.name
         );
+        push_json_str(&mut out, self.name);
         if let Some(d) = self.dur_s {
             out.push_str(",\"dur_s\":");
             push_json_f64(&mut out, d);
@@ -182,11 +182,13 @@ impl EventRecord {
             // A payload field named like an envelope key would produce a
             // duplicate JSON key and break the reader; prefix it instead of
             // silently emitting an unreadable line.
+            out.push(',');
             if matches!(*k, "seq" | "step" | "kind" | "name" | "dur_s") {
-                let _ = write!(out, ",\"field_{k}\":");
+                push_json_str(&mut out, &format!("field_{k}"));
             } else {
-                let _ = write!(out, ",\"{k}\":");
+                push_json_str(&mut out, k);
             }
+            out.push(':');
             push_json_value(&mut out, v);
         }
         out.push('}');
@@ -203,7 +205,7 @@ pub fn push_json_f64(out: &mut String, v: f64) {
     }
 }
 
-fn push_json_value(out: &mut String, v: &Value) {
+pub(crate) fn push_json_value(out: &mut String, v: &Value) {
     match v {
         Value::U64(x) => {
             let _ = write!(out, "{x}");

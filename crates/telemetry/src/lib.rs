@@ -31,6 +31,7 @@
 mod anomaly;
 mod audit;
 mod event;
+pub mod json;
 pub mod memprof;
 mod metrics;
 mod recorder;
@@ -48,6 +49,6 @@ pub use memprof::{AllocScope, GlobalStats, ScopeStats};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{JsonlSink, Recorder, Sink, SpanGuard, VecSink, DEFAULT_CAPACITY};
 pub use trace::{
-    flat_f64, flat_str, flat_u64, intern, json_syntax_ok, parse_flat_json, read_trace,
-    ChromeTraceExporter, TraceError, TraceReader,
+    flat_f64, flat_str, flat_u64, intern, parse_flat_json, read_trace, ChromeTraceExporter,
+    TraceError, TraceReader,
 };

@@ -12,10 +12,9 @@
 //!   `Some(NAN)`), which re-serializes to `null` — the byte round-trip holds
 //!   even though NaN cannot compare equal to itself.
 //! * **Number typing.** JSON does not distinguish `U64(2)` from `F64(2.0)`
-//!   (both print `2`); `from_json` canonicalizes by syntax — no `.`/`e` and
-//!   in `u64`/`i64` range parses integral, everything else (including `-0`,
-//!   which must re-print with its sign) parses as `F64`. Either reading
-//!   re-serializes byte-identically because the encoder is deterministic.
+//!   (both print `2`); the shared parser ([`crate::json`]) types numbers by
+//!   syntax, and either reading re-serializes byte-identically because the
+//!   encoder is deterministic.
 //!
 //! Parsed names and field keys are interned into a process-wide pool (the
 //! schema's vocabulary is finite, so the pool is bounded) to satisfy
@@ -28,7 +27,8 @@ use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
-use crate::event::{push_json_f64, push_json_str, EventRecord, RecordKind, Value};
+use crate::event::{push_json_f64, push_json_str, push_json_value, EventRecord, RecordKind, Value};
+use crate::json::Json;
 
 /// Failure while reading a trace: I/O, or a malformed line (1-based).
 #[derive(Debug)]
@@ -69,213 +69,31 @@ pub fn intern(s: &str) -> &'static str {
     leaked
 }
 
-// ---- the flat-object JSON parser -----------------------------------------
+// ---- records and flat objects over the shared parser ---------------------
 
-/// One parsed scalar, before number canonicalization.
-enum Token<'a> {
-    Num(&'a str),
-    Str(String),
-    Bool(bool),
-    Null,
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            s: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn bump(&mut self) -> Result<u8, String> {
-        let b = self.peek().ok_or("unexpected end of input")?;
-        self.i += 1;
-        Ok(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        self.skip_ws();
-        let got = self.bump()?;
-        if got != want {
-            return Err(format!(
-                "expected '{}', found '{}'",
-                want as char, got as char
-            ));
-        }
-        Ok(())
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.bump()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hi = self.parse_hex4()?;
-                        let c = if (0xD800..=0xDBFF).contains(&hi) {
-                            // Surrogate pair: the low half must follow.
-                            if self.bump()? != b'\\' || self.bump()? != b'u' {
-                                return Err("unpaired high surrogate".into());
-                            }
-                            let lo = self.parse_hex4()?;
-                            if !(0xDC00..=0xDFFF).contains(&lo) {
-                                return Err("invalid low surrogate".into());
-                            }
-                            let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                            char::from_u32(code).ok_or("invalid surrogate pair")?
-                        } else {
-                            char::from_u32(hi).ok_or("invalid \\u escape")?
-                        };
-                        out.push(c);
-                    }
-                    other => return Err(format!("bad escape '\\{}'", other as char)),
-                },
-                b if b < 0x20 => return Err("raw control character in string".into()),
-                b if b < 0x80 => out.push(b as char),
-                b => {
-                    // Multi-byte UTF-8: re-decode from the source slice.
-                    let start = self.i - 1;
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return Err("invalid UTF-8 byte in string".into()),
-                    };
-                    let end = start + len;
-                    let slice = self.s.get(start..end).ok_or("truncated UTF-8 sequence")?;
-                    let chunk =
-                        std::str::from_utf8(slice).map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(chunk);
-                    self.i = end;
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, String> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let b = self.bump()?;
-            let d = (b as char)
-                .to_digit(16)
-                .ok_or("bad hex digit in \\u escape")?;
-            v = (v << 4) | d;
-        }
-        Ok(v)
-    }
-
-    fn parse_token(&mut self) -> Result<Token<'a>, String> {
-        self.skip_ws();
-        match self.peek().ok_or("unexpected end of input")? {
-            b'"' => Ok(Token::Str(self.parse_string()?)),
-            b't' => {
-                self.literal("true")?;
-                Ok(Token::Bool(true))
-            }
-            b'f' => {
-                self.literal("false")?;
-                Ok(Token::Bool(false))
-            }
-            b'n' => {
-                self.literal("null")?;
-                Ok(Token::Null)
-            }
-            b'{' | b'[' => Err("nested values are not part of the trace schema".into()),
-            _ => {
-                let start = self.i;
-                while matches!(
-                    self.peek(),
-                    Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-                ) {
-                    self.i += 1;
-                }
-                if self.i == start {
-                    return Err(format!("unexpected character '{}'", self.s[start] as char));
-                }
-                let tok = std::str::from_utf8(&self.s[start..self.i]).unwrap();
-                Ok(Token::Num(tok))
-            }
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        for want in word.bytes() {
-            if self.bump()? != want {
-                return Err(format!("malformed literal (expected \"{word}\")"));
-            }
-        }
-        Ok(())
-    }
-
-    fn at_end(&mut self) -> bool {
-        self.skip_ws();
-        self.i == self.s.len()
+/// Parse `line` as one JSON object and hand back its fields.
+fn object_fields(line: &str) -> Result<Vec<(String, Json)>, String> {
+    match Json::parse(line).map_err(|e| e.to_string())? {
+        Json::Obj(fields) => Ok(fields),
+        _ => Err("expected a JSON object".into()),
     }
 }
 
-/// Canonicalize a JSON number token into the [`Value`] variant that
-/// re-serializes to the same bytes (see the module docs).
-fn number_value(tok: &str) -> Result<Value, String> {
-    if !tok.contains(['.', 'e', 'E']) {
-        if let Some(rest) = tok.strip_prefix('-') {
-            // "-0" must stay a float: I64(0) would re-print without the sign.
-            if rest.bytes().all(|b| b == b'0') {
-                return Ok(Value::F64(-0.0));
-            }
-            if let Ok(v) = tok.parse::<i64>() {
-                return Ok(Value::I64(v));
-            }
-        } else if let Ok(v) = tok.parse::<u64>() {
-            return Ok(Value::U64(v));
+/// A field value of the flat schemas: scalars only.
+fn scalar(v: Json) -> Result<Value, String> {
+    Ok(match v {
+        Json::U64(x) => Value::U64(x),
+        Json::I64(x) => Value::I64(x),
+        Json::F64(x) => Value::F64(x),
+        Json::Bool(x) => Value::Bool(x),
+        Json::Str(x) => Value::Str(x),
+        // `null` is how the encoder spells a non-finite float; NaN
+        // re-serializes to `null`.
+        Json::Null => Value::F64(f64::NAN),
+        Json::Arr(_) | Json::Obj(_) => {
+            return Err("nested values are not part of the trace schema".into())
         }
-    }
-    tok.parse::<f64>()
-        .map(Value::F64)
-        .map_err(|_| format!("malformed number \"{tok}\""))
-}
-
-fn token_f64(tok: Token) -> Result<f64, String> {
-    match tok {
-        Token::Num(t) => t
-            .parse::<f64>()
-            .map_err(|_| format!("malformed number \"{t}\"")),
-        Token::Null => Ok(f64::NAN),
-        _ => Err("expected a number or null".into()),
-    }
-}
-
-fn token_u64(tok: Token, key: &str) -> Result<u64, String> {
-    match tok {
-        Token::Num(t) => t
-            .parse::<u64>()
-            .map_err(|_| format!("\"{key}\" must be an unsigned integer, got \"{t}\"")),
-        _ => Err(format!("\"{key}\" must be an unsigned integer")),
-    }
+    })
 }
 
 impl EventRecord {
@@ -285,57 +103,36 @@ impl EventRecord {
     /// (`seq`/`step`/`kind`/`name`); re-serialization is canonical, so a
     /// line straight from `to_json` round-trips byte-for-byte.
     pub fn from_json(line: &str) -> Result<EventRecord, String> {
-        let mut p = Parser::new(line);
-        p.expect(b'{')?;
         let mut seq = None;
         let mut step = None;
         let mut kind = None;
         let mut name = None;
         let mut dur_s = None;
         let mut fields: Vec<(&'static str, Value)> = Vec::new();
-        let mut first = true;
-        loop {
-            p.skip_ws();
-            if p.peek() == Some(b'}') {
-                p.i += 1;
-                break;
-            }
-            if !first {
-                p.expect(b',')?;
-            }
-            first = false;
-            let key = p.parse_string()?;
-            p.expect(b':')?;
-            let tok = p.parse_token()?;
+        for (key, v) in object_fields(line)? {
+            let header_u64 = || {
+                v.as_u64()
+                    .ok_or_else(|| format!("\"{key}\" must be an unsigned integer"))
+            };
             match key.as_str() {
-                "seq" => seq = Some(token_u64(tok, "seq")?),
-                "step" => step = Some(token_u64(tok, "step")?),
-                "kind" => match tok {
-                    Token::Str(s) if s == "span" => kind = Some(RecordKind::Span),
-                    Token::Str(s) if s == "event" => kind = Some(RecordKind::Event),
-                    Token::Str(s) => return Err(format!("unknown kind \"{s}\"")),
-                    _ => return Err("\"kind\" must be a string".into()),
+                "seq" => seq = Some(header_u64()?),
+                "step" => step = Some(header_u64()?),
+                "kind" => match v.as_str() {
+                    Some("span") => kind = Some(RecordKind::Span),
+                    Some("event") => kind = Some(RecordKind::Event),
+                    Some(s) => return Err(format!("unknown kind \"{s}\"")),
+                    None => return Err("\"kind\" must be a string".into()),
                 },
-                "name" => match tok {
-                    Token::Str(s) => name = Some(intern(&s)),
-                    _ => return Err("\"name\" must be a string".into()),
+                "name" => match v.as_str() {
+                    Some(s) => name = Some(intern(s)),
+                    None => return Err("\"name\" must be a string".into()),
                 },
-                "dur_s" => dur_s = Some(token_f64(tok)?),
-                _ => {
-                    let value = match tok {
-                        Token::Num(t) => number_value(t)?,
-                        Token::Str(s) => Value::Str(s),
-                        Token::Bool(b) => Value::Bool(b),
-                        // `null` is how the encoder spells a non-finite
-                        // float; NaN re-serializes to `null`.
-                        Token::Null => Value::F64(f64::NAN),
-                    };
-                    fields.push((intern(&key), value));
-                }
+                "dur_s" => match v {
+                    Json::Null => dur_s = Some(f64::NAN),
+                    _ => dur_s = Some(v.as_f64().ok_or("expected a number or null")?),
+                },
+                _ => fields.push((intern(&key), scalar(v)?)),
             }
-        }
-        if !p.at_end() {
-            return Err("trailing garbage after record".into());
         }
         Ok(EventRecord {
             seq: seq.ok_or("missing \"seq\"")?,
@@ -359,35 +156,10 @@ impl EventRecord {
 /// add fields without breaking an older reader. Nested objects/arrays are
 /// rejected like in the trace schema.
 pub fn parse_flat_json(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut p = Parser::new(line);
-    p.expect(b'{')?;
-    let mut out: Vec<(String, Value)> = Vec::new();
-    let mut first = true;
-    loop {
-        p.skip_ws();
-        if p.peek() == Some(b'}') {
-            p.i += 1;
-            break;
-        }
-        if !first {
-            p.expect(b',')?;
-        }
-        first = false;
-        let key = p.parse_string()?;
-        p.expect(b':')?;
-        let value = match p.parse_token()? {
-            Token::Num(t) => number_value(t)?,
-            Token::Str(s) => Value::Str(s),
-            Token::Bool(b) => Value::Bool(b),
-            // `null` is the canonical spelling of a non-finite float.
-            Token::Null => Value::F64(f64::NAN),
-        };
-        out.push((key, value));
-    }
-    if !p.at_end() {
-        return Err("trailing garbage after object".into());
-    }
-    Ok(out)
+    object_fields(line)?
+        .into_iter()
+        .map(|(k, v)| Ok((k, scalar(v)?)))
+        .collect()
 }
 
 /// Fetch a numeric field from [`parse_flat_json`] output as `f64`.
@@ -827,71 +599,12 @@ impl ChromeTraceExporter {
 fn push_args(out: &mut String, r: &EventRecord) {
     out.push_str(&format!("{{\"seq\":{},\"step\":{}", r.seq, r.step));
     for (k, v) in &r.fields {
-        out.push_str(",\"");
-        out.push_str(k);
-        out.push_str("\":");
-        match v {
-            Value::U64(x) => out.push_str(&x.to_string()),
-            Value::I64(x) => out.push_str(&x.to_string()),
-            Value::F64(x) => push_json_f64(out, *x),
-            Value::Bool(x) => out.push_str(if *x { "true" } else { "false" }),
-            Value::Str(s) => push_json_str(out, s),
-        }
+        out.push(',');
+        push_json_str(out, k);
+        out.push(':');
+        push_json_value(out, v);
     }
     out.push('}');
-}
-
-// ---- generic JSON syntax check -------------------------------------------
-
-/// Validate that `s` is one syntactically well-formed JSON value (objects,
-/// arrays, scalars — full grammar, no schema). Used to sanity-check exported
-/// Chrome traces without a full DOM parser.
-pub fn json_syntax_ok(s: &str) -> bool {
-    let mut p = Parser::new(s);
-    skip_json_value(&mut p).is_ok() && p.at_end()
-}
-
-fn skip_json_value(p: &mut Parser) -> Result<(), String> {
-    p.skip_ws();
-    match p.peek().ok_or("unexpected end")? {
-        b'{' => {
-            p.i += 1;
-            p.skip_ws();
-            if p.peek() == Some(b'}') {
-                p.i += 1;
-                return Ok(());
-            }
-            loop {
-                p.parse_string()?;
-                p.expect(b':')?;
-                skip_json_value(p)?;
-                p.skip_ws();
-                match p.bump()? {
-                    b',' => p.skip_ws(),
-                    b'}' => return Ok(()),
-                    c => return Err(format!("expected ',' or '}}', found '{}'", c as char)),
-                }
-            }
-        }
-        b'[' => {
-            p.i += 1;
-            p.skip_ws();
-            if p.peek() == Some(b']') {
-                p.i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_json_value(p)?;
-                p.skip_ws();
-                match p.bump()? {
-                    b',' => {}
-                    b']' => return Ok(()),
-                    c => return Err(format!("expected ',' or ']', found '{}'", c as char)),
-                }
-            }
-        }
-        _ => p.parse_token().map(|_| ()),
-    }
 }
 
 #[cfg(test)]
@@ -971,14 +684,20 @@ mod tests {
 
     #[test]
     fn roundtrip_string_escapes() {
-        let r = rec(vec![(
-            "cause",
-            Value::Str("a\"b\\c\nd\te\u{1}f — ünïcode 🚀".into()),
-        )]);
+        let mut r = rec(vec![
+            (
+                "cause",
+                Value::Str("a\"b\\c\nd\te\u{1}f — ünïcode 🚀".into()),
+            ),
+            ("k\"e\\y", Value::U64(1)),
+        ]);
+        r.name = "odd \"name\"\\";
         let line = r.to_json();
         let back = EventRecord::from_json(&line).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.to_json(), line);
+        // Names and keys reach the Chrome export escaped too.
+        assert!(Json::parse(&ChromeTraceExporter::export(&[back])).is_ok());
     }
 
     #[test]
@@ -1067,7 +786,7 @@ mod tests {
             fields: vec![("from", Value::Str("search".into()))],
         });
         let json = ChromeTraceExporter::export(&records);
-        assert!(json_syntax_ok(&json), "export is not valid JSON");
+        assert!(Json::parse(&json).is_ok(), "export is not valid JSON");
         assert!(json.contains("\"traceEvents\""));
         for want in [
             "\"m2l\"",
@@ -1127,7 +846,7 @@ mod tests {
             },
         ];
         let json = ChromeTraceExporter::export(&records);
-        assert!(json_syntax_ok(&json), "export is not valid JSON");
+        assert!(Json::parse(&json).is_ok(), "export is not valid JSON");
         for want in [
             "\"scheduler lanes\"",
             "\"core0\"",
@@ -1177,7 +896,7 @@ mod tests {
             },
         ];
         let json = ChromeTraceExporter::export(&records);
-        assert!(json_syntax_ok(&json), "export is not valid JSON");
+        assert!(Json::parse(&json).is_ok(), "export is not valid JSON");
         for want in [
             "\"memory\"",
             "\"name\":\"mem rebin\"",
@@ -1190,15 +909,5 @@ mod tests {
         // Without mem events, no memory process metadata appears.
         let empty = ChromeTraceExporter::export(&[]);
         assert!(!empty.contains("\"memory\""));
-    }
-
-    #[test]
-    fn json_syntax_checker_accepts_and_rejects() {
-        assert!(json_syntax_ok("{\"a\":[1,2,{\"b\":null}],\"c\":\"x\"}"));
-        assert!(json_syntax_ok("[]"));
-        assert!(json_syntax_ok("3.5"));
-        assert!(!json_syntax_ok("{\"a\":}"));
-        assert!(!json_syntax_ok("[1,2"));
-        assert!(!json_syntax_ok("{} extra"));
     }
 }
