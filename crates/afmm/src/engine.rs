@@ -154,8 +154,9 @@ pub struct FmmEngine<K: Kernel> {
     counts_pending: bool,
     /// Telemetry handle, shared with the plan; disabled by default.
     rec: telemetry::Recorder,
-    /// How [`FmmEngine::time_step`] schedules the virtual solve (Barrier
-    /// oracle by default; Dag for dependency-driven pipelining). Physics
+    /// Which device [`FmmEngine::time_step`] charges P2M/L2P to (the CPU by
+    /// default). Caller configuration like the node: checkpoints do not
+    /// carry it, so whoever restores an engine re-applies it. Physics
     /// ([`FmmEngine::solve`]) never consults this — forces are identical
     /// under every policy.
     exec_policy: ExecPolicy,
@@ -219,7 +220,7 @@ impl<K: Kernel> FmmEngine<K> {
         }
     }
 
-    /// Set the execution policy [`FmmEngine::time_step`] schedules under.
+    /// Set the execution policy [`FmmEngine::time_step`] times under.
     pub fn set_exec_policy(&mut self, policy: ExecPolicy) {
         self.exec_policy = policy;
     }
@@ -415,8 +416,8 @@ impl<K: Kernel> FmmEngine<K> {
 
     /// Time one virtual solve of the current tree on `node`, reusing the
     /// plan's cached interaction lists and GPU job list (regenerated only
-    /// if a tree edit invalidated them), scheduled under the engine's
-    /// [`ExecPolicy`] (see [`FmmEngine::set_exec_policy`]).
+    /// if a tree edit invalidated them), under the engine's [`ExecPolicy`]
+    /// (see [`FmmEngine::set_exec_policy`]).
     pub fn time_step(
         &mut self,
         flops: &OpFlops,

@@ -1,10 +1,9 @@
 use crate::config::HeteroNode;
-use crate::dag::{lower_plan, measure_spans, PhaseSpans, PhaseTag, SchedXray};
 use crate::error::Error;
 use fmm_math::OpFlops;
 use gpu_sim::{KernelTiming, P2pJob};
 use octree::{InteractionLists, NodeId, Octree, NONE};
-use sched_sim::{schedule, simulate, DagConfig, TaskGraph, TaskId};
+use sched_sim::{simulate, TaskGraph, TaskId};
 
 /// Virtual-node timing of one FMM solve on a heterogeneous node.
 #[derive(Clone, Debug)]
@@ -22,14 +21,6 @@ pub struct TimingReport {
     pub cpu_work_seconds: f64,
     /// Per-device kernel details, when GPUs are present.
     pub gpu: Option<KernelTiming>,
-    /// Measured per-phase spans of the schedule — `Some` only under
-    /// [`SchedMode::Dag`], where per-task completion times exist.
-    pub phases: Option<PhaseSpans>,
-    /// Scheduler X-ray (per-task traces + critical-path attribution) —
-    /// `Some` only under [`SchedMode::Dag`] with [`ExecPolicy::trace`]
-    /// set. Boxed: it is an opt-in diagnostic, and the common untraced
-    /// report should stay small.
-    pub sched: Option<Box<SchedXray>>,
 }
 
 impl TimingReport {
@@ -64,14 +55,10 @@ impl TimingReport {
 /// Emit one telemetry span per FMM phase (P2M, M2M, M2L, L2L, L2P, P2P) for
 /// a realized step, and mirror each duration into a `phase.*` histogram.
 ///
-/// Under [`SchedMode::Dag`] the timing carries *measured* per-phase spans
-/// (aggregated from per-task completion times), so each far-field phase
-/// reports its measured busy time scaled to wall time by the step's
-/// parallel rate — the far-field durations then sum to exactly `t_cpu`.
-/// Under [`SchedMode::Barrier`] the executor reports only the DAG
-/// makespan, so per-phase durations are *attributed*: each phase gets its
-/// share of CPU work (`counts × flops / effective core rate`) scaled the
-/// same way — the same realized-execution arithmetic
+/// The executor reports only the task graph's makespan, so per-phase
+/// durations are *attributed*: each phase gets its share of CPU work
+/// (`counts × flops / effective core rate`) scaled to wall time by the
+/// step's parallel rate — the same realized-execution arithmetic
 /// [`crate::CostModel::observe`] uses. P2P takes the measured GPU makespan
 /// when devices are online and its CPU share otherwise.
 pub fn record_phase_spans(
@@ -85,41 +72,31 @@ pub fn record_phase_spans(
         return;
     }
     let eff = node.cpu.rate_flops * node.cpu.memory.rate_factor(node.cpu.cores);
-    let wall = |core_seconds: f64| core_seconds / timing.parallel_rate();
-    let far = |tag: PhaseTag, attributed: f64| match &timing.phases {
-        Some(ph) => wall(ph.get(tag).busy),
-        None => wall(attributed),
-    };
+    let wall = |flops: f64| flops / eff / timing.parallel_rate();
     let phases: [(&'static str, f64, u64); 5] = [
         (
             "phase.p2m",
-            far(
-                PhaseTag::P2m,
-                flops.p2m_per_body * counts.p2m_bodies as f64 / eff,
-            ),
+            wall(flops.p2m_per_body * counts.p2m_bodies as f64),
             counts.p2m_bodies,
         ),
         (
             "phase.m2m",
-            far(PhaseTag::M2m, flops.m2m * counts.m2m_ops as f64 / eff),
+            wall(flops.m2m * counts.m2m_ops as f64),
             counts.m2m_ops,
         ),
         (
             "phase.m2l",
-            far(PhaseTag::M2l, flops.m2l * counts.m2l_ops as f64 / eff),
+            wall(flops.m2l * counts.m2l_ops as f64),
             counts.m2l_ops,
         ),
         (
             "phase.l2l",
-            far(PhaseTag::L2l, flops.l2l * counts.l2l_ops as f64 / eff),
+            wall(flops.l2l * counts.l2l_ops as f64),
             counts.l2l_ops,
         ),
         (
             "phase.l2p",
-            far(
-                PhaseTag::L2p,
-                flops.l2p_per_body * counts.l2p_bodies as f64 / eff,
-            ),
+            wall(flops.l2p_per_body * counts.l2p_bodies as f64),
             counts.l2p_bodies,
         ),
     ];
@@ -130,10 +107,7 @@ pub fn record_phase_spans(
     let p2p_dur = if node.num_online_gpus() > 0 {
         timing.t_gpu
     } else {
-        far(
-            PhaseTag::P2p,
-            flops.p2p_per_pair * counts.p2p_interactions as f64 / eff,
-        )
+        wall(flops.p2p_per_pair * counts.p2p_interactions as f64)
     };
     rec.span(
         "phase.p2p",
@@ -144,89 +118,6 @@ pub fn record_phase_spans(
         ],
     );
     rec.hist_record("phase.p2p", p2p_dur);
-}
-
-/// Per-phase critical-path-fraction field names, aligned with
-/// [`PhaseTag::ALL`] (telemetry field keys must be `&'static str`).
-const CRIT_FRAC_FIELDS: [&str; 6] = [
-    "frac_p2m", "frac_m2m", "frac_m2l", "frac_l2l", "frac_l2p", "frac_p2p",
-];
-
-/// Emit one step's scheduler X-ray into the trace:
-///
-/// * `sched.task` — one span per task (duration = realized execution),
-///   with its phase, lane label, slot, dispatch priority, ready/start
-///   offsets within the step, and `crit` (position on the realized
-///   critical path, −1 if off-path).
-/// * `sched.lane` — one event per execution slot (CPU core or GPU lane):
-///   busy seconds, utilization over the makespan, task count, idle-gap
-///   census.
-/// * `sched.critpath` — one summary event: path length, duration sum vs
-///   makespan (the reconciliation pair `afmm-sched explain` checks),
-///   winning anomaly-guard pass, `lane_idle_frac`, `pipeline_overlap`,
-///   and the bottleneck attribution fractions (per phase, CPU vs GPU,
-///   dependency vs starvation vs serialization).
-pub fn record_sched_xray(rec: &telemetry::Recorder, x: &SchedXray) {
-    if !rec.is_enabled() {
-        return;
-    }
-    use telemetry::Value;
-    let mut crit_idx = vec![-1i64; x.tasks.len()];
-    for (i, c) in x.analysis.crit_path.iter().enumerate() {
-        crit_idx[c.task as usize] = i as i64;
-    }
-    for t in &x.tasks {
-        rec.span(
-            "sched.task",
-            t.duration(),
-            vec![
-                ("task", Value::U64(t.task as u64)),
-                ("phase", Value::Str(t.phase.label().into())),
-                ("lane", Value::Str(sched_sim::slot_label(t.slot, x.cores))),
-                ("slot", Value::U64(t.slot as u64)),
-                ("prio", Value::F64(t.prio)),
-                ("ready", Value::F64(t.ready)),
-                ("start", Value::F64(t.start)),
-                ("crit", Value::I64(crit_idx[t.task as usize])),
-            ],
-        );
-    }
-    for ls in &x.analysis.lanes {
-        rec.event(
-            "sched.lane",
-            vec![
-                ("lane", Value::Str(sched_sim::slot_label(ls.slot, x.cores))),
-                ("slot", Value::U64(ls.slot as u64)),
-                ("gpu", Value::Bool(ls.is_gpu)),
-                ("busy", Value::F64(ls.busy)),
-                ("util", Value::F64(ls.utilization)),
-                ("tasks", Value::U64(ls.tasks as u64)),
-                ("idle_gaps", Value::U64(ls.idle_gaps as u64)),
-                ("idle_total", Value::F64(ls.idle_total)),
-                ("idle_max", Value::F64(ls.idle_max)),
-            ],
-        );
-    }
-    let a = &x.analysis;
-    let mut fields = vec![
-        ("len", Value::U64(a.crit_path.len() as u64)),
-        ("sum", Value::F64(a.crit_sum)),
-        ("makespan", Value::F64(a.makespan)),
-        ("pass", Value::Str(x.pass.label().into())),
-        ("cores", Value::U64(x.cores as u64)),
-        ("gpu_lanes", Value::U64(x.gpu_lanes as u64)),
-        ("lane_idle_frac", Value::F64(a.lane_idle_frac)),
-        ("pipeline_overlap", Value::F64(a.pipeline_overlap)),
-        ("cpu_frac", Value::F64(a.crit_cpu_frac)),
-        ("gpu_frac", Value::F64(a.crit_gpu_frac)),
-        ("dep_frac", Value::F64(a.dependency_frac)),
-        ("starve_frac", Value::F64(a.resource_cpu_frac)),
-        ("serial_frac", Value::F64(a.resource_gpu_frac)),
-    ];
-    for (i, name) in CRIT_FRAC_FIELDS.iter().enumerate() {
-        fields.push((name, Value::F64(x.crit_phase_frac[i])));
-    }
-    rec.event("sched.critpath", fields);
 }
 
 /// Build the GPU work list: one [`P2pJob`] per active leaf with a non-empty
@@ -246,57 +137,15 @@ pub fn build_gpu_jobs(tree: &Octree, lists: &InteractionLists) -> Vec<P2pJob> {
         .collect()
 }
 
-/// How the far-field task graph is scheduled on the virtual node.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedMode {
-    /// The paper's phase-barriered model: merged per-node sweep tasks, the
-    /// whole downward sweep gated on the upward sweep's root (`taskwait`),
-    /// GPU kernels timed separately. The oracle the Dag path is checked
-    /// against.
-    #[default]
-    Barrier,
-    /// Dependency-driven list scheduling over the fine-grained lowering in
-    /// [`crate::dag`]: M2L gated only on its sources' M2M, bottom-level
-    /// priorities, GPU kernels as device-lane tasks pipelined with CPU work.
-    Dag,
-}
-
-/// What runs where and how it is scheduled — [`ExecPolicy::default`] is the
-/// paper's split (all expansion work on the CPU, barrier scheduling);
-/// `offload_pl` implements the paper's §VIII.E proposal: "move additional
-/// work to the GPU that can be performed more efficiently... the P2M
-/// expansion formation and L2P expansion evaluation", which helps
-/// CPU-starved configurations like 4C4G.
-#[derive(Clone, Copy, Debug)]
+/// What runs where — [`ExecPolicy::default`] is the paper's split (all
+/// expansion work on the CPU); `offload_pl` implements the paper's §VIII.E
+/// proposal: "move additional work to the GPU that can be performed more
+/// efficiently... the P2M expansion formation and L2P expansion
+/// evaluation", which helps CPU-starved configurations like 4C4G.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ExecPolicy {
     /// Move P2M and L2P to the GPUs (no effect on CPU-only nodes).
     pub offload_pl: bool,
-    /// Barrier (oracle) vs dependency-driven scheduling.
-    pub mode: SchedMode,
-    /// Capture the scheduler X-ray ([`TimingReport::sched`]) on Dag-mode
-    /// steps. Off by default: the X-ray walks the whole schedule per step,
-    /// and the untraced path must stay within the perf-lab's overhead
-    /// budget.
-    pub trace: bool,
-    /// Relative tolerance for the replay validator's `phase_reconciliation`
-    /// invariant (per-phase span sums vs the recorded schedule time).
-    /// Recorded into the trace's `run.config` header so the validator can
-    /// apply the tolerance the run was executed under.
-    pub phase_tolerance: f64,
-}
-
-/// The validator's historical default phase-reconciliation tolerance.
-pub const DEFAULT_PHASE_TOLERANCE: f64 = 0.2;
-
-impl Default for ExecPolicy {
-    fn default() -> Self {
-        ExecPolicy {
-            offload_pl: false,
-            mode: SchedMode::default(),
-            trace: false,
-            phase_tolerance: DEFAULT_PHASE_TOLERANCE,
-        }
-    }
 }
 
 /// Build the far-field task DAG exactly as the paper's recursive OpenMP
@@ -483,11 +332,7 @@ fn time_step_impl(
 ) -> Result<TimingReport, Error> {
     let gpu_active = node.num_online_gpus() > 0;
     let offload = policy.offload_pl && gpu_active;
-    // Simulate the near-field (and optional expansion) kernels first: the
-    // barrier path needs only their makespans, the Dag path additionally
-    // feeds the per-device durations into the unified schedule as lane
-    // tasks.
-    let (t_gpu_serial, gpu_secs, gpu) = match &node.gpus {
+    let (t_gpu, gpu) = match &node.gpus {
         Some(gpus) if gpu_active => {
             let built;
             let jobs = match jobs {
@@ -499,7 +344,6 @@ fn time_step_impl(
             };
             let timing = gpus.execute(jobs)?;
             let mut t = timing.gpu_time().ok_or(Error::MissingGpuTiming)?;
-            let mut secs: Vec<f64> = timing.per_gpu.iter().map(|r| r.elapsed_s).collect();
             if offload {
                 let cyc = gpus.spec(0).expansion_cycles_per_flop
                     * (flops.p2m_per_body + flops.l2p_per_body);
@@ -513,55 +357,19 @@ fn time_step_impl(
                     .collect();
                 let ex = gpus.execute_expansions(&ex_jobs)?;
                 t += ex.gpu_time().ok_or(Error::MissingGpuTiming)?;
-                for (s, r) in secs.iter_mut().zip(&ex.per_gpu) {
-                    *s += r.elapsed_s;
-                }
             }
-            (t, secs, Some(timing))
+            (t, Some(timing))
         }
-        _ => (0.0, Vec::new(), None),
+        _ => (0.0, None),
     };
-    match policy.mode {
-        SchedMode::Barrier => {
-            let graph = build_task_graph_with(tree, lists, flops, !gpu_active, !offload);
-            let sim = simulate(&graph, &node.cpu.to_sim_config());
-            Ok(TimingReport {
-                t_cpu: sim.makespan,
-                t_gpu: t_gpu_serial,
-                cpu_work_seconds: sim.busy.iter().sum(),
-                gpu,
-                phases: None,
-                sched: None,
-            })
-        }
-        SchedMode::Dag => {
-            let mut low = lower_plan(tree, lists, flops, !gpu_active, !offload);
-            for (d, &s) in gpu_secs.iter().enumerate() {
-                if s > 0.0 {
-                    low.add_gpu_task(d as u16, s);
-                }
-            }
-            let cfg = DagConfig {
-                cpu: node.cpu.to_sim_config(),
-                gpu_lanes: gpu_secs.len(),
-            };
-            let res = schedule(&low.graph, &cfg);
-            let phases = measure_spans(&low, &res);
-            // The X-ray is observational only: it reads the finished
-            // schedule and never alters the reported timing.
-            let sched = policy
-                .trace
-                .then(|| Box::new(SchedXray::build(&low, &cfg, &res)));
-            Ok(TimingReport {
-                t_cpu: res.cpu_makespan,
-                t_gpu: res.gpu_makespan,
-                cpu_work_seconds: res.busy.iter().sum(),
-                gpu,
-                phases: Some(phases),
-                sched,
-            })
-        }
-    }
+    let graph = build_task_graph_with(tree, lists, flops, !gpu_active, !offload);
+    let sim = simulate(&graph, &node.cpu.to_sim_config());
+    Ok(TimingReport {
+        t_cpu: sim.makespan,
+        t_gpu,
+        cpu_work_seconds: sim.busy.iter().sum(),
+        gpu,
+    })
 }
 
 #[cfg(test)]
@@ -739,10 +547,7 @@ mod offload_tests {
             e.lists(),
             &flops,
             &node,
-            ExecPolicy {
-                offload_pl: true,
-                ..Default::default()
-            },
+            ExecPolicy { offload_pl: true },
         )
         .unwrap();
         assert!(off.t_cpu < base.t_cpu, "P2M/L2P must leave the CPU DAG");
@@ -773,10 +578,7 @@ mod offload_tests {
                 e.lists(),
                 &flops,
                 &node,
-                ExecPolicy {
-                    offload_pl: true,
-                    ..Default::default()
-                },
+                ExecPolicy { offload_pl: true },
             )
             .unwrap()
             .compute();
@@ -803,236 +605,10 @@ mod offload_tests {
             e.lists(),
             &flops,
             &node,
-            ExecPolicy {
-                offload_pl: true,
-                ..Default::default()
-            },
+            ExecPolicy { offload_pl: true },
         )
         .unwrap();
         assert_eq!(base.t_cpu, off.t_cpu);
         assert_eq!(base.t_gpu, off.t_gpu);
-    }
-}
-
-/// Makespans of the two far-field phases in isolation — the analysis view
-/// behind the paper's Fig 3 discussion of where CPU time goes as S moves.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseTimes {
-    /// P2M + M2M (upward sweep) alone on the virtual cores.
-    pub upsweep: f64,
-    /// L2L + M2L + L2P (downward sweep) alone on the virtual cores.
-    pub downsweep: f64,
-}
-
-/// Time the upward and downward sweeps separately (each as its own task
-/// DAG with the paper's dependency structure). The full CPU time of
-/// [`time_step`] is bracketed by `max(upsweep, downsweep)` and their sum.
-pub fn phase_times(
-    tree: &Octree,
-    lists: &InteractionLists,
-    flops: &OpFlops,
-    node: &HeteroNode,
-) -> PhaseTimes {
-    if tree.node(Octree::ROOT).count() == 0 {
-        return PhaseTimes::default();
-    }
-    let cfg = node.cpu.to_sim_config();
-
-    let mut up = TaskGraph::with_capacity(tree.num_nodes());
-    add_upsweep(&mut up, tree, flops, true, Octree::ROOT);
-    let upsweep = simulate(&up, &cfg).makespan;
-
-    let mut down = TaskGraph::with_capacity(tree.num_nodes());
-    let start = down.add(0.0, Vec::new());
-    add_downsweep(
-        &mut down,
-        tree,
-        lists,
-        flops,
-        false,
-        true,
-        Octree::ROOT,
-        start,
-    );
-    let downsweep = simulate(&down, &cfg).makespan;
-
-    PhaseTimes { upsweep, downsweep }
-}
-
-#[cfg(test)]
-mod phase_tests {
-    use super::*;
-    use crate::config::{FmmParams, HeteroNode};
-    use crate::engine::FmmEngine;
-    use fmm_math::{GravityKernel, Kernel};
-
-    #[test]
-    fn phases_bracket_full_cpu_time() {
-        let b = nbody::plummer(8000, 1.0, 1.0, 221);
-        let mut e = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, 64);
-        e.refresh_lists();
-        let flops = e.kernel.op_flops(e.expansion_ops());
-        let node = HeteroNode::system_a(10, 2);
-        let full = time_step(e.tree(), e.lists(), &flops, &node).unwrap().t_cpu;
-        let p = phase_times(e.tree(), e.lists(), &flops, &node);
-        assert!(p.upsweep > 0.0 && p.downsweep > 0.0);
-        assert!(
-            full >= p.upsweep.max(p.downsweep) * 0.999,
-            "{full} vs {p:?}"
-        );
-        assert!(full <= (p.upsweep + p.downsweep) * 1.001, "{full} vs {p:?}");
-        // The downsweep carries the M2L bulk; it must dominate at small S.
-        assert!(p.downsweep > p.upsweep);
-    }
-
-    #[test]
-    fn empty_tree_has_zero_phases() {
-        let mut e = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &[], 8);
-        e.refresh_lists();
-        let flops = e.kernel.op_flops(e.expansion_ops());
-        let p = phase_times(e.tree(), e.lists(), &flops, &HeteroNode::serial());
-        assert_eq!(p.upsweep, 0.0);
-        assert_eq!(p.downsweep, 0.0);
-    }
-}
-
-#[cfg(test)]
-mod xray_tests {
-    use super::*;
-    use crate::config::{FmmParams, HeteroNode};
-    use crate::engine::FmmEngine;
-    use fmm_math::{GravityKernel, Kernel};
-
-    fn engine(n: usize) -> FmmEngine<GravityKernel> {
-        let b = nbody::plummer(n, 1.0, 1.0, 231);
-        let mut e = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, 48);
-        e.refresh_lists();
-        e
-    }
-
-    fn xray(e: &FmmEngine<GravityKernel>, node: &HeteroNode) -> Box<SchedXray> {
-        let f = e.kernel.op_flops(e.expansion_ops());
-        let policy = ExecPolicy {
-            mode: SchedMode::Dag,
-            trace: true,
-            ..Default::default()
-        };
-        time_step_policy(e.tree(), e.lists(), &f, node, policy)
-            .unwrap()
-            .sched
-            .expect("trace + Dag must yield an x-ray")
-    }
-
-    #[test]
-    fn xray_present_only_under_dag_trace() {
-        let e = engine(2000);
-        let f = e.kernel.op_flops(e.expansion_ops());
-        let node = HeteroNode::system_a(10, 4);
-        for (mode, trace) in [
-            (SchedMode::Barrier, false),
-            (SchedMode::Barrier, true),
-            (SchedMode::Dag, false),
-        ] {
-            let policy = ExecPolicy {
-                mode,
-                trace,
-                ..Default::default()
-            };
-            let r = time_step_policy(e.tree(), e.lists(), &f, &node, policy).unwrap();
-            assert!(r.sched.is_none(), "{mode:?} trace={trace} must not trace");
-        }
-        assert!(!xray(&e, &node).tasks.is_empty());
-    }
-
-    #[test]
-    fn xray_is_observational() {
-        // Same schedule with and without the x-ray: identical timing.
-        let e = engine(2500);
-        let f = e.kernel.op_flops(e.expansion_ops());
-        let node = HeteroNode::system_a(10, 4);
-        let dag = ExecPolicy {
-            mode: SchedMode::Dag,
-            ..Default::default()
-        };
-        let plain = time_step_policy(e.tree(), e.lists(), &f, &node, dag).unwrap();
-        let traced = time_step_policy(
-            e.tree(),
-            e.lists(),
-            &f,
-            &node,
-            ExecPolicy { trace: true, ..dag },
-        )
-        .unwrap();
-        assert_eq!(plain.t_cpu, traced.t_cpu);
-        assert_eq!(plain.t_gpu, traced.t_gpu);
-        assert_eq!(plain.cpu_work_seconds, traced.cpu_work_seconds);
-    }
-
-    #[test]
-    fn xray_reconciles_and_fractions_sum_to_one() {
-        let e = engine(3000);
-        for (cores, gpus) in [(10usize, 4usize), (10, 1), (4, 0)] {
-            let x = xray(&e, &HeteroNode::system_a(cores, gpus));
-            let a = &x.analysis;
-            let makespan = a.makespan;
-            assert!(!a.crit_truncated);
-            assert!(
-                (a.crit_sum - makespan).abs() <= 1e-9 * makespan.max(1e-12),
-                "{cores}C{gpus}G: crit sum {} vs makespan {makespan}",
-                a.crit_sum
-            );
-            let families = [
-                a.crit_cpu_frac + a.crit_gpu_frac,
-                a.dependency_frac + a.resource_cpu_frac + a.resource_gpu_frac,
-                x.crit_phase_frac.iter().sum::<f64>(),
-            ];
-            for (i, sum) in families.iter().enumerate() {
-                assert!(
-                    (sum - 1.0).abs() < 1e-9,
-                    "{cores}C{gpus}G family {i}: {sum}"
-                );
-            }
-            assert_eq!(x.cores, cores);
-            assert_eq!(x.gpu_lanes, gpus);
-            assert_eq!(x.gpu_lane_util.len(), gpus);
-            assert!(x.gpu_lane_util.iter().all(|&u| (0.0..=1.0).contains(&u)));
-        }
-    }
-
-    #[test]
-    fn xray_telemetry_events_match_payload() {
-        let e = engine(2000);
-        let x = xray(&e, &HeteroNode::system_a(10, 4));
-        let rec = telemetry::Recorder::enabled();
-        record_sched_xray(&rec, &x);
-        let tasks = rec.events_named("sched.task");
-        let lanes = rec.events_named("sched.lane");
-        let crit = rec.events_named("sched.critpath");
-        assert_eq!(tasks.len(), x.tasks.len());
-        assert_eq!(lanes.len(), x.cores + x.gpu_lanes);
-        assert_eq!(crit.len(), 1);
-        // On-path slices carry contiguous `crit` indices 0..len.
-        let mut on_path: Vec<i64> = tasks
-            .iter()
-            .filter_map(|r| r.field_i64("crit"))
-            .filter(|&c| c >= 0)
-            .collect();
-        on_path.sort_unstable();
-        let len = crit[0].field_u64("len").unwrap() as usize;
-        assert_eq!(on_path.len(), len);
-        assert!(on_path.iter().enumerate().all(|(i, &c)| c == i as i64));
-        // The summary's reconciliation pair survives the round-trip.
-        let sum = crit[0].field_f64("sum").unwrap();
-        let makespan = crit[0].field_f64("makespan").unwrap();
-        assert!((sum - makespan).abs() <= 1e-9 * makespan.max(1e-12));
-        let util: Vec<f64> = lanes
-            .iter()
-            .filter(|r| r.field_bool("gpu") == Some(true))
-            .filter_map(|r| r.field_f64("util"))
-            .collect();
-        assert_eq!(util.len(), x.gpu_lane_util.len());
-        for (a, b) in util.iter().zip(&x.gpu_lane_util) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 }

@@ -41,7 +41,6 @@ pub mod chaos;
 pub mod checkpoint;
 mod config;
 mod cost;
-pub mod dag;
 mod engine;
 mod error;
 pub mod exec;
@@ -62,21 +61,17 @@ pub use config::{CpuSpec, FmmParams, HeteroNode};
 pub use cost::{CostModel, Prediction};
 pub use engine::{FmmEngine, FmmSolution};
 pub use error::Error;
+pub use exec::{
+    build_gpu_jobs, build_task_graph, build_task_graph_with, record_phase_spans, time_step,
+    time_step_policy, time_step_with_jobs, time_step_with_jobs_policy, ExecPolicy, TimingReport,
+};
 pub use filter::{FilterSnapshot, TimingFilter};
 pub use plan::ExecutionPlan;
 pub use supervisor::{RecoveryAction, Supervisor, SupervisorConfig, SupervisorReport};
 // Fault-injection vocabulary, re-exported so drivers need only `afmm`.
-pub use dag::{
-    lower_plan, measure_spans, DagLowering, PhaseSpan, PhaseSpans, PhaseTag, SchedXray, TaskTrace,
-};
-pub use exec::{
-    build_gpu_jobs, build_task_graph, build_task_graph_with, phase_times, record_phase_spans,
-    time_step, time_step_policy, time_step_with_jobs, time_step_with_jobs_policy, ExecPolicy,
-    PhaseTimes, SchedMode, TimingReport, DEFAULT_PHASE_TOLERANCE,
-};
 pub use gpu_sim::{DeviceStatus, FaultEvent, FaultSchedule, TimedFault};
 pub use replay::{
     diff_traces, validate_trace, validate_trace_report, DiffEntry, TraceDiff, ValidateOptions,
-    ValidationReport, Violation,
+    ValidationReport, Violation, DEFAULT_PHASE_TOLERANCE,
 };
 pub use simulate::{GravitySim, RunSummary, StepRecord, StokesSim, StrategyTracker};

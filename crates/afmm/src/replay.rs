@@ -51,6 +51,9 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// The validator's default phase-reconciliation tolerance.
+pub const DEFAULT_PHASE_TOLERANCE: f64 = 0.2;
+
 /// Tunables of [`validate_trace`].
 #[derive(Debug, Clone, Copy)]
 pub struct ValidateOptions {
@@ -64,18 +67,12 @@ pub struct ValidateOptions {
     pub anomaly_window: u64,
     /// Maximum tolerated relative gap between a step's summed CPU-side
     /// `phase.*` span durations and its reported scheduler makespan
-    /// (`step.record.t_sched`). Measured DAG spans sum to the makespan
-    /// exactly; attributed Barrier spans undershoot by the task-overhead
-    /// share — both land well inside this bound, while a zeroed or scaled
-    /// span from a corrupted trace does not. Steps missing either side
-    /// (older traces) are skipped.
-    ///
-    /// `None` (the default) applies the tolerance the run itself recorded —
-    /// [`crate::ExecPolicy::phase_tolerance`], carried in the trace's
-    /// `run.config` header and refreshed by `exec.policy` events — falling
-    /// back to [`crate::DEFAULT_PHASE_TOLERANCE`] for older traces.
-    /// `Some(t)` overrides both (the CLI's `--phase-tol`).
-    pub phase_tolerance: Option<f64>,
+    /// (`step.record.t_sched`). The attributed spans undershoot by the
+    /// task-overhead share, well inside [`DEFAULT_PHASE_TOLERANCE`], while
+    /// a zeroed or scaled span from a corrupted trace does not. Steps
+    /// missing either side (older traces) are skipped. The CLI's
+    /// `--phase-tol` sets this.
+    pub phase_tolerance: f64,
 }
 
 impl Default for ValidateOptions {
@@ -83,7 +80,7 @@ impl Default for ValidateOptions {
         ValidateOptions {
             audit_tolerance: 10.0,
             anomaly_window: 3,
-            phase_tolerance: None,
+            phase_tolerance: DEFAULT_PHASE_TOLERANCE,
         }
     }
 }
@@ -102,9 +99,6 @@ pub struct ValidationReport {
     pub max_phase_residual_step: Option<u64>,
     /// Number of steps that carried both reconciliation sides.
     pub reconciled_steps: usize,
-    /// The relative tolerance the last reconciled step was checked against
-    /// (the CLI override, the trace's recorded tolerance, or the default).
-    pub phase_tolerance: f64,
 }
 
 fn str_field<'a>(r: &'a EventRecord, key: &str) -> Option<&'a str> {
@@ -188,12 +182,6 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
             u64_field(c, "s_max").unwrap_or(u64::MAX),
         )
     });
-    // The tolerance the run itself recorded, refreshed by `exec.policy`
-    // events as the stream is replayed; a caller override beats it.
-    let mut trace_tol = config
-        .and_then(|c| f64_field(c, "phase_tolerance"))
-        .unwrap_or(crate::exec::DEFAULT_PHASE_TOLERANCE);
-    report.phase_tolerance = opts.phase_tolerance.unwrap_or(trace_tol);
     let has_steps = records.iter().any(|r| r.name == "step.record");
     if config.is_none() && has_steps {
         out.push(Violation {
@@ -375,8 +363,6 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
                 // Needs both sides present — older traces carry neither.
                 if let Some(t_sched) = f64_field(r, "t_sched") {
                     if phase_spans > 0 && t_sched.is_finite() {
-                        let tol = opts.phase_tolerance.unwrap_or(trace_tol);
-                        report.phase_tolerance = tol;
                         let gap = (phase_sum - t_sched).abs();
                         let residual = gap / t_sched.max(1e-12);
                         report.reconciled_steps += 1;
@@ -384,7 +370,7 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
                             report.max_phase_residual = residual;
                             report.max_phase_residual_step = Some(r.step);
                         }
-                        if gap > tol * t_sched.max(1e-12) + 1e-12 {
+                        if gap > opts.phase_tolerance * t_sched.max(1e-12) + 1e-12 {
                             out.push(Violation {
                                 invariant: "phase_reconciliation",
                                 seq: r.seq,
@@ -396,11 +382,6 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
                             });
                         }
                     }
-                }
-            }
-            "exec.policy" => {
-                if let Some(t) = f64_field(r, "phase_tolerance") {
-                    trace_tol = t;
                 }
             }
             "lb.regression" => last_regression = Some((r.step, r.seq)),
@@ -900,58 +881,12 @@ mod tests {
         assert_eq!(rep.reconciled_steps, 2);
         assert!((rep.max_phase_residual - 0.1).abs() < 1e-12);
         assert_eq!(rep.max_phase_residual_step, Some(0));
-        assert_eq!(rep.phase_tolerance, crate::exec::DEFAULT_PHASE_TOLERANCE);
-    }
-
-    #[test]
-    fn trace_recorded_tolerance_is_honored() {
-        // The run recorded a tight 5% tolerance in its header; a 10%
-        // residual that the default 20% would admit must now be flagged.
-        let mut cfg = config(0);
-        cfg.fields.push(("phase_tolerance", Value::F64(0.05)));
-        let recs = vec![
-            cfg,
-            phase_span(1, 0, "phase.m2l", 0.9),
-            step_record_with_sched(2, 0, 64, "search", 1.0),
-        ];
-        let rep = validate_trace_report(&recs, &ValidateOptions::default());
-        assert!(
-            rep.violations
-                .iter()
-                .any(|x| x.invariant == "phase_reconciliation"),
-            "{:?}",
-            rep.violations
-        );
-        assert_eq!(rep.phase_tolerance, 0.05);
-    }
-
-    #[test]
-    fn exec_policy_event_refreshes_tolerance() {
-        // A mid-run policy change loosens the tolerance before the step.
-        let mut cfg = config(0);
-        cfg.fields.push(("phase_tolerance", Value::F64(0.05)));
-        let recs = vec![
-            cfg,
-            event(
-                1,
-                0,
-                "exec.policy",
-                vec![
-                    ("mode", Value::Str("dag".into())),
-                    ("phase_tolerance", Value::F64(0.5)),
-                ],
-            ),
-            phase_span(2, 0, "phase.m2l", 0.9),
-            step_record_with_sched(3, 0, 64, "search", 1.0),
-        ];
-        let rep = validate_trace_report(&recs, &ValidateOptions::default());
-        assert!(rep.violations.is_empty(), "{:?}", rep.violations);
-        assert_eq!(rep.phase_tolerance, 0.5);
     }
 
     #[test]
     fn caller_override_beats_trace_tolerance() {
-        // Header says 50%, the caller (CLI --phase-tol) demands 1%.
+        // A pre-PR-14 header recorded 50% (no longer read); the caller (CLI
+        // --phase-tol) demands 1%.
         let mut cfg = config(0);
         cfg.fields.push(("phase_tolerance", Value::F64(0.5)));
         let recs = vec![
@@ -960,7 +895,7 @@ mod tests {
             step_record_with_sched(2, 0, 64, "search", 1.0),
         ];
         let opts = ValidateOptions {
-            phase_tolerance: Some(0.01),
+            phase_tolerance: 0.01,
             ..ValidateOptions::default()
         };
         let rep = validate_trace_report(&recs, &opts);
@@ -971,7 +906,6 @@ mod tests {
             "{:?}",
             rep.violations
         );
-        assert_eq!(rep.phase_tolerance, 0.01);
     }
 
     #[test]

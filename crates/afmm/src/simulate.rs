@@ -233,10 +233,6 @@ impl<K: Kernel> StrategyTracker<K> {
                         telemetry::Value::U64(cfg.regression_hysteresis as u64),
                     ),
                     ("incr_factor", telemetry::Value::F64(cfg.incr_factor)),
-                    (
-                        "phase_tolerance",
-                        telemetry::Value::F64(self.engine.exec_policy().phase_tolerance),
-                    ),
                 ],
             );
         }
@@ -265,35 +261,16 @@ impl<K: Kernel> StrategyTracker<K> {
         self.faults = faults;
     }
 
-    /// Set the execution policy the tracked engine schedules its virtual
-    /// solves under (Barrier oracle vs dependency-driven Dag). Physics is
-    /// unaffected; only the timing model changes. Emits an `exec.policy`
-    /// event so trace consumers (the replay validator's phase-tolerance
-    /// lookup in particular) see the policy the subsequent steps ran under,
-    /// even when it changes after the `run.config` header.
+    /// Set the execution policy the tracked engine times its virtual solves
+    /// under. Physics is unaffected; only the timing model changes. Emits
+    /// an `exec.policy` event so trace consumers see the policy the
+    /// subsequent steps ran under.
     pub fn set_exec_policy(&mut self, policy: crate::ExecPolicy) {
         self.engine.set_exec_policy(policy);
         if self.rec.is_enabled() {
             self.rec.event(
                 "exec.policy",
-                vec![
-                    (
-                        "mode",
-                        telemetry::Value::Str(
-                            match policy.mode {
-                                crate::SchedMode::Barrier => "barrier",
-                                crate::SchedMode::Dag => "dag",
-                            }
-                            .into(),
-                        ),
-                    ),
-                    ("offload_pl", telemetry::Value::Bool(policy.offload_pl)),
-                    ("trace", telemetry::Value::Bool(policy.trace)),
-                    (
-                        "phase_tolerance",
-                        telemetry::Value::F64(policy.phase_tolerance),
-                    ),
-                ],
+                vec![("offload_pl", telemetry::Value::Bool(policy.offload_pl))],
             );
         }
     }
@@ -430,9 +407,6 @@ impl<K: Kernel> StrategyTracker<K> {
                 }
             }
             crate::exec::record_phase_spans(&self.rec, &counts, &self.flops, &self.node, &timing);
-            if let Some(xray) = timing.sched.as_deref() {
-                crate::exec::record_sched_xray(&self.rec, xray);
-            }
             if let Some(gpu) = timing.gpu.as_ref() {
                 gpu.record_metrics(&self.rec);
             }
@@ -448,7 +422,7 @@ impl<K: Kernel> StrategyTracker<K> {
             // exporter's S-counter-track's) per-step anchor. `state` and `s`
             // describe the step as it ran — i.e. *before* any transition the
             // balancer made in post_step above.
-            let mut step_fields = vec![
+            let step_fields = vec![
                 ("s", telemetry::Value::U64(s as u64)),
                 ("state", telemetry::Value::Str(state.name().into())),
                 ("t_cpu", telemetry::Value::F64(t_cpu)),
@@ -465,22 +439,6 @@ impl<K: Kernel> StrategyTracker<K> {
                 // likewise derived from undisturbed timing.
                 ("t_sched", telemetry::Value::F64(timing.t_cpu)),
             ];
-            // Scheduler X-ray summary (Dag mode with tracing on): the
-            // step-level pipelining gauges.
-            if let Some(xray) = timing.sched.as_deref() {
-                step_fields.push((
-                    "critpath_len",
-                    telemetry::Value::U64(xray.analysis.crit_path.len() as u64),
-                ));
-                step_fields.push((
-                    "lane_idle_frac",
-                    telemetry::Value::F64(xray.analysis.lane_idle_frac),
-                ));
-                step_fields.push((
-                    "pipeline_overlap",
-                    telemetry::Value::F64(xray.analysis.pipeline_overlap),
-                ));
-            }
             self.rec.event("step.record", step_fields);
         }
         let rec = StepRecord {
@@ -562,6 +520,11 @@ impl<K: Kernel> StrategyTracker<K> {
     /// state and filter windows are exact, and all floats round-trip by bit
     /// pattern. Telemetry (recorder, audits, anomaly detector) restarts
     /// fresh — it observes the trajectory but never feeds back into it.
+    /// The [`crate::ExecPolicy`] is configuration too, and *does* feed
+    /// back (it decides which device P2M/L2P are timed on): the restored
+    /// engine starts from the default, so a caller that ran under another
+    /// policy must set it again before stepping, as
+    /// [`crate::Supervisor::restore_from_checkpoint`] does.
     pub fn restore(
         kernel: K,
         mut node: HeteroNode,

@@ -169,12 +169,16 @@ impl<K: Kernel + Copy> Supervisor<K> {
 
     /// Rebuild the tracker from the last checkpoint (the chaos harness's
     /// kill-and-restore event rides on this too). Returns the checkpointed
-    /// positions — the trajectory point the run rewound to.
+    /// positions — the trajectory point the run rewound to. The recorder
+    /// and the execution policy are caller configuration the checkpoint
+    /// does not hold, so both are carried across from the live tracker.
     pub fn restore_from_checkpoint(&mut self) -> Result<Vec<Vec3>, Error> {
         let text = self.last_checkpoint.clone().ok_or(Error::NoCheckpoint)?;
         let recorder = self.tracker.recorder().clone();
+        let policy = self.tracker.engine().exec_policy();
         let (mut tracker, pos) =
             StrategyTracker::restore(self.kernel, self.node_config.clone(), &text)?;
+        tracker.engine_mut().set_exec_policy(policy);
         if recorder.is_enabled() {
             recorder.counter_add("supervisor.restores", 1);
             recorder.event(

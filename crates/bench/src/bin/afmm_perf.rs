@@ -39,7 +39,7 @@ static ALLOC: telemetry::CountingAlloc = telemetry::CountingAlloc;
 
 use bench::harness::{
     compare, host_key, render_history, render_trends, run_suite, synthesize_baseline, trend_rows,
-    BenchReport, CompareConfig, Ledger, LedgerEntry, SuiteConfig, Verdict,
+    BenchReport, CompareConfig, Ledger, LedgerEntry, SuiteConfig,
 };
 use telemetry::json::Json;
 
@@ -85,7 +85,7 @@ fn main() -> ExitCode {
 fn run_and_render(cfg: &SuiteConfig) -> BenchReport {
     eprintln!(
         "# afmm-perf: {} suite ({} scenarios pending, reps={}, warmup={})",
-        cfg.mode, 8, cfg.reps, cfg.warmup
+        cfg.mode, 7, cfg.reps, cfg.warmup
     );
     let report = run_suite(cfg, &mut |line| eprintln!("# {line}"));
     print_solve_ledger(&report);
@@ -285,13 +285,6 @@ fn cmd_compare(args: &[String]) -> ExitCode {
         eprintln!("# note: comparing a \"{om}\" baseline against a \"{nm}\" report");
     }
     if result.regressions() > 0 {
-        if result
-            .rows
-            .iter()
-            .any(|r| r.scenario == "dag_pipeline" && r.gate && r.verdict == Verdict::Regressed)
-        {
-            print_sched_attribution(&old, &new);
-        }
         eprintln!(
             "# FAIL: {} statistically significant regression(s) vs {old_path}",
             result.regressions()
@@ -300,66 +293,6 @@ fn cmd_compare(args: &[String]) -> ExitCode {
     }
     eprintln!("# OK: no significant regressions vs {old_path}");
     ExitCode::SUCCESS
-}
-
-/// A gated `dag_pipeline` regression says the scheduler lost time — this
-/// says *where*: compare the two reports' scheduler-x-ray snapshots and
-/// print the phase / cause / lane shifts of the realized critical path.
-fn print_sched_attribution(old: &BenchReport, new: &BenchReport) {
-    let sched = |r: &BenchReport| -> Option<Json> {
-        r.scenario("dag_pipeline")
-            .and_then(|s| s.snapshot.get("sched"))
-            .cloned()
-    };
-    let (Some(o), Some(n)) = (sched(old), sched(new)) else {
-        eprintln!("# dag_pipeline regressed; no sched snapshot on one side — cannot attribute");
-        return;
-    };
-    let num = |j: &Json, k: &str| j.get(k).and_then(Json::as_f64).unwrap_or(f64::NAN);
-    eprintln!(
-        "# dag_pipeline regressed — critical-path attribution (old -> new, {} cores + {} lanes):",
-        num(&n, "cores"),
-        num(&n, "gpu_lanes")
-    );
-    eprintln!(
-        "#   makespan {:.4e}s -> {:.4e}s   crit len {} -> {}   lane idle {:.1}% -> {:.1}%   overlap {:.1}% -> {:.1}%",
-        num(&o, "makespan_s"),
-        num(&n, "makespan_s"),
-        num(&o, "critpath_len"),
-        num(&n, "critpath_len"),
-        100.0 * num(&o, "lane_idle_frac"),
-        100.0 * num(&n, "lane_idle_frac"),
-        100.0 * num(&o, "pipeline_overlap"),
-        100.0 * num(&n, "pipeline_overlap"),
-    );
-    let pair = |label: &str, ov: f64, nv: f64| {
-        let marker = if (nv - ov).abs() > 0.05 {
-            "  <-- moved"
-        } else {
-            ""
-        };
-        eprintln!(
-            "#   {label:<22} {:>6.1}% -> {:>6.1}%{marker}",
-            100.0 * ov,
-            100.0 * nv
-        );
-    };
-    for k in ["dependency_frac", "starvation_frac", "serialization_frac"] {
-        pair(k, num(&o, k), num(&n, k));
-    }
-    let phase_frac = |j: &Json, p: &str| {
-        j.get("crit_phase_frac")
-            .and_then(|x| x.get(p))
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN)
-    };
-    for p in ["p2m", "m2m", "m2l", "l2l", "l2p", "p2p"] {
-        pair(
-            &format!("crit phase {p}"),
-            phase_frac(&o, p),
-            phase_frac(&n, p),
-        );
-    }
 }
 
 /// Default location of the checked-in baseline: `bench/baseline.json` at

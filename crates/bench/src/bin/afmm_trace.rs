@@ -25,7 +25,7 @@ const USAGE: &str = "usage: afmm-trace <export|summary|validate|diff> <trace.jso
   summary  <trace.jsonl>                  print event counts and LB timeline
   validate <trace.jsonl> [--audit-tol X] [--phase-tol X]
                                           check replay invariants; --phase-tol
-                                          overrides the trace's recorded
+                                          overrides the default 0.2
                                           phase-reconciliation tolerance
   diff     <a.jsonl> <b.jsonl>            step-aligned trajectory comparison";
 
@@ -158,7 +158,7 @@ fn cmd_validate(args: &[String]) -> ExitCode {
                 _ => return fail("--audit-tol requires a positive number"),
             },
             "--phase-tol" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) if t > 0.0 => opts.phase_tolerance = Some(t),
+                Some(t) if t > 0.0 => opts.phase_tolerance = t,
                 _ => return fail("--phase-tol requires a positive number"),
             },
             _ if input.is_none() => input = Some(a.clone()),
@@ -177,7 +177,7 @@ fn cmd_validate(args: &[String]) -> ExitCode {
         eprintln!(
             "# phase reconciliation: max residual {:.3e} (tolerance {:.3e}) at step {} over {} step(s)",
             report.max_phase_residual,
-            report.phase_tolerance,
+            opts.phase_tolerance,
             report.max_phase_residual_step.unwrap_or(0),
             report.reconciled_steps
         );

@@ -43,10 +43,7 @@ fn main() {
                 engine.lists(),
                 &flops,
                 &node,
-                ExecPolicy {
-                    offload_pl: true,
-                    ..Default::default()
-                },
+                ExecPolicy { offload_pl: true },
             )
             .unwrap()
             .compute();

@@ -5,8 +5,8 @@
 //! pairwise gate. The ledger closes that hole longitudinally: every
 //! `afmm-perf run` can [`Ledger::append`] one [`LedgerEntry`] — the gated
 //! metric summaries, host fingerprint, commit, and the attribution
-//! extracts (scheduler x-ray, cost-model coefficients, prediction-audit
-//! stats) — to an append-only JSONL file, keyed into series by
+//! extracts (cost-model coefficients, prediction-audit stats, heap
+//! footprint) — to an append-only JSONL file, keyed into series by
 //! `(host_key, mode)` so numbers from different machines or suite
 //! configurations never mix.
 //!
@@ -67,8 +67,6 @@ pub struct LedgerEntry {
     /// Scenario metric summaries. `Metric::samples` is empty after a
     /// ledger read — only the robust stats are persisted.
     pub scenarios: Vec<Scenario>,
-    /// Scheduler x-ray summary from the `dag_pipeline` snapshot.
-    pub sched: Json,
     /// Cost-model coefficient table from the `solve_step` snapshot.
     pub cost_model: Json,
     /// Prediction-audit stats from the `balancer_convergence` snapshot.
@@ -110,7 +108,6 @@ impl LedgerEntry {
                     snapshot: Json::Obj(Vec::new()),
                 })
                 .collect(),
-            sched: extract("dag_pipeline", "sched"),
             cost_model: extract("solve_step", "cost_model"),
             audit: extract("balancer_convergence", "audit"),
             mem: extract("memory_profile", "mem"),
@@ -138,7 +135,6 @@ impl LedgerEntry {
                 "scenarios",
                 Json::Arr(self.scenarios.iter().map(scenario_to_json).collect()),
             ),
-            ("sched", self.sched.clone()),
             ("cost_model", self.cost_model.clone()),
             ("audit", self.audit.clone()),
             ("mem", self.mem.clone()),
@@ -203,7 +199,6 @@ impl LedgerEntry {
                     .unwrap_or("unknown")
                     .to_string(),
                 scenarios,
-                sched: v.get("sched").cloned().unwrap_or(Json::Null),
                 cost_model: v.get("cost_model").cloned().unwrap_or(Json::Null),
                 audit: v.get("audit").cloned().unwrap_or(Json::Null),
                 // Absent in pre-memory-observatory ledgers: read as Null.
@@ -599,7 +594,6 @@ mod tests {
             e.cost_model.get("c_m2l").and_then(Json::as_f64),
             Some(2.5e-9)
         );
-        assert_eq!(e.sched, Json::Null);
         assert_eq!(e.mem, Json::Null);
         // Scenario snapshots are not duplicated into the ledger.
         assert_eq!(e.scenarios[0].snapshot, Json::Obj(Vec::new()));

@@ -15,8 +15,8 @@
 use std::time::Instant;
 
 use afmm::{
-    CostModel, ExecPolicy, FaultEvent, FaultSchedule, FmmEngine, FmmParams, HeteroNode, LbConfig,
-    LbState, SchedMode, Strategy, StrategyTracker,
+    CostModel, FaultEvent, FaultSchedule, FmmEngine, FmmParams, HeteroNode, LbConfig, LbState,
+    Strategy, StrategyTracker,
 };
 use fmm_math::GravityKernel;
 use octree::{
@@ -124,9 +124,8 @@ impl SuiteConfig {
 /// Run the whole registry; `progress` receives one line per scenario.
 pub fn run_suite(cfg: &SuiteConfig, progress: &mut dyn FnMut(&str)) -> BenchReport {
     type Runner = fn(&SuiteConfig) -> Scenario;
-    let runners: [(&str, Runner); 8] = [
+    let runners: [(&str, Runner); 7] = [
         ("solve_step", solve_step),
-        ("dag_pipeline", dag_pipeline),
         ("plan_patch_vs_rebuild", plan_patch_vs_rebuild),
         ("enforce_s", enforce_s),
         ("balancer_convergence", balancer_convergence),
@@ -323,146 +322,6 @@ fn solve_step(cfg: &SuiteConfig) -> Scenario {
         ],
         snapshot,
     }
-}
-
-/// **dag_pipeline** — barrier vs dependency-driven execution of the *same*
-/// plan on a matrix of heterogeneous node shapes. The virtual makespans are
-/// deterministic, so the per-config speedups are gated: a change that costs
-/// the list scheduler its pipelining win (M2L overlapping the upsweep, GPU
-/// lanes overlapping CPU work) fails the compare. The wall metric tracks
-/// the scheduler's own cost — the price of dependency-driven dispatch over
-/// the barrier oracle's simpler id-greedy sweep.
-///
-/// The leaf capacity matches `solve_step`'s S=96: the fine-grained DAG pays
-/// one extra task of dispatch overhead per node, so its win lives where
-/// dependency slack binds (deeper trees, span-bound schedules), not in the
-/// work-bound limit — see DESIGN.md §11.
-fn dag_pipeline(cfg: &SuiteConfig) -> Scenario {
-    let s = 96;
-    let configs: [(usize, usize); 3] = [(10, 4), (10, 1), (8, 2)];
-    let b = nbody::plummer(cfg.n_solve, 1.0, 1.0, cfg.seed + 6);
-    let mut engine = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, s);
-    engine.refresh_lists();
-    let flops = crate::default_flops(&GravityKernel::default());
-
-    let node0 = HeteroNode::system_a(configs[0].0, configs[0].1);
-    engine.set_exec_policy(ExecPolicy {
-        mode: SchedMode::Dag,
-        ..Default::default()
-    });
-    let samples = sample(cfg.warmup, cfg.reps, || {
-        std::hint::black_box(engine.time_step(&flops, &node0).expect("healthy node"));
-    });
-
-    let mut metrics = vec![Metric::wall("wall_dag_step_s", "s", samples, cfg.seed)];
-    for &(cores, gpus) in &configs {
-        let node = HeteroNode::system_a(cores, gpus);
-        engine.set_exec_policy(ExecPolicy::default());
-        let bar = engine.time_step(&flops, &node).expect("healthy node");
-        engine.set_exec_policy(ExecPolicy {
-            mode: SchedMode::Dag,
-            ..Default::default()
-        });
-        let dag = engine.time_step(&flops, &node).expect("healthy node");
-        let tag = format!("{cores}c{gpus}g");
-        metrics.push(Metric::virtual_point(
-            &format!("virtual_barrier_{tag}_s"),
-            "s",
-            bar.compute(),
-        ));
-        metrics.push(Metric::virtual_point(
-            &format!("virtual_dag_{tag}_s"),
-            "s",
-            dag.compute(),
-        ));
-        metrics.push(
-            Metric::virtual_point(
-                &format!("dag_speedup_{tag}"),
-                "x",
-                bar.compute() / dag.compute(),
-            )
-            .higher_is_better(),
-        );
-    }
-
-    // One traced run on the primary config: the scheduler x-ray feeds the
-    // snapshot so a gated speedup regression can be attributed to the
-    // phase/lane where the critical path moved (see `afmm-perf compare`).
-    engine.set_exec_policy(ExecPolicy {
-        mode: SchedMode::Dag,
-        trace: true,
-        ..Default::default()
-    });
-    let traced = engine.time_step(&flops, &node0).expect("healthy node");
-    let sched_json = traced.sched.as_deref().map(sched_snapshot);
-
-    let counts = engine.counts();
-    let mut snapshot = gather(&SnapshotParts {
-        tree: Some(engine.tree()),
-        lists: Some(engine.lists()),
-        counts: Some(counts),
-        ..Default::default()
-    });
-    if let (Json::Obj(fields), Some(sched)) = (&mut snapshot, sched_json) {
-        fields.push(("sched".to_string(), sched));
-    }
-    Scenario {
-        name: "dag_pipeline".to_string(),
-        params: obj(vec![
-            ("n", Json::F64(cfg.n_solve as f64)),
-            ("distribution", Json::Str("plummer".to_string())),
-            ("s", Json::F64(s as f64)),
-            (
-                "configs",
-                Json::Str(
-                    configs
-                        .iter()
-                        .map(|(c, g)| format!("{c}C{g}G"))
-                        .collect::<Vec<_>>()
-                        .join(","),
-                ),
-            ),
-        ]),
-        metrics,
-        snapshot,
-    }
-}
-
-/// Flatten a scheduler x-ray into the snapshot's `sched` object: enough to
-/// say *where* a makespan delta lives (phase fractions of the realized
-/// critical path, cause split, per-lane utilization) without storing the
-/// per-task trace.
-fn sched_snapshot(x: &afmm::SchedXray) -> Json {
-    let a = &x.analysis;
-    let phases: Vec<(String, Json)> = afmm::PhaseTag::ALL
-        .iter()
-        .map(|p| {
-            (
-                p.label().to_string(),
-                Json::F64(x.crit_phase_frac[p.index()]),
-            )
-        })
-        .collect();
-    let lane_util = (0..x.gpu_lanes)
-        .map(|d| Json::F64(x.gpu_lane_util[d]))
-        .collect();
-    obj(vec![
-        ("pass", Json::Str(x.pass.label().to_string())),
-        ("cores", Json::F64(x.cores as f64)),
-        ("gpu_lanes", Json::F64(x.gpu_lanes as f64)),
-        ("makespan_s", Json::F64(a.makespan)),
-        ("critpath_len", Json::F64(a.crit_path.len() as f64)),
-        ("critpath_sum_s", Json::F64(a.crit_sum)),
-        ("lane_idle_frac", Json::F64(a.lane_idle_frac)),
-        ("pipeline_overlap", Json::F64(a.pipeline_overlap)),
-        ("crit_cpu_frac", Json::F64(a.crit_cpu_frac)),
-        ("crit_gpu_frac", Json::F64(a.crit_gpu_frac)),
-        ("dependency_frac", Json::F64(a.dependency_frac)),
-        ("starvation_frac", Json::F64(a.resource_cpu_frac)),
-        ("serialization_frac", Json::F64(a.resource_gpu_frac)),
-        ("crit_phase_frac", Json::Obj(phases)),
-        ("gpu_lane_util", Json::Arr(lane_util)),
-    ])
 }
 
 /// Result of one plan-economy measurement at a fixed S — shared with the

@@ -123,11 +123,7 @@ proptest! {
 fn smoke_suite_runs_and_gates() {
     let cfg = SuiteConfig::smoke();
     let report = bench::harness::run_suite(&cfg, &mut |_| {});
-    assert!(
-        report.scenarios.len() >= 5,
-        "expected >=5 scenarios, got {}",
-        report.scenarios.len()
-    );
+    assert_eq!(report.scenarios.len(), 7);
     for sc in &report.scenarios {
         assert!(!sc.metrics.is_empty(), "{} has no metrics", sc.name);
         for m in &sc.metrics {

@@ -179,6 +179,12 @@ fn rolling_baseline_is_robust_to_one_outlier() {
 
 // ---- binary-level exit-code contract ----
 
+/// A ledger line as `afmm-perf record` wrote it at the parent of PR 14
+/// (smoke run; trimmed to the 10C4G metrics of the Dag-vs-barrier scenario
+/// and the `sched` extract, host and mode rewritten to the synthetic
+/// series).
+const PRE_PR14_LEDGER_LINE: &str = r#"{"schema_version":1,"unix_s":1758000000,"host":{"os":"linux","arch":"x86_64","cpus":16},"host_key":"linux-x86_64-16c","commit":"6d02969","mode":"quick","scenarios":[{"name":"dag_pipeline","params":{"n":2000,"distribution":"plummer","s":96,"configs":"10C4G,10C1G,8C2G"},"metrics":[{"name":"wall_dag_step_s","unit":"s","kind":"wall","direction":"lower","gate":true,"median":0.00033684700000000004,"mad":0.000008043999999999993,"ci_lo":0.000328803,"ci_hi":0.000344891},{"name":"virtual_barrier_10c4g_s","unit":"s","kind":"virtual","direction":"lower","gate":true,"median":0.0016451,"mad":0,"ci_lo":0.0016451,"ci_hi":0.0016451},{"name":"virtual_dag_10c4g_s","unit":"s","kind":"virtual","direction":"lower","gate":true,"median":0.001550670000000001,"mad":0,"ci_lo":0.001550670000000001,"ci_hi":0.001550670000000001},{"name":"dag_speedup_10c4g","unit":"x","kind":"virtual","direction":"higher","gate":true,"median":1.0608962577466508,"mad":0,"ci_lo":1.0608962577466508,"ci_hi":1.0608962577466508}]}],"sched":{"pass":"by_level","cores":10,"gpu_lanes":4,"makespan_s":0.001550670000000001,"critpath_len":55,"critpath_sum_s":0.001550670000000001,"lane_idle_frac":0.15388851951672955,"pipeline_overlap":0.4999802329483943,"crit_cpu_frac":1,"crit_gpu_frac":0,"dependency_frac":0.010524482965427871,"starvation_frac":0.9894755170345721,"serialization_frac":0,"crit_phase_frac":{"p2m":0.06007725692765057,"m2m":0.019913972669878207,"m2l":0.8430355910670867,"l2l":0.05220969000496622,"l2p":0.024763489330418352,"p2p":0},"gpu_lane_util":[0.4999802329483943,0.4792318383554259,0.41261266868935453,0.45814698330959863]},"cost_model":null,"audit":null,"mem":null}"#;
+
 fn afmm_perf(args: &[&str]) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_afmm-perf"))
         .args(args)
@@ -305,6 +311,51 @@ fn binary_exit_code_contract() {
     // Trend on a host with no entries → 0 (nothing to gate).
     let (code, _, err) = afmm_perf(&["trend", "--ledger", ledger_s, "--host", "nohost-0c"]);
     assert_eq!(code, 0, "{err}");
+
+    // A ledger grown before PR 14 (CI restores a cached one) holds entries
+    // with a `sched` extract and the retired scenario's metrics. They
+    // still read: a compare against them skips the rows no report has any
+    // more, newer entries append behind them, and `trend` reports no error.
+    let old_ledger = dir.join("old_ledger.jsonl");
+    let old_s = old_ledger.to_str().unwrap();
+    std::fs::write(&old_ledger, format!("{PRE_PR14_LEDGER_LINE}\n")).unwrap();
+    let (code, out, err) = afmm_perf(&[
+        "compare",
+        "--against-ledger",
+        "1",
+        head.to_str().unwrap(),
+        "--ledger",
+        old_s,
+    ]);
+    assert_eq!(code, 0, "stdout:\n{out}\nstderr:\n{err}");
+    assert!(
+        out.lines()
+            .any(|l| l.contains("skipped") && l.contains("missing in new report")),
+        "{out}"
+    );
+    for t in ["1758086400", "1758172800"] {
+        let (code, _, err) = afmm_perf(&[
+            "record",
+            head.to_str().unwrap(),
+            "--ledger",
+            old_s,
+            "--calibration",
+            calib_s,
+            "--time",
+            t,
+        ]);
+        assert_eq!(code, 0, "{err}");
+    }
+    let (code, out, err) = afmm_perf(&[
+        "trend",
+        "--ledger",
+        old_s,
+        "--host",
+        "linux-x86_64-16c",
+        "--quick",
+    ]);
+    assert_eq!(code, 0, "stdout:\n{out}\nstderr:\n{err}");
+    assert!(!err.contains("warning") && !err.contains("error"), "{err}");
 
     // Calibration dump → 0. The synthetic reports carry no cost-model
     // snapshot, so the store stayed empty but readable.

@@ -2,20 +2,23 @@
 //! priorities, a GPU resource lane per device, and a per-task
 //! completion-time report.
 //!
-//! [`crate::simulate`] models the paper's phase-barriered OpenMP runtime: a
-//! greedy scheduler that starts the lowest-id ready task. This module is the
+//! [`crate::simulate`] is the model every timed step runs: a greedy
+//! scheduler that starts the lowest-id ready task. This module is the
 //! data-driven executor of Ltaief & Yokota (arXiv:1203.0889) and Agullo et
-//! al. (arXiv:1206.0115): tasks become ready the moment their *individual*
-//! dependencies drain, the dispatcher picks the ready task with the longest
-//! remaining critical path (its *bottom level*), and pre-timed GPU kernels
-//! occupy their device lane concurrently with CPU tasks — so M2L overlaps
-//! P2P and the downward sweep starts before the upward sweep finishes.
+//! al. (arXiv:1206.0115): the dispatcher picks the ready task with the
+//! longest remaining critical path (its *bottom level*), and pre-timed GPU
+//! kernels occupy their device lane concurrently with CPU tasks.
+//!
+//! No product path calls it since the AFMM's `Dag` execution mode was
+//! removed (DESIGN.md §11): it stays because the repo benchmark's
+//! `sched-sim.schedule_ms` probe times [`schedule`], and goes when that
+//! probe does.
 //!
 //! Fully deterministic: priorities tie-break on [`TaskId`] (lowest wins),
 //! so the same graph + config always produces the same schedule.
 
 use crate::graph::{Lane, TaskGraph, TaskId};
-use crate::sim::SimConfig;
+use crate::sim::{SimConfig, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -35,30 +38,8 @@ impl DagConfig {
     }
 }
 
-/// Which of the dual anomaly-guard passes produced the kept schedule
-/// (Graham's anomalies: the "smarter" bottom-level order can pack worse
-/// than plain id order, so [`schedule`] runs both and keeps the better).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedPass {
-    /// Bottom-level (critical-path) priorities won (or tied).
-    #[default]
-    ByLevel,
-    /// The plain task-id oracle order packed strictly better.
-    ById,
-}
-
-impl SchedPass {
-    /// Stable lowercase label for telemetry fields.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedPass::ByLevel => "by_level",
-            SchedPass::ById => "by_id",
-        }
-    }
-}
-
 /// Outcome of one dependency-driven schedule: the pipelined makespan plus
-/// the per-task completion times the phase telemetry aggregates.
+/// per-task start and completion times.
 #[derive(Clone, Debug)]
 pub struct DagResult {
     /// Wall-clock seconds from first task start to last task completion,
@@ -76,17 +57,6 @@ pub struct DagResult {
     pub start: Vec<f64>,
     /// Per-task completion time, indexed by [`TaskId`].
     pub finish: Vec<f64>,
-    /// Per-task ready time (instant the last dependency completed; 0 for
-    /// roots), indexed by [`TaskId`]. `start - ready` is how long the task
-    /// waited on a resource rather than on its dependencies.
-    pub ready: Vec<f64>,
-    /// Execution slot per task: `< cores` is a CPU core index, `>= cores`
-    /// is `cores + GPU lane index`. Indexed by [`TaskId`].
-    pub slot: Vec<u32>,
-    /// Number of CPU cores the schedule ran on (decodes [`DagResult::slot`]).
-    pub cores: usize,
-    /// Which anomaly-guard pass produced this schedule.
-    pub pass: SchedPass,
     /// Number of tasks executed (= graph size).
     pub tasks_executed: usize,
 }
@@ -99,40 +69,6 @@ impl DagResult {
         }
         let total: f64 = self.busy.iter().sum();
         total / (self.cpu_makespan * self.busy.len() as f64)
-    }
-
-    /// Utilization of GPU lane `device` in [0, 1] over the *overall*
-    /// makespan — the fraction of the step the device spent computing
-    /// rather than waiting on the pipeline. 0 for unknown lanes.
-    pub fn lane_utilization(&self, device: usize) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        match self.gpu_busy.get(device) {
-            Some(&b) => b / self.makespan,
-            None => 0.0,
-        }
-    }
-}
-
-/// Totally ordered f64 for heap keys. All simulated times are finite
-/// (task costs are validated by [`TaskGraph::try_add`]).
-#[derive(Clone, Copy, PartialEq)]
-struct Time(f64);
-
-impl Eq for Time {}
-
-impl PartialOrd for Time {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Time {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .expect("simulated times are finite")
     }
 }
 
@@ -206,10 +142,7 @@ pub fn schedule(graph: &TaskGraph, cfg: &DagConfig) -> DagResult {
     // lowest-TaskId dispatch — exactly `simulate`'s order on CPU tasks.
     let by_id = run_list(graph, cfg, &vec![0.0; graph.tasks.len()]);
     if by_id.makespan < by_level.makespan {
-        DagResult {
-            pass: SchedPass::ById,
-            ..by_id
-        }
+        by_id
     } else {
         by_level
     }
@@ -259,10 +192,6 @@ fn run_list(graph: &TaskGraph, cfg: &DagConfig, prio: &[f64]) -> DagResult {
     let mut gpu_busy = vec![0.0f64; cfg.gpu_lanes];
     let mut start = vec![0.0f64; n];
     let mut finish = vec![0.0f64; n];
-    // Roots are ready at t=0; everything else stamps the instant its last
-    // dependency drains (inside `complete`).
-    let mut ready = vec![0.0f64; n];
-    let mut slot_of = vec![0u32; n];
     let mut now = 0.0f64;
     let mut cpu_makespan = 0.0f64;
     let mut gpu_makespan = 0.0f64;
@@ -270,12 +199,10 @@ fn run_list(graph: &TaskGraph, cfg: &DagConfig, prio: &[f64]) -> DagResult {
 
     let complete = |slot: u32,
                     task: TaskId,
-                    now: f64,
                     executed: &mut usize,
                     idle_cores: &mut BinaryHeap<Reverse<u32>>,
                     lane_idle: &mut [bool],
                     indeg: &mut [u32],
-                    ready: &mut [f64],
                     rc: &mut ReadyHeap,
                     rg: &mut [ReadyHeap]| {
         *executed += 1;
@@ -287,7 +214,6 @@ fn run_list(graph: &TaskGraph, cfg: &DagConfig, prio: &[f64]) -> DagResult {
         for &c in &children[task as usize] {
             indeg[c as usize] -= 1;
             if indeg[c as usize] == 0 {
-                ready[c as usize] = now;
                 let key = (Time(prio[c as usize]), Reverse(c));
                 match graph.tasks[c as usize].lane {
                     Lane::Cpu => rc.push(key),
@@ -307,7 +233,6 @@ fn run_list(graph: &TaskGraph, cfg: &DagConfig, prio: &[f64]) -> DagResult {
             busy[core as usize] += d;
             start[task as usize] = now;
             finish[task as usize] = now + d;
-            slot_of[task as usize] = core;
             cpu_makespan = cpu_makespan.max(now + d);
             running.push(Reverse((Time(now + d), core, task)));
         }
@@ -319,7 +244,6 @@ fn run_list(graph: &TaskGraph, cfg: &DagConfig, prio: &[f64]) -> DagResult {
                     gpu_busy[lane] += d;
                     start[task as usize] = now;
                     finish[task as usize] = now + d;
-                    slot_of[task as usize] = (cfg.cpu.cores + lane) as u32;
                     gpu_makespan = gpu_makespan.max(now + d);
                     running.push(Reverse((
                         Time(now + d),
@@ -336,12 +260,10 @@ fn run_list(graph: &TaskGraph, cfg: &DagConfig, prio: &[f64]) -> DagResult {
         complete(
             slot,
             task,
-            now,
             &mut executed,
             &mut idle_cores,
             &mut lane_idle,
             &mut indeg,
-            &mut ready,
             &mut ready_cpu,
             &mut ready_gpu,
         );
@@ -355,12 +277,10 @@ fn run_list(graph: &TaskGraph, cfg: &DagConfig, prio: &[f64]) -> DagResult {
             complete(
                 slot2,
                 task2,
-                now,
                 &mut executed,
                 &mut idle_cores,
                 &mut lane_idle,
                 &mut indeg,
-                &mut ready,
                 &mut ready_cpu,
                 &mut ready_gpu,
             );
@@ -376,10 +296,6 @@ fn run_list(graph: &TaskGraph, cfg: &DagConfig, prio: &[f64]) -> DagResult {
         gpu_busy,
         start,
         finish,
-        ready,
-        slot: slot_of,
-        cores: cfg.cpu.cores,
-        pass: SchedPass::ByLevel,
         tasks_executed: executed,
     }
 }

@@ -14,16 +14,12 @@
 //!
 //! Everything is deterministic: same graph + same config ⇒ same makespan.
 
-mod analysis;
 mod dag;
 mod graph;
 mod memory;
 mod sim;
 
-pub use analysis::{
-    analyze, slot_label, CritTask, HopBound, LaneStats, SchedAnalysis, GAP_BUCKETS,
-};
-pub use dag::{bottom_levels, schedule, DagConfig, DagResult, SchedPass};
+pub use dag::{bottom_levels, schedule, DagConfig, DagResult};
 pub use graph::{critical_path, GraphError, Lane, Task, TaskGraph, TaskId};
 pub use memory::MemoryModel;
 pub use sim::{simulate, SimConfig, SimResult};

@@ -53,9 +53,11 @@ impl SimResult {
     }
 }
 
-/// Totally ordered f64 for use in heaps. All simulated times are finite.
+/// Totally ordered f64 for heap keys, shared by both event loops. All
+/// simulated times are finite (task costs are validated by
+/// [`TaskGraph::try_add`]).
 #[derive(Clone, Copy, PartialEq)]
-struct Time(f64);
+pub(crate) struct Time(pub(crate) f64);
 
 impl Eq for Time {}
 

@@ -251,9 +251,6 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<Vec<EventRecord>, TraceError
 const PID_PHASES: u32 = 1;
 const PID_GPU: u32 = 2;
 const PID_LB: u32 = 3;
-/// Scheduler lanes (`sched.task` spans): one thread per execution slot, so
-/// a DAG-scheduled step renders as a Gantt chart of the virtual node.
-const PID_SCHED: u32 = 4;
 /// Memory counter tracks (`mem.peak` / `mem.scope` events from
 /// `memprof::publish`): live/peak bytes plus one track per scope.
 const PID_MEM: u32 = 5;
@@ -270,17 +267,12 @@ const PHASE_TRACKS: [(&str, u32); 6] = [
 const TID_SOLVE: u32 = 7;
 const TID_LB_EVENTS: u32 = 1;
 const TID_ANOMALY: u32 = 2;
-/// `sched.critpath` summary instants; slot tracks start at tid 1 (slot + 1).
-const TID_CRITPATH: u32 = 0;
 
 /// Exports a parsed trace as Chrome `trace_event` JSON (the "JSON Array
 /// Format" object flavor: `{"traceEvents": [...]}`), with
 ///
 /// * one track per FMM phase (P2M/M2M/M2L/L2L/L2P/P2P) plus a solve track,
 /// * one track per GPU device (from per-launch `gpu.util` events),
-/// * one track per scheduler slot (core0… / gpu0…, from `sched.task` spans
-///   of an `ExecPolicy { trace: true }` run) — each task placed at its
-///   simulated start time, named by phase, critical-path tasks starred,
 /// * instant events for the balancer flight record (`lb.*`) and anomaly
 ///   detector (`anomaly.*`), and an `S` counter track.
 ///
@@ -328,30 +320,7 @@ impl ChromeTraceExporter {
                 let dur_us = r.dur_s.unwrap_or(0.0).max(0.0) * 1e6;
                 match r.kind {
                     RecordKind::Span => {
-                        if r.name == "sched.task" {
-                            // Scheduler Gantt slice: simulated start/finish
-                            // inside the step, one thread per slot.
-                            let slot = r.field_u64("slot").unwrap_or(0) as u32;
-                            let start_us = r.field_f64("start").unwrap_or(0.0).max(0.0) * 1e6;
-                            let on_crit = r.field_i64("crit").is_some_and(|c| c >= 0);
-                            let phase = r.field_str("phase").unwrap_or("task");
-                            let label = if on_crit {
-                                format!("{phase}*")
-                            } else {
-                                phase.to_string()
-                            };
-                            self.push_named_span(
-                                &label,
-                                r,
-                                PID_SCHED,
-                                slot + 1,
-                                base_us + start_us,
-                                dur_us,
-                            );
-                            width = width.max(start_us + dur_us);
-                        } else if let Some(&(_, tid)) =
-                            PHASE_TRACKS.iter().find(|(n, _)| *n == r.name)
-                        {
+                        if let Some(&(_, tid)) = PHASE_TRACKS.iter().find(|(n, _)| *n == r.name) {
                             if r.name == "phase.p2p" {
                                 // Near field runs concurrently with the
                                 // far-field chain, from the step's start.
@@ -392,11 +361,6 @@ impl ChromeTraceExporter {
                             width = width.max(dur);
                         } else if r.name == "step.record" {
                             self.push_counter(r, base_us);
-                        } else if r.name == "sched.lane" {
-                            let slot = r.field_u64("slot").unwrap_or(0) as u32;
-                            self.push_instant(r, PID_SCHED, slot + 1, base_us);
-                        } else if r.name == "sched.critpath" {
-                            self.push_instant(r, PID_SCHED, TID_CRITPATH, base_us);
                         } else if r.name == "mem.peak" || r.name == "mem.scope" {
                             self.push_mem_counter(r, base_us);
                         } else {
@@ -457,27 +421,6 @@ impl ChromeTraceExporter {
         {
             self.push_meta_process(PID_MEM, "memory");
         }
-        // Scheduler lanes: name each slot's thread from the records' own
-        // `lane` labels (core0…/gpuN), discovered rather than assumed so the
-        // export works for any core/lane count.
-        let mut lanes: Vec<(u64, String)> = records
-            .iter()
-            .filter(|r| r.name == "sched.task" || r.name == "sched.lane")
-            .filter_map(|r| {
-                let slot = r.field_u64("slot")?;
-                let lane = r.field_str("lane")?;
-                Some((slot, lane.to_string()))
-            })
-            .collect();
-        lanes.sort();
-        lanes.dedup();
-        if !lanes.is_empty() {
-            self.push_meta_process(PID_SCHED, "scheduler lanes");
-            self.push_meta_thread(PID_SCHED, TID_CRITPATH, "critical path");
-            for (slot, lane) in lanes {
-                self.push_meta_thread(PID_SCHED, slot as u32 + 1, &lane);
-            }
-        }
     }
 
     fn push_meta_process(&mut self, pid: u32, name: &str) {
@@ -498,21 +441,9 @@ impl ChromeTraceExporter {
     }
 
     fn push_span(&mut self, r: &EventRecord, pid: u32, tid: u32, ts_us: f64, dur_us: f64) {
-        self.push_named_span(r.name, r, pid, tid, ts_us, dur_us);
-    }
-
-    fn push_named_span(
-        &mut self,
-        name: &str,
-        r: &EventRecord,
-        pid: u32,
-        tid: u32,
-        ts_us: f64,
-        dur_us: f64,
-    ) {
         let mut e = String::with_capacity(128);
         e.push_str("{\"name\":");
-        push_json_str(&mut e, name);
+        push_json_str(&mut e, r.name);
         e.push_str(&format!(
             ",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":"
         ));
@@ -800,67 +731,6 @@ mod tests {
         ] {
             assert!(json.contains(want), "missing {want} in export");
         }
-    }
-
-    #[test]
-    fn chrome_export_renders_scheduler_lanes() {
-        // Two sched.task slices on different slots (one on the critical
-        // path), a sched.lane instant, and a sched.critpath summary.
-        let task = |seq, slot: u64, lane: &str, start: f64, dur: f64, crit: i64| EventRecord {
-            seq,
-            step: 0,
-            kind: RecordKind::Span,
-            name: "sched.task",
-            dur_s: Some(dur),
-            fields: vec![
-                ("task", Value::U64(seq)),
-                ("phase", Value::Str("m2l".into())),
-                ("lane", Value::Str(lane.into())),
-                ("slot", Value::U64(slot)),
-                ("start", Value::F64(start)),
-                ("crit", Value::I64(crit)),
-            ],
-        };
-        let records = vec![
-            task(0, 0, "core0", 0.0, 0.002, 0),
-            task(1, 2, "gpu0", 0.001, 0.004, -1),
-            EventRecord {
-                seq: 2,
-                step: 0,
-                kind: RecordKind::Event,
-                name: "sched.lane",
-                dur_s: None,
-                fields: vec![
-                    ("lane", Value::Str("gpu0".into())),
-                    ("slot", Value::U64(2)),
-                    ("util", Value::F64(0.8)),
-                ],
-            },
-            EventRecord {
-                seq: 3,
-                step: 0,
-                kind: RecordKind::Event,
-                name: "sched.critpath",
-                dur_s: None,
-                fields: vec![("len", Value::U64(1)), ("sum", Value::F64(0.002))],
-            },
-        ];
-        let json = ChromeTraceExporter::export(&records);
-        assert!(Json::parse(&json).is_ok(), "export is not valid JSON");
-        for want in [
-            "\"scheduler lanes\"",
-            "\"core0\"",
-            "\"gpu0\"",
-            "\"critical path\"",
-            // The on-path slice is starred; the off-path one is not.
-            "\"name\":\"m2l*\"",
-            "\"name\":\"m2l\"",
-            "\"name\":\"sched.critpath\"",
-        ] {
-            assert!(json.contains(want), "missing {want} in export");
-        }
-        // The gpu0 slice starts 1000us into the step on tid 3 (slot 2 + 1).
-        assert!(json.contains("\"tid\":3,\"ts\":1000"), "{json}");
     }
 
     #[test]

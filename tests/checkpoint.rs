@@ -253,3 +253,42 @@ fn supervisor_restore_continues_bit_identically() {
     assert_eq!(victim.report().restores, 1, "the poison forced one restore");
     assert_records_bit_identical(reference.tracker().records(), victim.tracker().records());
 }
+
+/// The execution policy is caller configuration the checkpoint does not
+/// hold: a supervised run under `offload_pl` must come back from a restore
+/// still timing P2M/L2P on the GPUs, so the replayed and following steps
+/// match the run that was never interrupted.
+#[test]
+fn supervisor_restore_keeps_the_exec_policy() {
+    let b = nbody::plummer(1500, 1.0, 1.0, 993);
+    let run = |restore_at: Option<usize>| {
+        let mut t = StrategyTracker::new(
+            GravityKernel::default(),
+            FmmParams::default(),
+            HeteroNode::system_a(4, 4),
+            Strategy::Full,
+            LbConfig::default(),
+            &b.pos,
+            None,
+        );
+        t.set_exec_policy(afmm::ExecPolicy { offload_pl: true });
+        let mut sup = Supervisor::new(
+            t,
+            SupervisorConfig {
+                checkpoint_every: 10,
+                ..Default::default()
+            },
+        );
+        let mut restored = false;
+        while sup.step_index() < 30 {
+            if Some(sup.step_index()) == restore_at && !restored {
+                restored = true;
+                sup.restore_from_checkpoint().unwrap();
+            }
+            let pos = trajectory(&b.pos, sup.step_index());
+            sup.step(&pos).unwrap();
+        }
+        sup.tracker().records().to_vec()
+    };
+    assert_records_bit_identical(&run(None), &run(Some(15)));
+}

@@ -162,10 +162,7 @@ fn extension_shape_offload() {
         &lists,
         &f,
         &starved,
-        afmm::ExecPolicy {
-            offload_pl: true,
-            ..Default::default()
-        },
+        afmm::ExecPolicy { offload_pl: true },
     )
     .unwrap();
     assert!(off.t_cpu < base.t_cpu);
