@@ -1,7 +1,7 @@
 use crate::config::{FmmParams, HeteroNode};
 use crate::exec::{time_step_with_jobs_policy, ExecPolicy, TimingReport};
 use crate::plan::ExecutionPlan;
-use fmm_math::{BodyTile, DerivScratch, ExpansionOps, FieldTile, Kernel, OpFlops};
+use fmm_math::{BodyTile, DerivScratch, ExpansionOps, FieldTile, Kernel, OpFlops, M2L_LANES};
 use geom::Vec3;
 use octree::{
     build_adaptive, build_adaptive_in_cube, BuildParams, EnforceOutcome, InteractionLists, NodeId,
@@ -138,6 +138,10 @@ pub struct FmmEngine<K: Kernel> {
     // Expansion storage, node-major: node id × channel × coefficient.
     multipoles: Vec<f64>,
     locals: Vec<f64>,
+    /// The expansions of the level a sweep is building (level width ×
+    /// stride, node-major): a level reads the arena it writes into, so it is
+    /// built here and then copied over. Sized to the widest level.
+    level_scratch: Vec<f64>,
     /// The persistent execution plan: interaction lists, op counts and GPU
     /// jobs, built lazily and *patched* across tree edits that go through
     /// the plan-aware APIs ([`FmmEngine::apply_collapse`],
@@ -212,6 +216,7 @@ impl<K: Kernel> FmmEngine<K> {
             field: FieldBuffers::default(),
             multipoles: Vec::new(),
             locals: Vec::new(),
+            level_scratch: Vec::new(),
             plan: None,
             plan_stale: true,
             counts_pending: false,
@@ -500,6 +505,7 @@ impl<K: Kernel> FmmEngine<K> {
             + self.field.heap_bytes()
             + self.multipoles.capacity() * size_of::<f64>()
             + self.locals.capacity() * size_of::<f64>()
+            + self.level_scratch.capacity() * size_of::<f64>()
     }
 
     /// Patch/refresh epoch of the live plan (`None` without one). The
@@ -625,20 +631,25 @@ impl<K: Kernel> FmmEngine<K> {
         self.locals.resize(n_nodes * stride, 0.0);
 
         if n > 0 {
-            // One allocation scope over the three numeric phases: the
-            // sweeps' per-level update collects are inherent to
-            // collect-then-write (the near field writes in place), so
-            // "phase" is measured (not zero-gated) by the memory
-            // observatory, unlike "rebin"/"plan.refresh".
+            // One allocation scope over the three numeric phases. The sweeps
+            // build each level in the engine's `level_scratch` and the near
+            // field writes in place, so what "phase" still counts is
+            // per-solve bookkeeping — the level and leaf lists and each
+            // level's worker scratch — a few dozen allocations whatever the
+            // node count. The memory observatory gates it at that value
+            // rather than at zero like "rebin"/"plan.refresh".
             let _mem = telemetry::AllocScope::enter("phase");
+            let levels = self.tree.levels();
+            let widest = levels.iter().map(Vec::len).max().unwrap_or(0);
+            self.level_scratch.resize(widest * stride, 0.0);
             {
                 let mut span = self.rec.start_span("solve.upsweep");
                 span.field("bodies", n);
-                self.upsweep(stride);
+                self.upsweep(&levels, stride);
             }
             {
                 let _span = self.rec.start_span("solve.downsweep");
-                self.downsweep(stride);
+                self.downsweep(&levels, stride);
             }
             {
                 let _span = self.rec.start_span("solve.near_field");
@@ -658,8 +669,7 @@ impl<K: Kernel> FmmEngine<K> {
     }
 
     /// P2M at the leaves, M2M up the levels (deep → shallow).
-    fn upsweep(&mut self, stride: usize) {
-        let levels = self.tree.levels();
+    fn upsweep(&mut self, levels: &[Vec<NodeId>], stride: usize) {
         let kernel = &self.kernel;
         let ops = &self.ops;
         let tree = &self.tree;
@@ -667,17 +677,21 @@ impl<K: Kernel> FmmEngine<K> {
         let ch = kernel.channels();
         for lv in levels.iter().rev() {
             // Each node at this level computes its expansion from bodies
-            // (leaf) or already-finished children (deeper level): reads are
-            // disjoint from this level's writes, so collect-then-write.
+            // (leaf) or already-finished children (deeper level), into its
+            // own chunk of the level scratch.
+            let built = &mut self.level_scratch[..lv.len() * stride];
+            built.fill(0.0);
             let multipoles = &self.multipoles;
-            let updates: Vec<(NodeId, Vec<f64>)> = lv
-                .par_iter()
-                .filter(|&&id| tree.node(id).count() > 0)
-                .map_init(Vec::new, |pow, &id| {
+            built
+                .par_chunks_mut(stride)
+                .zip(lv.par_iter())
+                .for_each_init(Vec::new, |pow, (m, &id)| {
                     let node = tree.node(id);
-                    let mut m = vec![0.0; stride];
+                    if node.count() == 0 {
+                        return;
+                    }
                     if node.is_leaf() {
-                        kernel.p2m_tile(ops, node.center, bodies.tile(node.range()), &mut m, pow);
+                        kernel.p2m_tile(ops, node.center, bodies.tile(node.range()), m, pow);
                     } else {
                         for c in tree.visible_children(id) {
                             let cn = tree.node(c);
@@ -685,65 +699,66 @@ impl<K: Kernel> FmmEngine<K> {
                                 continue;
                             }
                             let src = &multipoles[c as usize * stride..(c as usize + 1) * stride];
-                            ops.m2m(src, cn.center - node.center, &mut m, ch, pow);
+                            ops.m2m(src, cn.center - node.center, m, ch, pow);
                         }
                     }
-                    (id, m)
-                })
-                .collect();
-            for (id, m) in updates {
-                let base = id as usize * stride;
-                self.multipoles[base..base + stride].copy_from_slice(&m);
-            }
+                });
+            copy_level(built, lv, stride, &mut self.multipoles);
         }
     }
 
     /// L2L from parents + M2L from interaction lists, shallow → deep, then
     /// L2P at the leaves (folded into [`FmmEngine::near_field`]'s leaf pass).
-    fn downsweep(&mut self, stride: usize) {
-        let levels = self.tree.levels();
-        let ops = &self.ops;
-        let tree = &self.tree;
-        let lists = self
-            .plan
-            .as_ref()
-            .expect("plan refreshed in try_solve")
-            .lists();
+    fn downsweep(&mut self, levels: &[Vec<NodeId>], stride: usize) {
         let ch = self.kernel.channels();
-        let multipoles = &self.multipoles;
-        for lv in levels.iter() {
-            let locals = &self.locals;
-            let updates: Vec<(NodeId, Vec<f64>)> = lv
-                .par_iter()
-                .filter(|&&id| tree.node(id).count() > 0)
-                .map_init(
-                    || (Vec::new(), DerivScratch::default(), Vec::new()),
-                    |(pow, ds, tens), &id| {
+        // Taken out for the sweep so the level closures can borrow `self`.
+        let mut level_scratch = std::mem::take(&mut self.level_scratch);
+        for lv in levels {
+            let built = &mut level_scratch[..lv.len() * stride];
+            built.fill(0.0);
+            let (ops, tree, locals) = (&self.ops, &self.tree, &self.locals);
+            built
+                .par_chunks_mut(stride)
+                .zip(lv.par_iter())
+                .for_each_init(
+                    || (Vec::new(), DerivScratch::default()),
+                    |(pow, ds), (l, &id)| {
                         let node = tree.node(id);
-                        let mut l = vec![0.0; stride];
+                        if node.count() == 0 {
+                            return;
+                        }
                         if node.parent != NONE {
                             let p = node.parent as usize;
                             let src = &locals[p * stride..(p + 1) * stride];
-                            ops.l2l(
-                                src,
-                                node.center - tree.node(node.parent).center,
-                                &mut l,
-                                ch,
-                                pow,
-                            );
+                            let t = node.center - tree.node(node.parent).center;
+                            ops.l2l(src, t, l, ch, pow);
                         }
-                        for &b in &lists.m2l[id as usize] {
-                            let src = &multipoles[b as usize * stride..(b as usize + 1) * stride];
-                            ops.m2l(src, node.center - tree.node(b).center, &mut l, ch, ds, tens);
-                        }
-                        (id, l)
+                        self.m2l_into(id, l, ds);
                     },
-                )
-                .collect();
-            for (id, l) in updates {
-                let base = id as usize * stride;
-                self.locals[base..base + stride].copy_from_slice(&l);
+                );
+            copy_level(built, lv, stride, &mut self.locals);
+        }
+        self.level_scratch = level_scratch;
+    }
+
+    /// Accumulate node `id`'s whole M2L list into its local expansion
+    /// `local`, from the multipoles the last solve's upsweep left: the list
+    /// goes through [`ExpansionOps::m2l_batch`] in `chunks(M2L_LANES)`, in
+    /// list order — so the plan's lists alone fix the summation order.
+    /// The downsweep's inner loop, public so the perf lab can time it alone.
+    pub fn m2l_into(&self, id: NodeId, local: &mut [f64], scratch: &mut DerivScratch) {
+        let ch = self.kernel.channels();
+        let stride = ch * self.ops.nterms();
+        let center = self.tree.node(id).center;
+        for chunk in self.lists().m2l[id as usize].chunks(M2L_LANES) {
+            let mut src: [&[f64]; M2L_LANES] = [&[]; M2L_LANES];
+            let mut r = [Vec3::ZERO; M2L_LANES];
+            for (lane, &b) in chunk.iter().enumerate() {
+                src[lane] = &self.multipoles[b as usize * stride..(b as usize + 1) * stride];
+                r[lane] = center - self.tree.node(b).center;
             }
+            let k = chunk.len();
+            self.ops.m2l_batch(&src[..k], &r[..k], local, ch, scratch);
         }
     }
 
@@ -792,6 +807,14 @@ impl<K: Kernel> FmmEngine<K> {
                     kernel.p2p_tile(tgt, &mut out, src, b == id);
                 }
             });
+    }
+}
+
+/// Copy one level's freshly built expansions (`built`, one `stride` chunk
+/// per node of `lv`, in order) into their node-major slots of `arena`.
+fn copy_level(built: &[f64], lv: &[NodeId], stride: usize, arena: &mut [f64]) {
+    for (chunk, &id) in built.chunks(stride).zip(lv) {
+        arena[id as usize * stride..(id as usize + 1) * stride].copy_from_slice(chunk);
     }
 }
 

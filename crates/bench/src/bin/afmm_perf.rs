@@ -118,9 +118,11 @@ fn print_solve_ledger(report: &BenchReport) {
         100.0 * phases / wall
     );
     let model = solve.snapshot.get("cost_model");
-    for (name, unit, coeff) in [
-        ("p2p_ns_per_pair", "ns/pair", "c_cpu_pair"),
-        ("l2p_ns_per_body", "ns/body", "c_l2p"),
+    // (metric, unit, model coefficient in seconds, units per second)
+    for (name, unit, coeff, per_s) in [
+        ("p2p_ns_per_pair", "ns/pair", "c_cpu_pair", 1e9),
+        ("l2p_ns_per_body", "ns/body", "c_l2p", 1e9),
+        ("m2l_us_per_op", "us/op", "c_m2l", 1e6),
     ] {
         let (Some(host), Some(c)) = (
             median(name),
@@ -130,8 +132,8 @@ fn print_solve_ledger(report: &BenchReport) {
         };
         eprintln!(
             "#   {name:<16} {host:>10.2} {unit}  host | model {coeff} = {:.2} {unit}  (host/model {:.2})",
-            c * 1e9,
-            host / (c * 1e9)
+            c * per_s,
+            host / (c * per_s)
         );
     }
 }

@@ -250,6 +250,25 @@ fn near_field_probe(
     (per(p2p, pairs as f64), per(l2p, (L2P_PASSES * n) as f64))
 }
 
+/// Host cost of one M2L inside the batched far field: every node's list
+/// through [`FmmEngine::m2l_into`] — the downsweep's own inner loop, over the
+/// plan's real lists and the multipoles the last solve left — in samples of
+/// µs per list entry (tensor, transpose and tail padding included).
+fn m2l_probe(engine: &FmmEngine<GravityKernel>, warmup: usize, reps: usize) -> Vec<f64> {
+    use fmm_math::Kernel;
+    let nodes = engine.tree().visible_nodes();
+    let mut local = vec![0.0; engine.kernel.channels() * engine.expansion_ops().nterms()];
+    let mut scratch = fmm_math::DerivScratch::default();
+    let samples = sample(warmup, reps, || {
+        for &id in &nodes {
+            engine.m2l_into(id, &mut local, &mut scratch);
+        }
+    });
+    std::hint::black_box(&local);
+    let ops = engine.lists().num_m2l().max(1) as f64;
+    samples.iter().map(|s| s * 1e6 / ops).collect()
+}
+
 /// **solve_step** — one numeric FMM solve (gravity, Plummer sphere) plus
 /// the virtual-node timing of the same tree. The core "is the solver
 /// getting slower" scenario; its snapshot carries the full structural
@@ -259,8 +278,9 @@ fn near_field_probe(
 /// `downsweep_s` and `near_field_s` are the engine's own `solve.*` spans of
 /// the measured solves (informational; they sum to `wall_solve_s` up to the
 /// gather/scatter around them). By operator: `p2p_ns_per_pair` and
-/// `l2p_ns_per_body` from [`near_field_probe`], gated, so a near-field
-/// kernel regression is named rather than smeared over the whole solve.
+/// `l2p_ns_per_body` from [`near_field_probe`] and `m2l_us_per_op` from
+/// [`m2l_probe`], gated, so a kernel regression is named rather than smeared
+/// over the whole solve.
 fn solve_step(cfg: &SuiteConfig) -> Scenario {
     let s = 96;
     let b = nbody::plummer(cfg.n_solve, 1.0, 1.0, cfg.seed);
@@ -280,6 +300,7 @@ fn solve_step(cfg: &SuiteConfig) -> Scenario {
             .collect()
     };
     let (p2p_ns, l2p_ns) = near_field_probe(&engine, &b, cfg.warmup, cfg.reps);
+    let m2l_us = m2l_probe(&engine, cfg.warmup, cfg.reps);
 
     let node = HeteroNode::system_a(cfg.cores, cfg.gpus);
     let flops = crate::default_flops(&GravityKernel::default());
@@ -313,6 +334,7 @@ fn solve_step(cfg: &SuiteConfig) -> Scenario {
             Metric::wall("wall_solve_s", "s", samples, cfg.seed),
             Metric::wall("p2p_ns_per_pair", "ns", p2p_ns, cfg.seed),
             Metric::wall("l2p_ns_per_body", "ns", l2p_ns, cfg.seed),
+            Metric::wall("m2l_us_per_op", "us", m2l_us, cfg.seed),
             Metric::wall("upsweep_s", "s", phase("solve.upsweep"), cfg.seed).informational(),
             Metric::wall("downsweep_s", "s", phase("solve.downsweep"), cfg.seed).informational(),
             Metric::wall("near_field_s", "s", phase("solve.near_field"), cfg.seed).informational(),
@@ -822,14 +844,11 @@ fn memory_profile(cfg: &SuiteConfig) -> Scenario {
             patch_bytes_per_edit,
         ));
         metrics.push(Metric::virtual_point("rebuild_bytes", "B", rebuild_bytes));
-        metrics.push(
-            Metric::virtual_point(
-                "phase_alloc_bytes_per_step",
-                "B",
-                phase_sc.alloc_bytes as f64 / steps as f64,
-            )
-            .informational(),
-        );
+        metrics.push(Metric::virtual_point(
+            "phase_alloc_bytes_per_step",
+            "B",
+            phase_sc.alloc_bytes as f64 / steps as f64,
+        ));
         metrics.push(
             Metric::virtual_point(
                 "refresh_motion_bytes_per_step",

@@ -153,13 +153,14 @@ fn smoke_suite_runs_and_gates() {
     assert!(solve.snapshot.get("gpu").is_some());
     assert!(solve.snapshot.get("cost_model").is_some());
 
-    // The wall ledger: the two near-field operator costs gate, the phase
+    // The wall ledger: the three operator costs gate, the phase
     // walls inform, and the phases account for the solve — sample by
     // sample, all but the gather/scatter around them (2 %; the median
     // shrugs off a preemption landing in that sliver).
     for (name, gate) in [
         ("p2p_ns_per_pair", true),
         ("l2p_ns_per_body", true),
+        ("m2l_us_per_op", true),
         ("upsweep_s", false),
         ("downsweep_s", false),
         ("near_field_s", false),

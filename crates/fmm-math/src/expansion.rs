@@ -1,18 +1,26 @@
 use crate::multiindex::MultiIndexSet;
 use crate::powers::power_series;
-use crate::tensor::{deriv_1_over_r, DerivScratch};
+use crate::tensor::{DerivScratch, TensorProgram};
 use geom::Vec3;
+
+/// Sources one [`ExpansionOps::m2l_batch`] call evaluates side by side, one
+/// per lane. A constant, not a knob: eight `f64` lanes keep one `L_β`
+/// accumulator in four SSE2 registers (the baseline x86-64 the workspace
+/// builds for), and the lane count fixes the summation order.
+pub const M2L_LANES: usize = 8;
 
 /// Precomputed translation plans for expansions of a given order.
 ///
-/// Holds the [`MultiIndexSet`] plus the flattened index triples used by the
+/// Holds the [`MultiIndexSet`] plus the flattened index tables used by the
 /// kernel-independent translations:
 ///
 /// * `sub_triples`: all `(α, β, α−β)` with `β <= α` component-wise — the
 ///   binomial stencil shared by M2M and L2L;
-/// * `m2l_triples`: all `(α, β, α+β)` with `|α| + |β| <= p` — the
+/// * `m2l_pairs`: per `β`, all `(α, α+β)` with `|α| + |β| <= p` — the
 ///   total-order-truncated M2L contraction (the standard cartesian-FMM
-///   truncation; error stays `O((d/R)^{p+1})`).
+///   truncation; error stays `O((d/R)^{p+1})`), grouped so one `L_β`
+///   accumulates over its whole `α` list;
+/// * `tensor`: the derivative-tensor recurrence as a straight-line program.
 ///
 /// One `ExpansionOps` is built per solver and shared read-only by all worker
 /// threads; scratch buffers ([`DerivScratch`], power tables) live per thread.
@@ -20,7 +28,11 @@ use geom::Vec3;
 pub struct ExpansionOps {
     set: MultiIndexSet,
     sub_triples: Vec<(u32, u32, u32)>,
-    m2l_triples: Vec<(u32, u32, u32)>,
+    /// `(α, α+β)` of every M2L term, `β`-major, `α` ascending within a `β`.
+    m2l_pairs: Vec<(u16, u16)>,
+    /// `m2l_pairs[m2l_start[β]..m2l_start[β + 1]]` are the terms of `L_β`.
+    m2l_start: Vec<u32>,
+    tensor: TensorProgram,
     /// `(−1)^{|α|}` per flat index, used in the multipole-to-field formula.
     sign: Vec<f64>,
     /// Per axis `d`, every `(β, β − e_d)` with `β_d > 0`, ascending in `β`.
@@ -31,7 +43,6 @@ impl ExpansionOps {
     pub fn new(order: usize) -> Self {
         let set = MultiIndexSet::new(order);
         let mut sub_triples = Vec::new();
-        let mut m2l_triples = Vec::new();
         let mut peel = [Vec::new(), Vec::new(), Vec::new()];
         for (a, (ai, aj, ak)) in set.iter() {
             if ai > 0 {
@@ -53,17 +64,19 @@ impl ExpansionOps {
                     }
                 }
             }
-            // |α| + |β| <= p.
-            let na = ai + aj + ak;
-            for b in 0..set.len() {
-                if na + set.total_order(b) > order {
-                    continue;
-                }
-                let (bi, bj, bk) = set.tuple(b);
+        }
+        // |α| + |β| <= p: graded order makes the admissible α a prefix.
+        let mut m2l_pairs = Vec::new();
+        let mut m2l_start = Vec::with_capacity(set.len() + 1);
+        for (b, (bi, bj, bk)) in set.iter() {
+            m2l_start.push(m2l_pairs.len() as u32);
+            for a in 0..set.order_range(order - set.total_order(b)).end {
+                let (ai, aj, ak) = set.tuple(a);
                 let sum = set.idx(ai + bi, aj + bj, ak + bk);
-                m2l_triples.push((a as u32, b as u32, sum as u32));
+                m2l_pairs.push((a as u16, sum as u16));
             }
         }
+        m2l_start.push(m2l_pairs.len() as u32);
         let sign = (0..set.len())
             .map(|i| {
                 if set.total_order(i).is_multiple_of(2) {
@@ -73,10 +86,13 @@ impl ExpansionOps {
                 }
             })
             .collect();
+        let tensor = TensorProgram::new(&set);
         ExpansionOps {
             set,
             sub_triples,
-            m2l_triples,
+            m2l_pairs,
+            m2l_start,
+            tensor,
             sign,
             peel,
         }
@@ -162,12 +178,30 @@ impl ExpansionOps {
         }
     }
 
-    /// Multipole-to-local: `L_β += Σ_α (−1)^{|α|} M_α · ∂^{α+β}(1/r)(r)` with
-    /// `r = c_local − c_multipole`, truncated at `|α|+|β| <= p`.
+    /// The derivative tensor `∂^γ (1/|v|)`, `|γ| <= p`, at the `L`
+    /// displacements `r` at once: row `γ` of the result holds one value per
+    /// lane. Singular at `v = 0` (debug-asserted); callers guarantee
+    /// well-separatedness.
+    pub fn deriv_tensor<'s, const L: usize>(
+        &self,
+        r: &[Vec3; L],
+        scratch: &'s mut DerivScratch,
+    ) -> &'s [[f64; L]] {
+        let (table, _) = scratch.lanes::<L>(self.tensor.table_rows(), 0);
+        self.tensor.run(&lanes_of(r), table);
+        &table[..self.set.len()]
+    }
+
+    /// Multipole-to-local from one source: `L_β += Σ_α (−1)^{|α|} M_α ·
+    /// ∂^{α+β}(1/r)(r)` with `r = c_local − c_multipole`, truncated at
+    /// `|α|+|β| <= p`. The one-lane instance of [`Self::m2l_batch`]'s body;
+    /// `tensor_out` receives the derivative tensor.
     ///
-    /// One derivative tensor evaluation is shared across all `channels` —
-    /// which is exactly why the 7-channel Stokeslet kernel costs ~4× (not 7×)
-    /// the 1-channel gravity M2L.
+    /// One derivative tensor evaluation is shared across all `channels`, so
+    /// the 7-channel Stokeslet costs less than 7× the 1-channel gravity M2L:
+    /// measured at p = 6, 5.4× through this entry (6.2 / 1.14 µs) and 5.3×
+    /// per source in full batches (1.70 / 0.32 µs); [`Self::m2l_flops`], which
+    /// the virtual clock uses, puts it at 4.2×.
     pub fn m2l(
         &self,
         src_m: &[f64],
@@ -177,19 +211,81 @@ impl ExpansionOps {
         deriv_scratch: &mut DerivScratch,
         tensor_out: &mut Vec<f64>,
     ) {
+        let tensor = self.m2l_lanes::<1>(&[src_m], &[r], dst_l, channels, deriv_scratch);
+        tensor_out.clear();
+        tensor_out.extend(tensor.iter().map(|row| row[0]));
+    }
+
+    /// Multipole-to-local from up to [`M2L_LANES`] sources into one target,
+    /// evaluated side by side in structure-of-arrays lanes: `src_m[i]` is
+    /// source `i`'s expansion (`channels` stacked, stride [`Self::nterms`])
+    /// and `r[i] = c_local − c_multipole_i`.
+    ///
+    /// A short batch is padded with zero-multipole lanes, which contribute
+    /// exactly `+0.0`, so `k` sources give the same bits as those `k`
+    /// followed by explicit zero-multipole sources. The sum over the batch is
+    /// taken per `β` in fixed lane order: feeding a list through in
+    /// `chunks(M2L_LANES)` makes the list's order alone fix the result.
+    pub fn m2l_batch(
+        &self,
+        src_m: &[&[f64]],
+        r: &[Vec3],
+        dst_l: &mut [f64],
+        channels: usize,
+        scratch: &mut DerivScratch,
+    ) {
+        self.m2l_lanes::<M2L_LANES>(src_m, r, dst_l, channels, scratch);
+    }
+
+    /// The M2L body over `L` lanes, `1 <= src_m.len() <= L` of them live.
+    /// Returns the lanes' derivative tensors.
+    fn m2l_lanes<'s, const L: usize>(
+        &self,
+        src_m: &[&[f64]],
+        r: &[Vec3],
+        dst_l: &mut [f64],
+        channels: usize,
+        scratch: &'s mut DerivScratch,
+    ) -> &'s [[f64; L]] {
         let nt = self.set.len();
-        debug_assert_eq!(src_m.len(), channels * nt);
+        let live = src_m.len();
+        assert!((1..=L).contains(&live) && r.len() == live);
+        debug_assert!(src_m.iter().all(|m| m.len() == channels * nt));
         debug_assert_eq!(dst_l.len(), channels * nt);
-        tensor_out.resize(nt, 0.0);
-        deriv_1_over_r(r, &self.set, deriv_scratch, tensor_out);
+
+        // Padding lanes repeat the last displacement (any non-singular one
+        // does: their multipoles are zero).
+        let d: [Vec3; L] = std::array::from_fn(|lane| r[lane.min(live - 1)]);
+        let (table, ms) = scratch.lanes::<L>(self.tensor.table_rows(), nt);
+        self.tensor.run(&lanes_of(&d), table);
+        let tensor = &table[..nt];
+
+        // Padding lanes carry zero multipoles; the transposes below only
+        // ever write the live ones.
+        for row in ms.iter_mut() {
+            row[live..].fill(0.0);
+        }
         for c in 0..channels {
-            let src = &src_m[c * nt..(c + 1) * nt];
+            // Transpose the sources to ms[α][lane], (−1)^{|α|} folded in.
+            for (lane, src) in src_m.iter().enumerate() {
+                let src = &src[c * nt..(c + 1) * nt];
+                for ((row, &m), &sign) in ms.iter_mut().zip(src).zip(&self.sign) {
+                    row[lane] = sign * m;
+                }
+            }
             let dst = &mut dst_l[c * nt..(c + 1) * nt];
-            for &(a, b, sum) in &self.m2l_triples {
-                dst[b as usize] +=
-                    self.sign[a as usize] * src[a as usize] * tensor_out[sum as usize];
+            for (out, span) in dst.iter_mut().zip(self.m2l_start.windows(2)) {
+                let mut acc = [0.0; L];
+                for &(a, sum) in &self.m2l_pairs[span[0] as usize..span[1] as usize] {
+                    let (m, t) = (&ms[a as usize], &tensor[sum as usize]);
+                    for lane in 0..L {
+                        acc[lane] += m[lane] * t[lane];
+                    }
+                }
+                *out += acc[1..].iter().fold(acc[0], |sum, lane| sum + lane);
             }
         }
+        tensor
     }
 
     /// `(−1)^{|α|}` lookup (public for kernels that assemble their own
@@ -211,13 +307,18 @@ impl ExpansionOps {
     /// contraction.
     pub fn m2l_flops(&self, channels: usize) -> f64 {
         let tensor = 4 * (self.set.order() + 1) * self.set.len();
-        (tensor + 3 * self.m2l_triples.len() * channels) as f64
+        (tensor + 3 * self.m2l_pairs.len() * channels) as f64
     }
 
     /// Flops for P2M / L2P per body per channel-coefficient table.
     pub fn per_body_flops(&self, channels: usize) -> f64 {
         (2 * self.set.len() * (channels + 1)) as f64
     }
+}
+
+/// `d[axis][lane]` of `L` displacements.
+fn lanes_of<const L: usize>(r: &[Vec3; L]) -> [[f64; L]; 3] {
+    [r.map(|v| v.x), r.map(|v| v.y), r.map(|v| v.z)]
 }
 
 #[cfg(test)]
@@ -228,9 +329,10 @@ mod tests {
     /// multipole expansion directly (test helper).
     fn eval_multipole(ops: &ExpansionOps, m: &[f64], center: Vec3, x: Vec3) -> f64 {
         let mut scratch = DerivScratch::default();
-        let mut t = vec![0.0; ops.nterms()];
-        deriv_1_over_r(x - center, ops.set(), &mut scratch, &mut t);
-        (0..ops.nterms()).map(|a| ops.sign(a) * m[a] * t[a]).sum()
+        let t = ops.deriv_tensor(&[x - center], &mut scratch);
+        (0..ops.nterms())
+            .map(|a| ops.sign(a) * m[a] * t[a][0])
+            .sum()
     }
 
     /// Evaluate a local expansion Φ(x) = Σ_β L_β (x−c)^β/β! (test helper).

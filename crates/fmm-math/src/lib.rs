@@ -16,7 +16,7 @@
 //! |-----|----------|
 //! | P2M | [`Kernel::p2m_tile`] |
 //! | M2M | [`ExpansionOps::m2m`] (kernel-independent) |
-//! | M2L | [`ExpansionOps::m2l`] (kernel-independent, shares one tensor across channels) |
+//! | M2L | [`ExpansionOps::m2l_batch`]: [`M2L_LANES`] sources into one target, side by side in SoA lanes (kernel-independent, one lane tensor shared across channels); [`ExpansionOps::m2l`] is its one-source instance |
 //! | L2L | [`ExpansionOps::l2l`] (kernel-independent) |
 //! | L2P | [`Kernel::l2p_tile`] |
 //! | P2P | [`Kernel::p2p_tile`] |
@@ -24,6 +24,9 @@
 //! The three body-touching operators run on structure-of-arrays
 //! [`BodyTile`]s; [`Kernel::p2m`] / [`Kernel::l2p`] / [`Kernel::p2p`] are
 //! thin `&[Vec3]` adapters over the same implementations.
+//! M2L runs on structure-of-arrays *source lanes*: the derivative tensors
+//! and the sign-folded multipoles of a batch are rows of one value per
+//! source (DESIGN.md §5).
 //!
 //! Two kernels are provided: Newtonian [`GravityKernel`] (1 harmonic channel)
 //! and the regularized [`StokesletKernel`] of Cortez et al. (7 harmonic
@@ -40,11 +43,11 @@ mod stokeslet;
 mod tensor;
 mod tile;
 
-pub use expansion::ExpansionOps;
+pub use expansion::{ExpansionOps, M2L_LANES};
 pub use kernel::{Kernel, OpFlops};
 pub use laplace::GravityKernel;
 pub use multiindex::{nterms, MultiIndexSet};
 pub use powers::power_series;
 pub use stokeslet::{StokesletKernel, STOKESLET_CHANNELS};
-pub use tensor::{deriv_1_over_r, DerivScratch};
+pub use tensor::DerivScratch;
 pub use tile::{BodyTile, FieldTile, TILE_BLOCK};

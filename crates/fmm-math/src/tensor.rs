@@ -1,82 +1,171 @@
-use crate::multiindex::MultiIndexSet;
-use geom::Vec3;
+use crate::multiindex::{nterms, MultiIndexSet};
 
-/// Reusable scratch table for [`deriv_1_over_r`]: `(order+1) × nterms`
-/// auxiliary values of the McMurchie–Davidson recurrence. One per worker
-/// thread is enough; allocation happens once and is reused across M2L calls.
+/// Reusable per-worker scratch of the M2L kernel: the auxiliary table of
+/// the derivative-tensor recurrence and the transposed, sign-folded source
+/// multipoles, both as rows of `L` lanes (sized on first use, then reused).
 #[derive(Clone, Debug, Default)]
 pub struct DerivScratch {
     table: Vec<f64>,
+    ms: Vec<f64>,
 }
 
-/// Evaluate the full derivative tensor `out[γ] = ∂^γ (1/|v|)` at `v = dx`
-/// for all `|γ| <= set.order()`.
+impl DerivScratch {
+    /// The two buffers as `table_rows` / `ms_rows` rows of `L` lanes.
+    pub(crate) fn lanes<const L: usize>(
+        &mut self,
+        table_rows: usize,
+        ms_rows: usize,
+    ) -> (&mut [[f64; L]], &mut [[f64; L]]) {
+        self.table.resize(table_rows * L, 0.0);
+        self.ms.resize(ms_rows * L, 0.0);
+        (
+            self.table.as_chunks_mut::<L>().0,
+            self.ms.as_chunks_mut::<L>().0,
+        )
+    }
+}
+
+/// One step of the flattened recurrence:
+/// `t[dst] = d[axis] · t[lower] + coef · t[lower2]`.
+#[derive(Clone, Copy, Debug)]
+struct Step {
+    dst: u16,
+    lower: u16,
+    /// Row of the second term; any valid row when `coef` is 0.
+    lower2: u16,
+    axis: u8,
+    coef: f64,
+}
+
+/// The derivative tensor `∂^γ (1/|v|)`, `|γ| <= p`, as a straight-line
+/// program.
 ///
-/// Uses the McMurchie–Davidson auxiliary family
+/// It is the McMurchie–Davidson auxiliary family
 /// `R^m_0 = (−1)^m (2m−1)!! / r^{2m+1}` with the one-step recurrence
-/// `R^m_{γ+e_d} = γ_d · R^{m+1}_{γ−e_d} + dx_d · R^{m+1}_γ`, which costs O(1)
-/// per table entry — no symbolic polynomials, no cancellation-prone finite
-/// differences. `D^γ(1/r) = R^0_γ`.
-///
-/// Panics in debug builds when `dx` is the zero vector (the tensor is
-/// singular there); callers guarantee well-separatedness.
-pub fn deriv_1_over_r(dx: Vec3, set: &MultiIndexSet, scratch: &mut DerivScratch, out: &mut [f64]) {
-    let n_max = set.order();
-    let nt = set.len();
-    debug_assert_eq!(out.len(), nt);
-    let r2 = dx.norm_sq();
-    debug_assert!(r2 > 0.0, "derivative tensor evaluated at the origin");
+/// `R^m_{γ+e_d} = γ_d · R^{m+1}_{γ−e_d} + v_d · R^{m+1}_γ` (O(1) per entry,
+/// no symbolic polynomials, no cancellation-prone finite differences;
+/// `∂^γ(1/r) = R^0_γ`), with every index resolved at construction: one
+/// [`Step`] per entry, in dependency order. Auxiliary level `m` only ever
+/// feeds orders `<= p − m`, so its row block is the graded prefix of that
+/// length — `Σ_k nterms(k) = C(p+4, 4)` rows in all (210 at p = 6), level 0
+/// first, so the finished tensor is the table's first `nterms(p)` rows.
+#[derive(Clone, Debug)]
+pub(crate) struct TensorProgram {
+    /// First table row of each auxiliary level `m` (`order + 1` entries).
+    level_start: Vec<u16>,
+    steps: Vec<Step>,
+    table_rows: usize,
+}
 
-    scratch.table.resize((n_max + 1) * nt, 0.0);
-    let t = &mut scratch.table;
-
-    // Base cases R^m_000 = (-1)^m (2m-1)!! / r^(2m+1).
-    let inv_r2 = 1.0 / r2;
-    let mut base = inv_r2.sqrt(); // 1/r
-    let mut m_sign_dfact = 1.0; // (-1)^m (2m-1)!!
-    for m in 0..=n_max {
-        t[m * nt] = m_sign_dfact * base;
-        m_sign_dfact *= -((2 * m + 1) as f64);
-        base *= inv_r2;
+impl TensorProgram {
+    pub(crate) fn new(set: &MultiIndexSet) -> Self {
+        let p = set.order();
+        let mut level_start = Vec::with_capacity(p + 1);
+        let mut table_rows = 0usize;
+        for m in 0..=p {
+            level_start.push(table_rows as u16);
+            table_rows += nterms(p - m);
+        }
+        // MultiIndexSet caps the order at 30: C(34, 4) rows fit a u16.
+        assert!(table_rows <= usize::from(u16::MAX) + 1);
+        let mut steps = Vec::new();
+        // Total order n from orders n−1 and n−2 at auxiliary level m+1.
+        for n in 1..=p {
+            for idx in set.order_range(n) {
+                let (axis, lower) = set.peel(idx).expect("order >= 1 peels");
+                let (i, j, k) = set.tuple(idx);
+                let mut tt = [i, j, k];
+                let gd = tt[axis]; // exponent being incremented, >= 1
+                let lower2 = if gd >= 2 {
+                    tt[axis] -= 2;
+                    set.idx(tt[0], tt[1], tt[2])
+                } else {
+                    lower
+                };
+                for m in 0..=(p - n) {
+                    let hi = level_start[m + 1] as usize;
+                    steps.push(Step {
+                        dst: level_start[m] + idx as u16,
+                        lower: (hi + lower) as u16,
+                        lower2: (hi + lower2) as u16,
+                        axis: axis as u8,
+                        coef: (gd - 1) as f64,
+                    });
+                }
+            }
+        }
+        TensorProgram {
+            level_start,
+            steps,
+            table_rows,
+        }
     }
 
-    let d = [dx.x, dx.y, dx.z];
-    // Fill total order n from total order n-1 (at auxiliary index m+1).
-    for n in 1..=n_max {
-        for idx in set.order_range(n) {
-            let (axis, lower) = set.peel(idx).expect("order >= 1 peels");
-            let (i, j, k) = set.tuple(idx);
-            let gd = [i, j, k][axis]; // exponent being incremented, >= 1
-            let lower2 = if gd >= 2 {
-                let mut tt = [i, j, k];
-                tt[axis] -= 2;
-                Some(set.idx(tt[0], tt[1], tt[2]))
-            } else {
-                None
-            };
-            for m in 0..=(n_max - n) {
-                let hi = (m + 1) * nt;
-                let mut v = d[axis] * t[hi + lower];
-                if let Some(l2) = lower2 {
-                    v += (gd - 1) as f64 * t[hi + l2];
-                }
-                t[m * nt + idx] = v;
+    /// Rows the table needs.
+    pub(crate) fn table_rows(&self) -> usize {
+        self.table_rows
+    }
+
+    /// Run the program at `L` displacements at once (`d[axis][lane]`),
+    /// filling `table`; rows `..nterms(p)` are then `∂^γ(1/|v|)` per lane.
+    ///
+    /// Panics in debug builds when a displacement is the zero vector (the
+    /// tensor is singular there); callers guarantee well-separatedness.
+    pub(crate) fn run<const L: usize>(&self, d: &[[f64; L]; 3], table: &mut [[f64; L]]) {
+        assert_eq!(table.len(), self.table_rows);
+        // Base cases R^m_000 = (−1)^m (2m−1)!! / r^(2m+1).
+        let mut inv_r2 = [0.0; L];
+        let mut base = [0.0; L];
+        for lane in 0..L {
+            let r2 = d[0][lane] * d[0][lane] + d[1][lane] * d[1][lane] + d[2][lane] * d[2][lane];
+            debug_assert!(r2 > 0.0, "derivative tensor evaluated at the origin");
+            inv_r2[lane] = 1.0 / r2;
+            base[lane] = inv_r2[lane].sqrt();
+        }
+        let mut sign_dfact = 1.0; // (−1)^m (2m−1)!!
+        for (m, &row) in self.level_start.iter().enumerate() {
+            let out = &mut table[row as usize];
+            for lane in 0..L {
+                out[lane] = sign_dfact * base[lane];
+                base[lane] *= inv_r2[lane];
+            }
+            sign_dfact *= -((2 * m + 1) as f64);
+        }
+        for s in &self.steps {
+            let (lo, lo2) = (table[s.lower as usize], table[s.lower2 as usize]);
+            let dx = &d[s.axis as usize];
+            let out = &mut table[s.dst as usize];
+            for lane in 0..L {
+                out[lane] = dx[lane] * lo[lane] + s.coef * lo2[lane];
             }
         }
     }
-    out.copy_from_slice(&t[..nt]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geom::Vec3;
 
+    /// The one-lane instance of the program at `dx`.
     fn tensor_at(dx: Vec3, p: usize) -> (MultiIndexSet, Vec<f64>) {
         let set = MultiIndexSet::new(p);
+        let program = TensorProgram::new(&set);
         let mut scratch = DerivScratch::default();
-        let mut out = vec![0.0; set.len()];
-        deriv_1_over_r(dx, &set, &mut scratch, &mut out);
+        let (table, _) = scratch.lanes::<1>(program.table_rows(), 0);
+        program.run(&[[dx.x], [dx.y], [dx.z]], table);
+        let out = table[..set.len()].iter().map(|row| row[0]).collect();
         (set, out)
+    }
+
+    #[test]
+    fn table_is_compacted_to_graded_prefixes() {
+        // Σ_{k<=p} nterms(k) = C(p+4, 4) rows, one step per non-base row.
+        for (p, rows) in [(0usize, 1usize), (2, 15), (6, 210), (8, 495)] {
+            let program = TensorProgram::new(&MultiIndexSet::new(p));
+            assert_eq!(program.table_rows(), rows, "p={p}");
+            assert_eq!(program.steps.len(), rows - (p + 1), "p={p}");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! convergence, and kernel identities on random configurations.
 
 use fmm_math::{
-    deriv_1_over_r, power_series, DerivScratch, ExpansionOps, GravityKernel, Kernel,
-    StokesletKernel, STOKESLET_CHANNELS,
+    power_series, DerivScratch, ExpansionOps, GravityKernel, Kernel, StokesletKernel, M2L_LANES,
+    STOKESLET_CHANNELS,
 };
 use geom::Vec3;
 use proptest::prelude::*;
@@ -29,9 +29,10 @@ fn far_point() -> impl Strategy<Value = Vec3> {
 
 fn eval_multipole(ops: &ExpansionOps, m: &[f64], center: Vec3, x: Vec3) -> f64 {
     let mut scratch = DerivScratch::default();
-    let mut t = vec![0.0; ops.nterms()];
-    deriv_1_over_r(x - center, ops.set(), &mut scratch, &mut t);
-    (0..ops.nterms()).map(|a| ops.sign(a) * m[a] * t[a]).sum()
+    let t = ops.deriv_tensor(&[x - center], &mut scratch);
+    (0..ops.nterms())
+        .map(|a| ops.sign(a) * m[a] * t[a][0])
+        .sum()
 }
 
 proptest! {
@@ -94,23 +95,29 @@ proptest! {
     }
 
     /// The derivative tensor is homogeneous of degree -(|γ|+1) and flips
-    /// parity under negation, for random evaluation points.
+    /// parity under negation, in every lane of the tensor program, for
+    /// random evaluation points (a different one per lane).
     #[test]
-    fn tensor_homogeneity_and_parity(x in far_point(), s in 0.5f64..3.0) {
-        let set = fmm_math::MultiIndexSet::new(5);
+    fn tensor_homogeneity_and_parity(
+        xs in prop::collection::vec(far_point(), M2L_LANES..M2L_LANES + 1),
+        s in 0.5f64..3.0,
+    ) {
+        let ops = ExpansionOps::new(5);
+        let set = ops.set();
+        let x: [Vec3; M2L_LANES] = std::array::from_fn(|lane| xs[lane]);
         let mut scratch = DerivScratch::default();
-        let mut t1 = vec![0.0; set.len()];
-        let mut ts = vec![0.0; set.len()];
-        let mut tn = vec![0.0; set.len()];
-        deriv_1_over_r(x, &set, &mut scratch, &mut t1);
-        deriv_1_over_r(x * s, &set, &mut scratch, &mut ts);
-        deriv_1_over_r(-x, &set, &mut scratch, &mut tn);
+        let t1 = ops.deriv_tensor(&x, &mut scratch).to_vec();
+        let ts = ops.deriv_tensor(&x.map(|v| v * s), &mut scratch).to_vec();
+        let tn = ops.deriv_tensor(&x.map(|v| -v), &mut scratch).to_vec();
         for idx in 0..set.len() {
             let n = set.total_order(idx) as i32;
-            let hom = t1[idx] * s.powi(-(n + 1));
-            prop_assert!((ts[idx] - hom).abs() <= 1e-9 * hom.abs().max(1e-15));
-            let par = if n % 2 == 0 { t1[idx] } else { -t1[idx] };
-            prop_assert!((tn[idx] - par).abs() <= 1e-12 * t1[idx].abs().max(1e-15));
+            for lane in 0..M2L_LANES {
+                let t = t1[idx][lane];
+                let hom = t * s.powi(-(n + 1));
+                prop_assert!((ts[idx][lane] - hom).abs() <= 1e-9 * hom.abs().max(1e-15));
+                let par = if n % 2 == 0 { t } else { -t };
+                prop_assert!((tn[idx][lane] - par).abs() <= 1e-12 * t.abs().max(1e-15));
+            }
         }
     }
 

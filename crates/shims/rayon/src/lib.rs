@@ -3,7 +3,8 @@
 //!
 //! The build environment cannot reach crates.io, so the workspace vendors
 //! the surface it needs: `par_iter()` pipelines (`filter`, `map`,
-//! `map_init`, `collect`) and `par_sort_unstable()`. Everything the AFMM
+//! `map_init`, `zip`, `collect`), `par_chunks_mut()` and
+//! `par_sort_unstable()`. Everything the AFMM
 //! reproduction *measures* comes from the virtual-node models (`sched-sim`,
 //! `gpu-sim`), never from host wall-clock parallelism, so sequential
 //! execution changes no observable result — solves are bit-identical
@@ -45,6 +46,11 @@ pub mod iter {
             let mut scratch = init();
             let out: Vec<R> = self.0.map(|x| f(&mut scratch, x)).collect();
             ParIter(out.into_iter())
+        }
+
+        /// rayon's indexed `zip`: pair up two equally long pipelines.
+        pub fn zip<J: Iterator>(self, other: ParIter<J>) -> ParIter<std::iter::Zip<I, J>> {
+            ParIter(self.0.zip(other.0))
         }
 
         pub fn for_each<F>(self, f: F)
@@ -138,37 +144,46 @@ pub mod iter {
 }
 
 pub mod slice {
-    /// rayon's parallel in-place slice sorts, sequentially.
+    use crate::iter::ParIter;
+
+    /// rayon's parallel in-place slice sorts and mutable chunking,
+    /// sequentially.
     pub trait ParallelSliceMut<T> {
-        fn as_mut_slice_for_sort(&mut self) -> &mut [T];
+        fn as_parallel_slice_mut(&mut self) -> &mut [T];
+
+        /// Disjoint `&mut` chunks of `chunk_size` elements (the last may be
+        /// shorter), as a pipeline.
+        fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<std::slice::ChunksMut<'_, T>> {
+            ParIter(self.as_parallel_slice_mut().chunks_mut(chunk_size))
+        }
 
         fn par_sort_unstable(&mut self)
         where
             T: Ord,
         {
-            self.as_mut_slice_for_sort().sort_unstable()
+            self.as_parallel_slice_mut().sort_unstable()
         }
 
         fn par_sort_unstable_by_key<K: Ord, F: FnMut(&T) -> K>(&mut self, key: F)
         where
             T: Ord,
         {
-            self.as_mut_slice_for_sort().sort_unstable_by_key(key)
+            self.as_parallel_slice_mut().sort_unstable_by_key(key)
         }
 
         fn par_sort_by<F: FnMut(&T, &T) -> std::cmp::Ordering>(&mut self, cmp: F) {
-            self.as_mut_slice_for_sort().sort_by(cmp)
+            self.as_parallel_slice_mut().sort_by(cmp)
         }
     }
 
     impl<T> ParallelSliceMut<T> for [T] {
-        fn as_mut_slice_for_sort(&mut self) -> &mut [T] {
+        fn as_parallel_slice_mut(&mut self) -> &mut [T] {
             self
         }
     }
 
     impl<T> ParallelSliceMut<T> for Vec<T> {
-        fn as_mut_slice_for_sort(&mut self) -> &mut [T] {
+        fn as_parallel_slice_mut(&mut self) -> &mut [T] {
             self.as_mut_slice()
         }
     }
@@ -217,6 +232,16 @@ mod tests {
         // One worker: scratch grows across elements, init ran once.
         assert_eq!(out, vec![1, 2, 3, 4]);
         assert_eq!(inits, 1);
+    }
+
+    #[test]
+    fn chunks_zip_writes_disjoint_windows() {
+        let ids = vec![3usize, 1, 2];
+        let mut buf = vec![0usize; 6];
+        buf.par_chunks_mut(2)
+            .zip(ids.par_iter())
+            .for_each(|(chunk, &id)| chunk.fill(id));
+        assert_eq!(buf, vec![3, 3, 1, 1, 2, 2]);
     }
 
     #[test]

@@ -205,3 +205,76 @@ fn field_error_within_pinned_tolerances() {
         );
     }
 }
+
+/// Bit pattern of a whole solution, for exact comparison.
+fn solution_bits(sol: &afmm::FmmSolution) -> Vec<u64> {
+    sol.pot
+        .iter()
+        .copied()
+        .chain(sol.field.iter().flat_map(|v| [v.x, v.y, v.z]))
+        .map(f64::to_bits)
+        .collect()
+}
+
+/// The far field runs each M2L list through the lane kernel in chunks, in
+/// list order, so the plan's lists alone fix every sum. Checked where the
+/// far field is ≈ 90 % of the result (S = 16): a repeated solve and a
+/// checkpoint → restore → solve (which carries the lists verbatim) are
+/// bit-equal to the first solve; a plan patched through collapses and
+/// push-downs holds the fresh traversal's lists as multisets, not in order,
+/// so against a rebuilt plan on the same tree the agreement is a tolerance.
+fn far_field_is_a_function_of_the_lists<K: Kernel + Copy>(
+    kernel: K,
+    b: &nbody::Bodies,
+    strength: &[f64],
+) {
+    let mut e = FmmEngine::new(kernel, FmmParams::default(), &b.pos, 16);
+    let first = solution_bits(&e.solve(&b.pos, strength));
+    assert_eq!(solution_bits(&e.solve(&b.pos, strength)), first, "repeat");
+
+    let text = afmm::checkpoint::engine_to_json(&e.checkpoint_state());
+    let snap = afmm::checkpoint::engine_from_json(&text).expect("own checkpoint parses");
+    let mut resumed = FmmEngine::restore_state(kernel, snap).expect("own checkpoint restores");
+    assert_eq!(
+        solution_bits(&resumed.solve(&b.pos, strength)),
+        first,
+        "resume"
+    );
+
+    // Collapse every other twig, then split the leaves that left over
+    // capacity: edits routed through the live plan.
+    let twigs: Vec<_> = (e.tree().visible_nodes().into_iter())
+        .filter(|&id| {
+            let n = e.tree().node(id);
+            !n.is_leaf() && (e.tree().visible_children(id)).all(|c| e.tree().node(c).is_leaf())
+        })
+        .step_by(2)
+        .collect();
+    assert!(e.has_live_plan() && twigs.len() > 8);
+    for id in twigs {
+        assert!(e.apply_collapse(id));
+    }
+    let (outcome, patched) = e.enforce_s();
+    assert!(patched && outcome.pushdowns > 0);
+    let on_patched = e.solve(&b.pos, strength);
+    let _ = e.tree_mut(); // plan goes stale: the next solve re-traverses
+    let on_fresh = e.solve(&b.pos, strength);
+    for i in 0..b.len() {
+        let (dp, df) = (
+            (on_patched.pot[i] - on_fresh.pot[i]).abs(),
+            (on_patched.field[i] - on_fresh.field[i]).norm(),
+        );
+        assert!(
+            dp <= 1e-12 * on_fresh.pot[i].abs() && df <= 1e-12 * on_fresh.field[i].norm(),
+            "body {i}: pot off by {dp:e}, field by {df:e}"
+        );
+    }
+}
+
+#[test]
+fn far_field_is_a_function_of_the_lists_for_both_kernels() {
+    let b = nbody::plummer(800, 1.0, 1.0, 1011);
+    far_field_is_a_function_of_the_lists(GravityKernel::default(), &b, &b.mass);
+    let f = nbody::random_unit_forces(b.len(), 1012);
+    far_field_is_a_function_of_the_lists(StokesletKernel::new(1e-3, 1.0), &b, &f);
+}
