@@ -317,7 +317,7 @@ impl LoadBalancer {
         self.regress_count = 0;
         // The provenance event the replay validator pairs with the enforce
         // that follows: every Observation-state Enforce_S must be preceded
-        // by a regression (or anomaly) signal in the same step.
+        // by an `lb.regression` in the same step.
         self.recorder().event(
             "lb.regression",
             vec![

@@ -174,7 +174,7 @@ pub fn build_task_graph(
 /// As [`build_task_graph`], with control over whether the per-body P2M/L2P
 /// work stays in the CPU DAG (`include_pl = false` models the §VIII.E
 /// offload).
-pub fn build_task_graph_with(
+fn build_task_graph_with(
     tree: &Octree,
     lists: &InteractionLists,
     flops: &OpFlops,
@@ -296,21 +296,10 @@ pub fn time_step_policy(
     time_step_impl(tree, lists, None, flops, node, policy)
 }
 
-/// As [`time_step`], but consuming a pre-built (plan-cached) GPU job list
-/// instead of re-deriving it from the lists. The jobs must correspond to the
-/// given tree + lists (the `ExecutionPlan` maintains that invariant).
-pub fn time_step_with_jobs(
-    tree: &Octree,
-    lists: &InteractionLists,
-    jobs: &[P2pJob],
-    flops: &OpFlops,
-    node: &HeteroNode,
-) -> Result<TimingReport, Error> {
-    time_step_impl(tree, lists, Some(jobs), flops, node, ExecPolicy::default())
-}
-
-/// As [`time_step_with_jobs`], under an explicit execution policy — the
-/// entry point [`crate::FmmEngine::time_step`] routes through.
+/// As [`time_step_policy`], but consuming a pre-built (plan-cached) GPU job
+/// list instead of re-deriving it from the lists — the entry point
+/// [`crate::FmmEngine::time_step`] routes through. The jobs must correspond
+/// to the given tree + lists (the `ExecutionPlan` maintains that invariant).
 pub fn time_step_with_jobs_policy(
     tree: &Octree,
     lists: &InteractionLists,

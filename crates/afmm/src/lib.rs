@@ -36,7 +36,6 @@
 //! ```
 
 mod balance;
-pub mod calibration;
 pub mod chaos;
 pub mod checkpoint;
 mod config;
@@ -54,7 +53,6 @@ pub use balance::{
     fine_grained_optimize, lbtime, search_best_s_cpu_only, BalancerSnapshot, FgoOutcome, LbConfig,
     LbReport, LbState, LoadBalancer, Strategy,
 };
-pub use calibration::{CalibrationCell, CalibrationKey, CalibrationStore};
 pub use chaos::{ChaosEvent, ChaosPlan, TimedChaos};
 pub use checkpoint::{EngineSnapshot, TrackerSnapshot, SCHEMA_VERSION};
 pub use config::{CpuSpec, FmmParams, HeteroNode};
@@ -62,8 +60,8 @@ pub use cost::{CostModel, Prediction};
 pub use engine::{FmmEngine, FmmSolution};
 pub use error::Error;
 pub use exec::{
-    build_gpu_jobs, build_task_graph, build_task_graph_with, record_phase_spans, time_step,
-    time_step_policy, time_step_with_jobs, time_step_with_jobs_policy, ExecPolicy, TimingReport,
+    build_gpu_jobs, build_task_graph, record_phase_spans, time_step, time_step_policy,
+    time_step_with_jobs_policy, ExecPolicy, TimingReport,
 };
 pub use filter::{FilterSnapshot, TimingFilter};
 pub use plan::ExecutionPlan;

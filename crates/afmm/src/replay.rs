@@ -21,8 +21,8 @@
 //! |                        | or `step.record.state` ≠ state at step start     |
 //! | `recovery_cause`       | Recovery without device-count change evidence    |
 //! | `s_bounds`             | S outside `[s_min, s_max]` from `run.config`     |
-//! | `enforce_provenance`   | Observation-state enforce with no recorded       |
-//! |                        | regression/anomaly signal                        |
+//! | `enforce_provenance`   | Observation-state enforce not preceded by an     |
+//! |                        | `lb.regression` in the same step                 |
 //! | `audit_drift`          | audited prediction error beyond tolerance        |
 //! | `phase_reconciliation` | per-step `phase.*` span durations do not sum to  |
 //! |                        | the step's reported scheduler makespan           |
@@ -62,9 +62,6 @@ pub struct ValidateOptions {
     /// already alarms at far lower error; this invariant catches corrupt
     /// traces and runaway models, not modeling noise.
     pub audit_tolerance: f64,
-    /// How many steps back an `anomaly.*` event still counts as provenance
-    /// for an Observation-state enforce.
-    pub anomaly_window: u64,
     /// Maximum tolerated relative gap between a step's summed CPU-side
     /// `phase.*` span durations and its reported scheduler makespan
     /// (`step.record.t_sched`). The attributed spans undershoot by the
@@ -79,7 +76,6 @@ impl Default for ValidateOptions {
     fn default() -> Self {
         ValidateOptions {
             audit_tolerance: 10.0,
-            anomaly_window: 3,
             phase_tolerance: DEFAULT_PHASE_TOLERANCE,
         }
     }
@@ -216,9 +212,8 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
     // Resync the reconstruction at the next stateful record instead of
     // reporting the jump as a continuity violation.
     let mut resync = false;
-    // Most recent lb.regression / anomaly.* seen, as (step, seq).
+    // Most recent lb.regression seen, as (step, seq).
     let mut last_regression: Option<(u64, u64)> = None;
-    let mut last_anomaly: Option<(u64, u64)> = None;
     // CPU-side phase.* span durations accumulated within the current step
     // (phase spans precede their step's step.record in emission order).
     let mut phase_sum = 0.0f64;
@@ -396,17 +391,13 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
                         last_regression,
                         Some((s, q)) if s == r.step && q < r.seq
                     );
-                    let anom_ok = matches!(
-                        last_anomaly,
-                        Some((s, _)) if r.step.saturating_sub(s) <= opts.anomaly_window
-                    );
-                    if !reg_ok && !anom_ok {
+                    if !reg_ok {
                         out.push(Violation {
                             invariant: "enforce_provenance",
                             seq: r.seq,
                             step: r.step,
-                            detail: "observation-state enforce with no regression or \
-                                     anomaly signal"
+                            detail: "observation-state enforce with no lb.regression \
+                                     before it in the same step"
                                 .into(),
                         });
                     }
@@ -439,7 +430,6 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
                     }
                 }
             }
-            name if name.starts_with("anomaly.") => last_anomaly = Some((r.step, r.seq)),
             _ => {}
         }
     }
@@ -721,6 +711,25 @@ mod tests {
             v.iter().any(|x| x.invariant == "enforce_provenance"),
             "{v:?}"
         );
+        // Keep seq monotone after an insert.
+        let resequence = |recs: &mut Vec<EventRecord>| {
+            for (i, r) in recs.iter_mut().enumerate() {
+                r.seq = i as u64;
+            }
+        };
+        // An `anomaly.step_time` event two steps earlier (traces recorded
+        // while the online detector existed carry them) is not provenance.
+        let mut with_anomaly = recs.clone();
+        with_anomaly.insert(
+            1,
+            event(0, 0, "anomaly.step_time", vec![("score", Value::F64(9.0))]),
+        );
+        resequence(&mut with_anomaly);
+        let v = validate_trace(&with_anomaly, &ValidateOptions::default());
+        assert!(
+            v.iter().any(|x| x.invariant == "enforce_provenance"),
+            "{v:?}"
+        );
         // Adding the regression signal ahead of it makes the trace legal.
         recs.insert(
             5,
@@ -735,10 +744,7 @@ mod tests {
                 ],
             ),
         );
-        // Re-sequence to keep seq monotone after the insert.
-        for (i, r) in recs.iter_mut().enumerate() {
-            r.seq = i as u64;
-        }
+        resequence(&mut recs);
         let v = validate_trace(&recs, &ValidateOptions::default());
         assert!(v.is_empty(), "unexpected violations: {v:?}");
     }

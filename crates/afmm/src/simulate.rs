@@ -138,12 +138,6 @@ pub struct StrategyTracker<K: Kernel> {
     rec: telemetry::Recorder,
     /// Rolling prediction-vs-actual audit of the cost model (tentpole §3).
     audits: telemetry::AuditTrail,
-    /// Online anomaly detector over step time and prediction error.
-    /// Observe-only: it never feeds back into the balancer, and it is only
-    /// consulted when the recorder is enabled.
-    detector: telemetry::AnomalyDetector,
-    /// Anomalies detected so far, with the step they fired on.
-    anomalies: Vec<(usize, telemetry::Anomaly)>,
 }
 
 impl<K: Kernel> StrategyTracker<K> {
@@ -179,8 +173,6 @@ impl<K: Kernel> StrategyTracker<K> {
             filter_gpu: TimingFilter::default(),
             rec: telemetry::Recorder::disabled(),
             audits: telemetry::AuditTrail::new(),
-            detector: telemetry::AnomalyDetector::new(),
-            anomalies: Vec::new(),
         }
     }
 
@@ -247,12 +239,6 @@ impl<K: Kernel> StrategyTracker<K> {
     /// The rolling prediction-vs-actual audit trail.
     pub fn audits(&self) -> &telemetry::AuditTrail {
         &self.audits
-    }
-
-    /// Anomalies the online detector has flagged so far, with the step each
-    /// fired on. Empty unless the tracker runs with an enabled recorder.
-    pub fn anomalies(&self) -> &[(usize, telemetry::Anomaly)] {
-        &self.anomalies
     }
 
     /// Install the fault schedule; events fire at the start of the step
@@ -365,10 +351,8 @@ impl<K: Kernel> StrategyTracker<K> {
             self.filter_gpu.reset();
         }
         t_lb += rep.lb_time;
-        let mut audit_rel_error = None;
         if let Some(pred) = predicted {
             let audit = pred.audit(step_idx as u64, &timing, acted);
-            audit_rel_error = Some(audit.rel_error());
             if self.rec.is_enabled() {
                 self.rec.event(
                     "audit.prediction",
@@ -384,28 +368,6 @@ impl<K: Kernel> StrategyTracker<K> {
             self.audits.push(audit);
         }
         if self.rec.is_enabled() {
-            // Online anomaly detection, observe-only. A step on which the
-            // balancer acted moved the timing level on purpose, so the
-            // baseline is void (the same rule the TimingFilter applies);
-            // otherwise both monitored series get this step's sample.
-            if acted {
-                self.detector.reset();
-            } else {
-                let mut found = Vec::new();
-                if let Some(a) = self.detector.observe_step_time(t_cpu.max(t_gpu)) {
-                    found.push(a);
-                }
-                if let Some(rel) = audit_rel_error {
-                    if let Some(a) = self.detector.observe_pred_error(rel) {
-                        found.push(a);
-                    }
-                }
-                for a in found {
-                    self.rec.event(a.channel.event_name(), a.fields());
-                    self.rec.counter_add("anomaly.count", 1);
-                    self.anomalies.push((step_idx, a));
-                }
-            }
             crate::exec::record_phase_spans(&self.rec, &counts, &self.flops, &self.node, &timing);
             if let Some(gpu) = timing.gpu.as_ref() {
                 gpu.record_metrics(&self.rec);
@@ -518,8 +480,8 @@ impl<K: Kernel> StrategyTracker<K> {
     /// A restored tracker continues **bit-identically** with the run it was
     /// captured from: interaction lists come back verbatim, the noise RNG
     /// state and filter windows are exact, and all floats round-trip by bit
-    /// pattern. Telemetry (recorder, audits, anomaly detector) restarts
-    /// fresh — it observes the trajectory but never feeds back into it.
+    /// pattern. Telemetry (recorder, audits) restarts fresh — it observes
+    /// the trajectory but never feeds back into it.
     /// The [`crate::ExecPolicy`] is configuration too, and *does* feed
     /// back (it decides which device P2M/L2P are timed on): the restored
     /// engine starts from the default, so a caller that ran under another
@@ -570,8 +532,6 @@ impl<K: Kernel> StrategyTracker<K> {
             filter_gpu: TimingFilter::from_snapshot(snap.filter_gpu),
             rec: telemetry::Recorder::disabled(),
             audits: telemetry::AuditTrail::new(),
-            detector: telemetry::AnomalyDetector::new(),
-            anomalies: Vec::new(),
         };
         Ok((tracker, snap.pos))
     }

@@ -7,10 +7,9 @@
 //! afmm-perf compare <old.json> <new.json>         classify deltas; exit 1 on regression
 //! afmm-perf compare --against-ledger K <new.json> gate vs rolling median of last K runs
 //! afmm-perf baseline [--full] [-o path]           refresh bench/baseline.json
-//! afmm-perf record <report.json>                  append a run to the ledger + calibration
+//! afmm-perf record <report.json>                  append a run to the ledger
 //! afmm-perf history [--quick|--full|--smoke]      per-metric series with median/MAD bands
 //! afmm-perf trend [--quick|--full|--smoke]        step/drift/spike classification
-//! afmm-perf calibration                           dump the cost-model calibration table
 //! ```
 //!
 //! Exit codes follow `afmm-trace`: 0 = ok, 1 = statistically significant
@@ -24,9 +23,8 @@
 //!
 //! The ledger (`bench/ledger.jsonl`, or `$BENCH_OUT_DIR/ledger.jsonl` when
 //! that is set) is append-only JSONL, one entry per recorded run, keyed
-//! into series by `(host fingerprint, suite mode)`; the calibration store
-//! (`bench/calibration.jsonl`) aggregates each run's realized cost-model
-//! coefficients into per-(host, ⌊log₂N⌋, device-mix, S) running means.
+//! into series by `(host fingerprint, suite mode)`; each entry carries the
+//! run's cost-model coefficients and prediction-audit stats.
 
 use std::process::ExitCode;
 
@@ -43,22 +41,20 @@ use bench::harness::{
 };
 use telemetry::json::Json;
 
-const USAGE: &str = "usage: afmm-perf <run|compare|baseline|record|history|trend|calibration> [...]
+const USAGE: &str = "usage: afmm-perf <run|compare|baseline|record|history|trend> [...]
   run [--quick|--smoke] [-o out.json]   run the suite, write a BenchReport JSON
   compare <old.json> <new.json>         noise-aware comparison; exit 1 on regression
   compare --against-ledger K <new.json> [--ledger path]
                                         gate vs the rolling median of the last K
                                         same-host, same-mode ledger entries
   baseline [--full] [-o path]           run the suite and refresh the checked-in baseline
-  record <report.json> [--ledger path] [--calibration path] [--time unix_s]
-                                        append the run to the perf ledger and fold its
-                                        cost coefficients into the calibration store
+  record <report.json> [--ledger path] [--time unix_s]
+                                        append the run to the perf ledger
   history [--quick|--full|--smoke] [--host key] [--ledger path]
                                         print per-metric series with median/MAD bands
   trend [--quick|--full|--smoke] [--host key] [--ledger path]
                                         classify each gated series (step/drift/spike);
-                                        exit 1 on a confirmed gated step regression
-  calibration [--calibration path]      dump the cost-model calibration table";
+                                        exit 1 on a confirmed gated step regression";
 
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
     eprintln!("afmm-perf: {msg}");
@@ -77,16 +73,11 @@ fn main() -> ExitCode {
         "record" => cmd_record(&args[1..]),
         "history" => cmd_history(&args[1..]),
         "trend" => cmd_trend(&args[1..]),
-        "calibration" => cmd_calibration(&args[1..]),
         other => fail(format!("unknown subcommand \"{other}\"\n{USAGE}")),
     }
 }
 
 fn run_and_render(cfg: &SuiteConfig) -> BenchReport {
-    eprintln!(
-        "# afmm-perf: {} suite ({} scenarios pending, reps={}, warmup={})",
-        cfg.mode, 7, cfg.reps, cfg.warmup
-    );
     let report = run_suite(cfg, &mut |line| eprintln!("# {line}"));
     print_solve_ledger(&report);
     report
@@ -167,14 +158,6 @@ fn default_ledger_path() -> std::path::PathBuf {
     match std::env::var_os("BENCH_OUT_DIR") {
         Some(d) if !d.is_empty() => bench::out_path("ledger.jsonl"),
         _ => workspace_path("bench/ledger.jsonl"),
-    }
-}
-
-/// Default calibration-store location, routed like the ledger.
-fn default_calibration_path() -> std::path::PathBuf {
-    match std::env::var_os("BENCH_OUT_DIR") {
-        Some(d) if !d.is_empty() => bench::out_path("calibration.jsonl"),
-        _ => workspace_path("bench/calibration.jsonl"),
     }
 }
 
@@ -342,68 +325,8 @@ fn cmd_baseline(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Rebuild a `CostModel` from the coefficient table a `solve_step`
-/// snapshot carries. `None` when the snapshot has no coefficients (e.g. a
-/// report from a suite that skipped the scenario).
-fn cost_model_from_json(v: &Json) -> Option<afmm::CostModel> {
-    let mut m = afmm::CostModel::new();
-    let num = |k: &str| v.get(k).and_then(Json::as_f64);
-    m.c_p2m = num("c_p2m")?;
-    m.c_m2m = num("c_m2m")?;
-    m.c_m2l = num("c_m2l")?;
-    m.c_l2l = num("c_l2l")?;
-    m.c_l2p = num("c_l2p")?;
-    m.c_cpu_pair = num("c_cpu_pair")?;
-    m.c_node = num("c_node")?;
-    m.c_gpu_pair = num("c_gpu_pair")?;
-    m.parallel_rate = num("parallel_rate")?;
-    m.set_observed(v.get("observed").and_then(Json::as_bool).unwrap_or(true));
-    Some(m)
-}
-
-/// Fold one recorded run into the calibration store: the realized
-/// coefficients from `solve_step`, keyed by that scenario's (N, mix, S),
-/// with the prediction-audit stats from `balancer_convergence` attached.
-fn update_calibration(
-    path: &std::path::Path,
-    report: &BenchReport,
-    entry: &LedgerEntry,
-) -> Result<Option<afmm::CalibrationKey>, String> {
-    let Some(model) = cost_model_from_json(&entry.cost_model) else {
-        return Ok(None);
-    };
-    let Some(solve) = report.scenario("solve_step") else {
-        return Ok(None);
-    };
-    let p = |k: &str| solve.params.get(k).and_then(Json::as_u64);
-    let (Some(n), Some(s)) = (p("n"), p("s")) else {
-        return Ok(None);
-    };
-    let (cores, gpus) = (p("cores").unwrap_or(0), p("gpus").unwrap_or(0));
-    let key = afmm::CalibrationKey::new(
-        &entry.host_key,
-        n as usize,
-        cores as usize,
-        gpus as usize,
-        s,
-    );
-    let audit = if entry.audit == Json::Null {
-        None
-    } else {
-        telemetry::AuditStats::from_json(&entry.audit.to_json()).ok()
-    };
-    let (mut store, warnings) = afmm::CalibrationStore::load(path)?;
-    for w in warnings {
-        eprintln!("# warning: {}: {w}", path.display());
-    }
-    store.observe(key.clone(), &model, audit.as_ref());
-    store.save(path)?;
-    Ok(Some(key))
-}
-
 fn cmd_record(args: &[String]) -> ExitCode {
     let mut ledger_path = default_ledger_path();
-    let mut calibration_path = default_calibration_path();
     let mut unix_s: Option<u64> = None;
     let mut report_path: Option<&String> = None;
     let mut it = args.iter();
@@ -412,10 +335,6 @@ fn cmd_record(args: &[String]) -> ExitCode {
             "--ledger" => match it.next() {
                 Some(p) => ledger_path = std::path::PathBuf::from(p),
                 None => return fail("--ledger requires a path"),
-            },
-            "--calibration" => match it.next() {
-                Some(p) => calibration_path = std::path::PathBuf::from(p),
-                None => return fail("--calibration requires a path"),
             },
             "--time" => match it.next().and_then(|t| t.parse::<u64>().ok()) {
                 Some(t) => unix_s = Some(t),
@@ -449,18 +368,6 @@ fn cmd_record(args: &[String]) -> ExitCode {
         &entry.commit[..entry.commit.len().min(12)],
         ledger_path.display()
     );
-    match update_calibration(&calibration_path, &report, &entry) {
-        Ok(Some(key)) => eprintln!(
-            "# calibration cell {} N=2^{} {} S={} updated -> {}",
-            key.host,
-            key.n_bucket,
-            key.mix,
-            key.s,
-            calibration_path.display()
-        ),
-        Ok(None) => eprintln!("# no cost-model snapshot in report; calibration store untouched"),
-        Err(e) => return fail(e),
-    }
     ExitCode::SUCCESS
 }
 
@@ -571,28 +478,5 @@ fn cmd_trend(args: &[String]) -> ExitCode {
         return ExitCode::from(1);
     }
     eprintln!("# OK: no confirmed gated step regressions");
-    ExitCode::SUCCESS
-}
-
-fn cmd_calibration(args: &[String]) -> ExitCode {
-    let mut path = default_calibration_path();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--calibration" => match it.next() {
-                Some(p) => path = std::path::PathBuf::from(p),
-                None => return fail("--calibration requires a path"),
-            },
-            other => return fail(format!("unexpected argument \"{other}\"\n{USAGE}")),
-        }
-    }
-    let (store, warnings) = match afmm::CalibrationStore::load(&path) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    for w in warnings {
-        eprintln!("# warning: {}: {w}", path.display());
-    }
-    print!("{}", store.render());
     ExitCode::SUCCESS
 }

@@ -139,11 +139,6 @@ fn cmd_summary(args: &[String]) -> ExitCode {
             );
         }
     }
-    let anomalies = records
-        .iter()
-        .filter(|r| r.name.starts_with("anomaly."))
-        .count();
-    println!("anomalies: {anomalies}");
     ExitCode::SUCCESS
 }
 

@@ -10,8 +10,7 @@
 //! noise-aware comparator ([`compare`]) classifies deltas against a
 //! checked-in baseline, and every result carries a structural snapshot
 //! ([`snapshot`]) so a perf delta can be *attributed* instead of guessed
-//! at. The `afmm-perf` binary is the driver; `plan_patch_vs_rebuild` and
-//! `telemetry_report` are thin wrappers over the same building blocks.
+//! at. The `afmm-perf` binary is the driver.
 //!
 //! The pairwise gate is extended longitudinally by the perf [`ledger`]: an
 //! append-only JSONL history of run summaries keyed by `(host, mode)`
@@ -32,6 +31,6 @@ pub use ledger::{
     TrendRow, LEDGER_SCHEMA_VERSION,
 };
 pub use report::{BenchReport, Direction, Metric, MetricKind, Scenario, SCHEMA_VERSION};
-pub use scenarios::{measure_plan_economy, run_suite, twigs, PlanEconomy, SuiteConfig};
+pub use scenarios::{run_suite, SuiteConfig};
 pub use snapshot::{gather, SnapshotParts};
 pub use stats::{bootstrap_ci_median, mad, median, summarize, MetricStats};

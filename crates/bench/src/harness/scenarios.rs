@@ -133,6 +133,13 @@ pub fn run_suite(cfg: &SuiteConfig, progress: &mut dyn FnMut(&str)) -> BenchRepo
         ("balancer_faults", balancer_faults),
         ("memory_profile", memory_profile),
     ];
+    progress(&format!(
+        "{} suite: {} scenarios pending, reps={}, warmup={}",
+        cfg.mode,
+        runners.len(),
+        cfg.reps,
+        cfg.warmup
+    ));
     let mut scenarios = Vec::with_capacity(runners.len());
     for (name, run) in runners {
         progress(&format!("running {name} ..."));
@@ -346,21 +353,20 @@ fn solve_step(cfg: &SuiteConfig) -> Scenario {
     }
 }
 
-/// Result of one plan-economy measurement at a fixed S — shared with the
-/// legacy `plan_patch_vs_rebuild` bin, which sweeps it over S values.
-pub struct PlanEconomy {
+/// Result of one plan-economy measurement at a fixed S.
+struct PlanEconomy {
     /// One full `dual_traversal` + `count_ops` pass, microseconds.
-    pub rebuild_us: f64,
+    rebuild_us: f64,
     /// One plan-routed collapse or push-down, microseconds.
-    pub patch_us_per_edit: f64,
+    patch_us_per_edit: f64,
     /// Edits applied (collapse + reverting push-down per twig).
-    pub edits: usize,
+    edits: usize,
 }
 
 /// Internal non-root nodes whose visible children are all leaves — the
 /// edit sites a capacity sweep actually touches, and whose hidden children
 /// let `push_down` revert the collapse exactly.
-pub fn twigs(tree: &Octree, limit: usize) -> Vec<NodeId> {
+fn twigs(tree: &Octree, limit: usize) -> Vec<NodeId> {
     tree.visible_nodes()
         .into_iter()
         .filter(|&id| {
@@ -374,7 +380,7 @@ pub fn twigs(tree: &Octree, limit: usize) -> Vec<NodeId> {
 
 /// Measure rebuild-vs-patch once on `tree` (left structurally unchanged:
 /// every collapse is reverted by its push-down).
-pub fn measure_plan_economy(tree: &mut Octree, mac: Mac, max_edits: usize) -> PlanEconomy {
+fn measure_plan_economy(tree: &mut Octree, mac: Mac, max_edits: usize) -> PlanEconomy {
     let (rebuild_s, _) = wall(|| {
         let lists = dual_traversal(tree, mac);
         count_ops(tree, &lists)
@@ -585,6 +591,7 @@ fn balancer_convergence(cfg: &SuiteConfig) -> Scenario {
             Metric::virtual_point("virtual_total_lb_s", "s", summary.total_lb),
             Metric::virtual_point("settle_step", "step", settle as f64),
             Metric::virtual_point("final_s", "bodies", s_final as f64).informational(),
+            Metric::virtual_point("audit_median_err", "rel", audit.median),
         ],
         snapshot,
     }

@@ -42,7 +42,7 @@ pub struct SnapshotParts<'a> {
     pub metrics_json: Option<String>,
     /// Cost-model prediction audit summary
     /// ([`telemetry::AuditTrail::stats`]) from a tracked run — the realized
-    /// predict-vs-observe error the calibration store aggregates.
+    /// predict-vs-observe error.
     pub audit: Option<telemetry::AuditStats>,
     /// Structural heap footprint of the scenario's live structures.
     pub mem: Option<MemFootprint>,

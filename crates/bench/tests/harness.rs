@@ -183,6 +183,14 @@ fn smoke_suite_runs_and_gates() {
     let frac = summarize(&accounted, 11).median;
     assert!((0.98..=1.0).contains(&frac), "phases cover {frac} of solve");
 
+    // The cost-model drift gate: the audit median is a gated row, and it is
+    // the number the snapshot carries.
+    let balance = report.scenario("balancer_convergence").unwrap();
+    let drift = balance.metric("audit_median_err").expect("drift row");
+    assert!(drift.gate);
+    let snap_median = balance.snapshot.get("audit").and_then(|a| a.get("median"));
+    assert_eq!(snap_median.and_then(Json::as_f64), Some(drift.stats.median));
+
     // Round trip.
     let text = report.to_json();
     assert!(Json::parse(text.trim_end()).is_ok());

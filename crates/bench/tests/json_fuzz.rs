@@ -7,10 +7,9 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use afmm::calibration::{CalibrationKey, CalibrationStore};
 use afmm::checkpoint::{engine_from_json, engine_to_json, tracker_from_json, tracker_to_json};
 use afmm::{
-    CostModel, FaultEvent, FaultSchedule, FmmEngine, FmmParams, HeteroNode, LbConfig, Strategy,
+    FaultEvent, FaultSchedule, FmmEngine, FmmParams, HeteroNode, LbConfig, Strategy,
     StrategyTracker,
 };
 use bench::harness::{BenchReport, LedgerEntry, Metric, Scenario, SCHEMA_VERSION};
@@ -184,17 +183,6 @@ fn report() -> BenchReport {
     }
 }
 
-fn calibration_line() -> String {
-    let mut store = CalibrationStore::new();
-    let key = CalibrationKey::new("linux-x86_64-16c", 12_000, 10, 4, 96);
-    store.observe(key, &CostModel::new(), None);
-    let path = temp_file("calib-seed");
-    store.save(&path).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
-    text.trim_end().to_string()
-}
-
 fn temp_file(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("afmm-json-fuzz-{tag}-{}", std::process::id()))
 }
@@ -205,7 +193,6 @@ fn mutated_artifacts_never_panic_and_rewrite_to_readable_text() {
     let tracker = tracker_text();
     let report_text = report().to_json();
     let ledger_line = LedgerEntry::from_report(&report(), 1_700_000_000).to_json();
-    let calibration = calibration_line();
     let trace_line = EventRecord {
         seq: 7,
         step: 3,
@@ -263,22 +250,6 @@ fn mutated_artifacts_never_panic_and_rewrite_to_readable_text() {
             |t| LedgerEntry::from_json_warn(t).ok().map(|(e, _)| e),
             LedgerEntry::to_json,
         );
-        // The calibration store reads a file of lines and skips the bad
-        // ones, so its cases travel together: one file, one line per case.
-        let mut rng = StdRng::seed_from_u64(6);
-        let lines: Vec<String> = (0..CASES).map(|_| mutate(&calibration, &mut rng)).collect();
-        let path = temp_file("calib-cases");
-        std::fs::write(&path, lines.join("\n")).unwrap();
-        let (store, _warnings) = CalibrationStore::load(&path).unwrap();
-        assert!(
-            !store.is_empty(),
-            "no mutated calibration line was accepted"
-        );
-        store.save(&path).unwrap();
-        let (again, warnings) = CalibrationStore::load(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(again.len(), store.len());
-        assert!(warnings.is_empty(), "{warnings:?}");
     });
 }
 

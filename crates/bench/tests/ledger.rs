@@ -206,8 +206,6 @@ fn binary_exit_code_contract() {
     let dir = temp_dir("bin");
     let ledger = dir.join("ledger.jsonl");
     let ledger_s = ledger.to_str().unwrap();
-    let calib = dir.join("calibration.jsonl");
-    let calib_s = calib.to_str().unwrap();
     let report_path = dir.join("r.json");
     write_report(&report_path, &synthetic_report("c000", 1.0));
     let report_s = report_path.to_str().unwrap();
@@ -248,8 +246,6 @@ fn binary_exit_code_contract() {
             p.to_str().unwrap(),
             "--ledger",
             ledger_s,
-            "--calibration",
-            calib_s,
             "--time",
             &format!("{}", 1_700_000_000 + i as u64 * 86_400),
         ]);
@@ -339,8 +335,6 @@ fn binary_exit_code_contract() {
             head.to_str().unwrap(),
             "--ledger",
             old_s,
-            "--calibration",
-            calib_s,
             "--time",
             t,
         ]);
@@ -357,18 +351,11 @@ fn binary_exit_code_contract() {
     assert_eq!(code, 0, "stdout:\n{out}\nstderr:\n{err}");
     assert!(!err.contains("warning") && !err.contains("error"), "{err}");
 
-    // Calibration dump → 0. The synthetic reports carry no cost-model
-    // snapshot, so the store stayed empty but readable.
-    let (code, out, _) = afmm_perf(&["calibration", "--calibration", calib_s]);
-    assert_eq!(code, 0);
-    assert!(out.contains("0 cells"), "{out}");
-
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One real smoke-suite pass through the binary: run → record twice →
-/// against-ledger compare of the same report must be clean, and the
-/// calibration store must hold the realized solve_step cell.
+/// against-ledger compare of the same report must be clean.
 #[test]
 fn binary_smoke_suite_end_to_end() {
     let dir = temp_dir("e2e");
@@ -376,25 +363,13 @@ fn binary_smoke_suite_end_to_end() {
     let report_s = report.to_str().unwrap();
     let ledger = dir.join("ledger.jsonl");
     let ledger_s = ledger.to_str().unwrap();
-    let calib = dir.join("calibration.jsonl");
-    let calib_s = calib.to_str().unwrap();
 
     let (code, _, err) = afmm_perf(&["run", "--smoke", "-o", report_s]);
     assert_eq!(code, 0, "{err}");
 
     for t in ["1700000000", "1700086400"] {
-        let (code, _, err) = afmm_perf(&[
-            "record",
-            report_s,
-            "--ledger",
-            ledger_s,
-            "--calibration",
-            calib_s,
-            "--time",
-            t,
-        ]);
+        let (code, _, err) = afmm_perf(&["record", report_s, "--ledger", ledger_s, "--time", t]);
         assert_eq!(code, 0, "{err}");
-        assert!(err.contains("calibration cell"), "{err}");
     }
 
     let (code, out, err) = afmm_perf(&[
@@ -411,12 +386,6 @@ fn binary_smoke_suite_end_to_end() {
         "{err}"
     );
     assert!(!out.contains("REGRESSED"), "{out}");
-
-    let (code, out, _) = afmm_perf(&["calibration", "--calibration", calib_s]);
-    assert_eq!(code, 0);
-    assert!(out.contains("1 cell"), "{out}");
-    assert!(out.contains("c_m2l"), "{out}");
-    assert!(out.contains("2 runs"), "{out}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

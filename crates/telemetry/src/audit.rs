@@ -172,9 +172,9 @@ pub struct AuditStats {
 
 impl AuditStats {
     /// Parse the flat object [`AuditStats::to_json`] writes. Unknown fields
-    /// are ignored (forward compatibility: the calibration store reads
-    /// stats written by possibly newer binaries); missing fields default to
-    /// zero the same way an empty window does.
+    /// are ignored (forward compatibility: the stats may have been written
+    /// by a newer binary); missing fields default to zero the same way an
+    /// empty window does.
     pub fn from_json(line: &str) -> Result<Self, String> {
         let fields = crate::trace::parse_flat_json(line)?;
         let num = |k: &str| crate::trace::flat_f64(&fields, k).unwrap_or(0.0);

@@ -28,7 +28,6 @@
 //! assert_eq!(rec.metrics().counter("plan.rebuild"), Some(1));
 //! ```
 
-mod anomaly;
 mod audit;
 mod event;
 pub mod json;
@@ -36,11 +35,8 @@ pub mod memprof;
 mod metrics;
 mod recorder;
 mod trace;
+mod trend;
 
-pub use anomaly::{
-    classify_series, Anomaly, AnomalyChannel, AnomalyConfig, AnomalyDetector, AnomalyKind,
-    Severity, TrendConfig, TrendKind, TrendReport,
-};
 pub use audit::{AuditStats, AuditTrail, PredictionAudit, DEFAULT_WINDOW};
 pub use event::{push_json_f64, push_json_str, EventRecord, RecordKind, Value};
 #[cfg(feature = "memprof")]
@@ -52,3 +48,4 @@ pub use trace::{
     flat_f64, flat_str, flat_u64, intern, parse_flat_json, read_trace, ChromeTraceExporter,
     TraceError, TraceReader,
 };
+pub use trend::{classify_series, TrendConfig, TrendKind, TrendReport};

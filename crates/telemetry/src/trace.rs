@@ -149,8 +149,9 @@ impl EventRecord {
 /// its key/value pairs, preserving order.
 ///
 /// This is the shared reader for every flat JSONL artifact in the repo that
-/// is not an event record — audit-stat summaries, calibration-store cells —
-/// so they all accept exactly the grammar the canonical encoders emit.
+/// is not an event record — audit-stat summaries, the repo benchmark's
+/// result lines — so they all accept exactly the grammar the canonical
+/// encoders emit.
 /// Unknown keys are the caller's business (they are returned, not rejected),
 /// which is what makes the artifacts forward-compatible: a newer writer can
 /// add fields without breaking an older reader. Nested objects/arrays are
@@ -266,15 +267,14 @@ const PHASE_TRACKS: [(&str, u32); 6] = [
 ];
 const TID_SOLVE: u32 = 7;
 const TID_LB_EVENTS: u32 = 1;
-const TID_ANOMALY: u32 = 2;
 
 /// Exports a parsed trace as Chrome `trace_event` JSON (the "JSON Array
 /// Format" object flavor: `{"traceEvents": [...]}`), with
 ///
 /// * one track per FMM phase (P2M/M2M/M2L/L2L/L2P/P2P) plus a solve track,
 /// * one track per GPU device (from per-launch `gpu.util` events),
-/// * instant events for the balancer flight record (`lb.*`) and anomaly
-///   detector (`anomaly.*`), and an `S` counter track.
+/// * instant events for the balancer flight record (`lb.*` and any other
+///   unclaimed event name) and an `S` counter track.
 ///
 /// Records carry a logical `step` clock rather than wall time, so the
 /// exporter synthesizes a timeline: each step occupies a slot wide enough
@@ -364,12 +364,7 @@ impl ChromeTraceExporter {
                         } else if r.name == "mem.peak" || r.name == "mem.scope" {
                             self.push_mem_counter(r, base_us);
                         } else {
-                            let tid = if r.name.starts_with("anomaly.") {
-                                TID_ANOMALY
-                            } else {
-                                TID_LB_EVENTS
-                            };
-                            self.push_instant(r, PID_LB, tid, base_us);
+                            self.push_instant(r, PID_LB, TID_LB_EVENTS, base_us);
                         }
                     }
                 }
@@ -397,7 +392,6 @@ impl ChromeTraceExporter {
         self.push_meta_thread(PID_PHASES, TID_SOLVE, "solve");
         self.push_meta_process(PID_LB, "load balancer");
         self.push_meta_thread(PID_LB, TID_LB_EVENTS, "flight record");
-        self.push_meta_thread(PID_LB, TID_ANOMALY, "anomalies");
         let mut devices: Vec<u64> = records
             .iter()
             .filter(|r| r.name == "gpu.util")

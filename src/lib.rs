@@ -65,7 +65,7 @@ pub mod prelude {
     pub use octree::{build_adaptive, build_uniform, BuildParams, Mac, Octree};
     pub use sched_sim::{MemoryModel, SimConfig, TaskGraph};
     pub use telemetry::{
-        AnomalyDetector, AuditTrail, ChromeTraceExporter, EventRecord, JsonlSink, MetricsRegistry,
-        PredictionAudit, Recorder, TraceReader, Value, VecSink,
+        AuditTrail, ChromeTraceExporter, EventRecord, JsonlSink, MetricsRegistry, PredictionAudit,
+        Recorder, TraceReader, Value, VecSink,
     };
 }

@@ -183,3 +183,38 @@ fn fgo_disabled_config_never_runs_fgo() {
         assert_eq!(rep.fgo_rounds, 0, "FGO must stay off");
     }
 }
+
+/// The cost model's absolute fidelity bound (paper §IV.D): on the perf
+/// lab's `balancer_convergence` quick workload the median relative error of
+/// predict-vs-observe stays under 25 % (it reads ≈ 2.6 %; the perf lab's
+/// `audit_median_err` row gates its drift).
+#[test]
+fn prediction_audit_median_within_bound_on_convergence_workload() {
+    let setup = nbody::collapsing_plummer(6000, 1.0, 10);
+    let mut tracker = StrategyTracker::with_telemetry(
+        GravityKernel::default(),
+        FmmParams::default(),
+        HeteroNode::system_a(10, 4),
+        Strategy::Full,
+        LbConfig::default(),
+        &setup.bodies.pos,
+        Some((setup.domain_center, setup.domain_half_width)),
+        Recorder::enabled(),
+    );
+    let clump = Vec3::new(0.4, 0.4, 0.4) * setup.domain_half_width;
+    let mut pos = setup.bodies.pos.clone();
+    for step in 0..24 {
+        tracker.step(&pos).unwrap();
+        if step < 12 {
+            for p in &mut pos {
+                *p = *p + (clump - *p) * 0.05;
+            }
+        }
+    }
+    let stats = tracker.audits().stats();
+    assert!(stats.count > 0, "no audits recorded");
+    for v in [stats.mean, stats.median, stats.p90, stats.max] {
+        assert!(v.is_finite(), "{stats:?}");
+    }
+    assert!(stats.median <= 0.25, "{stats:?}");
+}

@@ -169,83 +169,6 @@ fn recover_event_restores_capacity() {
     );
 }
 
-/// Telemetry-enabled variant of [`tracker`] for anomaly-attribution tests:
-/// same configuration, but the online detector is live and every event goes
-/// to the returned recorder.
-fn telemetry_tracker(
-    node: HeteroNode,
-    strategy: afmm::Strategy,
-    pos: &[Vec3],
-) -> (StrategyTracker<GravityKernel>, Recorder) {
-    let rec = Recorder::enabled();
-    let t = StrategyTracker::with_telemetry(
-        GravityKernel::default(),
-        FmmParams::default(),
-        node,
-        strategy,
-        LbConfig {
-            eps_switch_s: 2e-3,
-            ..Default::default()
-        },
-        pos,
-        None,
-        rec.clone(),
-    );
-    (t, rec)
-}
-
-/// Count of `anomaly.*` events in the recorder's ring buffer.
-fn anomaly_events(rec: &Recorder) -> usize {
-    rec.events_named("anomaly.step_time").len() + rec.events_named("anomaly.pred_error").len()
-}
-
-/// A GPU dropout at step k must be *attributed* — an `anomaly.*` event by
-/// step k+3 — not just silently absorbed by the recovery path.
-#[test]
-fn gpu_dropout_flagged_within_three_steps() {
-    let b = nbody::plummer(6000, 1.0, 1.0, 7001);
-    let (mut t, rec) = telemetry_tracker(HeteroNode::system_a(10, 2), afmm::Strategy::Full, &b.pos);
-    let fault_step = 45;
-    let mut sched = FaultSchedule::new();
-    sched.push(fault_step, FaultEvent::GpuDropout { device: 1 });
-    t.set_fault_schedule(sched);
-    for _ in 0..fault_step + 10 {
-        t.step(&b.pos).unwrap();
-    }
-    let anomalies = t.anomalies();
-    assert!(
-        !anomalies.is_empty(),
-        "dropout produced no anomaly at all in {} steps",
-        fault_step + 10
-    );
-    let first = anomalies[0].0;
-    assert!(
-        (fault_step..=fault_step + 3).contains(&first),
-        "first anomaly at step {first}, expected within 3 steps of the fault at {fault_step}"
-    );
-    assert!(
-        anomaly_events(&rec) >= anomalies.len(),
-        "every detected anomaly must also land in the event trace"
-    );
-}
-
-/// The detector's false-positive contract: a fault-free run on a static
-/// workload emits zero `anomaly.*` events.
-#[test]
-fn clean_run_emits_zero_anomaly_events() {
-    let b = nbody::plummer(6000, 1.0, 1.0, 7001);
-    let (mut t, rec) = telemetry_tracker(HeteroNode::system_a(10, 2), afmm::Strategy::Full, &b.pos);
-    for _ in 0..80 {
-        t.step(&b.pos).unwrap();
-    }
-    assert!(
-        t.anomalies().is_empty(),
-        "clean run flagged anomalies: {:?}",
-        t.anomalies()
-    );
-    assert_eq!(anomaly_events(&rec), 0);
-}
-
 fn arb_times(max_n: usize) -> impl PropStrategy<Value = Vec<f64>> {
     prop::collection::vec(1e-6f64..10.0, 1..max_n)
 }
