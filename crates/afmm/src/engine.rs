@@ -115,10 +115,12 @@ impl FieldBuffers {
 /// P2P) over it.
 ///
 /// The engine separates *physics* from *clock*: [`FmmEngine::solve`]
-/// computes exact (to expansion order) interactions on the host with rayon
-/// data parallelism, while the `exec` module derives the virtual
+/// computes exact (to expansion order) interactions on the host's cores —
+/// one fork-join per level per sweep and one for the near field, through
+/// rayon's `par_*` API — while the `exec` module derives the virtual
 /// heterogeneous-node times for the same tree + interaction lists. The
-/// numbers the load balancer reacts to come from the latter.
+/// numbers the load balancer reacts to come from the latter; the solution's
+/// bits do not depend on how many workers computed it.
 ///
 /// Far-field execution is level-synchronous: each level's nodes are
 /// processed in parallel (disjoint writes), levels deep→shallow for the

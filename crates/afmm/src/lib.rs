@@ -5,9 +5,11 @@
 //!
 //! The crate wires the workspace's substrates together:
 //!
-//! * [`FmmEngine`] — the AFMM solver (exact physics, rayon data
-//!   parallelism) over the adaptive octree of the `octree` crate and the
-//!   cartesian expansions of `fmm-math`;
+//! * [`FmmEngine`] — the AFMM solver (exact physics; the sweeps' levels
+//!   and the near field's leaves run on the host's cores through rayon's
+//!   data-parallel API, with bits that do not depend on the worker count)
+//!   over the adaptive octree of the `octree` crate and the cartesian
+//!   expansions of `fmm-math`;
 //! * [`exec`] — virtual-node timing: the far-field work becomes the paper's
 //!   recursive task DAG scheduled on `sched-sim`'s cores, and the near-field
 //!   work becomes all-pairs kernels on `gpu-sim`'s devices;

@@ -280,7 +280,9 @@ fn main() {
     };
     let mut args = bench::cli::Args::from_vec("afmm-mem", USAGE, raw[1..].to_vec());
     let n = args.opt_usize_or_exit("n", 2000);
-    let code = match cmd.as_str() {
+    // Allocation scopes are per thread: measure the width-1 schedule, like
+    // the `memory_profile` scenario.
+    let code = bench::one_worker(|| match cmd.as_str() {
         "report" => {
             let steps = args.opt_usize_or_exit("steps", 8);
             args.finish_or_exit();
@@ -299,6 +301,6 @@ fn main() {
             eprintln!("afmm-mem: unknown subcommand \"{other}\"\nusage: afmm-mem {USAGE}");
             std::process::exit(2);
         }
-    };
+    });
     std::process::exit(code);
 }

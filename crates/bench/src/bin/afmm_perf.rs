@@ -83,10 +83,12 @@ fn run_and_render(cfg: &SuiteConfig) -> BenchReport {
     report
 }
 
-/// The `solve_step` wall ledger: phase walls against the whole solve, and
-/// the host's measured near-field operator costs beside the cost model's
-/// coefficients for the same operators (virtual core-time per application),
-/// so model-vs-host skew per op is visible at a glance.
+/// The `solve_step` wall ledger: phase walls against the whole solve, the
+/// host's measured speedup over one worker beside the scheduler model's
+/// `parallel_rate` for the same task graph, and the host's measured operator
+/// costs beside the cost model's coefficients for the same operators (both
+/// per core: virtual core-time per application, probes on one thread), so
+/// model-vs-host skew is visible at a glance.
 fn print_solve_ledger(report: &BenchReport) {
     let Some(solve) = report.scenario("solve_step") else {
         return;
@@ -108,6 +110,23 @@ fn print_solve_ledger(report: &BenchReport) {
         "phases total",
         100.0 * phases / wall
     );
+    if let (Some(one), Some(speedup), Some(rate)) = (
+        median("wall_solve_1w_s"),
+        median("host_speedup"),
+        median("model_parallel_rate"),
+    ) {
+        let cpus = report
+            .host
+            .get("cpus")
+            .and_then(Json::as_f64)
+            .unwrap_or(1.0);
+        eprintln!(
+            "#   {:<16} {speedup:>10.2} x      host, {cpus} workers (one worker: {one:.4} s) | model parallel_rate = {rate:.2} cores  (host/model {:.2})",
+            "host_speedup",
+            speedup / rate
+        );
+    }
+    eprintln!("# per core, host against cost model:");
     let model = solve.snapshot.get("cost_model");
     // (metric, unit, model coefficient in seconds, units per second)
     for (name, unit, coeff, per_s) in [

@@ -287,7 +287,14 @@ fn m2l_probe(engine: &FmmEngine<GravityKernel>, warmup: usize, reps: usize) -> V
 /// gather/scatter around them). By operator: `p2p_ns_per_pair` and
 /// `l2p_ns_per_body` from [`near_field_probe`] and `m2l_us_per_op` from
 /// [`m2l_probe`], gated, so a kernel regression is named rather than smeared
-/// over the whole solve.
+/// over the whole solve. The probes call the kernels on this thread, so they
+/// read per core on any host.
+///
+/// `wall_solve_s` runs at the host's width. `wall_solve_1w_s` is the same
+/// solve on one worker, `host_speedup` their per-repetition ratio, and
+/// `model_parallel_rate` what `sched-sim` gives the same plan's task graph on
+/// that many cores and no GPU — the Fig 6 model beside a real run. All three
+/// inform; they vary with the host's core count.
 fn solve_step(cfg: &SuiteConfig) -> Scenario {
     let s = 96;
     let b = nbody::plummer(cfg.n_solve, 1.0, 1.0, cfg.seed);
@@ -298,6 +305,18 @@ fn solve_step(cfg: &SuiteConfig) -> Scenario {
         std::hint::black_box(engine.solve(&b.pos, &b.mass));
     });
     engine.set_recorder(telemetry::Recorder::disabled());
+    // The same solve on one worker, after the recorder is off so the phase
+    // spans below stay the default-width ones.
+    let samples_1w = crate::one_worker(|| {
+        sample(cfg.warmup, cfg.reps, || {
+            std::hint::black_box(engine.solve(&b.pos, &b.mass));
+        })
+    });
+    let speedup: Vec<f64> = samples_1w
+        .iter()
+        .zip(&samples)
+        .map(|(w1, wk)| w1 / wk)
+        .collect();
     // One span per solve, warmups first: the last `reps` are the measured ones.
     let phase = |name: &str| -> Vec<f64> {
         let spans = rec.events_named(name);
@@ -317,6 +336,13 @@ fn solve_step(cfg: &SuiteConfig) -> Scenario {
     let counts = engine.counts();
     let mut cost = CostModel::new();
     cost.observe(&counts, &timing, &flops, &node);
+    // What the scheduler model says this plan's task graph gains on as many
+    // cores as the host solve just used, every operation on the CPU.
+    let host_like = HeteroNode::system_a(rayon::current_num_threads(), 0);
+    let model_rate = engine
+        .time_step(&flops, &host_like)
+        .expect("healthy virtual node")
+        .parallel_rate();
 
     let snapshot = gather(&SnapshotParts {
         tree: Some(engine.tree()),
@@ -345,6 +371,13 @@ fn solve_step(cfg: &SuiteConfig) -> Scenario {
             Metric::wall("upsweep_s", "s", phase("solve.upsweep"), cfg.seed).informational(),
             Metric::wall("downsweep_s", "s", phase("solve.downsweep"), cfg.seed).informational(),
             Metric::wall("near_field_s", "s", phase("solve.near_field"), cfg.seed).informational(),
+            Metric::wall("wall_solve_1w_s", "s", samples_1w, cfg.seed).informational(),
+            Metric::wall("host_speedup", "x", speedup, cfg.seed)
+                .higher_is_better()
+                .informational(),
+            Metric::virtual_point("model_parallel_rate", "cores", model_rate)
+                .higher_is_better()
+                .informational(),
             Metric::virtual_point("virtual_compute_s", "s", timing.compute()),
             Metric::virtual_point("virtual_cpu_s", "s", timing.t_cpu),
             Metric::virtual_point("virtual_gpu_s", "s", timing.t_gpu),
@@ -722,8 +755,8 @@ fn balancer_faults(cfg: &SuiteConfig) -> Scenario {
 /// bytes) are emitted only when the counting `GlobalAlloc` wrapper is
 /// installed (`memprof` feature + `#[global_allocator]` in the bin) —
 /// without it they are omitted and `afmm-perf compare` skips them. They are
-/// exact `virtual`-kind points: the workload is sequential and seeded, so
-/// the counts are bit-for-bit reproducible on one host and any change is a
+/// exact `virtual`-kind points: the workload is seeded and runs on one
+/// worker, so the counts are bit-for-bit reproducible and any change is a
 /// real allocation-behavior change. The hard invariant is
 /// `steady_gate_allocs == 0`: a warm cached-plan step performs zero heap
 /// allocations inside the `rebin` and `plan.refresh` scopes. The gate
@@ -735,7 +768,15 @@ fn balancer_faults(cfg: &SuiteConfig) -> Scenario {
 ///
 /// Structural footprint metrics come from the `heap_bytes()` family and
 /// work with or without the feature.
+///
+/// The whole scenario runs on [`crate::one_worker`]: allocation scopes are
+/// per thread, so only the width-1 schedule gives counts that are the same
+/// on every host.
 fn memory_profile(cfg: &SuiteConfig) -> Scenario {
+    crate::one_worker(|| memory_profile_one_worker(cfg))
+}
+
+fn memory_profile_one_worker(cfg: &SuiteConfig) -> Scenario {
     use telemetry::memprof;
     let s = 96;
     let b = nbody::plummer(cfg.n_solve, 1.0, 1.0, cfg.seed + 9);

@@ -36,6 +36,21 @@ pub fn out_path(name: &str) -> PathBuf {
     }
 }
 
+/// Runs `op` with every `par_*` call inside it on the calling thread alone.
+///
+/// `telemetry::AllocScope` attributes per thread, so a forked worker's
+/// scratch lands in the process totals but in no named scope, and how much
+/// of it there is depends on the host's core count. Everything that reports
+/// allocator numbers measures under this, which keeps them the width-1
+/// schedule's on any host; the solve's bits are the same at any width.
+pub fn one_worker<R: Send>(op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a width-1 pool starts no thread")
+        .install(op)
+}
+
 /// GPU makespan of a timing, or 0.0 when the timing covers no devices.
 ///
 /// [`KernelTiming::gpu_time`] returns `None` for a no-device timing — "no

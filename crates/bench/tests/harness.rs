@@ -153,10 +153,10 @@ fn smoke_suite_runs_and_gates() {
     assert!(solve.snapshot.get("gpu").is_some());
     assert!(solve.snapshot.get("cost_model").is_some());
 
-    // The wall ledger: the three operator costs gate, the phase
-    // walls inform, and the phases account for the solve — sample by
-    // sample, all but the gather/scatter around them (2 %; the median
-    // shrugs off a preemption landing in that sliver).
+    // The wall ledger: the three operator costs gate, the phase walls and
+    // the host-width readings inform, and the phases account for the solve
+    // — sample by sample, all but the gather/scatter around them (2 %; the
+    // median shrugs off a preemption landing in that sliver).
     for (name, gate) in [
         ("p2p_ns_per_pair", true),
         ("l2p_ns_per_body", true),
@@ -164,6 +164,9 @@ fn smoke_suite_runs_and_gates() {
         ("upsweep_s", false),
         ("downsweep_s", false),
         ("near_field_s", false),
+        ("wall_solve_1w_s", false),
+        ("host_speedup", false),
+        ("model_parallel_rate", false),
     ] {
         let m = solve.metric(name).unwrap_or_else(|| panic!("{name}"));
         assert_eq!(m.gate, gate, "{name}");
