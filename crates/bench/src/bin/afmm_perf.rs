@@ -85,7 +85,8 @@ fn run_and_render(cfg: &SuiteConfig) -> BenchReport {
 
 /// The `solve_step` wall ledger: phase walls against the whole solve, the
 /// host's measured speedup over one worker beside the scheduler model's
-/// `parallel_rate` for the same task graph, and the host's measured operator
+/// `parallel_rate` for the same task graph (and under it what the same
+/// workers buy `tree_maintenance`'s rebin), and the host's measured operator
 /// costs beside the cost model's coefficients for the same operators (both
 /// per core: virtual core-time per application, probes on one thread), so
 /// model-vs-host skew is visible at a glance.
@@ -124,6 +125,22 @@ fn print_solve_ledger(report: &BenchReport) {
             "#   {:<16} {speedup:>10.2} x      host, {cpus} workers (one worker: {one:.4} s) | model parallel_rate = {rate:.2} cores  (host/model {:.2})",
             "host_speedup",
             speedup / rate
+        );
+    }
+    let rebin = report.scenario("tree_maintenance");
+    let rebin_median = |name: &str| rebin?.metric(name).map(|m| m.stats.median);
+    if let (Some(ns), Some(one), Some(speedup)) = (
+        rebin_median("rebin_ns_per_body"),
+        rebin_median("rebin_1w_ns_per_body"),
+        rebin_median("rebin_speedup"),
+    ) {
+        let n = rebin
+            .and_then(|sc| sc.params.get("n"))
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0);
+        eprintln!(
+            "#   {:<16} {speedup:>10.2} x      rebin of {n} bodies: {ns:.1} ns/body (one worker: {one:.1} ns/body)",
+            "rebin_speedup"
         );
     }
     eprintln!("# per core, host against cost model:");

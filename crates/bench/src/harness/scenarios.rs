@@ -52,6 +52,7 @@ pub struct SuiteConfig {
     pub n_overhead: usize,
     pub n_fault: usize,
     pub fault_steps: usize,
+    pub n_rebin: usize,
 }
 
 impl SuiteConfig {
@@ -73,6 +74,7 @@ impl SuiteConfig {
             n_overhead: 60_000,
             n_fault: 8_000,
             fault_steps: 60,
+            n_rebin: 1_000_000,
         }
     }
 
@@ -95,6 +97,7 @@ impl SuiteConfig {
             n_overhead: 12_000,
             n_fault: 3_000,
             fault_steps: 30,
+            n_rebin: 200_000,
         }
     }
 
@@ -117,6 +120,7 @@ impl SuiteConfig {
             n_overhead: 2_000,
             n_fault: 1_200,
             fault_steps: 12,
+            n_rebin: 6_000,
         }
     }
 }
@@ -124,7 +128,7 @@ impl SuiteConfig {
 /// Run the whole registry; `progress` receives one line per scenario.
 pub fn run_suite(cfg: &SuiteConfig, progress: &mut dyn FnMut(&str)) -> BenchReport {
     type Runner = fn(&SuiteConfig) -> Scenario;
-    let runners: [(&str, Runner); 7] = [
+    let runners: [(&str, Runner); 8] = [
         ("solve_step", solve_step),
         ("plan_patch_vs_rebuild", plan_patch_vs_rebuild),
         ("enforce_s", enforce_s),
@@ -132,6 +136,9 @@ pub fn run_suite(cfg: &SuiteConfig, progress: &mut dyn FnMut(&str)) -> BenchRepo
         ("telemetry_overhead", telemetry_overhead),
         ("balancer_faults", balancer_faults),
         ("memory_profile", memory_profile),
+        // After `memory_profile`, whose process-wide peak would otherwise
+        // count this scenario's retained rows.
+        ("tree_maintenance", tree_maintenance),
     ];
     progress(&format!(
         "{} suite: {} scenarios pending, reps={}, warmup={}",
@@ -916,6 +923,66 @@ fn memory_profile_one_worker(cfg: &SuiteConfig) -> Scenario {
             ("edits", Json::F64(edits as f64)),
         ]),
         metrics,
+        snapshot,
+    }
+}
+
+/// **tree_maintenance** — the step every strategy of the paper pays after
+/// every position update, at the paper's N in full mode: `Octree::rebin` of
+/// all bodies into the unchanged tree, in ns per body. `rebin_ns_per_body`
+/// runs at the host's width and is gated; `rebin_1w_ns_per_body` is the same
+/// re-binning on one worker and `rebin_speedup` their per-repetition ratio —
+/// both inform, they vary with the host's core count.
+fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
+    let s = 64;
+    let b = nbody::plummer(cfg.n_rebin, 1.0, 1.0, cfg.seed + 10);
+    let mut tree = build_adaptive(&b.pos, BuildParams::with_s(s));
+    let mut pos = b.pos.clone();
+    // One sample is a breath — in by 0.2 %, back out — so the cloud stays in
+    // its root cube and a few per cent of the bodies change leaf each time;
+    // only the two rebins are on the clock.
+    let mut breath = |tree: &mut Octree| -> f64 {
+        let mut rebin_s = 0.0;
+        for scale in [0.998, 1.0 / 0.998] {
+            for p in pos.iter_mut() {
+                *p *= scale;
+            }
+            rebin_s += wall(|| tree.rebin(&pos)).0;
+        }
+        rebin_s * 1e9 / (2 * cfg.n_rebin) as f64
+    };
+    let mut breaths = |tree: &mut Octree| -> Vec<f64> {
+        for _ in 0..cfg.warmup.max(1) {
+            breath(tree);
+        }
+        (0..cfg.reps).map(|_| breath(tree)).collect()
+    };
+    let samples = breaths(&mut tree);
+    let samples_1w = crate::one_worker(|| breaths(&mut tree));
+    let speedup: Vec<f64> = samples_1w
+        .iter()
+        .zip(&samples)
+        .map(|(w1, wk)| w1 / wk)
+        .collect();
+
+    let snapshot = gather(&SnapshotParts {
+        tree: Some(&tree),
+        ..Default::default()
+    });
+    Scenario {
+        name: "tree_maintenance".to_string(),
+        params: obj(vec![
+            ("n", Json::F64(cfg.n_rebin as f64)),
+            ("distribution", Json::Str("plummer".to_string())),
+            ("s", Json::F64(s as f64)),
+        ]),
+        metrics: vec![
+            Metric::wall("rebin_ns_per_body", "ns", samples, cfg.seed),
+            Metric::wall("rebin_1w_ns_per_body", "ns", samples_1w, cfg.seed).informational(),
+            Metric::wall("rebin_speedup", "x", speedup, cfg.seed)
+                .higher_is_better()
+                .informational(),
+        ],
         snapshot,
     }
 }

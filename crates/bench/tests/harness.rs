@@ -123,7 +123,7 @@ proptest! {
 fn smoke_suite_runs_and_gates() {
     let cfg = SuiteConfig::smoke();
     let report = bench::harness::run_suite(&cfg, &mut |_| {});
-    assert_eq!(report.scenarios.len(), 7);
+    assert_eq!(report.scenarios.len(), 8);
     for sc in &report.scenarios {
         assert!(!sc.metrics.is_empty(), "{} has no metrics", sc.name);
         for m in &sc.metrics {
@@ -185,6 +185,19 @@ fn smoke_suite_runs_and_gates() {
         .collect();
     let frac = summarize(&accounted, 11).median;
     assert!((0.98..=1.0).contains(&frac), "phases cover {frac} of solve");
+
+    // Tree maintenance: the host-width rebin cost gates, the one-worker
+    // reading and the ratio inform.
+    let maintenance = report.scenario("tree_maintenance").unwrap();
+    for (name, gate) in [
+        ("rebin_ns_per_body", true),
+        ("rebin_1w_ns_per_body", false),
+        ("rebin_speedup", false),
+    ] {
+        let m = maintenance.metric(name).unwrap_or_else(|| panic!("{name}"));
+        assert_eq!(m.gate, gate, "{name}");
+        assert!(m.stats.median > 0.0, "{name}");
+    }
 
     // The cost-model drift gate: the audit median is a gated row, and it is
     // the number the snapshot carries.

@@ -39,17 +39,57 @@ fn digit(code: u64, level: u16) -> u64 {
     (code >> (3 * (MAX_MORTON_LEVEL as u16 - level))) & 7
 }
 
-/// Compute clamped Morton `(code, body)` pairs for all positions relative
-/// to a root cube into `pairs` (cleared first), sorted by (code, id) —
-/// deterministic under duplicate codes. Allocation-free once `pairs` has
-/// capacity for `pos.len()` entries, which is what lets [`Octree::rebin`]
-/// run with zero heap traffic in steady state.
-pub(crate) fn sorted_pairs_into(
+/// Shortest run worth its own worker. Two forks cost ≈ 60 µs, what sorting
+/// four thousand pairs does; on two workers a rebin breaks even near twelve
+/// thousand bodies and is ahead from sixteen.
+const MIN_RUN: usize = 8192;
+
+/// Most runs the sort is cut into. Each merged body costs one look per run,
+/// so a worker's share of the merge stops shrinking as runs are added while
+/// its sort keeps shrinking; past eight the merge and the serial range walk
+/// are most of a rebin.
+const MAX_RUNS: usize = 8;
+
+/// Sorts after every real pair: Morton codes are 63 bits wide.
+const SPENT: (u64, u32) = (u64::MAX, u32::MAX);
+
+/// Body ids are `u32` and [`NONE`] (`u32::MAX`) is a sentinel, so a tree
+/// holds at most `u32::MAX − 1` bodies.
+fn body_ids_fit(bodies: usize) -> bool {
+    bodies < NONE as usize
+}
+
+/// Tree order for `pos` inside a root cube: clamped Morton `(code, body)`
+/// pairs sorted by (code, id) — deterministic under duplicate codes — and
+/// split into `order` (ids) and `codes`.
+///
+/// The body range is cut into contiguous runs, one per worker
+/// ([`rayon::current_num_threads`]; fewer when a run would fall under
+/// [`MIN_RUN`], at most [`MAX_RUNS`]). One fork encodes and sorts each run in
+/// its window of `pairs`; a second merges the runs straight into
+/// `order`/`codes`, one window of the output per worker ([`cut_runs`] finds
+/// the stretch of each run that lands in a window). Keys are unique, so the
+/// result is the one total order whatever the run count. With one run
+/// nothing is forked and the merge is a copy.
+///
+/// Allocation-free on one worker once `pairs` has capacity for `pos.len()`
+/// entries, which is what lets [`Octree::rebin`] run with zero heap traffic
+/// in steady state; with more workers the only allocations are the forks' own
+/// bookkeeping, the same few whatever `pos.len()` is.
+fn sort_bodies_into(
     pos: &[Vec3],
     center: Vec3,
     half_width: f64,
     pairs: &mut Vec<(u64, u32)>,
+    order: &mut [u32],
+    codes: &mut [u64],
 ) {
+    let n = pos.len();
+    assert!(
+        body_ids_fit(n),
+        "{n} bodies: body ids are u32 with u32::MAX reserved, so a tree holds at most {}",
+        NONE - 1
+    );
     let n_cells = (1u64 << MAX_MORTON_LEVEL) as f64;
     let origin = center - Vec3::splat(half_width);
     let scale = n_cells / (2.0 * half_width);
@@ -59,12 +99,84 @@ pub(crate) fn sorted_pairs_into(
         // boundary cells; rebuilds recenter the cube.
         (v.max(0.0) as u64).min(max_cell)
     };
-    pairs.clear();
-    pairs.extend(pos.iter().enumerate().map(|(i, &p)| {
-        let u = (p - origin) * scale;
-        (morton_encode(cell(u.x), cell(u.y), cell(u.z)), i as u32)
-    }));
-    pairs.par_sort_unstable();
+    let runs = rayon::current_num_threads()
+        .min(n / MIN_RUN)
+        .clamp(1, MAX_RUNS);
+    let run_len = n.div_ceil(runs).max(1);
+    // Every entry is overwritten below; in steady state the length already
+    // matches and this touches nothing.
+    pairs.resize(n, (0, 0));
+    pairs
+        .par_chunks_mut(run_len)
+        .enumerate()
+        .for_each(|(r, run)| {
+            let first = r * run_len;
+            for (i, (pair, &p)) in run.iter_mut().zip(&pos[first..]).enumerate() {
+                let u = (p - origin) * scale;
+                let code = morton_encode(cell(u.x), cell(u.y), cell(u.z));
+                *pair = (code, (first + i) as u32);
+            }
+            run.sort_unstable();
+        });
+    merge_runs_into(pairs, run_len, order, codes);
+}
+
+/// Merge the sorted runs `pairs.chunks(run_len)` by (code, id) into `order`
+/// and `codes` — the split of pairs into the two arrays that a tree keeps, so
+/// the merge needs no buffer of its own. The output is cut into as many
+/// windows as there are runs and each is merged by whichever worker claims
+/// it.
+fn merge_runs_into(pairs: &[(u64, u32)], run_len: usize, order: &mut [u32], codes: &mut [u64]) {
+    assert!(order.len() == pairs.len() && codes.len() == pairs.len());
+    let runs = pairs.len().div_ceil(run_len);
+    order
+        .par_chunks_mut(run_len)
+        .zip(codes.par_chunks_mut(run_len))
+        .enumerate()
+        .for_each(|(w, (order, codes))| {
+            let mut next = cut_runs(pairs, run_len, w * run_len);
+            let end = cut_runs(pairs, run_len, w * run_len + order.len());
+            let head_of = |r: usize, i: usize| if i < end[r] { pairs[i] } else { SPENT };
+            let mut head = [SPENT; MAX_RUNS];
+            for r in 0..runs {
+                head[r] = head_of(r, next[r]);
+            }
+            for (body, code) in order.iter_mut().zip(codes.iter_mut()) {
+                let mut min = 0;
+                for r in 1..runs {
+                    if head[r] < head[min] {
+                        min = r;
+                    }
+                }
+                (*code, *body) = head[min];
+                next[min] += 1;
+                head[min] = head_of(min, next[min]);
+            }
+        });
+}
+
+/// Where to cut each sorted run `pairs.chunks(run_len)` so that the `k`
+/// smallest pairs of all runs together are exactly those left of the cuts
+/// (as indices into `pairs`; entries past the last run stay 0).
+fn cut_runs(pairs: &[(u64, u32)], run_len: usize, k: usize) -> [usize; MAX_RUNS] {
+    // How many pairs of each run sort before `key`.
+    let before = |key: (u64, u32)| {
+        pairs
+            .chunks(run_len)
+            .map(move |run| run.partition_point(|p| *p < key))
+    };
+    // The first pair right of the cuts is the smallest one with at least `k`
+    // pairs before it; keys are unique, so it has exactly `k`. No pair has
+    // `pairs.len()` before it: then every run is cut at its end.
+    let pivot = pairs
+        .chunks(run_len)
+        .filter_map(|run| run.get(run.partition_point(|p| before(*p).sum::<usize>() < k)))
+        .min();
+    let mut cuts = [0; MAX_RUNS];
+    for (r, below) in before(pivot.copied().unwrap_or(SPENT)).enumerate() {
+        cuts[r] = r * run_len + below;
+    }
+    cuts
 }
 
 /// Find the eight child-range boundaries of `range` by binary search on the
@@ -159,9 +271,9 @@ fn build_in_cube(
     assert!(params.s >= 1, "leaf capacity S must be at least 1");
     let max_level = params.max_level.min(MAX_MORTON_LEVEL as u16);
     let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(pos.len());
-    sorted_pairs_into(pos, center, half_width, &mut pairs);
-    let order: Vec<u32> = pairs.iter().map(|&(_, i)| i).collect();
-    let codes: Vec<u64> = pairs.iter().map(|&(c, _)| c).collect();
+    let mut order = vec![0u32; pos.len()];
+    let mut codes = vec![0u64; pos.len()];
+    sort_bodies_into(pos, center, half_width, &mut pairs, &mut order, &mut codes);
 
     let mut nodes = Vec::new();
     // Reserve the paper's "node buffer" up front: a comfortable multiple of
@@ -226,21 +338,26 @@ impl Octree {
     /// This is the maintenance step the paper's strategies 1–3 all perform
     /// after each position update; only strategies 2–3 additionally modify
     /// the structure.
-    /// Runs with **zero heap allocations** once warm: the Morton pair
-    /// buffer and the DFS stack are reusable scratch carried by the tree
-    /// (seeded at build time), and `order`/`codes` are rewritten in place —
-    /// their length never changes. The `memory_profile` perf-lab scenario
-    /// gates this invariant through the `"rebin"` allocation scope.
+    ///
+    /// The sort goes through workers — one sorted run each, merged straight
+    /// into `order`/`codes` — and the range walk after it is serial. On one
+    /// worker it performs **zero heap allocations** once warm: the Morton pair buffer and the DFS stack are
+    /// reusable scratch carried by the tree (seeded at build time), and
+    /// `order`/`codes` are rewritten in place — their length never changes.
+    /// The `memory_profile` perf-lab scenario gates this invariant through
+    /// the `"rebin"` allocation scope; with more workers the scope holds the
+    /// fork's bookkeeping and nothing that grows with the body count.
     pub fn rebin(&mut self, pos: &[Vec3]) {
         assert_eq!(pos.len(), self.num_bodies());
         let _mem = telemetry::AllocScope::enter("rebin");
-        let mut pairs = std::mem::take(&mut self.scratch.pairs);
-        sorted_pairs_into(pos, self.root_center, self.root_half_width, &mut pairs);
-        for (i, &(c, b)) in pairs.iter().enumerate() {
-            self.order[i] = b;
-            self.codes[i] = c;
-        }
-        self.scratch.pairs = pairs;
+        sort_bodies_into(
+            pos,
+            self.root_center,
+            self.root_half_width,
+            &mut self.scratch.pairs,
+            &mut self.order,
+            &mut self.codes,
+        );
 
         let mut stack = std::mem::take(&mut self.scratch.stack);
         stack.clear();
@@ -418,6 +535,55 @@ mod tests {
         pos[0] = Vec3::splat(100.0); // way outside the root cube
         t.rebin(&pos);
         t.check_invariants().unwrap(); // still a permutation, ranges tile
+    }
+
+    /// Sorted runs of every awkward length — shorter than the run count,
+    /// one body, a short last run — with runs of equal codes that only the
+    /// id orders, merged at width 1 and through real workers.
+    #[test]
+    fn merged_runs_equal_the_full_sort() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for n in [0usize, 1, 2, 3, 7, 8, 9, 64, 1000] {
+            for run_len in [1, 2, 3, n / 3 + 1, n / 2 + 1, n.max(1)] {
+                if n.div_ceil(run_len) > MAX_RUNS {
+                    continue;
+                }
+                let mut pairs: Vec<(u64, u32)> = (0..n as u32)
+                    .map(|id| (rng.random_range(0..6u64), id))
+                    .collect();
+                for run in pairs.chunks_mut(run_len) {
+                    run.sort_unstable();
+                }
+                let mut sorted = pairs.clone();
+                sorted.sort_unstable();
+                for k in 0..=n {
+                    let cuts = cut_runs(&pairs, run_len, k);
+                    let left = pairs
+                        .chunks(run_len)
+                        .enumerate()
+                        .flat_map(|(r, run)| &run[..cuts[r] - r * run_len]);
+                    let mut left: Vec<_> = left.copied().collect();
+                    left.sort_unstable();
+                    assert_eq!(left, sorted[..k], "n {n}, run_len {run_len}, k {k}");
+                }
+                for width in [1, 3] {
+                    let (mut order, mut codes) = (vec![0; n], vec![0; n]);
+                    let pool = rayon::ThreadPoolBuilder::new().num_threads(width);
+                    pool.build().unwrap().install(|| {
+                        merge_runs_into(&pairs, run_len, &mut order, &mut codes);
+                    });
+                    let merged: Vec<_> = codes.into_iter().zip(order).collect();
+                    assert_eq!(merged, sorted, "n {n}, run_len {run_len}, width {width}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn body_ids_stop_short_of_the_sentinel() {
+        assert!(body_ids_fit(0));
+        assert!(body_ids_fit(u32::MAX as usize - 1));
+        assert!(!body_ids_fit(u32::MAX as usize), "u32::MAX is NONE");
     }
 
     #[test]

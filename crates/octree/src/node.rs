@@ -70,12 +70,14 @@ pub struct TreeSnapshot {
 }
 
 /// Reusable buffers for [`Octree::rebin`], carried by the tree so the
-/// steady-state maintenance step performs zero heap allocations once warm.
+/// steady-state maintenance step performs zero heap allocations once warm
+/// (on one worker; more workers add only their fork's bookkeeping).
 /// Pure scratch: contents are meaningless between calls, snapshots exclude
 /// it, and [`Octree::check_invariants`] never looks at it.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RebinScratch {
-    /// `(morton code, body id)` sort buffer.
+    /// `(morton code, body id)` sort buffer: one sorted run per worker,
+    /// merged into `order`/`codes`.
     pub(crate) pairs: Vec<(u64, u32)>,
     /// DFS stack for the range-rederivation walk.
     pub(crate) stack: Vec<NodeId>,
@@ -95,8 +97,9 @@ pub struct Octree {
     pub(crate) nodes: Vec<Node>,
     /// `order[i]` = original body id at tree-order position `i`.
     pub(crate) order: Vec<u32>,
-    /// Morton code of the body at tree-order position `i` (kept for
-    /// re-binning and partitioning).
+    /// Morton code of the body at tree-order position `i`, non-decreasing
+    /// (bodies with equal codes ascend by id): child ranges are found by
+    /// binary search on it.
     pub(crate) codes: Vec<u64>,
     /// Leaf-capacity parameter S the tree was last built/enforced with.
     pub(crate) s_value: usize,
@@ -329,6 +332,15 @@ impl Octree {
                 return Err(format!("order is not a permutation (body {b})"));
             }
             seen[b] = true;
+        }
+        // Tree order is ascending (code, body): every child range is found
+        // by binary search on `codes`, before any rebin has rewritten them.
+        let keys = || self.codes.iter().zip(&self.order);
+        if let Some(i) = keys().zip(keys().skip(1)).position(|(a, b)| a >= b) {
+            return Err(format!(
+                "tree order is not ascending by (code, body) at position {}",
+                i + 1
+            ));
         }
         // Visible children of each visible parent tile its range exactly,
         // and levels/geometry nest.

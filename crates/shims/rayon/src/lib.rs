@@ -3,7 +3,7 @@
 //!
 //! The build environment cannot reach crates.io, so the workspace vendors
 //! the surface it needs: `par_iter()` / `into_par_iter()` / `par_chunks_mut()`
-//! pipelines ending in `zip` + `for_each[_init]`, `par_sort_unstable()`, and
+//! pipelines through `zip` / `enumerate` into `for_each[_init]`, and
 //! `ThreadPoolBuilder` → `ThreadPool::install` / `current_num_threads()` to
 //! fix the width. Signatures carry rayon's own bounds, so upstream rayon
 //! stays a one-line `Cargo.toml` swap.
@@ -130,6 +130,11 @@ pub mod iter {
             ParIter(self.0.zip(other.0))
         }
 
+        /// rayon's indexed `enumerate`: pairs each item with its position.
+        pub fn enumerate(self) -> ParIter<std::iter::Enumerate<I>> {
+            ParIter(self.0.enumerate())
+        }
+
         pub fn for_each<F>(self, f: F)
         where
             F: Fn(I::Item) + Sync + Send,
@@ -231,7 +236,7 @@ pub mod iter {
 pub mod slice {
     use crate::iter::ParIter;
 
-    /// rayon's mutable chunking and in-place sort on slices.
+    /// rayon's mutable chunking on slices.
     pub trait ParallelSliceMut<T: Send> {
         fn as_parallel_slice_mut(&mut self) -> &mut [T];
 
@@ -239,15 +244,6 @@ pub mod slice {
         /// shorter), as a pipeline.
         fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<std::slice::ChunksMut<'_, T>> {
             ParIter(self.as_parallel_slice_mut().chunks_mut(chunk_size))
-        }
-
-        /// Sorts on the calling thread: the one caller is the tree build's
-        /// set-up path.
-        fn par_sort_unstable(&mut self)
-        where
-            T: Ord,
-        {
-            self.as_parallel_slice_mut().sort_unstable()
         }
     }
 
@@ -458,12 +454,5 @@ mod tests {
             assert_eq!(current_num_threads(), 5);
         });
         assert_eq!(current_num_threads(), host);
-    }
-
-    #[test]
-    fn par_sort_sorts() {
-        let mut v = vec![5u64, 1, 4, 2, 3];
-        v.par_sort_unstable();
-        assert_eq!(v, vec![1, 2, 3, 4, 5]);
     }
 }

@@ -166,6 +166,58 @@ fn snapshot_is_deterministic_and_tamper_evident() {
     );
 }
 
+/// `text` with its payload rewritten by `edit` and the envelope's checksum
+/// (FNV-1a 64 over the payload bytes) recomputed, so the validation behind
+/// the checksum is reached.
+fn resealed(text: &str, edit: impl FnOnce(&str) -> String) -> String {
+    let (head, payload) = text.split_once("\"payload\":").unwrap();
+    let payload = edit(payload.strip_suffix('}').unwrap());
+    let sum = payload.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let (before, after) = head.split_once("\"checksum\":\"").unwrap();
+    let (_, after) = after.split_once('"').unwrap();
+    format!("{before}\"checksum\":\"{sum:016x}\"{after}\"payload\":{payload}}}")
+}
+
+/// A well-formed snapshot whose Morton codes are out of order, under a valid
+/// checksum: child ranges are binary-searched on `codes` before any rebin
+/// rewrites them, so the tree must be refused, not restored.
+#[test]
+fn unsorted_codes_under_a_valid_checksum_are_refused() {
+    let b = nbody::plummer(900, 1.0, 1.0, 313);
+    let mut t = tracker(&b.pos);
+    for step in 0..4 {
+        t.step(&trajectory(&b.pos, step)).unwrap();
+    }
+    let snap = t.checkpoint(&trajectory(&b.pos, 3));
+    let restore = |text: &str| {
+        StrategyTracker::<GravityKernel>::restore(
+            GravityKernel::default(),
+            HeteroNode::system_a(10, 2),
+            text,
+        )
+    };
+    assert!(restore(&resealed(&snap, str::to_string)).is_ok());
+
+    let flipped = resealed(&snap, |payload| {
+        let (head, codes) = payload.split_once("\"codes\":[").unwrap();
+        let (codes, tail) = codes.split_once(']').unwrap();
+        let mut codes: Vec<&str> = codes.split(',').collect();
+        let i = (1..codes.len())
+            .find(|&i| codes[i - 1] != codes[i])
+            .unwrap();
+        codes.swap(i - 1, i);
+        format!("{head}\"codes\":[{}]{tail}", codes.join(","))
+    });
+    assert_ne!(flipped, snap);
+    let err = match restore(&flipped) {
+        Err(e) => e.to_string(),
+        Ok(_) => panic!("a tree with unsorted codes must be refused"),
+    };
+    assert!(err.contains("not ascending"), "unexpected error: {err}");
+}
+
 /// A snapshot from a different schema version is refused up front, and a
 /// node that does not match the snapshot's device count is refused too.
 #[test]

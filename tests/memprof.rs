@@ -2,9 +2,13 @@
 //! (`cargo test --features memprof --test memprof`):
 //!
 //! * **zero-alloc steady state** — once a tree's rebin scratch and a plan's
-//!   refresh scratch are warm, `Octree::rebin` performs no allocations at
-//!   all, and `IncrementalLists::refresh_counts` performs none on the
-//!   Clean/Patched paths (the Rebuilt fallback legitimately allocates);
+//!   refresh scratch are warm, `Octree::rebin` on one worker performs no
+//!   allocations at all, and `IncrementalLists::refresh_counts` performs
+//!   none on the Clean/Patched paths (the Rebuilt fallback legitimately
+//!   allocates);
+//! * **a forked rebin allocates for its forks only** — with more workers and
+//!   bodies enough for two runs the `rebin` scope holds the calling thread's
+//!   share of two fork-joins: the same few allocations at any body count;
 //! * **structural/allocator agreement** — the `heap_bytes()` walks over
 //!   bodies + octree + plan land within 15% of what the allocator says is
 //!   actually live for those structures.
@@ -13,9 +17,8 @@
 //! `memprof::counting()` stays false, so every test passes vacuously. The
 //! allocator counters are process-global, so every test here serializes on
 //! one lock. Allocation *scopes* are per thread: a forked worker's scratch
-//! reaches the global counters but no named scope, so the two properties
-//! above are measured on one worker (any host then counts the same), and a
-//! third test checks that the gated scopes stay at zero with workers forking.
+//! reaches the global counters but no named scope, so the first and last
+//! properties are measured on one worker (any host then counts the same).
 
 use std::sync::Mutex;
 
@@ -119,9 +122,10 @@ proptest! {
     }
 }
 
-/// The engine's whole warm step with workers forking under the solve: the
-/// `rebin` and `plan.refresh` scopes make no `par_*` call, so no worker, item
-/// list or spawn bookkeeping may show up in them — the perf lab's
+/// The engine's whole warm step with workers forking under the solve.
+/// `plan.refresh` makes no `par_*` call, and 2 000 bodies are one run to
+/// `rebin`, which then forks nothing, so no worker, item list or spawn
+/// bookkeeping may show up in either — the perf lab's
 /// `steady_gate_allocs == 0`, here at the host's own width and at 3.
 #[test]
 fn gated_scopes_stay_allocation_free_with_workers_forking() {
@@ -149,6 +153,71 @@ fn gated_scopes_stay_allocation_free_with_workers_forking() {
             );
         });
     }
+}
+
+/// What one warm `rebin` of `n` bodies adds to the `rebin` scope.
+fn warm_rebin_allocs(n: usize) -> (u64, u64) {
+    let (mut pos, _) = plummer_points(n, 7);
+    let mut tree = build_adaptive(&pos, BuildParams::with_s(48));
+    let mut measured = (0, 0);
+    for _ in 0..3 {
+        for p in pos.iter_mut() {
+            *p *= 0.9995;
+        }
+        let before = memprof::scope_stats("rebin").unwrap_or_default();
+        tree.rebin(&pos);
+        let after = memprof::scope_stats("rebin").unwrap_or_default();
+        measured = (
+            after.allocs - before.allocs,
+            after.alloc_bytes - before.alloc_bytes,
+        );
+    }
+    measured
+}
+
+/// With bodies enough for one run per worker, `rebin` forks twice (sort the
+/// runs, merge them) and the calling thread's share of a fork — the handle
+/// list, its own batch buffer, what `thread::spawn` allocates — lands in the
+/// `rebin` scope. That is all that may: the same allocations at 70 000 bodies
+/// and at 140 000 (eight runs' worth either way), a few KB, so a buffer that
+/// grows with N cannot hide among them. On one worker there is no fork and
+/// the count is zero.
+#[test]
+fn forked_rebin_allocates_only_the_forks_bookkeeping() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    if !memprof::counting() {
+        return; // feature off: nothing to measure
+    }
+    for width in [1, 2, 3, 8] {
+        let (small, large) = at_width(width, || {
+            (warm_rebin_allocs(70_000), warm_rebin_allocs(140_000))
+        });
+        assert_eq!(small, large, "width {width}: allocations grow with N");
+        assert_eq!(small.0 == 0, width == 1, "width {width}: {small:?}");
+        assert!(small.1 < 4096, "width {width}: {small:?}");
+    }
+}
+
+/// A restored tree carries no scratch: its first `rebin` re-warms the pair
+/// buffer and the walk stack, its second allocates nothing.
+#[test]
+fn restored_tree_rewarms_on_its_first_rebin_only() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    if !memprof::counting() {
+        return; // feature off: nothing to measure
+    }
+    let (pos, _) = plummer_points(3000, 13);
+    at_width(1, || {
+        let snapshot = build_adaptive(&pos, BuildParams::with_s(48)).snapshot();
+        let mut tree = octree::Octree::from_snapshot(snapshot).expect("own snapshot");
+        let allocs = || memprof::scope_stats("rebin").unwrap_or_default().allocs;
+        let cold = allocs();
+        tree.rebin(&pos);
+        let warm = allocs();
+        assert!(warm > cold, "the first rebin has scratch to allocate");
+        tree.rebin(&pos);
+        assert_eq!(allocs(), warm, "the second rebin allocated");
+    });
 }
 
 /// `heap_bytes()` is a structural estimate (capacity-granular Vec walks);

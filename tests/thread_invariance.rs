@@ -5,7 +5,9 @@
 //! that spawns nothing, bit for bit: both kernels, a centred and a lopsided
 //! body set, fresh and patched plans, leaf capacities on both sides of the
 //! near/far balance, and the checkpoint text of a run whose trajectory is
-//! driven by the solved field.
+//! driven by the solved field. The tree under the solve is held to the same
+//! rule: built or re-binned through any number of workers it is the same
+//! snapshot, and the solve on it after motion the same bits.
 
 use afmm_repro::prelude::*;
 use rand::prelude::*;
@@ -113,6 +115,67 @@ fn stokeslet_solve_bits_do_not_depend_on_width() {
     for pos in [plummer(600, 7), lopsided(600, 9)] {
         let forces = nbody::random_unit_forces(pos.len(), 13);
         assert_width_invariant(StokesletKernel::new(1e-3, 1.0), &pos, &forces);
+    }
+}
+
+/// Built on `width` workers, then the bodies move and the tree is re-binned,
+/// the plan refreshed and the field solved on them too: the tree's snapshot
+/// and the solution's bits. Enough bodies that the re-binning sort is cut
+/// into two runs wherever there are two workers.
+fn rebinned_after_motion<K: Kernel + Copy>(
+    kernel: K,
+    start: &[Vec3],
+    strength: &[f64],
+    width: usize,
+) -> (String, Vec<u64>) {
+    at_width(width, || {
+        let mut engine = FmmEngine::new(kernel, FmmParams::default(), start, 160);
+        engine.refresh_plan();
+        // A swirl about z with a mild contraction: most bodies stay in their
+        // leaf, some cross into a neighbour's.
+        let moved: Vec<Vec3> = start
+            .iter()
+            .map(|p| Vec3::new(p.x - 0.02 * p.y, p.y + 0.02 * p.x, p.z) * 0.99)
+            .collect();
+        engine.rebin(&moved);
+        engine.refresh_plan();
+        let sol = engine.solve(&moved, strength);
+        (format!("{:?}", engine.tree().snapshot()), bits(&sol))
+    })
+}
+
+#[test]
+fn rebin_then_solve_does_not_depend_on_width() {
+    let pos = lopsided(16_500, 23);
+    let mass = vec![1.0 / pos.len() as f64; pos.len()];
+    let forces = nbody::random_unit_forces(pos.len(), 25);
+    let gravity = |w| rebinned_after_motion(GravityKernel::default(), &pos, &mass, w);
+    let stokes = |w| rebinned_after_motion(StokesletKernel::new(1e-3, 1.0), &pos, &forces, w);
+    let (g1, s1) = (gravity(1), stokes(1));
+    assert!(g1.0 == s1.0, "one tree under both kernels");
+    for width in &WIDTHS[1..] {
+        let (gk, sk) = (gravity(*width), stokes(*width));
+        assert!(g1.0 == gk.0, "tree after rebin, width {width}");
+        assert!(g1.1 == gk.1, "gravity after rebin, width {width}");
+        assert!(s1.1 == sk.1, "stokeslet after rebin, width {width}");
+    }
+}
+
+/// Enough bodies for eight runs: the built tree is the same snapshot —
+/// order, codes, every node — at any width.
+#[test]
+fn built_tree_does_not_depend_on_width() {
+    let pos = lopsided(70_000, 27);
+    let build = |w| {
+        at_width(w, || {
+            let params = BuildParams::with_s(48);
+            let tree = octree::build_adaptive_in_cube(&pos, params, Vec3::splat(0.2), 1.5);
+            format!("{:?}", tree.snapshot())
+        })
+    };
+    let one = build(1);
+    for width in &WIDTHS[1..] {
+        assert!(one == build(*width), "width {width}");
     }
 }
 
