@@ -74,8 +74,8 @@ impl LbState {
     }
 }
 
-/// Tunables of the load balancer; defaults are the paper's values where it
-/// states them (0.15 s state-switch threshold, 5% regression trigger).
+/// Tunables of the load balancer — the four some caller sets. Everything
+/// else the machine runs on is a constant of this module.
 #[derive(Clone, Copy, Debug)]
 pub struct LbConfig {
     pub s_min: usize,
@@ -83,27 +83,9 @@ pub struct LbConfig {
     /// Leave Search / skip FGO when |t_cpu − t_gpu| is at most this (paper:
     /// 0.15 s).
     pub eps_switch_s: f64,
-    /// Observation acts when compute time exceeds best by this fraction
-    /// (paper: 5%).
-    pub regression_frac: f64,
     /// Enable `FineGrainedOptimize` (off reproduces the paper's Fig 10
     /// baseline).
     pub use_fgo: bool,
-    /// FGO batch size as a fraction of the active leaf count.
-    pub fgo_batch_frac: f64,
-    /// Upper bound on FGO batches per invocation.
-    pub fgo_max_rounds: usize,
-    /// Multiplicative S step of the Incremental state.
-    pub incr_factor: f64,
-    /// Incremental keeps walking while compute stays within this fraction
-    /// of the walk's best — one 1.15× step often lands on a local bump
-    /// (block-quantization effects) that a strict per-step comparison would
-    /// mistake for the optimum.
-    pub incr_tol: f64,
-    /// Observation only acts after this many *consecutive* regressing steps
-    /// (1 = the paper's immediate trigger). Raising it makes the balancer
-    /// ignore one-off measurement spikes at the cost of reacting later.
-    pub regression_hysteresis: usize,
 }
 
 impl Default for LbConfig {
@@ -112,16 +94,27 @@ impl Default for LbConfig {
             s_min: 8,
             s_max: 4096,
             eps_switch_s: 0.15,
-            regression_frac: 0.05,
             use_fgo: true,
-            fgo_batch_frac: 0.03,
-            fgo_max_rounds: 12,
-            incr_factor: 1.15,
-            incr_tol: 0.05,
-            regression_hysteresis: 1,
         }
     }
 }
+
+/// Observation acts when compute time exceeds the best seen by this
+/// fraction (paper: 5%) — at once, on the first such step, as the paper
+/// does. Lone measurement spikes are the [`crate::TimingFilter`]'s to
+/// suppress, before the balancer sees them.
+const REGRESSION_FRAC: f64 = 0.05;
+/// Multiplicative S step of the Incremental state.
+const INCR_FACTOR: f64 = 1.15;
+/// Incremental keeps walking while compute stays within this fraction of
+/// the walk's best — one 1.15× step often lands on a local bump
+/// (block-quantization effects) that a strict per-step comparison would
+/// mistake for the optimum.
+const INCR_TOL: f64 = 0.05;
+/// FGO batch size as a fraction of the active leaf count.
+const FGO_BATCH_FRAC: f64 = 0.03;
+/// Upper bound on FGO batches per invocation.
+const FGO_MAX_ROUNDS: usize = 12;
 
 /// What the balancer did after a step, and what it cost (modeled wall time,
 /// charged as the paper's "LB time").
@@ -130,8 +123,9 @@ pub struct LbReport {
     pub lb_time: f64,
     pub rebuilt: bool,
     pub enforced: bool,
-    /// Tree edits went through the live execution plan (patch cost charged)
-    /// instead of invalidating it (rebuild/re-traversal cost charged).
+    /// Tree edits were made, through an execution plan that was live when
+    /// they began — as it is on every driver's path (see
+    /// [`LoadBalancer::post_step`]).
     pub patched: bool,
     pub fgo_rounds: usize,
 }
@@ -151,7 +145,6 @@ pub struct BalancerSnapshot {
     pub incr_best: Option<(usize, f64)>,
     pub incr_dir_up: Option<bool>,
     pub incr_flipped: bool,
-    pub regress_count: usize,
     pub last_online: Option<usize>,
     pub reset_best_next: bool,
 }
@@ -173,8 +166,6 @@ pub struct LoadBalancer {
     incr_dir_up: Option<bool>,
     /// The one allowed direction reversal has been spent.
     incr_flipped: bool,
-    /// Consecutive Observation steps past the regression limit.
-    regress_count: usize,
     /// Online device count seen last step (None until a GPU node is seen).
     last_online: Option<usize>,
     /// Strategy 2: the next step's compute time becomes the new best.
@@ -202,7 +193,6 @@ impl LoadBalancer {
             incr_best: None,
             incr_dir_up: None,
             incr_flipped: false,
-            regress_count: 0,
             last_online: None,
             reset_best_next: false,
             rec: telemetry::Recorder::disabled(),
@@ -219,19 +209,6 @@ impl LoadBalancer {
     /// The balancer's telemetry handle.
     pub fn recorder(&self) -> &telemetry::Recorder {
         &self.rec
-    }
-
-    /// Flight-record one `Enforce_S` outcome.
-    pub(super) fn record_enforce(&self, outcome: &octree::EnforceOutcome, patched: bool) {
-        self.rec.event(
-            "lb.enforce",
-            vec![
-                ("collapses", telemetry::Value::U64(outcome.collapses as u64)),
-                ("pushdowns", telemetry::Value::U64(outcome.pushdowns as u64)),
-                ("patched", telemetry::Value::Bool(patched)),
-                ("s", telemetry::Value::U64(self.s as u64)),
-            ],
-        );
     }
 
     /// Move to `to`, emitting an `lb.transition` flight-recorder event with
@@ -265,7 +242,6 @@ impl LoadBalancer {
             incr_best: self.incr_best,
             incr_dir_up: self.incr_dir_up,
             incr_flipped: self.incr_flipped,
-            regress_count: self.regress_count,
             last_online: self.last_online,
             reset_best_next: self.reset_best_next,
         }
@@ -285,7 +261,6 @@ impl LoadBalancer {
             incr_best: snap.incr_best,
             incr_dir_up: snap.incr_dir_up,
             incr_flipped: snap.incr_flipped,
-            regress_count: snap.regress_count,
             last_online: snap.last_online,
             reset_best_next: snap.reset_best_next,
             rec: telemetry::Recorder::disabled(),
@@ -314,6 +289,10 @@ impl LoadBalancer {
     /// the current S, or fine-grain optimizing). `pos` must be the *updated*
     /// positions — the paper performs tree optimizations after the position
     /// update.
+    ///
+    /// The caller has timed the step it reports ([`FmmEngine::time_step`] or
+    /// a solve), so the engine's plan is live: every tree edit made from
+    /// here patches it, and is charged [`lbtime::plan_patch`].
     pub fn post_step<K: Kernel>(
         &mut self,
         engine: &mut FmmEngine<K>,
@@ -323,6 +302,10 @@ impl LoadBalancer {
         t_cpu: f64,
         t_gpu: f64,
     ) -> LbReport {
+        debug_assert!(
+            engine.has_live_plan(),
+            "post_step wants the step timed first"
+        );
         let compute = t_cpu.max(t_gpu);
         let mut rep = LbReport::default();
         if self.reset_best_next {

@@ -1,13 +1,16 @@
 //! Per-state step logic of the [`LoadBalancer`] plus the paper's
 //! `FineGrainedOptimize` (§VI.B) and the CPU-only S sweep.
 //!
-//! Tree edits made here go through the engine's plan-aware APIs
-//! ([`FmmEngine::enforce_s`], [`FmmEngine::apply_collapse`], ...) so a live
-//! [`crate::ExecutionPlan`] is *patched* across them — and the `lbtime`
-//! charges distinguish the cheap patch path from a full rebuild +
-//! re-traversal honestly.
+//! Tree edits made here go through the engine ([`FmmEngine::enforce_s`],
+//! [`FmmEngine::apply_collapse`], ...), which patches its
+//! [`crate::ExecutionPlan`] across them; each is charged
+//! [`lbtime::plan_patch`], and only a wholesale rebuild pays for a
+//! re-traversal.
 
-use super::{geometric_mid, lbtime, LbConfig, LbReport, LbState, LoadBalancer, Strategy};
+use super::{
+    geometric_mid, lbtime, LbConfig, LbReport, LbState, LoadBalancer, Strategy, FGO_BATCH_FRAC,
+    FGO_MAX_ROUNDS, INCR_FACTOR, INCR_TOL, REGRESSION_FRAC,
+};
 use crate::config::HeteroNode;
 use crate::cost::{CostModel, Prediction};
 use crate::engine::FmmEngine;
@@ -28,7 +31,6 @@ impl LoadBalancer {
         now_online: usize,
         rep: &mut LbReport,
     ) {
-        self.regress_count = 0;
         self.incr_best = None;
         self.incr_dir_up = None;
         self.incr_flipped = false;
@@ -83,7 +85,6 @@ impl LoadBalancer {
         self.incr_best = None;
         self.incr_dir_up = None;
         self.incr_flipped = false;
-        self.regress_count = 0;
     }
 
     pub(super) fn search_step<K: Kernel>(
@@ -127,7 +128,7 @@ impl LoadBalancer {
     /// The Incremental walk, steered by the *measured compute time* rather
     /// than by which side dominates. Dominance only seeds the initial
     /// direction; after that each 1.15× probe keeps walking while compute
-    /// stays within `incr_tol` of the walk's best (riding over local
+    /// stays within `INCR_TOL` of the walk's best (riding over local
     /// bumps from block quantization). When a direction is exhausted —
     /// compute climbs out of the tolerance band or S pins at a bound —
     /// the walk reverses once from its best S so both sides of the start
@@ -154,7 +155,7 @@ impl LoadBalancer {
             Some((_, c_best)) if compute < c_best => {
                 self.incr_best = Some((self.s, compute));
             }
-            Some((_, c_best)) if compute > c_best * (1.0 + self.cfg.incr_tol) => {
+            Some((_, c_best)) if compute > c_best * (1.0 + INCR_TOL) => {
                 // Walked off the basin in this direction.
                 exhausted = true;
             }
@@ -162,12 +163,11 @@ impl LoadBalancer {
             // the local bump.
             Some(_) => {}
         }
-        let f = self.cfg.incr_factor;
         let step_from = |s: usize, up: bool| {
             if up {
-                ((s as f64 * f).ceil() as usize).min(self.cfg.s_max)
+                ((s as f64 * INCR_FACTOR).ceil() as usize).min(self.cfg.s_max)
             } else {
-                ((s as f64 / f).floor() as usize).max(self.cfg.s_min)
+                ((s as f64 / INCR_FACTOR).floor() as usize).max(self.cfg.s_min)
             }
         };
         let mut next = step_from(self.s, self.incr_dir_up == Some(true));
@@ -192,34 +192,40 @@ impl LoadBalancer {
             }
         }
         self.s = next;
-        // An Incremental probe only perturbs the S-neighborhood: with a live
-        // plan, re-bin the moved bodies and Enforce_S the new capacity via
-        // plan patches — paying rebin + enforce + patch cost, not a full
-        // rebuild + re-traversal.
-        if engine.has_live_plan() {
-            engine.rebin(pos);
-            rep.lb_time += lbtime::rebin(node, pos.len());
-            if engine.refresh_plan() == PlanRefresh::Rebuilt {
-                // Motion flipped cells between empty and non-empty; the plan
-                // had to re-traverse after all.
-                rep.lb_time += lbtime::predict(node, list_entries(engine));
-            }
-            engine.set_s(next);
-            let nodes_before = engine.tree().visible_nodes().len();
-            let (outcome, patched) = engine.enforce_s();
-            self.record_enforce(&outcome, patched);
-            let edits = outcome.collapses + outcome.pushdowns;
-            rep.lb_time += lbtime::enforce(node, nodes_before, edits);
-            if patched {
-                rep.lb_time += lbtime::plan_patch(node, edits);
-                rep.patched = true;
-            }
-            rep.enforced = true;
-        } else {
-            engine.rebuild(pos, self.s);
-            rep.lb_time += lbtime::rebuild(node, pos.len());
-            rep.rebuilt = true;
+        // An Incremental probe only perturbs the S-neighborhood: re-bin the
+        // moved bodies and Enforce_S the new capacity via plan patches —
+        // paying rebin + enforce + patch cost, not a full rebuild +
+        // re-traversal.
+        engine.rebin(pos);
+        rep.lb_time += lbtime::rebin(node, pos.len());
+        if engine.refresh_plan() == PlanRefresh::Rebuilt {
+            // Motion flipped cells between empty and non-empty; the plan
+            // had to re-traverse after all.
+            rep.lb_time += lbtime::predict(node, list_entries(engine));
         }
+        engine.set_s(next);
+        self.enforce(engine, node, rep);
+    }
+
+    /// One Enforce_S pass through the plan, recorded and charged: the walk,
+    /// its edits, and the plan patches they made.
+    fn enforce<K: Kernel>(&self, engine: &mut FmmEngine<K>, node: &HeteroNode, rep: &mut LbReport) {
+        let nodes_before = engine.tree().visible_nodes().len();
+        let (outcome, patched) = engine.enforce_s();
+        self.recorder().event(
+            "lb.enforce",
+            vec![
+                ("collapses", telemetry::Value::U64(outcome.collapses as u64)),
+                ("pushdowns", telemetry::Value::U64(outcome.pushdowns as u64)),
+                ("patched", telemetry::Value::Bool(patched)),
+                ("s", telemetry::Value::U64(self.s as u64)),
+            ],
+        );
+        let edits = outcome.collapses + outcome.pushdowns;
+        rep.lb_time += lbtime::enforce(node, nodes_before, edits);
+        rep.lb_time += lbtime::plan_patch(node, edits);
+        rep.patched = patched;
+        rep.enforced = true;
     }
 
     /// Exit Incremental → Observation: restore the walk's best S if the
@@ -257,7 +263,7 @@ impl LoadBalancer {
             rep.lb_time += lbtime::predict(node, list_entries(engine));
             if let Some(before) = before {
                 if (before.t_cpu - before.t_gpu).abs() > self.cfg.eps_switch_s {
-                    let out = fine_grained_optimize(engine, model, node, &self.cfg);
+                    let out = fine_grained_optimize(engine, model, node);
                     rep.lb_time += out.lb_time;
                     rep.fgo_rounds = out.rounds;
                     if out.rounds > 0 {
@@ -301,20 +307,11 @@ impl LoadBalancer {
         compute: f64,
         rep: &mut LbReport,
     ) {
-        let limit = self.best_compute * (1.0 + self.cfg.regression_frac);
+        let limit = self.best_compute * (1.0 + REGRESSION_FRAC);
         if compute <= limit {
-            self.regress_count = 0;
             self.best_compute = self.best_compute.min(compute);
             return;
         }
-        // Hysteresis: demand the regression persist before paying for a
-        // repair — a single spiked measurement (OS jitter, transient load)
-        // must not cost an Enforce_S pass.
-        self.regress_count += 1;
-        if self.regress_count < self.cfg.regression_hysteresis {
-            return;
-        }
-        self.regress_count = 0;
         // The provenance event the replay validator pairs with the enforce
         // that follows: every Observation-state Enforce_S must be preceded
         // by an `lb.regression` in the same step.
@@ -326,18 +323,9 @@ impl LoadBalancer {
                 ("best", telemetry::Value::F64(self.best_compute)),
             ],
         );
-        // Regression: first line of defense is Enforce_S — through the plan
-        // when one is live, so the interaction lists survive the repair.
-        let nodes_before = engine.tree().visible_nodes().len();
-        let (outcome, patched) = engine.enforce_s();
-        self.record_enforce(&outcome, patched);
-        let edits = outcome.collapses + outcome.pushdowns;
-        rep.lb_time += lbtime::enforce(node, nodes_before, edits);
-        if patched {
-            rep.lb_time += lbtime::plan_patch(node, edits);
-            rep.patched = true;
-        }
-        rep.enforced = true;
+        // Regression: first line of defense is Enforce_S — through the
+        // plan, so the interaction lists survive the repair.
+        self.enforce(engine, node, rep);
         match self.strategy {
             Strategy::StaticS => unreachable!("StaticS freezes after Search"),
             Strategy::EnforceOnly => {
@@ -345,14 +333,9 @@ impl LoadBalancer {
             }
             Strategy::Full => {
                 let counts = engine.refresh_lists();
-                if !patched {
-                    // The enforce invalidated the plan; the refresh above
-                    // paid for a fresh traversal + recount.
-                    rep.lb_time += lbtime::predict(node, list_entries(engine));
-                }
                 let mut pred = model.predict(&counts, node);
                 if pred.compute() > limit && self.cfg.use_fgo {
-                    let out = fine_grained_optimize(engine, model, node, &self.cfg);
+                    let out = fine_grained_optimize(engine, model, node);
                     rep.lb_time += out.lb_time;
                     rep.fgo_rounds = out.rounds;
                     pred = out.prediction;
@@ -422,14 +405,13 @@ fn pushdown_candidates(tree: &Octree, k: usize) -> Vec<NodeId> {
 /// the predicted compute time falls. The last (non-improving) batch is
 /// reverted.
 ///
-/// Edits go through the engine's plan-aware operations: with a live plan,
-/// each batch is charged modify + patch cost, and the recount after it is a
-/// plan lookup rather than a fresh traversal.
+/// Edits go through the engine, which patches its plan across them: each
+/// batch is charged modify + patch cost, and the recount after it is a plan
+/// lookup rather than a fresh traversal.
 pub fn fine_grained_optimize<K: Kernel>(
     engine: &mut FmmEngine<K>,
     model: &CostModel,
     node: &HeteroNode,
-    cfg: &LbConfig,
 ) -> FgoOutcome {
     let rec = engine.recorder().clone();
     let mut lb_time = 0.0;
@@ -438,14 +420,14 @@ pub fn fine_grained_optimize<K: Kernel>(
     let mut best = model.predict(&counts, node);
     let mut rounds = 0usize;
 
-    while rounds < cfg.fgo_max_rounds {
+    while rounds < FGO_MAX_ROUNDS {
         let tree = engine.tree();
         // P2P pairs only convert to M2L when *both* cells of a pair are
         // refined, so pushdown batches must be large enough to split
         // spatially neighbouring cells together (heaviest leaves cluster);
         // a batch of one almost never improves and would stall the loop.
         let batch_size =
-            ((tree.active_leaves().len() as f64 * cfg.fgo_batch_frac).ceil() as usize).max(8);
+            ((tree.active_leaves().len() as f64 * FGO_BATCH_FRAC).ceil() as usize).max(8);
         let collapsing = best.cpu_dominant();
         let batch = if collapsing {
             collapse_candidates(tree, batch_size)
@@ -460,13 +442,8 @@ pub fn fine_grained_optimize<K: Kernel>(
             break;
         }
         lb_time += lbtime::modify(node, applied.len());
-        let patched = engine.has_live_plan();
         counts = engine.refresh_lists();
-        lb_time += if patched {
-            lbtime::plan_patch(node, applied.len())
-        } else {
-            lbtime::predict(node, list_entries(engine))
-        };
+        lb_time += lbtime::plan_patch(node, applied.len());
         let pred = model.predict(&counts, node);
         rounds += 1;
         rec.event(
@@ -489,13 +466,8 @@ pub fn fine_grained_optimize<K: Kernel>(
             // Revert the non-improving batch and stop.
             let reverted = apply_batch(engine, &applied, !collapsing);
             lb_time += lbtime::modify(node, reverted.len());
-            let patched = engine.has_live_plan();
             engine.refresh_lists();
-            lb_time += if patched {
-                lbtime::plan_patch(node, reverted.len())
-            } else {
-                lbtime::predict(node, list_entries(engine))
-            };
+            lb_time += lbtime::plan_patch(node, reverted.len());
             break;
         }
     }
@@ -507,8 +479,7 @@ pub fn fine_grained_optimize<K: Kernel>(
 }
 
 /// Apply Collapse (`collapsing`) or PushDown to every node in `batch`
-/// through the engine's plan-aware operations; returns the ids where the
-/// operation actually applied.
+/// through the engine; returns the ids where the operation actually applied.
 fn apply_batch<K: Kernel>(
     engine: &mut FmmEngine<K>,
     batch: &[NodeId],

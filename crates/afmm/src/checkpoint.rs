@@ -5,7 +5,7 @@
 //! traces — wrapped in an envelope:
 //!
 //! ```json
-//! {"schema_version":1,"kind":"tracker","checksum":"<fnv1a64 hex>","payload":{...}}
+//! {"schema_version":2,"kind":"tracker","checksum":"<fnv1a64 hex>","payload":{...}}
 //! ```
 //!
 //! The checksum is FNV-1a-64 over the exact payload bytes, so any bit flip
@@ -35,7 +35,7 @@ use telemetry::json::{push_opt, push_seq, Json};
 
 /// Version of the on-disk schema. Bump on any incompatible layout change;
 /// restore refuses snapshots from a different version.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Plain-data image of an [`FmmEngine`](crate::FmmEngine): numerical
 /// parameters, the octree, and the live execution plan (verbatim lists).
@@ -234,18 +234,10 @@ fn w_balancer(out: &mut String, b: &BalancerSnapshot) {
         c.s_min, c.s_max
     );
     w_f64(out, c.eps_switch_s);
-    out.push_str(",\"reg_frac\":");
-    w_f64(out, c.regression_frac);
-    let _ = write!(out, ",\"use_fgo\":{},\"fgo_batch\":", c.use_fgo);
-    w_f64(out, c.fgo_batch_frac);
-    let _ = write!(out, ",\"fgo_rounds\":{},\"incr_factor\":", c.fgo_max_rounds);
-    w_f64(out, c.incr_factor);
-    out.push_str(",\"incr_tol\":");
-    w_f64(out, c.incr_tol);
     let _ = write!(
         out,
-        ",\"hysteresis\":{},\"strategy\":\"{}\",\"state\":\"{}\",\"s\":{},\"lo\":{},\"hi\":{},\"best\":",
-        c.regression_hysteresis,
+        ",\"use_fgo\":{},\"strategy\":\"{}\",\"state\":\"{}\",\"s\":{},\"lo\":{},\"hi\":{},\"best\":",
+        c.use_fgo,
         b.strategy.name(),
         b.state.name(),
         b.s,
@@ -263,11 +255,7 @@ fn w_balancer(out: &mut String, b: &BalancerSnapshot) {
     push_opt(out, b.incr_dir_up, |out, up| {
         let _ = write!(out, "{up}");
     });
-    let _ = write!(
-        out,
-        ",\"incr_flipped\":{},\"regress_count\":{},\"last_online\":",
-        b.incr_flipped, b.regress_count
-    );
+    let _ = write!(out, ",\"incr_flipped\":{},\"last_online\":", b.incr_flipped);
     push_opt(out, b.last_online, |out, n| {
         let _ = write!(out, "{n}");
     });
@@ -541,13 +529,7 @@ fn r_balancer(v: &Json) -> Read<BalancerSnapshot> {
             s_min: r_int(field(v, "s_min")?)?,
             s_max: r_int(field(v, "s_max")?)?,
             eps_switch_s: r_f64(field(v, "eps")?)?,
-            regression_frac: r_f64(field(v, "reg_frac")?)?,
             use_fgo: r_bool(field(v, "use_fgo")?)?,
-            fgo_batch_frac: r_f64(field(v, "fgo_batch")?)?,
-            fgo_max_rounds: r_int(field(v, "fgo_rounds")?)?,
-            incr_factor: r_f64(field(v, "incr_factor")?)?,
-            incr_tol: r_f64(field(v, "incr_tol")?)?,
-            regression_hysteresis: r_int(field(v, "hysteresis")?)?,
         },
         strategy: r_strategy(field(v, "strategy")?)?,
         state: r_state(field(v, "state")?)?,
@@ -561,7 +543,6 @@ fn r_balancer(v: &Json) -> Read<BalancerSnapshot> {
         })?,
         incr_dir_up: r_opt(field(v, "incr_dir_up")?, r_bool)?,
         incr_flipped: r_bool(field(v, "incr_flipped")?)?,
-        regress_count: r_int(field(v, "regress_count")?)?,
         last_online: r_opt(field(v, "last_online")?, r_int)?,
         reset_best_next: r_bool(field(v, "reset_best_next")?)?,
     })
@@ -805,15 +786,17 @@ mod tests {
         assert!(r_f64(&Json::parse("4e18").unwrap()).is_err());
     }
 
-    /// The writer's bytes are the schema-v1 format: checksum and length as
-    /// first written (commit 932a1c7) for this seeded engine. If this moves,
-    /// old checkpoints stop restoring and `SCHEMA_VERSION` must move too.
+    /// The writer's bytes are pinned: the engine payload's checksum and
+    /// length as first written (commit 932a1c7) for this seeded engine —
+    /// schema v2 changed the balancer's image, not the engine's. If this
+    /// moves, old checkpoints stop restoring and `SCHEMA_VERSION` must move
+    /// too.
     #[test]
     fn engine_checkpoint_bytes_are_pinned() {
         let text = engine_to_json(&sample_engine().checkpoint_state());
         assert!(
             text.starts_with(
-                "{\"schema_version\":1,\"kind\":\"engine\",\"checksum\":\"9f006982a9db3074\","
+                "{\"schema_version\":2,\"kind\":\"engine\",\"checksum\":\"9f006982a9db3074\","
             ),
             "{}",
             &text[..80]
@@ -842,8 +825,9 @@ mod tests {
     fn wrong_schema_version_is_refused() {
         let e = sample_engine();
         let text = engine_to_json(&e.checkpoint_state());
-        let bumped = text.replacen("\"schema_version\":1", "\"schema_version\":2", 1);
-        let err = engine_from_json(&bumped).unwrap_err();
+        let older = text.replacen("\"schema_version\":2", "\"schema_version\":1", 1);
+        assert_ne!(older, text);
+        let err = engine_from_json(&older).unwrap_err();
         assert!(
             matches!(err, Error::Checkpoint(ref m) if m.contains("schema version")),
             "{err}"

@@ -1,5 +1,5 @@
 use crate::config::{FmmParams, HeteroNode};
-use crate::exec::{time_step_with_jobs_policy, ExecPolicy, TimingReport};
+use crate::exec::{time_step_impl, ExecPolicy, TimingReport};
 use crate::plan::ExecutionPlan;
 use fmm_math::{BodyTile, DerivScratch, ExpansionOps, FieldTile, Kernel, OpFlops, M2L_LANES};
 use geom::Vec3;
@@ -145,9 +145,8 @@ pub struct FmmEngine<K: Kernel> {
     /// built here and then copied over. Sized to the widest level.
     level_scratch: Vec<f64>,
     /// The persistent execution plan: interaction lists, op counts and GPU
-    /// jobs, built lazily and *patched* across tree edits that go through
-    /// the plan-aware APIs ([`FmmEngine::apply_collapse`],
-    /// [`FmmEngine::enforce_s`], ...).
+    /// jobs, built lazily and *patched* across the engine's tree edits
+    /// ([`FmmEngine::apply_collapse`], [`FmmEngine::enforce_s`], ...).
     plan: Option<ExecutionPlan>,
     /// Set whenever the tree may have changed behind the plan's back
     /// ([`FmmEngine::tree_mut`], [`FmmEngine::rebuild`]); the next refresh
@@ -293,9 +292,8 @@ impl<K: Kernel> FmmEngine<K> {
     }
 
     /// Is there a plan whose incremental state is trusted (no untracked
-    /// tree edits since it was built)? The balancer uses this to decide
-    /// whether a probe can take the cheap patch path.
-    pub fn has_live_plan(&self) -> bool {
+    /// tree edits since it was built)?
+    pub(crate) fn has_live_plan(&self) -> bool {
         self.plan.is_some() && !self.plan_stale
     }
 
@@ -325,69 +323,47 @@ impl<K: Kernel> FmmEngine<K> {
         self.tree.set_s_value(s);
     }
 
-    /// Collapse node `id`, patching the plan through the edit when one is
-    /// live. Returns false when the collapse is a no-op.
+    /// The plan and the tree it describes, for a tree edit to go through.
+    /// Edits never invalidate the plan: a stale or absent one is brought up
+    /// first — the traversal the next solve would have paid — and then
+    /// patched like a live one. The boolean reports whether the plan was
+    /// live on entry.
+    fn plan_for_edit(&mut self) -> (&mut ExecutionPlan, &mut Octree, bool) {
+        let live = self.has_live_plan();
+        if !live {
+            self.refresh_plan();
+        }
+        let plan = self.plan.as_mut().expect("plan refreshed above");
+        (plan, &mut self.tree, live)
+    }
+
+    /// Collapse node `id`, patching the plan through the edit. Returns
+    /// false when the collapse is a no-op.
     pub fn apply_collapse(&mut self, id: NodeId) -> bool {
-        if self.has_live_plan() {
-            let mut plan = self.plan.take().expect("checked live");
-            let did = plan.apply_collapse(&mut self.tree, id);
-            self.plan = Some(plan);
-            did
-        } else {
-            self.plan_stale = true;
-            self.tree.collapse(id)
-        }
+        let (plan, tree, _) = self.plan_for_edit();
+        plan.apply_collapse(tree, id)
     }
 
-    /// Push down node `id`, patching the plan through the edit when one is
-    /// live. Returns false when the push-down is refused.
+    /// Push down node `id`, patching the plan through the edit. Returns
+    /// false when the push-down is refused.
     pub fn apply_push_down(&mut self, id: NodeId) -> bool {
-        if self.has_live_plan() {
-            let mut plan = self.plan.take().expect("checked live");
-            let did = plan.apply_push_down(&mut self.tree, id);
-            self.plan = Some(plan);
-            did
-        } else {
-            self.plan_stale = true;
-            self.tree.push_down(id)
-        }
+        let (plan, tree, _) = self.plan_for_edit();
+        plan.apply_push_down(tree, id)
     }
 
-    /// The paper's Enforce_S through the plan: identical walk and decisions
-    /// as [`Octree::enforce_s`], but each collapse/push-down patches the
-    /// live plan instead of invalidating it. The boolean reports whether
-    /// the patch path was taken (false = no live plan; the tree-level
-    /// enforce ran and the plan went stale).
+    /// The paper's Enforce_S through the plan: the walk and decisions of
+    /// [`Octree::enforce_s`] (one walk, [`Octree::enforce_s_with`]), with
+    /// each collapse/push-down patching the plan. The boolean reports
+    /// whether the plan was live on entry — true wherever a driver timed
+    /// the step first.
     pub fn enforce_s(&mut self) -> (EnforceOutcome, bool) {
-        if !self.has_live_plan() {
-            self.plan_stale = true;
-            return (self.tree.enforce_s(), false);
-        }
-        let mut plan = self.plan.take().expect("checked live");
-        let s = self.tree.s_value();
-        let mut out = EnforceOutcome::default();
-        let mut stack = vec![Octree::ROOT];
-        while let Some(id) = stack.pop() {
-            let n = *self.tree.node(id);
-            if !n.is_leaf() {
-                if n.count() < s {
-                    plan.apply_collapse(&mut self.tree, id);
-                    out.collapses += 1;
-                } else {
-                    for o in 0..8 {
-                        stack.push(n.first_child + o);
-                    }
-                }
-            } else if n.count() > s && plan.apply_push_down(&mut self.tree, id) {
-                out.pushdowns += 1;
-                let first = self.tree.node(id).first_child;
-                for o in 0..8 {
-                    stack.push(first + o);
-                }
-            }
-        }
-        self.plan = Some(plan);
-        (out, true)
+        let (plan, tree, live) = self.plan_for_edit();
+        let out = tree.enforce_s_with(
+            plan,
+            ExecutionPlan::apply_collapse,
+            ExecutionPlan::apply_push_down,
+        );
+        (out, live)
     }
 
     /// Bring the plan in sync with the current tree: full (re)build when no
@@ -433,10 +409,10 @@ impl<K: Kernel> FmmEngine<K> {
         self.refresh_plan();
         let plan = self.plan.as_mut().expect("plan refreshed above");
         plan.ensure_jobs(&self.tree);
-        time_step_with_jobs_policy(
+        time_step_impl(
             &self.tree,
             plan.lists(),
-            plan.jobs(),
+            Some(plan.jobs()),
             flops,
             node,
             self.exec_policy,
@@ -1038,6 +1014,44 @@ mod tests {
             .visible_leaves()
             .iter()
             .all(|&l| uniform.tree().node(l).level == 3));
+    }
+
+    /// Edits never invalidate the plan: on a stale one (just after
+    /// `rebuild`) each edit brings it up first and then patches it.
+    #[test]
+    fn edits_on_a_stale_plan_leave_it_live_and_exact() {
+        type Edit = fn(&mut FmmEngine<GravityKernel>) -> bool;
+        let edits: [(&str, Edit); 3] = [
+            ("apply_collapse", |e| {
+                let t = e.tree();
+                let mut inner = t.visible_nodes().into_iter().skip(1);
+                let id = inner.find(|&id| !t.node(id).is_leaf()).unwrap();
+                e.apply_collapse(id)
+            }),
+            ("apply_push_down", |e| {
+                let t = e.tree();
+                let leaves = t.active_leaves().into_iter();
+                let id = leaves.max_by_key(|&id| t.node(id).count()).unwrap();
+                e.apply_push_down(id)
+            }),
+            ("enforce_s", |e| {
+                e.set_s(8);
+                let (outcome, was_live) = e.enforce_s();
+                !was_live && outcome.pushdowns > 0
+            }),
+        ];
+        let b = plummer(3000, 1.0, 1.0, 112);
+        for (name, edit) in edits {
+            let mut e = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, 32);
+            e.refresh_plan();
+            e.rebuild(&b.pos, 32);
+            assert_eq!(e.plan_epoch(), None, "rebuild leaves the plan stale");
+            assert!(edit(&mut e), "{name} did not apply");
+            assert!(e.plan_epoch().is_some(), "{name} left the plan stale");
+            let fresh = octree::dual_traversal(e.tree(), e.params().mac);
+            assert_eq!(e.counts(), octree::count_ops(e.tree(), &fresh), "{name}");
+            e.audit_plan().unwrap();
+        }
     }
 
     #[test]

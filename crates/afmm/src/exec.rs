@@ -296,22 +296,11 @@ pub fn time_step_policy(
     time_step_impl(tree, lists, None, flops, node, policy)
 }
 
-/// As [`time_step_policy`], but consuming a pre-built (plan-cached) GPU job
-/// list instead of re-deriving it from the lists — the entry point
-/// [`crate::FmmEngine::time_step`] routes through. The jobs must correspond
-/// to the given tree + lists (the `ExecutionPlan` maintains that invariant).
-pub fn time_step_with_jobs_policy(
-    tree: &Octree,
-    lists: &InteractionLists,
-    jobs: &[P2pJob],
-    flops: &OpFlops,
-    node: &HeteroNode,
-    policy: ExecPolicy,
-) -> Result<TimingReport, Error> {
-    time_step_impl(tree, lists, Some(jobs), flops, node, policy)
-}
-
-fn time_step_impl(
+/// The timing behind [`time_step_policy`]. With `jobs`, a pre-built
+/// (plan-cached) GPU job list is consumed instead of re-derived from the
+/// lists — how [`crate::FmmEngine::time_step`] comes in; the jobs must
+/// correspond to the given tree + lists (the `ExecutionPlan` maintains that).
+pub(crate) fn time_step_impl(
     tree: &Octree,
     lists: &InteractionLists,
     jobs: Option<&[P2pJob]>,

@@ -62,8 +62,8 @@ pub use cost::{CostModel, Prediction};
 pub use engine::{FmmEngine, FmmSolution};
 pub use error::Error;
 pub use exec::{
-    build_gpu_jobs, build_task_graph, record_phase_spans, time_step, time_step_policy,
-    time_step_with_jobs_policy, ExecPolicy, TimingReport,
+    build_gpu_jobs, build_task_graph, record_phase_spans, time_step, time_step_policy, ExecPolicy,
+    TimingReport,
 };
 pub use filter::{FilterSnapshot, TimingFilter};
 pub use plan::ExecutionPlan;

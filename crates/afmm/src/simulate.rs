@@ -215,16 +215,7 @@ impl<K: Kernel> StrategyTracker<K> {
                     ("s_min", telemetry::Value::U64(cfg.s_min as u64)),
                     ("s_max", telemetry::Value::U64(cfg.s_max as u64)),
                     ("eps_switch_s", telemetry::Value::F64(cfg.eps_switch_s)),
-                    (
-                        "regression_frac",
-                        telemetry::Value::F64(cfg.regression_frac),
-                    ),
                     ("use_fgo", telemetry::Value::Bool(cfg.use_fgo)),
-                    (
-                        "regression_hysteresis",
-                        telemetry::Value::U64(cfg.regression_hysteresis as u64),
-                    ),
-                    ("incr_factor", telemetry::Value::F64(cfg.incr_factor)),
                 ],
             );
         }

@@ -80,6 +80,7 @@ fn main() -> ExitCode {
 fn run_and_render(cfg: &SuiteConfig) -> BenchReport {
     let report = run_suite(cfg, &mut |line| eprintln!("# {line}"));
     print_solve_ledger(&report);
+    print_memory_profile(&report);
     report
 }
 
@@ -162,6 +163,30 @@ fn print_solve_ledger(report: &BenchReport) {
             c * per_s,
             host / (c * per_s)
         );
+    }
+}
+
+/// The two human-readable views of `memory_profile`, from its snapshot: the
+/// structural footprint breakdown (capacity granularity, any build), and —
+/// with the counting allocator in — the per-scope allocation table of the
+/// frozen-position gate phase, whose `rebin` and `plan.refresh` rows are what
+/// `steady_gate_allocs` adds up.
+fn print_memory_profile(report: &BenchReport) {
+    let Some(snap) = report.scenario("memory_profile").map(|sc| &sc.snapshot) else {
+        return;
+    };
+    if let Some(mem) = snap.get("mem").and_then(Json::as_obj) {
+        eprintln!("# memory_profile structural footprint:");
+        for (key, v) in mem {
+            eprintln!("#   {key:<40} {:>14.1}", v.as_f64().unwrap_or(0.0));
+        }
+    }
+    let gauges = snap.get("metrics").and_then(|m| m.get("gauges"));
+    if let Some(gauges) = gauges.and_then(Json::as_obj) {
+        eprintln!("# memory_profile allocator view (gate phase, per scope):");
+        for (key, v) in gauges {
+            eprintln!("#   {key:<40} {:>14.0}", v.as_f64().unwrap_or(0.0));
+        }
     }
 }
 

@@ -102,14 +102,6 @@ impl Args {
         }
     }
 
-    /// [`Args::opt_f64`] with the exit-2 convention.
-    pub fn opt_f64_or_exit(&mut self, what: &str, default: f64) -> f64 {
-        match self.opt_f64(what, default) {
-            Ok(v) => v,
-            Err(e) => self.die(&e),
-        }
-    }
-
     /// [`Args::finish`] with the exit-2 convention.
     pub fn finish_or_exit(&self) {
         if let Err(e) = self.finish() {

@@ -17,6 +17,10 @@
 //! 3. Direction decides `Improved` vs `Regressed`; only `gate: true`
 //!    metrics can fail the build.
 //!
+//! A zero baseline admits no relative delta: an exact (`virtual`-kind)
+//! metric that leaves it is classified by direction alone, a wall metric is
+//! skipped.
+//!
 //! Scenarios are matched by name and compared only when their `params`
 //! objects are identical — a quick-mode report never silently gates
 //! against a full-mode baseline.
@@ -57,8 +61,8 @@ pub enum Verdict {
     Improved,
     Regressed,
     Unchanged,
-    /// Not comparable (params mismatch, metric missing on one side, zero
-    /// baseline) — reported, never gated.
+    /// Not comparable (params mismatch, metric missing on one side, a wall
+    /// metric's zero baseline) — reported, never gated.
     Skipped,
 }
 
@@ -192,11 +196,23 @@ fn compare_metric(
         note: String::new(),
     };
     if old.stats.median.abs() < f64::EPSILON {
-        // A zero baseline admits no relative comparison; absolute deltas
-        // of heterogeneous units are not gateable either.
+        // A zero baseline admits no relative comparison.
+        let exact = old.kind == MetricKind::Virtual && new.kind == MetricKind::Virtual;
         row.verdict = if new.stats.median.abs() < f64::EPSILON {
             Verdict::Unchanged
+        } else if exact {
+            // An exact metric has no noise to clear: any move off zero is
+            // real (`steady_gate_allocs` 0 → N is the case this gates).
+            row.note = "off a zero baseline".to_string();
+            row.rel_delta = f64::INFINITY.copysign(new.stats.median);
+            let worse = (new.stats.median > 0.0) == (old.direction == Direction::Lower);
+            if worse {
+                Verdict::Regressed
+            } else {
+                Verdict::Improved
+            }
         } else {
+            // Wall noise around zero is not gateable.
             row.note = "zero baseline".to_string();
             Verdict::Skipped
         };

@@ -62,13 +62,6 @@ pub fn gpu_time_or_zero(t: &KernelTiming) -> f64 {
     t.gpu_time().unwrap_or(0.0)
 }
 
-/// Whole-system SIMT efficiency, or 1.0 when the timing covers no devices
-/// (nothing ran, so nothing ran inefficiently). The uniform `None` policy
-/// for harness binaries; see [`gpu_time_or_zero`].
-pub fn efficiency_or_one(t: &KernelTiming) -> f64 {
-    t.efficiency().unwrap_or(1.0)
-}
-
 /// A geometric grid of S values, `per_decade` points per factor of 10.
 pub fn s_grid(lo: usize, hi: usize, per_decade: usize) -> Vec<usize> {
     assert!(lo >= 1 && lo < hi && per_decade >= 1);
@@ -149,7 +142,6 @@ mod tests {
         assert_eq!(t.gpu_time(), None);
         assert_eq!(t.efficiency(), None);
         assert_eq!(gpu_time_or_zero(&t), 0.0);
-        assert_eq!(efficiency_or_one(&t), 1.0);
     }
 
     #[test]
@@ -158,7 +150,6 @@ mod tests {
         let jobs = vec![gpu_sim::P2pJob::new(64, vec![256])];
         let t = sys.execute(&jobs).unwrap();
         assert_eq!(gpu_time_or_zero(&t), t.gpu_time().unwrap());
-        assert_eq!(efficiency_or_one(&t), t.efficiency().unwrap());
         assert!(gpu_time_or_zero(&t) > 0.0);
     }
 }

@@ -97,6 +97,36 @@ fn params_mismatch_skips_instead_of_gating() {
     assert!(result.rows.iter().all(|r| r.verdict == Verdict::Skipped));
 }
 
+/// An exact metric leaving a zero baseline is a verdict, not a skip: the
+/// `memory_profile/steady_gate_allocs` 0 → N gate.
+#[test]
+fn exact_metric_off_a_zero_baseline_regresses() {
+    let with_metric = |m: Metric| {
+        let mut r = report_with(vec![1.0]);
+        r.scenarios[0].metrics = vec![m];
+        r
+    };
+    let allocs = |v: f64| with_metric(Metric::virtual_point("steady_gate_allocs", "allocs", v));
+    let cfg = CompareConfig::default();
+
+    let result = compare(&allocs(0.0), &allocs(3.0), &cfg);
+    assert_eq!(result.regressions(), 1, "{}", result.render());
+
+    let result = compare(&allocs(0.0), &allocs(0.0), &cfg);
+    assert_eq!(result.rows[0].verdict, Verdict::Unchanged);
+
+    // Higher-is-better off zero is the good direction.
+    let rate = |v: f64| with_metric(Metric::virtual_point("rate", "x", v).higher_is_better());
+    let result = compare(&rate(0.0), &rate(2.0), &cfg);
+    assert_eq!(result.rows[0].verdict, Verdict::Improved);
+
+    // Wall noise around zero stays ungateable.
+    let wall = |v: f64| with_metric(Metric::wall("wall_s", "s", vec![v; 5], 11));
+    let result = compare(&wall(0.0), &wall(3.0), &cfg);
+    assert_eq!(result.rows[0].verdict, Verdict::Skipped);
+    assert_eq!(result.regressions(), 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

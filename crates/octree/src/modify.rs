@@ -56,8 +56,27 @@ impl Octree {
     /// The paper's **Enforce_S**: walk the visible tree enforcing the
     /// current S — collapse parents holding fewer than S bodies, push down
     /// leaves holding more than S (recursively, since a pushed-down child
-    /// can still be over-full).
+    /// can still be over-full). Tree-only: nothing derived from the tree is
+    /// kept in step.
     pub fn enforce_s(&mut self) -> EnforceOutcome {
+        self.enforce_s_with(
+            &mut (),
+            |_, tree, id| tree.collapse(id),
+            |_, tree, id| tree.push_down(id),
+        )
+    }
+
+    /// The Enforce_S walk, applying its edits through `collapse` and
+    /// `push_down` on `plan` — whatever must stay in step with the tree, such
+    /// as an [`IncrementalLists`](crate::IncrementalLists) with its
+    /// `apply_collapse` / `apply_push_down`. Each must perform the tree edit
+    /// of the same name and report whether it applied.
+    pub fn enforce_s_with<P>(
+        &mut self,
+        plan: &mut P,
+        collapse: impl Fn(&mut P, &mut Octree, NodeId) -> bool,
+        push_down: impl Fn(&mut P, &mut Octree, NodeId) -> bool,
+    ) -> EnforceOutcome {
         let s = self.s_value;
         let mut out = EnforceOutcome::default();
         let mut stack = vec![Self::ROOT];
@@ -65,14 +84,14 @@ impl Octree {
             let n = self.nodes[id as usize];
             if !n.is_leaf() {
                 if n.count() < s {
-                    self.collapse(id);
+                    collapse(plan, self, id);
                     out.collapses += 1;
                 } else {
                     for o in 0..8 {
                         stack.push(n.first_child + o);
                     }
                 }
-            } else if n.count() > s && self.push_down(id) {
+            } else if n.count() > s && push_down(plan, self, id) {
                 out.pushdowns += 1;
                 let first = self.nodes[id as usize].first_child;
                 for o in 0..8 {
@@ -233,6 +252,40 @@ mod tests {
             0,
             "second pass must be a no-op"
         );
+    }
+
+    /// One walk, two edit pairs: through a plan it decides exactly what the
+    /// tree-only reference decides, and the plan it patched stays exact.
+    #[test]
+    fn tree_only_and_plan_patching_enforce_s_agree() {
+        use crate::{count_ops, dual_traversal, IncrementalLists, Mac};
+        let mut pos = nbody::plummer(4000, 1.0, 1.0, 17).pos;
+        let built = build_adaptive(&pos, BuildParams::with_s(48));
+        // Contract the cloud: inner leaves overflow, outer parents thin out.
+        for p in &mut pos {
+            *p *= 0.6;
+        }
+        let (mut alone, mut planned) = (built.clone(), built);
+        alone.rebin(&pos);
+        planned.rebin(&pos);
+        let mut plan = IncrementalLists::build(&planned, Mac::new(0.5));
+
+        let reference = alone.enforce_s();
+        let through_plan = planned.enforce_s_with(
+            &mut plan,
+            IncrementalLists::apply_collapse,
+            IncrementalLists::apply_push_down,
+        );
+        assert!(reference.collapses > 0 && reference.pushdowns > 0);
+        assert_eq!(through_plan, reference);
+        assert_eq!(planned.visible_nodes(), alone.visible_nodes());
+        assert_eq!(planned.order(), alone.order());
+        for id in alone.visible_nodes() {
+            assert_eq!(planned.node(id).range(), alone.node(id).range());
+        }
+        let fresh = dual_traversal(&planned, Mac::new(0.5));
+        assert_eq!(plan.counts(), count_ops(&planned, &fresh));
+        plan.audit(&planned).unwrap();
     }
 
     #[test]

@@ -89,7 +89,7 @@ fn main() {
         "over-coarse tree (S=1024): predicted cpu {:.5} s, gpu {:.5} s",
         before.t_cpu, before.t_gpu
     );
-    let out = fine_grained_optimize(&mut engine, &model, &node, &cfg);
+    let out = fine_grained_optimize(&mut engine, &model, &node);
     println!(
         "FGO ran {} batch(es) in {:.5} s of LB time; predicted cpu {:.5} s, gpu {:.5} s",
         out.rounds, out.lb_time, out.prediction.t_cpu, out.prediction.t_gpu

@@ -250,7 +250,7 @@ fn far_field_is_a_function_of_the_lists<K: Kernel + Copy>(
         })
         .step_by(2)
         .collect();
-    assert!(e.has_live_plan() && twigs.len() > 8);
+    assert!(e.plan_epoch().is_some() && twigs.len() > 8);
     for id in twigs {
         assert!(e.apply_collapse(id));
     }

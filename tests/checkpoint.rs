@@ -126,6 +126,15 @@ fn restored_run_is_bit_identical_to_uninterrupted() {
         distinct(&a.records()[KILL_AT..]) > 1,
         "no S change after the kill point — trajectory too tame"
     );
+    // ... and the snapshot was taken of a balancer that had been through
+    // Search, the Incremental walk and Observation.
+    let before_kill: Vec<LbState> = (a.records()[..KILL_AT].iter().map(|r| r.state)).collect();
+    for state in [LbState::Search, LbState::Incremental, LbState::Observation] {
+        assert!(
+            before_kill.contains(&state),
+            "never in {state:?} before the kill"
+        );
+    }
 }
 
 /// Serialization is deterministic and the envelope self-verifies: same
@@ -229,24 +238,28 @@ fn version_and_node_mismatches_are_refused() {
     }
     let snap = t.checkpoint(&trajectory(&b.pos, 5));
 
-    let bumped = snap.replacen(
-        &format!("\"schema_version\":{}", afmm::SCHEMA_VERSION),
-        &format!("\"schema_version\":{}", afmm::SCHEMA_VERSION + 1),
-        1,
-    );
-    assert_ne!(snap, bumped, "version field must be present to rewrite");
-    let err = match StrategyTracker::<GravityKernel>::restore(
-        GravityKernel::default(),
-        HeteroNode::system_a(10, 2),
-        &bumped,
-    ) {
-        Err(e) => e,
-        Ok(_) => panic!("future-version snapshot must be refused"),
-    };
-    assert!(
-        err.to_string().contains("schema"),
-        "unexpected error: {err}"
-    );
+    // v1 (the balancer image still carried its six fixed knobs and the
+    // hysteresis counter) and a future version alike.
+    for version in [1, afmm::SCHEMA_VERSION + 1] {
+        let other = snap.replacen(
+            &format!("\"schema_version\":{}", afmm::SCHEMA_VERSION),
+            &format!("\"schema_version\":{version}"),
+            1,
+        );
+        assert_ne!(snap, other, "version field must be present to rewrite");
+        let err = match StrategyTracker::<GravityKernel>::restore(
+            GravityKernel::default(),
+            HeteroNode::system_a(10, 2),
+            &other,
+        ) {
+            Err(e) => e,
+            Ok(_) => panic!("version-{version} snapshot must be refused"),
+        };
+        assert!(
+            matches!(err, afmm::Error::Checkpoint(ref m) if m.contains("schema")),
+            "unexpected error: {err}"
+        );
+    }
 
     // 2-GPU snapshot into a CPU-only node: refused, not silently degraded.
     let err = match StrategyTracker::<GravityKernel>::restore(

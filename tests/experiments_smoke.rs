@@ -128,15 +128,7 @@ fn fig10_shape_fgo_bridges_the_gap() {
     let mut model = CostModel::new();
     model.observe(&counts, &timing, &f, &node);
     let before = model.predict(&counts, &node);
-    let out = afmm::fine_grained_optimize(
-        &mut engine,
-        &model,
-        &node,
-        &LbConfig {
-            eps_switch_s: 1e-4,
-            ..Default::default()
-        },
-    );
+    let out = afmm::fine_grained_optimize(&mut engine, &model, &node);
     assert!(
         out.prediction.compute() < 0.97 * before.compute(),
         "FGO should bridge the uniform gap: {} !< {}",

@@ -76,9 +76,12 @@ fn fresh_then_patched<K: Kernel + Copy>(
 ) -> (Vec<u64>, Vec<u64>) {
     let mut engine = FmmEngine::new(kernel, FmmParams::default(), pos, s);
     let fresh = at_width(width, || bits(&engine.solve(pos, strength)));
-    assert!(engine.has_live_plan());
+    assert!(engine.plan_epoch().is_some());
     assert!(random_edits(&mut engine, 29) > 0, "no edit took");
-    assert!(engine.has_live_plan(), "edits must patch, not invalidate");
+    assert!(
+        engine.plan_epoch().is_some(),
+        "edits must patch, not invalidate"
+    );
     let patched = at_width(width, || bits(&engine.solve(pos, strength)));
     assert_ne!(fresh, patched, "the edits changed nothing the solve sees");
     (fresh, patched)
