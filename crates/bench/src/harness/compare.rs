@@ -160,7 +160,7 @@ impl CompareReport {
     }
 }
 
-pub(crate) fn format_value(v: f64) -> String {
+fn format_value(v: f64) -> String {
     if v == 0.0 {
         "0".to_string()
     } else if v.abs() >= 1000.0 {

@@ -12,24 +12,16 @@
 //! ([`snapshot`]) so a perf delta can be *attributed* instead of guessed
 //! at. The `afmm-perf` binary is the driver.
 //!
-//! The pairwise gate is extended longitudinally by the perf [`ledger`]: an
-//! append-only JSONL history of run summaries keyed by `(host, mode)`
-//! series, with median/MAD history views, offline change-point trend
-//! classification (step / drift / spike), and rolling-median baselines for
-//! `compare --against-ledger`.
+//! The gate is pairwise and keeps no history: one report against one
+//! other, in practice a fresh run against `bench/baseline.json`.
 
 pub mod compare;
-pub mod ledger;
 pub mod report;
 pub mod scenarios;
 pub mod snapshot;
 pub mod stats;
 
 pub use compare::{compare, CompareConfig, CompareReport, Verdict};
-pub use ledger::{
-    host_key, render_history, render_trends, synthesize_baseline, trend_rows, Ledger, LedgerEntry,
-    TrendRow, LEDGER_SCHEMA_VERSION,
-};
 pub use report::{BenchReport, Direction, Metric, MetricKind, Scenario, SCHEMA_VERSION};
 pub use scenarios::{run_suite, SuiteConfig};
 pub use snapshot::{gather, SnapshotParts};

@@ -149,31 +149,25 @@ impl Metric {
         self
     }
 
-    /// The report encoding; a ledger line is the same object without the
-    /// raw samples (`samples: false`).
-    pub(super) fn to_json(&self, samples: bool) -> Json {
-        let mut fields = vec![
+    fn to_json(&self) -> Json {
+        obj(vec![
             ("name", Json::Str(self.name.clone())),
             ("unit", Json::Str(self.unit.clone())),
             ("kind", Json::Str(self.kind.as_str().to_string())),
             ("direction", Json::Str(self.direction.as_str().to_string())),
             ("gate", Json::Bool(self.gate)),
-        ];
-        if samples {
-            let raw = self.samples.iter().map(|&s| Json::F64(s)).collect();
-            fields.push(("samples", Json::Arr(raw)));
-        }
-        fields.extend([
+            (
+                "samples",
+                Json::Arr(self.samples.iter().map(|&s| Json::F64(s)).collect()),
+            ),
             ("median", Json::F64(self.stats.median)),
             ("mad", Json::F64(self.stats.mad)),
             ("ci_lo", Json::F64(self.stats.ci_lo)),
             ("ci_hi", Json::F64(self.stats.ci_hi)),
-        ]);
-        obj(fields)
+        ])
     }
 
-    /// Inverse of [`Metric::to_json`], `samples` saying which encoding.
-    pub(super) fn from_json(v: &Json, samples: bool) -> Result<Self, String> {
+    fn from_json(v: &Json) -> Result<Self, String> {
         let str_field = |k: &str| -> Result<String, String> {
             v.get(k)
                 .and_then(Json::as_str)
@@ -195,16 +189,13 @@ impl Metric {
             direction: Direction::parse(&dir_s)
                 .ok_or_else(|| format!("unknown metric direction \"{dir_s}\""))?,
             gate: v.get("gate").and_then(Json::as_bool).unwrap_or(true),
-            samples: if samples {
-                v.get("samples")
-                    .and_then(Json::as_arr)
-                    .ok_or("metric missing \"samples\"")?
-                    .iter()
-                    .map(|s| s.as_f64().ok_or("non-numeric sample"))
-                    .collect::<Result<_, _>>()?
-            } else {
-                Vec::new()
-            },
+            samples: v
+                .get("samples")
+                .and_then(Json::as_arr)
+                .ok_or("metric missing \"samples\"")?
+                .iter()
+                .map(|s| s.as_f64().ok_or("non-numeric sample"))
+                .collect::<Result<_, _>>()?,
             stats: MetricStats {
                 median: num_field("median")?,
                 mad: num_field("mad")?,
@@ -240,7 +231,7 @@ impl Scenario {
             ("params", self.params.clone()),
             (
                 "metrics",
-                Json::Arr(self.metrics.iter().map(|m| m.to_json(true)).collect()),
+                Json::Arr(self.metrics.iter().map(Metric::to_json).collect()),
             ),
             ("snapshot", self.snapshot.clone()),
         ])
@@ -259,17 +250,17 @@ impl Scenario {
                 .and_then(Json::as_arr)
                 .ok_or("scenario missing \"metrics\"")?
                 .iter()
-                .map(|m| Metric::from_json(m, true))
+                .map(Metric::from_json)
                 .collect::<Result<_, _>>()?,
             snapshot: v.get("snapshot").cloned().unwrap_or(Json::Obj(Vec::new())),
         })
     }
 }
 
-/// The whole report: schema tag, provenance, run configuration, scenarios.
+/// The whole report: provenance, run configuration, scenarios. It is
+/// written and read at [`SCHEMA_VERSION`] only.
 #[derive(Clone, Debug)]
 pub struct BenchReport {
-    pub schema_version: u64,
     /// `{"os", "arch", "cpus"}` of the measuring host.
     pub host: Json,
     /// Git commit the measured binary was built from, or "unknown".
@@ -311,7 +302,7 @@ impl BenchReport {
 
     pub fn to_json_value(&self) -> Json {
         obj(vec![
-            ("schema_version", Json::F64(self.schema_version as f64)),
+            ("schema_version", Json::F64(SCHEMA_VERSION as f64)),
             ("host", self.host.clone()),
             ("commit", Json::Str(self.commit.clone())),
             ("config", self.config.clone()),
@@ -329,59 +320,36 @@ impl BenchReport {
         s
     }
 
-    /// Parse a report. See [`BenchReport::from_json_warn`]; warnings are
-    /// dropped here for callers that only need the data.
+    /// Parse a report. Unknown fields are ignored everywhere; a
+    /// `schema_version` other than [`SCHEMA_VERSION`] is refused, as a
+    /// checkpoint's is.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        Self::from_json_warn(text).map(|(r, _)| r)
-    }
-
-    /// Parse a report, tolerating growth: unknown fields are ignored
-    /// everywhere, and a *newer* `schema_version` parses best-effort with a
-    /// warning instead of a hard error — an old binary must still be able
-    /// to read (and trend over) a ledger grown by newer ones. Under a newer
-    /// version, scenarios this build cannot interpret are skipped with a
-    /// warning; under the native version they stay hard errors, because
-    /// there they can only mean corruption.
-    pub fn from_json_warn(text: &str) -> Result<(Self, Vec<String>), String> {
         let v = Json::parse(text).map_err(|e| e.to_string())?;
         let version = v
             .get("schema_version")
             .and_then(Json::as_u64)
             .ok_or("report missing \"schema_version\"")?;
-        let mut warnings = Vec::new();
-        let newer = version > SCHEMA_VERSION;
-        if newer {
-            warnings.push(format!(
-                "report schema_version {version} is newer than this build's \
-                 {SCHEMA_VERSION}; parsing known fields only"
+        if version != SCHEMA_VERSION {
+            return Err(format!(
+                "report schema_version {version} unsupported (this build reads {SCHEMA_VERSION})"
             ));
         }
-        let mut scenarios = Vec::new();
-        for sv in v
-            .get("scenarios")
-            .and_then(Json::as_arr)
-            .ok_or("report missing \"scenarios\"")?
-        {
-            match Scenario::from_json(sv) {
-                Ok(sc) => scenarios.push(sc),
-                Err(e) if newer => warnings.push(format!("skipping scenario: {e}")),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((
-            BenchReport {
-                schema_version: version,
-                host: v.get("host").cloned().unwrap_or(Json::Obj(Vec::new())),
-                commit: v
-                    .get("commit")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-                config: v.get("config").cloned().unwrap_or(Json::Obj(Vec::new())),
-                scenarios,
-            },
-            warnings,
-        ))
+        Ok(BenchReport {
+            host: v.get("host").cloned().unwrap_or(Json::Obj(Vec::new())),
+            commit: v
+                .get("commit")
+                .and_then(Json::as_str)
+                .unwrap_or("unknown")
+                .to_string(),
+            config: v.get("config").cloned().unwrap_or(Json::Obj(Vec::new())),
+            scenarios: v
+                .get("scenarios")
+                .and_then(Json::as_arr)
+                .ok_or("report missing \"scenarios\"")?
+                .iter()
+                .map(Scenario::from_json)
+                .collect::<Result<_, _>>()?,
+        })
     }
 }
 
@@ -421,7 +389,6 @@ mod tests {
 
     fn tiny_report() -> BenchReport {
         BenchReport {
-            schema_version: SCHEMA_VERSION,
             host: BenchReport::current_host(),
             commit: "deadbeef".to_string(),
             config: obj(vec![("mode", Json::Str("smoke".into()))]),
@@ -459,15 +426,14 @@ mod tests {
     }
 
     #[test]
-    fn tolerates_future_schema_with_warning() {
-        let mut text = tiny_report().to_json();
-        text = text.replace("\"schema_version\":1", "\"schema_version\":99");
-        let (r, warnings) = BenchReport::from_json_warn(&text).unwrap();
-        assert_eq!(r.schema_version, 99);
-        assert_eq!(r.scenarios.len(), 1);
+    fn other_schema_version_is_refused() {
+        let text = tiny_report()
+            .to_json()
+            .replace("\"schema_version\":1", "\"schema_version\":2");
+        let err = BenchReport::from_json(&text).unwrap_err();
         assert!(
-            warnings.iter().any(|w| w.contains("schema_version 99")),
-            "{warnings:?}"
+            err.contains("schema_version 2") && err.contains("reads 1"),
+            "{err}"
         );
     }
 
@@ -486,32 +452,13 @@ mod tests {
                 "{\"name\":\"solve_step\",\"annotations\":{\"color\":\"teal\"}",
             )
             .replace("{\"name\":\"wall_s\"", "{\"name\":\"wall_s\",\"p99\":0.53");
-        let (r, warnings) = BenchReport::from_json_warn(&text).unwrap();
-        assert!(warnings.is_empty(), "{warnings:?}");
+        let r = BenchReport::from_json(&text).unwrap();
         assert_eq!(r.commit, "deadbeef");
         let m = r.scenario("solve_step").unwrap().metric("wall_s").unwrap();
         assert_eq!(m.samples, vec![0.5, 0.52, 0.49]);
         // Re-serializing drops the unknown fields but stays parseable.
         let again = BenchReport::from_json(&r.to_json()).unwrap();
         assert_eq!(again.scenarios[0].metrics.len(), 3);
-    }
-
-    #[test]
-    fn future_schema_skips_unreadable_scenarios() {
-        // Under a *newer* schema, a scenario shaped in a way v1 cannot read
-        // is skipped with a warning; under the native version it is a
-        // hard error (corruption).
-        let broken = tiny_report()
-            .to_json()
-            .replace("\"kind\":\"wall\"", "\"kind\":\"quantile_sketch\"");
-        assert!(BenchReport::from_json(&broken).is_err());
-        let future = broken.replace("\"schema_version\":1", "\"schema_version\":2");
-        let (r, warnings) = BenchReport::from_json_warn(&future).unwrap();
-        assert!(r.scenarios.is_empty());
-        assert!(
-            warnings.iter().any(|w| w.contains("skipping scenario")),
-            "{warnings:?}"
-        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use octree::{
     build_adaptive, count_ops, dual_traversal, BuildParams, IncrementalLists, Mac, NodeId, Octree,
 };
 
-use super::report::{BenchReport, Metric, Scenario, SCHEMA_VERSION};
+use super::report::{BenchReport, Metric, Scenario};
 use super::snapshot::{gather, MemFootprint, SnapshotParts};
 use telemetry::json::{obj, Json};
 
@@ -159,7 +159,6 @@ pub fn run_suite(cfg: &SuiteConfig, progress: &mut dyn FnMut(&str)) -> BenchRepo
         scenarios.push(sc);
     }
     BenchReport {
-        schema_version: SCHEMA_VERSION,
         host: BenchReport::current_host(),
         commit: BenchReport::current_commit(),
         config: obj(vec![

@@ -19,8 +19,8 @@
 //!   live during the scenario;
 //! * **mem** — the structural heap footprint ([`MemFootprint`]): absolute
 //!   bytes per owner plus the normalized bytes-per-body / bytes-per-node /
-//!   bytes-per-list-entry figures the memory observatory trends. Structural
-//!   accounting works with or without the `memprof` allocator feature.
+//!   bytes-per-list-entry figures. Structural accounting works with or
+//!   without the `memprof` allocator feature.
 
 use super::stats::median;
 use afmm::CostModel;
@@ -53,7 +53,7 @@ pub struct SnapshotParts<'a> {
 /// [`afmm::ExecutionPlan`] / engine scratch, and the telemetry recorder's
 /// ring buffer. Byte figures are capacity-granular (reserved headroom is
 /// real memory); the divisor counts normalize them into the per-body /
-/// per-node / per-list-entry densities the perf ledger trends.
+/// per-node / per-list-entry densities a size change is judged by.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MemFootprint {
     pub bodies_bytes: usize,

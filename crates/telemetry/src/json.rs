@@ -2,7 +2,7 @@
 //! RFC 8259 parser ([`Json::parse`]) and a writer ([`Json::write`], plus the
 //! [`push_seq`]/[`push_opt`] helpers for code that streams into a `String`
 //! without building a tree). Trace lines, flat JSONL artifacts, benchmark
-//! reports, the ledger and checkpoints are all read through this parser.
+//! reports and checkpoints are all read through this parser.
 //!
 //! **Number typing** is decided once, here, by syntax: a token without
 //! fraction or exponent that fits `u64` (or, when negative, `i64`) parses

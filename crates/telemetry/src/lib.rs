@@ -35,7 +35,6 @@ pub mod memprof;
 mod metrics;
 mod recorder;
 mod trace;
-mod trend;
 
 pub use audit::{AuditStats, AuditTrail, PredictionAudit, DEFAULT_WINDOW};
 pub use event::{push_json_f64, push_json_str, EventRecord, RecordKind, Value};
@@ -48,4 +47,3 @@ pub use trace::{
     flat_f64, flat_str, flat_u64, intern, parse_flat_json, read_trace, ChromeTraceExporter,
     TraceError, TraceReader,
 };
-pub use trend::{classify_series, TrendConfig, TrendKind, TrendReport};

@@ -3,7 +3,7 @@
 //! counts, bytes, and peak-live-bytes to named scopes.
 //!
 //! Two accounting systems coexist in the workspace and answer different
-//! questions (see DESIGN.md §13):
+//! questions (see DESIGN.md §12):
 //!
 //! * **Allocator accounting** (this module, feature `memprof`): *how many
 //!   times did we hit the allocator, and from where?* Exact counts from a

@@ -148,10 +148,9 @@ impl EventRecord {
 /// Parse one *flat* JSON object (string/number/bool/null values only) into
 /// its key/value pairs, preserving order.
 ///
-/// This is the shared reader for every flat JSONL artifact in the repo that
-/// is not an event record — audit-stat summaries, the repo benchmark's
-/// result lines — so they all accept exactly the grammar the canonical
-/// encoders emit.
+/// This is the shared reader for flat JSONL artifacts that are not event
+/// records — the repo benchmark's result lines — so they accept exactly the
+/// grammar the canonical encoders emit.
 /// Unknown keys are the caller's business (they are returned, not rejected),
 /// which is what makes the artifacts forward-compatible: a newer writer can
 /// add fields without breaking an older reader. Nested objects/arrays are

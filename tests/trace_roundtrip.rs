@@ -186,24 +186,7 @@ fn full_tracker_run_roundtrips_byte_for_byte() {
 /// the three x-ray gauges. It also carries two `anomaly.*` events from the
 /// online detector that PR 16 removed. People keep old traces; readers must
 /// still take them.
-const PRE_PR14_DAG_TRACE: &str = r#"{"seq":0,"step":0,"kind":"event","name":"run.config","strategy":"full","s_min":8,"s_max":4096,"eps_switch_s":0.15,"regression_frac":0.05,"use_fgo":true,"regression_hysteresis":1,"incr_factor":1.15,"phase_tolerance":0.2}
-{"seq":1,"step":0,"kind":"event","name":"exec.policy","mode":"dag","offload_pl":false,"trace":true,"phase_tolerance":0.2}
-{"seq":2,"step":0,"kind":"event","name":"lb.transition","from":"search","to":"incremental","cause":"search_settled","s":181}
-{"seq":3,"step":0,"kind":"span","name":"phase.p2m","dur_s":0.000023614081996434935,"ops":200}
-{"seq":4,"step":0,"kind":"span","name":"phase.m2m","dur_s":0.000004641853832442066,"ops":7}
-{"seq":5,"step":0,"kind":"span","name":"phase.m2l","dur_s":0,"ops":0}
-{"seq":6,"step":0,"kind":"span","name":"phase.l2l","dur_s":0.000008689982174688056,"ops":7}
-{"seq":7,"step":0,"kind":"span","name":"phase.l2p","dur_s":0.000023614081996434935,"ops":200}
-{"seq":8,"step":0,"kind":"span","name":"phase.p2p","dur_s":0.00005617391304347826,"ops":39800,"on_gpu":true}
-{"seq":9,"step":0,"kind":"span","name":"sched.task","dur_s":0.00000284,"task":0,"phase":"p2m","lane":"core4","slot":4,"prio":0.000016599999999999997,"ready":0,"start":0,"crit":-1}
-{"seq":11,"step":0,"kind":"span","name":"sched.task","dur_s":0.0000468,"task":2,"phase":"p2m","lane":"core0","slot":0,"prio":0.000060559999999999996,"ready":0,"start":0,"crit":0}
-{"seq":33,"step":0,"kind":"event","name":"sched.lane","lane":"core0","slot":0,"gpu":false,"busy":0.000060559999999999996,"util":1,"tasks":2,"idle_gaps":0,"idle_total":0,"idle_max":0}
-{"seq":43,"step":0,"kind":"event","name":"sched.lane","lane":"gpu0","slot":10,"gpu":true,"busy":0.00005617391304347826,"util":0.9275745218540004,"tasks":1,"idle_gaps":1,"idle_total":0.0000043860869565217375,"idle_max":0.0000043860869565217375}
-{"seq":44,"step":0,"kind":"event","name":"anomaly.step_time","channel":"step_time","anomaly_kind":"spike","severity":"critical","value":0.00018,"median":0.00006056,"score":39.4}
-{"seq":45,"step":0,"kind":"event","name":"anomaly.pred_error","channel":"pred_error","anomaly_kind":"drift","severity":"warn","value":0.31,"median":0.02,"score":8.6}
-{"seq":47,"step":0,"kind":"event","name":"sched.critpath","len":2,"sum":0.000060559999999999996,"makespan":0.000060559999999999996,"pass":"by_level","cores":10,"gpu_lanes":4,"lane_idle_frac":0.6557512902352371,"pipeline_overlap":0.9275745218540004,"cpu_frac":1,"gpu_frac":0,"dep_frac":1,"starve_frac":0,"serial_frac":0,"frac_p2m":0.7727873183619551,"frac_m2m":0.22721268163804487,"frac_m2l":0,"frac_l2l":0,"frac_l2p":0,"frac_p2p":0}
-{"seq":48,"step":0,"kind":"event","name":"gpu.util","device":0,"elapsed_s":0.00005617391304347826,"util":1,"pairs":33000}
-{"seq":50,"step":0,"kind":"event","name":"step.record","s":181,"state":"search","t_cpu":0.000060559999999999996,"t_gpu":0.00005617391304347826,"t_lb":0,"acted":false,"online_gpus":4,"t_sched":0.000060559999999999996,"critpath_len":2,"lane_idle_frac":0.6557512902352371,"pipeline_overlap":0.9275745218540004}"#;
+const PRE_PR14_DAG_TRACE: &str = include_str!("fixtures/pre_pr14_dag_trace.jsonl");
 
 #[test]
 fn chrome_export_of_real_run_is_valid_with_all_tracks() {
