@@ -528,6 +528,14 @@ impl<K: Kernel> FmmEngine<K> {
             Some(ps) => {
                 let mut plan =
                     ExecutionPlan::from_snapshot(ps).map_err(crate::Error::Checkpoint)?;
+                // Patches run the plan's own MAC: one the engine does not
+                // use would put the wrong pairs on the lists.
+                let (plan_theta, theta) = (plan.mac().theta, snap.params.mac.theta);
+                if plan_theta != theta {
+                    return Err(crate::Error::Checkpoint(format!(
+                        "plan MAC theta {plan_theta} differs from the engine's {theta}"
+                    )));
+                }
                 // A snapshot taken between `rebin` and the next refresh (the
                 // state `GravitySim::step` leaves) carries counts one
                 // reconciliation behind its tree. Do that reconciliation now

@@ -60,10 +60,10 @@ fn run_and_render(cfg: &SuiteConfig) -> BenchReport {
 /// The `solve_step` wall ledger: phase walls against the whole solve, the
 /// host's measured speedup over one worker beside the scheduler model's
 /// `parallel_rate` for the same task graph (and under it what the same
-/// workers buy `tree_maintenance`'s rebin), and the host's measured operator
-/// costs beside the cost model's coefficients for the same operators (both
-/// per core: virtual core-time per application, probes on one thread), so
-/// model-vs-host skew is visible at a glance.
+/// workers buy `tree_maintenance`'s rebin and plan rebuild), and the host's
+/// measured operator costs beside the cost model's coefficients for the same
+/// operators (both per core: virtual core-time per application, probes on
+/// one thread), so model-vs-host skew is visible at a glance.
 fn print_solve_ledger(report: &BenchReport) {
     let Some(solve) = report.scenario("solve_step") else {
         return;
@@ -77,11 +77,11 @@ fn print_solve_ledger(report: &BenchReport) {
     for name in ["upsweep_s", "downsweep_s", "near_field_s"] {
         if let Some(t) = median(name) {
             phases += t;
-            eprintln!("#   {name:<16} {t:>10.4} s  {:>5.1} %", 100.0 * t / wall);
+            eprintln!("#   {name:<20} {t:>10.4} s  {:>5.1} %", 100.0 * t / wall);
         }
     }
     eprintln!(
-        "#   {:<16} {phases:>10.4} s  {:>5.1} %",
+        "#   {:<20} {phases:>10.4} s  {:>5.1} %",
         "phases total",
         100.0 * phases / wall
     );
@@ -96,7 +96,7 @@ fn print_solve_ledger(report: &BenchReport) {
             .and_then(Json::as_f64)
             .unwrap_or(1.0);
         eprintln!(
-            "#   {:<16} {speedup:>10.2} x      host, {cpus} workers (one worker: {one:.4} s) | model parallel_rate = {rate:.2} cores  (host/model {:.2})",
+            "#   {:<20} {speedup:>10.2} x      host, {cpus} workers (one worker: {one:.4} s) | model parallel_rate = {rate:.2} cores  (host/model {:.2})",
             "host_speedup",
             speedup / rate
         );
@@ -113,8 +113,18 @@ fn print_solve_ledger(report: &BenchReport) {
             .and_then(Json::as_f64)
             .unwrap_or(0.0);
         eprintln!(
-            "#   {:<16} {speedup:>10.2} x      rebin of {n} bodies: {ns:.1} ns/body (one worker: {one:.1} ns/body)",
+            "#   {:<20} {speedup:>10.2} x      rebin of {n} bodies: {ns:.1} ns/body (one worker: {one:.1} ns/body)",
             "rebin_speedup"
+        );
+    }
+    if let (Some(ms), Some(one), Some(speedup)) = (
+        rebin_median("plan_rebuild_ms"),
+        rebin_median("plan_rebuild_1w_ms"),
+        rebin_median("plan_rebuild_speedup"),
+    ) {
+        eprintln!(
+            "#   {:<20} {speedup:>10.2} x      plan rebuild on that tree: {ms:.1} ms (one worker: {one:.1} ms)",
+            "plan_rebuild_speedup"
         );
     }
     eprintln!("# per core, host against cost model:");
@@ -132,7 +142,7 @@ fn print_solve_ledger(report: &BenchReport) {
             continue;
         };
         eprintln!(
-            "#   {name:<16} {host:>10.2} {unit}  host | model {coeff} = {:.2} {unit}  (host/model {:.2})",
+            "#   {name:<20} {host:>10.2} {unit}  host | model {coeff} = {:.2} {unit}  (host/model {:.2})",
             c * per_s,
             host / (c * per_s)
         );

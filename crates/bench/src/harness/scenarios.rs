@@ -931,7 +931,10 @@ fn memory_profile_one_worker(cfg: &SuiteConfig) -> Scenario {
 /// all bodies into the unchanged tree, in ns per body. `rebin_ns_per_body`
 /// runs at the host's width and is gated; `rebin_1w_ns_per_body` is the same
 /// re-binning on one worker and `rebin_speedup` their per-repetition ratio —
-/// both inform, they vary with the host's core count.
+/// both inform, they vary with the host's core count. The plan rebuild on
+/// the same tree reads the same way: `plan_rebuild_ms`
+/// (`IncrementalLists::rebuild` of a live plan, host width) gated,
+/// `plan_rebuild_1w_ms` and `plan_rebuild_speedup` informing.
 fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
     let s = 64;
     let b = nbody::plummer(cfg.n_rebin, 1.0, 1.0, cfg.seed + 10);
@@ -958,14 +961,28 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
     };
     let samples = breaths(&mut tree);
     let samples_1w = crate::one_worker(|| breaths(&mut tree));
-    let speedup: Vec<f64> = samples_1w
-        .iter()
-        .zip(&samples)
-        .map(|(w1, wk)| w1 / wk)
-        .collect();
+    let ratio = |one: &[f64], wide: &[f64]| -> Vec<f64> {
+        one.iter().zip(wide).map(|(w1, wk)| w1 / wk).collect()
+    };
+    let speedup = ratio(&samples_1w, &samples);
+
+    // The plan over the same tree, rebuilt whole while live: what a Search
+    // probe or a refresh that finds a cell emptied or filled pays.
+    let mut plan = IncrementalLists::build(&tree, Mac::default());
+    let rebuilds = |plan: &mut IncrementalLists| -> Vec<f64> {
+        sample(cfg.warmup, cfg.reps, || plan.rebuild(&tree))
+            .into_iter()
+            .map(|s| s * 1e3)
+            .collect()
+    };
+    let rebuild = rebuilds(&mut plan);
+    let rebuild_1w = crate::one_worker(|| rebuilds(&mut plan));
+    let rebuild_speedup = ratio(&rebuild_1w, &rebuild);
 
     let snapshot = gather(&SnapshotParts {
         tree: Some(&tree),
+        lists: Some(plan.lists()),
+        counts: Some(plan.counts()),
         ..Default::default()
     });
     Scenario {
@@ -979,6 +996,11 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
             Metric::wall("rebin_ns_per_body", "ns", samples, cfg.seed),
             Metric::wall("rebin_1w_ns_per_body", "ns", samples_1w, cfg.seed).informational(),
             Metric::wall("rebin_speedup", "x", speedup, cfg.seed)
+                .higher_is_better()
+                .informational(),
+            Metric::wall("plan_rebuild_ms", "ms", rebuild, cfg.seed),
+            Metric::wall("plan_rebuild_1w_ms", "ms", rebuild_1w, cfg.seed).informational(),
+            Metric::wall("plan_rebuild_speedup", "x", rebuild_speedup, cfg.seed)
                 .higher_is_better()
                 .informational(),
         ],

@@ -102,8 +102,10 @@ impl SimGpu {
     /// Blocks are created per job (one thread per target body, padded to
     /// whole warps) and dispatched greedily to the least-loaded SM slot in
     /// issue order — the hardware's block scheduler. Kernel time is the
-    /// maximum SM load plus the fixed launch overhead.
-    pub fn run_kernel(&self, jobs: &[P2pJob]) -> KernelReport {
+    /// maximum SM load plus the fixed launch overhead. The jobs are
+    /// borrowed in issue order, so a device's share of a launch is read
+    /// where it lies.
+    pub fn run_kernel<'a>(&self, jobs: impl IntoIterator<Item = &'a P2pJob>) -> KernelReport {
         let bs = self.spec.block_size;
         let ws = self.spec.warp_size.max(1);
         let mut sm_load = vec![0.0f64; self.spec.sms.max(1)];

@@ -405,8 +405,7 @@ impl GpuSystem {
             .zip(&assignment)
             .enumerate()
             .map(|(d, (gpu, idxs))| {
-                let mine: Vec<P2pJob> = idxs.iter().map(|&i| jobs[i].clone()).collect();
-                let mut r = gpu.run_kernel(&mine);
+                let mut r = gpu.run_kernel(idxs.iter().map(|&i| &jobs[i]));
                 r.elapsed_s *= self.status[d].slowdown;
                 r
             })

@@ -27,7 +27,10 @@
 
 use crate::node::{NodeId, Octree, NONE};
 use crate::stats::{node_op_counts, OpCounts};
-use crate::traversal::{dual_traversal, InteractionLists, Mac};
+use crate::traversal::{
+    empty_lists, fork_width, reserve_exactly, trim, InteractionLists, Mac, Traversal,
+};
+use rayon::prelude::*;
 
 /// How [`IncrementalLists::refresh_counts`] serviced a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,8 +78,9 @@ enum Rel {
 pub struct IncrementalLists {
     mac: Mac,
     lists: InteractionLists,
-    /// `rev_m2l[b]` = every target `a` with `b ∈ lists.m2l[a]` (multiset,
-    /// unordered). The O(degree) handle on "who references this node?".
+    /// `rev_m2l[b]` = every target `a` with `b ∈ lists.m2l[a]` (a multiset:
+    /// ascending after a rebuild, in patch order after edits). The O(degree)
+    /// handle on "who references this node?".
     rev_m2l: Vec<Vec<NodeId>>,
     /// Likewise for P2P source lists.
     rev_p2p: Vec<Vec<NodeId>>,
@@ -95,6 +99,9 @@ pub struct IncrementalLists {
     walk: Vec<NodeId>,
     /// Warm dirty-node buffer for the same path; pure scratch.
     dirty_scratch: Vec<NodeId>,
+    /// Warm buffers of [`IncrementalLists::rebuild`]'s traversal; pure
+    /// scratch.
+    traversal: Traversal,
     /// Telemetry handle; `Recorder::disabled()` (the default) is free.
     rec: telemetry::Recorder,
 }
@@ -116,6 +123,37 @@ fn visible_subtree(tree: &Octree, id: NodeId) -> Vec<NodeId> {
         }
     }
     out
+}
+
+/// Empty `v` and refill it with `n` copies of `value`, in place.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+    v.clear();
+    v.resize(n, value);
+    trim(v);
+}
+
+/// `rev[i]` = every target whose list in `fwd` names source `first + i`, in
+/// ascending target order and at exactly that capacity; `counts` is scratch
+/// as long as `rev`.
+fn invert(fwd: &[Vec<NodeId>], first: usize, counts: &mut [u32], rev: &mut [Vec<NodeId>]) {
+    let len = rev.len();
+    let mine = |b: NodeId| (b as usize).checked_sub(first).filter(|&i| i < len);
+    counts.fill(0);
+    for &b in fwd.iter().flatten() {
+        if let Some(i) = mine(b) {
+            counts[i] += 1;
+        }
+    }
+    for (list, &count) in rev.iter_mut().zip(&*counts) {
+        reserve_exactly(list, count as usize);
+    }
+    for (a, sources) in fwd.iter().enumerate() {
+        for &b in sources {
+            if let Some(i) = mine(b) {
+                rev[i].push(a as NodeId);
+            }
+        }
+    }
 }
 
 /// Is `id` reachable without entering a collapsed subtree?
@@ -146,6 +184,7 @@ impl IncrementalLists {
             epoch: 0,
             walk: Vec::new(),
             dirty_scratch: Vec::new(),
+            traversal: Traversal::default(),
             rec: telemetry::Recorder::disabled(),
         };
         plan.rebuild(tree);
@@ -159,33 +198,72 @@ impl IncrementalLists {
     }
 
     /// Throw the incremental state away and re-derive everything from a
-    /// fresh traversal of `tree`.
+    /// fresh traversal of `tree`, into the storage the plan already holds.
+    ///
+    /// From [`crate::traversal::MIN_FORK_NODES`] arena nodes up each stage
+    /// runs through workers — the traversal one task per child of the root,
+    /// the inverse lists one range of sources per worker, the per-node
+    /// counts one range of nodes per worker — and every list comes out the
+    /// same, entry for entry and in order, at any width. Once warm, a
+    /// rebuild of an unchanged tree allocates nothing on one worker and only
+    /// the forks' bookkeeping on more.
     pub fn rebuild(&mut self, tree: &Octree) {
         self.rec.counter_add("plan.rebuild", 1);
         let n = tree.num_nodes();
-        self.lists = dual_traversal(tree, self.mac);
-        self.rev_m2l = vec![Vec::new(); n];
-        self.rev_p2p = vec![Vec::new(); n];
-        for a in 0..n {
-            for &b in &self.lists.m2l[a] {
-                self.rev_m2l[b as usize].push(a as NodeId);
-            }
-            for &b in &self.lists.p2p[a] {
-                self.rev_p2p[b as usize].push(a as NodeId);
-            }
-        }
-        self.node_counts = vec![OpCounts::default(); n];
+        let workers = fork_width(tree);
+        self.traversal
+            .fill(tree, self.mac, &mut self.lists, workers);
+        self.fill_inverse_lists(workers);
+
+        refill(&mut self.node_counts, n, OpCounts::default());
+        let chunk = n.div_ceil(workers).max(1);
+        let lists = &self.lists;
+        self.node_counts
+            .par_chunks_mut(chunk)
+            .enumerate()
+            .for_each(|(w, counts)| {
+                for (id, c) in (w * chunk..).zip(counts) {
+                    let id = id as NodeId;
+                    if is_visible(tree, id) {
+                        *c = node_op_counts(tree, lists, id);
+                    }
+                }
+            });
         self.totals = OpCounts::default();
-        for id in tree.visible_nodes() {
-            let c = node_op_counts(tree, &self.lists, id);
-            self.node_counts[id as usize] = c;
+        for &c in &self.node_counts {
             self.totals += c;
         }
-        self.body_count = (0..n)
-            .map(|i| tree.node(i as NodeId).count() as u32)
-            .collect();
-        self.stamp = vec![0; n];
+        self.body_count.clear();
+        self.body_count
+            .extend((0..n).map(|i| tree.node(i as NodeId).count() as u32));
+        trim(&mut self.body_count);
+        refill(&mut self.stamp, n, 0);
         self.epoch = 0;
+    }
+
+    /// Refill `rev_m2l`/`rev_p2p` from the forward lists, each at exactly
+    /// its length, every `rev_*[b]` in ascending target order. Sources are
+    /// cut into one id range per worker; each worker counts the entries
+    /// naming its sources (into their stamps, which the rebuild zeroes
+    /// after), reserves, then scans every target in ascending id and pushes
+    /// the ones that name its sources.
+    fn fill_inverse_lists(&mut self, workers: usize) {
+        let n = self.lists.m2l.len();
+        for rev in [&mut self.rev_m2l, &mut self.rev_p2p] {
+            empty_lists(rev, n);
+        }
+        refill(&mut self.stamp, n, 0);
+        let range = n.div_ceil(workers).max(1);
+        let lists = &self.lists;
+        self.stamp
+            .par_chunks_mut(range)
+            .zip(self.rev_m2l.par_chunks_mut(range))
+            .zip(self.rev_p2p.par_chunks_mut(range))
+            .enumerate()
+            .for_each(|(w, ((counts, rev_m2l), rev_p2p))| {
+                invert(&lists.m2l, w * range, counts, rev_m2l);
+                invert(&lists.p2p, w * range, counts, rev_p2p);
+            });
     }
 
     pub fn mac(&self) -> Mac {
@@ -193,9 +271,9 @@ impl IncrementalLists {
     }
 
     /// Structural heap footprint of the plan: forward and inverse lists at
-    /// capacity granularity, the per-node caches, and the warm refresh
-    /// scratch. Counterpart of [`Octree::heap_bytes`] for the list half of
-    /// the execution plan.
+    /// capacity granularity, the per-node caches, and the warm refresh and
+    /// rebuild scratch. Counterpart of [`Octree::heap_bytes`] for the list
+    /// half of the execution plan.
     pub fn heap_bytes(&self) -> usize {
         self.lists.heap_bytes()
             + crate::traversal::nested_vec_bytes(&self.rev_m2l)
@@ -205,6 +283,7 @@ impl IncrementalLists {
             + self.stamp.capacity() * std::mem::size_of::<u32>()
             + self.walk.capacity() * std::mem::size_of::<NodeId>()
             + self.dirty_scratch.capacity() * std::mem::size_of::<NodeId>()
+            + self.traversal.heap_bytes()
     }
 
     pub fn lists(&self) -> &InteractionLists {
@@ -244,8 +323,12 @@ impl IncrementalLists {
 
     /// Reconstruct a plan from a snapshot verbatim. Validation is the
     /// caller's job (run [`IncrementalLists::audit`] against the restored
-    /// tree); this constructor only checks array-shape agreement.
+    /// tree); this constructor only checks array-shape agreement and that
+    /// θ is one [`Mac::new`] accepts.
     pub fn from_snapshot(snap: ListsSnapshot) -> Result<IncrementalLists, String> {
+        if !(snap.theta > 0.0 && snap.theta <= 1.0) {
+            return Err(format!("plan MAC theta {} out of (0, 1]", snap.theta));
+        }
         let n = snap.m2l.len();
         if snap.p2p.len() != n
             || snap.rev_m2l.len() != n
@@ -272,6 +355,7 @@ impl IncrementalLists {
             // Scratch is not state: a restored plan re-warms on first refresh.
             walk: Vec::new(),
             dirty_scratch: Vec::new(),
+            traversal: Traversal::default(),
             rec: telemetry::Recorder::disabled(),
         })
     }
@@ -682,6 +766,7 @@ mod tests {
     use super::*;
     use crate::build::{build_adaptive, BuildParams};
     use crate::stats::count_ops;
+    use crate::traversal::dual_traversal;
     use geom::Vec3;
     use rand::prelude::*;
     use rand::rngs::StdRng;

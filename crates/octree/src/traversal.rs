@@ -1,4 +1,71 @@
 use crate::node::{NodeId, Octree};
+use rayon::prelude::*;
+
+/// Fewest arena nodes a traversal or plan rebuild forks for. A rebuild's
+/// three forks cost ≈ 0.09 ms: on two workers a warm rebuild breaks even
+/// near 300 nodes (0.5 ms), is ahead by 1.1–1.3× up to 1 600 nodes and by
+/// 1.6× at 2 600. Under this size the gain is a fraction of a
+/// millisecond that no step shows (a balanced run on 330–460-node trees
+/// reads the same either way), so those trees keep the path that spawns
+/// nothing.
+pub(crate) const MIN_FORK_NODES: usize = 1024;
+
+/// Workers a traversal or plan rebuild of `tree` uses: the pool's width from
+/// [`MIN_FORK_NODES`] up, one below.
+pub(crate) fn fork_width(tree: &Octree) -> usize {
+    if tree.num_nodes() < MIN_FORK_NODES {
+        1
+    } else {
+        rayon::current_num_threads()
+    }
+}
+
+/// The capacity pushing `len` elements onto an empty `Vec` ends with:
+/// doubling from four. The most a list refilled in place may keep, so a
+/// recycled plan never holds more than a fresh one would.
+fn fresh_capacity(len: usize) -> usize {
+    if len == 0 {
+        0
+    } else {
+        len.next_power_of_two().max(4)
+    }
+}
+
+/// Give back what recycled storage holds beyond what a fresh `Vec` of the
+/// same length would: lists refilled in place keep their capacity across
+/// rebuilds, and one whose node now has fewer entries holds too much.
+pub(crate) fn trim<T>(v: &mut Vec<T>) {
+    let fresh = fresh_capacity(v.len());
+    if v.capacity() > fresh {
+        v.shrink_to(fresh);
+    }
+}
+
+/// Make `spine` `n` empty lists for a refill. The lists of the same arena
+/// are kept, capacity and all. A spine of another length holds another
+/// arena's lists (a tree rebuilt at another S), sized for other nodes: those
+/// are dropped. Regrown and trimmed in place they scatter the heap — at
+/// N = 1M the steps after a leaf-capacity search ran ≈ 6 % slower and the
+/// peak resident set grew by a few MB.
+pub(crate) fn empty_lists(spine: &mut Vec<Vec<NodeId>>, n: usize) {
+    if spine.len() != n {
+        spine.clear();
+    }
+    spine.resize_with(n, Vec::new);
+    trim(spine);
+    spine.iter_mut().for_each(Vec::clear);
+}
+
+/// Empty `v` for a refill of exactly `len` elements: a list whose room for
+/// them is within what pushing would have grown to keeps its allocation,
+/// any other is reallocated at exactly `len`.
+pub(crate) fn reserve_exactly<T>(v: &mut Vec<T>, len: usize) {
+    v.clear();
+    if v.capacity() > fresh_capacity(len) {
+        v.shrink_to(len);
+    }
+    v.reserve_exact(len);
+}
 
 /// Multipole acceptance criterion: cells `A`, `B` are *well separated* when
 /// `r_A + r_B < theta * d(c_A, c_B)` with `r` the circumscribed-sphere
@@ -91,47 +158,210 @@ pub(crate) fn nested_vec_bytes(v: &[Vec<NodeId>]) -> usize {
 /// splits. This handles leaves at arbitrary levels — the defining difficulty
 /// of the adaptive FMM — while emitting only the paper's six operations.
 ///
-/// Empty cells are skipped entirely.
+/// Empty cells are skipped entirely. Large trees are traversed through
+/// workers ([`Traversal::fill`]); the lists are the same at any width.
 pub fn dual_traversal(tree: &Octree, mac: Mac) -> InteractionLists {
-    let n = tree.num_nodes();
-    let mut lists = InteractionLists {
-        m2l: vec![Vec::new(); n],
-        p2p: vec![Vec::new(); n],
-    };
-    if tree.node(Octree::ROOT).count() == 0 {
-        return lists;
-    }
-    let mut stack: Vec<(NodeId, NodeId)> = vec![(Octree::ROOT, Octree::ROOT)];
-    while let Some((a, b)) = stack.pop() {
-        let na = tree.node(a);
-        let nb = tree.node(b);
-        if na.count() == 0 || nb.count() == 0 {
-            continue;
-        }
-        if a != b && mac.accepts(tree, a, b) {
-            lists.m2l[a as usize].push(b);
-            continue;
-        }
-        let a_leaf = na.is_leaf();
-        let b_leaf = nb.is_leaf();
-        if a_leaf && b_leaf {
-            lists.p2p[a as usize].push(b);
-            continue;
-        }
-        // Split the larger cell (tie: split the target side first so local
-        // work sinks toward the leaves).
-        let split_a = !a_leaf && (b_leaf || na.half_width >= nb.half_width);
-        if split_a {
-            for c in tree.visible_children(a) {
-                stack.push((c, b));
-            }
-        } else {
-            for c in tree.visible_children(b) {
-                stack.push((a, c));
-            }
-        }
-    }
+    let mut lists = InteractionLists::default();
+    Traversal::default().fill(tree, mac, &mut lists, fork_width(tree));
     lists
+}
+
+/// Which list of its target an emitted pair joins.
+#[derive(Clone, Copy)]
+enum Entry {
+    M2l,
+    P2p,
+}
+
+/// The dual traversal of every state descending from `(a, b)`, handing each
+/// pair it emits to `emit` in emission order. Children are visited last
+/// octant first; the order of every list, which the solve's float sums
+/// follow and checkpoints pin, depends on it.
+#[inline(always)]
+fn traverse(
+    tree: &Octree,
+    mac: Mac,
+    a: NodeId,
+    b: NodeId,
+    emit: &mut impl FnMut(Entry, NodeId, NodeId),
+) {
+    let na = tree.node(a);
+    let nb = tree.node(b);
+    if na.count() == 0 || nb.count() == 0 {
+        return;
+    }
+    if a != b && mac.accepts(tree, a, b) {
+        emit(Entry::M2l, a, b);
+        return;
+    }
+    let a_leaf = na.is_leaf();
+    let b_leaf = nb.is_leaf();
+    if a_leaf && b_leaf {
+        emit(Entry::P2p, a, b);
+        return;
+    }
+    // Split the larger cell (tie: split the target side first so local
+    // work sinks toward the leaves).
+    split(
+        tree,
+        mac,
+        a,
+        b,
+        !a_leaf && (b_leaf || na.half_width >= nb.half_width),
+        emit,
+    );
+}
+
+/// The states `(c, b)` for every child `c` of `a` when `split_a`, else
+/// `(a, c)` for every child of `b`: the one call a traversal recurses
+/// through, so the states that end at once cost none.
+fn split(
+    tree: &Octree,
+    mac: Mac,
+    a: NodeId,
+    b: NodeId,
+    split_a: bool,
+    emit: &mut impl FnMut(Entry, NodeId, NodeId),
+) {
+    if split_a {
+        let first = tree.node(a).first_child;
+        for c in (first..first + 8).rev() {
+            traverse(tree, mac, c, b, emit);
+        }
+    } else {
+        let first = tree.node(b).first_child;
+        for c in (first..first + 8).rev() {
+            traverse(tree, mac, a, c, emit);
+        }
+    }
+}
+
+/// One task of a forked traversal: the subtree under one child of the root,
+/// with its targets' lists moved out of the spine while the task runs.
+#[derive(Clone, Debug, Default)]
+struct Piece {
+    /// The subtree's non-empty visible nodes, breadth first from the child
+    /// itself — every node the task can emit to; [`Traversal::slot`] maps
+    /// each to its index.
+    ids: Vec<NodeId>,
+    m2l: Vec<Vec<NodeId>>,
+    p2p: Vec<Vec<NodeId>>,
+}
+
+/// The warm buffers of a forked traversal into recycled lists. Pure scratch
+/// between calls: a plan keeps one so a rebuild of an unchanged tree
+/// allocates only the forks' bookkeeping. The serial traversal needs none.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Traversal {
+    /// A target's index in its piece's `ids`.
+    slot: Vec<u32>,
+    pieces: Vec<Piece>,
+}
+
+impl Traversal {
+    /// Refill `lists` with the dual traversal of `tree`, in place: every
+    /// list is emptied and refilled, keeping its capacity up to what a
+    /// fresh list of its new length would hold ([`trim`]).
+    ///
+    /// With `workers` > 1 and a root that splits, one task per child of the
+    /// root runs through workers, claimed in turn. This is exact, not
+    /// approximate: `(root, root)` splits the target side, so every state
+    /// whose target lies under child `c` descends from `(c, root)` and from
+    /// no other child's state. A task thus emits into its own targets' lists
+    /// only, and each list receives the serial traversal's entries in the
+    /// serial order.
+    pub(crate) fn fill(
+        &mut self,
+        tree: &Octree,
+        mac: Mac,
+        lists: &mut InteractionLists,
+        workers: usize,
+    ) {
+        let n = tree.num_nodes();
+        for spine in [&mut lists.m2l, &mut lists.p2p] {
+            empty_lists(spine, n);
+        }
+        if workers > 1 && !tree.node(Octree::ROOT).is_leaf() {
+            self.fork(tree, mac, lists);
+        } else {
+            let InteractionLists { m2l, p2p } = lists;
+            let root = Octree::ROOT;
+            traverse(tree, mac, root, root, &mut |entry, a, b| match entry {
+                Entry::M2l => m2l[a as usize].push(b),
+                Entry::P2p => p2p[a as usize].push(b),
+            });
+        }
+        for list in lists.m2l.iter_mut().chain(&mut lists.p2p) {
+            trim(list);
+        }
+    }
+
+    fn fork(&mut self, tree: &Octree, mac: Mac, lists: &mut InteractionLists) {
+        let Traversal { slot, pieces } = self;
+        slot.resize(tree.num_nodes(), 0);
+        pieces.resize_with(8, Piece::default);
+        for (piece, child) in pieces.iter_mut().zip(tree.visible_children(Octree::ROOT)) {
+            piece.ids.clear();
+            if tree.node(child).count() > 0 {
+                piece.ids.push(child);
+            }
+            // Breadth first, with `ids` as its own queue.
+            let mut next = 0;
+            while let Some(&id) = piece.ids.get(next) {
+                slot[id as usize] = next as u32;
+                next += 1;
+                let busy = tree
+                    .visible_children(id)
+                    .filter(|&c| tree.node(c).count() > 0);
+                piece.ids.extend(busy);
+            }
+            let ids = &piece.ids;
+            piece.m2l.extend(
+                ids.iter()
+                    .map(|&id| std::mem::take(&mut lists.m2l[id as usize])),
+            );
+            piece.p2p.extend(
+                ids.iter()
+                    .map(|&id| std::mem::take(&mut lists.p2p[id as usize])),
+            );
+        }
+        let slot = &*slot;
+        pieces.par_chunks_mut(1).for_each(|one| {
+            let Piece { ids, m2l, p2p } = &mut one[0];
+            let Some(&child) = ids.first() else {
+                return; // an empty octant: no state under it emits
+            };
+            traverse(tree, mac, child, Octree::ROOT, &mut |entry, a, b| {
+                let at = slot[a as usize] as usize;
+                match entry {
+                    Entry::M2l => m2l[at].push(b),
+                    Entry::P2p => p2p[at].push(b),
+                }
+            });
+        });
+        for piece in pieces.iter_mut() {
+            let moved = piece.m2l.drain(..).zip(piece.p2p.drain(..));
+            for (&id, (m2l, p2p)) in piece.ids.iter().zip(moved) {
+                lists.m2l[id as usize] = m2l;
+                lists.p2p[id as usize] = p2p;
+            }
+        }
+    }
+
+    /// Heap bytes of the warm buffers.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.slot.capacity() * size_of::<u32>()
+            + self.pieces.capacity() * size_of::<Piece>()
+            + self
+                .pieces
+                .iter()
+                .map(|p| {
+                    p.ids.capacity() * size_of::<NodeId>()
+                        + (p.m2l.capacity() + p.p2p.capacity()) * size_of::<Vec<NodeId>>()
+                })
+                .sum::<usize>()
+    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,281 @@
+//! A plan rebuild is the same plan at any width. `IncrementalLists::build`
+//! and `rebuild` traverse through workers, one task per child of the root,
+//! and fill the inverse lists and per-node counts one range per worker; at
+//! widths 1, 2, 3 and 8 (real forked threads under `ThreadPool::install`)
+//! the snapshot — every list in its order, every count, stamp and the epoch —
+//! must equal both the width-1 plan and a plain serial reference kept here:
+//! one depth-first traversal from `(root, root)` into fresh lists, inverse
+//! lists pushed target by target, counts over the visible nodes. Trees: a
+//! Plummer cloud, a clump with nearly every body in one root octant, a tree
+//! with every third internal node collapsed, a collapsed root, a single leaf
+//! and no bodies at all; then the two ways a live plan is rebuilt in place —
+//! a refresh that finds a cell emptied or filled, and a rebuild after the
+//! tree was rebuilt at another leaf capacity, shrinking and growing the
+//! arena.
+
+use geom::Vec3;
+use octree::{
+    build_adaptive, build_adaptive_in_cube, dual_traversal, node_op_counts, BuildParams,
+    IncrementalLists, InteractionLists, ListsSnapshot, Mac, NodeId, Octree, OpCounts, PlanRefresh,
+};
+use rand::prelude::*;
+use rand::rngs::StdRng;
+
+const WIDTHS: [usize; 4] = [1, 2, 3, 8];
+
+fn at_width<R: Send>(width: usize, op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(width)
+        .build()
+        .expect("the pool is only a width")
+        .install(op)
+}
+
+/// The plan as it was built before rebuilds went through workers: one
+/// serial traversal into fresh lists, the inverse lists pushed in ascending
+/// target order, the counts of every visible node.
+fn reference(tree: &Octree, mac: Mac) -> ListsSnapshot {
+    let n = tree.num_nodes();
+    let mut lists = InteractionLists {
+        m2l: vec![Vec::new(); n],
+        p2p: vec![Vec::new(); n],
+    };
+    let mut stack = vec![(Octree::ROOT, Octree::ROOT)];
+    while let Some((a, b)) = stack.pop() {
+        let (na, nb) = (tree.node(a), tree.node(b));
+        if na.count() == 0 || nb.count() == 0 {
+            continue;
+        }
+        if a != b && mac.accepts(tree, a, b) {
+            lists.m2l[a as usize].push(b);
+            continue;
+        }
+        if na.is_leaf() && nb.is_leaf() {
+            lists.p2p[a as usize].push(b);
+            continue;
+        }
+        if !na.is_leaf() && (nb.is_leaf() || na.half_width >= nb.half_width) {
+            stack.extend(tree.visible_children(a).map(|c| (c, b)));
+        } else {
+            stack.extend(tree.visible_children(b).map(|c| (a, c)));
+        }
+    }
+    let invert = |fwd: &[Vec<NodeId>]| {
+        let mut rev = vec![Vec::new(); n];
+        for (a, sources) in fwd.iter().enumerate() {
+            for &b in sources {
+                rev[b as usize].push(a as NodeId);
+            }
+        }
+        rev
+    };
+    let (rev_m2l, rev_p2p) = (invert(&lists.m2l), invert(&lists.p2p));
+    let mut node_counts = vec![OpCounts::default(); n];
+    let mut totals = OpCounts::default();
+    for id in tree.visible_nodes() {
+        let c = node_op_counts(tree, &lists, id);
+        node_counts[id as usize] = c;
+        totals += c;
+    }
+    ListsSnapshot {
+        theta: mac.theta,
+        m2l: lists.m2l,
+        p2p: lists.p2p,
+        rev_m2l,
+        rev_p2p,
+        node_counts,
+        totals,
+        body_count: (0..n as NodeId)
+            .map(|id| tree.node(id).count() as u32)
+            .collect(),
+        stamp: vec![0; n],
+        epoch: 0,
+    }
+}
+
+fn assert_same(got: &ListsSnapshot, want: &ListsSnapshot, what: &str) {
+    assert_eq!(got.theta.to_bits(), want.theta.to_bits(), "{what}: theta");
+    assert!(got.m2l == want.m2l, "{what}: m2l");
+    assert!(got.p2p == want.p2p, "{what}: p2p");
+    assert!(got.rev_m2l == want.rev_m2l, "{what}: rev_m2l");
+    assert!(got.rev_p2p == want.rev_p2p, "{what}: rev_p2p");
+    assert!(got.node_counts == want.node_counts, "{what}: node_counts");
+    assert_eq!(got.totals, want.totals, "{what}: totals");
+    assert!(got.body_count == want.body_count, "{what}: body_count");
+    assert!(got.stamp == want.stamp, "{what}: stamp");
+    assert_eq!(got.epoch, want.epoch, "{what}: epoch");
+}
+
+/// No forward list holds more than pushing its entries onto an empty `Vec`
+/// would have reserved — doubling from four.
+fn assert_capacity_bounded(plan: &IncrementalLists, what: &str) {
+    let lists = plan.lists();
+    for (id, list) in lists.m2l.iter().chain(&lists.p2p).enumerate() {
+        let fresh = match list.len() {
+            0 => 0,
+            len => len.next_power_of_two().max(4),
+        };
+        assert!(
+            list.capacity() <= fresh,
+            "{what}: list {id} holds {} for {} entries",
+            list.capacity(),
+            list.len()
+        );
+    }
+}
+
+/// Built, rebuilt in place and traversed at every width: the same plan as
+/// the reference and as width 1.
+fn assert_width_invariant(tree: &Octree, what: &str) {
+    let mac = Mac::default();
+    let want = reference(tree, mac);
+    for width in WIDTHS {
+        let (built, rebuilt, traversed) = at_width(width, || {
+            let mut plan = IncrementalLists::build(tree, mac);
+            let built = plan.snapshot();
+            plan.rebuild(tree);
+            assert_capacity_bounded(&plan, what);
+            (built, plan.snapshot(), dual_traversal(tree, mac))
+        });
+        assert_same(&built, &want, &format!("{what}, built at width {width}"));
+        assert_same(
+            &rebuilt,
+            &want,
+            &format!("{what}, rebuilt at width {width}"),
+        );
+        assert!(
+            traversed.m2l == want.m2l,
+            "{what}: traversal m2l, width {width}"
+        );
+        assert!(
+            traversed.p2p == want.p2p,
+            "{what}: traversal p2p, width {width}"
+        );
+    }
+}
+
+fn plummer(n: usize, seed: u64) -> Vec<Vec3> {
+    nbody::plummer(n, 1.0, 1.0, seed).pos
+}
+
+/// Nineteen bodies in twenty in a tight clump inside the root's (+, +, +)
+/// octant, the rest spread over the whole cube.
+fn clump(n: usize, seed: u64) -> Vec<Vec3> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let centre = Vec3::splat(0.5);
+    (0..n)
+        .map(|i| {
+            let spread = if i % 20 == 0 { 1.0 } else { 0.05 };
+            let mut coord = || rng.random_range(-spread..spread);
+            let off = Vec3::new(coord(), coord(), coord());
+            if spread < 1.0 {
+                centre + off
+            } else {
+                off
+            }
+        })
+        .collect()
+}
+
+/// Comfortably above the size from which a rebuild forks, so every width
+/// past one really runs the forked path.
+fn assert_forks(tree: &Octree) {
+    assert!(tree.num_nodes() > 2048, "{} nodes", tree.num_nodes());
+}
+
+#[test]
+fn plummer_plan_is_the_same_at_every_width() {
+    let tree = build_adaptive(&plummer(70_000, 3), BuildParams::with_s(32));
+    assert_forks(&tree);
+    assert_width_invariant(&tree, "plummer");
+}
+
+#[test]
+fn a_one_octant_clump_is_the_same_at_every_width() {
+    let pos = clump(20_000, 5);
+    let tree = build_adaptive_in_cube(&pos, BuildParams::with_s(16), Vec3::ZERO, 1.0);
+    assert_forks(&tree);
+    let busiest = tree
+        .visible_children(Octree::ROOT)
+        .map(|c| tree.node(c).count())
+        .max()
+        .unwrap();
+    assert!(busiest * 10 >= pos.len() * 9, "{busiest} of {}", pos.len());
+    assert_width_invariant(&tree, "clump");
+}
+
+#[test]
+fn collapsed_subtrees_are_the_same_at_every_width() {
+    let mut tree = build_adaptive(&plummer(40_000, 7), BuildParams::with_s(16));
+    // Deepest first, so most collapsed nodes stay visible as leaves.
+    let internal: Vec<NodeId> = tree
+        .visible_nodes()
+        .into_iter()
+        .rev()
+        .filter(|&id| id != Octree::ROOT && !tree.node(id).is_leaf())
+        .collect();
+    for id in internal.into_iter().step_by(3) {
+        assert!(tree.collapse(id));
+    }
+    assert_forks(&tree);
+    let visible = tree.visible_nodes().len();
+    assert!(visible > 1024, "{visible} visible nodes");
+    assert_width_invariant(&tree, "every third internal node collapsed");
+}
+
+#[test]
+fn degenerate_trees_are_the_same_at_every_width() {
+    let mut collapsed_root = build_adaptive(&plummer(20_000, 9), BuildParams::with_s(16));
+    assert!(collapsed_root.collapse(Octree::ROOT));
+    assert_width_invariant(&collapsed_root, "collapsed root");
+    let single = build_adaptive(&plummer(10, 11), BuildParams::with_s(64));
+    assert_eq!(single.num_nodes(), 1);
+    assert_width_invariant(&single, "single leaf");
+    let empty = build_adaptive(&[], BuildParams::with_s(8));
+    assert_width_invariant(&empty, "empty tree");
+}
+
+/// Motion that empties and fills cells: the refresh rebuilds the live plan
+/// in its own storage, and the result is the fresh plan of the moved tree.
+#[test]
+fn a_rebuilt_refresh_in_recycled_storage_equals_a_fresh_build() {
+    let start = plummer(20_000, 13);
+    let moved: Vec<Vec3> = start.iter().map(|p| *p * 0.8).collect();
+    let mac = Mac::default();
+    for width in WIDTHS {
+        let (refreshed, fresh) = at_width(width, || {
+            let mut tree = build_adaptive(&start, BuildParams::with_s(16));
+            let mut plan = IncrementalLists::build(&tree, mac);
+            tree.rebin(&moved);
+            assert_eq!(plan.refresh_counts(&tree), PlanRefresh::Rebuilt);
+            assert_capacity_bounded(&plan, "refreshed");
+            (plan.snapshot(), reference(&tree, mac))
+        });
+        assert_same(&refreshed, &fresh, &format!("refresh at width {width}"));
+    }
+}
+
+/// One plan rebuilt over trees of the same bodies at other leaf capacities:
+/// fewer nodes, then more, then the first tree again.
+#[test]
+fn a_rebuild_after_the_arena_shrinks_and_grows_equals_a_fresh_build() {
+    let pos = plummer(20_000, 17);
+    let trees: Vec<Octree> = [16, 64, 8, 16]
+        .into_iter()
+        .map(|s| build_adaptive(&pos, BuildParams::with_s(s)))
+        .collect();
+    assert!(trees[1].num_nodes() < trees[0].num_nodes());
+    assert!(trees[2].num_nodes() > trees[0].num_nodes());
+    let mac = Mac::default();
+    for width in WIDTHS {
+        at_width(width, || {
+            let mut plan = IncrementalLists::build(&trees[0], mac);
+            for (i, tree) in trees.iter().enumerate().skip(1) {
+                plan.rebuild(tree);
+                let what = format!("tree {i} at width {width}");
+                assert_capacity_bounded(&plan, &what);
+                assert_same(&plan.snapshot(), &reference(tree, mac), &what);
+            }
+        });
+    }
+}

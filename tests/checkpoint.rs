@@ -227,6 +227,50 @@ fn unsorted_codes_under_a_valid_checksum_are_refused() {
     assert!(err.contains("not ascending"), "unexpected error: {err}");
 }
 
+/// An engine checkpoint with a live plan whose θ is rewritten to `theta`
+/// under a valid checksum, restored: the plan's θ is the MAC every later
+/// patch runs, so the engine may only take one it could have built.
+fn restore_with_plan_theta(theta: f64) -> Result<FmmEngine<GravityKernel>, afmm::Error> {
+    let b = nbody::plummer(900, 1.0, 1.0, 515);
+    let mut engine = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, 32);
+    engine.refresh_plan();
+    let text = afmm::checkpoint::engine_to_json(&engine.checkpoint_state());
+    let edited = resealed(&text, |payload| {
+        let (head, plan) = payload.split_once("\"plan\":{\"theta\":").unwrap();
+        let (_, tail) = plan.split_once(',').unwrap();
+        format!("{head}\"plan\":{{\"theta\":{},{tail}", theta.to_bits())
+    });
+    let snap = afmm::checkpoint::engine_from_json(&edited)?;
+    FmmEngine::restore_state(GravityKernel::default(), snap)
+}
+
+fn assert_plan_theta_refused(theta: f64) {
+    match restore_with_plan_theta(theta) {
+        Err(afmm::Error::Checkpoint(msg)) => {
+            assert!(msg.contains("theta"), "plan theta {theta}: {msg}")
+        }
+        Err(e) => panic!("plan theta {theta}: wrong error {e}"),
+        Ok(_) => panic!("plan theta {theta} must be refused"),
+    }
+}
+
+#[test]
+fn plan_theta_above_one_is_refused() {
+    assert!(restore_with_plan_theta(FmmParams::default().mac.theta).is_ok());
+    assert_plan_theta_refused(2.0);
+}
+
+#[test]
+fn plan_theta_of_zero_is_refused() {
+    assert_plan_theta_refused(0.0);
+}
+
+#[test]
+fn plan_theta_other_than_the_engines_is_refused() {
+    assert_eq!(FmmParams::default().mac.theta, 0.6);
+    assert_plan_theta_refused(0.5);
+}
+
 /// A snapshot from a different schema version is refused up front, and a
 /// node that does not match the snapshot's device count is refused too.
 #[test]

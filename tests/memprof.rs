@@ -9,6 +9,9 @@
 //! * **a forked rebin allocates for its forks only** — with more workers and
 //!   bodies enough for two runs the `rebin` scope holds the calling thread's
 //!   share of two fork-joins: the same few allocations at any body count;
+//! * **a rebuild refills in place** — a warm plan rebuilt over an unchanged
+//!   tree allocates nothing on one worker and only its forks' bookkeeping on
+//!   more;
 //! * **structural/allocator agreement** — the `heap_bytes()` walks over
 //!   bodies + octree + plan land within 15% of what the allocator says is
 //!   actually live for those structures.
@@ -195,6 +198,50 @@ fn forked_rebin_allocates_only_the_forks_bookkeeping() {
         assert_eq!(small, large, "width {width}: allocations grow with N");
         assert_eq!(small.0 == 0, width == 1, "width {width}: {small:?}");
         assert!(small.1 < 4096, "width {width}: {small:?}");
+    }
+}
+
+/// What a warm `IncrementalLists::rebuild` of an unchanged tree of `n`
+/// bodies adds to a scope of its own on the calling thread.
+fn warm_rebuild_allocs(n: usize) -> (u64, u64) {
+    let (pos, _) = plummer_points(n, 17);
+    let tree = build_adaptive(&pos, BuildParams::with_s(16));
+    let mut plan = IncrementalLists::build(&tree, Mac::default());
+    let mut measured = (0, 0);
+    for _ in 0..2 {
+        let before = memprof::scope_stats("test.rebuild").unwrap_or_default();
+        {
+            let _mem = telemetry::AllocScope::enter("test.rebuild");
+            plan.rebuild(&tree);
+        }
+        let after = memprof::scope_stats("test.rebuild").unwrap_or_default();
+        measured = (
+            after.allocs - before.allocs,
+            after.alloc_bytes - before.alloc_bytes,
+        );
+    }
+    measured
+}
+
+/// A rebuild refills the plan's own lists, counts and stamps in place, so
+/// on one worker a rebuild of a tree that did not change allocates nothing.
+/// With more workers its three forks (traversal, inverse lists, counts) put
+/// their bookkeeping in the scope, as `rebin`'s do: the same allocations for
+/// a tree twice the size, a few KB, so no list or buffer can hide among
+/// them.
+#[test]
+fn rebuild_of_an_unchanged_tree_allocates_nothing_at_one_worker() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    if !memprof::counting() {
+        return; // feature off: nothing to measure
+    }
+    for width in [1, 2, 3, 8] {
+        let (small, large) = at_width(width, || {
+            (warm_rebuild_allocs(20_000), warm_rebuild_allocs(40_000))
+        });
+        assert_eq!(small, large, "width {width}: allocations grow with N");
+        assert_eq!(small.0 == 0, width == 1, "width {width}: {small:?}");
+        assert!(small.1 < 8192, "width {width}: {small:?}");
     }
 }
 

@@ -5,9 +5,10 @@
 //! that spawns nothing, bit for bit: both kernels, a centred and a lopsided
 //! body set, fresh and patched plans, leaf capacities on both sides of the
 //! near/far balance, and the checkpoint text of a run whose trajectory is
-//! driven by the solved field. The tree under the solve is held to the same
-//! rule: built or re-binned through any number of workers it is the same
-//! snapshot, and the solve on it after motion the same bits.
+//! driven by the solved field — once more with trees big enough that every
+//! plan rebuild forks. The tree under the solve is held to the same rule:
+//! built or re-binned through any number of workers it is the same snapshot,
+//! and the solve on it after motion the same bits.
 
 use afmm_repro::prelude::*;
 use rand::prelude::*;
@@ -190,11 +191,8 @@ fn checkpoint_after_run<K: Kernel + Copy>(
     start: &[Vec3],
     strength: &[f64],
     width: usize,
+    lb: LbConfig,
 ) -> String {
-    let lb = LbConfig {
-        eps_switch_s: 2e-3,
-        ..Default::default()
-    };
     let node = HeteroNode::system_a(10, 2);
     let mut tracker = StrategyTracker::new(
         kernel,
@@ -218,17 +216,52 @@ fn checkpoint_after_run<K: Kernel + Copy>(
     tracker.checkpoint(&pos)
 }
 
+/// The balancer every checkpoint run steps with: the default one, with an
+/// exit threshold scaled to these millisecond steps.
+fn lb() -> LbConfig {
+    LbConfig {
+        eps_switch_s: 2e-3,
+        ..Default::default()
+    }
+}
+
 #[test]
 fn checkpoint_bytes_do_not_depend_on_width() {
     let pos = lopsided(800, 17);
     let mass = vec![1.0 / pos.len() as f64; pos.len()];
     let forces = nbody::random_unit_forces(pos.len(), 19);
-    let gravity = |w| checkpoint_after_run(GravityKernel::default(), &pos, &mass, w);
-    let stokes = |w| checkpoint_after_run(StokesletKernel::new(1e-3, 1.0), &pos, &forces, w);
+    let gravity = |w| checkpoint_after_run(GravityKernel::default(), &pos, &mass, w, lb());
+    let stokes = |w| checkpoint_after_run(StokesletKernel::new(1e-3, 1.0), &pos, &forces, w, lb());
     let (g1, s1) = (gravity(1), stokes(1));
     assert_ne!(g1, s1);
     for width in &WIDTHS[1..] {
         assert!(g1 == gravity(*width), "gravity, width {width}");
         assert!(s1 == stokes(*width), "stokeslet, width {width}");
+    }
+}
+
+/// The same run with plans large enough that their rebuilds fork: leaf
+/// capacities searched from 4 to 64 cut 6 000 bodies into trees of a few
+/// thousand nodes, each plan traversed one root octant per worker.
+#[test]
+fn forked_plan_rebuilds_keep_checkpoint_bytes() {
+    let pos = lopsided(6000, 31);
+    let mass = vec![1.0 / pos.len() as f64; pos.len()];
+    let fine = LbConfig {
+        s_min: 4,
+        s_max: 64,
+        ..lb()
+    };
+    // Search starts at the geometric middle of the range, S = 16.
+    let first = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &pos, 16);
+    let nodes = first.tree().num_nodes();
+    assert!(
+        nodes >= 1024,
+        "{nodes} nodes: under the size rebuilds fork from"
+    );
+    let gravity = |w| checkpoint_after_run(GravityKernel::default(), &pos, &mass, w, fine);
+    let one = gravity(1);
+    for width in &WIDTHS[1..] {
+        assert!(one == gravity(*width), "width {width}");
     }
 }
