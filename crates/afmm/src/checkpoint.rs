@@ -470,13 +470,21 @@ fn r_engine(v: &Json) -> Read<EngineSnapshot> {
     if !(theta > 0.0 && theta <= 1.0) {
         return Err(format!("MAC theta {theta} out of (0, 1]"));
     }
+    // The engine builds its expansion tables from the order on restore.
+    let order = r_int(field(v, "order")?)?;
+    if order > fmm_math::MAX_ORDER {
+        return Err(format!(
+            "expansion order {order} above the largest buildable, {}",
+            fmm_math::MAX_ORDER
+        ));
+    }
     let domain = r_opt(field(v, "domain")?, |d| {
         let [cx, cy, cz, hw] = r_tuple(d, "domain")?;
         Ok((Vec3::new(r_f64(cx)?, r_f64(cy)?, r_f64(cz)?), r_f64(hw)?))
     })?;
     Ok(EngineSnapshot {
         params: FmmParams {
-            order: r_int(field(v, "order")?)?,
+            order,
             mac: Mac::new(theta),
             max_level: r_int(field(v, "max_level")?)?,
         },

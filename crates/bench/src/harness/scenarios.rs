@@ -18,7 +18,8 @@ use afmm::{
     CostModel, FaultEvent, FaultSchedule, FmmEngine, FmmParams, HeteroNode, LbConfig, LbState,
     Strategy, StrategyTracker,
 };
-use fmm_math::GravityKernel;
+use fmm_math::{GravityKernel, Kernel, StokesletKernel};
+use geom::Vec3;
 use octree::{
     build_adaptive, count_ops, dual_traversal, BuildParams, IncrementalLists, Mac, NodeId, Octree,
 };
@@ -128,7 +129,7 @@ impl SuiteConfig {
 /// Run the whole registry; `progress` receives one line per scenario.
 pub fn run_suite(cfg: &SuiteConfig, progress: &mut dyn FnMut(&str)) -> BenchReport {
     type Runner = fn(&SuiteConfig) -> Scenario;
-    let runners: [(&str, Runner); 8] = [
+    let runners: [(&str, Runner); 9] = [
         ("solve_step", solve_step),
         ("plan_patch_vs_rebuild", plan_patch_vs_rebuild),
         ("enforce_s", enforce_s),
@@ -137,8 +138,9 @@ pub fn run_suite(cfg: &SuiteConfig, progress: &mut dyn FnMut(&str)) -> BenchRepo
         ("balancer_faults", balancer_faults),
         ("memory_profile", memory_profile),
         // After `memory_profile`, whose process-wide peak would otherwise
-        // count this scenario's retained rows.
+        // count these scenarios' retained rows.
         ("tree_maintenance", tree_maintenance),
+        ("accuracy", accuracy),
     ];
     progress(&format!(
         "{} suite: {} scenarios pending, reps={}, warmup={}",
@@ -147,7 +149,9 @@ pub fn run_suite(cfg: &SuiteConfig, progress: &mut dyn FnMut(&str)) -> BenchRepo
         cfg.reps,
         cfg.warmup
     ));
-    let mut scenarios = Vec::with_capacity(runners.len());
+    // Grown as rows arrive, so what is live while `memory_profile` runs does
+    // not depend on how many scenarios follow it.
+    let mut scenarios = Vec::new();
     for (name, run) in runners {
         progress(&format!("running {name} ..."));
         let t0 = Instant::now();
@@ -196,7 +200,7 @@ fn near_field_probe(
     warmup: usize,
     reps: usize,
 ) -> (Vec<f64>, Vec<f64>) {
-    use fmm_math::{BodyTile, FieldTile, Kernel};
+    use fmm_math::{BodyTile, FieldTile};
     let (tree, lists, ops) = (engine.tree(), engine.lists(), engine.expansion_ops());
     let order = tree.order();
     let n = order.len();
@@ -268,7 +272,6 @@ fn near_field_probe(
 /// plan's real lists and the multipoles the last solve left — in samples of
 /// µs per list entry (tensor, transpose and tail padding included).
 fn m2l_probe(engine: &FmmEngine<GravityKernel>, warmup: usize, reps: usize) -> Vec<f64> {
-    use fmm_math::Kernel;
     let nodes = engine.tree().visible_nodes();
     let mut local = vec![0.0; engine.kernel.channels() * engine.expansion_ops().nterms()];
     let mut scratch = fmm_math::DerivScratch::default();
@@ -1006,4 +1009,102 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
         ],
         snapshot,
     }
+}
+
+/// Targets the `accuracy` scenario checks against direct summation.
+const ACCURACY_TARGETS: usize = 512;
+
+/// **accuracy** — the digits the solve keeps: the relative L2 field error
+/// against direct summation on a fixed sample of [`ACCURACY_TARGETS`] bodies
+/// of a Plummer sphere, for both kernels at S ∈ {16, 96, 512} (order 6,
+/// θ = 0.6). A solve's bits do not depend on the host or its width, so each
+/// error is an exact `virtual` point, and it is gated: a change that trades
+/// digits for speed fails `compare` the way a slower kernel does.
+fn accuracy(cfg: &SuiteConfig) -> Scenario {
+    let n = cfg.n_solve;
+    let b = nbody::plummer(n, 1.0, 1.0, cfg.seed + 11);
+    let forces = nbody::random_unit_forces(n, cfg.seed + 12);
+    let targets: Vec<usize> = (0..ACCURACY_TARGETS)
+        .map(|k| k * n / ACCURACY_TARGETS)
+        .collect();
+    let (mut metrics, engine) = field_errors(
+        "gravity",
+        GravityKernel::default(),
+        &b.pos,
+        &b.mass,
+        &targets,
+    );
+    let stokes = StokesletKernel::new(1e-3, 1.0);
+    metrics.extend(field_errors("stokeslet", stokes, &b.pos, &forces, &targets).0);
+
+    let snapshot = gather(&SnapshotParts {
+        tree: Some(engine.tree()),
+        lists: Some(engine.lists()),
+        counts: Some(engine.counts()),
+        ..Default::default()
+    });
+    Scenario {
+        name: "accuracy".to_string(),
+        params: obj(vec![
+            ("n", Json::F64(n as f64)),
+            ("distribution", Json::Str("plummer".to_string())),
+            ("targets", Json::F64(ACCURACY_TARGETS as f64)),
+        ]),
+        metrics,
+        snapshot,
+    }
+}
+
+/// `{name}_s{S}_rel_err` for S ∈ {16, 96, 512}, and the last engine solved.
+/// The direct sum visits each target's own index under the kernel's
+/// self-tile rule, as the solve's near field does.
+fn field_errors<K: Kernel + Copy>(
+    name: &str,
+    kernel: K,
+    pos: &[Vec3],
+    strength: &[f64],
+    targets: &[usize],
+) -> (Vec<Metric>, FmmEngine<K>) {
+    let sd = kernel.strength_dim();
+    let direct: Vec<Vec3> = targets
+        .iter()
+        .map(|&i| {
+            let (t, mut pot, mut field) = (&pos[i..=i], [0.0], [Vec3::ZERO]);
+            let (before, after) = (i * sd, (i + 1) * sd);
+            kernel.p2p(
+                t,
+                &mut pot,
+                &mut field,
+                &pos[..i],
+                &strength[..before],
+                false,
+            );
+            kernel.p2p(t, &mut pot, &mut field, t, &strength[before..after], true);
+            kernel.p2p(
+                t,
+                &mut pot,
+                &mut field,
+                &pos[i + 1..],
+                &strength[after..],
+                false,
+            );
+            field[0]
+        })
+        .collect();
+    let norm: f64 = direct.iter().map(|d| d.norm_sq()).sum();
+    let mut last = None;
+    let metrics = [16usize, 96, 512]
+        .map(|s| {
+            let mut engine = FmmEngine::new(kernel, FmmParams::default(), pos, s);
+            let field = engine.solve(pos, strength).field;
+            let err: f64 = targets
+                .iter()
+                .zip(&direct)
+                .map(|(&i, d)| (field[i] - *d).norm_sq())
+                .sum();
+            last = Some(engine);
+            Metric::virtual_point(&format!("{name}_s{s}_rel_err"), "rel", (err / norm).sqrt())
+        })
+        .to_vec();
+    (metrics, last.expect("three leaf capacities"))
 }

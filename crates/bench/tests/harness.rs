@@ -4,7 +4,8 @@
 //! populated snapshots, and the `afmm-perf` exit-code contract.
 
 use bench::harness::{
-    compare, summarize, BenchReport, CompareConfig, Metric, Scenario, SuiteConfig, Verdict,
+    compare, summarize, BenchReport, CompareConfig, Metric, MetricKind, Scenario, SuiteConfig,
+    Verdict,
 };
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -151,7 +152,7 @@ proptest! {
 fn smoke_suite_runs_and_gates() {
     let cfg = SuiteConfig::smoke();
     let report = bench::harness::run_suite(&cfg, &mut |_| {});
-    assert_eq!(report.scenarios.len(), 8);
+    assert_eq!(report.scenarios.len(), 9);
     for sc in &report.scenarios {
         assert!(!sc.metrics.is_empty(), "{} has no metrics", sc.name);
         for m in &sc.metrics {
@@ -228,6 +229,19 @@ fn smoke_suite_runs_and_gates() {
         let m = maintenance.metric(name).unwrap_or_else(|| panic!("{name}"));
         assert_eq!(m.gate, gate, "{name}");
         assert!(m.stats.median > 0.0, "{name}");
+    }
+
+    // Accuracy: one exact, gated error row per kernel and leaf capacity, at
+    // the error level the solve is pinned to (tests/accuracy.rs).
+    let accuracy = report.scenario("accuracy").unwrap();
+    assert_eq!(accuracy.metrics.len(), 6);
+    for kernel in ["gravity", "stokeslet"] {
+        for s in [16, 96, 512] {
+            let name = format!("{kernel}_s{s}_rel_err");
+            let m = accuracy.metric(&name).unwrap_or_else(|| panic!("{name}"));
+            assert!(m.gate && m.kind == MetricKind::Virtual, "{name}");
+            assert!(m.stats.median > 0.0 && m.stats.median < 1e-3, "{name}");
+        }
     }
 
     // The cost-model drift gate: the audit median is a gated row, and it is

@@ -1,4 +1,4 @@
-use crate::multiindex::MultiIndexSet;
+use crate::multiindex::{nterms, MultiIndexSet};
 use crate::powers::power_series;
 use crate::tensor::{DerivScratch, TensorProgram};
 use geom::Vec3;
@@ -16,10 +16,14 @@ pub const M2L_LANES: usize = 8;
 ///
 /// * `sub_triples`: all `(α, β, α−β)` with `β <= α` component-wise — the
 ///   binomial stencil shared by M2M and L2L;
-/// * `m2l_pairs`: per `β`, all `(α, α+β)` with `|α| + |β| <= p` — the
-///   total-order-truncated M2L contraction (the standard cartesian-FMM
-///   truncation; error stays `O((d/R)^{p+1})`), grouped so one `L_β`
-///   accumulates over its whole `α` list;
+/// * `m2l_pairs`: the total-order-truncated M2L contraction `|α| + |β| <= p`
+///   (the standard cartesian-FMM truncation; error stays `O((d/R)^{p+1})`),
+///   reduced to its harmonic core: per `β` with `β_z <= 1`, all `(α, α+β)`
+///   with `α_z <= 1`, grouped so one `L_β` accumulates over its whole `α`
+///   list;
+/// * `harmonic`: the identity `D_{γ+2e_z} = −D_{γ+2e_x} − D_{γ+2e_y}` of
+///   `D_γ = ∂^γ(1/r)` as index triples, which folds the `α_z >= 2`
+///   multipoles onto the core and fills the `β_z >= 2` locals from it;
 /// * `tensor`: the derivative-tensor recurrence as a straight-line program.
 ///
 /// One `ExpansionOps` is built per solver and shared read-only by all worker
@@ -28,10 +32,18 @@ pub const M2L_LANES: usize = 8;
 pub struct ExpansionOps {
     set: MultiIndexSet,
     sub_triples: Vec<(u32, u32, u32)>,
-    /// `(α, α+β)` of every M2L term, `β`-major, `α` ascending within a `β`.
+    /// `(α, α+β)` of every contracted M2L term, `β`-major, `α` ascending
+    /// within a `β`; only `α_z, β_z <= 1` (Σₘ (2m+1)(p−m+1)² terms, 532 at
+    /// p = 6 against the full 924).
     m2l_pairs: Vec<(u16, u16)>,
-    /// `m2l_pairs[m2l_start[β]..m2l_start[β + 1]]` are the terms of `L_β`.
+    /// The contracted `β` (`β_z <= 1`), ascending.
+    m2l_rows: Vec<u16>,
+    /// `m2l_pairs[m2l_start[i]..m2l_start[i + 1]]` are the terms of
+    /// `m2l_rows[i]`.
     m2l_start: Vec<u32>,
+    /// `(γ, γ − 2e_z + 2e_x, γ − 2e_z + 2e_y)` for every `γ` with `γ_z >= 2`,
+    /// highest `γ_z` first (35 at p = 6).
+    harmonic: Vec<[u16; 3]>,
     tensor: TensorProgram,
     /// `(−1)^{|α|}` per flat index, used in the multipole-to-field formula.
     sign: Vec<f64>,
@@ -65,18 +77,28 @@ impl ExpansionOps {
                 }
             }
         }
-        // |α| + |β| <= p: graded order makes the admissible α a prefix.
-        let mut m2l_pairs = Vec::new();
-        let mut m2l_start = Vec::with_capacity(set.len() + 1);
-        for (b, (bi, bj, bk)) in set.iter() {
-            m2l_start.push(m2l_pairs.len() as u32);
+        // |α| + |β| <= p: graded order makes the admissible α a prefix, of
+        // which the core keeps the α_z <= 1.
+        let (mut m2l_pairs, mut m2l_rows, mut m2l_start) = (Vec::new(), Vec::new(), vec![0]);
+        for (b, (bi, bj, bk)) in set.iter().filter(|&(_, (.., k))| k <= 1) {
             for a in 0..set.order_range(order - set.total_order(b)).end {
                 let (ai, aj, ak) = set.tuple(a);
-                let sum = set.idx(ai + bi, aj + bj, ak + bk);
-                m2l_pairs.push((a as u16, sum as u16));
+                if ak <= 1 {
+                    let sum = set.idx(ai + bi, aj + bj, ak + bk);
+                    m2l_pairs.push((a as u16, sum as u16));
+                }
             }
+            m2l_rows.push(b as u16);
+            m2l_start.push(m2l_pairs.len() as u32);
         }
-        m2l_start.push(m2l_pairs.len() as u32);
+        let mut harmonic: Vec<[u16; 3]> = set
+            .iter()
+            .filter(|&(_, (.., k))| k >= 2)
+            .map(|(g, (i, j, k))| {
+                [g, set.idx(i + 2, j, k - 2), set.idx(i, j + 2, k - 2)].map(|x| x as u16)
+            })
+            .collect();
+        harmonic.sort_by_key(|&[g, ..]| std::cmp::Reverse(set.tuple(g as usize).2));
         let sign = (0..set.len())
             .map(|i| {
                 if set.total_order(i).is_multiple_of(2) {
@@ -91,7 +113,9 @@ impl ExpansionOps {
             set,
             sub_triples,
             m2l_pairs,
+            m2l_rows,
             m2l_start,
+            harmonic,
             tensor,
             sign,
             peel,
@@ -199,9 +223,10 @@ impl ExpansionOps {
     ///
     /// One derivative tensor evaluation is shared across all `channels`, so
     /// the 7-channel Stokeslet costs less than 7× the 1-channel gravity M2L:
-    /// measured at p = 6, 5.4× through this entry (6.2 / 1.14 µs) and 5.3×
-    /// per source in full batches (1.70 / 0.32 µs); [`Self::m2l_flops`], which
-    /// the virtual clock uses, puts it at 4.2×.
+    /// measured at p = 6 on one core of a 2.1 GHz Xeon, 5.1× through this
+    /// entry (4.03 / 0.79 µs) and 5.9× per source in full batches
+    /// (1.56 / 0.26 µs); [`Self::m2l_flops`], which the virtual clock uses,
+    /// puts it at 4.2×.
     pub fn m2l(
         &self,
         src_m: &[f64],
@@ -239,6 +264,16 @@ impl ExpansionOps {
 
     /// The M2L body over `L` lanes, `1 <= src_m.len() <= L` of them live.
     /// Returns the lanes' derivative tensors.
+    ///
+    /// Every tensor entry is `D_γ = ∂^γ(1/r)`, harmonic, so
+    /// `D_{γ+2e_z} = −D_{γ+2e_x} − D_{γ+2e_y}` at equal total order: a
+    /// multipole `α` with `α_z >= 2` contributes to every `L_β` exactly what
+    /// its negation contributes at `α − 2e_z + 2e_x` and at
+    /// `α − 2e_z + 2e_y`, and a local `β` with `β_z >= 2` is minus the sum
+    /// of the locals at `β − 2e_z + 2e_x` and `β − 2e_z + 2e_y`. Neither
+    /// move changes a total order, so the contraction keeps its
+    /// `|α| + |β| <= p` truncation and computes the same operator (in exact
+    /// arithmetic) from the `α_z, β_z <= 1` core alone.
     fn m2l_lanes<'s, const L: usize>(
         &self,
         src_m: &[&[f64]],
@@ -256,12 +291,17 @@ impl ExpansionOps {
         // Padding lanes repeat the last displacement (any non-singular one
         // does: their multipoles are zero).
         let d: [Vec3; L] = std::array::from_fn(|lane| r[lane.min(live - 1)]);
-        let (table, ms) = scratch.lanes::<L>(self.tensor.table_rows(), nt);
-        self.tensor.run(&lanes_of(&d), table);
-        let tensor = &table[..nt];
+        // The program's auxiliary rows are spent once it has run; the
+        // batch's own `L_β` (one value per `β`) is written over them, so the
+        // table gets a row more only where they are fewer than `nt` values.
+        let rows = self.tensor.table_rows();
+        let (table, ms) = scratch.lanes::<L>(rows.max(nt + nt.div_ceil(L)), nt);
+        self.tensor.run(&lanes_of(&d), &mut table[..rows]);
+        let (tensor, spent) = table.split_at_mut(nt);
+        let h = &mut spent.as_flattened_mut()[..nt];
 
         // Padding lanes carry zero multipoles; the transposes below only
-        // ever write the live ones.
+        // ever write the live ones, and the folds keep zeros zero.
         for row in ms.iter_mut() {
             row[live..].fill(0.0);
         }
@@ -273,8 +313,16 @@ impl ExpansionOps {
                     row[lane] = sign * m;
                 }
             }
-            let dst = &mut dst_l[c * nt..(c + 1) * nt];
-            for (out, span) in dst.iter_mut().zip(self.m2l_start.windows(2)) {
+            // Fold every α_z >= 2 onto the core, highest α_z first, so what
+            // a row receives is folded on in turn.
+            for &[g, x, y] in &self.harmonic {
+                let m = ms[g as usize];
+                for lane in 0..L {
+                    ms[x as usize][lane] -= m[lane];
+                    ms[y as usize][lane] -= m[lane];
+                }
+            }
+            for (&b, span) in self.m2l_rows.iter().zip(self.m2l_start.windows(2)) {
                 let mut acc = [0.0; L];
                 for &(a, sum) in &self.m2l_pairs[span[0] as usize..span[1] as usize] {
                     let (m, t) = (&ms[a as usize], &tensor[sum as usize]);
@@ -282,7 +330,14 @@ impl ExpansionOps {
                         acc[lane] += m[lane] * t[lane];
                     }
                 }
-                *out += acc[1..].iter().fold(acc[0], |sum, lane| sum + lane);
+                h[b as usize] = acc[1..].iter().fold(acc[0], |sum, lane| sum + lane);
+            }
+            // Fill the β_z >= 2 locals from the core, lowest β_z first.
+            for &[g, x, y] in self.harmonic.iter().rev() {
+                h[g as usize] = -(h[x as usize] + h[y as usize]);
+            }
+            for (out, v) in dst_l[c * nt..(c + 1) * nt].iter_mut().zip(&*h) {
+                *out += v;
             }
         }
         tensor
@@ -304,10 +359,27 @@ impl ExpansionOps {
     }
 
     /// Flops for one M2L: tensor evaluation (shared) plus the per-channel
-    /// contraction.
+    /// contraction, counted as the full `|α| + |β| <= p` one (924 terms at
+    /// p = 6). The virtual clock is seeded from this, so it does not follow
+    /// how few of those terms the host kernel contracts.
     pub fn m2l_flops(&self, channels: usize) -> f64 {
-        let tensor = 4 * (self.set.order() + 1) * self.set.len();
-        (tensor + 3 * self.m2l_pairs.len() * channels) as f64
+        let p = self.set.order();
+        let tensor = 4 * (p + 1) * self.set.len();
+        let terms: usize = (0..=p)
+            .map(|n| self.set.order_range(n).len() * nterms(p - n))
+            .sum();
+        (tensor + 3 * terms * channels) as f64
+    }
+
+    /// Contraction terms per channel one M2L computes (532 at p = 6).
+    pub fn m2l_terms(&self) -> usize {
+        self.m2l_pairs.len()
+    }
+
+    /// Multipoles folded onto, and locals filled from, the contracted core
+    /// per channel (the `γ_z >= 2` indices; 35 at p = 6).
+    pub fn m2l_folds(&self) -> usize {
+        self.harmonic.len()
     }
 
     /// Flops for P2M / L2P per body per channel-coefficient table.

@@ -16,7 +16,7 @@
 //! |-----|----------|
 //! | P2M | [`Kernel::p2m_tile`] |
 //! | M2M | [`ExpansionOps::m2m`] (kernel-independent) |
-//! | M2L | [`ExpansionOps::m2l_batch`]: [`M2L_LANES`] sources into one target, side by side in SoA lanes (kernel-independent, one lane tensor shared across channels); [`ExpansionOps::m2l`] is its one-source instance |
+//! | M2L | [`ExpansionOps::m2l_batch`]: [`M2L_LANES`] sources into one target, side by side in SoA lanes (kernel-independent, one lane tensor shared across channels; only the `2n+1` harmonic components per order are contracted); [`ExpansionOps::m2l`] is its one-source instance. The 7-channel Stokeslet costs 5.9× gravity per source in full batches at p = 6 (5.1× one source at a time) |
 //! | L2L | [`ExpansionOps::l2l`] (kernel-independent) |
 //! | L2P | [`Kernel::l2p_tile`] |
 //! | P2P | [`Kernel::p2p_tile`] |
@@ -46,7 +46,7 @@ mod tile;
 pub use expansion::{ExpansionOps, M2L_LANES};
 pub use kernel::{Kernel, OpFlops};
 pub use laplace::GravityKernel;
-pub use multiindex::{nterms, MultiIndexSet};
+pub use multiindex::{nterms, MultiIndexSet, MAX_ORDER};
 pub use powers::power_series;
 pub use stokeslet::{StokesletKernel, STOKESLET_CHANNELS};
 pub use tensor::DerivScratch;

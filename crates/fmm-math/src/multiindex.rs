@@ -1,3 +1,7 @@
+/// The highest expansion order [`MultiIndexSet::new`] — and so every
+/// expansion table built on it — accepts.
+pub const MAX_ORDER: usize = 30;
+
 /// Number of 3-variable multi-indices with total order `<= p`:
 /// `C(p+3, 3) = (p+1)(p+2)(p+3)/6`.
 #[inline]
@@ -27,7 +31,10 @@ pub struct MultiIndexSet {
 
 impl MultiIndexSet {
     pub fn new(order: usize) -> Self {
-        assert!(order <= 30, "expansion order {order} is unreasonably large");
+        assert!(
+            order <= MAX_ORDER,
+            "expansion order {order} is unreasonably large"
+        );
         let stride = order + 1;
         let mut tuples = Vec::with_capacity(nterms(order));
         let mut index = vec![u32::MAX; stride * stride * stride];

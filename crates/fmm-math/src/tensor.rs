@@ -1,8 +1,10 @@
 use crate::multiindex::{nterms, MultiIndexSet};
 
 /// Reusable per-worker scratch of the M2L kernel: the auxiliary table of
-/// the derivative-tensor recurrence and the transposed, sign-folded source
-/// multipoles, both as rows of `L` lanes (sized on first use, then reused).
+/// the derivative-tensor recurrence (whose spent auxiliary rows then hold
+/// the batch's per-`β` local contribution) and the transposed, sign-folded
+/// source multipoles, both as rows of `L` lanes (sized on first use, then
+/// reused).
 #[derive(Clone, Debug, Default)]
 pub struct DerivScratch {
     table: Vec<f64>,

@@ -271,6 +271,30 @@ fn plan_theta_other_than_the_engines_is_refused() {
     assert_plan_theta_refused(0.5);
 }
 
+/// An engine checkpoint whose expansion order is rewritten to `order` under
+/// a valid checksum, restored: the engine builds its expansion tables from
+/// that order, so one they cannot be built for must be refused, not panic.
+#[test]
+fn engine_order_beyond_the_expansion_tables_is_refused() {
+    let b = nbody::plummer(900, 1.0, 1.0, 616);
+    let engine = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, 32);
+    let text = afmm::checkpoint::engine_to_json(&engine.checkpoint_state());
+    let with_order = |order: usize| {
+        let edited = resealed(&text, |payload| {
+            payload.replacen("{\"order\":6,", &format!("{{\"order\":{order},"), 1)
+        });
+        let snap = afmm::checkpoint::engine_from_json(&edited)?;
+        FmmEngine::restore_state(GravityKernel::default(), snap)
+    };
+    assert_eq!(FmmParams::default().order, 6);
+    assert!(with_order(6).is_ok());
+    match with_order(31) {
+        Err(afmm::Error::Checkpoint(msg)) => assert!(msg.contains("order"), "{msg}"),
+        Err(e) => panic!("wrong error {e}"),
+        Ok(_) => panic!("expansion order 31 must be refused"),
+    }
+}
+
 /// A snapshot from a different schema version is refused up front, and a
 /// node that does not match the snapshot's device count is refused too.
 #[test]
