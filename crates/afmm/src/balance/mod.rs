@@ -150,7 +150,7 @@ pub struct BalancerSnapshot {
 }
 
 /// The dynamic load balancer of §V–VII. Construction and per-step dispatch
-/// live here; the state-step bodies are in [`states`].
+/// live here; the state-step bodies are in the private `states` module.
 #[derive(Clone, Debug)]
 pub struct LoadBalancer {
     pub cfg: LbConfig,
@@ -224,7 +224,6 @@ impl LoadBalancer {
                     ("s", telemetry::Value::U64(self.s as u64)),
                 ],
             );
-            self.rec.counter_add("lb.transitions", 1);
         }
         self.state = to;
     }

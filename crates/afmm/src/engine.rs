@@ -157,7 +157,7 @@ pub struct FmmEngine<K: Kernel> {
     /// clears it). Until then the plan's population snapshot lags the tree
     /// by design, which audits and checkpoints must not mistake for rot.
     counts_pending: bool,
-    /// Telemetry handle, shared with the plan; disabled by default.
+    /// Telemetry handle for the solve-phase spans; disabled by default.
     rec: telemetry::Recorder,
     /// Which device [`FmmEngine::time_step`] charges P2M/L2P to (the CPU by
     /// default). Caller configuration like the node: checkpoints do not
@@ -236,13 +236,9 @@ impl<K: Kernel> FmmEngine<K> {
         self.exec_policy
     }
 
-    /// Attach a telemetry recorder. Solve-phase wall spans are emitted
-    /// through it, and the execution plan (current and future) reports its
-    /// patch/rebuild activity to the same handle.
+    /// Attach a telemetry recorder; solve-phase wall spans are emitted
+    /// through it.
     pub fn set_recorder(&mut self, rec: telemetry::Recorder) {
-        if let Some(plan) = self.plan.as_mut() {
-            plan.set_recorder(rec.clone());
-        }
         self.rec = rec;
     }
 
@@ -379,9 +375,7 @@ impl<K: Kernel> FmmEngine<K> {
                 PlanRefresh::Rebuilt
             }
             None => {
-                let mut plan = ExecutionPlan::build(&self.tree, self.params.mac);
-                plan.set_recorder(self.rec.clone());
-                self.plan = Some(plan);
+                self.plan = Some(ExecutionPlan::build(&self.tree, self.params.mac));
                 self.plan_stale = false;
                 PlanRefresh::Rebuilt
             }

@@ -53,7 +53,7 @@ impl TimingReport {
 }
 
 /// Emit one telemetry span per FMM phase (P2M, M2M, M2L, L2L, L2P, P2P) for
-/// a realized step, and mirror each duration into a `phase.*` histogram.
+/// a realized step.
 ///
 /// The executor reports only the task graph's makespan, so per-phase
 /// durations are *attributed*: each phase gets its share of CPU work
@@ -102,7 +102,6 @@ pub fn record_phase_spans(
     ];
     for (name, dur, ops) in phases {
         rec.span(name, dur, vec![("ops", telemetry::Value::U64(ops))]);
-        rec.hist_record(name, dur);
     }
     let p2p_dur = if node.num_online_gpus() > 0 {
         timing.t_gpu
@@ -117,7 +116,6 @@ pub fn record_phase_spans(
             ("on_gpu", telemetry::Value::Bool(node.num_online_gpus() > 0)),
         ],
     );
-    rec.hist_record("phase.p2p", p2p_dur);
 }
 
 /// Build the GPU work list: one [`P2pJob`] per active leaf with a non-empty

@@ -14,6 +14,14 @@
 //! FGO), past samples describe a tree that no longer exists; callers must
 //! [`TimingFilter::reset`] then.
 
+/// Smallest EWMA weight [`TimingFilter::new`] clamps `alpha` to.
+const ALPHA_MIN: f64 = 1e-3;
+
+/// The samples [`TimingFilter::push`] ingests: finite and non-negative.
+fn valid_sample(raw: f64) -> bool {
+    raw.is_finite() && raw >= 0.0
+}
+
 /// Median-of-k filter with EWMA warm-up. Never panics, for any input.
 #[derive(Clone, Debug)]
 pub struct TimingFilter {
@@ -45,10 +53,10 @@ impl Default for TimingFilter {
 
 impl TimingFilter {
     /// `k` = median window length (min 1); `alpha` = EWMA weight of the
-    /// newest sample, clamped into (0, 1].
+    /// newest sample, clamped into [1e-3, 1] (0.5 when not finite).
     pub fn new(k: usize, alpha: f64) -> Self {
         let alpha = if alpha.is_finite() {
-            alpha.clamp(1e-3, 1.0)
+            alpha.clamp(ALPHA_MIN, 1.0)
         } else {
             0.5
         };
@@ -63,11 +71,10 @@ impl TimingFilter {
 
     /// Ingest one raw measurement and return the filtered estimate.
     /// Non-finite or negative samples are rejected — counted in
-    /// [`TimingFilter::rejected`] so the caller can surface them as a
-    /// telemetry counter — and the previous estimate (or 0.0 before any
-    /// valid sample) is returned unchanged.
+    /// [`TimingFilter::rejected`] — and the previous estimate (or 0.0 before
+    /// any valid sample) is returned unchanged.
     pub fn push(&mut self, raw: f64) -> f64 {
-        if !raw.is_finite() || raw < 0.0 {
+        if !valid_sample(raw) {
             self.rejected += 1;
             return self.estimate().unwrap_or(0.0);
         }
@@ -128,15 +135,39 @@ impl TimingFilter {
         }
     }
 
-    /// Reconstruct a filter from a snapshot verbatim.
-    pub fn from_snapshot(snap: FilterSnapshot) -> Self {
-        TimingFilter {
+    /// Reconstruct a filter from a snapshot verbatim, refusing state the
+    /// live filter can never hold: an `alpha` outside what
+    /// [`TimingFilter::new`] clamps to, `k = 0`, a window longer than `k`,
+    /// or a window sample or EWMA that [`TimingFilter::push`] would reject.
+    pub fn from_snapshot(snap: FilterSnapshot) -> Result<Self, String> {
+        if !(ALPHA_MIN..=1.0).contains(&snap.alpha) {
+            return Err(format!(
+                "filter alpha {} outside [{ALPHA_MIN}, 1]",
+                snap.alpha
+            ));
+        }
+        if snap.k == 0 || snap.window.len() > snap.k {
+            return Err(format!(
+                "filter window of {} samples does not fit k = {}",
+                snap.window.len(),
+                snap.k
+            ));
+        }
+        if let Some(x) = snap
+            .window
+            .iter()
+            .chain(&snap.ewma)
+            .find(|x| !valid_sample(**x))
+        {
+            return Err(format!("filter holds sample {x}, which it would reject"));
+        }
+        Ok(TimingFilter {
             window: snap.window,
-            k: snap.k.max(1),
+            k: snap.k,
             alpha: snap.alpha,
             ewma: snap.ewma,
             rejected: snap.rejected,
-        }
+        })
     }
 }
 
@@ -199,7 +230,7 @@ mod tests {
         for x in [0.5, f64::NAN, 0.7, 0.1, 0.9, 0.2] {
             f.push(x);
         }
-        let mut g = TimingFilter::from_snapshot(f.snapshot());
+        let mut g = TimingFilter::from_snapshot(f.snapshot()).unwrap();
         assert_eq!(g.rejected(), f.rejected());
         assert_eq!(g.estimate(), f.estimate());
         for x in [0.4, 0.6, 0.8] {

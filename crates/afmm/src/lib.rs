@@ -17,9 +17,8 @@
 //!   the `T = Σ M(op)·C(op)` time prediction (paper §IV.D);
 //! * [`LoadBalancer`] — the Search / Incremental / Observation state
 //!   machine, `Enforce_S`, and `FineGrainedOptimize` (paper §V–VII);
-//! * [`GravitySim`] / [`StokesSim`] / [`StrategyTracker`] — time-stepping
-//!   drivers for the paper's gravitational and immersed-boundary workloads
-//!   and for strategy comparisons.
+//! * [`GravitySim`] / [`StrategyTracker`] — time-stepping drivers for the
+//!   paper's gravitational workload and for strategy comparisons.
 //!
 //! ```
 //! use afmm::{FmmEngine, FmmParams};
@@ -74,4 +73,4 @@ pub use replay::{
     diff_traces, validate_trace, validate_trace_report, DiffEntry, TraceDiff, ValidateOptions,
     ValidationReport, Violation, DEFAULT_PHASE_TOLERANCE,
 };
-pub use simulate::{GravitySim, RunSummary, StepRecord, StokesSim, StrategyTracker};
+pub use simulate::{GravitySim, RunSummary, StepRecord, StrategyTracker};

@@ -33,12 +33,6 @@ impl ExecutionPlan {
         }
     }
 
-    /// Attach a telemetry recorder; forwarded to the incremental lists so
-    /// their `plan.*` rebuild/patch/refresh metrics flow into it.
-    pub fn set_recorder(&mut self, rec: telemetry::Recorder) {
-        self.inc.set_recorder(rec);
-    }
-
     /// Discard all incremental state and re-derive from scratch.
     pub fn rebuild(&mut self, tree: &Octree) {
         self.inc.rebuild(tree);

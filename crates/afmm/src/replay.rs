@@ -27,7 +27,7 @@
 //! | `phase_reconciliation` | per-step `phase.*` span durations do not sum to  |
 //! |                        | the step's reported scheduler makespan           |
 
-use telemetry::{EventRecord, RecordKind, Value};
+use telemetry::{EventRecord, RecordKind};
 
 /// One invariant violation found during replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,35 +97,6 @@ pub struct ValidationReport {
     pub reconciled_steps: usize,
 }
 
-fn str_field<'a>(r: &'a EventRecord, key: &str) -> Option<&'a str> {
-    match r.field(key) {
-        Some(Value::Str(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn u64_field(r: &EventRecord, key: &str) -> Option<u64> {
-    match r.field(key) {
-        Some(Value::U64(v)) => Some(*v),
-        _ => None,
-    }
-}
-
-fn f64_field(r: &EventRecord, key: &str) -> Option<f64> {
-    match r.field(key) {
-        Some(Value::F64(v)) => Some(*v),
-        Some(Value::U64(v)) => Some(*v as f64),
-        _ => None,
-    }
-}
-
-fn bool_field(r: &EventRecord, key: &str) -> Option<bool> {
-    match r.field(key) {
-        Some(Value::Bool(b)) => Some(*b),
-        _ => None,
-    }
-}
-
 /// Every (from, to, cause) edge the balancer can emit. Anything else in a
 /// trace is a `transition_legality` violation.
 const LEGAL_TRANSITIONS: &[(&str, &str, &str)] = &[
@@ -174,8 +145,8 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
     let config = records.iter().find(|r| r.name == "run.config");
     let s_bounds = config.map(|c| {
         (
-            u64_field(c, "s_min").unwrap_or(1),
-            u64_field(c, "s_max").unwrap_or(u64::MAX),
+            c.field_u64("s_min").unwrap_or(1),
+            c.field_u64("s_max").unwrap_or(u64::MAX),
         )
     });
     let has_steps = records.iter().any(|r| r.name == "step.record");
@@ -192,7 +163,7 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
     let online_at: Vec<(u64, u64)> = records
         .iter()
         .filter(|r| r.name == "step.record")
-        .filter_map(|r| u64_field(r, "online_gpus").map(|o| (r.step, o)))
+        .filter_map(|r| r.field_u64("online_gpus").map(|o| (r.step, o)))
         .collect();
     let online_before = |step: u64| {
         online_at
@@ -244,7 +215,7 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
 
         if r.kind == RecordKind::Span && r.name.starts_with("phase.") {
             // P2P on the GPUs runs on device lanes, not the CPU makespan.
-            let on_gpu = r.name == "phase.p2p" && bool_field(r, "on_gpu").unwrap_or(false);
+            let on_gpu = r.name == "phase.p2p" && r.field_bool("on_gpu").unwrap_or(false);
             if !on_gpu {
                 if let Some(d) = r.dur_s {
                     phase_sum += d;
@@ -256,9 +227,9 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
         match r.name {
             "supervisor.restore" => resync = true,
             "lb.transition" => {
-                let from = str_field(r, "from").unwrap_or("?");
-                let to = str_field(r, "to").unwrap_or("?");
-                let cause = str_field(r, "cause").unwrap_or("?");
+                let from = r.field_str("from").unwrap_or("?");
+                let to = r.field_str("to").unwrap_or("?");
+                let cause = r.field_str("cause").unwrap_or("?");
                 if resync {
                     cur_state = from.to_string();
                     state_at_step_start = cur_state.clone();
@@ -314,7 +285,7 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
                         }
                     }
                 }
-                if let (Some(s), Some((lo, hi))) = (u64_field(r, "s"), s_bounds) {
+                if let (Some(s), Some((lo, hi))) = (r.field_u64("s"), s_bounds) {
                     if s < lo || s > hi {
                         out.push(Violation {
                             invariant: "s_bounds",
@@ -327,7 +298,7 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
                 cur_state = to.to_string();
             }
             "step.record" => {
-                let state = str_field(r, "state").unwrap_or("?");
+                let state = r.field_str("state").unwrap_or("?");
                 if resync {
                     cur_state = state.to_string();
                     state_at_step_start = cur_state.clone();
@@ -343,7 +314,7 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
                         ),
                     });
                 }
-                if let (Some(s), Some((lo, hi))) = (u64_field(r, "s"), s_bounds) {
+                if let (Some(s), Some((lo, hi))) = (r.field_u64("s"), s_bounds) {
                     if s < lo || s > hi {
                         out.push(Violation {
                             invariant: "s_bounds",
@@ -356,7 +327,7 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
                 // Phase-span reconciliation: the step's CPU-side phase
                 // durations must sum to the undisturbed scheduler makespan.
                 // Needs both sides present — older traces carry neither.
-                if let Some(t_sched) = f64_field(r, "t_sched") {
+                if let Some(t_sched) = r.field_f64("t_sched") {
                     if phase_spans > 0 && t_sched.is_finite() {
                         let gap = (phase_sum - t_sched).abs();
                         let residual = gap / t_sched.max(1e-12);
@@ -402,7 +373,7 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
                         });
                     }
                 }
-                if let (Some(s), Some((lo, hi))) = (u64_field(r, "s"), s_bounds) {
+                if let (Some(s), Some((lo, hi))) = (r.field_u64("s"), s_bounds) {
                     if s < lo || s > hi {
                         out.push(Violation {
                             invariant: "s_bounds",
@@ -415,8 +386,8 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
             }
             "audit.prediction" => {
                 // Acted steps knowingly invalidate the forecast; skip them.
-                let acted = bool_field(r, "acted").unwrap_or(false);
-                if let Some(err) = f64_field(r, "rel_error") {
+                let acted = r.field_bool("acted").unwrap_or(false);
+                if let Some(err) = r.field_f64("rel_error") {
                     if !acted && err.is_finite() && err > opts.audit_tolerance {
                         out.push(Violation {
                             invariant: "audit_drift",
@@ -505,7 +476,7 @@ pub fn diff_traces(a: &[EventRecord], b: &[EventRecord]) -> TraceDiff {
     }
     for (ra, rb) in sa.iter().zip(&sb) {
         let step = ra.step;
-        match (u64_field(ra, "s"), u64_field(rb, "s")) {
+        match (ra.field_u64("s"), rb.field_u64("s")) {
             (Some(x), Some(y)) if x != y => diff.mismatches.push(DiffEntry {
                 step,
                 kind: "s",
@@ -514,8 +485,8 @@ pub fn diff_traces(a: &[EventRecord], b: &[EventRecord]) -> TraceDiff {
             }),
             _ => {}
         }
-        let state_a = str_field(ra, "state").unwrap_or("?");
-        let state_b = str_field(rb, "state").unwrap_or("?");
+        let state_a = ra.field_str("state").unwrap_or("?");
+        let state_b = rb.field_str("state").unwrap_or("?");
         if state_a != state_b {
             diff.mismatches.push(DiffEntry {
                 step,
@@ -525,9 +496,10 @@ pub fn diff_traces(a: &[EventRecord], b: &[EventRecord]) -> TraceDiff {
             });
         }
         let compute = |r: &EventRecord| {
-            let c = f64_field(r, "t_cpu")
+            let c = r
+                .field_f64("t_cpu")
                 .unwrap_or(0.0)
-                .max(f64_field(r, "t_gpu").unwrap_or(0.0));
+                .max(r.field_f64("t_gpu").unwrap_or(0.0));
             c.max(0.0)
         };
         let (ca, cb) = (compute(ra), compute(rb));
@@ -541,7 +513,7 @@ pub fn diff_traces(a: &[EventRecord], b: &[EventRecord]) -> TraceDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telemetry::{intern, RecordKind};
+    use telemetry::{intern, Value};
 
     /// Hand-build a minimal legal trace: config, two observation steps.
     fn event(seq: u64, step: u64, name: &str, fields: Vec<(&'static str, Value)>) -> EventRecord {

@@ -4,7 +4,7 @@ use crate::cost::CostModel;
 use crate::engine::FmmEngine;
 use crate::error::Error;
 use crate::filter::TimingFilter;
-use fmm_math::{GravityKernel, Kernel, OpFlops, StokesletKernel};
+use fmm_math::{GravityKernel, Kernel, OpFlops};
 use geom::Vec3;
 use gpu_sim::{FaultEvent, FaultSchedule};
 use nbody::Bodies;
@@ -177,9 +177,9 @@ impl<K: Kernel> StrategyTracker<K> {
     }
 
     /// Like [`StrategyTracker::new`], but with a telemetry recorder wired
-    /// through the whole stack: the engine (solve spans, plan counters), the
-    /// balancer (state-transition flight recorder) and the tracker itself
-    /// (per-step metrics, phase spans, prediction audits).
+    /// through the whole stack: the engine (solve spans), the balancer
+    /// (state-transition flight recorder) and the tracker itself (per-step
+    /// records, phase spans, prediction audits).
     #[allow(clippy::too_many_arguments)]
     pub fn with_telemetry(
         kernel: K,
@@ -197,9 +197,9 @@ impl<K: Kernel> StrategyTracker<K> {
     }
 
     /// Attach a recorder after construction; shared (via clone) with the
-    /// engine, its execution plan and the balancer. Emits a `run.config`
-    /// header event so offline replay knows the bounds and thresholds the
-    /// balancer was configured with.
+    /// engine and the balancer. Emits a `run.config` header event so
+    /// offline replay knows the bounds and thresholds the balancer was
+    /// configured with.
     pub fn set_recorder(&mut self, rec: telemetry::Recorder) {
         self.engine.set_recorder(rec.clone());
         self.balancer.set_recorder(rec.clone());
@@ -325,13 +325,8 @@ impl<K: Kernel> StrategyTracker<K> {
         }
         // The balancer steers by outlier-filtered times so a lone spike
         // cannot fire its regression trigger.
-        let rejected_before = self.filter_rejected();
         let f_cpu = self.filter_cpu.push(t_cpu);
         let f_gpu = self.filter_gpu.push(t_gpu);
-        let rejected_delta = self.filter_rejected() - rejected_before;
-        if rejected_delta > 0 && self.rec.is_enabled() {
-            self.rec.counter_add("filter.rejected", rejected_delta);
-        }
         let rep =
             self.balancer
                 .post_step(&mut self.engine, &self.model, &self.node, pos, f_cpu, f_gpu);
@@ -354,23 +349,14 @@ impl<K: Kernel> StrategyTracker<K> {
                         ("acted", acted.into()),
                     ],
                 );
-                self.rec.hist_record("audit.rel_error", audit.rel_error());
             }
             self.audits.push(audit);
         }
         if self.rec.is_enabled() {
             crate::exec::record_phase_spans(&self.rec, &counts, &self.flops, &self.node, &timing);
             if let Some(gpu) = timing.gpu.as_ref() {
-                gpu.record_metrics(&self.rec);
+                gpu.record_util_events(&self.rec);
             }
-            let tree = self.engine.tree();
-            self.rec.gauge_set("tree.depth", tree.depth() as f64);
-            self.rec
-                .gauge_set("tree.leaves", tree.active_leaves().len() as f64);
-            self.rec.gauge_set("tree.s", s as f64);
-            self.rec.hist_record("step.t_cpu", t_cpu);
-            self.rec.hist_record("step.t_gpu", t_gpu);
-            self.rec.hist_record("step.t_lb", t_lb);
             // Per-step summary event: the replay validator's (and the Chrome
             // exporter's S-counter-track's) per-step anchor. `state` and `s`
             // describe the step as it ran — i.e. *before* any transition the
@@ -429,12 +415,6 @@ impl<K: Kernel> StrategyTracker<K> {
     /// the supervisor's healing rungs.
     pub fn engine_mut(&mut self) -> &mut FmmEngine<K> {
         &mut self.engine
-    }
-
-    /// Total garbage (NaN/inf/negative) timing samples the filters have
-    /// skipped so far.
-    pub fn filter_rejected(&self) -> u64 {
-        self.filter_cpu.rejected() + self.filter_gpu.rejected()
     }
 
     // ---- resilience: checkpoint / restore / healing ----
@@ -506,6 +486,21 @@ impl<K: Kernel> StrategyTracker<K> {
             }
             (None, None) => {}
         }
+        // The same bounds `apply_faults` holds a live run to.
+        if !snap.cpu_load.is_finite() || snap.cpu_load <= 0.0 {
+            return Err(Error::Checkpoint(format!(
+                "CPU load factor {} is not finite and positive",
+                snap.cpu_load
+            )));
+        }
+        if !snap.noise_sigma.is_finite() || snap.noise_sigma < 0.0 {
+            return Err(Error::Checkpoint(format!(
+                "timing-noise sigma {} is not finite and non-negative",
+                snap.noise_sigma
+            )));
+        }
+        let filter_cpu = TimingFilter::from_snapshot(snap.filter_cpu).map_err(Error::Checkpoint)?;
+        let filter_gpu = TimingFilter::from_snapshot(snap.filter_gpu).map_err(Error::Checkpoint)?;
         let flops = engine.kernel.op_flops(engine.expansion_ops());
         let tracker = StrategyTracker {
             engine,
@@ -519,8 +514,8 @@ impl<K: Kernel> StrategyTracker<K> {
             cpu_load: snap.cpu_load,
             noise_sigma: snap.noise_sigma,
             noise_state: snap.noise_state,
-            filter_cpu: TimingFilter::from_snapshot(snap.filter_cpu),
-            filter_gpu: TimingFilter::from_snapshot(snap.filter_gpu),
+            filter_cpu,
+            filter_gpu,
             rec: telemetry::Recorder::disabled(),
             audits: telemetry::AuditTrail::new(),
         };
@@ -664,107 +659,6 @@ impl GravitySim {
 
     pub fn balancer(&self) -> &LoadBalancer {
         &self.balancer
-    }
-}
-
-/// A numeric Stokes-flow simulation: point forces drive regularized-
-/// Stokeslet velocities, and the force points advect with the flow. Used by
-/// the immersed-boundary example; forces are refreshed by the caller each
-/// step (e.g. from an elastic structure).
-pub struct StokesSim {
-    pub pos: Vec<Vec3>,
-    pub dt: f64,
-    engine: FmmEngine<StokesletKernel>,
-    flops: OpFlops,
-    model: CostModel,
-    balancer: LoadBalancer,
-    node: HeteroNode,
-    records: Vec<StepRecord>,
-}
-
-impl StokesSim {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        pos: Vec<Vec3>,
-        dt: f64,
-        epsilon: f64,
-        mu: f64,
-        params: FmmParams,
-        node: HeteroNode,
-        strategy: Strategy,
-        cfg: LbConfig,
-    ) -> Self {
-        let balancer = LoadBalancer::new(strategy, cfg);
-        let s0 = balancer.s();
-        let kernel = StokesletKernel::new(epsilon, mu);
-        let engine = FmmEngine::new(kernel, params, &pos, s0);
-        let flops = engine.kernel.op_flops(engine.expansion_ops());
-        StokesSim {
-            pos,
-            dt,
-            engine,
-            flops,
-            model: CostModel::new(),
-            balancer,
-            node,
-            records: Vec::new(),
-        }
-    }
-
-    /// One step driven by the given per-point forces (flat, 3 per point).
-    /// Returns the record and leaves the advected positions in `self.pos`.
-    pub fn step(&mut self, forces: &[f64]) -> Result<StepRecord, Error> {
-        let state = self.balancer.state();
-        let s = self.engine.tree().s_value();
-        let sol = self.engine.try_solve(&self.pos, forces)?;
-        let counts = self.engine.counts();
-        let timing = self.engine.time_step(&self.flops, &self.node)?;
-        self.model
-            .observe(&counts, &timing, &self.flops, &self.node);
-
-        for (p, &u) in self.pos.iter_mut().zip(&sol.field) {
-            *p += u * self.dt;
-        }
-
-        let mut t_lb = lbtime::rebin(&self.node, self.pos.len());
-        self.engine.rebin(&self.pos);
-        let rep = self.balancer.post_step(
-            &mut self.engine,
-            &self.model,
-            &self.node,
-            &self.pos,
-            timing.t_cpu,
-            timing.t_gpu,
-        );
-        t_lb += rep.lb_time;
-
-        let rec = StepRecord {
-            step: self.records.len(),
-            s,
-            state,
-            t_cpu: timing.t_cpu,
-            t_gpu: timing.t_gpu,
-            t_lb,
-            gpu_efficiency: timing.gpu_efficiency(),
-            p2p_interactions: counts.p2p_interactions,
-            m2l_ops: counts.m2l_ops,
-        };
-        self.records.push(rec);
-        Ok(rec)
-    }
-
-    /// The velocities of the most recent solve can be recovered by solving
-    /// again; for workflows needing them, use [`FmmEngine::solve`] directly.
-    pub fn records(&self) -> &[StepRecord] {
-        &self.records
-    }
-
-    pub fn summary(&self) -> RunSummary {
-        RunSummary::from_records(&self.records)
-    }
-
-    pub fn engine(&self) -> &FmmEngine<StokesletKernel> {
-        &self.engine
     }
 }
 
@@ -1009,34 +903,6 @@ mod tests {
             late_full * 1.4 < late_static,
             "settled regime: full {late_full} should be well below static {late_static}"
         );
-    }
-
-    #[test]
-    fn stokes_sim_steps_and_advects() {
-        let pts = nbody::uniform_cube(500, 1.0, 504);
-        let forces = nbody::random_unit_forces(500, 505);
-        let mut sim = StokesSim::new(
-            pts.pos.clone(),
-            0.01,
-            1e-3,
-            1.0,
-            FmmParams::default(),
-            HeteroNode::system_a(10, 2),
-            Strategy::Full,
-            small_cfg(),
-        );
-        let before = sim.pos.clone();
-        for _ in 0..5 {
-            sim.step(&forces).unwrap();
-        }
-        let moved = sim
-            .pos
-            .iter()
-            .zip(&before)
-            .filter(|(a, b)| (**a - **b).norm() > 0.0)
-            .count();
-        assert!(moved > 400, "flow should move nearly all points");
-        assert_eq!(sim.records().len(), 5);
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //! 4. **Restore** — rebuild the whole tracker from the last checkpoint
 //!    ([`StrategyTracker::restore`]), rewinding to a known-good state.
 //!
-//! Each rung emits a `supervisor.*` telemetry event and bumps a counter in
-//! the recorder's [`telemetry::MetricsRegistry`]; the [`SupervisorReport`]
-//! mirrors the counts for recorder-less runs. A run is declared
+//! Each rung emits a `supervisor.*` telemetry event, and the
+//! [`SupervisorReport`] counts every rung, recorder or not. A run is declared
 //! unrecoverable ([`Error::Unrecoverable`]) only when the last rung fails.
 
 use crate::engine::FmmEngine;
@@ -161,7 +160,6 @@ impl<K: Kernel + Copy> Supervisor<K> {
                     ("bytes", telemetry::Value::U64(text.len() as u64)),
                 ],
             );
-            rec.counter_add("supervisor.checkpoints", 1);
         }
         self.last_checkpoint = Some(text);
         self.last_checkpoint.as_deref().unwrap()
@@ -180,7 +178,6 @@ impl<K: Kernel + Copy> Supervisor<K> {
             StrategyTracker::restore(self.kernel, self.node_config.clone(), &text)?;
         tracker.engine_mut().set_exec_policy(policy);
         if recorder.is_enabled() {
-            recorder.counter_add("supervisor.restores", 1);
             recorder.event(
                 "supervisor.restore",
                 vec![(
@@ -260,10 +257,6 @@ impl<K: Kernel + Copy> Supervisor<K> {
             Ok(result) => result?,
             Err(_) => {
                 self.report.panics_contained += 1;
-                let recorder = self.tracker.recorder().clone();
-                if recorder.is_enabled() {
-                    recorder.counter_add("supervisor.panics", 1);
-                }
                 return Err(Error::StepPanicked);
             }
         };
@@ -300,7 +293,6 @@ impl<K: Kernel + Copy> Supervisor<K> {
         self.report.audit_failures += 1;
         let rec = self.tracker.recorder().clone();
         if rec.is_enabled() {
-            rec.counter_add("supervisor.audit_failures", 1);
             rec.event(
                 "supervisor.audit_failed",
                 vec![("error", telemetry::Value::Str(e.to_string()))],
@@ -308,10 +300,9 @@ impl<K: Kernel + Copy> Supervisor<K> {
         }
     }
 
-    fn emit_rung(&self, rung: &'static str, counter: &'static str, err: &Error) {
+    fn emit_rung(&self, rung: &'static str, err: &Error) {
         let rec = self.tracker.recorder().clone();
         if rec.is_enabled() {
-            rec.counter_add(counter, 1);
             rec.event(
                 rung,
                 vec![
@@ -333,7 +324,7 @@ impl<K: Kernel + Copy> Supervisor<K> {
         // Rung 1: retry.
         for _ in 0..self.cfg.max_retries {
             self.report.retries += 1;
-            self.emit_rung("supervisor.retry", "supervisor.retries", &last_err);
+            self.emit_rung("supervisor.retry", &last_err);
             match self.attempt(pos) {
                 Ok(r) => return Ok((r, RecoveryAction::Retry)),
                 Err(e) => last_err = e,
@@ -344,7 +335,7 @@ impl<K: Kernel + Copy> Supervisor<K> {
         if FmmEngine::<K>::audit_bodies(pos).is_ok() {
             // Rung 2: rebuild tree + plan from scratch.
             self.report.rebuilds += 1;
-            self.emit_rung("supervisor.rebuild", "supervisor.rebuilds", &last_err);
+            self.emit_rung("supervisor.rebuild", &last_err);
             self.tracker.heal_rebuild(pos);
             match self.attempt(pos) {
                 Ok(r) => return Ok((r, RecoveryAction::Rebuild)),
@@ -353,11 +344,7 @@ impl<K: Kernel + Copy> Supervisor<K> {
             // Rung 3: drop the GPUs, run everything on the cores.
             if self.tracker.node().gpus.is_some() {
                 self.report.cpu_fallbacks += 1;
-                self.emit_rung(
-                    "supervisor.cpu_fallback",
-                    "supervisor.cpu_fallbacks",
-                    &last_err,
-                );
+                self.emit_rung("supervisor.cpu_fallback", &last_err);
                 self.tracker.force_cpu_only();
                 self.tracker.heal_rebuild(pos);
                 match self.attempt(pos) {
@@ -368,11 +355,7 @@ impl<K: Kernel + Copy> Supervisor<K> {
         }
         // Rung 4: restore from the last checkpoint and re-step from the
         // checkpointed positions.
-        self.emit_rung(
-            "supervisor.restore",
-            "supervisor.restore_attempts",
-            &last_err,
-        );
+        self.emit_rung("supervisor.restore", &last_err);
         let saved_pos = self
             .restore_from_checkpoint()
             .map_err(|e| Error::Unrecoverable(Box::new(e)))?;

@@ -11,9 +11,10 @@
 //!
 //! Each scenario is one [`ChaosPlan`] generated from its seed: the fault
 //! half (dropouts, slowdowns, CPU load, timing noise — including multi-
-//! event storms) is installed as the tracker's [`FaultSchedule`]; the
-//! corruption half (NaN bodies, plan truncation, stale epochs, mid-run
-//! kill-and-restore) is injected behind the engine's back via
+//! event storms) is installed as the tracker's
+//! [`FaultSchedule`](afmm::FaultSchedule); the corruption half (NaN
+//! bodies, plan truncation, stale epochs, mid-run kill-and-restore) is
+//! injected behind the engine's back via
 //! [`afmm::chaos::inject`]. Node shape and body count vary with the seed so
 //! the soak also covers CPU-only and 4-GPU configurations.
 //!

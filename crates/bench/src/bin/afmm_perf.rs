@@ -13,7 +13,10 @@
 //! gate when its bootstrap CIs don't overlap *and* the median delta clears
 //! the relative-MAD threshold (see `bench::harness::compare`). Reports embed
 //! structural introspection snapshots, so a regression comes with the
-//! tree/plan/GPU/cost-model context needed to attribute it.
+//! tree/plan/GPU/cost-model context needed to attribute it. `run` and
+//! `baseline` print the `solve_step` wall ledger and `memory_profile`'s
+//! footprint and — under `--features memprof` — its allocator table, all
+//! read back from the report.
 
 use std::process::ExitCode;
 
@@ -164,12 +167,32 @@ fn print_memory_profile(report: &BenchReport) {
             eprintln!("#   {key:<40} {:>14.1}", v.as_f64().unwrap_or(0.0));
         }
     }
-    let gauges = snap.get("metrics").and_then(|m| m.get("gauges"));
-    if let Some(gauges) = gauges.and_then(Json::as_obj) {
-        eprintln!("# memory_profile allocator view (gate phase, per scope):");
-        for (key, v) in gauges {
-            eprintln!("#   {key:<40} {:>14.0}", v.as_f64().unwrap_or(0.0));
-        }
+    let Some(alloc) = snap.get("allocator") else {
+        return;
+    };
+    let count = |row: &Json, key: &str| row.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+    eprintln!("# memory_profile allocator view (gate phase, per scope):");
+    eprintln!(
+        "#   {:<24} {:>10} {:>14} {:>16}",
+        "scope", "allocs", "alloc_bytes", "peak_live_bytes"
+    );
+    for (scope, row) in alloc.get("scopes").and_then(Json::as_obj).unwrap_or(&[]) {
+        eprintln!(
+            "#   {scope:<24} {:>10.0} {:>14.0} {:>16.0}",
+            count(row, "allocs"),
+            count(row, "alloc_bytes"),
+            count(row, "peak_live_bytes")
+        );
+    }
+    if let Some(g) = alloc.get("global") {
+        eprintln!(
+            "#   {:<24} {:>10.0} {:>14.0} {:>16.0}  (live {:.0})",
+            "process",
+            count(g, "allocs"),
+            count(g, "alloc_bytes"),
+            count(g, "peak_live_bytes"),
+            count(g, "live_bytes")
+        );
     }
 }
 

@@ -7,8 +7,8 @@
 //! benchmark with warmup + repetitions, robust statistics ([`stats`]) turn
 //! the samples into median/MAD/bootstrap-CI summaries, one canonical JSON
 //! schema ([`report`]) makes every run comparable to every other, a
-//! noise-aware comparator ([`compare`]) classifies deltas against a
-//! checked-in baseline, and every result carries a structural snapshot
+//! noise-aware comparator ([`compare`](mod@compare)) classifies deltas
+//! against a checked-in baseline, and every result carries a structural snapshot
 //! ([`snapshot`]) so a perf delta can be *attributed* instead of guessed
 //! at. The `afmm-perf` binary is the driver.
 //!

@@ -216,7 +216,7 @@ pub struct Scenario {
     pub params: Json,
     pub metrics: Vec<Metric>,
     /// Structural introspection (tree shape, plan lists, GPU shares, cost
-    /// coefficients, metrics registry) — see [`super::snapshot`].
+    /// coefficients, allocator table) — see [`super::snapshot`].
     pub snapshot: Json,
 }
 

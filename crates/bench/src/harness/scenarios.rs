@@ -359,9 +359,7 @@ fn solve_step(cfg: &SuiteConfig) -> Scenario {
         counts: Some(counts),
         cost: Some(&cost),
         timing: timing.gpu.as_ref(),
-        metrics_json: None,
-        audit: None,
-        mem: None,
+        ..Default::default()
     });
     Scenario {
         name: "solve_step".to_string(),
@@ -548,14 +546,7 @@ fn enforce_s(cfg: &SuiteConfig) -> Scenario {
 /// contracting-cloud workload: wall time of the whole run plus the
 /// deterministic virtual compute/LB totals and the settle step.
 fn balancer_convergence(cfg: &SuiteConfig) -> Scenario {
-    type BalanceRun = (
-        f64,
-        afmm::RunSummary,
-        Option<String>,
-        u64,
-        usize,
-        telemetry::AuditStats,
-    );
+    type BalanceRun = (f64, afmm::RunSummary, u64, usize, telemetry::AuditStats);
     let run = |record: bool| -> BalanceRun {
         let setup = nbody::collapsing_plummer(cfg.n_balance, 1.0, cfg.seed + 3);
         let rec = if record {
@@ -571,7 +562,7 @@ fn balancer_convergence(cfg: &SuiteConfig) -> Scenario {
             LbConfig::default(),
             &setup.bodies.pos,
             Some((setup.domain_center, setup.domain_half_width)),
-            rec.clone(),
+            rec,
         );
         let clump = geom::Vec3::new(
             0.4 * setup.domain_half_width,
@@ -595,9 +586,8 @@ fn balancer_convergence(cfg: &SuiteConfig) -> Scenario {
             .position(|r| r.state == LbState::Observation)
             .unwrap_or(cfg.balance_steps);
         let s_final = tracker.balancer().s() as u64;
-        let metrics_json = record.then(|| rec.metrics_json());
         let audit = tracker.audits().stats();
-        (t, tracker.summary(), metrics_json, s_final, settle, audit)
+        (t, tracker.summary(), s_final, settle, audit)
     };
 
     for _ in 0..cfg.warmup.max(1) {
@@ -606,14 +596,13 @@ fn balancer_convergence(cfg: &SuiteConfig) -> Scenario {
     let mut samples = Vec::with_capacity(cfg.reps);
     let mut last = None;
     for _ in 0..cfg.reps {
-        let (t, summary, metrics_json, s_final, settle, audit) = run(true);
+        let (t, summary, s_final, settle, audit) = run(true);
         samples.push(t);
-        last = Some((summary, metrics_json, s_final, settle, audit));
+        last = Some((summary, s_final, settle, audit));
     }
-    let (summary, metrics_json, s_final, settle, audit) = last.expect("reps >= 1");
+    let (summary, s_final, settle, audit) = last.expect("reps >= 1");
 
     let snapshot = gather(&SnapshotParts {
-        metrics_json: metrics_json.clone(),
         audit: Some(audit),
         ..Default::default()
     });
@@ -653,18 +642,13 @@ fn telemetry_overhead(cfg: &SuiteConfig) -> Scenario {
         })
     };
     let base = time_variant(None);
-    let rec = telemetry::Recorder::enabled();
-    let enabled = time_variant(Some(rec.clone()));
+    let enabled = time_variant(Some(telemetry::Recorder::enabled()));
     let overhead: Vec<f64> = enabled
         .iter()
         .zip(&base)
         .map(|(e, b)| e / b - 1.0)
         .collect();
 
-    let snapshot = gather(&SnapshotParts {
-        metrics_json: Some(rec.metrics_json()),
-        ..Default::default()
-    });
     Scenario {
         name: "telemetry_overhead".to_string(),
         params: obj(vec![
@@ -677,7 +661,7 @@ fn telemetry_overhead(cfg: &SuiteConfig) -> Scenario {
             Metric::wall("wall_enabled_s", "s", enabled, cfg.seed + 1),
             Metric::wall("overhead_frac", "frac", overhead, cfg.seed + 2).informational(),
         ],
-        snapshot,
+        snapshot: Json::Obj(Vec::new()),
     }
 }
 
@@ -687,9 +671,8 @@ fn telemetry_overhead(cfg: &SuiteConfig) -> Scenario {
 fn balancer_faults(cfg: &SuiteConfig) -> Scenario {
     let fault_step = cfg.fault_steps / 3;
     let recover_step = 2 * cfg.fault_steps / 3;
-    let run = || -> (f64, afmm::RunSummary, usize, String) {
+    let run = || -> (f64, afmm::RunSummary, usize) {
         let b = nbody::plummer(cfg.n_fault, 1.0, 1.0, cfg.seed + 5);
-        let rec = telemetry::Recorder::enabled();
         let mut tracker = StrategyTracker::with_telemetry(
             GravityKernel::default(),
             FmmParams::default(),
@@ -698,7 +681,7 @@ fn balancer_faults(cfg: &SuiteConfig) -> Scenario {
             LbConfig::default(),
             &b.pos,
             None,
-            rec.clone(),
+            telemetry::Recorder::enabled(),
         );
         let mut schedule = FaultSchedule::new();
         schedule.push(fault_step, FaultEvent::GpuDropout { device: 0 });
@@ -716,7 +699,7 @@ fn balancer_faults(cfg: &SuiteConfig) -> Scenario {
             .iter()
             .filter(|r| r.state == LbState::Recovery)
             .count();
-        (t, tracker.summary(), recovery_steps, rec.metrics_json())
+        (t, tracker.summary(), recovery_steps)
     };
 
     for _ in 0..cfg.warmup.max(1) {
@@ -725,15 +708,11 @@ fn balancer_faults(cfg: &SuiteConfig) -> Scenario {
     let mut samples = Vec::with_capacity(cfg.reps);
     let mut last = None;
     for _ in 0..cfg.reps {
-        let (t, summary, recovery_steps, metrics_json) = run();
+        let (t, summary, recovery_steps) = run();
         samples.push(t);
-        last = Some((summary, recovery_steps, metrics_json));
+        last = Some((summary, recovery_steps));
     }
-    let (summary, recovery_steps, metrics_json) = last.expect("reps >= 1");
-    let snapshot = gather(&SnapshotParts {
-        metrics_json: Some(metrics_json),
-        ..Default::default()
-    });
+    let (summary, recovery_steps) = last.expect("reps >= 1");
 
     Scenario {
         name: "balancer_faults".to_string(),
@@ -751,7 +730,7 @@ fn balancer_faults(cfg: &SuiteConfig) -> Scenario {
             Metric::virtual_point("virtual_total_lb_s", "s", summary.total_lb),
             Metric::virtual_point("recovery_steps", "step", recovery_steps as f64),
         ],
-        snapshot,
+        snapshot: Json::Obj(Vec::new()),
     }
 }
 
@@ -848,15 +827,11 @@ fn memory_profile_one_worker(cfg: &SuiteConfig) -> Scenario {
         list_entries: engine.lists().num_m2l() + engine.lists().num_p2p_pairs(),
     };
 
-    // Surface the scope table as mem.scope/mem.peak events and gauges so
-    // the snapshot's metrics part and a chrome export carry them.
-    let rec = telemetry::Recorder::enabled();
-    memprof::publish(&rec);
     let snapshot = gather(&SnapshotParts {
         tree: Some(engine.tree()),
         lists: Some(engine.lists()),
         counts: Some(engine.counts()),
-        metrics_json: memprof::counting().then(|| rec.metrics_json()),
+        allocator: memprof::counting().then(|| (memprof::global(), memprof::scopes())),
         mem: Some(fp),
         ..Default::default()
     });

@@ -14,9 +14,9 @@
 //!   balances);
 //! * **cost_model** — the current observational coefficient table from
 //!   [`afmm::CostModel`], so coefficient drift between baselines is visible;
-//! * **metrics** — the telemetry registry dump
-//!   ([`telemetry::MetricsRegistry::snapshot_json`]) when a recorder was
-//!   live during the scenario;
+//! * **allocator** — the counting allocator's per-scope table and process
+//!   totals ([`telemetry::memprof::scopes`], [`telemetry::memprof::global`]);
+//!   present only when that allocator is installed (`memprof` builds);
 //! * **mem** — the structural heap footprint ([`MemFootprint`]): absolute
 //!   bytes per owner plus the normalized bytes-per-body / bytes-per-node /
 //!   bytes-per-list-entry figures. Structural accounting works with or
@@ -27,6 +27,7 @@ use afmm::CostModel;
 use gpu_sim::KernelTiming;
 use octree::{InteractionLists, Octree, OpCounts, TreeStats};
 use telemetry::json::{obj, Json};
+use telemetry::{GlobalStats, ScopeStats};
 
 /// Everything a scenario can attach; absent parts are simply omitted from
 /// the snapshot object.
@@ -37,9 +38,8 @@ pub struct SnapshotParts<'a> {
     pub counts: Option<OpCounts>,
     pub cost: Option<&'a CostModel>,
     pub timing: Option<&'a KernelTiming>,
-    /// Pre-rendered metrics registry JSON (from
-    /// [`telemetry::MetricsRegistry::snapshot_json`]).
-    pub metrics_json: Option<String>,
+    /// Process totals and per-scope table of the counting allocator.
+    pub allocator: Option<(GlobalStats, Vec<(&'static str, ScopeStats)>)>,
     /// Cost-model prediction audit summary
     /// ([`telemetry::AuditTrail::stats`]) from a tracked run — the realized
     /// predict-vs-observe error.
@@ -97,12 +97,8 @@ pub fn gather(parts: &SnapshotParts<'_>) -> Json {
     if let Some(mem) = &parts.mem {
         fields.push(("mem", mem_snapshot(mem)));
     }
-    if let Some(mj) = &parts.metrics_json {
-        // The registry dump is already canonical JSON; parse so it nests as
-        // structure rather than as an escaped string.
-        if let Ok(v) = Json::parse(mj) {
-            fields.push(("metrics", v));
-        }
+    if let Some((global, scopes)) = &parts.allocator {
+        fields.push(("allocator", allocator_snapshot(global, scopes)));
     }
     obj(fields)
 }
@@ -310,6 +306,35 @@ fn mem_snapshot(mem: &MemFootprint) -> Json {
     ])
 }
 
+/// `{"global": {...}, "scopes": {name: {...}}}`: allocation counts, bytes
+/// and peak live bytes per scope and for the whole process.
+fn allocator_snapshot(global: &GlobalStats, scopes: &[(&'static str, ScopeStats)]) -> Json {
+    let n = |v: u64| Json::F64(v as f64);
+    let scopes = scopes
+        .iter()
+        .map(|(name, s)| {
+            let row = obj(vec![
+                ("allocs", n(s.allocs)),
+                ("alloc_bytes", n(s.alloc_bytes)),
+                ("peak_live_bytes", n(s.peak_live_bytes)),
+            ]);
+            (name.to_string(), row)
+        })
+        .collect();
+    obj(vec![
+        (
+            "global",
+            obj(vec![
+                ("allocs", n(global.allocs)),
+                ("alloc_bytes", n(global.alloc_bytes)),
+                ("live_bytes", n(global.live_bytes)),
+                ("peak_live_bytes", n(global.peak_live_bytes)),
+            ]),
+        ),
+        ("scopes", Json::Obj(scopes)),
+    ])
+}
+
 /// The observational coefficient table (paper §IV.D).
 fn cost_snapshot(cost: &CostModel) -> Json {
     obj(vec![
@@ -347,8 +372,6 @@ mod tests {
         let timing = afmm::time_step(&tree, &lists, &flops, &node).unwrap();
         let mut cost = CostModel::new();
         cost.observe(&counts, &timing, &flops, &node);
-        let reg = telemetry::MetricsRegistry::default();
-        reg.counter("x").add(3);
 
         let snap = gather(&SnapshotParts {
             tree: Some(&tree),
@@ -356,7 +379,21 @@ mod tests {
             counts: Some(counts),
             cost: Some(&cost),
             timing: timing.gpu.as_ref(),
-            metrics_json: Some(reg.snapshot_json()),
+            allocator: Some((
+                GlobalStats {
+                    allocs: 12,
+                    live_bytes: 1024,
+                    ..Default::default()
+                },
+                vec![(
+                    "rebin",
+                    ScopeStats {
+                        allocs: 3,
+                        alloc_bytes: 4096,
+                        ..Default::default()
+                    },
+                )],
+            )),
             audit: Some(telemetry::AuditStats {
                 count: 8,
                 acted: 3,
@@ -430,11 +467,12 @@ mod tests {
                 + mem.get("plan_bytes").unwrap().as_f64().unwrap()
         );
 
-        let m = snap.get("metrics").expect("metrics part");
-        assert_eq!(
-            m.get("counters").unwrap().get("x").unwrap().as_f64(),
-            Some(3.0)
-        );
+        let alloc = snap.get("allocator").expect("allocator part");
+        let global = alloc.get("global").unwrap();
+        assert_eq!(global.get("allocs").unwrap().as_f64(), Some(12.0));
+        assert_eq!(global.get("live_bytes").unwrap().as_f64(), Some(1024.0));
+        let rebin = alloc.get("scopes").unwrap().get("rebin").unwrap();
+        assert_eq!(rebin.get("alloc_bytes").unwrap().as_f64(), Some(4096.0));
 
         // The whole snapshot is valid JSON.
         assert!(Json::parse(&snap.to_json()).is_ok());

@@ -165,7 +165,15 @@ fn smoke_suite_runs_and_gates() {
             );
         }
         let snap = sc.snapshot.as_obj().expect("snapshot is an object");
-        assert!(!snap.is_empty(), "{} has an empty snapshot", sc.name);
+        // These two time whole runs; they have no structure to snapshot.
+        let structureless = ["telemetry_overhead", "balancer_faults"].contains(&sc.name.as_str());
+        assert_eq!(
+            snap.is_empty(),
+            structureless,
+            "{} snapshot: {:?}",
+            sc.name,
+            sc.snapshot
+        );
         assert!(
             sc.params.get("n").and_then(Json::as_u64).is_some(),
             "{} params lack n",

@@ -71,25 +71,16 @@ impl KernelTiming {
         Some(max / mean)
     }
 
-    /// Publish this launch into a telemetry recorder: `gpu.time` /
-    /// `gpu.imbalance` / `gpu.efficiency` gauges, a `gpu.device_util`
-    /// histogram (per busy device, elapsed / makespan), and a
-    /// `gpu.launches` counter. A disabled recorder makes this free.
-    pub fn record_metrics(&self, rec: &telemetry::Recorder) {
+    /// Emit one `gpu.util` event per busy device of this launch (elapsed,
+    /// elapsed / makespan, pairs); the trace exporter draws one Chrome
+    /// timeline track per GPU from them. A disabled recorder makes this free.
+    pub fn record_util_events(&self, rec: &telemetry::Recorder) {
         if !rec.is_enabled() {
             return;
         }
-        rec.counter_add("gpu.launches", 1);
         let Some(makespan) = self.gpu_time() else {
             return;
         };
-        rec.gauge_set("gpu.time", makespan);
-        if let Some(e) = self.efficiency() {
-            rec.gauge_set("gpu.efficiency", e);
-        }
-        if let Some(im) = self.imbalance() {
-            rec.gauge_set("gpu.imbalance", im);
-        }
         if makespan > 0.0 {
             for (device, r) in self
                 .per_gpu
@@ -97,9 +88,6 @@ impl KernelTiming {
                 .enumerate()
                 .filter(|(_, r)| r.useful_pairs > 0)
             {
-                rec.hist_record("gpu.device_util", r.elapsed_s / makespan);
-                // Per-device launch event: the trace exporter turns these
-                // into one Chrome timeline track per GPU.
                 rec.event(
                     "gpu.util",
                     vec![
@@ -560,18 +548,22 @@ mod tests {
     }
 
     #[test]
-    fn record_metrics_publishes_launch() {
+    fn record_util_events_emits_one_event_per_busy_device() {
         let rec = telemetry::Recorder::enabled();
         let jobs = plummer_like_jobs(300);
         let timing = homog(3).execute(&jobs).unwrap();
-        timing.record_metrics(&rec);
-        let m = rec.metrics();
-        assert_eq!(m.counter("gpu.launches"), Some(1));
-        assert_eq!(m.gauge("gpu.time"), timing.gpu_time());
-        assert_eq!(m.gauge("gpu.imbalance"), timing.imbalance());
-        assert_eq!(m.histogram("gpu.device_util").unwrap().count, 3);
+        timing.record_util_events(&rec);
+        let util = rec.events_named("gpu.util");
+        assert_eq!(util.len(), 3);
+        let makespan = timing.gpu_time().unwrap();
+        for (device, (e, r)) in util.iter().zip(&timing.per_gpu).enumerate() {
+            assert_eq!(e.field_u64("device"), Some(device as u64));
+            assert_eq!(e.field_f64("elapsed_s"), Some(r.elapsed_s));
+            assert_eq!(e.field_f64("util"), Some(r.elapsed_s / makespan));
+            assert_eq!(e.field_u64("pairs"), Some(r.useful_pairs));
+        }
         // Disabled recorder: free no-op.
-        timing.record_metrics(&telemetry::Recorder::disabled());
+        timing.record_util_events(&telemetry::Recorder::disabled());
     }
 
     #[test]

@@ -102,8 +102,6 @@ pub struct IncrementalLists {
     /// Warm buffers of [`IncrementalLists::rebuild`]'s traversal; pure
     /// scratch.
     traversal: Traversal,
-    /// Telemetry handle; `Recorder::disabled()` (the default) is free.
-    rec: telemetry::Recorder,
 }
 
 fn remove_one(v: &mut Vec<NodeId>, x: NodeId) {
@@ -185,22 +183,15 @@ impl IncrementalLists {
             walk: Vec::new(),
             dirty_scratch: Vec::new(),
             traversal: Traversal::default(),
-            rec: telemetry::Recorder::disabled(),
         };
         plan.rebuild(tree);
         plan
     }
 
-    /// Attach a telemetry recorder; plan rebuild/patch/refresh activity is
-    /// reported through its `plan.*` counters and histograms.
-    pub fn set_recorder(&mut self, rec: telemetry::Recorder) {
-        self.rec = rec;
-    }
-
     /// Throw the incremental state away and re-derive everything from a
     /// fresh traversal of `tree`, into the storage the plan already holds.
     ///
-    /// From [`crate::traversal::MIN_FORK_NODES`] arena nodes up each stage
+    /// From `MIN_FORK_NODES` (1 024) arena nodes up each stage
     /// runs through workers — the traversal one task per child of the root,
     /// the inverse lists one range of sources per worker, the per-node
     /// counts one range of nodes per worker — and every list comes out the
@@ -208,7 +199,6 @@ impl IncrementalLists {
     /// rebuild of an unchanged tree allocates nothing on one worker and only
     /// the forks' bookkeeping on more.
     pub fn rebuild(&mut self, tree: &Octree) {
-        self.rec.counter_add("plan.rebuild", 1);
         let n = tree.num_nodes();
         let workers = fork_width(tree);
         self.traversal
@@ -356,7 +346,6 @@ impl IncrementalLists {
             walk: Vec::new(),
             dirty_scratch: Vec::new(),
             traversal: Traversal::default(),
-            rec: telemetry::Recorder::disabled(),
         })
     }
 
@@ -590,14 +579,10 @@ impl IncrementalLists {
         }
         if dirty.is_empty() {
             self.dirty_scratch = dirty;
-            self.rec.counter_add("plan.refresh.clean", 1);
             return PlanRefresh::Clean;
         }
         let recomputed = self.recount(tree, &dirty);
         self.dirty_scratch = dirty;
-        self.rec.counter_add("plan.refresh.patched", 1);
-        self.rec
-            .hist_record("plan.refresh.dirty", recomputed as f64);
         PlanRefresh::Patched { dirty: recomputed }
     }
 
@@ -757,7 +742,6 @@ impl IncrementalLists {
         //    old-subtree nodes drop to zero via the visibility check.
         dirty.extend(visible_subtree(tree, edit));
         self.recount(tree, &dirty);
-        self.rec.counter_add("plan.patch.edit", 1);
     }
 }
 

@@ -159,7 +159,7 @@ pub(crate) fn nested_vec_bytes(v: &[Vec<NodeId>]) -> usize {
 /// of the adaptive FMM — while emitting only the paper's six operations.
 ///
 /// Empty cells are skipped entirely. Large trees are traversed through
-/// workers ([`Traversal::fill`]); the lists are the same at any width.
+/// workers (`Traversal::fill`); the lists are the same at any width.
 pub fn dual_traversal(tree: &Octree, mac: Mac) -> InteractionLists {
     let mut lists = InteractionLists::default();
     Traversal::default().fill(tree, mac, &mut lists, fork_width(tree));

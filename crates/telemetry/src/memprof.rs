@@ -1,13 +1,13 @@
-//! Scoped allocation profiling: a counting [`GlobalAlloc`] wrapper plus a
-//! thread-local RAII [`AllocScope`] tag stack that attributes allocation
-//! counts, bytes, and peak-live-bytes to named scopes.
+//! Scoped allocation profiling: a counting [`std::alloc::GlobalAlloc`]
+//! wrapper plus a thread-local RAII [`AllocScope`] tag stack that
+//! attributes allocation counts, bytes, and peak-live-bytes to named scopes.
 //!
 //! Two accounting systems coexist in the workspace and answer different
 //! questions (see DESIGN.md §12):
 //!
 //! * **Allocator accounting** (this module, feature `memprof`): *how many
 //!   times did we hit the allocator, and from where?* Exact counts from a
-//!   [`CountingAlloc`] installed as the `#[global_allocator]` by bins and
+//!   `CountingAlloc` installed as the `#[global_allocator]` by bins and
 //!   test harnesses. Deterministic on a fixed workload, so CI can gate the
 //!   steady-state solve path at **zero** allocations with no noise band.
 //! * **Structural accounting** (`heap_bytes()` on `Bodies`, `Octree`,
@@ -38,9 +38,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(feature = "memprof")]
 use std::sync::Mutex;
-
-use crate::recorder::Recorder;
-use crate::Value;
 
 /// Whole-process allocation totals since start (or the last [`reset`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -425,59 +422,6 @@ pub fn scope_stats(_name: &str) -> Option<ScopeStats> {
     None
 }
 
-// ---------------------------------------------------------------------------
-// Publication: events + gauges, feature-independent (zeros when off).
-// ---------------------------------------------------------------------------
-
-/// Emit the current memory picture into a recorder: one `mem.scope` event
-/// per scope (allocs/frees/bytes/peak), one `mem.peak` event with the
-/// process totals, and matching `MetricsRegistry` gauges
-/// (`mem.live_bytes`, `mem.peak_bytes`, `mem.scope.<name>.allocs`, …).
-/// A no-op when the recorder is disabled or no allocator data exists.
-pub fn publish(rec: &Recorder) {
-    if !rec.is_enabled() || !counting() {
-        return;
-    }
-    let g = global();
-    for (name, s) in scopes() {
-        rec.event(
-            "mem.scope",
-            vec![
-                ("scope", Value::Str(name.to_string())),
-                ("allocs", Value::U64(s.allocs)),
-                ("frees", Value::U64(s.frees)),
-                ("alloc_bytes", Value::U64(s.alloc_bytes)),
-                ("free_bytes", Value::U64(s.free_bytes)),
-                ("peak_live_bytes", Value::U64(s.peak_live_bytes)),
-            ],
-        );
-        rec.gauge_set(
-            crate::intern(&format!("mem.scope.{name}.allocs")),
-            s.allocs as f64,
-        );
-        rec.gauge_set(
-            crate::intern(&format!("mem.scope.{name}.alloc_bytes")),
-            s.alloc_bytes as f64,
-        );
-        rec.gauge_set(
-            crate::intern(&format!("mem.scope.{name}.peak_live_bytes")),
-            s.peak_live_bytes as f64,
-        );
-    }
-    rec.event(
-        "mem.peak",
-        vec![
-            ("allocs", Value::U64(g.allocs)),
-            ("frees", Value::U64(g.frees)),
-            ("live_bytes", Value::U64(g.live_bytes)),
-            ("peak_live_bytes", Value::U64(g.peak_live_bytes)),
-        ],
-    );
-    rec.gauge_set("mem.live_bytes", g.live_bytes as f64);
-    rec.gauge_set("mem.peak_bytes", g.peak_live_bytes as f64);
-    rec.gauge_set("mem.allocs", g.allocs as f64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,15 +443,6 @@ mod tests {
         let _g = AllocScope::enter("x");
         reset_peak();
         reset_scopes();
-    }
-
-    #[test]
-    fn publish_without_counting_emits_nothing() {
-        let _l = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        let rec = Recorder::enabled();
-        publish(&rec);
-        assert!(rec.events().is_empty());
     }
 
     #[cfg(feature = "memprof")]
@@ -554,30 +489,6 @@ mod tests {
         assert_eq!(global().peak_live_bytes, 1000);
         reset_peak();
         assert_eq!(global().peak_live_bytes, 100);
-        reset();
-    }
-
-    #[cfg(feature = "memprof")]
-    #[test]
-    fn publish_emits_scope_events_and_gauges() {
-        let _l = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        {
-            let _s = AllocScope::enter("rebin");
-            on_alloc(256);
-        }
-        let rec = Recorder::enabled();
-        publish(&rec);
-        let sc = rec.events_named("mem.scope");
-        assert_eq!(sc.len(), 1);
-        assert_eq!(sc[0].field_str("scope"), Some("rebin"));
-        assert_eq!(sc[0].field_u64("alloc_bytes"), Some(256));
-        let pk = rec.events_named("mem.peak");
-        assert_eq!(pk.len(), 1);
-        assert_eq!(pk[0].field_u64("live_bytes"), Some(256));
-        let m = rec.metrics();
-        assert_eq!(m.gauge("mem.live_bytes"), Some(256.0));
-        assert_eq!(m.gauge("mem.scope.rebin.allocs"), Some(1.0));
         reset();
     }
 }

@@ -1,5 +1,5 @@
-//! The [`Recorder`]: a cheaply clonable handle to a shared trace buffer,
-//! metrics registry, and optional write-through sink.
+//! The [`Recorder`]: a cheaply clonable handle to a shared trace buffer
+//! and optional write-through sink.
 //!
 //! A disabled recorder (`Recorder::disabled()`, also `Default`) holds no
 //! allocation at all — every method is a branch on `Option::None` — so
@@ -15,7 +15,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::event::{EventRecord, RecordKind, Value};
-use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 
 /// Default ring-buffer capacity (records); oldest records drop first.
 pub const DEFAULT_CAPACITY: usize = 65_536;
@@ -85,7 +84,6 @@ struct Inner {
     capacity: usize,
     events: Mutex<VecDeque<EventRecord>>,
     sink: Mutex<Option<Box<dyn Sink>>>,
-    metrics: MetricsRegistry,
 }
 
 impl Drop for Inner {
@@ -101,7 +99,7 @@ impl Drop for Inner {
     }
 }
 
-/// Handle to the telemetry pipeline. Clones share one buffer/registry.
+/// Handle to the telemetry pipeline. Clones share one buffer and sink.
 #[derive(Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
@@ -140,7 +138,6 @@ impl Recorder {
                 capacity: capacity.max(1),
                 events: Mutex::new(VecDeque::new()),
                 sink: Mutex::new(None),
-                metrics: MetricsRegistry::default(),
             })),
         }
     }
@@ -224,35 +221,6 @@ impl Recorder {
         }
     }
 
-    pub fn counter_add(&self, name: &'static str, delta: u64) {
-        if let Some(i) = &self.inner {
-            i.metrics.counter(name).add(delta);
-        }
-    }
-
-    pub fn gauge_set(&self, name: &'static str, v: f64) {
-        if let Some(i) = &self.inner {
-            i.metrics.gauge(name).set(v);
-        }
-    }
-
-    pub fn hist_record(&self, name: &'static str, v: f64) {
-        if let Some(i) = &self.inner {
-            i.metrics.histogram(name).record(v);
-        }
-    }
-
-    /// Direct handles, for hot paths that want to cache them.
-    pub fn counter(&self, name: &'static str) -> Option<Arc<Counter>> {
-        self.inner.as_ref().map(|i| i.metrics.counter(name))
-    }
-    pub fn gauge(&self, name: &'static str) -> Option<Arc<Gauge>> {
-        self.inner.as_ref().map(|i| i.metrics.gauge(name))
-    }
-    pub fn histogram(&self, name: &'static str) -> Option<Arc<Histogram>> {
-        self.inner.as_ref().map(|i| i.metrics.histogram(name))
-    }
-
     /// Snapshot of the in-memory ring (oldest first).
     pub fn events(&self) -> Vec<EventRecord> {
         self.inner
@@ -269,28 +237,10 @@ impl Recorder {
             .collect()
     }
 
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner
-            .as_ref()
-            .map(|i| i.metrics.snapshot())
-            .unwrap_or_default()
-    }
-
-    /// The registry's one-call JSON dump
-    /// ([`MetricsRegistry::snapshot_json`]); an empty-but-valid object for
-    /// a disabled recorder.
-    pub fn metrics_json(&self) -> String {
-        self.inner
-            .as_ref()
-            .map(|i| i.metrics.snapshot_json())
-            .unwrap_or_else(|| MetricsSnapshot::default().to_json())
-    }
-
     /// Structural heap footprint of the ring buffer: the `VecDeque`'s
     /// reserved capacity at `EventRecord` granularity plus each buffered
     /// record's own heap (field vectors, string payloads). Zero for a
-    /// disabled recorder. Metrics-registry storage is not included — it is
-    /// bounded by the number of distinct metric names, not by traffic.
+    /// disabled recorder.
     pub fn heap_bytes(&self) -> usize {
         let Some(i) = &self.inner else { return 0 };
         let ev = i.events.lock().unwrap();
@@ -347,14 +297,9 @@ mod tests {
         assert!(!r.is_enabled());
         r.event("x", vec![]);
         r.span("y", 1.0, vec![]);
-        r.counter_add("c", 1);
-        r.gauge_set("g", 1.0);
-        r.hist_record("h", 1.0);
         r.set_step(9);
         assert_eq!(r.step(), 0);
         assert!(r.events().is_empty());
-        assert!(r.metrics().counters.is_empty());
-        assert!(r.counter("c").is_none());
         let mut s = r.start_span("z");
         s.field("k", 1u64);
         drop(s);
@@ -433,10 +378,8 @@ mod tests {
         let r2 = r.clone();
         r2.set_step(7);
         r2.event("a", vec![]);
-        r.counter_add("c", 3);
         assert_eq!(r.events().len(), 1);
         assert_eq!(r.events()[0].step, 7);
-        assert_eq!(r2.metrics().counter("c"), Some(3));
     }
 
     #[test]
@@ -448,7 +391,6 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for _ in 0..500 {
                     rc.event("t", vec![]);
-                    rc.counter_add("n", 1);
                 }
             }));
         }
@@ -456,7 +398,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(r.events().len(), 2000);
-        assert_eq!(r.metrics().counter("n"), Some(2000));
         // seq numbers are unique.
         let mut seqs: Vec<u64> = r.events().iter().map(|e| e.seq).collect();
         seqs.sort_unstable();

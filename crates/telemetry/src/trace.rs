@@ -251,9 +251,6 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<Vec<EventRecord>, TraceError
 const PID_PHASES: u32 = 1;
 const PID_GPU: u32 = 2;
 const PID_LB: u32 = 3;
-/// Memory counter tracks (`mem.peak` / `mem.scope` events from
-/// `memprof::publish`): live/peak bytes plus one track per scope.
-const PID_MEM: u32 = 5;
 
 /// (tid, label) per far-field/near-field phase, in pipeline order.
 const PHASE_TRACKS: [(&str, u32); 6] = [
@@ -360,8 +357,6 @@ impl ChromeTraceExporter {
                             width = width.max(dur);
                         } else if r.name == "step.record" {
                             self.push_counter(r, base_us);
-                        } else if r.name == "mem.peak" || r.name == "mem.scope" {
-                            self.push_mem_counter(r, base_us);
                         } else {
                             self.push_instant(r, PID_LB, TID_LB_EVENTS, base_us);
                         }
@@ -406,13 +401,6 @@ impl ChromeTraceExporter {
             for d in devices {
                 self.push_meta_thread(PID_GPU, d as u32 + 1, &format!("gpu{d}"));
             }
-        }
-        // Memory counter tracks exist only when a memprof publish happened.
-        if records
-            .iter()
-            .any(|r| r.name == "mem.peak" || r.name == "mem.scope")
-        {
-            self.push_meta_process(PID_MEM, "memory");
         }
     }
 
@@ -476,35 +464,6 @@ impl ChromeTraceExporter {
         push_args(&mut e, r);
         e.push('}');
         self.events.push(e);
-    }
-
-    /// Memory observatory counter tracks: `mem.peak` renders live vs peak
-    /// bytes as one two-series counter; each `mem.scope` renders that
-    /// scope's cumulative allocated bytes as its own track.
-    fn push_mem_counter(&mut self, r: &EventRecord, ts_us: f64) {
-        if r.name == "mem.peak" {
-            let (Some(live), Some(peak)) =
-                (r.field_u64("live_bytes"), r.field_u64("peak_live_bytes"))
-            else {
-                return;
-            };
-            let mut e = format!("{{\"name\":\"mem bytes\",\"ph\":\"C\",\"pid\":{PID_MEM},\"ts\":");
-            push_json_f64(&mut e, ts_us);
-            e.push_str(&format!(",\"args\":{{\"live\":{live},\"peak\":{peak}}}}}"));
-            self.events.push(e);
-        } else {
-            let (Some(scope), Some(bytes)) = (r.field_str("scope"), r.field_u64("alloc_bytes"))
-            else {
-                return;
-            };
-            let mut e = String::with_capacity(128);
-            e.push_str("{\"name\":");
-            push_json_str(&mut e, &format!("mem {scope}"));
-            e.push_str(&format!(",\"ph\":\"C\",\"pid\":{PID_MEM},\"ts\":"));
-            push_json_f64(&mut e, ts_us);
-            e.push_str(&format!(",\"args\":{{\"alloc_bytes\":{bytes}}}}}"));
-            self.events.push(e);
-        }
     }
 
     /// The balancer's S trajectory as a Chrome counter track.
@@ -724,53 +683,5 @@ mod tests {
         ] {
             assert!(json.contains(want), "missing {want} in export");
         }
-    }
-
-    #[test]
-    fn chrome_export_renders_memory_counters() {
-        let records = vec![
-            EventRecord {
-                seq: 0,
-                step: 3,
-                kind: RecordKind::Event,
-                name: "mem.scope",
-                dur_s: None,
-                fields: vec![
-                    ("scope", Value::Str("rebin".into())),
-                    ("allocs", Value::U64(0)),
-                    ("frees", Value::U64(0)),
-                    ("alloc_bytes", Value::U64(4096)),
-                    ("free_bytes", Value::U64(0)),
-                    ("peak_live_bytes", Value::U64(4096)),
-                ],
-            },
-            EventRecord {
-                seq: 1,
-                step: 3,
-                kind: RecordKind::Event,
-                name: "mem.peak",
-                dur_s: None,
-                fields: vec![
-                    ("allocs", Value::U64(12)),
-                    ("frees", Value::U64(4)),
-                    ("live_bytes", Value::U64(1024)),
-                    ("peak_live_bytes", Value::U64(2048)),
-                ],
-            },
-        ];
-        let json = ChromeTraceExporter::export(&records);
-        assert!(Json::parse(&json).is_ok(), "export is not valid JSON");
-        for want in [
-            "\"memory\"",
-            "\"name\":\"mem rebin\"",
-            "\"alloc_bytes\":4096",
-            "\"name\":\"mem bytes\"",
-            "\"live\":1024,\"peak\":2048",
-        ] {
-            assert!(json.contains(want), "missing {want} in export");
-        }
-        // Without mem events, no memory process metadata appears.
-        let empty = ChromeTraceExporter::export(&[]);
-        assert!(!empty.contains("\"memory\""));
     }
 }

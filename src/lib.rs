@@ -16,8 +16,8 @@
 //! * [`gpu_sim`] / [`sched_sim`] — the virtual heterogeneous node (simulated
 //!   CUDA-like devices and an OpenMP-task-style scheduler model);
 //! * [`nbody`] — workload generators, integrators and diagnostics;
-//! * [`telemetry`] — structured tracing spans/events, a metrics registry,
-//!   and the prediction-vs-actual cost-model audit trail.
+//! * [`telemetry`] — structured tracing spans/events and the
+//!   prediction-vs-actual cost-model audit trail.
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory and
 //! paper↔module mapping, and `EXPERIMENTS.md` for paper-vs-measured results
@@ -54,9 +54,9 @@ pub mod prelude {
     pub use afmm::{
         diff_traces, fine_grained_optimize, search_best_s_cpu_only, validate_trace, ChaosEvent,
         ChaosPlan, CostModel, FaultEvent, FaultSchedule, FmmEngine, FmmParams, GravitySim,
-        HeteroNode, LbConfig, LbState, LoadBalancer, Prediction, RecoveryAction, StokesSim,
-        Strategy, StrategyTracker, Supervisor, SupervisorConfig, SupervisorReport, TimedFault,
-        TimingFilter, ValidateOptions,
+        HeteroNode, LbConfig, LbState, LoadBalancer, Prediction, RecoveryAction, Strategy,
+        StrategyTracker, Supervisor, SupervisorConfig, SupervisorReport, TimedFault, TimingFilter,
+        ValidateOptions,
     };
     pub use fmm_math::{ExpansionOps, GravityKernel, Kernel, StokesletKernel};
     pub use geom::{Aabb, Vec3};
@@ -65,7 +65,7 @@ pub mod prelude {
     pub use octree::{build_adaptive, build_uniform, BuildParams, Mac, Octree};
     pub use sched_sim::{MemoryModel, SimConfig, TaskGraph};
     pub use telemetry::{
-        AuditTrail, ChromeTraceExporter, EventRecord, JsonlSink, MetricsRegistry, PredictionAudit,
-        Recorder, TraceReader, Value, VecSink,
+        AuditTrail, ChromeTraceExporter, EventRecord, JsonlSink, PredictionAudit, Recorder,
+        TraceReader, Value, VecSink,
     };
 }

@@ -189,6 +189,16 @@ fn resealed(text: &str, edit: impl FnOnce(&str) -> String) -> String {
     format!("{before}\"checksum\":\"{sum:016x}\"{after}\"payload\":{payload}}}")
 }
 
+/// Restore a tracker checkpoint onto the node `tracker` runs on.
+fn restore(text: &str) -> Result<(), afmm::Error> {
+    StrategyTracker::<GravityKernel>::restore(
+        GravityKernel::default(),
+        HeteroNode::system_a(10, 2),
+        text,
+    )
+    .map(drop)
+}
+
 /// A well-formed snapshot whose Morton codes are out of order, under a valid
 /// checksum: child ranges are binary-searched on `codes` before any rebin
 /// rewrites them, so the tree must be refused, not restored.
@@ -200,13 +210,6 @@ fn unsorted_codes_under_a_valid_checksum_are_refused() {
         t.step(&trajectory(&b.pos, step)).unwrap();
     }
     let snap = t.checkpoint(&trajectory(&b.pos, 3));
-    let restore = |text: &str| {
-        StrategyTracker::<GravityKernel>::restore(
-            GravityKernel::default(),
-            HeteroNode::system_a(10, 2),
-            text,
-        )
-    };
     assert!(restore(&resealed(&snap, str::to_string)).is_ok());
 
     let flipped = resealed(&snap, |payload| {
@@ -225,6 +228,84 @@ fn unsorted_codes_under_a_valid_checksum_are_refused() {
         Ok(_) => panic!("a tree with unsorted codes must be refused"),
     };
     assert!(err.contains("not ascending"), "unexpected error: {err}");
+}
+
+/// `text` with the value of the first `"key":` in its payload (a number or
+/// a flat array) replaced by `value`, resealed.
+fn with_field(text: &str, key: &str, value: &str) -> String {
+    resealed(text, |payload| {
+        let pat = format!("\"{key}\":");
+        let (head, rest) = payload.split_once(&pat).unwrap();
+        let end = match rest.strip_prefix('[') {
+            Some(arr) => arr.find(']').unwrap() + 2,
+            None => rest.find([',', '}']).unwrap(),
+        };
+        format!("{head}{pat}{value}{}", &rest[end..])
+    })
+}
+
+/// A tracker checkpoint taken after a few steps.
+fn tracker_checkpoint() -> String {
+    let b = nbody::plummer(900, 1.0, 1.0, 717);
+    let mut t = tracker(&b.pos);
+    for step in 0..6 {
+        t.step(&trajectory(&b.pos, step)).unwrap();
+    }
+    t.checkpoint(&trajectory(&b.pos, 5))
+}
+
+fn assert_refused(result: Result<(), afmm::Error>, what: &str, needle: &str) {
+    match result {
+        Err(afmm::Error::Checkpoint(msg)) => assert!(msg.contains(needle), "{what}: {msg}"),
+        Err(e) => panic!("{what}: wrong error {e}"),
+        Ok(()) => panic!("{what} must be refused"),
+    }
+}
+
+/// A fault state `apply_faults` would refuse — a CPU load factor that is not
+/// finite and positive, a noise σ that is not finite and non-negative — is
+/// refused on restore too, under a valid checksum.
+#[test]
+fn fault_state_outside_the_live_bounds_is_refused() {
+    let snap = tracker_checkpoint();
+    let bits = |x: f64| x.to_bits().to_string();
+    assert!(restore(&with_field(&snap, "cpu_load", &bits(2.0))).is_ok());
+    assert!(restore(&with_field(&snap, "noise_sigma", &bits(0.1))).is_ok());
+    for load in [-2.0, 0.0, f64::NAN, f64::INFINITY] {
+        let text = with_field(&snap, "cpu_load", &bits(load));
+        assert_refused(restore(&text), &format!("cpu_load {load}"), "CPU load");
+    }
+    for sigma in [-0.5, f64::NAN, f64::INFINITY] {
+        let text = with_field(&snap, "noise_sigma", &bits(sigma));
+        assert_refused(restore(&text), &format!("noise_sigma {sigma}"), "sigma");
+    }
+}
+
+/// Filter state the live `TimingFilter` can never hold — an `alpha` outside
+/// the [1e-3, 1] `new` clamps to, a window longer than `k`, a window sample
+/// `push` would reject — is refused on restore, under a valid checksum.
+#[test]
+fn filter_state_the_live_filter_cannot_hold_is_refused() {
+    let snap = tracker_checkpoint();
+    let bits = |x: f64| x.to_bits().to_string();
+    let window = |xs: &[f64]| {
+        let xs: Vec<String> = xs.iter().map(|&x| bits(x)).collect();
+        format!("[{}]", xs.join(","))
+    };
+    assert!(restore(&with_field(&snap, "alpha", &bits(0.25))).is_ok());
+    assert!(restore(&with_field(&snap, "window", &window(&[1e-3; 5]))).is_ok());
+    for alpha in [f64::NAN, 0.0, -0.5, 2.0] {
+        let text = with_field(&snap, "alpha", &bits(alpha));
+        assert_refused(restore(&text), &format!("alpha {alpha}"), "alpha");
+    }
+    let text = with_field(&snap, "window", &window(&[1e-3; 6]));
+    assert_refused(restore(&text), "six samples under k = 5", "window");
+    let text = with_field(&snap, "k", "0");
+    assert_refused(restore(&text), "k = 0", "window");
+    for bad in [-1.0, f64::NAN, f64::INFINITY] {
+        let text = with_field(&snap, "window", &window(&[1e-3, bad]));
+        assert_refused(restore(&text), &format!("window sample {bad}"), "reject");
+    }
 }
 
 /// An engine checkpoint with a live plan whose θ is rewritten to `theta`

@@ -160,34 +160,6 @@ fn stokes_points_follow_a_pusher() {
     assert!(mean_ux > 0.0, "flow should follow the force direction");
 }
 
-#[test]
-fn stokes_sim_driver_runs_with_balancer() {
-    let pts = nbody::uniform_cube(600, 1.0, 3005);
-    let forces = nbody::random_unit_forces(600, 3006);
-    let mut sim = StokesSim::new(
-        pts.pos,
-        5e-3,
-        1e-2,
-        1.0,
-        FmmParams {
-            order: 3,
-            ..Default::default()
-        },
-        HeteroNode::system_a(10, 2),
-        Strategy::Full,
-        LbConfig {
-            eps_switch_s: 2e-3,
-            ..Default::default()
-        },
-    );
-    for _ in 0..12 {
-        let rec = sim.step(&forces).unwrap();
-        assert!(rec.compute() > 0.0);
-        sim.engine().tree().check_invariants().unwrap();
-    }
-    assert_eq!(sim.records().len(), 12);
-}
-
 fn half_mass_radius(pos: &[Vec3]) -> f64 {
     let c: Vec3 = pos.iter().copied().sum::<Vec3>() / pos.len() as f64;
     let mut radii: Vec<f64> = pos.iter().map(|p| p.dist(c)).collect();
