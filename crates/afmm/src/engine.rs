@@ -1,7 +1,9 @@
 use crate::config::{FmmParams, HeteroNode};
 use crate::exec::{time_step_impl, ExecPolicy, TimingReport};
 use crate::plan::ExecutionPlan;
-use fmm_math::{BodyTile, DerivScratch, ExpansionOps, FieldTile, Kernel, OpFlops, M2L_LANES};
+use fmm_math::{
+    BodyTile, DerivScratch, ExpansionOps, FieldTile, Kernel, OpFlops, SplitTile, M2L_LANES,
+};
 use geom::Vec3;
 use octree::{
     build_adaptive, build_adaptive_in_cube, BuildParams, EnforceOutcome, InteractionLists, NodeId,
@@ -742,28 +744,42 @@ impl<K: Kernel> FmmEngine<K> {
         }
     }
 
+    /// Accumulate leaf `id`'s whole P2P list into `out` (the leaf's window of
+    /// the output lanes), from the bodies the last solve gathered: the leaf
+    /// is split into `scratch` once, then each source leaf goes through
+    /// [`Kernel::p2p_split`] in list order and reaches `out` on its own — so a
+    /// source leaf's contribution does not depend on where the list puts it.
+    /// The near field's inner loop, public so the perf lab can time it alone.
+    pub fn p2p_into(&self, id: NodeId, out: &mut FieldTile<'_>, scratch: &mut SplitTile) {
+        let list = &self.lists().p2p[id as usize];
+        if list.is_empty() {
+            return;
+        }
+        scratch.load(self.bodies.tile(self.tree.node(id).range()));
+        for &b in list {
+            let src = self.bodies.tile(self.tree.node(b).range());
+            self.kernel.p2p_split(scratch, out, src, b == id);
+        }
+    }
+
     /// Per-leaf L2P (far field applied to bodies) and P2P (direct
     /// interactions with non-separated leaves), accumulated in place: each
     /// leaf gets the `&mut` sub-slices of the output lanes that cover its
     /// body range.
     fn near_field(&mut self) {
-        let tree = &self.tree;
-        let ops = &self.ops;
-        let kernel = &self.kernel;
-        let lists = self
-            .plan
-            .as_ref()
-            .expect("plan refreshed in try_solve")
-            .lists();
-        let locals = &self.locals;
+        // Taken out for the pass so the leaf closures can borrow `self`.
+        let mut field = std::mem::take(&mut self.field);
+        let this = &*self;
+        let (tree, ops, kernel) = (&this.tree, &this.ops, &this.kernel);
+        let locals = &this.locals;
         let stride = kernel.channels() * ops.nterms();
 
         // Leaves come in DFS (= tree) order, so their ranges ascend and one
         // split walk down the output lanes hands every leaf its own window.
-        let bodies = &self.bodies;
+        let bodies = &this.bodies;
         let leaves = tree.active_leaves();
         let mut work = Vec::with_capacity(leaves.len());
-        let mut rest = self.field.tile();
+        let mut rest = field.tile();
         let mut at = 0;
         for id in leaves {
             let r = tree.node(id).range();
@@ -774,19 +790,19 @@ impl<K: Kernel> FmmEngine<K> {
             at = r.end;
         }
 
-        work.into_par_iter()
-            .for_each_init(Vec::new, |pow, (id, mut out)| {
+        work.into_par_iter().for_each_init(
+            || (Vec::new(), SplitTile::default()),
+            |(pow, split), (id, mut out)| {
                 let node = tree.node(id);
                 let tgt = bodies.tile(node.range());
                 // Far field: evaluate the leaf's local expansion.
                 let l = &locals[id as usize * stride..(id as usize + 1) * stride];
                 kernel.l2p_tile(ops, node.center, l, tgt, &mut out, pow);
                 // Near field: direct interaction with every source leaf.
-                for &b in &lists.p2p[id as usize] {
-                    let src = bodies.tile(tree.node(b).range());
-                    kernel.p2p_tile(tgt, &mut out, src, b == id);
-                }
-            });
+                this.p2p_into(id, &mut out, split);
+            },
+        );
+        self.field = field;
     }
 }
 

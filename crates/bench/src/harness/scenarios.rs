@@ -192,27 +192,24 @@ fn sample(warmup: usize, reps: usize, mut f: impl FnMut()) -> Vec<f64> {
 
 /// Host cost of the two near-field operators over `engine`'s current tree
 /// and lists, each timed in its own pass on tree-ordered SoA lanes like the
-/// solve's: samples of (P2P ns per pair, L2P ns per body). The phase spans
-/// cannot separate the two — L2P and P2P share `solve.near_field`.
+/// solve's: samples of (P2P ns per pair, L2P ns per body). P2P is every
+/// leaf's list through [`FmmEngine::p2p_into`], the near field's own inner
+/// loop over the bodies the last solve gathered. The phase spans cannot
+/// separate the two — L2P and P2P share `solve.near_field`.
 fn near_field_probe(
     engine: &FmmEngine<GravityKernel>,
     b: &nbody::Bodies,
     warmup: usize,
     reps: usize,
 ) -> (Vec<f64>, Vec<f64>) {
-    use fmm_math::{BodyTile, FieldTile};
+    use fmm_math::{BodyTile, FieldTile, SplitTile};
     let (tree, lists, ops) = (engine.tree(), engine.lists(), engine.expansion_ops());
     let order = tree.order();
     let n = order.len();
     let lane =
         |axis: usize| -> Vec<f64> { order.iter().map(|&i| b.pos[i as usize][axis]).collect() };
     let (x, y, z) = (lane(0), lane(1), lane(2));
-    let q: Vec<f64> = order.iter().map(|&i| b.mass[i as usize]).collect();
-    // One strength channel (mass), so a leaf's window is a plain sub-slice
-    // with the whole-problem stride.
-    let tile = |r: std::ops::Range<usize>| {
-        BodyTile::new(&x[r.clone()], &y[r.clone()], &z[r.clone()], &q[r], n)
-    };
+    let tile = |r: std::ops::Range<usize>| BodyTile::targets(&x[r.clone()], &y[r.clone()], &z[r]);
     let (mut pot, mut ox, mut oy, mut oz) =
         (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
     let leaves = tree.active_leaves();
@@ -220,9 +217,14 @@ fn near_field_probe(
     let local = vec![0.0; ops.nterms()];
     let mut pow = Vec::new();
 
-    let mut pairs = 0u64;
+    let pairs: usize = (leaves.iter())
+        .flat_map(|&id| {
+            let n = tree.node(id).count();
+            (lists.p2p[id as usize].iter()).map(move |&src| n * tree.node(src).count())
+        })
+        .sum();
+    let mut split = SplitTile::default();
     let p2p = sample(warmup, reps, || {
-        pairs = 0;
         for &id in &leaves {
             let r = tree.node(id).range();
             let mut out = FieldTile::new(
@@ -231,13 +233,7 @@ fn near_field_probe(
                 &mut oy[r.clone()],
                 &mut oz[r.clone()],
             );
-            for &src in &lists.p2p[id as usize] {
-                let rs = tree.node(src).range();
-                pairs += (r.len() * rs.len()) as u64;
-                engine
-                    .kernel
-                    .p2p_tile(tile(r.clone()), &mut out, tile(rs), src == id);
-            }
+            engine.p2p_into(id, &mut out, &mut split);
         }
     });
     // One L2P pass is a few ms at quick sizes — short enough for a single
@@ -990,27 +986,46 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
 const ACCURACY_TARGETS: usize = 512;
 
 /// **accuracy** — the digits the solve keeps: the relative L2 field error
-/// against direct summation on a fixed sample of [`ACCURACY_TARGETS`] bodies
-/// of a Plummer sphere, for both kernels at S ∈ {16, 96, 512} (order 6,
-/// θ = 0.6). A solve's bits do not depend on the host or its width, so each
-/// error is an exact `virtual` point, and it is gated: a change that trades
-/// digits for speed fails `compare` the way a slower kernel does.
+/// against direct summation on a fixed sample of [`ACCURACY_TARGETS`]
+/// bodies, for both kernels at S ∈ {16, 96, 512} (order 6, θ = 0.6), on
+/// three distributions: a Plummer sphere (rows `gravity_*`/`stokeslet_*`),
+/// a uniform cube (`uniform_*`) and two separated Plummer spheres
+/// (`two_clusters_*`). A solve's bits do not depend on the host or its
+/// width, so each error is an exact `virtual` point, and it is gated: a
+/// change that trades digits for speed fails `compare` the way a slower
+/// kernel does. The snapshot describes the Plummer gravity solve at S = 512.
 fn accuracy(cfg: &SuiteConfig) -> Scenario {
     let n = cfg.n_solve;
-    let b = nbody::plummer(n, 1.0, 1.0, cfg.seed + 11);
     let forces = nbody::random_unit_forces(n, cfg.seed + 12);
     let targets: Vec<usize> = (0..ACCURACY_TARGETS)
         .map(|k| k * n / ACCURACY_TARGETS)
         .collect();
-    let (mut metrics, engine) = field_errors(
-        "gravity",
-        GravityKernel::default(),
-        &b.pos,
-        &b.mass,
-        &targets,
-    );
     let stokes = StokesletKernel::new(1e-3, 1.0);
-    metrics.extend(field_errors("stokeslet", stokes, &b.pos, &forces, &targets).0);
+    let distributions = [
+        ("", nbody::plummer(n, 1.0, 1.0, cfg.seed + 11)),
+        ("uniform_", nbody::uniform_cube(n, 1.0, cfg.seed + 13)),
+        (
+            "two_clusters_",
+            nbody::two_clusters(n, 0.5, 1.0, 6.0, 0.0, cfg.seed + 14),
+        ),
+    ];
+    let mut metrics = Vec::new();
+    let mut plummer_engine = None;
+    for (prefix, b) in &distributions {
+        let kernel = GravityKernel::default();
+        let (rows, engine) = field_errors(
+            &format!("{prefix}gravity"),
+            kernel,
+            &b.pos,
+            &b.mass,
+            &targets,
+        );
+        metrics.extend(rows);
+        plummer_engine.get_or_insert(engine);
+        let name = format!("{prefix}stokeslet");
+        metrics.extend(field_errors(&name, stokes, &b.pos, &forces, &targets).0);
+    }
+    let engine = plummer_engine.expect("three distributions");
 
     let snapshot = gather(&SnapshotParts {
         tree: Some(engine.tree()),
@@ -1022,7 +1037,10 @@ fn accuracy(cfg: &SuiteConfig) -> Scenario {
         name: "accuracy".to_string(),
         params: obj(vec![
             ("n", Json::F64(n as f64)),
-            ("distribution", Json::Str("plummer".to_string())),
+            (
+                "distributions",
+                Json::Str("plummer uniform two_clusters".to_string()),
+            ),
             ("targets", Json::F64(ACCURACY_TARGETS as f64)),
         ]),
         metrics,

@@ -239,16 +239,18 @@ fn smoke_suite_runs_and_gates() {
         assert!(m.stats.median > 0.0, "{name}");
     }
 
-    // Accuracy: one exact, gated error row per kernel and leaf capacity, at
-    // the error level the solve is pinned to (tests/accuracy.rs).
+    // Accuracy: one exact, gated error row per distribution, kernel and leaf
+    // capacity, at the error level the solve is pinned to (tests/accuracy.rs).
     let accuracy = report.scenario("accuracy").unwrap();
-    assert_eq!(accuracy.metrics.len(), 6);
-    for kernel in ["gravity", "stokeslet"] {
-        for s in [16, 96, 512] {
-            let name = format!("{kernel}_s{s}_rel_err");
-            let m = accuracy.metric(&name).unwrap_or_else(|| panic!("{name}"));
-            assert!(m.gate && m.kind == MetricKind::Virtual, "{name}");
-            assert!(m.stats.median > 0.0 && m.stats.median < 1e-3, "{name}");
+    assert_eq!(accuracy.metrics.len(), 18);
+    for prefix in ["", "uniform_", "two_clusters_"] {
+        for kernel in ["gravity", "stokeslet"] {
+            for s in [16, 96, 512] {
+                let name = format!("{prefix}{kernel}_s{s}_rel_err");
+                let m = accuracy.metric(&name).unwrap_or_else(|| panic!("{name}"));
+                assert!(m.gate && m.kind == MetricKind::Virtual, "{name}");
+                assert!(m.stats.median > 0.0 && m.stats.median < 1e-3, "{name}");
+            }
         }
     }
 

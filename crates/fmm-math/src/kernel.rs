@@ -1,5 +1,5 @@
 use crate::expansion::ExpansionOps;
-use crate::tile::{AdapterScratch, BodyTile, FieldTile};
+use crate::tile::{AdapterScratch, BodyTile, FieldTile, SplitTile};
 use geom::Vec3;
 
 /// Flop weights of the six FMM operations for a kernel/order combination.
@@ -31,13 +31,15 @@ pub struct OpFlops {
 /// kernel-independent (every channel is a harmonic 1/r-type expansion) and
 /// live on [`ExpansionOps`].
 ///
-/// Each body-touching operator has exactly one implementation per kernel:
-/// its **tile form** (`p2m_tile`, `l2p_tile`, `p2p_tile`) over SoA
-/// [`BodyTile`]s, which is what the solver calls on its tree-ordered
-/// buffers. The `&[Vec3]` methods are provided adapters for callers that
-/// hold AoS bodies: they gather into blocks of at most
-/// [`TILE_BLOCK`](crate::TILE_BLOCK) bodies and call the tile form, so both
-/// entry points produce bit-identical results.
+/// P2M and L2P have exactly one implementation per kernel: their **tile
+/// form** (`p2m_tile`, `l2p_tile`) over SoA [`BodyTile`]s, which is what the
+/// solver calls on its tree-ordered buffers. P2P has two: the solver runs
+/// the single-precision split form [`Kernel::p2p_split`], and the f64
+/// [`Kernel::p2p_tile`] is its oracle — the direct sums tests and accuracy
+/// metrics compare against. The `&[Vec3]` methods are provided adapters for
+/// callers that hold AoS bodies: they gather into blocks of at most
+/// [`TILE_BLOCK`](crate::TILE_BLOCK) bodies and call the f64 tile form, so
+/// both entry points produce bit-identical results.
 ///
 /// AoS strengths are flat with [`Kernel::strength_dim`] values per body;
 /// output is a potential-like scalar plus a field vector per body
@@ -88,6 +90,26 @@ pub trait Kernel: Send + Sync {
     fn p2p_tile(
         &self,
         tgt: BodyTile<'_>,
+        out: &mut FieldTile<'_>,
+        src: BodyTile<'_>,
+        self_tile: bool,
+    );
+
+    /// The solver's P2P: [`Kernel::p2p_tile`]'s pair formula in single
+    /// precision (four pairs per SSE2 register), from the targets loaded into
+    /// `tgt` to every source of `src`, added into `out`.
+    ///
+    /// Each source is split into `hi + lo` f32 coordinates once, and every
+    /// separation is formed from both halves, so it keeps f32 precision
+    /// relative to its own length: a close pair in a wide leaf loses nothing
+    /// to where the pair sits. Sums run in f32 and are added into `out` after
+    /// every [`TILE_BLOCK`](crate::TILE_BLOCK) sources and at the end of
+    /// `src`: the result for one source tile does not depend on what `out`
+    /// held before. The own-index rule, and what coincident bodies and NaN
+    /// positions produce, are [`Kernel::p2p_tile`]'s.
+    fn p2p_split(
+        &self,
+        tgt: &mut SplitTile,
         out: &mut FieldTile<'_>,
         src: BodyTile<'_>,
         self_tile: bool,

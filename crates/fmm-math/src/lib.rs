@@ -19,11 +19,11 @@
 //! | M2L | [`ExpansionOps::m2l_batch`]: [`M2L_LANES`] sources into one target, side by side in SoA lanes (kernel-independent, one lane tensor shared across channels; only the `2n+1` harmonic components per order are contracted); [`ExpansionOps::m2l`] is its one-source instance. The 7-channel Stokeslet costs 5.9× gravity per source in full batches at p = 6 (5.1× one source at a time) |
 //! | L2L | [`ExpansionOps::l2l`] (kernel-independent) |
 //! | L2P | [`Kernel::l2p_tile`] |
-//! | P2P | [`Kernel::p2p_tile`] |
+//! | P2P | [`Kernel::p2p_split`]: the pairs in f32 over split (`hi + lo`) coordinates, four targets per SSE2 register in a [`SplitTile`], each source tile's f32 sums added into the f64 output; [`Kernel::p2p_tile`] is its f64 oracle, which every direct-sum reference runs |
 //!
 //! The three body-touching operators run on structure-of-arrays
 //! [`BodyTile`]s; [`Kernel::p2m`] / [`Kernel::l2p`] / [`Kernel::p2p`] are
-//! thin `&[Vec3]` adapters over the same implementations.
+//! thin `&[Vec3]` adapters over the f64 tile forms.
 //! M2L runs on structure-of-arrays *source lanes*: the derivative tensors
 //! and the sign-folded multipoles of a batch are rows of one value per
 //! source (DESIGN.md §5).
@@ -50,4 +50,4 @@ pub use multiindex::{nterms, MultiIndexSet, MAX_ORDER};
 pub use powers::power_series;
 pub use stokeslet::{StokesletKernel, STOKESLET_CHANNELS};
 pub use tensor::DerivScratch;
-pub use tile::{BodyTile, FieldTile, TILE_BLOCK};
+pub use tile::{BodyTile, FieldTile, SplitTile, TILE_BLOCK};

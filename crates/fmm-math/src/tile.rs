@@ -130,6 +130,176 @@ impl<'a> FieldTile<'a> {
     }
 }
 
+/// `x` as `hi + lo`: `hi = x as f32` and `lo` the f32 rounding of what `hi`
+/// left out. A difference formed `(a_hi − b_hi) + (a_lo − b_lo)` in f32 is
+/// then accurate relative to |a − b|, however far both sit from the origin.
+#[inline]
+fn split(x: f64) -> (f32, f32) {
+    let hi = x as f32;
+    (hi, (x - f64::from(hi)) as f32)
+}
+
+/// One source body's position in split coordinates, formed once per source
+/// in a P2P sweep's outer loop.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SplitPoint {
+    pub xh: f32,
+    pub xl: f32,
+    pub yh: f32,
+    pub yl: f32,
+    pub zh: f32,
+    pub zl: f32,
+}
+
+impl SplitPoint {
+    fn new(x: f64, y: f64, z: f64) -> Self {
+        let ((xh, xl), (yh, yl), (zh, zl)) = (split(x), split(y), split(z));
+        SplitPoint {
+            xh,
+            xl,
+            yh,
+            yl,
+            zh,
+            zl,
+        }
+    }
+}
+
+/// Targets per f32 block: one SSE2 register's worth.
+pub(crate) const LANES: usize = 4;
+/// One block of a split lane: [`LANES`] targets' values side by side.
+pub(crate) type Block = [f32; LANES];
+
+/// The target lanes and f32 accumulators a P2P row runs over, each
+/// `ceil(n / LANES)` blocks long. The pad past the `n`-th target holds
+/// zero coordinates; what accumulates there is never read.
+pub(crate) struct SplitRow<'a> {
+    pub xh: &'a [Block],
+    pub xl: &'a [Block],
+    pub yh: &'a [Block],
+    pub yl: &'a [Block],
+    pub zh: &'a [Block],
+    pub zl: &'a [Block],
+    pub pot: &'a mut [Block],
+    pub ax: &'a mut [Block],
+    pub ay: &'a mut [Block],
+    pub az: &'a mut [Block],
+}
+
+/// Coordinate lanes per target: `x y z`, each as `hi` then `lo`.
+const SPLIT_COORDS: usize = 6;
+/// Accumulator lanes per target: `pot x y z`.
+const SPLIT_ACCS: usize = 4;
+
+/// One target tile in single precision: the scratch the solve's P2P
+/// ([`crate::Kernel::p2p_split`]) runs on, reused by one worker from leaf to
+/// leaf.
+///
+/// [`SplitTile::load`] splits each target coordinate into f32 `hi` and `lo`
+/// lanes (`hi = x as f32`, `lo = (x − hi) as f32`) and zeroes four f32
+/// accumulators. Lanes come
+/// in whole blocks of four targets, so a pair row is a loop of full SSE2
+/// registers with no scalar remainder, however small the leaf. A sweep over
+/// one source tile adds its f32 sums into the caller's f64 [`FieldTile`] and
+/// zeroes them again after every [`TILE_BLOCK`] sources and at the end, so a
+/// source tile's contribution does not depend on what was summed before it.
+#[derive(Debug, Default)]
+pub struct SplitTile {
+    /// `SPLIT_COORDS` coordinate lanes, then `SPLIT_ACCS` accumulators,
+    /// `ceil(n / LANES)` blocks each.
+    lanes: Vec<Block>,
+    n: usize,
+}
+
+impl SplitTile {
+    /// Split `tgt`'s positions into this scratch and zero the accumulators.
+    pub fn load(&mut self, tgt: BodyTile<'_>) {
+        self.n = tgt.len();
+        let nb = self.n.div_ceil(LANES);
+        self.lanes.clear();
+        self.lanes
+            .resize((SPLIT_COORDS + SPLIT_ACCS) * nb, [0.0; LANES]);
+        if nb == 0 {
+            return;
+        }
+        for (pair, coord) in self
+            .lanes
+            .chunks_exact_mut(2 * nb)
+            .zip([tgt.x, tgt.y, tgt.z])
+        {
+            let (hi, lo) = pair.split_at_mut(nb);
+            let (hi, lo) = (hi.as_flattened_mut(), lo.as_flattened_mut());
+            for ((h, l), &x) in hi.iter_mut().zip(lo).zip(coord) {
+                (*h, *l) = split(x);
+            }
+        }
+    }
+
+    /// Drive one kernel's pair `row` over every source of `src`: `row`
+    /// adds one (split) source `j` into every target's accumulators. The own
+    /// index of a self tile is put back after its row when `skip_own`, the
+    /// rule [`crate::Kernel::p2p_tile`] applies. The accumulators go into
+    /// `out` after every [`TILE_BLOCK`] sources and after the last one.
+    pub(crate) fn sweep(
+        &mut self,
+        out: &mut FieldTile<'_>,
+        src: BodyTile<'_>,
+        self_tile: bool,
+        skip_own: bool,
+        mut row: impl FnMut(&mut SplitRow<'_>, SplitPoint, usize),
+    ) {
+        let n = self.n;
+        assert_eq!(out.len(), n, "output tile out of sync with targets");
+        if self_tile {
+            assert_eq!(src.len(), n, "a self tile is one body set");
+        }
+        if n == 0 {
+            return;
+        }
+        let nb = n.div_ceil(LANES);
+        let (coords, accs) = self.lanes.split_at_mut(SPLIT_COORDS * nb);
+        let mut c = coords.chunks_exact(nb);
+        let [xh, xl, yh, yl, zh, zl] =
+            std::array::from_fn(|_| c.next().expect("six coordinate lanes"));
+        let mut a = accs.chunks_exact_mut(nb);
+        let [pot, ax, ay, az] = std::array::from_fn(|_| a.next().expect("four accumulators"));
+        let mut r = SplitRow {
+            xh,
+            xl,
+            yh,
+            yl,
+            zh,
+            zl,
+            pot,
+            ax,
+            ay,
+            az,
+        };
+        for start in (0..src.len()).step_by(TILE_BLOCK) {
+            for j in start..src.len().min(start + TILE_BLOCK) {
+                let (b, k) = (j / LANES, j % LANES);
+                let own = (self_tile && skip_own)
+                    .then(|| (r.pot[b][k], r.ax[b][k], r.ay[b][k], r.az[b][k]));
+                row(&mut r, SplitPoint::new(src.x[j], src.y[j], src.z[j]), j);
+                if let Some(v) = own {
+                    (r.pot[b][k], r.ax[b][k], r.ay[b][k], r.az[b][k]) = v;
+                }
+            }
+            for (o, a) in [
+                (&mut *out.pot, &mut *r.pot),
+                (&mut *out.x, &mut *r.ax),
+                (&mut *out.y, &mut *r.ay),
+                (&mut *out.z, &mut *r.az),
+            ] {
+                for (o, a) in o.iter_mut().zip(a.as_flattened()) {
+                    *o += f64::from(*a);
+                }
+                a.fill([0.0; LANES]);
+            }
+        }
+    }
+}
+
 /// Scratch of the AoS adapters: one allocation carved into the SoA lanes of
 /// a target block (3 coordinates + 4 outputs) and a source block (3
 /// coordinates + `sd` strength channels), each `cap` bodies wide. Sized to

@@ -2,11 +2,12 @@
 //! formulas as a plain double loop over `Vec3`s (the pre-tile P2P, which
 //! divides twice per pair and sums per target before adding), and the
 //! expansion operators with their peel lookups done through
-//! `MultiIndexSet::idx`.
+//! `MultiIndexSet::idx`. The single-precision split P2P is held to the same
+//! pair references with an f32-scaled bound.
 
 use fmm_math::{
-    power_series, BodyTile, ExpansionOps, FieldTile, GravityKernel, Kernel, StokesletKernel,
-    STOKESLET_CHANNELS, TILE_BLOCK,
+    power_series, BodyTile, ExpansionOps, FieldTile, GravityKernel, Kernel, SplitTile,
+    StokesletKernel, STOKESLET_CHANNELS, TILE_BLOCK,
 };
 use geom::Vec3;
 use proptest::prelude::*;
@@ -151,11 +152,21 @@ fn stokeslet_reference(
         .collect()
 }
 
-fn assert_matches(got: &Field, want: &Reference, what: &str) -> Result<(), String> {
+/// How far the f64 tile form may sit from the reference, per unit of
+/// Σ|terms|: the reassociation of a sum.
+const F64_TOL: f64 = 1e-13;
+/// The same for the single-precision split form: f32 rounding of each pair
+/// and of the partial sums. One gravity pair rounds ≈ 24 times on its way
+/// to a field component (unit roundoff u = 2⁻²⁴), so a term is good to
+/// ≈ 24u ≈ 1.4e-6 at worst and to a few u typically; the sums' own rounding
+/// adds about u per term in random directions.
+const F32_TOL: f64 = 2e-6;
+
+fn assert_matches(got: &Field, want: &Reference, tol: f64, what: &str) -> Result<(), String> {
     for (i, &(phi, v, phi_abs, v_abs)) in want.iter().enumerate() {
         let dp = (got.pot[i] - phi).abs();
         let dv = (got.vec(i) - v).norm();
-        if dp > 1e-13 * phi_abs || dv > 1e-13 * v_abs {
+        if dp > tol * phi_abs || dv > tol * v_abs {
             return Err(format!(
                 "{what}: target {i} of {}: pot {} vs {phi}, field {:?} vs {v:?}",
                 want.len(),
@@ -165,6 +176,27 @@ fn assert_matches(got: &Field, want: &Reference, what: &str) -> Result<(), Strin
         }
     }
     Ok(())
+}
+
+/// `tgt`'s outputs from `src` through the f64 tile form.
+fn tile_p2p<K: Kernel>(k: &K, tgt: &Soa, src: &Soa, self_tile: bool) -> Field {
+    let mut out = Field::zeros(tgt.x.len());
+    k.p2p_tile(tgt.tile(), &mut out.tile(), src.tile(), self_tile);
+    out
+}
+
+/// `tgt`'s outputs from `src` through the split form, in `scratch`.
+fn split_p2p<K: Kernel>(
+    k: &K,
+    scratch: &mut SplitTile,
+    tgt: &Soa,
+    src: &Soa,
+    self_tile: bool,
+) -> Field {
+    let mut out = Field::zeros(tgt.x.len());
+    scratch.load(tgt.tile());
+    k.p2p_split(scratch, &mut out.tile(), src.tile(), self_tile);
+    out
 }
 
 fn bits(f: &Field) -> Vec<u64> {
@@ -190,26 +222,67 @@ proptest! {
                 let targets = Soa::new(&t, &[], 0);
 
                 let q = strengths(&mut rng, ns, 1);
-                let mut out = Field::zeros(nt);
-                gravity.p2p_tile(targets.tile(), &mut out.tile(), Soa::new(&s, &q, 1).tile(), false);
+                let out = tile_p2p(&gravity, &targets, &Soa::new(&s, &q, 1), false);
                 let want = gravity_reference(eps, &t, &s, &q, false);
-                prop_assert_eq!(assert_matches(&out, &want, "gravity"), Ok(()));
+                prop_assert_eq!(assert_matches(&out, &want, F64_TOL, "gravity"), Ok(()));
 
                 let f = strengths(&mut rng, ns, 3);
-                let mut out = Field::zeros(nt);
-                stokes.p2p_tile(targets.tile(), &mut out.tile(), Soa::new(&s, &f, 3).tile(), false);
+                let out = tile_p2p(&stokes, &targets, &Soa::new(&s, &f, 3), false);
                 let want = stokeslet_reference(&stokes, &t, &s, &f, false);
-                prop_assert_eq!(assert_matches(&out, &want, "stokeslet"), Ok(()));
+                prop_assert_eq!(assert_matches(&out, &want, F64_TOL, "stokeslet"), Ok(()));
             }
         }
     }
 
-    /// Self tiles: gravity drops its own index softened or not; the
-    /// Stokeslet drops it only in the singular limit and otherwise keeps
-    /// the finite self term.
+    /// The split form against the same references, every size pairing
+    /// (across the 4-wide f32 loop's remainders and past one
+    /// `TILE_BLOCK` of sources), one scratch reused throughout, and
+    /// continuing the f64 sums `out` already held.
+    #[test]
+    fn p2p_split_matches_scalar_reference(seed in any::<u64>(), eps in 0.0f64..0.05) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let gravity = GravityKernel::new(eps);
+        let stokes = StokesletKernel::new(eps, 0.7);
+        let mut scratch = SplitTile::default();
+        for nt in SIZES {
+            for ns in SIZES {
+                let (t, s) = (points(&mut rng, nt), points(&mut rng, ns));
+                let targets = Soa::new(&t, &[], 0);
+
+                let q = strengths(&mut rng, ns, 1);
+                let out = split_p2p(&gravity, &mut scratch, &targets, &Soa::new(&s, &q, 1), false);
+                let want = gravity_reference(eps, &t, &s, &q, false);
+                prop_assert_eq!(assert_matches(&out, &want, F32_TOL, "gravity"), Ok(()));
+
+                let f = strengths(&mut rng, ns, 3);
+                let out = split_p2p(&stokes, &mut scratch, &targets, &Soa::new(&s, &f, 3), false);
+                let want = stokeslet_reference(&stokes, &t, &s, &f, false);
+                prop_assert_eq!(assert_matches(&out, &want, F32_TOL, "stokeslet"), Ok(()));
+            }
+        }
+
+        // Two source tiles into one output: the second adds to what the
+        // first left, in f64.
+        let (t, s) = (points(&mut rng, 9), points(&mut rng, 2 * TILE_BLOCK + 3));
+        let q = strengths(&mut rng, s.len(), 1);
+        let (s1, s2) = s.split_at(TILE_BLOCK - 1);
+        let (q1, q2) = q.split_at(TILE_BLOCK - 1);
+        let mut out = Field::zeros(t.len());
+        scratch.load(Soa::new(&t, &[], 0).tile());
+        for (s, q) in [(s1, q1), (s2, q2)] {
+            gravity.p2p_split(&mut scratch, &mut out.tile(), Soa::new(s, q, 1).tile(), false);
+        }
+        let want = gravity_reference(eps, &t, &s, &q, false);
+        prop_assert_eq!(assert_matches(&out, &want, F32_TOL, "gravity, two tiles"), Ok(()));
+    }
+
+    /// Self tiles, in both P2P forms: gravity drops its own index softened
+    /// or not; the Stokeslet drops it only in the singular limit and
+    /// otherwise keeps the finite self term.
     #[test]
     fn self_tile_applies_the_own_index_rule(seed in any::<u64>(), eps in 1e-3f64..0.05) {
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut scratch = SplitTile::default();
         for n in SIZES {
             let p = points(&mut rng, n);
             let q = strengths(&mut rng, n, 1);
@@ -217,19 +290,25 @@ proptest! {
             for eps in [0.0, eps] {
                 let gravity = GravityKernel::new(eps);
                 let bodies = Soa::new(&p, &q, 1);
-                let mut out = Field::zeros(n);
-                gravity.p2p_tile(bodies.tile(), &mut out.tile(), bodies.tile(), true);
                 let want = gravity_reference(eps, &p, &p, &q, true);
-                prop_assert_eq!(assert_matches(&out, &want, "gravity self"), Ok(()));
-                prop_assert!((0..n).all(|i| out.is_finite(i)));
+                for (out, tol) in [
+                    (tile_p2p(&gravity, &bodies, &bodies, true), F64_TOL),
+                    (split_p2p(&gravity, &mut scratch, &bodies, &bodies, true), F32_TOL),
+                ] {
+                    prop_assert_eq!(assert_matches(&out, &want, tol, "gravity self"), Ok(()));
+                    prop_assert!((0..n).all(|i| out.is_finite(i)));
+                }
 
                 let stokes = StokesletKernel::new(eps, 1.3);
                 let bodies = Soa::new(&p, &f, 3);
-                let mut out = Field::zeros(n);
-                stokes.p2p_tile(bodies.tile(), &mut out.tile(), bodies.tile(), true);
                 let want = stokeslet_reference(&stokes, &p, &p, &f, eps == 0.0);
-                prop_assert_eq!(assert_matches(&out, &want, "stokeslet self"), Ok(()));
-                prop_assert!((0..n).all(|i| out.is_finite(i)));
+                for (out, tol) in [
+                    (tile_p2p(&stokes, &bodies, &bodies, true), F64_TOL),
+                    (split_p2p(&stokes, &mut scratch, &bodies, &bodies, true), F32_TOL),
+                ] {
+                    prop_assert_eq!(assert_matches(&out, &want, tol, "stokeslet self"), Ok(()));
+                    prop_assert!((0..n).all(|i| out.is_finite(i)));
+                }
             }
         }
     }
@@ -294,9 +373,9 @@ proptest! {
         prop_assert_eq!(check(&StokesletKernel::new(eps, 1.0), &ops, &mut rng, (&t, &s, center), io), Ok(()));
     }
 
-    /// A NaN coordinate is never masked away: the body's own output and
-    /// every target that sees it as a source go non-finite, in a self tile
-    /// too, so the audits downstream catch it.
+    /// A NaN coordinate is never masked away, in either P2P form: the
+    /// body's own output and every target that sees it as a source go
+    /// non-finite, in a self tile too, so the audits downstream catch it.
     #[test]
     fn nan_position_yields_non_finite_output(seed in any::<u64>(), eps in 0.0f64..0.05, at in 0usize..5) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -309,19 +388,27 @@ proptest! {
             let sd = k.strength_dim();
             let q = strengths(rng, p.len(), sd);
             let bodies = Soa::new(p, &q, sd);
-            let mut own = Field::zeros(p.len());
-            k.p2p_tile(bodies.tile(), &mut own.tile(), bodies.tile(), true);
-            // As a source against clean targets, and as a target of clean
-            // sources.
-            let mut seen = Field::zeros(clean.len());
-            k.p2p_tile(Soa::new(clean, &[], 0).tile(), &mut seen.tile(), bodies.tile(), false);
             let cq = strengths(rng, clean.len(), sd);
-            let mut hit = Field::zeros(p.len());
-            k.p2p_tile(bodies.tile(), &mut hit.tile(), Soa::new(clean, &cq, sd).tile(), false);
-            (0..p.len()).all(|i| !own.is_finite(i))
-                && (0..clean.len()).all(|i| !seen.is_finite(i))
-                && !hit.is_finite(at)
-                && (0..p.len()).filter(|&i| i != at).all(|i| hit.is_finite(i))
+            let (targets, sources) = (Soa::new(clean, &[], 0), Soa::new(clean, &cq, sd));
+            let mut scratch = SplitTile::default();
+            let mut p2p = |tgt: &Soa, src: &Soa, self_tile: bool, split: bool| {
+                if split {
+                    split_p2p(k, &mut scratch, tgt, src, self_tile)
+                } else {
+                    tile_p2p(k, tgt, src, self_tile)
+                }
+            };
+            [false, true].into_iter().all(|split| {
+                let own = p2p(&bodies, &bodies, true, split);
+                // As a source against clean targets, and as a target of
+                // clean sources.
+                let seen = p2p(&targets, &bodies, false, split);
+                let hit = p2p(&bodies, &sources, false, split);
+                (0..p.len()).all(|i| !own.is_finite(i))
+                    && (0..clean.len()).all(|i| !seen.is_finite(i))
+                    && !hit.is_finite(at)
+                    && (0..p.len()).filter(|&i| i != at).all(|i| hit.is_finite(i))
+            })
         }
 
         prop_assert!(check(&GravityKernel::new(eps), &mut rng, &p, &clean, at));

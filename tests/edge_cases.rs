@@ -65,8 +65,9 @@ fn two_bodies_minimal_problem() {
     let mass = vec![2.0, 1.0];
     let mut engine = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &pos, 1);
     let sol = engine.solve(&pos, &mass);
-    assert!((sol.field[0].x - 1.0 / 9.0).abs() < 1e-10);
-    assert!((sol.field[1].x + 2.0 / 9.0).abs() < 1e-10);
+    // Relative: the near field sums in single precision.
+    assert!((sol.field[0].x - 1.0 / 9.0).abs() < 1e-6 / 9.0);
+    assert!((sol.field[1].x + 2.0 / 9.0).abs() < 2e-6 / 9.0);
 }
 
 #[test]
