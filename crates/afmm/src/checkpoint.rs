@@ -474,7 +474,7 @@ fn r_engine(v: &Json) -> Read<EngineSnapshot> {
     let order = r_int(field(v, "order")?)?;
     if order > fmm_math::MAX_ORDER {
         return Err(format!(
-            "expansion order {order} above the largest buildable, {}",
+            "expansion order {order} above the highest the far field is verified at, {}",
             fmm_math::MAX_ORDER
         ));
     }

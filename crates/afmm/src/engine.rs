@@ -2,7 +2,7 @@ use crate::config::{FmmParams, HeteroNode};
 use crate::exec::{time_step_impl, ExecPolicy, TimingReport};
 use crate::plan::ExecutionPlan;
 use fmm_math::{
-    BodyTile, DerivScratch, ExpansionOps, FieldTile, Kernel, OpFlops, SplitTile, M2L_LANES,
+    BodyTile, ExpansionOps, FieldTile, Kernel, M2lScratch, M2lSource, OpFlops, SplitTile, M2L_LANES,
 };
 use geom::Vec3;
 use octree::{
@@ -141,6 +141,9 @@ pub struct FmmEngine<K: Kernel> {
     field: FieldBuffers,
     // Expansion storage, node-major: node id × channel × coefficient.
     multipoles: Vec<f64>,
+    /// The multipoles as the far field reads them, node-major: node id ×
+    /// channel × core coefficient, in `f32` ([`ExpansionOps::source_form`]).
+    forms: Vec<f32>,
     locals: Vec<f64>,
     /// The expansions of the level a sweep is building (level width ×
     /// stride, node-major): a level reads the arena it writes into, so it is
@@ -171,6 +174,10 @@ pub struct FmmEngine<K: Kernel> {
 
 impl<K: Kernel> FmmEngine<K> {
     /// Build an engine whose root cube is fitted to the initial positions.
+    ///
+    /// Panics, as every constructor does, when `params.order` is above
+    /// [`fmm_math::MAX_ORDER`] (restoring a checkpoint refuses it with an
+    /// error instead).
     pub fn new(kernel: K, params: FmmParams, pos: &[Vec3], s: usize) -> Self {
         let tree = build_adaptive(pos, Self::build_params(&params, s));
         Self::from_tree(kernel, params, tree, None)
@@ -218,6 +225,7 @@ impl<K: Kernel> FmmEngine<K> {
             bodies: BodyBuffers::default(),
             field: FieldBuffers::default(),
             multipoles: Vec::new(),
+            forms: Vec::new(),
             locals: Vec::new(),
             level_scratch: Vec::new(),
             plan: None,
@@ -478,6 +486,7 @@ impl<K: Kernel> FmmEngine<K> {
             + self.bodies.heap_bytes()
             + self.field.heap_bytes()
             + self.multipoles.capacity() * size_of::<f64>()
+            + self.forms.capacity() * size_of::<f32>()
             + self.locals.capacity() * size_of::<f64>()
             + self.level_scratch.capacity() * size_of::<f64>()
     }
@@ -609,6 +618,8 @@ impl<K: Kernel> FmmEngine<K> {
         let n_nodes = self.tree.num_nodes();
         self.multipoles.clear();
         self.multipoles.resize(n_nodes * stride, 0.0);
+        self.forms.clear();
+        self.forms.resize(n_nodes * ch * self.ops.form_len(), 0.0);
         self.locals.clear();
         self.locals.resize(n_nodes * stride, 0.0);
 
@@ -650,7 +661,8 @@ impl<K: Kernel> FmmEngine<K> {
         Ok(FmmSolution { pot, field })
     }
 
-    /// P2M at the leaves, M2M up the levels (deep → shallow).
+    /// P2M at the leaves, M2M up the levels (deep → shallow), then every
+    /// non-empty visible node's source form.
     fn upsweep(&mut self, levels: &[Vec<NodeId>], stride: usize) {
         let kernel = &self.kernel;
         let ops = &self.ops;
@@ -687,6 +699,19 @@ impl<K: Kernel> FmmEngine<K> {
                 });
             copy_level(built, lv, stride, &mut self.multipoles);
         }
+        // Every finished multipole once into the form the far field reads
+        // (a node under a collapsed one keeps its stale count: skipped).
+        let (multipoles, forms) = (&self.multipoles, &mut self.forms);
+        forms
+            .par_chunks_mut(ch * ops.form_len())
+            .enumerate()
+            .for_each_init(Vec::new, |buf, (id, form)| {
+                let node = tree.node(id as NodeId);
+                if node.count() > 0 && tree.is_visible(id as NodeId) {
+                    let m = &multipoles[id * stride..(id + 1) * stride];
+                    ops.source_form(m, node.half_width, ch, form, buf);
+                }
+            });
     }
 
     /// L2L from parents + M2L from interaction lists, shallow → deep, then
@@ -703,7 +728,7 @@ impl<K: Kernel> FmmEngine<K> {
                 .par_chunks_mut(stride)
                 .zip(lv.par_iter())
                 .for_each_init(
-                    || (Vec::new(), DerivScratch::default()),
+                    || (Vec::new(), M2lScratch::default()),
                     |(pow, ds), (l, &id)| {
                         let node = tree.node(id);
                         if node.count() == 0 {
@@ -724,23 +749,31 @@ impl<K: Kernel> FmmEngine<K> {
     }
 
     /// Accumulate node `id`'s whole M2L list into its local expansion
-    /// `local`, from the multipoles the last solve's upsweep left: the list
-    /// goes through [`ExpansionOps::m2l_batch`] in `chunks(M2L_LANES)`, in
-    /// list order — so the plan's lists alone fix the summation order.
+    /// `local`, from the source forms the last solve's upsweep left: the
+    /// list goes through [`ExpansionOps::m2l_batch`] in `chunks(M2L_LANES)`,
+    /// in list order — so the plan's lists alone fix the summation order.
     /// The downsweep's inner loop, public so the perf lab can time it alone.
-    pub fn m2l_into(&self, id: NodeId, local: &mut [f64], scratch: &mut DerivScratch) {
+    pub fn m2l_into(&self, id: NodeId, local: &mut [f64], scratch: &mut M2lScratch) {
         let ch = self.kernel.channels();
-        let stride = ch * self.ops.nterms();
-        let center = self.tree.node(id).center;
+        let fstride = ch * self.ops.form_len();
+        let target = self.tree.node(id);
         for chunk in self.lists().m2l[id as usize].chunks(M2L_LANES) {
-            let mut src: [&[f64]; M2L_LANES] = [&[]; M2L_LANES];
-            let mut r = [Vec3::ZERO; M2L_LANES];
-            for (lane, &b) in chunk.iter().enumerate() {
-                src[lane] = &self.multipoles[b as usize * stride..(b as usize + 1) * stride];
-                r[lane] = center - self.tree.node(b).center;
+            let source = |b: NodeId| {
+                let node = self.tree.node(b);
+                let b = b as usize;
+                M2lSource {
+                    form: &self.forms[b * fstride..(b + 1) * fstride],
+                    half_width: node.half_width,
+                    r: target.center - node.center,
+                }
+            };
+            let mut src = [source(chunk[0]); M2L_LANES];
+            for (s, &b) in src.iter_mut().zip(chunk) {
+                *s = source(b);
             }
-            let k = chunk.len();
-            self.ops.m2l_batch(&src[..k], &r[..k], local, ch, scratch);
+            let src = &src[..chunk.len()];
+            self.ops
+                .m2l_batch(src, target.half_width, local, ch, scratch);
         }
     }
 

@@ -265,12 +265,12 @@ fn near_field_probe(
 
 /// Host cost of one M2L inside the batched far field: every node's list
 /// through [`FmmEngine::m2l_into`] — the downsweep's own inner loop, over the
-/// plan's real lists and the multipoles the last solve left — in samples of
+/// plan's real lists and the source forms the last solve left — in samples of
 /// µs per list entry (tensor, transpose and tail padding included).
 fn m2l_probe(engine: &FmmEngine<GravityKernel>, warmup: usize, reps: usize) -> Vec<f64> {
     let nodes = engine.tree().visible_nodes();
     let mut local = vec![0.0; engine.kernel.channels() * engine.expansion_ops().nterms()];
-    let mut scratch = fmm_math::DerivScratch::default();
+    let mut scratch = fmm_math::M2lScratch::default();
     let samples = sample(warmup, reps, || {
         for &id in &nodes {
             engine.m2l_into(id, &mut local, &mut scratch);

@@ -4,10 +4,50 @@ use crate::tensor::{DerivScratch, TensorProgram};
 use geom::Vec3;
 
 /// Sources one [`ExpansionOps::m2l_batch`] call evaluates side by side, one
-/// per lane. A constant, not a knob: eight `f64` lanes keep one `L_β`
+/// per lane. A constant, not a knob: sixteen `f32` lanes keep one `L_β`
 /// accumulator in four SSE2 registers (the baseline x86-64 the workspace
-/// builds for), and the lane count fixes the summation order.
-pub const M2L_LANES: usize = 8;
+/// builds for), and the lane count fixes which sources share a batch.
+pub const M2L_LANES: usize = 16;
+
+/// The smallest target-side width power `(w_t / w)^{p+1}` an
+/// [`ExpansionOps::m2l_batch`] applies in `f32`: 2^30 above `f32`'s smallest
+/// normal, so a lane's sum scaled by it stays exact unless the sum already
+/// is 2^30 below its unit. A batch with a smaller one (a source `96 / (p+1)`
+/// or more levels above the target, far beyond what the workloads' trees
+/// produce: their largest gap is 5) runs one source at a time.
+const SHRINK_F32_MIN: f64 = 1.0 / (1u128 << 96) as f64;
+
+/// One source of an [`ExpansionOps::m2l_batch`]: its source form (from
+/// [`ExpansionOps::source_form`], `channels` stacked, stride
+/// [`ExpansionOps::form_len`]), the half-width that form was scaled by, and
+/// `r = c_local − c_source`.
+#[derive(Clone, Copy, Debug)]
+pub struct M2lSource<'a> {
+    pub form: &'a [f32],
+    pub half_width: f64,
+    pub r: Vec3,
+}
+
+/// Reusable per-worker scratch of [`ExpansionOps::m2l_batch`], as rows of
+/// [`M2L_LANES`] `f32` lanes: the derivative-tensor table, the batch's
+/// scaled source forms, and per lane the powers of its two width ratios;
+/// plus the target's unit scales and one channel of the batch's `f64`
+/// local contribution. Sized on first use, then reused.
+#[derive(Clone, Debug, Default)]
+pub struct M2lScratch {
+    table: Vec<[f32; M2L_LANES]>,
+    ms: Vec<[f32; M2L_LANES]>,
+    /// `(w_s / w)^n` per total order `n`, `w = max(w_s, w_t)` the lane's
+    /// unit.
+    ratio: Vec<[f32; M2L_LANES]>,
+    /// `(w_t / w)^(n+1)` per total order `n`.
+    shrink: Vec<[f32; M2L_LANES]>,
+    /// `w_t^−(n+1)` per total order `n`.
+    scale: Vec<f64>,
+    h: Vec<f64>,
+    /// One channel's form of zeros: what the padding lanes read.
+    zeros: Vec<f32>,
+}
 
 /// Precomputed translation plans for expansions of a given order.
 ///
@@ -27,14 +67,21 @@ pub const M2L_LANES: usize = 8;
 /// * `tensor`: the derivative-tensor recurrence as a straight-line program.
 ///
 /// One `ExpansionOps` is built per solver and shared read-only by all worker
-/// threads; scratch buffers ([`DerivScratch`], power tables) live per thread.
+/// threads; scratch buffers ([`M2lScratch`], [`DerivScratch`], power
+/// tables) live per thread.
 #[derive(Clone, Debug)]
 pub struct ExpansionOps {
     set: MultiIndexSet,
     sub_triples: Vec<(u32, u32, u32)>,
+    /// Flat index of every core `α` (`α_z <= 1`), ascending: position `k`
+    /// here is coefficient `k` of a channel's source form ((p+1)² of them,
+    /// 49 at p = 6).
+    core: Vec<u16>,
+    /// `|α|` of every core coefficient.
+    core_order: Vec<u8>,
     /// `(α, α+β)` of every contracted M2L term, `β`-major, `α` ascending
-    /// within a `β`; only `α_z, β_z <= 1` (Σₘ (2m+1)(p−m+1)² terms, 532 at
-    /// p = 6 against the full 924).
+    /// within a `β`, `α` as a core position; only `α_z, β_z <= 1`
+    /// (Σₘ (2m+1)(p−m+1)² terms, 532 at p = 6 against the full 924).
     m2l_pairs: Vec<(u16, u16)>,
     /// The contracted `β` (`β_z <= 1`), ascending.
     m2l_rows: Vec<u16>,
@@ -77,18 +124,30 @@ impl ExpansionOps {
                 }
             }
         }
-        // |α| + |β| <= p: graded order makes the admissible α a prefix, of
-        // which the core keeps the α_z <= 1.
+        let core: Vec<u16> = set
+            .iter()
+            .filter(|&(_, (.., k))| k <= 1)
+            .map(|(a, _)| a as u16)
+            .collect();
+        let core_order = core
+            .iter()
+            .map(|&a| set.total_order(a as usize) as u8)
+            .collect();
+        // |α| + |β| <= p: graded order makes the admissible α a prefix of
+        // the core.
         let (mut m2l_pairs, mut m2l_rows, mut m2l_start) = (Vec::new(), Vec::new(), vec![0]);
-        for (b, (bi, bj, bk)) in set.iter().filter(|&(_, (.., k))| k <= 1) {
-            for a in 0..set.order_range(order - set.total_order(b)).end {
-                let (ai, aj, ak) = set.tuple(a);
-                if ak <= 1 {
-                    let sum = set.idx(ai + bi, aj + bj, ak + bk);
-                    m2l_pairs.push((a as u16, sum as u16));
-                }
+        for &b in &core {
+            let (bi, bj, bk) = set.tuple(b as usize);
+            let admissible = set.order_range(order - set.total_order(b as usize)).end;
+            for (k, &a) in core
+                .iter()
+                .enumerate()
+                .take_while(|&(_, &a)| (a as usize) < admissible)
+            {
+                let (ai, aj, ak) = set.tuple(a as usize);
+                m2l_pairs.push((k as u16, set.idx(ai + bi, aj + bj, ak + bk) as u16));
             }
-            m2l_rows.push(b as u16);
+            m2l_rows.push(b);
             m2l_start.push(m2l_pairs.len() as u32);
         }
         let mut harmonic: Vec<[u16; 3]> = set
@@ -112,6 +171,8 @@ impl ExpansionOps {
         ExpansionOps {
             set,
             sub_triples,
+            core,
+            core_order,
             m2l_pairs,
             m2l_rows,
             m2l_start,
@@ -216,54 +277,10 @@ impl ExpansionOps {
         &table[..self.set.len()]
     }
 
-    /// Multipole-to-local from one source: `L_β += Σ_α (−1)^{|α|} M_α ·
-    /// ∂^{α+β}(1/r)(r)` with `r = c_local − c_multipole`, truncated at
-    /// `|α|+|β| <= p`. The one-lane instance of [`Self::m2l_batch`]'s body;
-    /// `tensor_out` receives the derivative tensor.
-    ///
-    /// One derivative tensor evaluation is shared across all `channels`, so
-    /// the 7-channel Stokeslet costs less than 7× the 1-channel gravity M2L:
-    /// measured at p = 6 on one core of a 2.1 GHz Xeon, 5.1× through this
-    /// entry (4.03 / 0.79 µs) and 5.9× per source in full batches
-    /// (1.56 / 0.26 µs); [`Self::m2l_flops`], which the virtual clock uses,
-    /// puts it at 4.2×.
-    pub fn m2l(
-        &self,
-        src_m: &[f64],
-        r: Vec3,
-        dst_l: &mut [f64],
-        channels: usize,
-        deriv_scratch: &mut DerivScratch,
-        tensor_out: &mut Vec<f64>,
-    ) {
-        let tensor = self.m2l_lanes::<1>(&[src_m], &[r], dst_l, channels, deriv_scratch);
-        tensor_out.clear();
-        tensor_out.extend(tensor.iter().map(|row| row[0]));
-    }
-
-    /// Multipole-to-local from up to [`M2L_LANES`] sources into one target,
-    /// evaluated side by side in structure-of-arrays lanes: `src_m[i]` is
-    /// source `i`'s expansion (`channels` stacked, stride [`Self::nterms`])
-    /// and `r[i] = c_local − c_multipole_i`.
-    ///
-    /// A short batch is padded with zero-multipole lanes, which contribute
-    /// exactly `+0.0`, so `k` sources give the same bits as those `k`
-    /// followed by explicit zero-multipole sources. The sum over the batch is
-    /// taken per `β` in fixed lane order: feeding a list through in
-    /// `chunks(M2L_LANES)` makes the list's order alone fix the result.
-    pub fn m2l_batch(
-        &self,
-        src_m: &[&[f64]],
-        r: &[Vec3],
-        dst_l: &mut [f64],
-        channels: usize,
-        scratch: &mut DerivScratch,
-    ) {
-        self.m2l_lanes::<M2L_LANES>(src_m, r, dst_l, channels, scratch);
-    }
-
-    /// The M2L body over `L` lanes, `1 <= src_m.len() <= L` of them live.
-    /// Returns the lanes' derivative tensors.
+    /// Multipole-to-local from one source in `f64`: `L_β += Σ_α (−1)^{|α|}
+    /// M_α · ∂^{α+β}(1/r)(r)` with `r = c_local − c_multipole`, truncated at
+    /// `|α|+|β| <= p`; `tensor_out` receives the derivative tensor. The
+    /// oracle the single-precision [`Self::m2l_batch`] is tested against.
     ///
     /// Every tensor entry is `D_γ = ∂^γ(1/r)`, harmonic, so
     /// `D_{γ+2e_z} = −D_{γ+2e_x} − D_{γ+2e_y}` at equal total order: a
@@ -274,73 +291,248 @@ impl ExpansionOps {
     /// move changes a total order, so the contraction keeps its
     /// `|α| + |β| <= p` truncation and computes the same operator (in exact
     /// arithmetic) from the `α_z, β_z <= 1` core alone.
-    fn m2l_lanes<'s, const L: usize>(
+    ///
+    /// One derivative tensor evaluation is shared across all `channels`, so
+    /// the 7-channel Stokeslet costs less than 7× the 1-channel gravity M2L;
+    /// [`Self::m2l_flops`], which the virtual clock uses, puts it at 4.2×.
+    pub fn m2l(
         &self,
-        src_m: &[&[f64]],
-        r: &[Vec3],
+        src_m: &[f64],
+        r: Vec3,
         dst_l: &mut [f64],
         channels: usize,
-        scratch: &'s mut DerivScratch,
-    ) -> &'s [[f64; L]] {
+        deriv_scratch: &mut DerivScratch,
+        tensor_out: &mut Vec<f64>,
+    ) {
         let nt = self.set.len();
-        let live = src_m.len();
-        assert!((1..=L).contains(&live) && r.len() == live);
-        debug_assert!(src_m.iter().all(|m| m.len() == channels * nt));
+        debug_assert_eq!(src_m.len(), channels * nt);
         debug_assert_eq!(dst_l.len(), channels * nt);
-
-        // Padding lanes repeat the last displacement (any non-singular one
-        // does: their multipoles are zero).
-        let d: [Vec3; L] = std::array::from_fn(|lane| r[lane.min(live - 1)]);
         // The program's auxiliary rows are spent once it has run; the
-        // batch's own `L_β` (one value per `β`) is written over them, so the
-        // table gets a row more only where they are fewer than `nt` values.
+        // local contribution (one value per `β`) is written over them.
         let rows = self.tensor.table_rows();
-        let (table, ms) = scratch.lanes::<L>(rows.max(nt + nt.div_ceil(L)), nt);
-        self.tensor.run(&lanes_of(&d), &mut table[..rows]);
+        let (table, ms) = deriv_scratch.lanes::<1>(rows.max(2 * nt), nt);
+        self.tensor.run(&[[r.x], [r.y], [r.z]], &mut table[..rows]);
         let (tensor, spent) = table.split_at_mut(nt);
-        let h = &mut spent.as_flattened_mut()[..nt];
-
-        // Padding lanes carry zero multipoles; the transposes below only
-        // ever write the live ones, and the folds keep zeros zero.
-        for row in ms.iter_mut() {
-            row[live..].fill(0.0);
-        }
+        let (ms, h) = (ms.as_flattened_mut(), &mut spent.as_flattened_mut()[..nt]);
         for c in 0..channels {
-            // Transpose the sources to ms[α][lane], (−1)^{|α|} folded in.
-            for (lane, src) in src_m.iter().enumerate() {
-                let src = &src[c * nt..(c + 1) * nt];
-                for ((row, &m), &sign) in ms.iter_mut().zip(src).zip(&self.sign) {
-                    row[lane] = sign * m;
-                }
+            for ((m, &src), &sign) in ms.iter_mut().zip(&src_m[c * nt..]).zip(&self.sign) {
+                *m = sign * src;
             }
             // Fold every α_z >= 2 onto the core, highest α_z first, so what
             // a row receives is folded on in turn.
             for &[g, x, y] in &self.harmonic {
                 let m = ms[g as usize];
-                for lane in 0..L {
-                    ms[x as usize][lane] -= m[lane];
-                    ms[y as usize][lane] -= m[lane];
-                }
+                ms[x as usize] -= m;
+                ms[y as usize] -= m;
+            }
+            // Compact the core to the front in core order, as a source form
+            // holds it (`core[k] >= k`, so nothing is read after it moved).
+            for (k, &a) in self.core.iter().enumerate() {
+                ms[k] = ms[a as usize];
             }
             for (&b, span) in self.m2l_rows.iter().zip(self.m2l_start.windows(2)) {
-                let mut acc = [0.0; L];
-                for &(a, sum) in &self.m2l_pairs[span[0] as usize..span[1] as usize] {
-                    let (m, t) = (&ms[a as usize], &tensor[sum as usize]);
-                    for lane in 0..L {
-                        acc[lane] += m[lane] * t[lane];
-                    }
+                let terms = &self.m2l_pairs[span[0] as usize..span[1] as usize];
+                h[b as usize] = terms.iter().fold(0.0, |acc, &(a, sum)| {
+                    acc + ms[a as usize] * tensor[sum as usize][0]
+                });
+            }
+            self.fill_and_add(h, &mut dst_l[c * nt..(c + 1) * nt]);
+        }
+        tensor_out.clear();
+        tensor_out.extend(tensor.iter().map(|row| row[0]));
+    }
+
+    /// Coefficients per channel of a source form: the `α_z <= 1` core,
+    /// `(p+1)²` of them (49 at p = 6, of 84).
+    #[inline]
+    pub fn form_len(&self) -> usize {
+        self.core.len()
+    }
+
+    /// Turn a multipole (`channels` stacked, stride [`Self::nterms`]) about
+    /// a cell of half-width `half_width` into the *source form*
+    /// [`Self::m2l_batch`] reads (`channels` stacked, stride
+    /// [`Self::form_len`]): `(−1)^{|α|} M_α / w^{|α|}`, folded onto the
+    /// `α_z <= 1` core as [`Self::m2l`] folds it per call, rounded to `f32`.
+    /// `M_α / w^{|α|}` is the moment of the cell's strengths about its
+    /// center in units of its half-width, O(1) per unit strength at any
+    /// depth. `scratch` holds one channel in `f64`.
+    pub fn source_form(
+        &self,
+        m: &[f64],
+        half_width: f64,
+        channels: usize,
+        form: &mut [f32],
+        scratch: &mut Vec<f64>,
+    ) {
+        let (nt, nc) = (self.set.len(), self.core.len());
+        debug_assert_eq!(m.len(), channels * nt);
+        debug_assert_eq!(form.len(), channels * nc);
+        scratch.resize(nt, 0.0);
+        let step = -1.0 / half_width;
+        for c in 0..channels {
+            let src = &m[c * nt..(c + 1) * nt];
+            let mut f = 1.0; // (−1/w)^n
+            for n in 0..=self.set.order() {
+                for a in self.set.order_range(n) {
+                    scratch[a] = src[a] * f;
                 }
-                h[b as usize] = acc[1..].iter().fold(acc[0], |sum, lane| sum + lane);
+                f *= step;
             }
-            // Fill the β_z >= 2 locals from the core, lowest β_z first.
-            for &[g, x, y] in self.harmonic.iter().rev() {
-                h[g as usize] = -(h[x as usize] + h[y as usize]);
+            for &[g, x, y] in &self.harmonic {
+                let v = scratch[g as usize];
+                scratch[x as usize] -= v;
+                scratch[y as usize] -= v;
             }
-            for (out, v) in dst_l[c * nt..(c + 1) * nt].iter_mut().zip(&*h) {
-                *out += v;
+            for (out, &a) in form[c * nc..(c + 1) * nc].iter_mut().zip(&self.core) {
+                *out = scratch[a as usize] as f32;
             }
         }
-        tensor
+    }
+
+    /// Multipole-to-local from up to [`M2L_LANES`] sources into one target
+    /// of half-width `half_width`, evaluated side by side in `f32` lanes,
+    /// accumulated into the `f64` local `dst_l` (`channels` stacked, stride
+    /// [`Self::nterms`]).
+    ///
+    /// Everything in the lanes is in cell units, so it stays in `f32` range
+    /// at any depth, any level gap between source and target and any scale
+    /// of the input. Each lane's unit is the larger of its two half-widths,
+    /// `w = max(w_s, w_t)`: the tensor is run at `d = r / w`, where
+    /// `∂^γ(1/r) = w^{−(|γ|+1)} ∂^γ(1/|d|)` and `|d|` is bounded below by
+    /// the acceptance criterion; the lane's source form (moments in units of
+    /// `w_s`) is scaled by `(w_s / w)^{|α|} <= 1`; so
+    /// `L_β = w_t^{−(|β|+1)} Σ_lanes (w_t/w)^{|β|+1} Σ_α S_α (w_s/w)^{|α|}
+    /// D_{α+β}(d)`. The α sum runs in `f32` per lane and is scaled by the
+    /// lane's `(w_t/w)^{|β|+1} <= 1`; the lanes are summed in `f64` in lane
+    /// order and scaled by `w_t^{−(|β|+1)}`; the `β_z >= 2` locals are
+    /// filled from the core as in [`Self::m2l`], and the result is added
+    /// in. Both width ratios are exact powers of two at most 1. Where a
+    /// power of `w_s / w` leaves `f32`'s normal range, the terms it scales
+    /// are that far below the lane's terms of order 0 and are rounded away
+    /// or flushed to zero, never to infinity. The power of `w_t / w` scales
+    /// a whole lane sum, so it is kept above 2^−96: a batch with a source
+    /// `96 / (p+1)` or more levels above the target runs one source at a
+    /// time, each scaled from its own unit in `f64`.
+    ///
+    /// A lane's `f32` sums depend on its own source and the target only,
+    /// and a short batch is padded with zero lanes, which add exactly
+    /// `+0.0`: `k` sources give the same bits as those `k` followed by
+    /// explicit zero-form sources that keep the batch whole, and feeding a
+    /// list through in `chunks(M2L_LANES)` makes the list's order alone fix
+    /// the result.
+    pub fn m2l_batch(
+        &self,
+        src: &[M2lSource<'_>],
+        half_width: f64,
+        dst_l: &mut [f64],
+        channels: usize,
+        scratch: &mut M2lScratch,
+    ) {
+        const L: usize = M2L_LANES;
+        let (nt, nc, p) = (self.set.len(), self.core.len(), self.set.order());
+        let live = src.len();
+        assert!((1..=L).contains(&live));
+        debug_assert!(src.iter().all(|s| s.form.len() == channels * nc));
+        debug_assert_eq!(dst_l.len(), channels * nt);
+
+        // Padding lanes repeat the last source (any non-singular
+        // displacement does: their forms are zero).
+        let lane = |i: usize| &src[i.min(live - 1)];
+        let unit: [f64; L] = std::array::from_fn(|i| lane(i).half_width.max(half_width));
+        // The lanes' sums are brought to the target's unit in f32, by
+        // (w_t / w)^(n+1) <= 1. Below `SHRINK_F32_MIN` that would cost a
+        // small sum its digits, so the sources go through one at a time,
+        // each kept in its own unit (its power is then 1).
+        let q_t = unit.map(|w| half_width / w);
+        let narrow = q_t.iter().all(|&q| q.powi(p as i32 + 1) >= SHRINK_F32_MIN);
+        if !narrow && live > 1 {
+            for one in src.chunks(1) {
+                self.m2l_batch(one, half_width, dst_l, channels, scratch);
+            }
+            return;
+        }
+        let (out_unit, q_t) = if narrow {
+            (half_width, q_t)
+        } else {
+            (unit[0], [1.0; L])
+        };
+
+        let M2lScratch {
+            table,
+            ms,
+            ratio,
+            shrink,
+            scale,
+            h,
+            zeros,
+        } = scratch;
+        table.resize(self.tensor.table_rows(), [0.0; L]);
+        ms.resize(nc, [0.0; L]);
+        ratio.resize(p + 1, [0.0; L]);
+        shrink.resize(p + 1, [0.0; L]);
+        h.resize(nt, 0.0);
+        let d = [0, 1, 2].map(|axis| {
+            std::array::from_fn(|i| {
+                let r = lane(i).r;
+                ([r.x, r.y, r.z][axis] / unit[i]) as f32
+            })
+        });
+        self.tensor.run(&d, table);
+        // Width ratios of the tree's cells are exact powers of two.
+        let q_s: [f32; L] = std::array::from_fn(|i| (lane(i).half_width / unit[i]) as f32);
+        ratio[0] = [1.0; L];
+        shrink[0] = q_t.map(|q| q as f32);
+        for n in 1..=p {
+            ratio[n] = std::array::from_fn(|i| ratio[n - 1][i] * q_s[i]);
+            shrink[n] = std::array::from_fn(|i| shrink[n - 1][i] * shrink[0][i]);
+        }
+        scale.clear();
+        let inv_w = 1.0 / out_unit;
+        scale.extend((0..=p).scan(1.0, |f, _| {
+            *f *= inv_w;
+            Some(*f)
+        }));
+
+        zeros.resize(nc, 0.0);
+        for c in 0..channels {
+            let forms: [&[f32]; L] = std::array::from_fn(|i| match src.get(i) {
+                Some(s) => &s.form[c * nc..(c + 1) * nc],
+                None => &zeros[..],
+            });
+            for (k, (row, &n)) in ms.iter_mut().zip(&self.core_order).enumerate() {
+                let ratio = &ratio[n as usize];
+                *row = std::array::from_fn(|i| forms[i][k] * ratio[i]);
+            }
+            for (&b, span) in self.m2l_rows.iter().zip(self.m2l_start.windows(2)) {
+                let mut acc = [0.0f32; L];
+                for &(a, sum) in &self.m2l_pairs[span[0] as usize..span[1] as usize] {
+                    let (m, t) = (&ms[a as usize], &table[sum as usize]);
+                    for i in 0..L {
+                        acc[i] += m[i] * t[i];
+                    }
+                }
+                let n = self.set.total_order(b as usize);
+                let shrink = &shrink[n];
+                for i in 0..L {
+                    acc[i] *= shrink[i];
+                }
+                let lanes = acc.iter().fold(0.0, |sum, &v| sum + f64::from(v));
+                h[b as usize] = lanes * scale[n];
+            }
+            self.fill_and_add(h, &mut dst_l[c * nt..(c + 1) * nt]);
+        }
+    }
+
+    /// Fill the `β_z >= 2` locals of one channel's contribution `h` from
+    /// its core, lowest `β_z` first, and add all of `h` into `dst`.
+    fn fill_and_add(&self, h: &mut [f64], dst: &mut [f64]) {
+        for &[g, x, y] in self.harmonic.iter().rev() {
+            h[g as usize] = -(h[x as usize] + h[y as usize]);
+        }
+        for (out, v) in dst.iter_mut().zip(&*h) {
+            *out += v;
+        }
     }
 
     /// `(−1)^{|α|}` lookup (public for kernels that assemble their own

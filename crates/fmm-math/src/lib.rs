@@ -16,7 +16,7 @@
 //! |-----|----------|
 //! | P2M | [`Kernel::p2m_tile`] |
 //! | M2M | [`ExpansionOps::m2m`] (kernel-independent) |
-//! | M2L | [`ExpansionOps::m2l_batch`]: [`M2L_LANES`] sources into one target, side by side in SoA lanes (kernel-independent, one lane tensor shared across channels; only the `2n+1` harmonic components per order are contracted); [`ExpansionOps::m2l`] is its one-source instance. The 7-channel Stokeslet costs 5.9× gravity per source in full batches at p = 6 (5.1× one source at a time) |
+//! | M2L | [`ExpansionOps::m2l_batch`]: [`M2L_LANES`] sources into one target, side by side in `f32` lanes over per-node [`ExpansionOps::source_form`]s in cell units (each lane in units of the larger of its source and target cell; orders up to [`MAX_ORDER`]; kernel-independent, one lane tensor shared across channels; only the `2n+1` harmonic components per order are contracted), summed per `β` in `f64` into the `f64` local; [`ExpansionOps::m2l`] is its one-source `f64` oracle. The 7-channel Stokeslet costs 5.2× gravity per source in full batches at p = 6 (5.1× one source at a time through the oracle) |
 //! | L2L | [`ExpansionOps::l2l`] (kernel-independent) |
 //! | L2P | [`Kernel::l2p_tile`] |
 //! | P2P | [`Kernel::p2p_split`]: the pairs in f32 over split (`hi + lo`) coordinates, four targets per SSE2 register in a [`SplitTile`], each source tile's f32 sums added into the f64 output; [`Kernel::p2p_tile`] is its f64 oracle, which every direct-sum reference runs |
@@ -25,8 +25,8 @@
 //! [`BodyTile`]s; [`Kernel::p2m`] / [`Kernel::l2p`] / [`Kernel::p2p`] are
 //! thin `&[Vec3]` adapters over the f64 tile forms.
 //! M2L runs on structure-of-arrays *source lanes*: the derivative tensors
-//! and the sign-folded multipoles of a batch are rows of one value per
-//! source (DESIGN.md §5).
+//! and the scaled source forms of a batch are rows of one `f32` per source
+//! (DESIGN.md §5).
 //!
 //! Two kernels are provided: Newtonian [`GravityKernel`] (1 harmonic channel)
 //! and the regularized [`StokesletKernel`] of Cortez et al. (7 harmonic
@@ -43,7 +43,7 @@ mod stokeslet;
 mod tensor;
 mod tile;
 
-pub use expansion::{ExpansionOps, M2L_LANES};
+pub use expansion::{ExpansionOps, M2lScratch, M2lSource, M2L_LANES};
 pub use kernel::{Kernel, OpFlops};
 pub use laplace::GravityKernel;
 pub use multiindex::{nterms, MultiIndexSet, MAX_ORDER};

@@ -1,6 +1,11 @@
 /// The highest expansion order [`MultiIndexSet::new`] — and so every
-/// expansion table built on it — accepts.
-pub const MAX_ORDER: usize = 30;
+/// expansion table built on it — accepts: the highest at which the
+/// single-precision far field ([`crate::ExpansionOps::m2l_batch`]) is
+/// verified against the `f64` oracle. Above it the derivative-tensor
+/// recurrence's `f32` rounding, which grows about 2× per order, outgrows
+/// the `4·2^p` epsilon bound per coefficient; and with an `f32` near field
+/// the field error stops improving from p ≈ 10 anyway.
+pub const MAX_ORDER: usize = 16;
 
 /// Number of 3-variable multi-indices with total order `<= p`:
 /// `C(p+3, 3) = (p+1)(p+2)(p+3)/6`.
@@ -33,13 +38,13 @@ impl MultiIndexSet {
     pub fn new(order: usize) -> Self {
         assert!(
             order <= MAX_ORDER,
-            "expansion order {order} is unreasonably large"
+            "expansion order {order} is above the highest the far field is verified at, {MAX_ORDER}"
         );
         let stride = order + 1;
         let mut tuples = Vec::with_capacity(nterms(order));
         let mut index = vec![u32::MAX; stride * stride * stride];
         let mut order_start = Vec::with_capacity(order + 2);
-        // Factorials up to `order` fit exactly in f64 (order <= 30 < 170).
+        // Factorials up to `order` are exact in f64 (16! < 2^53).
         let mut fact = vec![1.0f64; order + 1];
         for n in 1..=order {
             fact[n] = fact[n - 1] * n as f64;

@@ -1,10 +1,11 @@
 use crate::multiindex::{nterms, MultiIndexSet};
 
-/// Reusable per-worker scratch of the M2L kernel: the auxiliary table of
+/// Reusable scratch of the `f64` tensor and the one-source `f64` M2L
+/// oracle ([`ExpansionOps::deriv_tensor`](crate::ExpansionOps::deriv_tensor),
+/// [`ExpansionOps::m2l`](crate::ExpansionOps::m2l)): the auxiliary table of
 /// the derivative-tensor recurrence (whose spent auxiliary rows then hold
-/// the batch's per-`β` local contribution) and the transposed, sign-folded
-/// source multipoles, both as rows of `L` lanes (sized on first use, then
-/// reused).
+/// the per-`β` local contribution) and the sign-folded source multipole,
+/// both as rows of `L` lanes (sized on first use, then reused).
 #[derive(Clone, Debug, Default)]
 pub struct DerivScratch {
     table: Vec<f64>,
@@ -36,7 +37,8 @@ struct Step {
     /// Row of the second term; any valid row when `coef` is 0.
     lower2: u16,
     axis: u8,
-    coef: f64,
+    /// `γ_d − 1`: a small integer, exact in either lane precision.
+    coef: f32,
 }
 
 /// The derivative tensor `∂^γ (1/|v|)`, `|γ| <= p`, as a straight-line
@@ -68,7 +70,7 @@ impl TensorProgram {
             level_start.push(table_rows as u16);
             table_rows += nterms(p - m);
         }
-        // MultiIndexSet caps the order at 30: C(34, 4) rows fit a u16.
+        // MultiIndexSet caps the order at MAX_ORDER: C(p+4, 4) rows fit a u16.
         assert!(table_rows <= usize::from(u16::MAX) + 1);
         let mut steps = Vec::new();
         // Total order n from orders n−1 and n−2 at auxiliary level m+1.
@@ -91,7 +93,7 @@ impl TensorProgram {
                         lower: (hi + lower) as u16,
                         lower2: (hi + lower2) as u16,
                         axis: axis as u8,
-                        coef: (gd - 1) as f64,
+                        coef: (gd - 1) as f32,
                     });
                 }
             }
@@ -110,16 +112,20 @@ impl TensorProgram {
 
     /// Run the program at `L` displacements at once (`d[axis][lane]`),
     /// filling `table`; rows `..nterms(p)` are then `∂^γ(1/|v|)` per lane.
+    /// `T` is the lane precision: `f64` for the one-source oracle and the
+    /// public tensor, `f32` for the far field's batches.
     ///
     /// Panics in debug builds when a displacement is the zero vector (the
     /// tensor is singular there); callers guarantee well-separatedness.
-    pub(crate) fn run<const L: usize>(&self, d: &[[f64; L]; 3], table: &mut [[f64; L]]) {
+    pub(crate) fn run<T: Lane, const L: usize>(&self, d: &[[T; L]; 3], table: &mut [[T; L]]) {
         assert_eq!(table.len(), self.table_rows);
-        // Base cases R^m_000 = (−1)^m (2m−1)!! / r^(2m+1).
+        // Base cases R^m_000 = (−1)^m (2m−1)!! / r^(2m+1), in f64 and
+        // rounded whole: (2m−1)!! alone would leave f32 range from m = 29.
         let mut inv_r2 = [0.0; L];
         let mut base = [0.0; L];
         for lane in 0..L {
-            let r2 = d[0][lane] * d[0][lane] + d[1][lane] * d[1][lane] + d[2][lane] * d[2][lane];
+            let [x, y, z] = [0, 1, 2].map(|axis| d[axis][lane].to_f64());
+            let r2 = x * x + y * y + z * z;
             debug_assert!(r2 > 0.0, "derivative tensor evaluated at the origin");
             inv_r2[lane] = 1.0 / r2;
             base[lane] = inv_r2[lane].sqrt();
@@ -128,19 +134,50 @@ impl TensorProgram {
         for (m, &row) in self.level_start.iter().enumerate() {
             let out = &mut table[row as usize];
             for lane in 0..L {
-                out[lane] = sign_dfact * base[lane];
+                out[lane] = T::of(sign_dfact * base[lane]);
                 base[lane] *= inv_r2[lane];
             }
             sign_dfact *= -((2 * m + 1) as f64);
         }
         for s in &self.steps {
             let (lo, lo2) = (table[s.lower as usize], table[s.lower2 as usize]);
-            let dx = &d[s.axis as usize];
+            let (dx, coef) = (&d[s.axis as usize], T::of(f64::from(s.coef)));
             let out = &mut table[s.dst as usize];
             for lane in 0..L {
-                out[lane] = dx[lane] * lo[lane] + s.coef * lo2[lane];
+                out[lane] = dx[lane] * lo[lane] + coef * lo2[lane];
             }
         }
+    }
+}
+
+/// A lane value of the tensor program: `f64` or `f32`.
+pub(crate) trait Lane:
+    Copy + std::ops::Add<Output = Self> + std::ops::Mul<Output = Self>
+{
+    /// `x` rounded to this precision.
+    fn of(x: f64) -> Self;
+    fn to_f64(self) -> f64;
+}
+
+impl Lane for f64 {
+    #[inline]
+    fn of(x: f64) -> Self {
+        x
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self
+    }
+}
+
+impl Lane for f32 {
+    #[inline]
+    fn of(x: f64) -> Self {
+        x as f32
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        f64::from(self)
     }
 }
 

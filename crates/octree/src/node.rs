@@ -184,6 +184,20 @@ impl Octree {
         (0..8u32).filter_map(move |o| if fc == NONE { None } else { Some(fc + o) })
     }
 
+    /// Is `id` visible to the FMM: reachable without entering a collapsed
+    /// subtree? O(depth).
+    pub fn is_visible(&self, id: NodeId) -> bool {
+        let mut p = self.node(id).parent;
+        while p != NONE {
+            let n = self.node(p);
+            if n.collapsed {
+                return false;
+            }
+            p = n.parent;
+        }
+        true
+    }
+
     /// All node ids visible to the FMM (reachable without entering collapsed
     /// subtrees), in DFS pre-order.
     pub fn visible_nodes(&self) -> Vec<NodeId> {
@@ -324,6 +338,60 @@ impl Octree {
                 self.order.len()
             ));
         }
+        // Geometry, over every allocated child — hidden subtrees too, which
+        // a push-down reclaims as they are: the root is the recorded root
+        // cube, finite with a positive width, and every child sits at its
+        // octant's center with exactly half its parent's width. The far
+        // field scales by these widths, so they are numeric inputs.
+        let (center, width) = (self.root_center, self.root_half_width);
+        if !(center.is_finite() && width.is_finite() && width > 0.0) {
+            return Err(format!(
+                "root cube center {center:?} half-width {width} is not finite and positive"
+            ));
+        }
+        if root.center != center || root.half_width != width {
+            return Err(format!(
+                "root node (center {:?}, half-width {}) differs from the root cube \
+                 (center {center:?}, half-width {width})",
+                root.center, root.half_width
+            ));
+        }
+        // Children come after their parent in the arena and name it, so
+        // the walk visits every node at most once.
+        let mut stack = vec![Self::ROOT];
+        while let Some(id) = stack.pop() {
+            let n = self.node(id);
+            if n.first_child == NONE {
+                continue;
+            }
+            let first = n.first_child as usize;
+            if first <= id as usize || first + 8 > self.nodes.len() {
+                return Err(format!(
+                    "node {id} has its children outside the arena at {first}"
+                ));
+            }
+            for o in 0..8 {
+                let cid = (first + o) as NodeId;
+                let c = self.node(cid);
+                if c.parent != id {
+                    return Err(format!("child {cid} has wrong parent"));
+                }
+                if c.level != n.level + 1 {
+                    return Err(format!("child level mismatch at {cid}"));
+                }
+                if c.half_width != n.half_width * 0.5 {
+                    return Err(format!(
+                        "child {cid} half-width {} is not half its parent's {}",
+                        c.half_width, n.half_width
+                    ));
+                }
+                let off = (c.center - self.child_center(id, o)).norm();
+                if off.is_nan() || off > 1e-9 * n.half_width {
+                    return Err(format!("child center mismatch at {cid}"));
+                }
+                stack.push(cid);
+            }
+        }
         // order must be a permutation.
         let mut seen = vec![false; self.order.len()];
         for &b in &self.order {
@@ -342,8 +410,7 @@ impl Octree {
                 i + 1
             ));
         }
-        // Visible children of each visible parent tile its range exactly,
-        // and levels/geometry nest.
+        // Visible children of each visible parent tile its range exactly.
         for id in self.visible_nodes() {
             let n = self.node(id);
             if n.is_leaf() {
@@ -352,12 +419,6 @@ impl Octree {
             let mut pos = n.begin;
             for o in 0..8 {
                 let c = self.node(n.first_child + o);
-                if c.parent != id {
-                    return Err(format!("child {} has wrong parent", n.first_child + o));
-                }
-                if c.level != n.level + 1 {
-                    return Err(format!("child level mismatch at {}", n.first_child + o));
-                }
                 if c.begin != pos {
                     return Err(format!(
                         "child ranges do not tile parent at node {id} octant {o}: {} != {}",
@@ -365,10 +426,6 @@ impl Octree {
                     ));
                 }
                 pos = c.end;
-                let expect = self.child_center(id, o as usize);
-                if (c.center - expect).norm() > 1e-9 * n.half_width {
-                    return Err(format!("child center mismatch at {}", n.first_child + o));
-                }
             }
             if pos != n.end {
                 return Err(format!("children do not cover parent range at node {id}"));

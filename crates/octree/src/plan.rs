@@ -25,7 +25,7 @@
 //! Per-node contributions are cached so totals update by subtraction and
 //! re-addition of only the dirty nodes.
 
-use crate::node::{NodeId, Octree, NONE};
+use crate::node::{NodeId, Octree};
 use crate::stats::{node_op_counts, OpCounts};
 use crate::traversal::{
     empty_lists, fork_width, reserve_exactly, trim, InteractionLists, Mac, Traversal,
@@ -154,19 +154,6 @@ fn invert(fwd: &[Vec<NodeId>], first: usize, counts: &mut [u32], rev: &mut [Vec<
     }
 }
 
-/// Is `id` reachable without entering a collapsed subtree?
-fn is_visible(tree: &Octree, id: NodeId) -> bool {
-    let mut p = tree.node(id).parent;
-    while p != NONE {
-        let n = tree.node(p);
-        if n.collapsed {
-            return false;
-        }
-        p = n.parent;
-    }
-    true
-}
-
 impl IncrementalLists {
     /// Full build: one dual traversal plus inverse lists and per-node counts.
     pub fn build(tree: &Octree, mac: Mac) -> Self {
@@ -214,7 +201,7 @@ impl IncrementalLists {
             .for_each(|(w, counts)| {
                 for (id, c) in (w * chunk..).zip(counts) {
                     let id = id as NodeId;
-                    if is_visible(tree, id) {
+                    if tree.is_visible(id) {
                         *c = node_op_counts(tree, lists, id);
                     }
                 }
@@ -600,7 +587,7 @@ impl IncrementalLists {
             self.stamp[di] = epoch;
             recomputed += 1;
             self.totals -= self.node_counts[di];
-            let c = if is_visible(tree, d) {
+            let c = if tree.is_visible(d) {
                 node_op_counts(tree, &self.lists, d)
             } else {
                 OpCounts::default()

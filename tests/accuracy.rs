@@ -212,6 +212,89 @@ fn field_error_within_pinned_tolerances() {
     }
 }
 
+/// The far field runs in single precision in cell units: each M2L's
+/// derivative tensor at `r / max(w_s, w_t)`, each source's moments in units
+/// of its own half-width. So one Plummer sphere (N = 3000, S = 16) scaled by 1e-6
+/// or 1e6 — where `∂^γ(1/r)` itself would overflow or underflow `f32` at
+/// order 6 — keeps a finite field within 1.25× of its unscaled error
+/// against direct sum. (The error moves a little with the scale even in
+/// `f64`: the tree's cube padding does not scale, so the cells shift.)
+#[test]
+fn field_error_does_not_depend_on_the_length_scale() {
+    let base = nbody::plummer(3000, 1.0, 1.0, 1009);
+    let err_at = |s: f64| {
+        let mut b = base.clone();
+        for p in &mut b.pos {
+            *p *= s;
+        }
+        let mut e = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, 16);
+        let field = e.solve(&b.pos, &b.mass).field;
+        assert!(
+            field.iter().all(|f| f.is_finite()),
+            "scale {s:e}: field not finite"
+        );
+        rel_err(&field, &gravity_direct(&b))
+    };
+    let unscaled = err_at(1.0);
+    for s in [1e-6, 1e6] {
+        let err = err_at(s);
+        assert!(
+            err <= 1.25 * unscaled,
+            "scale {s:e}: error {err:e} against {unscaled:e} unscaled"
+        );
+    }
+}
+
+/// At the highest order the expansion tables accept, a solve is finite
+/// and as accurate as at p = 10, for both kernels (gravity 7.7e-8 against
+/// 1.8e-7, Stokeslet 9.27e-8 against 9.34e-8: from p ≈ 10 on, the error is
+/// the single-precision rounding floor); one order more is refused.
+#[test]
+fn highest_order_solves_finite_and_as_accurately_as_order_ten() {
+    let b = nbody::plummer(400, 1.0, 1.0, 1011);
+    let f = nbody::random_unit_forces(b.len(), 1012);
+    let stokes = StokesletKernel::new(1e-3, 1.0);
+    let (mut pot, mut stokes_ref) = (vec![0.0; b.len()], vec![Vec3::ZERO; b.len()]);
+    stokes.p2p(&b.pos, &mut pot, &mut stokes_ref, &b.pos, &f, true);
+    let errs = |order: usize| {
+        let params = FmmParams {
+            order,
+            mac: Mac::new(0.5),
+            max_level: 21,
+        };
+        let mut g = FmmEngine::new(GravityKernel::default(), params, &b.pos, 20);
+        let mut s = FmmEngine::new(stokes, params, &b.pos, 20);
+        let (g, s) = (g.solve(&b.pos, &b.mass).field, s.solve(&b.pos, &f).field);
+        for v in g.iter().chain(&s) {
+            assert!(v.is_finite(), "p={order}: field not finite");
+        }
+        [rel_err(&g, &gravity_direct(&b)), rel_err(&s, &stokes_ref)]
+    };
+    let [g10, s10] = errs(10);
+    let [g, s] = errs(fmm_math::MAX_ORDER);
+    assert!(
+        g <= 1.1 * g10,
+        "gravity: {g:e} at the highest order, {g10:e} at p = 10"
+    );
+    assert!(
+        s <= 1.1 * s10,
+        "Stokeslet: {s:e} at the highest order, {s10:e} at p = 10"
+    );
+}
+
+#[test]
+#[should_panic(expected = "expansion order 17")]
+fn order_above_the_highest_is_refused() {
+    assert_eq!(fmm_math::MAX_ORDER, 16);
+    let b = nbody::plummer(100, 1.0, 1.0, 1013);
+    FmmEngine::new(
+        GravityKernel::default(),
+        FmmParams::with_order(17),
+        &b.pos,
+        20,
+    );
+}
+
 /// A close pair in a wide leaf: two bodies ≈ 1e-6 apart among 200 spread
 /// over a cube of width 2, all in one leaf, no softening. At either body of
 /// the pair the field is almost all the pair's own 1/r² term, so it needs

@@ -369,10 +369,13 @@ fn engine_order_beyond_the_expansion_tables_is_refused() {
     };
     assert_eq!(FmmParams::default().order, 6);
     assert!(with_order(6).is_ok());
-    match with_order(31) {
-        Err(afmm::Error::Checkpoint(msg)) => assert!(msg.contains("order"), "{msg}"),
-        Err(e) => panic!("wrong error {e}"),
-        Ok(_) => panic!("expansion order 31 must be refused"),
+    assert!(with_order(fmm_math::MAX_ORDER).is_ok());
+    for order in [fmm_math::MAX_ORDER + 1, 31] {
+        match with_order(order) {
+            Err(afmm::Error::Checkpoint(msg)) => assert!(msg.contains("order"), "{msg}"),
+            Err(e) => panic!("wrong error {e}"),
+            Ok(_) => panic!("expansion order {order} must be refused"),
+        }
     }
 }
 
@@ -505,4 +508,86 @@ fn supervisor_restore_keeps_the_exec_policy() {
         sup.tracker().records().to_vec()
     };
     assert_records_bit_identical(&run(None), &run(Some(15)));
+}
+
+/// An engine over a Plummer sphere (N = 3000, S = 32) with one twig
+/// collapsed, so its snapshot carries a hidden subtree, checkpointed; the
+/// snapshot's tree edited by `edit` and restored. The far field scales
+/// every M2L by the half-widths of its cells, so a tree whose geometry does
+/// not nest from its root cube must be refused, not solved.
+fn restore_with_tree_edit(
+    edit: impl FnOnce(&mut octree::TreeSnapshot),
+) -> Result<FmmEngine<GravityKernel>, afmm::Error> {
+    let b = nbody::plummer(3000, 1.0, 1.0, 717);
+    let mut engine = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, 32);
+    let tree = engine.tree();
+    let twig = (tree.visible_nodes().into_iter())
+        .find(|&id| {
+            let n = tree.node(id);
+            !n.is_leaf() && tree.visible_children(id).all(|c| tree.node(c).is_leaf())
+        })
+        .expect("a twig");
+    assert!(engine.apply_collapse(twig));
+    let mut snap = engine.checkpoint_state();
+    edit(&mut snap.tree);
+    FmmEngine::restore_state(GravityKernel::default(), snap)
+}
+
+fn assert_tree_refused(what: &str, needle: &str, edit: impl FnOnce(&mut octree::TreeSnapshot)) {
+    match restore_with_tree_edit(edit) {
+        Err(afmm::Error::Checkpoint(msg)) => assert!(msg.contains(needle), "{what}: {msg}"),
+        Err(e) => panic!("{what}: wrong error {e}"),
+        Ok(_) => panic!("{what} must be refused"),
+    }
+}
+
+/// Leaf half-widths scaled by 1e-6, set to zero or to NaN: each leaf must
+/// be exactly half its parent's width.
+#[test]
+fn leaf_widths_that_do_not_halve_their_parents_are_refused() {
+    assert!(restore_with_tree_edit(|_| {}).is_ok());
+    for (what, factor) in [("scaled by 1e-6", 1e-6), ("zero", 0.0), ("NaN", f64::NAN)] {
+        assert_tree_refused(&format!("leaf half-widths {what}"), "half-width", |tree| {
+            for n in tree.nodes.iter_mut().filter(|n| n.is_leaf()) {
+                n.half_width *= factor;
+            }
+        });
+    }
+}
+
+/// A collapsed node's hidden children are not solved on, but a push-down
+/// reclaims them as they are: their widths are checked too.
+#[test]
+fn hidden_child_widths_are_refused() {
+    assert_tree_refused("a hidden child's half-width", "half-width", |tree| {
+        let hidden = (tree.nodes.iter())
+            .position(|n| n.collapsed)
+            .map(|id| tree.nodes[id].first_child as usize)
+            .expect("a collapsed node");
+        tree.nodes[hidden].half_width *= 2.0;
+    });
+}
+
+/// The root node must be the recorded root cube, which must be finite with
+/// a positive half-width.
+#[test]
+fn root_cube_that_is_not_the_recorded_one_is_refused() {
+    assert_tree_refused("a moved root node", "root", |tree| {
+        tree.nodes[0].center.x += 1e-3;
+    });
+    assert_tree_refused("a shrunk root node", "root", |tree| {
+        tree.nodes[0].half_width *= 0.5;
+    });
+    assert_tree_refused("a NaN root center", "root", |tree| {
+        tree.root_center.y = f64::NAN;
+        tree.nodes[0].center.y = f64::NAN;
+    });
+    assert_tree_refused("an infinite root half-width", "root", |tree| {
+        tree.root_half_width = f64::INFINITY;
+        tree.nodes[0].half_width = f64::INFINITY;
+    });
+    assert_tree_refused("a negative root half-width", "root", |tree| {
+        tree.root_half_width = -tree.root_half_width;
+        tree.nodes[0].half_width = tree.root_half_width;
+    });
 }
