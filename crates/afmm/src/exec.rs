@@ -122,17 +122,28 @@ pub fn record_phase_spans(
 /// P2P interaction list, in traversal order (the order the paper's partition
 /// walk consumes).
 pub fn build_gpu_jobs(tree: &Octree, lists: &InteractionLists) -> Vec<P2pJob> {
+    gpu_job_leaves(tree, lists)
+        .map(|id| gpu_job(tree, lists, id))
+        .collect()
+}
+
+/// The leaves [`build_gpu_jobs`] makes a job of, in its order.
+pub(crate) fn gpu_job_leaves<'a>(
+    tree: &Octree,
+    lists: &'a InteractionLists,
+) -> impl Iterator<Item = NodeId> + 'a {
     tree.active_leaves()
         .into_iter()
         .filter(|&id| !lists.p2p[id as usize].is_empty())
-        .map(|id| {
-            let sources = lists.p2p[id as usize]
-                .iter()
-                .map(|&b| tree.node(b).count())
-                .collect();
-            P2pJob::new(tree.node(id).count(), sources)
-        })
-        .collect()
+}
+
+/// The job of target leaf `id`: its population and each source's.
+pub(crate) fn gpu_job(tree: &Octree, lists: &InteractionLists, id: NodeId) -> P2pJob {
+    let sources = lists.p2p[id as usize]
+        .iter()
+        .map(|&b| tree.node(b).count())
+        .collect();
+    P2pJob::new(tree.node(id).count(), sources)
 }
 
 /// What runs where — [`ExecPolicy::default`] is the paper's split (all

@@ -22,6 +22,7 @@ use fmm_math::{GravityKernel, Kernel, StokesletKernel};
 use geom::Vec3;
 use octree::{
     build_adaptive, count_ops, dual_traversal, BuildParams, IncrementalLists, Mac, NodeId, Octree,
+    PlanRefresh,
 };
 
 use super::report::{BenchReport, Metric, Scenario};
@@ -905,19 +906,37 @@ fn memory_profile_one_worker(cfg: &SuiteConfig) -> Scenario {
 /// all bodies into the unchanged tree, in ns per body. `rebin_ns_per_body`
 /// runs at the host's width and is gated; `rebin_1w_ns_per_body` is the same
 /// re-binning on one worker and `rebin_speedup` their per-repetition ratio —
-/// both inform, they vary with the host's core count. The plan rebuild on
-/// the same tree reads the same way: `plan_rebuild_ms`
+/// both inform, they vary with the host's core count.
+/// `rebin_leavers_frac` is the share of bodies one rebin moves to another
+/// leaf (exact, informing): the bodies it sorts across leaves, the rest
+/// being sorted within their own. `refresh_ms`, gated,
+/// is a live plan's `refresh_counts` after bodies moved between busy leaves
+/// — the Patched path, which recounts every visible node through workers —
+/// two per breath, averaged. The plan rebuild on the same tree
+/// reads the way the rebin does: `plan_rebuild_ms`
 /// (`IncrementalLists::rebuild` of a live plan, host width) gated,
 /// `plan_rebuild_1w_ms` and `plan_rebuild_speedup` informing.
 fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
     let s = 64;
     let b = nbody::plummer(cfg.n_rebin, 1.0, 1.0, cfg.seed + 10);
     let mut tree = build_adaptive(&b.pos, BuildParams::with_s(s));
+    let mut live = IncrementalLists::build(&tree, Mac::default());
     let mut pos = b.pos.clone();
+    let leavers_frac = {
+        let inhaled: Vec<Vec3> = pos.iter().map(|p| *p * 0.998).collect();
+        let mut moved = tree.clone();
+        moved.rebin(&inhaled);
+        let (before, after) = (leaf_of(&tree), leaf_of(&moved));
+        let left = before.iter().zip(&after).filter(|(a, b)| a != b).count();
+        left as f64 / cfg.n_rebin as f64
+    };
     // One sample is a breath — in by 0.2 %, back out — so the cloud stays in
     // its root cube and a few per cent of the bodies change leaf each time;
-    // only the two rebins are on the clock.
-    let mut breath = |tree: &mut Octree| -> f64 {
+    // only the two rebins are on the clock. Such a breath empties or fills
+    // cells at the cloud's edge, so the refreshes are timed after hops that
+    // cannot: the plan catches up, a few bodies hop to another busy leaf and
+    // back, and the refresh after each hop is on the clock.
+    let mut breath = |tree: &mut Octree, plan: &mut IncrementalLists| -> (f64, Option<f64>) {
         let mut rebin_s = 0.0;
         for scale in [0.998, 1.0 / 0.998] {
             for p in pos.iter_mut() {
@@ -925,16 +944,38 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
             }
             rebin_s += wall(|| tree.rebin(&pos)).0;
         }
-        rebin_s * 1e9 / (2 * cfg.n_rebin) as f64
-    };
-    let mut breaths = |tree: &mut Octree| -> Vec<f64> {
-        for _ in 0..cfg.warmup.max(1) {
-            breath(tree);
+        plan.refresh_counts(tree);
+        let (mut refresh_s, mut patched) = (0.0, 0);
+        let home = pos.clone();
+        for (body, spot) in hops(tree, &pos) {
+            pos[body] = spot;
         }
-        (0..cfg.reps).map(|_| breath(tree)).collect()
+        for to in [None, Some(home)] {
+            if let Some(home) = to {
+                pos = home;
+            }
+            tree.rebin(&pos);
+            let (secs, outcome) = wall(|| plan.refresh_counts(tree));
+            if let PlanRefresh::Patched { .. } = outcome {
+                refresh_s += secs;
+                patched += 1;
+            }
+        }
+        let refresh_ms = (patched > 0).then(|| refresh_s * 1e3 / patched as f64);
+        (rebin_s * 1e9 / (2 * cfg.n_rebin) as f64, refresh_ms)
     };
-    let samples = breaths(&mut tree);
-    let samples_1w = crate::one_worker(|| breaths(&mut tree));
+    let mut breaths = |tree: &mut Octree, plan: &mut IncrementalLists| {
+        for _ in 0..cfg.warmup.max(1) {
+            breath(tree, plan);
+        }
+        let samples: Vec<_> = (0..cfg.reps).map(|_| breath(tree, plan)).collect();
+        let rebin: Vec<f64> = samples.iter().map(|s| s.0).collect();
+        let refresh: Vec<f64> = samples.iter().filter_map(|s| s.1).collect();
+        (rebin, refresh)
+    };
+    let (samples, refresh) = breaths(&mut tree, &mut live);
+    let (samples_1w, _) = crate::one_worker(|| breaths(&mut tree, &mut live));
+    drop(live);
     let ratio = |one: &[f64], wide: &[f64]| -> Vec<f64> {
         one.iter().zip(wide).map(|(w1, wk)| w1 / wk).collect()
     };
@@ -972,6 +1013,8 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
             Metric::wall("rebin_speedup", "x", speedup, cfg.seed)
                 .higher_is_better()
                 .informational(),
+            Metric::virtual_point("rebin_leavers_frac", "ratio", leavers_frac).informational(),
+            Metric::wall("refresh_ms", "ms", refresh, cfg.seed),
             Metric::wall("plan_rebuild_ms", "ms", rebuild, cfg.seed),
             Metric::wall("plan_rebuild_1w_ms", "ms", rebuild_1w, cfg.seed).informational(),
             Metric::wall("plan_rebuild_speedup", "x", rebuild_speedup, cfg.seed)
@@ -980,6 +1023,39 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
         ],
         snapshot,
     }
+}
+
+/// Hops that move populations without emptying or filling a visible cell:
+/// the first body of every seventh leaf holding two or more goes to the spot
+/// of the last body of the next such leaf, which stays.
+fn hops(tree: &Octree, pos: &[Vec3]) -> Vec<(usize, Vec3)> {
+    let busy: Vec<NodeId> = tree
+        .visible_leaves()
+        .into_iter()
+        .filter(|&id| tree.node(id).count() >= 2)
+        .step_by(7)
+        .collect();
+    let body = |i: u32| tree.order()[i as usize] as usize;
+    busy.iter()
+        .zip(busy.iter().skip(1))
+        .map(|(&from, &to)| {
+            (
+                body(tree.node(from).begin),
+                pos[body(tree.node(to).end - 1)],
+            )
+        })
+        .collect()
+}
+
+/// The visible leaf that holds each body, by body id.
+fn leaf_of(tree: &Octree) -> Vec<NodeId> {
+    let mut leaf = vec![Octree::ROOT; tree.num_bodies()];
+    for id in tree.visible_leaves() {
+        for i in tree.node(id).range() {
+            leaf[tree.order()[i] as usize] = id;
+        }
+    }
+    leaf
 }
 
 /// Targets the `accuracy` scenario checks against direct summation.

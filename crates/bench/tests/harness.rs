@@ -223,13 +223,16 @@ fn smoke_suite_runs_and_gates() {
     let frac = summarize(&accounted, 11).median;
     assert!((0.98..=1.0).contains(&frac), "phases cover {frac} of solve");
 
-    // Tree maintenance: the host-width rebin and plan rebuild costs gate,
-    // the one-worker readings and the ratios inform.
+    // Tree maintenance: the host-width rebin, Patched refresh and plan
+    // rebuild costs gate, the one-worker readings, the ratios and the share
+    // of bodies a rebin moves to another leaf inform.
     let maintenance = report.scenario("tree_maintenance").unwrap();
     for (name, gate) in [
         ("rebin_ns_per_body", true),
         ("rebin_1w_ns_per_body", false),
         ("rebin_speedup", false),
+        ("rebin_leavers_frac", false),
+        ("refresh_ms", true),
         ("plan_rebuild_ms", true),
         ("plan_rebuild_1w_ms", false),
         ("plan_rebuild_speedup", false),

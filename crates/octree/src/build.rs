@@ -1,4 +1,5 @@
 use crate::node::{Node, NodeId, Octree, NONE};
+use crate::rebin::RebinScratch;
 use geom::{morton_encode, Aabb, Vec3, MAX_MORTON_LEVEL};
 use rayon::prelude::*;
 
@@ -40,18 +41,23 @@ fn digit(code: u64, level: u16) -> u64 {
 }
 
 /// Shortest run worth its own worker. Two forks cost ≈ 60 µs, what sorting
-/// four thousand pairs does; on two workers a rebin breaks even near twelve
+/// four thousand pairs does; on two workers a sort breaks even near twelve
 /// thousand bodies and is ahead from sixteen.
-const MIN_RUN: usize = 8192;
+pub(crate) const MIN_RUN: usize = 8192;
 
-/// Most runs the sort is cut into. Each merged body costs one look per run,
+/// Most runs a sort is cut into. Each merged body costs one look per run,
 /// so a worker's share of the merge stops shrinking as runs are added while
-/// its sort keeps shrinking; past eight the merge and the serial range walk
-/// are most of a rebin.
-const MAX_RUNS: usize = 8;
+/// its sort keeps shrinking; past eight the merge is most of the work.
+pub(crate) const MAX_RUNS: usize = 8;
 
-/// Sorts after every real pair: Morton codes are 63 bits wide.
-const SPENT: (u64, u32) = (u64::MAX, u32::MAX);
+/// How many sorted runs `n` bodies are cut into: one per worker
+/// ([`rayon::current_num_threads`]), fewer when a run would fall under
+/// [`MIN_RUN`], at most [`MAX_RUNS`].
+pub(crate) fn run_count(n: usize) -> usize {
+    rayon::current_num_threads()
+        .min(n / MIN_RUN)
+        .clamp(1, MAX_RUNS)
+}
 
 /// Body ids are `u32` and [`NONE`] (`u32::MAX`) is a sentinel, so a tree
 /// holds at most `u32::MAX − 1` bodies.
@@ -59,27 +65,49 @@ fn body_ids_fit(bodies: usize) -> bool {
     bodies < NONE as usize
 }
 
+/// Sorts after every real pair: Morton codes are 63 bits wide.
+const SPENT: (u64, u32) = (u64::MAX, u32::MAX);
+
+/// Clamped Morton codes of positions in a fixed root cube.
+#[derive(Clone, Copy)]
+pub(crate) struct Encoder {
+    origin: Vec3,
+    scale: f64,
+}
+
+impl Encoder {
+    pub(crate) fn new(center: Vec3, half_width: f64) -> Self {
+        let n_cells = (1u64 << MAX_MORTON_LEVEL) as f64;
+        Encoder {
+            origin: center - Vec3::splat(half_width),
+            scale: n_cells / (2.0 * half_width),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn code(&self, p: Vec3) -> u64 {
+        let max_cell = (1u64 << MAX_MORTON_LEVEL) - 1;
+        // Bodies that drifted outside the fixed root cube clamp to the
+        // boundary cells; rebuilds recenter the cube.
+        let cell = |v: f64| (v.max(0.0) as u64).min(max_cell);
+        let u = (p - self.origin) * self.scale;
+        morton_encode(cell(u.x), cell(u.y), cell(u.z))
+    }
+}
+
 /// Tree order for `pos` inside a root cube: clamped Morton `(code, body)`
 /// pairs sorted by (code, id) — deterministic under duplicate codes — and
 /// split into `order` (ids) and `codes`.
 ///
-/// The body range is cut into contiguous runs, one per worker
-/// ([`rayon::current_num_threads`]; fewer when a run would fall under
-/// [`MIN_RUN`], at most [`MAX_RUNS`]). One fork encodes and sorts each run in
-/// its window of `pairs`; a second merges the runs straight into
-/// `order`/`codes`, one window of the output per worker ([`cut_runs`] finds
-/// the stretch of each run that lands in a window). Keys are unique, so the
-/// result is the one total order whatever the run count. With one run
-/// nothing is forked and the merge is a copy.
-///
-/// Allocation-free on one worker once `pairs` has capacity for `pos.len()`
-/// entries, which is what lets [`Octree::rebin`] run with zero heap traffic
-/// in steady state; with more workers the only allocations are the forks' own
-/// bookkeeping, the same few whatever `pos.len()` is.
+/// The body range is cut into [`run_count`] contiguous runs. One fork
+/// encodes and sorts each run in its window of `pairs`; a second merges the
+/// runs straight into `order`/`codes`, one window of the output per worker
+/// ([`cut_runs`] finds the stretch of each run that lands in a window). Keys
+/// are unique, so the result is the one total order whatever the run count.
+/// With one run nothing is forked and the merge is a copy.
 fn sort_bodies_into(
     pos: &[Vec3],
-    center: Vec3,
-    half_width: f64,
+    encoder: Encoder,
     pairs: &mut Vec<(u64, u32)>,
     order: &mut [u32],
     codes: &mut [u64],
@@ -90,21 +118,7 @@ fn sort_bodies_into(
         "{n} bodies: body ids are u32 with u32::MAX reserved, so a tree holds at most {}",
         NONE - 1
     );
-    let n_cells = (1u64 << MAX_MORTON_LEVEL) as f64;
-    let origin = center - Vec3::splat(half_width);
-    let scale = n_cells / (2.0 * half_width);
-    let max_cell = (1u64 << MAX_MORTON_LEVEL) - 1;
-    let cell = |v: f64| -> u64 {
-        // Bodies that drifted outside the fixed root cube clamp to the
-        // boundary cells; rebuilds recenter the cube.
-        (v.max(0.0) as u64).min(max_cell)
-    };
-    let runs = rayon::current_num_threads()
-        .min(n / MIN_RUN)
-        .clamp(1, MAX_RUNS);
-    let run_len = n.div_ceil(runs).max(1);
-    // Every entry is overwritten below; in steady state the length already
-    // matches and this touches nothing.
+    let run_len = n.div_ceil(run_count(n)).max(1);
     pairs.resize(n, (0, 0));
     pairs
         .par_chunks_mut(run_len)
@@ -112,9 +126,7 @@ fn sort_bodies_into(
         .for_each(|(r, run)| {
             let first = r * run_len;
             for (i, (pair, &p)) in run.iter_mut().zip(&pos[first..]).enumerate() {
-                let u = (p - origin) * scale;
-                let code = morton_encode(cell(u.x), cell(u.y), cell(u.z));
-                *pair = (code, (first + i) as u32);
+                *pair = (encoder.code(p), (first + i) as u32);
             }
             run.sort_unstable();
         });
@@ -134,25 +146,51 @@ fn merge_runs_into(pairs: &[(u64, u32)], run_len: usize, order: &mut [u32], code
         .zip(codes.par_chunks_mut(run_len))
         .enumerate()
         .for_each(|(w, (order, codes))| {
-            let mut next = cut_runs(pairs, run_len, w * run_len);
-            let end = cut_runs(pairs, run_len, w * run_len + order.len());
-            let head_of = |r: usize, i: usize| if i < end[r] { pairs[i] } else { SPENT };
-            let mut head = [SPENT; MAX_RUNS];
+            let from = cut_runs(pairs, run_len, w * run_len);
+            let to = cut_runs(pairs, run_len, w * run_len + order.len());
+            let mut stretches: [&[(u64, u32)]; MAX_RUNS] = Default::default();
             for r in 0..runs {
-                head[r] = head_of(r, next[r]);
+                stretches[r] = &pairs[from[r]..to[r]];
             }
-            for (body, code) in order.iter_mut().zip(codes.iter_mut()) {
-                let mut min = 0;
-                for r in 1..runs {
-                    if head[r] < head[min] {
-                        min = r;
-                    }
-                }
-                (*code, *body) = head[min];
-                next[min] += 1;
-                head[min] = head_of(min, next[min]);
-            }
+            merge_sorted(&mut stretches[..runs], order, codes);
         });
+}
+
+/// Merge the sorted `runs` by (code, id) into `order` and `codes`, whose
+/// length is the runs' total. Keys are unique, so which run an equal head
+/// comes from never arises; runs are consumed in place.
+pub(crate) fn merge_sorted(runs: &mut [&[(u64, u32)]], order: &mut [u32], codes: &mut [u64]) {
+    let mut live = runs.len();
+    let mut r = 0;
+    while r < live {
+        if runs[r].is_empty() {
+            live -= 1;
+            runs.swap(r, live);
+        } else {
+            r += 1;
+        }
+    }
+    let mut out = order.iter_mut().zip(codes.iter_mut());
+    while live > 1 {
+        let mut min = 0;
+        for r in 1..live {
+            if runs[r][0] < runs[min][0] {
+                min = r;
+            }
+        }
+        let (body, code) = out.next().expect("output as long as the runs");
+        (*code, *body) = runs[min][0];
+        runs[min] = &runs[min][1..];
+        if runs[min].is_empty() {
+            live -= 1;
+            runs.swap(min, live);
+        }
+    }
+    if live == 1 {
+        for ((body, code), &(c, id)) in out.zip(runs[0]) {
+            (*code, *body) = (c, id);
+        }
+    }
 }
 
 /// Where to cut each sorted run `pairs.chunks(run_len)` so that the `k`
@@ -273,7 +311,8 @@ fn build_in_cube(
     let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(pos.len());
     let mut order = vec![0u32; pos.len()];
     let mut codes = vec![0u64; pos.len()];
-    sort_bodies_into(pos, center, half_width, &mut pairs, &mut order, &mut codes);
+    let encoder = Encoder::new(center, half_width);
+    sort_bodies_into(pos, encoder, &mut pairs, &mut order, &mut codes);
 
     let mut nodes = Vec::new();
     // Reserve the paper's "node buffer" up front: a comfortable multiple of
@@ -310,11 +349,8 @@ fn build_in_cube(
         }
     }
 
-    // The DFS stack becomes rebin scratch: it is already warm to the width
-    // this structure needs, and keeping the pair buffer too makes even the
-    // *first* rebin allocation-free.
-    stack.clear();
-    stack.reserve(nodes.len());
+    // The pair buffer becomes rebin scratch, already as long as a rebin
+    // needs it.
     Octree {
         nodes,
         order,
@@ -323,61 +359,11 @@ fn build_in_cube(
         root_center: center,
         root_half_width: half_width,
         max_level,
-        scratch: crate::node::RebinScratch { pairs, stack },
+        scratch: RebinScratch::with_pairs(pairs),
     }
 }
 
 impl Octree {
-    /// Re-sort moved bodies into the **unchanged** tree structure: Morton
-    /// codes are recomputed against the fixed root cube (clamping bodies
-    /// that drifted outside), the tree ordering is re-sorted, and every
-    /// reachable non-collapsed node's range is re-derived. Collapsed
-    /// subtrees keep stale ranges; [`Octree::push_down`] re-partitions on
-    /// reclaim.
-    ///
-    /// This is the maintenance step the paper's strategies 1–3 all perform
-    /// after each position update; only strategies 2–3 additionally modify
-    /// the structure.
-    ///
-    /// The sort goes through workers — one sorted run each, merged straight
-    /// into `order`/`codes` — and the range walk after it is serial. On one
-    /// worker it performs **zero heap allocations** once warm: the Morton pair buffer and the DFS stack are
-    /// reusable scratch carried by the tree (seeded at build time), and
-    /// `order`/`codes` are rewritten in place — their length never changes.
-    /// The `memory_profile` perf-lab scenario gates this invariant through
-    /// the `"rebin"` allocation scope; with more workers the scope holds the
-    /// fork's bookkeeping and nothing that grows with the body count.
-    pub fn rebin(&mut self, pos: &[Vec3]) {
-        assert_eq!(pos.len(), self.num_bodies());
-        let _mem = telemetry::AllocScope::enter("rebin");
-        sort_bodies_into(
-            pos,
-            self.root_center,
-            self.root_half_width,
-            &mut self.scratch.pairs,
-            &mut self.order,
-            &mut self.codes,
-        );
-
-        let mut stack = std::mem::take(&mut self.scratch.stack);
-        stack.clear();
-        stack.push(Self::ROOT);
-        while let Some(id) = stack.pop() {
-            let n = self.nodes[id as usize];
-            if n.first_child == NONE || n.collapsed {
-                continue;
-            }
-            let bounds = octant_bounds(&self.codes, n.range(), n.level + 1);
-            for o in 0..8 {
-                let c = n.first_child + o as NodeId;
-                self.nodes[c as usize].begin = bounds[o] as u32;
-                self.nodes[c as usize].end = bounds[o + 1] as u32;
-                stack.push(c);
-            }
-        }
-        self.scratch.stack = stack;
-    }
-
     /// Partition the body range of `id` among its eight children by Morton
     /// code. Children must already be allocated.
     pub(crate) fn repartition_children(&mut self, id: NodeId) {

@@ -15,7 +15,8 @@
 //! * [`Octree::enforce_s`] restores the S invariant after bodies move
 //!   (collapse under-full parents, push down over-full leaves).
 //! * [`Octree::rebin`] re-sorts moved bodies into the *unchanged* tree
-//!   structure — exactly what the paper's strategy 1/2 need between rebuilds.
+//!   structure — exactly what the paper's strategy 1/2 need between rebuilds
+//!   — leaf by leaf, sorting only the bodies that changed leaf.
 //! * [`dual_traversal`] produces the M2L and P2P interaction lists with a
 //!   multipole acceptance criterion, using only the paper's six operations.
 
@@ -23,6 +24,7 @@ mod build;
 mod modify;
 mod node;
 mod plan;
+mod rebin;
 mod stats;
 mod traversal;
 

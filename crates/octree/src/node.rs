@@ -1,3 +1,4 @@
+use crate::rebin::RebinScratch;
 use geom::Vec3;
 
 /// Index of a node in the tree arena.
@@ -67,27 +68,6 @@ pub struct TreeSnapshot {
     pub root_center: Vec3,
     pub root_half_width: f64,
     pub max_level: u16,
-}
-
-/// Reusable buffers for [`Octree::rebin`], carried by the tree so the
-/// steady-state maintenance step performs zero heap allocations once warm
-/// (on one worker; more workers add only their fork's bookkeeping).
-/// Pure scratch: contents are meaningless between calls, snapshots exclude
-/// it, and [`Octree::check_invariants`] never looks at it.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct RebinScratch {
-    /// `(morton code, body id)` sort buffer: one sorted run per worker,
-    /// merged into `order`/`codes`.
-    pub(crate) pairs: Vec<(u64, u32)>,
-    /// DFS stack for the range-rederivation walk.
-    pub(crate) stack: Vec<NodeId>,
-}
-
-impl RebinScratch {
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.pairs.capacity() * std::mem::size_of::<(u64, u32)>()
-            + self.stack.capacity() * std::mem::size_of::<NodeId>()
-    }
 }
 
 /// The adaptive octree: a node arena plus the body permutation that gives

@@ -37,8 +37,9 @@ use rayon::prelude::*;
 pub enum PlanRefresh {
     /// No population changed; nothing to do.
     Clean,
-    /// Only the dirty per-node contributions were recomputed in place.
-    Patched { dirty: usize },
+    /// Populations moved without a visible flip: every visible node's
+    /// contribution was recounted in place (`recounted` of them).
+    Patched { recounted: usize },
     /// A visible cell flipped between empty and non-empty (or the arena
     /// grew), which changes the traversal itself — the plan re-traversed.
     Rebuilt,
@@ -97,11 +98,10 @@ pub struct IncrementalLists {
     /// Warm DFS stack for [`IncrementalLists::refresh_counts`]'s visibility
     /// walk; pure scratch, excluded from snapshots and audits.
     walk: Vec<NodeId>,
-    /// Warm dirty-node buffer for the same path; pure scratch.
-    dirty_scratch: Vec<NodeId>,
-    /// Warm buffers of [`IncrementalLists::rebuild`]'s traversal; pure
-    /// scratch.
+    /// Warm buffers of [`IncrementalLists::rebuild`]'s traversal and
+    /// inverse lists; pure scratch.
     traversal: Traversal,
+    inverse: InverseScratch,
 }
 
 fn remove_one(v: &mut Vec<NodeId>, x: NodeId) {
@@ -130,28 +130,53 @@ fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
     trim(v);
 }
 
-/// `rev[i]` = every target whose list in `fwd` names source `first + i`, in
-/// ascending target order and at exactly that capacity; `counts` is scratch
-/// as long as `rev`.
-fn invert(fwd: &[Vec<NodeId>], first: usize, counts: &mut [u32], rev: &mut [Vec<NodeId>]) {
-    let len = rev.len();
-    let mine = |b: NodeId| (b as usize).checked_sub(first).filter(|&i| i < len);
-    counts.fill(0);
-    for &b in fwd.iter().flatten() {
-        if let Some(i) = mine(b) {
-            counts[i] += 1;
-        }
+/// Warm buffers of [`IncrementalLists::fill_inverse_lists`]; pure scratch.
+#[derive(Clone, Debug, Default)]
+struct InverseScratch {
+    /// One row per id range, each `[M2L | P2P]`, `2n` counts long:
+    /// `rows[w][b]` counts the entries naming source `b` in range `w`'s
+    /// targets.
+    rows: Vec<u32>,
+    /// `spread[a][kind]`: the lowest and highest source target `a`'s M2L
+    /// (`kind` 0) or P2P (1) list names.
+    spread: Vec<[(NodeId, NodeId); 2]>,
+}
+
+impl InverseScratch {
+    fn heap_bytes(&self) -> usize {
+        self.rows.capacity() * std::mem::size_of::<u32>()
+            + self.spread.capacity() * std::mem::size_of::<[(NodeId, NodeId); 2]>()
     }
-    for (list, &count) in rev.iter_mut().zip(&*counts) {
-        reserve_exactly(list, count as usize);
-    }
-    for (a, sources) in fwd.iter().enumerate() {
-        for &b in sources {
-            if let Some(i) = mine(b) {
-                rev[i].push(a as NodeId);
+}
+
+/// Recount every node's contribution into `counts` (length the arena's),
+/// `visible` deciding which count — the rest are zero — through `workers`,
+/// one range of nodes each. Returns their total.
+fn count_nodes(
+    tree: &Octree,
+    lists: &InteractionLists,
+    counts: &mut [OpCounts],
+    workers: usize,
+    visible: impl Fn(NodeId) -> bool + Sync,
+) -> OpCounts {
+    let chunk = counts.len().div_ceil(workers).max(1);
+    counts
+        .par_chunks_mut(chunk)
+        .enumerate()
+        .for_each(|(w, counts)| {
+            for (id, c) in (w * chunk..).zip(counts) {
+                let id = id as NodeId;
+                *c = match visible(id) {
+                    true => node_op_counts(tree, lists, id),
+                    false => OpCounts::default(),
+                };
             }
-        }
+        });
+    let mut totals = OpCounts::default();
+    for &c in counts.iter() {
+        totals += c;
     }
+    totals
 }
 
 impl IncrementalLists {
@@ -168,8 +193,8 @@ impl IncrementalLists {
             stamp: Vec::new(),
             epoch: 0,
             walk: Vec::new(),
-            dirty_scratch: Vec::new(),
             traversal: Traversal::default(),
+            inverse: InverseScratch::default(),
         };
         plan.rebuild(tree);
         plan
@@ -180,8 +205,9 @@ impl IncrementalLists {
     ///
     /// From `MIN_FORK_NODES` (1 024) arena nodes up each stage
     /// runs through workers — the traversal one task per child of the root,
-    /// the inverse lists one range of sources per worker, the per-node
-    /// counts one range of nodes per worker — and every list comes out the
+    /// the inverse lists one range of targets and then one of sources per
+    /// worker, the per-node counts one range of nodes per worker — and every
+    /// list comes out the
     /// same, entry for entry and in order, at any width. Once warm, a
     /// rebuild of an unchanged tree allocates nothing on one worker and only
     /// the forks' bookkeeping on more.
@@ -193,23 +219,9 @@ impl IncrementalLists {
         self.fill_inverse_lists(workers);
 
         refill(&mut self.node_counts, n, OpCounts::default());
-        let chunk = n.div_ceil(workers).max(1);
-        let lists = &self.lists;
-        self.node_counts
-            .par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(w, counts)| {
-                for (id, c) in (w * chunk..).zip(counts) {
-                    let id = id as NodeId;
-                    if tree.is_visible(id) {
-                        *c = node_op_counts(tree, lists, id);
-                    }
-                }
-            });
-        self.totals = OpCounts::default();
-        for &c in &self.node_counts {
-            self.totals += c;
-        }
+        self.totals = count_nodes(tree, &self.lists, &mut self.node_counts, workers, |id| {
+            tree.is_visible(id)
+        });
         self.body_count.clear();
         self.body_count
             .extend((0..n).map(|i| tree.node(i as NodeId).count() as u32));
@@ -219,27 +231,63 @@ impl IncrementalLists {
     }
 
     /// Refill `rev_m2l`/`rev_p2p` from the forward lists, each at exactly
-    /// its length, every `rev_*[b]` in ascending target order. Sources are
-    /// cut into one id range per worker; each worker counts the entries
-    /// naming its sources (into their stamps, which the rebuild zeroes
-    /// after), reserves, then scans every target in ascending id and pushes
-    /// the ones that name its sources.
+    /// its length, every `rev_*[b]` in ascending target order. Node ids are
+    /// cut into one range per worker. A first fork gives each worker a
+    /// range of targets: it counts the entries naming each source into a
+    /// row of its own, and notes the lowest and highest source each list
+    /// names. A second gives each worker a range of sources: it sums their
+    /// rows and reserves, then scans, in ascending id, only the lists whose
+    /// sources reach its range. An entry is read once to count and once
+    /// more for every range its list spans — lists name nearby cells, so
+    /// mostly one.
     fn fill_inverse_lists(&mut self, workers: usize) {
         let n = self.lists.m2l.len();
         for rev in [&mut self.rev_m2l, &mut self.rev_p2p] {
             empty_lists(rev, n);
         }
-        refill(&mut self.stamp, n, 0);
-        let range = n.div_ceil(workers).max(1);
+        let span = n.div_ceil(workers).max(1);
+        let InverseScratch { rows, spread } = &mut self.inverse;
+        refill(rows, 2 * n * n.div_ceil(span), 0);
+        refill(spread, n, [(NodeId::MAX, 0); 2]);
         let lists = &self.lists;
-        self.stamp
-            .par_chunks_mut(range)
-            .zip(self.rev_m2l.par_chunks_mut(range))
-            .zip(self.rev_p2p.par_chunks_mut(range))
+        let kinds = || [&lists.m2l, &lists.p2p].into_iter().enumerate();
+        rows.par_chunks_mut((2 * n).max(1))
+            .zip(spread.par_chunks_mut(span))
             .enumerate()
-            .for_each(|(w, ((counts, rev_m2l), rev_p2p))| {
-                invert(&lists.m2l, w * range, counts, rev_m2l);
-                invert(&lists.p2p, w * range, counts, rev_p2p);
+            .for_each(|(w, (row, spread))| {
+                for (a, spread) in (w * span..).zip(spread) {
+                    for (kind, fwd) in kinds() {
+                        let (low, high) = &mut spread[kind];
+                        for &b in &fwd[a] {
+                            row[kind * n + b as usize] += 1;
+                            (*low, *high) = ((*low).min(b), (*high).max(b));
+                        }
+                    }
+                }
+            });
+        let (rows, spread) = (&**rows, &**spread);
+        self.rev_m2l
+            .par_chunks_mut(span)
+            .zip(self.rev_p2p.par_chunks_mut(span))
+            .enumerate()
+            .for_each(|(r, (rev_m2l, rev_p2p))| {
+                let first = r * span;
+                for ((kind, fwd), rev) in kinds().zip([rev_m2l, rev_p2p]) {
+                    for (b, list) in (first..).zip(rev.iter_mut()) {
+                        let count = rows[kind * n + b..].iter().step_by(2 * n).sum::<u32>();
+                        reserve_exactly(list, count as usize);
+                    }
+                    let mine = first..first + rev.len();
+                    for (a, sources) in fwd.iter().enumerate() {
+                        let (low, high) = spread[a][kind];
+                        if high < first as NodeId || low as usize >= mine.end {
+                            continue;
+                        }
+                        for &b in sources.iter().filter(|&&b| mine.contains(&(b as usize))) {
+                            rev[b as usize - first].push(a as NodeId);
+                        }
+                    }
+                }
             });
     }
 
@@ -259,8 +307,8 @@ impl IncrementalLists {
             + self.body_count.capacity() * std::mem::size_of::<u32>()
             + self.stamp.capacity() * std::mem::size_of::<u32>()
             + self.walk.capacity() * std::mem::size_of::<NodeId>()
-            + self.dirty_scratch.capacity() * std::mem::size_of::<NodeId>()
             + self.traversal.heap_bytes()
+            + self.inverse.heap_bytes()
     }
 
     pub fn lists(&self) -> &InteractionLists {
@@ -331,8 +379,8 @@ impl IncrementalLists {
             epoch: snap.epoch,
             // Scratch is not state: a restored plan re-warms on first refresh.
             walk: Vec::new(),
-            dirty_scratch: Vec::new(),
             traversal: Traversal::default(),
+            inverse: InverseScratch::default(),
         })
     }
 
@@ -501,11 +549,15 @@ impl IncrementalLists {
     /// counts and P2M/L2P body counts — moved. If any *visible* node flipped
     /// between empty and non-empty the traversal shape itself changed (empty
     /// cells are skipped), so the plan falls back to one full re-traversal.
-    /// The Clean/Patched paths perform **zero heap allocations** once the
-    /// plan's scratch buffers are warm — the steady-state invariant gated by
-    /// the `memory_profile` scenario via the `plan.refresh` allocation scope.
-    /// Only the Rebuilt fallback (an emptiness flip or arena growth) and the
-    /// first, buffer-warming call may touch the allocator.
+    /// The flip check is serial; when populations moved without a flip,
+    /// every visible node's contribution is recounted through workers, one
+    /// range of nodes each, as a rebuild counts. The Clean/Patched paths
+    /// perform **zero heap allocations** on one worker once the plan's
+    /// scratch is warm — the steady-state invariant gated by the
+    /// `memory_profile` scenario via the `plan.refresh` allocation scope —
+    /// and only the recount's fork bookkeeping on more. Only the Rebuilt
+    /// fallback (an emptiness flip or arena growth) and the first,
+    /// buffer-warming call may touch the allocator otherwise.
     pub fn refresh_counts(&mut self, tree: &Octree) -> PlanRefresh {
         let _mem = telemetry::AllocScope::enter("plan.refresh");
         let n = tree.num_nodes();
@@ -526,8 +578,10 @@ impl IncrementalLists {
             walk.reserve(n - walk.len());
         }
         walk.push(Octree::ROOT);
+        let mut seen = 0;
         while let Some(id) = walk.pop() {
             self.stamp[id as usize] = visible;
+            seen += 1;
             let node = tree.node(id);
             if !node.is_leaf() {
                 for o in 0..8 {
@@ -536,56 +590,46 @@ impl IncrementalLists {
             }
         }
         self.walk = walk;
-        let mut dirty = std::mem::take(&mut self.dirty_scratch);
-        dirty.clear();
-        // Which nodes go dirty varies step to step, so growing on demand
-        // would allocate mid-steady-state whenever a step out-dirties every
-        // step before it. Reserve the hard bound once instead: every node
-        // plus every reverse-P2P target it could enqueue.
-        let bound = n + self.rev_p2p.iter().map(Vec::len).sum::<usize>();
-        if dirty.capacity() < bound {
-            dirty.reserve(bound - dirty.len());
-        }
+        let mut moved = false;
         for i in 0..n {
             let now = tree.node(i as NodeId).count() as u32;
             let before = self.body_count[i];
             if now == before {
                 continue;
             }
-            if self.stamp[i] == visible && (now == 0) != (before == 0) {
-                self.dirty_scratch = dirty;
+            let shown = self.stamp[i] == visible;
+            if shown && (now == 0) != (before == 0) {
                 self.rebuild(tree);
                 return PlanRefresh::Rebuilt;
             }
             self.body_count[i] = now;
-            if self.stamp[i] == visible {
-                dirty.push(i as NodeId);
-                // Targets whose P2P pair counts read this node's population.
-                dirty.extend_from_slice(&self.rev_p2p[i]);
-            }
+            moved |= shown;
         }
-        if dirty.is_empty() {
-            self.dirty_scratch = dirty;
+        if !moved {
             return PlanRefresh::Clean;
         }
-        let recomputed = self.recount(tree, &dirty);
-        self.dirty_scratch = dirty;
-        PlanRefresh::Patched { dirty: recomputed }
+        let stamp = &self.stamp;
+        self.totals = count_nodes(
+            tree,
+            &self.lists,
+            &mut self.node_counts,
+            fork_width(tree),
+            |id| stamp[id as usize] == visible,
+        );
+        PlanRefresh::Patched { recounted: seen }
     }
 
     /// Recompute the cached contributions of `dirty` (dedup via stamps) and
-    /// fold them into the totals. Returns how many nodes were recomputed.
-    fn recount(&mut self, tree: &Octree, dirty: &[NodeId]) -> usize {
+    /// fold them into the totals.
+    fn recount(&mut self, tree: &Octree, dirty: &[NodeId]) {
         self.epoch += 1;
         let epoch = self.epoch;
-        let mut recomputed = 0usize;
         for &d in dirty {
             let di = d as usize;
             if self.stamp[di] == epoch {
                 continue;
             }
             self.stamp[di] = epoch;
-            recomputed += 1;
             self.totals -= self.node_counts[di];
             let c = if tree.is_visible(d) {
                 node_op_counts(tree, &self.lists, d)
@@ -596,7 +640,6 @@ impl IncrementalLists {
             self.totals += c;
             self.body_count[di] = tree.node(d).count() as u32;
         }
-        recomputed
     }
 
     /// The shared patch path: `edit` has just been collapsed or pushed down;

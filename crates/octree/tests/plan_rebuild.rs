@@ -11,7 +11,9 @@
 //! and no bodies at all; then the two ways a live plan is rebuilt in place —
 //! a refresh that finds a cell emptied or filled, and a rebuild after the
 //! tree was rebuilt at another leaf capacity, shrinking and growing the
-//! arena.
+//! arena. A refresh after motion that flips no cell recounts every visible
+//! node through workers: its counts, totals and populations must equal a
+//! serial recount at every width.
 
 use geom::Vec3;
 use octree::{
@@ -277,5 +279,57 @@ fn a_rebuild_after_the_arena_shrinks_and_grows_equals_a_fresh_build() {
                 assert_same(&plan.snapshot(), &reference(tree, mac), &what);
             }
         });
+    }
+}
+
+/// Motion that moves bodies between leaves but empties or fills no visible
+/// cell: the refresh patches, recounting every visible node through
+/// workers, and its per-node counts, totals and populations equal the
+/// serial reference — the lists themselves are untouched.
+#[test]
+fn a_patched_refresh_recounts_like_a_serial_recount_at_every_width() {
+    let start = plummer(40_000, 19);
+    let mut tree = build_adaptive(&start, BuildParams::with_s(16));
+    assert_forks(&tree);
+    let mac = Mac::default();
+    let plan = IncrementalLists::build(&tree, mac);
+    // A few hundred bodies jump onto another body's spot — a busy leaf —
+    // each from a leaf that keeps at least one body.
+    let mut moved = start.clone();
+    let mut left: Vec<usize> = (0..tree.num_nodes() as NodeId)
+        .map(|id| tree.node(id).count())
+        .collect();
+    let mut rng = StdRng::seed_from_u64(23);
+    for leaf in tree.active_leaves().into_iter().step_by(7) {
+        let body = tree.order()[tree.node(leaf).begin as usize] as usize;
+        if left[leaf as usize] > 1 {
+            left[leaf as usize] -= 1;
+            moved[body] = start[rng.random_range(0..start.len())];
+        }
+    }
+    tree.rebin(&moved);
+    let want = reference(&tree, mac);
+    let before = plan.snapshot().body_count;
+    let moved_leaves = before
+        .iter()
+        .zip(&want.body_count)
+        .filter(|(a, b)| a != b)
+        .count();
+    assert!(
+        moved_leaves > 100,
+        "{moved_leaves} nodes changed population"
+    );
+    for width in WIDTHS {
+        let mut plan = plan.clone();
+        let outcome = at_width(width, || plan.refresh_counts(&tree));
+        let visible = tree.visible_nodes().len();
+        assert_eq!(outcome, PlanRefresh::Patched { recounted: visible });
+        let got = plan.snapshot();
+        let what = format!("width {width}");
+        assert!(got.m2l == want.m2l && got.p2p == want.p2p, "{what}: lists");
+        assert!(got.node_counts == want.node_counts, "{what}: node_counts");
+        assert_eq!(got.totals, want.totals, "{what}: totals");
+        assert!(got.body_count == want.body_count, "{what}: body_count");
+        plan.audit(&tree).expect(&what);
     }
 }

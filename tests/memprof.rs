@@ -69,18 +69,16 @@ fn steady_state_case(seed: u64, n: usize, factor: f64, steps: usize) {
     let mut tree = build_adaptive(&pos, BuildParams::with_s(48));
     let mut plan = IncrementalLists::build(&tree, Mac::default());
 
-    // Warmup pays the one-time scratch allocations: rebin pair/stack
-    // buffers, the refresh walk stack, and the dirty list's hard bound.
+    // Warmup pays the one-time scratch allocations: the rebin's pair
+    // buffer and per-leaf tables, and the refresh walk stack.
     for p in pos.iter_mut() {
         *p *= factor;
     }
     tree.rebin(&pos);
     let _ = plan.refresh_counts(&tree);
 
-    // A Rebuilt outcome regenerates the reverse-P2P lists, which moves
-    // the dirty list's reserve bound — the refresh right after it may
-    // re-warm once, so its allocation check is skipped for one step.
-    let mut rewarm = false;
+    // The Patched path recounts into the per-node counts it holds, so even
+    // the refresh right after a Rebuilt one allocates nothing.
     for _ in 0..steps {
         for p in pos.iter_mut() {
             *p *= factor;
@@ -90,16 +88,11 @@ fn steady_state_case(seed: u64, n: usize, factor: f64, steps: usize) {
         let outcome = plan.refresh_counts(&tree);
         let (rebin1, refresh1) = gate_counts();
         assert_eq!(rebin1, rebin0, "rebin allocated while warm");
-        if outcome == PlanRefresh::Rebuilt {
-            rewarm = true;
-        } else {
-            if !rewarm {
-                assert_eq!(
-                    refresh1, refresh0,
-                    "{outcome:?} refresh allocated while warm"
-                );
-            }
-            rewarm = false;
+        if outcome != PlanRefresh::Rebuilt {
+            assert_eq!(
+                refresh1, refresh0,
+                "{outcome:?} refresh allocated while warm"
+            );
         }
     }
 }
@@ -126,8 +119,9 @@ proptest! {
 }
 
 /// The engine's whole warm step with workers forking under the solve.
-/// `plan.refresh` makes no `par_*` call, and 2 000 bodies are one run to
-/// `rebin`, which then forks nothing, so no worker, item list or spawn
+/// 2 000 bodies make fewer than the 1 024 arena nodes from which
+/// `plan.refresh` recounts through workers, and one run to `rebin`, so
+/// neither forks, and no worker, item list or spawn
 /// bookkeeping may show up in either — the perf lab's
 /// `steady_gate_allocs == 0`, here at the host's own width and at 3.
 #[test]
@@ -178,8 +172,8 @@ fn warm_rebin_allocs(n: usize) -> (u64, u64) {
     measured
 }
 
-/// With bodies enough for one run per worker, `rebin` forks twice (sort the
-/// runs, merge them) and the calling thread's share of a fork — the handle
+/// With bodies enough for one run per worker, `rebin` forks twice (sift the
+/// leaves' bodies, place them) and the calling thread's share of a fork — the handle
 /// list, its own batch buffer, what `thread::spawn` allocates — lands in the
 /// `rebin` scope. That is all that may: the same allocations at 70 000 bodies
 /// and at 140 000 (eight runs' worth either way), a few KB, so a buffer that
