@@ -5,16 +5,17 @@
 //! traces — wrapped in an envelope:
 //!
 //! ```json
-//! {"schema_version":2,"kind":"tracker","checksum":"<fnv1a64 hex>","payload":{...}}
+//! {"schema_version":3,"kind":"tracker","checksum":"<fnv1a64 hex>","payload":{...}}
 //! ```
 //!
 //! The checksum is FNV-1a-64 over the exact payload bytes, so any bit flip
 //! in transit is caught before a corrupted state is trusted. Every `f64` is
 //! serialized as the decimal value of its IEEE-754 bit pattern (`to_bits`):
 //! exact round-trips with no decimal-formatting ambiguity, NaN/inf-safe,
-//! and a restored run therefore continues **bit-identically** — interaction
-//! lists are captured verbatim because their iteration order drives the
-//! float-summation order of every downstream reduction.
+//! and a restored run therefore continues **bit-identically**. The
+//! execution plan is not stored: its lists, whose order every float sum
+//! follows, are a function of the tree, so the restored engine's first
+//! refresh builds the plan the run would have had.
 //!
 //! The writer streams into a `String`; reading goes through the workspace's
 //! one JSON parser ([`telemetry::json`]), whose exact `u64` integers carry
@@ -29,27 +30,22 @@ use crate::filter::FilterSnapshot;
 use crate::simulate::StepRecord;
 use geom::Vec3;
 use gpu_sim::{DeviceStatus, FaultEvent, FaultSchedule};
-use octree::{ListsSnapshot, Mac, Node, OpCounts, TreeSnapshot};
+use octree::{Mac, Node, TreeSnapshot};
 use std::fmt::Write as _;
 use telemetry::json::{push_opt, push_seq, Json};
 
 /// Version of the on-disk schema. Bump on any incompatible layout change;
 /// restore refuses snapshots from a different version.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Plain-data image of an [`FmmEngine`](crate::FmmEngine): numerical
-/// parameters, the octree, and the live execution plan (verbatim lists).
-/// Scratch buffers are excluded — every solve overwrites them in full.
+/// parameters and the octree. The execution plan is derived from the tree
+/// and scratch buffers are overwritten by every solve, so neither is kept.
 #[derive(Clone, Debug)]
 pub struct EngineSnapshot {
     pub params: FmmParams,
     pub domain: Option<(Vec3, f64)>,
     pub tree: TreeSnapshot,
-    pub plan: Option<ListsSnapshot>,
-    pub plan_stale: bool,
-    /// Bodies were re-binned after the plan last reconciled its counts;
-    /// restore reconciles before auditing.
-    pub counts_pending: bool,
 }
 
 /// Plain-data image of a [`StrategyTracker`](crate::StrategyTracker): the
@@ -107,24 +103,6 @@ fn w_u64_slice<T: Copy + Into<u64>>(out: &mut String, xs: &[T]) {
     });
 }
 
-fn w_lists(out: &mut String, lists: &[Vec<u32>]) {
-    push_seq(out, lists, |out, l| w_u64_slice(out, l));
-}
-
-fn w_counts(out: &mut String, c: &OpCounts) {
-    let _ = write!(
-        out,
-        "[{},{},{},{},{},{},{}]",
-        c.p2m_bodies,
-        c.m2m_ops,
-        c.m2l_ops,
-        c.l2l_ops,
-        c.l2p_bodies,
-        c.p2p_interactions,
-        c.active_nodes
-    );
-}
-
 fn w_tree(out: &mut String, t: &TreeSnapshot) {
     out.push_str("{\"nodes\":");
     push_seq(out, &t.nodes, |out, n| {
@@ -150,28 +128,6 @@ fn w_tree(out: &mut String, t: &TreeSnapshot) {
     let _ = write!(out, ",\"max_level\":{}}}", t.max_level);
 }
 
-fn w_plan(out: &mut String, p: &ListsSnapshot) {
-    out.push_str("{\"theta\":");
-    w_f64(out, p.theta);
-    out.push_str(",\"m2l\":");
-    w_lists(out, &p.m2l);
-    out.push_str(",\"p2p\":");
-    w_lists(out, &p.p2p);
-    out.push_str(",\"rev_m2l\":");
-    w_lists(out, &p.rev_m2l);
-    out.push_str(",\"rev_p2p\":");
-    w_lists(out, &p.rev_p2p);
-    out.push_str(",\"node_counts\":");
-    push_seq(out, &p.node_counts, w_counts);
-    out.push_str(",\"totals\":");
-    w_counts(out, &p.totals);
-    out.push_str(",\"body_count\":");
-    w_u64_slice(out, &p.body_count);
-    out.push_str(",\"stamp\":");
-    w_u64_slice(out, &p.stamp);
-    let _ = write!(out, ",\"epoch\":{}}}", p.epoch);
-}
-
 fn w_engine(out: &mut String, e: &EngineSnapshot) {
     let _ = write!(out, "{{\"order\":{},\"theta\":", e.params.order);
     w_f64(out, e.params.mac.theta);
@@ -181,13 +137,7 @@ fn w_engine(out: &mut String, e: &EngineSnapshot) {
     });
     out.push_str(",\"tree\":");
     w_tree(out, &e.tree);
-    out.push_str(",\"plan\":");
-    push_opt(out, e.plan.as_ref(), w_plan);
-    let _ = write!(
-        out,
-        ",\"plan_stale\":{},\"counts_pending\":{}}}",
-        e.plan_stale, e.counts_pending
-    );
+    out.push('}');
 }
 
 fn w_filter(out: &mut String, f: &FilterSnapshot) {
@@ -407,23 +357,6 @@ fn r_vec3(v: &Json) -> Read<Vec3> {
     Ok(Vec3::new(r_f64(x)?, r_f64(y)?, r_f64(z)?))
 }
 
-fn r_lists(v: &Json) -> Read<Vec<Vec<u32>>> {
-    r_vec(v, |l| r_vec(l, r_int))
-}
-
-fn r_counts(v: &Json) -> Read<OpCounts> {
-    let [p2m, m2m, m2l, l2l, l2p, p2p, active] = r_tuple(v, "OpCounts")?;
-    Ok(OpCounts {
-        p2m_bodies: r_u64(p2m)?,
-        m2m_ops: r_u64(m2m)?,
-        m2l_ops: r_u64(m2l)?,
-        l2l_ops: r_u64(l2l)?,
-        l2p_bodies: r_u64(l2p)?,
-        p2p_interactions: r_u64(p2p)?,
-        active_nodes: r_u64(active)?,
-    })
-}
-
 fn r_node(v: &Json) -> Read<Node> {
     let [cx, cy, cz, hw, level, parent, first_child, begin, end, collapsed] = r_tuple(v, "node")?;
     Ok(Node {
@@ -447,21 +380,6 @@ fn r_tree(v: &Json) -> Read<TreeSnapshot> {
         root_center: r_vec3(field(v, "root_center")?)?,
         root_half_width: r_f64(field(v, "root_half_width")?)?,
         max_level: r_int(field(v, "max_level")?)?,
-    })
-}
-
-fn r_plan(v: &Json) -> Read<ListsSnapshot> {
-    Ok(ListsSnapshot {
-        theta: r_f64(field(v, "theta")?)?,
-        m2l: r_lists(field(v, "m2l")?)?,
-        p2p: r_lists(field(v, "p2p")?)?,
-        rev_m2l: r_lists(field(v, "rev_m2l")?)?,
-        rev_p2p: r_lists(field(v, "rev_p2p")?)?,
-        node_counts: r_vec(field(v, "node_counts")?, r_counts)?,
-        totals: r_counts(field(v, "totals")?)?,
-        body_count: r_vec(field(v, "body_count")?, r_int)?,
-        stamp: r_vec(field(v, "stamp")?, r_int)?,
-        epoch: r_int(field(v, "epoch")?)?,
     })
 }
 
@@ -490,14 +408,6 @@ fn r_engine(v: &Json) -> Read<EngineSnapshot> {
         },
         domain,
         tree: r_tree(field(v, "tree")?)?,
-        plan: r_opt(field(v, "plan")?, r_plan)?,
-        plan_stale: r_bool(field(v, "plan_stale")?)?,
-        // Absent in snapshots written before the field existed; those were
-        // only restorable when nothing was pending.
-        counts_pending: match v.get("counts_pending") {
-            Some(b) => r_bool(b)?,
-            None => false,
-        },
     })
 }
 
@@ -772,11 +682,6 @@ mod tests {
             assert_eq!(a.end, b.end);
             assert_eq!(a.collapsed, b.collapsed);
         }
-        let (pa, pb) = (back.plan.unwrap(), snap.plan.unwrap());
-        assert_eq!(pa.m2l, pb.m2l);
-        assert_eq!(pa.p2p, pb.p2p);
-        assert_eq!(pa.rev_m2l, pb.rev_m2l);
-        assert_eq!(pa.epoch, pb.epoch);
         // Serialization is deterministic: same state, same bytes.
         assert_eq!(text, engine_to_json(&e.checkpoint_state()));
     }
@@ -795,21 +700,21 @@ mod tests {
     }
 
     /// The writer's bytes are pinned: the engine payload's checksum and
-    /// length as first written (commit 932a1c7) for this seeded engine —
-    /// schema v2 changed the balancer's image, not the engine's. If this
-    /// moves, old checkpoints stop restoring and `SCHEMA_VERSION` must move
-    /// too.
+    /// length for this seeded engine as schema v3 writes them — v3 dropped
+    /// the plan (v2 changed the balancer's image, not the engine's). If
+    /// this moves, old checkpoints stop restoring and `SCHEMA_VERSION` must
+    /// move too.
     #[test]
     fn engine_checkpoint_bytes_are_pinned() {
         let text = engine_to_json(&sample_engine().checkpoint_state());
         assert!(
             text.starts_with(
-                "{\"schema_version\":2,\"kind\":\"engine\",\"checksum\":\"9f006982a9db3074\","
+                "{\"schema_version\":3,\"kind\":\"engine\",\"checksum\":\"c22aca8f6c0c6fe0\","
             ),
             "{}",
             &text[..80]
         );
-        assert_eq!(text.len(), 65418);
+        assert_eq!(text.len(), 29877);
     }
 
     #[test]
@@ -833,7 +738,7 @@ mod tests {
     fn wrong_schema_version_is_refused() {
         let e = sample_engine();
         let text = engine_to_json(&e.checkpoint_state());
-        let older = text.replacen("\"schema_version\":2", "\"schema_version\":1", 1);
+        let older = text.replacen("\"schema_version\":3", "\"schema_version\":2", 1);
         assert_ne!(older, text);
         let err = engine_from_json(&older).unwrap_err();
         assert!(
@@ -853,16 +758,23 @@ mod tests {
         );
     }
 
+    /// A restored engine has no plan until its first refresh, which builds
+    /// the one the checkpointed engine held.
     #[test]
     fn restored_engine_passes_audits() {
         let e = sample_engine();
         let text = engine_to_json(&e.checkpoint_state());
         let snap = engine_from_json(&text).unwrap();
-        let restored = FmmEngine::restore_state(GravityKernel::default(), snap).unwrap();
+        let mut restored = FmmEngine::restore_state(GravityKernel::default(), snap).unwrap();
         restored.audit_tree().unwrap();
-        restored.audit_plan().unwrap();
+        assert_eq!(restored.plan_epoch(), None);
         assert_eq!(restored.tree().s_value(), e.tree().s_value());
+        restored.refresh_plan();
+        restored.audit_plan().unwrap();
         assert_eq!(restored.plan_epoch(), e.plan_epoch());
+        assert!(restored.lists().m2l == e.lists().m2l);
+        assert!(restored.lists().p2p == e.lists().p2p);
+        assert_eq!(restored.counts(), e.counts());
     }
 
     #[test]

@@ -159,9 +159,9 @@ pub struct FmmEngine<K: Kernel> {
     plan_stale: bool,
     /// Bodies were re-binned since the plan last reconciled its per-node
     /// counts ([`FmmEngine::rebin`] sets it, [`FmmEngine::refresh_plan`]
-    /// clears it). Until then the plan's population snapshot lags the tree
-    /// by design, which audits and checkpoints must not mistake for rot.
-    counts_pending: bool,
+    /// clears it). Until then the plan's populations lag the tree by
+    /// design, which [`FmmEngine::audit_plan`] must not mistake for rot.
+    pub(crate) counts_pending: bool,
     /// Telemetry handle for the solve-phase spans; disabled by default.
     rec: telemetry::Recorder,
     /// Which device [`FmmEngine::time_step`] charges P2M/L2P to (the CPU by
@@ -332,11 +332,13 @@ impl<K: Kernel> FmmEngine<K> {
     /// The plan and the tree it describes, for a tree edit to go through.
     /// Edits never invalidate the plan: a stale or absent one is brought up
     /// first — the traversal the next solve would have paid — and then
-    /// patched like a live one. The boolean reports whether the plan was
-    /// live on entry.
+    /// patched like a live one. So is one a rebin left behind the tree: a
+    /// patch recounts the targets it touches, which would hide a cell the
+    /// rebin emptied or filled from the refresh that must re-traverse for
+    /// it. The boolean reports whether the plan was live on entry.
     fn plan_for_edit(&mut self) -> (&mut ExecutionPlan, &mut Octree, bool) {
         let live = self.has_live_plan();
-        if !live {
+        if !live || self.counts_pending {
             self.refresh_plan();
         }
         let plan = self.plan.as_mut().expect("plan refreshed above");
@@ -436,10 +438,10 @@ impl<K: Kernel> FmmEngine<K> {
             })
     }
 
-    /// Verify the live plan's invariants (inverse-list symmetry, per-node
-    /// `OpCounts` consistency, stamp/epoch monotonicity, population
-    /// snapshot). A missing or stale plan passes vacuously — nothing cached
-    /// is being trusted. Between a [`FmmEngine::rebin`] and the next
+    /// Verify the live plan: stamp/epoch monotonicity, and equality with a
+    /// fresh build of the tree ([`ExecutionPlan::audit`]). A missing or
+    /// stale plan passes vacuously — nothing cached is being trusted.
+    /// Between a [`FmmEngine::rebin`] and the next
     /// [`FmmEngine::refresh_plan`] the counts lag the tree legitimately, so
     /// the audit runs on a reconciled copy of the plan.
     pub fn audit_plan(&self) -> Result<(), crate::Error> {
@@ -504,63 +506,26 @@ impl<K: Kernel> FmmEngine<K> {
     /// Capture the complete engine state for checkpointing. Scratch buffers
     /// (tree-ordered gathers, expansion storage) are excluded: every solve
     /// resizes and overwrites them in full, so they carry no state across
-    /// steps. The plan's lists are captured *verbatim* — list order drives
-    /// float-summation order, so a restored engine must not re-traverse.
+    /// steps. So is the plan: it is a function of the tree, which a restored
+    /// engine's first refresh builds it from.
     pub fn checkpoint_state(&self) -> crate::checkpoint::EngineSnapshot {
         crate::checkpoint::EngineSnapshot {
             params: self.params,
             domain: self.domain,
             tree: self.tree.snapshot(),
-            plan: self
-                .plan
-                .as_ref()
-                .filter(|_| !self.plan_stale)
-                .map(ExecutionPlan::snapshot),
-            plan_stale: self.plan_stale,
-            counts_pending: self.counts_pending,
         }
     }
 
     /// Reconstruct an engine from a snapshot. The kernel is configuration
     /// (stateless), so the caller supplies it; everything stateful comes
-    /// from the snapshot, validated on the way in.
+    /// from the snapshot, validated on the way in. The engine has no plan
+    /// until its first refresh builds one.
     pub fn restore_state(
         kernel: K,
         snap: crate::checkpoint::EngineSnapshot,
     ) -> Result<Self, crate::Error> {
         let tree = Octree::from_snapshot(snap.tree).map_err(crate::Error::Checkpoint)?;
-        let plan = match snap.plan {
-            Some(ps) => {
-                let mut plan =
-                    ExecutionPlan::from_snapshot(ps).map_err(crate::Error::Checkpoint)?;
-                // Patches run the plan's own MAC: one the engine does not
-                // use would put the wrong pairs on the lists.
-                let (plan_theta, theta) = (plan.mac().theta, snap.params.mac.theta);
-                if plan_theta != theta {
-                    return Err(crate::Error::Checkpoint(format!(
-                        "plan MAC theta {plan_theta} differs from the engine's {theta}"
-                    )));
-                }
-                // A snapshot taken between `rebin` and the next refresh (the
-                // state `GravitySim::step` leaves) carries counts one
-                // reconciliation behind its tree. Do that reconciliation now
-                // — exactly what the next step would have started with — so
-                // the audit judges a consistent plan.
-                if snap.counts_pending {
-                    plan.refresh_counts(&tree);
-                }
-                plan.audit(&tree).map_err(|detail| {
-                    crate::Error::Checkpoint(format!("restored plan: {detail}"))
-                })?;
-                Some(plan)
-            }
-            None => None,
-        };
-        let plan_stale = snap.plan_stale || plan.is_none();
-        let mut engine = Self::from_tree(kernel, snap.params, tree, snap.domain);
-        engine.plan = plan;
-        engine.plan_stale = plan_stale;
-        Ok(engine)
+        Ok(Self::from_tree(kernel, snap.params, tree, snap.domain))
     }
 
     /// Chaos-harness access to the live plan for corruption injection. This
@@ -1103,6 +1068,38 @@ mod tests {
             assert_eq!(e.counts(), octree::count_ops(e.tree(), &fresh), "{name}");
             e.audit_plan().unwrap();
         }
+    }
+
+    /// A rebin that empties cells, then edits before any refresh: each edit
+    /// reconciles the plan first, so no emptied cell is recounted out of
+    /// the refresh that must re-traverse for it.
+    #[test]
+    fn edits_after_a_rebin_that_empties_cells_leave_the_plan_exact() {
+        let b = plummer(3000, 1.0, 1.0, 113);
+        let mut e = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, 8);
+        e.refresh_plan();
+        let mut moved = b.pos.clone();
+        let t = e.tree();
+        for leaf in t.active_leaves().into_iter().step_by(13) {
+            for i in t.node(leaf).range() {
+                let body = t.order()[i] as usize;
+                moved[body] = b.pos[(7 * body + 1) % b.len()];
+            }
+        }
+        e.rebin(&moved);
+        let t = e.tree();
+        let twigs: Vec<NodeId> = (t.visible_nodes().into_iter())
+            .filter(|&id| {
+                !t.node(id).is_leaf() && t.visible_children(id).all(|c| t.node(c).is_leaf())
+            })
+            .step_by(3)
+            .collect();
+        assert!(twigs.len() > 10);
+        for id in twigs {
+            assert!(e.apply_collapse(id));
+        }
+        e.refresh_plan();
+        e.audit_plan().unwrap();
     }
 
     #[test]

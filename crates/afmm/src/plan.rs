@@ -165,27 +165,10 @@ impl ExecutionPlan {
                 .sum::<usize>()
     }
 
-    /// Capture the list state for checkpointing. The GPU job cache is *not*
-    /// part of the snapshot: [`crate::build_gpu_jobs`] is a deterministic
-    /// function of tree + lists, so a restored plan regenerates the exact
-    /// same jobs lazily.
-    pub fn snapshot(&self) -> octree::ListsSnapshot {
-        self.inc.snapshot()
-    }
-
-    /// Reconstruct a plan from a snapshot verbatim, with the job cache
-    /// marked dirty for lazy regeneration.
-    pub fn from_snapshot(snap: octree::ListsSnapshot) -> Result<Self, String> {
-        Ok(ExecutionPlan {
-            inc: IncrementalLists::from_snapshot(snap)?,
-            jobs: Vec::new(),
-            job_leaves: Vec::new(),
-            jobs_state: Jobs::Stale,
-        })
-    }
-
-    /// Verify list invariants against `tree` (see
-    /// [`IncrementalLists::audit`]).
+    /// Verify the lists against a fresh build of `tree` (see
+    /// [`IncrementalLists::audit`]). The GPU job cache is a deterministic
+    /// function of tree and lists ([`crate::build_gpu_jobs`]), so it is not
+    /// audited.
     pub fn audit(&self, tree: &Octree) -> Result<(), String> {
         self.inc.audit(tree)
     }

@@ -449,10 +449,11 @@ impl<K: Kernel> StrategyTracker<K> {
     /// was corrupted can resume from a known-good trajectory point).
     ///
     /// A restored tracker continues **bit-identically** with the run it was
-    /// captured from: interaction lists come back verbatim, the noise RNG
-    /// state and filter windows are exact, and all floats round-trip by bit
-    /// pattern. Telemetry (recorder, audits) restarts fresh — it observes
-    /// the trajectory but never feeds back into it.
+    /// captured from: the first refresh builds the interaction lists the
+    /// run held (a plan is a function of its tree), the noise RNG state and
+    /// filter windows are exact, and all floats round-trip by bit pattern.
+    /// Telemetry (recorder, audits) restarts fresh — it observes the
+    /// trajectory but never feeds back into it.
     /// The [`crate::ExecPolicy`] is configuration too, and *does* feed
     /// back (it decides which device P2M/L2P are timed on): the restored
     /// engine starts from the default, so a caller that ran under another
@@ -738,9 +739,10 @@ mod tests {
     }
 
     /// `GravitySim::step` ends with `rebin` and (when the balancer does not
-    /// act) no refresh, so a checkpoint of its engine carries counts one
-    /// reconciliation behind the tree. Such a snapshot must restore, and
-    /// the restored engine must continue bit-identically.
+    /// act) no refresh, so its engine is checkpointed with a live plan one
+    /// count reconciliation behind the tree. Such a snapshot must restore,
+    /// and the restored engine — whose first refresh builds its plan from
+    /// the tree — must continue bit-identically.
     #[test]
     fn engine_checkpoint_between_rebin_and_refresh_resumes_bit_identically() {
         let mk = || {
@@ -768,15 +770,15 @@ mod tests {
         let mut steps = 0;
         // Three steps, then on to the first state the bug lived in: a live
         // plan snapshotted with its counts pending.
-        let snap = loop {
+        loop {
             step_both(&mut whole, &mut resumed);
             steps += 1;
-            let snap = whole.engine.checkpoint_state();
-            if steps >= 3 && snap.plan.is_some() && snap.counts_pending {
-                break snap;
+            if steps >= 3 && whole.engine.has_live_plan() && whole.engine.counts_pending {
+                break;
             }
             assert!(steps < 40, "balancer never left a live plan pending");
-        };
+        }
+        let snap = whole.engine.checkpoint_state();
         whole
             .engine
             .audit_plan()
@@ -785,8 +787,8 @@ mod tests {
         let text = crate::checkpoint::engine_to_json(&snap);
         let snap = crate::checkpoint::engine_from_json(&text).unwrap();
         resumed.engine = FmmEngine::restore_state(resumed.engine.kernel, snap)
-            .expect("a mid-step snapshot passes its own restore audit");
-        resumed.engine.audit_plan().unwrap();
+            .expect("a mid-step snapshot restores");
+        resumed.engine.audit_tree().unwrap();
 
         for _ in 0..3 {
             step_both(&mut whole, &mut resumed);

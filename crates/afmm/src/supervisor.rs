@@ -35,7 +35,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 pub struct SupervisorConfig {
     /// Rung-1 retries before escalating.
     pub max_retries: usize,
-    /// Audit every N-th step (1 = every step, 0 = audits off).
+    /// Audit every N-th step (1 = every step, 0 = audits off). The plan
+    /// audit traverses the tree, so it costs about a plan build.
     pub audit_every: usize,
     /// Take an automatic checkpoint every N-th step (0 = manual only via
     /// [`Supervisor::checkpoint_now`]).
@@ -194,9 +195,10 @@ impl<K: Kernel + Copy> Supervisor<K> {
     }
 
     /// Do positions, tree and plan all pass their audits right now?
-    /// Checkpoints must only capture state that does — a snapshot of a
-    /// corrupted plan would poison the last-resort restore rung (restore
-    /// re-audits on load and refuses it).
+    /// Checkpoints must only capture state that does: the last-resort
+    /// restore rung rewinds to it. (A checkpoint holds no plan — the
+    /// restored engine builds one from the tree — but a corrupted plan
+    /// means the step that produced this state cannot be trusted.)
     fn state_healthy(&self, pos: &[Vec3]) -> bool {
         FmmEngine::<K>::audit_bodies(pos).is_ok()
             && self.tracker.engine().audit_tree().is_ok()

@@ -310,6 +310,18 @@ impl Octree {
         if self.nodes.is_empty() {
             return Err("no root".into());
         }
+        // Every allocated node's body range is well-formed — hidden ones
+        // too: their stale ranges need not nest, but populations are read
+        // off every node.
+        let bodies = self.order.len();
+        let malformed = |n: &Node| n.begin > n.end || n.end as usize > bodies;
+        if let Some(id) = self.nodes.iter().position(malformed) {
+            let n = &self.nodes[id];
+            return Err(format!(
+                "node {id} has body range {}..{}, not within 0..{bodies}",
+                n.begin, n.end
+            ));
+        }
         let root = self.node(Self::ROOT);
         if root.count() != self.order.len() {
             return Err(format!(

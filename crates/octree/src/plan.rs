@@ -22,6 +22,21 @@
 //! 4. recomputes the per-node [`OpCounts`] contributions of the dirty set —
 //!    the edited subtree plus every target whose list was touched.
 //!
+//! A plan is a function of its tree: after any sequence of patches and
+//! refreshes its forward lists, counts and populations equal a fresh build's,
+//! entry for entry and in order. A fresh traversal lists each target's
+//! sources in strictly descending [`Node::begin`](crate::Node::begin), and
+//! everything one patch removes from or adds to a target's list lies inside
+//! the edited node's body range — one contiguous run of that list. So the
+//! first time a patch touches a target's list it binary-searches that run by
+//! `begin` (a copy of every node's, four bytes each, kept by the plan) and
+//! marks it stale (it is exactly what the patch removes); the
+//! restricted traversal's new entries for that list (already in descending
+//! `begin`) overwrite the stale run in order, and the list is settled once:
+//! stale entries left over are drained, new ones beyond the run were pushed
+//! onto the end and are rotated into place. The inverse lists are an
+//! unordered index: nothing reads their order.
+//!
 //! Per-node contributions are cached so totals update by subtraction and
 //! re-addition of only the dirty nodes.
 
@@ -45,24 +60,6 @@ pub enum PlanRefresh {
     Rebuilt,
 }
 
-/// Plain-data image of an [`IncrementalLists`] for checkpointing. The list
-/// *order* is part of the state: downstream float summation follows list
-/// iteration order, so a restored plan must replay entries verbatim — never
-/// re-derive them from a fresh traversal — for bit-identical continuation.
-#[derive(Clone, Debug)]
-pub struct ListsSnapshot {
-    pub theta: f64,
-    pub m2l: Vec<Vec<NodeId>>,
-    pub p2p: Vec<Vec<NodeId>>,
-    pub rev_m2l: Vec<Vec<NodeId>>,
-    pub rev_p2p: Vec<Vec<NodeId>>,
-    pub node_counts: Vec<OpCounts>,
-    pub totals: OpCounts,
-    pub body_count: Vec<u32>,
-    pub stamp: Vec<u32>,
-    pub epoch: u32,
-}
-
 /// Relatedness of a traversal-state endpoint to the edited node: outside its
 /// story entirely, a (strict or non-strict) ancestor, or inside the post-edit
 /// visible subtree.
@@ -80,8 +77,9 @@ pub struct IncrementalLists {
     mac: Mac,
     lists: InteractionLists,
     /// `rev_m2l[b]` = every target `a` with `b ∈ lists.m2l[a]` (a multiset:
-    /// ascending after a rebuild, in patch order after edits). The O(degree)
-    /// handle on "who references this node?".
+    /// ascending after a rebuild, in patch order after edits — no solve, job
+    /// or count reads it in order). The O(degree) handle on "who references
+    /// this node?".
     rev_m2l: Vec<Vec<NodeId>>,
     /// Likewise for P2P source lists.
     rev_p2p: Vec<Vec<NodeId>>,
@@ -91,23 +89,112 @@ pub struct IncrementalLists {
     /// Population snapshot at the last build/patch/refresh — the
     /// emptiness-flip detector for [`IncrementalLists::refresh_counts`].
     body_count: Vec<u32>,
+    /// Every node's [`Node::begin`](crate::Node::begin), copied from the
+    /// tree by builds, refreshes and patches: the key the patch
+    /// binary-searches lists by, four bytes a node instead of a whole node.
+    begin: Vec<u32>,
     /// Epoch-stamped scratch marks (ancestor path, dirty dedup, visibility)
     /// so per-patch set membership needs no O(n) clear.
     stamp: Vec<u32>,
     epoch: u32,
     /// Warm DFS stack for [`IncrementalLists::refresh_counts`]'s visibility
-    /// walk; pure scratch, excluded from snapshots and audits.
+    /// walk; pure scratch, excluded from equality and audits.
     walk: Vec<NodeId>,
+    /// `cursor[a][kind]`: where the patch in progress puts the next new
+    /// entry of target `a`'s M2L (`kind` 0) or P2P (1) list; [`Cursor::IDLE`]
+    /// between patches. Pure scratch.
+    cursor: Vec<[Cursor; 2]>,
     /// Warm buffers of [`IncrementalLists::rebuild`]'s traversal and
     /// inverse lists; pure scratch.
     traversal: Traversal,
     inverse: InverseScratch,
 }
 
+/// Where a patch puts a target's next new entry in one of its lists.
+#[derive(Clone, Copy, Debug)]
+struct Cursor {
+    /// The position, or [`Cursor::UNPLACED`] until the patch first touches
+    /// the list.
+    at: u32,
+    /// Entries the patch has removed but not yet taken out of the list:
+    /// the run from `at` on. New entries overwrite them first.
+    stale: u32,
+    /// New entries that found no stale one left, pushed onto the list's end
+    /// to be rotated to `at` when the list is settled.
+    pushed: u32,
+}
+
+impl Cursor {
+    const UNPLACED: u32 = u32::MAX;
+    const IDLE: Cursor = Cursor {
+        at: Cursor::UNPLACED,
+        stale: 0,
+        pushed: 0,
+    };
+
+    /// Place an unplaced cursor on list `v` of a patch whose edited node
+    /// holds the bodies `range`, `begin` being every node's. The list
+    /// descends in `begin`, and its entries inside the edited subtree are
+    /// the ones whose `begin` lies in `range` (a cell overlapping them, such
+    /// as an ancestor, cannot share the list): the run the patch removes,
+    /// all stale, found by one binary search and a walk over the run. A list
+    /// with no such entry gets an empty run where the subtree's entries
+    /// belong.
+    fn place(&mut self, begin: &[u32], v: &[NodeId], range: &std::ops::Range<u32>) {
+        if self.at == Cursor::UNPLACED {
+            let at = v.partition_point(|&x| begin[x as usize] >= range.end);
+            let run = v[at..]
+                .iter()
+                .take_while(|&&x| range.contains(&begin[x as usize]));
+            (self.at, self.stale) = (at as u32, run.count() as u32);
+        }
+    }
+
+    /// Put list `v` in order once the patch's traversal is done — drain
+    /// the stale entries left, or move the pushed ones to the cursor — and
+    /// go idle.
+    fn settle(&mut self, v: &mut Vec<NodeId>) {
+        let at = self.at as usize;
+        if self.stale > 0 {
+            v.drain(at..at + self.stale as usize);
+        } else if self.pushed > 0 {
+            v[at..].rotate_right(self.pushed as usize);
+        }
+        *self = Cursor::IDLE;
+    }
+}
+
+/// Drop `x` from an inverse list, whose order nothing reads.
 fn remove_one(v: &mut Vec<NodeId>, x: NodeId) {
     if let Some(pos) = v.iter().position(|&e| e == x) {
         v.swap_remove(pos);
     }
+}
+
+/// Put source `b` into a forward list at the cursor: over the next stale
+/// entry while any is left, else onto the end for [`Cursor::settle`].
+fn put_at_cursor(v: &mut Vec<NodeId>, b: NodeId, cursor: &mut Cursor) {
+    if cursor.stale > 0 {
+        v[cursor.at as usize] = b;
+        cursor.at += 1;
+        cursor.stale -= 1;
+    } else {
+        v.push(b);
+        cursor.pushed += 1;
+    }
+}
+
+/// `rev[b]` = every target whose forward list names `b`, pushed in
+/// ascending target order: the inverse lists serially, as the audit and
+/// tests derive them.
+fn invert(fwd: &[Vec<NodeId>]) -> Vec<Vec<NodeId>> {
+    let mut rev = vec![Vec::new(); fwd.len()];
+    for (a, sources) in fwd.iter().enumerate() {
+        for &b in sources {
+            rev[b as usize].push(a as NodeId);
+        }
+    }
+    rev
 }
 
 /// The post-/pre-edit visible subtree rooted at `id`, including `id`.
@@ -146,6 +233,25 @@ impl InverseScratch {
     fn heap_bytes(&self) -> usize {
         self.rows.capacity() * std::mem::size_of::<u32>()
             + self.spread.capacity() * std::mem::size_of::<[(NodeId, NodeId); 2]>()
+    }
+}
+
+/// Equal plans hold the same state — everything a build determines: the
+/// MAC, forward and inverse lists in their order, per-node counts, totals,
+/// populations, stamps and epoch. Scratch is not state.
+impl PartialEq for IncrementalLists {
+    fn eq(&self, other: &Self) -> bool {
+        self.mac.theta.to_bits() == other.mac.theta.to_bits()
+            && self.lists.m2l == other.lists.m2l
+            && self.lists.p2p == other.lists.p2p
+            && self.rev_m2l == other.rev_m2l
+            && self.rev_p2p == other.rev_p2p
+            && self.node_counts == other.node_counts
+            && self.totals == other.totals
+            && self.body_count == other.body_count
+            && self.begin == other.begin
+            && self.stamp == other.stamp
+            && self.epoch == other.epoch
     }
 }
 
@@ -190,9 +296,11 @@ impl IncrementalLists {
             node_counts: Vec::new(),
             totals: OpCounts::default(),
             body_count: Vec::new(),
+            begin: Vec::new(),
             stamp: Vec::new(),
             epoch: 0,
             walk: Vec::new(),
+            cursor: Vec::new(),
             traversal: Traversal::default(),
             inverse: InverseScratch::default(),
         };
@@ -226,7 +334,11 @@ impl IncrementalLists {
         self.body_count
             .extend((0..n).map(|i| tree.node(i as NodeId).count() as u32));
         trim(&mut self.body_count);
+        self.begin.clear();
+        (self.begin).extend((0..n).map(|i| tree.node(i as NodeId).begin));
+        trim(&mut self.begin);
         refill(&mut self.stamp, n, 0);
+        refill(&mut self.cursor, n, [Cursor::IDLE; 2]);
         self.epoch = 0;
     }
 
@@ -304,9 +416,10 @@ impl IncrementalLists {
             + crate::traversal::nested_vec_bytes(&self.rev_m2l)
             + crate::traversal::nested_vec_bytes(&self.rev_p2p)
             + self.node_counts.capacity() * std::mem::size_of::<OpCounts>()
-            + self.body_count.capacity() * std::mem::size_of::<u32>()
+            + (self.body_count.capacity() + self.begin.capacity()) * std::mem::size_of::<u32>()
             + self.stamp.capacity() * std::mem::size_of::<u32>()
             + self.walk.capacity() * std::mem::size_of::<NodeId>()
+            + self.cursor.capacity() * std::mem::size_of::<[Cursor; 2]>()
             + self.traversal.heap_bytes()
             + self.inverse.heap_bytes()
     }
@@ -328,149 +441,66 @@ impl IncrementalLists {
         self.epoch
     }
 
-    /// Capture the complete plan state — lists in their exact stored order,
-    /// inverse lists, cached per-node counts, stamps and epoch — for
-    /// checkpointing.
-    pub fn snapshot(&self) -> ListsSnapshot {
-        ListsSnapshot {
-            theta: self.mac.theta,
-            m2l: self.lists.m2l.clone(),
-            p2p: self.lists.p2p.clone(),
-            rev_m2l: self.rev_m2l.clone(),
-            rev_p2p: self.rev_p2p.clone(),
-            node_counts: self.node_counts.clone(),
-            totals: self.totals,
-            body_count: self.body_count.clone(),
-            stamp: self.stamp.clone(),
-            epoch: self.epoch,
-        }
-    }
-
-    /// Reconstruct a plan from a snapshot verbatim. Validation is the
-    /// caller's job (run [`IncrementalLists::audit`] against the restored
-    /// tree); this constructor only checks array-shape agreement and that
-    /// θ is one [`Mac::new`] accepts.
-    pub fn from_snapshot(snap: ListsSnapshot) -> Result<IncrementalLists, String> {
-        if !(snap.theta > 0.0 && snap.theta <= 1.0) {
-            return Err(format!("plan MAC theta {} out of (0, 1]", snap.theta));
-        }
-        let n = snap.m2l.len();
-        if snap.p2p.len() != n
-            || snap.rev_m2l.len() != n
-            || snap.rev_p2p.len() != n
-            || snap.node_counts.len() != n
-            || snap.body_count.len() != n
-            || snap.stamp.len() != n
-        {
-            return Err("plan snapshot arrays disagree on node count".into());
-        }
-        Ok(IncrementalLists {
-            mac: Mac::new(snap.theta),
-            lists: InteractionLists {
-                m2l: snap.m2l,
-                p2p: snap.p2p,
-            },
-            rev_m2l: snap.rev_m2l,
-            rev_p2p: snap.rev_p2p,
-            node_counts: snap.node_counts,
-            totals: snap.totals,
-            body_count: snap.body_count,
-            stamp: snap.stamp,
-            epoch: snap.epoch,
-            // Scratch is not state: a restored plan re-warms on first refresh.
-            walk: Vec::new(),
-            traversal: Traversal::default(),
-            inverse: InverseScratch::default(),
-        })
-    }
-
-    /// Verify the plan's internal invariants against `tree`. Valid on a
-    /// *quiescent* plan — one whose last operation was a build, patch or
+    /// Verify the plan against `tree`. Valid on a *quiescent* plan — one
+    /// whose last operation was a build, patch or
     /// [`IncrementalLists::refresh_counts`] — which is how the supervisor
     /// calls it (after a completed step, before trusting cached state).
     ///
-    /// Checks, in order: array shapes; stamp/epoch monotonicity (no scratch
-    /// mark may postdate the epoch clock); inverse-list symmetry as exact
-    /// multiset equality in both directions; per-node [`OpCounts`] agreement
-    /// with a recount of every visible node (and zero contributions from
-    /// hidden ones); totals equal to the sum of cached contributions; and the
-    /// population snapshot matching the tree.
+    /// Two checks: no scratch stamp postdates the epoch clock; and the plan
+    /// is what a fresh build of `tree` holds — forward lists equal to a
+    /// fresh [`crate::dual_traversal`] entry for entry, inverse lists the
+    /// mirror of the forward lists as multisets (inverted here, not by the
+    /// build's code), per-node [`OpCounts`] a serial recount of the visible
+    /// nodes and zero elsewhere, totals their sum, populations and `begin`
+    /// keys the tree's.
     pub fn audit(&self, tree: &Octree) -> Result<(), String> {
         let n = tree.num_nodes();
-        if self.lists.m2l.len() != n
-            || self.lists.p2p.len() != n
-            || self.rev_m2l.len() != n
-            || self.rev_p2p.len() != n
-            || self.node_counts.len() != n
-            || self.body_count.len() != n
-            || self.stamp.len() != n
-        {
+        let sized = self.rev_m2l.len() == n && self.rev_p2p.len() == n && self.stamp.len() == n;
+        let sized = sized && self.begin.len() == n && self.node_counts.len() == n;
+        if !sized || self.body_count.len() != n {
+            return Err(format!("plan arrays are not sized for {n} nodes"));
+        }
+        if let Some(i) = self.stamp.iter().position(|&s| s > self.epoch) {
             return Err(format!(
-                "plan arrays sized for {} nodes but tree has {n}",
-                self.lists.m2l.len()
+                "stamp[{i}] = {} postdates plan epoch {}",
+                self.stamp[i], self.epoch
             ));
         }
-        for (i, &s) in self.stamp.iter().enumerate() {
-            if s > self.epoch {
+        let fresh = crate::dual_traversal(tree, self.mac);
+        for (what, got, want, rev) in [
+            ("M2L", &self.lists.m2l, &fresh.m2l, &self.rev_m2l),
+            ("P2P", &self.lists.p2p, &fresh.p2p, &self.rev_p2p),
+        ] {
+            if got != want {
+                return Err(format!("{what} lists differ from a fresh traversal"));
+            }
+            let mirror = invert(want);
+            if let Some(b) = (0..n).find(|&b| {
+                let mut got = rev[b].clone();
+                got.sort_unstable();
+                got != mirror[b]
+            }) {
                 return Err(format!(
-                    "stamp[{i}] = {s} postdates plan epoch {}",
-                    self.epoch
+                    "inverse {what} list of {b} is not the lists' mirror"
                 ));
             }
         }
-        // Inverse-list symmetry: rebuild the reverse mapping from the forward
-        // lists and require multiset equality per node.
-        let mut want_rev_m2l: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let mut want_rev_p2p: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for a in 0..n {
-            for &b in &self.lists.m2l[a] {
-                if b as usize >= n {
-                    return Err(format!("m2l[{a}] references node {b} out of range"));
-                }
-                want_rev_m2l[b as usize].push(a as NodeId);
-            }
-            for &b in &self.lists.p2p[a] {
-                if b as usize >= n {
-                    return Err(format!("p2p[{a}] references node {b} out of range"));
-                }
-                want_rev_p2p[b as usize].push(a as NodeId);
-            }
-        }
-        for b in 0..n {
-            let mut want = want_rev_m2l[b].clone();
-            let mut got = self.rev_m2l[b].clone();
-            want.sort_unstable();
-            got.sort_unstable();
-            if want != got {
-                return Err(format!("rev_m2l[{b}] is not the mirror of the M2L lists"));
-            }
-            let mut want = want_rev_p2p[b].clone();
-            let mut got = self.rev_p2p[b].clone();
-            want.sort_unstable();
-            got.sort_unstable();
-            if want != got {
-                return Err(format!("rev_p2p[{b}] is not the mirror of the P2P lists"));
-            }
-        }
-        // OpCounts consistency: cached contributions must recount, and the
-        // totals must be their sum.
-        let mut sum = OpCounts::default();
         let mut visible = vec![false; n];
         for id in tree.visible_nodes() {
             visible[id as usize] = true;
-            let want = node_op_counts(tree, &self.lists, id);
-            if self.node_counts[id as usize] != want {
+        }
+        let mut sum = OpCounts::default();
+        for (id, &got) in self.node_counts.iter().enumerate() {
+            let want = match visible[id] {
+                true => node_op_counts(tree, &fresh, id as NodeId),
+                false => OpCounts::default(),
+            };
+            if got != want {
                 return Err(format!(
-                    "node_counts[{id}] = {:?} but recount gives {want:?}",
-                    self.node_counts[id as usize]
+                    "node_counts[{id}] = {got:?} but recount gives {want:?}"
                 ));
             }
-        }
-        for (i, c) in self.node_counts.iter().enumerate() {
-            if !visible[i] && *c != OpCounts::default() {
-                return Err(format!("hidden node {i} carries nonzero counts"));
-            }
-            sum += *c;
+            sum += got;
         }
         if sum != self.totals {
             return Err(format!(
@@ -478,14 +508,15 @@ impl IncrementalLists {
                 self.totals
             ));
         }
-        for i in 0..n {
-            let now = tree.node(i as NodeId).count() as u32;
-            if self.body_count[i] != now {
-                return Err(format!(
-                    "body_count[{i}] = {} but tree holds {now}",
-                    self.body_count[i]
-                ));
-            }
+        if let Some(i) =
+            (0..n).find(|&i| self.body_count[i] != tree.node(i as NodeId).count() as u32)
+        {
+            return Err(format!(
+                "body_count[{i}] differs from the tree's population"
+            ));
+        }
+        if let Some(i) = (0..n).find(|&i| self.begin[i] != tree.node(i as NodeId).begin) {
+            return Err(format!("begin[{i}] differs from the tree's"));
         }
         Ok(())
     }
@@ -520,7 +551,10 @@ impl IncrementalLists {
     }
 
     /// Patch the plan through `tree.collapse(id)`. Returns false (tree and
-    /// plan untouched) when the collapse is a no-op.
+    /// plan untouched) when the collapse is a no-op. After an
+    /// [`Octree::rebin`], call [`IncrementalLists::refresh_counts`] first:
+    /// a patch recounts the targets it touches, which would hide a cell the
+    /// rebin emptied or filled from the refresh that must re-traverse.
     pub fn apply_collapse(&mut self, tree: &mut Octree, id: NodeId) -> bool {
         let _mem = telemetry::AllocScope::enter("plan.patch");
         if tree.node(id).is_leaf() {
@@ -534,7 +568,8 @@ impl IncrementalLists {
     }
 
     /// Patch the plan through `tree.push_down(id)`. Returns false (tree and
-    /// plan untouched) when the push-down is refused.
+    /// plan untouched) when the push-down is refused. As with
+    /// [`IncrementalLists::apply_collapse`], refresh after a rebin first.
     pub fn apply_push_down(&mut self, tree: &mut Octree, id: NodeId) -> bool {
         let _mem = telemetry::AllocScope::enter("plan.patch");
         if !tree.push_down(id) {
@@ -592,6 +627,7 @@ impl IncrementalLists {
         self.walk = walk;
         let mut moved = false;
         for i in 0..n {
+            self.begin[i] = tree.node(i as NodeId).begin;
             let now = tree.node(i as NodeId).count() as u32;
             let before = self.body_count[i];
             if now == before {
@@ -619,8 +655,9 @@ impl IncrementalLists {
         PlanRefresh::Patched { recounted: seen }
     }
 
-    /// Recompute the cached contributions of `dirty` (dedup via stamps) and
-    /// fold them into the totals.
+    /// Settle the lists of `dirty` ([`Cursor::settle`]), recompute their
+    /// cached contributions (dedup via stamps) and fold them into the
+    /// totals.
     fn recount(&mut self, tree: &Octree, dirty: &[NodeId]) {
         self.epoch += 1;
         let epoch = self.epoch;
@@ -630,6 +667,9 @@ impl IncrementalLists {
                 continue;
             }
             self.stamp[di] = epoch;
+            let [m2l, p2p] = &mut self.cursor[di];
+            m2l.settle(&mut self.lists.m2l[di]);
+            p2p.settle(&mut self.lists.p2p[di]);
             self.totals -= self.node_counts[di];
             let c = if tree.is_visible(d) {
                 node_op_counts(tree, &self.lists, d)
@@ -654,32 +694,39 @@ impl IncrementalLists {
             self.rev_p2p.resize_with(n, Vec::new);
             self.node_counts.resize(n, OpCounts::default());
             self.body_count.resize(n, 0);
+            self.begin.resize(n, 0);
             self.stamp.resize(n, 0);
+            self.cursor.resize(n, [Cursor::IDLE; 2]);
         }
         let mut dirty: Vec<NodeId> = Vec::new();
+        let range = tree.node(edit).begin..tree.node(edit).end;
 
         // 1. Drop every list entry with an endpoint in the old subtree. The
         //    inverse lists make the source side O(degree); removals tolerate
-        //    already-cleared targets (both endpoints in the subtree).
+        //    already-cleared targets (both endpoints in the subtree). A list
+        //    inside the subtree is emptied whole; in one outside, the run of
+        //    entries inside the subtree is marked stale, for step 2 to
+        //    overwrite and step 3 to drain.
         for &a in affected_old {
             let ai = a as usize;
-            let m2l_a = std::mem::take(&mut self.lists.m2l[ai]);
-            for &b in &m2l_a {
-                remove_one(&mut self.rev_m2l[b as usize], a);
-            }
-            let p2p_a = std::mem::take(&mut self.lists.p2p[ai]);
-            for &b in &p2p_a {
-                remove_one(&mut self.rev_p2p[b as usize], a);
-            }
-            let rm = std::mem::take(&mut self.rev_m2l[ai]);
-            for &t in &rm {
-                remove_one(&mut self.lists.m2l[t as usize], a);
-                dirty.push(t);
-            }
-            let rp = std::mem::take(&mut self.rev_p2p[ai]);
-            for &t in &rp {
-                remove_one(&mut self.lists.p2p[t as usize], a);
-                dirty.push(t);
+            for (kind, (fwd, rev)) in [
+                (&mut self.lists.m2l, &mut self.rev_m2l),
+                (&mut self.lists.p2p, &mut self.rev_p2p),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                for b in std::mem::take(&mut fwd[ai]) {
+                    remove_one(&mut rev[b as usize], a);
+                }
+                self.cursor[ai][kind] = Cursor {
+                    at: 0,
+                    ..Cursor::IDLE
+                };
+                for t in std::mem::take(&mut rev[ai]) {
+                    self.cursor[t as usize][kind].place(&self.begin, &fwd[t as usize], &range);
+                    dirty.push(t);
+                }
             }
             dirty.push(a);
         }
@@ -714,20 +761,25 @@ impl IncrementalLists {
                 if na.count() == 0 || nb.count() == 0 {
                     continue;
                 }
-                if a != b && self.mac.accepts(tree, a, b) {
-                    if ra == Rel::Sub || rb == Rel::Sub {
-                        self.lists.m2l[a as usize].push(b);
-                        self.rev_m2l[b as usize].push(a);
-                        dirty.push(a);
-                    }
-                    continue;
-                }
                 let a_leaf = na.is_leaf();
                 let b_leaf = nb.is_leaf();
-                if a_leaf && b_leaf {
+                // The list the pair joins, M2L (0) or P2P (1), if it ends here.
+                let kind = if a != b && self.mac.accepts(tree, a, b) {
+                    Some(0)
+                } else {
+                    (a_leaf && b_leaf).then_some(1)
+                };
+                if let Some(kind) = kind {
                     if ra == Rel::Sub || rb == Rel::Sub {
-                        self.lists.p2p[a as usize].push(b);
-                        self.rev_p2p[b as usize].push(a);
+                        let (fwd, rev) = match kind {
+                            0 => (&mut self.lists.m2l, &mut self.rev_m2l),
+                            _ => (&mut self.lists.p2p, &mut self.rev_p2p),
+                        };
+                        let (cursor, list) =
+                            (&mut self.cursor[a as usize][kind], &mut fwd[a as usize]);
+                        cursor.place(&self.begin, list, &range);
+                        put_at_cursor(list, b, cursor);
+                        rev[b as usize].push(a);
                         dirty.push(a);
                     }
                     continue;
@@ -767,10 +819,16 @@ impl IncrementalLists {
             }
         }
 
-        // 3. Everything in the new subtree gets a fresh contribution (newly
-        //    visible nodes need one, the edited node changed role); hidden
-        //    old-subtree nodes drop to zero via the visibility check.
-        dirty.extend(visible_subtree(tree, edit));
+        // 3. Every target touched above is dirty, and is settled as it is
+        //    recounted. Everything in the new subtree gets a fresh
+        //    contribution too (newly visible nodes need one, the edited node
+        //    changed role); hidden old-subtree nodes drop to zero via the
+        //    visibility check.
+        let subtree = visible_subtree(tree, edit);
+        for &c in &subtree {
+            self.begin[c as usize] = tree.node(c).begin;
+        }
+        dirty.extend(subtree);
         self.recount(tree, &dirty);
     }
 }
@@ -798,51 +856,14 @@ mod tests {
             .collect()
     }
 
-    fn normalized(lists: &InteractionLists) -> (Vec<Vec<NodeId>>, Vec<Vec<NodeId>>) {
-        let sort = |v: &[Vec<NodeId>]| {
-            v.iter()
-                .map(|l| {
-                    let mut l = l.clone();
-                    l.sort_unstable();
-                    l
-                })
-                .collect::<Vec<_>>()
-        };
-        (sort(&lists.m2l), sort(&lists.p2p))
-    }
-
-    /// Patched plan ≡ fresh traversal + fresh counts, order-insensitively.
+    /// Patched plan ≡ fresh traversal + fresh counts, entry for entry, and
+    /// it passes its audit (which compares it with a fresh build).
     fn assert_matches_fresh(tree: &Octree, plan: &IncrementalLists) {
         let fresh = dual_traversal(tree, plan.mac());
-        assert_eq!(
-            normalized(plan.lists()),
-            normalized(&fresh),
-            "lists diverged"
-        );
+        assert!(plan.lists().m2l == fresh.m2l, "M2L lists diverged");
+        assert!(plan.lists().p2p == fresh.p2p, "P2P lists diverged");
         assert_eq!(plan.counts(), count_ops(tree, &fresh), "counts diverged");
-        // Inverse lists must mirror the forward lists exactly.
-        let mut rev_m2l = vec![Vec::new(); tree.num_nodes()];
-        let mut rev_p2p = vec![Vec::new(); tree.num_nodes()];
-        for a in 0..tree.num_nodes() {
-            for &b in &plan.lists().m2l[a] {
-                rev_m2l[b as usize].push(a as NodeId);
-            }
-            for &b in &plan.lists().p2p[a] {
-                rev_p2p[b as usize].push(a as NodeId);
-            }
-        }
-        for b in 0..tree.num_nodes() {
-            let mut want = rev_m2l[b].clone();
-            let mut got = plan.rev_m2l[b].clone();
-            want.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(got, want, "rev_m2l[{b}] diverged");
-            let mut want = rev_p2p[b].clone();
-            let mut got = plan.rev_p2p[b].clone();
-            want.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(got, want, "rev_p2p[{b}] diverged");
-        }
+        plan.audit(tree).unwrap();
     }
 
     #[test]
@@ -996,6 +1017,60 @@ mod tests {
         let outcome = plan.refresh_counts(&tree);
         assert_eq!(outcome, PlanRefresh::Rebuilt);
         assert_matches_fresh(&tree, &plan);
+    }
+
+    #[test]
+    fn audit_refuses_a_reordered_list() {
+        let pos = random_points(900, 81);
+        let tree = build_adaptive(&pos, BuildParams::with_s(16));
+        let mut plan = IncrementalLists::build(&tree, Mac::default());
+        plan.audit(&tree).unwrap();
+        let list = (plan.lists.m2l.iter_mut())
+            .find(|l| l.len() > 1)
+            .expect("a list of two");
+        list.swap(0, 1);
+        let err = plan.audit(&tree).unwrap_err();
+        assert!(err.contains("M2L lists"), "{err}");
+    }
+
+    #[test]
+    fn built_inverse_lists_are_the_ascending_mirror_at_every_width() {
+        let pos = random_points(20_000, 82);
+        let tree = build_adaptive(&pos, BuildParams::with_s(16));
+        assert!(tree.num_nodes() > 2048, "{} nodes", tree.num_nodes());
+        for width in [1, 2, 3, 8] {
+            let plan = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap()
+                .install(|| IncrementalLists::build(&tree, Mac::default()));
+            assert!(plan.rev_m2l == invert(&plan.lists.m2l), "width {width}");
+            assert!(plan.rev_p2p == invert(&plan.lists.p2p), "width {width}");
+        }
+    }
+
+    #[test]
+    fn audit_refuses_inverse_lists_that_are_not_the_mirror() {
+        let pos = random_points(900, 83);
+        let tree = build_adaptive(&pos, BuildParams::with_s(16));
+        let plan = IncrementalLists::build(&tree, Mac::default());
+        let b = (plan.rev_m2l.iter().position(|l| l.len() > 1)).expect("a source named twice");
+        let mut dropped = plan.clone();
+        dropped.rev_m2l[b].pop();
+        let mut doubled = plan.clone();
+        doubled.rev_m2l[b][0] = doubled.rev_m2l[b][1];
+        let mut shuffled = plan.clone();
+        shuffled.rev_m2l[b].reverse();
+        for (what, plan) in [("dropped", dropped), ("doubled", doubled)] {
+            let err = plan.audit(&tree).unwrap_err();
+            assert!(
+                err.contains(&format!("inverse M2L list of {b}")),
+                "{what}: {err}"
+            );
+        }
+        shuffled
+            .audit(&tree)
+            .expect("order of an inverse list is free");
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl InteractionLists {
     }
 
     /// Structural heap footprint: outer spines plus every per-node list's
-    /// capacity (not length — swap_remove churn leaves real headroom).
+    /// capacity (not length — patch churn leaves real headroom).
     pub fn heap_bytes(&self) -> usize {
         nested_vec_bytes(&self.m2l) + nested_vec_bytes(&self.p2p)
     }
@@ -175,8 +175,9 @@ enum Entry {
 
 /// The dual traversal of every state descending from `(a, b)`, handing each
 /// pair it emits to `emit` in emission order. Children are visited last
-/// octant first; the order of every list, which the solve's float sums
-/// follow and checkpoints pin, depends on it.
+/// octant first, so every list names its sources in strictly descending
+/// `Node::begin` — the order the solve's float sums follow, and the one a
+/// plan patch keeps (`crate::plan`).
 #[inline(always)]
 fn traverse(
     tree: &Octree,

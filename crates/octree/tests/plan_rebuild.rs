@@ -1,24 +1,27 @@
-//! A plan rebuild is the same plan at any width. `IncrementalLists::build`
-//! and `rebuild` traverse through workers, one task per child of the root,
-//! and fill the inverse lists and per-node counts one range per worker; at
-//! widths 1, 2, 3 and 8 (real forked threads under `ThreadPool::install`)
-//! the snapshot — every list in its order, every count, stamp and the epoch —
-//! must equal both the width-1 plan and a plain serial reference kept here:
-//! one depth-first traversal from `(root, root)` into fresh lists, inverse
-//! lists pushed target by target, counts over the visible nodes. Trees: a
-//! Plummer cloud, a clump with nearly every body in one root octant, a tree
-//! with every third internal node collapsed, a collapsed root, a single leaf
-//! and no bodies at all; then the two ways a live plan is rebuilt in place —
-//! a refresh that finds a cell emptied or filled, and a rebuild after the
-//! tree was rebuilt at another leaf capacity, shrinking and growing the
-//! arena. A refresh after motion that flips no cell recounts every visible
-//! node through workers: its counts, totals and populations must equal a
-//! serial recount at every width.
+//! A plan rebuild is the same plan at any width, and a patched plan is the
+//! plan a build gives. `IncrementalLists::build` and `rebuild` traverse
+//! through workers, one task per child of the root, and fill the inverse
+//! lists and per-node counts one range per worker; at widths 1, 2, 3 and 8
+//! (real forked threads under `ThreadPool::install`) the plan — every list
+//! in its order, every count, population, stamp and the epoch, as
+//! `IncrementalLists`'s equality compares them — must equal the width-1
+//! plan, and its lists and totals a plain serial reference kept here: one
+//! depth-first traversal from `(root, root)` into fresh lists, counts over
+//! the visible nodes. Trees: a Plummer cloud, a clump with nearly every body
+//! in one root octant, a tree with every third internal node collapsed, a
+//! collapsed root, a single leaf and no bodies at all; then the two ways a
+//! live plan is rebuilt in place — a refresh that finds a cell emptied or
+//! filled, and a rebuild after the tree was rebuilt at another leaf
+//! capacity, shrinking and growing the arena. A refresh after motion that
+//! flips no cell recounts every visible node through workers: the plan must
+//! equal the width-1 refresh and pass its audit. Last, a plan patched
+//! through collapses and push-downs, rebinned, refreshed and patched again
+//! equals a build of the tree it ends on.
 
 use geom::Vec3;
 use octree::{
     build_adaptive, build_adaptive_in_cube, dual_traversal, node_op_counts, BuildParams,
-    IncrementalLists, InteractionLists, ListsSnapshot, Mac, NodeId, Octree, OpCounts, PlanRefresh,
+    IncrementalLists, InteractionLists, Mac, NodeId, Octree, OpCounts, PlanRefresh,
 };
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -33,10 +36,10 @@ fn at_width<R: Send>(width: usize, op: impl FnOnce() -> R + Send) -> R {
         .install(op)
 }
 
-/// The plan as it was built before rebuilds went through workers: one
-/// serial traversal into fresh lists, the inverse lists pushed in ascending
-/// target order, the counts of every visible node.
-fn reference(tree: &Octree, mac: Mac) -> ListsSnapshot {
+/// The lists and totals as they were built before rebuilds went through
+/// workers: one serial traversal into fresh lists, the counts of every
+/// visible node.
+fn reference(tree: &Octree, mac: Mac) -> (InteractionLists, OpCounts) {
     let n = tree.num_nodes();
     let mut lists = InteractionLists {
         m2l: vec![Vec::new(); n],
@@ -62,50 +65,23 @@ fn reference(tree: &Octree, mac: Mac) -> ListsSnapshot {
             stack.extend(tree.visible_children(b).map(|c| (a, c)));
         }
     }
-    let invert = |fwd: &[Vec<NodeId>]| {
-        let mut rev = vec![Vec::new(); n];
-        for (a, sources) in fwd.iter().enumerate() {
-            for &b in sources {
-                rev[b as usize].push(a as NodeId);
-            }
-        }
-        rev
-    };
-    let (rev_m2l, rev_p2p) = (invert(&lists.m2l), invert(&lists.p2p));
-    let mut node_counts = vec![OpCounts::default(); n];
     let mut totals = OpCounts::default();
     for id in tree.visible_nodes() {
-        let c = node_op_counts(tree, &lists, id);
-        node_counts[id as usize] = c;
-        totals += c;
+        totals += node_op_counts(tree, &lists, id);
     }
-    ListsSnapshot {
-        theta: mac.theta,
-        m2l: lists.m2l,
-        p2p: lists.p2p,
-        rev_m2l,
-        rev_p2p,
-        node_counts,
-        totals,
-        body_count: (0..n as NodeId)
-            .map(|id| tree.node(id).count() as u32)
-            .collect(),
-        stamp: vec![0; n],
-        epoch: 0,
-    }
+    (lists, totals)
 }
 
-fn assert_same(got: &ListsSnapshot, want: &ListsSnapshot, what: &str) {
-    assert_eq!(got.theta.to_bits(), want.theta.to_bits(), "{what}: theta");
-    assert!(got.m2l == want.m2l, "{what}: m2l");
-    assert!(got.p2p == want.p2p, "{what}: p2p");
-    assert!(got.rev_m2l == want.rev_m2l, "{what}: rev_m2l");
-    assert!(got.rev_p2p == want.rev_p2p, "{what}: rev_p2p");
-    assert!(got.node_counts == want.node_counts, "{what}: node_counts");
-    assert_eq!(got.totals, want.totals, "{what}: totals");
-    assert!(got.body_count == want.body_count, "{what}: body_count");
-    assert!(got.stamp == want.stamp, "{what}: stamp");
-    assert_eq!(got.epoch, want.epoch, "{what}: epoch");
+/// `plan`'s lists and totals are the reference's, and it passes its audit.
+fn assert_reference(plan: &IncrementalLists, want: &(InteractionLists, OpCounts), what: &str) {
+    assert!(plan.lists().m2l == want.0.m2l, "{what}: m2l");
+    assert!(plan.lists().p2p == want.0.p2p, "{what}: p2p");
+    assert_eq!(plan.counts(), want.1, "{what}: totals");
+}
+
+/// `got` is the plan `want` is, state for state.
+fn assert_same(got: &IncrementalLists, want: &IncrementalLists, what: &str) {
+    assert!(got == want, "{what}: the plans differ");
 }
 
 /// No forward list holds more than pushing its entries onto an empty `Vec`
@@ -127,30 +103,34 @@ fn assert_capacity_bounded(plan: &IncrementalLists, what: &str) {
 }
 
 /// Built, rebuilt in place and traversed at every width: the same plan as
-/// the reference and as width 1.
+/// width 1, with the reference's lists and totals.
 fn assert_width_invariant(tree: &Octree, what: &str) {
     let mac = Mac::default();
     let want = reference(tree, mac);
+    let serial = at_width(1, || IncrementalLists::build(tree, mac));
+    assert_reference(&serial, &want, what);
+    assert_eq!(serial.epoch(), 0, "{what}: epoch");
+    serial.audit(tree).expect(what);
     for width in WIDTHS {
         let (built, rebuilt, traversed) = at_width(width, || {
             let mut plan = IncrementalLists::build(tree, mac);
-            let built = plan.snapshot();
+            let built = plan.clone();
             plan.rebuild(tree);
             assert_capacity_bounded(&plan, what);
-            (built, plan.snapshot(), dual_traversal(tree, mac))
+            (built, plan, dual_traversal(tree, mac))
         });
-        assert_same(&built, &want, &format!("{what}, built at width {width}"));
+        assert_same(&built, &serial, &format!("{what}, built at width {width}"));
         assert_same(
             &rebuilt,
-            &want,
+            &serial,
             &format!("{what}, rebuilt at width {width}"),
         );
         assert!(
-            traversed.m2l == want.m2l,
+            traversed.m2l == want.0.m2l,
             "{what}: traversal m2l, width {width}"
         );
         assert!(
-            traversed.p2p == want.p2p,
+            traversed.p2p == want.0.p2p,
             "{what}: traversal p2p, width {width}"
         );
     }
@@ -245,15 +225,18 @@ fn a_rebuilt_refresh_in_recycled_storage_equals_a_fresh_build() {
     let moved: Vec<Vec3> = start.iter().map(|p| *p * 0.8).collect();
     let mac = Mac::default();
     for width in WIDTHS {
-        let (refreshed, fresh) = at_width(width, || {
+        let (refreshed, tree) = at_width(width, || {
             let mut tree = build_adaptive(&start, BuildParams::with_s(16));
             let mut plan = IncrementalLists::build(&tree, mac);
             tree.rebin(&moved);
             assert_eq!(plan.refresh_counts(&tree), PlanRefresh::Rebuilt);
             assert_capacity_bounded(&plan, "refreshed");
-            (plan.snapshot(), reference(&tree, mac))
+            (plan, tree)
         });
-        assert_same(&refreshed, &fresh, &format!("refresh at width {width}"));
+        let what = format!("refresh at width {width}");
+        assert_reference(&refreshed, &reference(&tree, mac), &what);
+        let fresh = at_width(1, || IncrementalLists::build(&tree, mac));
+        assert_same(&refreshed, &fresh, &what);
     }
 }
 
@@ -269,6 +252,11 @@ fn a_rebuild_after_the_arena_shrinks_and_grows_equals_a_fresh_build() {
     assert!(trees[1].num_nodes() < trees[0].num_nodes());
     assert!(trees[2].num_nodes() > trees[0].num_nodes());
     let mac = Mac::default();
+    let fresh: Vec<IncrementalLists> = at_width(1, || {
+        (trees.iter())
+            .map(|tree| IncrementalLists::build(tree, mac))
+            .collect()
+    });
     for width in WIDTHS {
         at_width(width, || {
             let mut plan = IncrementalLists::build(&trees[0], mac);
@@ -276,16 +264,43 @@ fn a_rebuild_after_the_arena_shrinks_and_grows_equals_a_fresh_build() {
                 plan.rebuild(tree);
                 let what = format!("tree {i} at width {width}");
                 assert_capacity_bounded(&plan, &what);
-                assert_same(&plan.snapshot(), &reference(tree, mac), &what);
+                assert_reference(&plan, &reference(tree, mac), &what);
+                assert_same(&plan, &fresh[i], &what);
             }
         });
     }
 }
 
+/// Bodies jump onto other bodies' spots — busy leaves — from every
+/// `step`-th leaf that keeps at least one body: motion between leaves that
+/// empties no cell. Returns the moved positions.
+fn hop(tree: &Octree, start: &[Vec3], step: usize, seed: u64) -> Vec<Vec3> {
+    let mut moved = start.to_vec();
+    let mut left: Vec<usize> = (0..tree.num_nodes() as NodeId)
+        .map(|id| tree.node(id).count())
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for leaf in tree.active_leaves().into_iter().step_by(step) {
+        let body = tree.order()[tree.node(leaf).begin as usize] as usize;
+        if left[leaf as usize] > 1 {
+            left[leaf as usize] -= 1;
+            moved[body] = start[rng.random_range(0..start.len())];
+        }
+    }
+    moved
+}
+
+fn populations(tree: &Octree) -> Vec<usize> {
+    (0..tree.num_nodes() as NodeId)
+        .map(|id| tree.node(id).count())
+        .collect()
+}
+
 /// Motion that moves bodies between leaves but empties or fills no visible
 /// cell: the refresh patches, recounting every visible node through
-/// workers, and its per-node counts, totals and populations equal the
-/// serial reference — the lists themselves are untouched.
+/// workers, and the plan it leaves equals the width-1 refresh state for
+/// state, holds the reference's lists and totals, and passes its audit —
+/// per-node counts and populations equal to a fresh build's.
 #[test]
 fn a_patched_refresh_recounts_like_a_serial_recount_at_every_width() {
     let start = plummer(40_000, 19);
@@ -293,43 +308,81 @@ fn a_patched_refresh_recounts_like_a_serial_recount_at_every_width() {
     assert_forks(&tree);
     let mac = Mac::default();
     let plan = IncrementalLists::build(&tree, mac);
-    // A few hundred bodies jump onto another body's spot — a busy leaf —
-    // each from a leaf that keeps at least one body.
-    let mut moved = start.clone();
-    let mut left: Vec<usize> = (0..tree.num_nodes() as NodeId)
-        .map(|id| tree.node(id).count())
-        .collect();
-    let mut rng = StdRng::seed_from_u64(23);
-    for leaf in tree.active_leaves().into_iter().step_by(7) {
-        let body = tree.order()[tree.node(leaf).begin as usize] as usize;
-        if left[leaf as usize] > 1 {
-            left[leaf as usize] -= 1;
-            moved[body] = start[rng.random_range(0..start.len())];
-        }
-    }
+    let moved = hop(&tree, &start, 7, 23);
+    let before = populations(&tree);
     tree.rebin(&moved);
-    let want = reference(&tree, mac);
-    let before = plan.snapshot().body_count;
-    let moved_leaves = before
-        .iter()
-        .zip(&want.body_count)
-        .filter(|(a, b)| a != b)
+    let moved_nodes = (before.iter().zip(populations(&tree)))
+        .filter(|&(a, b)| *a != b)
         .count();
-    assert!(
-        moved_leaves > 100,
-        "{moved_leaves} nodes changed population"
-    );
+    assert!(moved_nodes > 100, "{moved_nodes} nodes changed population");
+    let want = reference(&tree, mac);
+    let serial = at_width(1, || {
+        let mut plan = plan.clone();
+        plan.refresh_counts(&tree);
+        plan
+    });
     for width in WIDTHS {
         let mut plan = plan.clone();
         let outcome = at_width(width, || plan.refresh_counts(&tree));
         let visible = tree.visible_nodes().len();
         assert_eq!(outcome, PlanRefresh::Patched { recounted: visible });
-        let got = plan.snapshot();
         let what = format!("width {width}");
-        assert!(got.m2l == want.m2l && got.p2p == want.p2p, "{what}: lists");
-        assert!(got.node_counts == want.node_counts, "{what}: node_counts");
-        assert_eq!(got.totals, want.totals, "{what}: totals");
-        assert!(got.body_count == want.body_count, "{what}: body_count");
+        assert_same(&plan, &serial, &what);
+        assert_reference(&plan, &want, &what);
+        plan.audit(&tree).expect(&what);
+    }
+}
+
+/// Collapse every fifth twig and push down every third leaf holding more
+/// than eight bodies, through `plan`. Returns the edits applied.
+fn edit(tree: &mut Octree, plan: &mut IncrementalLists) -> usize {
+    let twigs: Vec<NodeId> = (tree.visible_nodes().into_iter())
+        .filter(|&id| {
+            !tree.node(id).is_leaf() && tree.visible_children(id).all(|c| tree.node(c).is_leaf())
+        })
+        .step_by(5)
+        .collect();
+    let leaves: Vec<NodeId> = (tree.active_leaves().into_iter())
+        .filter(|&id| tree.node(id).count() > 8)
+        .step_by(3)
+        .collect();
+    let collapsed = twigs
+        .into_iter()
+        .filter(|&id| plan.apply_collapse(tree, id))
+        .count();
+    let pushed = leaves
+        .into_iter()
+        .filter(|&id| plan.apply_push_down(tree, id))
+        .count();
+    collapsed + pushed
+}
+
+/// Patch, rebin, refresh, patch again: at every width the plan ends with
+/// the reference's lists and totals, and its audit finds it equal to a
+/// build of the tree it ends on — lists in their order, per-node counts,
+/// totals and populations.
+#[test]
+fn a_patched_rebinned_and_refreshed_plan_equals_a_build_at_every_width() {
+    let start = plummer(20_000, 29);
+    let mac = Mac::default();
+    for width in WIDTHS {
+        let (plan, tree) = at_width(width, || {
+            let mut tree = build_adaptive(&start, BuildParams::with_s(16));
+            assert_forks(&tree);
+            let mut plan = IncrementalLists::build(&tree, mac);
+            assert!(edit(&mut tree, &mut plan) > 50);
+            let moved = hop(&tree, &start, 5, 31);
+            tree.rebin(&moved);
+            let outcome = plan.refresh_counts(&tree);
+            assert!(
+                matches!(outcome, PlanRefresh::Patched { .. }),
+                "{outcome:?}"
+            );
+            assert!(edit(&mut tree, &mut plan) > 50);
+            (plan, tree)
+        });
+        let what = format!("width {width}");
+        assert_reference(&plan, &reference(&tree, mac), &what);
         plan.audit(&tree).expect(&what);
     }
 }

@@ -308,48 +308,33 @@ fn filter_state_the_live_filter_cannot_hold_is_refused() {
     }
 }
 
-/// An engine checkpoint with a live plan whose θ is rewritten to `theta`
-/// under a valid checksum, restored: the plan's θ is the MAC every later
-/// patch runs, so the engine may only take one it could have built.
-fn restore_with_plan_theta(theta: f64) -> Result<FmmEngine<GravityKernel>, afmm::Error> {
+/// An engine checkpoint whose MAC θ is rewritten under a valid checksum is
+/// refused unless `Mac::new` takes it: every traversal the restored engine
+/// runs — its first plan build included — uses that MAC.
+#[test]
+fn engine_theta_outside_the_macs_range_is_refused() {
     let b = nbody::plummer(900, 1.0, 1.0, 515);
-    let mut engine = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, 32);
-    engine.refresh_plan();
+    let engine = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, 32);
     let text = afmm::checkpoint::engine_to_json(&engine.checkpoint_state());
-    let edited = resealed(&text, |payload| {
-        let (head, plan) = payload.split_once("\"plan\":{\"theta\":").unwrap();
-        let (_, tail) = plan.split_once(',').unwrap();
-        format!("{head}\"plan\":{{\"theta\":{},{tail}", theta.to_bits())
-    });
-    let snap = afmm::checkpoint::engine_from_json(&edited)?;
-    FmmEngine::restore_state(GravityKernel::default(), snap)
-}
-
-fn assert_plan_theta_refused(theta: f64) {
-    match restore_with_plan_theta(theta) {
-        Err(afmm::Error::Checkpoint(msg)) => {
-            assert!(msg.contains("theta"), "plan theta {theta}: {msg}")
-        }
-        Err(e) => panic!("plan theta {theta}: wrong error {e}"),
-        Ok(_) => panic!("plan theta {theta} must be refused"),
-    }
-}
-
-#[test]
-fn plan_theta_above_one_is_refused() {
-    assert!(restore_with_plan_theta(FmmParams::default().mac.theta).is_ok());
-    assert_plan_theta_refused(2.0);
-}
-
-#[test]
-fn plan_theta_of_zero_is_refused() {
-    assert_plan_theta_refused(0.0);
-}
-
-#[test]
-fn plan_theta_other_than_the_engines_is_refused() {
+    let with_theta = |theta: f64| {
+        let edited = with_field(&text, "theta", &theta.to_bits().to_string());
+        let snap = afmm::checkpoint::engine_from_json(&edited)?;
+        FmmEngine::restore_state(GravityKernel::default(), snap)
+    };
     assert_eq!(FmmParams::default().mac.theta, 0.6);
-    assert_plan_theta_refused(0.5);
+    let mut restored = with_theta(0.6).expect("the engine's own theta restores");
+    assert_eq!(restored.params().mac.theta, 0.6);
+    restored.refresh_plan();
+    restored.audit_plan().unwrap();
+    for theta in [0.0, 2.0, f64::NAN] {
+        match with_theta(theta) {
+            Err(afmm::Error::Checkpoint(msg)) => {
+                assert!(msg.contains("theta"), "theta {theta}: {msg}")
+            }
+            Err(e) => panic!("theta {theta}: wrong error {e}"),
+            Ok(_) => panic!("theta {theta} must be refused"),
+        }
+    }
 }
 
 /// An engine checkpoint whose expansion order is rewritten to `order` under
@@ -391,8 +376,9 @@ fn version_and_node_mismatches_are_refused() {
     let snap = t.checkpoint(&trajectory(&b.pos, 5));
 
     // v1 (the balancer image still carried its six fixed knobs and the
-    // hysteresis counter) and a future version alike.
-    for version in [1, afmm::SCHEMA_VERSION + 1] {
+    // hysteresis counter), v2 (the engine image still carried the plan) and
+    // a future version alike.
+    for version in [1, 2, afmm::SCHEMA_VERSION + 1] {
         let other = snap.replacen(
             &format!("\"schema_version\":{}", afmm::SCHEMA_VERSION),
             &format!("\"schema_version\":{version}"),
@@ -555,17 +541,40 @@ fn leaf_widths_that_do_not_halve_their_parents_are_refused() {
     }
 }
 
+/// The first child of the snapshot's first collapsed node: a hidden node.
+fn hidden(tree: &octree::TreeSnapshot) -> usize {
+    (tree.nodes.iter())
+        .position(|n| n.collapsed)
+        .map(|id| tree.nodes[id].first_child as usize)
+        .expect("a collapsed node")
+}
+
 /// A collapsed node's hidden children are not solved on, but a push-down
 /// reclaims them as they are: their widths are checked too.
 #[test]
 fn hidden_child_widths_are_refused() {
     assert_tree_refused("a hidden child's half-width", "half-width", |tree| {
-        let hidden = (tree.nodes.iter())
-            .position(|n| n.collapsed)
-            .map(|id| tree.nodes[id].first_child as usize)
-            .expect("a collapsed node");
-        tree.nodes[hidden].half_width *= 2.0;
+        let id = hidden(tree);
+        tree.nodes[id].half_width *= 2.0;
     });
+}
+
+/// A hidden node's stale body range need not nest in its parent's, but it
+/// must be a range within the bodies: populations are read off every node.
+#[test]
+fn hidden_child_ranges_that_are_not_ranges_are_refused() {
+    assert_tree_refused("a hidden child's backwards range", "body range", |tree| {
+        let id = hidden(tree);
+        (tree.nodes[id].begin, tree.nodes[id].end) = (5, 2);
+    });
+    assert_tree_refused(
+        "a hidden child's range past the bodies",
+        "body range",
+        |tree| {
+            let id = hidden(tree);
+            tree.nodes[id].end = tree.order.len() as u32 + 1;
+        },
+    );
 }
 
 /// The root node must be the recorded root cube, which must be finite with

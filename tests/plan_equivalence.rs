@@ -1,14 +1,12 @@
 //! Property tests of the persistent execution plan (satellite of the plan
 //! layer): a plan patched through an arbitrary interleaving of Collapse and
 //! PushDown edits must be *indistinguishable* from one rebuilt from scratch —
-//! same interaction lists (as sets), same op counts, and a GPU job list that
-//! partitions the same near-field work.
+//! the same interaction lists entry for entry and in order, the same op
+//! counts, and the same GPU job list. One fixed case also rebins between
+//! patches, on a tree big enough to fork, at widths 1, 2, 3 and 8.
 
 use afmm::{build_gpu_jobs, ExecutionPlan};
-use gpu_sim::P2pJob;
-use octree::{
-    build_adaptive, count_ops, dual_traversal, BuildParams, InteractionLists, Mac, NodeId, Octree,
-};
+use octree::{build_adaptive, count_ops, dual_traversal, BuildParams, Mac, Octree};
 use proptest::prelude::*;
 
 fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<geom::Vec3>> {
@@ -41,34 +39,6 @@ fn arb_theta() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.35), Just(0.8)]
 }
 
-/// Per-target sorted copies of the lists, for order-insensitive comparison
-/// (a patched list is a set-equal permutation of a fresh traversal's).
-fn sorted_lists(lists: &InteractionLists) -> (Vec<Vec<NodeId>>, Vec<Vec<NodeId>>) {
-    let norm = |side: &Vec<Vec<NodeId>>| {
-        side.iter()
-            .map(|v| {
-                let mut v = v.clone();
-                v.sort_unstable();
-                v
-            })
-            .collect::<Vec<_>>()
-    };
-    (norm(&lists.m2l), norm(&lists.p2p))
-}
-
-/// Jobs with per-job source counts sorted: the patched plan may enumerate a
-/// leaf's P2P sources in a different order, which permutes `source_counts`
-/// without changing the work the job describes.
-fn normalized_jobs(jobs: &[P2pJob]) -> Vec<P2pJob> {
-    jobs.iter()
-        .map(|j| {
-            let mut sc = j.source_counts.clone();
-            sc.sort_unstable();
-            P2pJob::new(j.targets, sc)
-        })
-        .collect()
-}
-
 fn apply_ops(plan: &mut ExecutionPlan, tree: &mut Octree, ops: &[PlanOp]) -> usize {
     let mut applied = 0;
     for op in ops {
@@ -93,7 +63,8 @@ proptest! {
 
     /// After any interleaving of plan-routed Collapse/PushDown edits, the
     /// patched lists and counts equal a fresh dual traversal + count of the
-    /// same tree, at both MAC regimes.
+    /// same tree, at both MAC regimes, and the plan passes its audit (equal
+    /// to a fresh build, inverse lists as multisets).
     #[test]
     fn patched_plan_equals_fresh_build(
         pts in arb_points(300),
@@ -108,13 +79,15 @@ proptest! {
         prop_assert!(tree.check_invariants().is_ok());
 
         let fresh = dual_traversal(&tree, mac);
-        prop_assert_eq!(sorted_lists(plan.lists()), sorted_lists(&fresh));
+        prop_assert_eq!(&plan.lists().m2l, &fresh.m2l);
+        prop_assert_eq!(&plan.lists().p2p, &fresh.p2p);
         prop_assert_eq!(plan.counts(), count_ops(&tree, &fresh));
+        prop_assert_eq!(plan.audit(&tree), Ok(()));
     }
 
     /// The plan's cached GPU job list always matches what `build_gpu_jobs`
-    /// derives — exactly against its own lists (the cache is not stale), and
-    /// up to source order against a fresh traversal's lists.
+    /// derives — against its own lists (the cache is not stale) and against
+    /// a fresh traversal's lists, exactly.
     #[test]
     fn patched_jobs_match_rebuilt_jobs(
         pts in arb_points(300),
@@ -130,10 +103,7 @@ proptest! {
         let cached = plan.gpu_jobs(&tree).to_vec();
         prop_assert_eq!(&cached, &build_gpu_jobs(&tree, plan.lists()));
         let fresh = dual_traversal(&tree, mac);
-        prop_assert_eq!(
-            normalized_jobs(&cached),
-            normalized_jobs(&build_gpu_jobs(&tree, &fresh))
-        );
+        prop_assert_eq!(&cached, &build_gpu_jobs(&tree, &fresh));
     }
 
     /// Plan-routed no-ops (collapsing a leaf, pushing down an internal node)
@@ -147,7 +117,7 @@ proptest! {
         let mac = Mac::new(theta);
         let mut tree = build_adaptive(&pts, BuildParams::with_s(s));
         let mut plan = ExecutionPlan::build(&tree, mac);
-        let before_lists = sorted_lists(plan.lists());
+        let before = plan.lists().clone();
         let before_counts = plan.counts();
         for id in tree.visible_nodes() {
             if tree.node(id).is_leaf() {
@@ -156,7 +126,61 @@ proptest! {
                 prop_assert!(!plan.apply_push_down(&mut tree, id));
             }
         }
-        prop_assert_eq!(sorted_lists(plan.lists()), before_lists);
+        prop_assert_eq!(&plan.lists().m2l, &before.m2l);
+        prop_assert_eq!(&plan.lists().p2p, &before.p2p);
         prop_assert_eq!(plan.counts(), before_counts);
+    }
+}
+
+/// Patch, rebin, refresh and patch again on a tree big enough that every
+/// rebuild and recount forks: at widths 1, 2, 3 and 8 the plan's lists, op
+/// counts and GPU jobs equal `ExecutionPlan::build` on the tree it ends on,
+/// and it passes its audit.
+#[test]
+fn a_patched_rebinned_plan_equals_a_build_at_every_width() {
+    let start = nbody::plummer(20_000, 1.0, 1.0, 41).pos;
+    let mac = Mac::default();
+    let ops: Vec<PlanOp> = (0..40)
+        .map(|k| match k % 2 {
+            0 => PlanOp::Collapse(7 * k + 3),
+            _ => PlanOp::PushDown(11 * k + 5),
+        })
+        .collect();
+    for width in [1, 2, 3, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .expect("the pool is only a width");
+        pool.install(|| {
+            let mut tree = build_adaptive(&start, BuildParams::with_s(16));
+            assert!(tree.num_nodes() > 2048, "{} nodes", tree.num_nodes());
+            let mut plan = ExecutionPlan::build(&tree, mac);
+            assert!(apply_ops(&mut plan, &mut tree, &ops[..20]) > 10);
+            // From every ninth leaf holding two or more bodies, one body
+            // jumps onto another body's spot: bodies change leaves, no
+            // visible cell empties or fills.
+            let mut moved = start.clone();
+            let leaves = tree.active_leaves().into_iter().step_by(9);
+            for (k, leaf) in leaves.enumerate() {
+                if tree.node(leaf).count() > 1 {
+                    let body = tree.order()[tree.node(leaf).begin as usize] as usize;
+                    moved[body] = start[(k * 7919) % start.len()];
+                }
+            }
+            tree.rebin(&moved);
+            let refreshed = plan.refresh_counts(&tree);
+            assert!(
+                matches!(refreshed, octree::PlanRefresh::Patched { .. }),
+                "{refreshed:?}"
+            );
+            assert!(apply_ops(&mut plan, &mut tree, &ops[20..]) > 10);
+            let mut fresh = ExecutionPlan::build(&tree, mac);
+            assert!(plan.lists().m2l == fresh.lists().m2l, "width {width}: m2l");
+            assert!(plan.lists().p2p == fresh.lists().p2p, "width {width}: p2p");
+            assert_eq!(plan.counts(), fresh.counts(), "width {width}: counts");
+            let jobs = plan.gpu_jobs(&tree).to_vec();
+            assert!(jobs == fresh.gpu_jobs(&tree), "width {width}: GPU jobs");
+            plan.audit(&tree).expect("patched plan audits");
+        });
     }
 }
