@@ -25,8 +25,9 @@ const MODIFY_PER_OP: f64 = 3.0e3;
 /// traversal + op recount).
 const PREDICT_PER_ENTRY: f64 = 90.0;
 /// Work per edit for patching a live execution plan through a
-/// collapse/push-down: inverse-list removals plus the restricted
-/// re-traversal around the edited node. Independent of tree size — that is
+/// collapse/push-down: the restricted traversal around the edited node,
+/// once on the tree before the edit to find what it removes and once after
+/// to insert what it adds. Independent of tree size — that is
 /// the entire point of the plan layer.
 const PLAN_PATCH_PER_EDIT: f64 = 2.0e3;
 

@@ -41,7 +41,8 @@ pub enum ChaosEvent {
     /// buffer — the classic upstream-integrator bug.
     NanBody { index: usize },
     /// Truncate one interaction list inside the live plan without updating
-    /// inverses or counts (breaks inverse-list symmetry).
+    /// its counts; the audit catches it by comparing the lists with a fresh
+    /// traversal.
     TruncatePlan,
     /// Rewind the plan epoch below its stamps (breaks monotonicity).
     StaleEpoch,
@@ -156,29 +157,9 @@ impl ChaosPlan {
         s
     }
 
-    /// Corruption events scheduled for exactly `step`, in plan order.
-    pub fn corruption_at(&self, step: usize) -> impl Iterator<Item = &ChaosEvent> {
-        self.events
-            .iter()
-            .filter(move |tc| tc.step == step && tc.event.is_corruption())
-            .map(|tc| &tc.event)
-    }
-
     /// Does the plan contain any corruption event at all?
     pub fn has_corruption(&self) -> bool {
         self.events.iter().any(|tc| tc.event.is_corruption())
-    }
-
-    /// Steps on which at least one corruption event fires.
-    pub fn corruption_steps(&self) -> Vec<usize> {
-        let mut steps: Vec<usize> = self
-            .events
-            .iter()
-            .filter(|tc| tc.event.is_corruption())
-            .map(|tc| tc.step)
-            .collect();
-        steps.dedup();
-        steps
     }
 }
 

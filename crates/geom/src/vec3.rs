@@ -109,16 +109,6 @@ impl Vec3 {
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
-
-    #[inline]
-    pub fn to_array(self) -> [f64; 3] {
-        [self.x, self.y, self.z]
-    }
-
-    #[inline]
-    pub fn from_array(a: [f64; 3]) -> Self {
-        Vec3::new(a[0], a[1], a[2])
-    }
 }
 
 impl Index<usize> for Vec3 {

@@ -32,5 +32,5 @@ pub use build::{build_adaptive, build_adaptive_in_cube, build_uniform, BuildPara
 pub use modify::EnforceOutcome;
 pub use node::{Node, NodeId, Octree, TreeSnapshot, NONE};
 pub use plan::{IncrementalLists, PlanRefresh};
-pub use stats::{count_ops, leaf_interactions, node_op_counts, OpCounts, TreeStats};
+pub use stats::{count_ops, node_op_counts, OpCounts, TreeStats};
 pub use traversal::{dual_traversal, InteractionLists, Mac};

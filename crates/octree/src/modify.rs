@@ -31,10 +31,10 @@ impl Octree {
     ///
     /// Returns false when `id` is not a leaf or sits at the maximum level.
     pub fn push_down(&mut self, id: NodeId) -> bool {
-        let n = self.nodes[id as usize];
-        if !n.is_leaf() || n.level >= self.max_level() {
+        if self.refuses_push_down(id) {
             return false;
         }
+        let n = self.nodes[id as usize];
         if n.first_child != NONE {
             // Reclaim hidden children.
             self.nodes[id as usize].collapsed = false;
@@ -51,6 +51,13 @@ impl Octree {
             self.alloc_children_of(id);
         }
         true
+    }
+
+    /// Whether [`Octree::push_down`] refuses `id`: it is not a leaf, or it
+    /// sits at the maximum level.
+    pub(crate) fn refuses_push_down(&self, id: NodeId) -> bool {
+        let n = &self.nodes[id as usize];
+        !n.is_leaf() || n.level >= self.max_level()
     }
 
     /// The paper's **Enforce_S**: walk the visible tree enforcing the

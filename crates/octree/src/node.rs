@@ -100,11 +100,6 @@ impl Octree {
         &self.nodes[id as usize]
     }
 
-    #[inline]
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id as usize]
-    }
-
     /// Total allocated nodes, including hidden ones.
     #[inline]
     pub fn num_nodes(&self) -> usize {

@@ -9,42 +9,42 @@
 //! decisions depend only on geometry, populations and leafness of nodes
 //! outside the edited subtree — all unchanged.
 //!
-//! [`IncrementalLists`] exploits this: it keeps the lists of a full traversal
-//! together with *inverse* lists (`rev_m2l[b]` = every target whose M2L list
-//! contains `b`), so all list entries referencing an edited node are found in
-//! O(degree). A patch then
+//! [`IncrementalLists`] exploits this with the dual traversal *restricted*
+//! to states related to the edit (ancestor-or-subtree on a side; states
+//! unrelated to it are pruned). A patch
 //!
-//! 1. removes every entry with an endpoint in the pre-edit visible subtree,
-//! 2. applies the tree edit,
-//! 3. re-runs the dual traversal *restricted* to states related to the edit
-//!    (ancestor-or-subtree on either side; unrelated×unrelated states are
-//!    pruned), emitting only pairs with an endpoint in the post-edit subtree,
+//! 1. **unlinks**, on the pre-edit tree: empties the lists of the old
+//!    visible subtree, then runs the restricted traversal pruned to states
+//!    whose *source* is related to the edit, to find every other target
+//!    whose list names a node of that subtree;
+//! 2. applies the tree edit;
+//! 3. **links**, on the post-edit tree: runs the restricted traversal with
+//!    both sides related, emitting only pairs with an endpoint in the
+//!    post-edit subtree;
 //! 4. recomputes the per-node [`OpCounts`] contributions of the dirty set —
 //!    the edited subtree plus every target whose list was touched.
 //!
 //! A plan is a function of its tree: after any sequence of patches and
-//! refreshes its forward lists, counts and populations equal a fresh build's,
-//! entry for entry and in order. A fresh traversal lists each target's
-//! sources in strictly descending [`Node::begin`](crate::Node::begin), and
-//! everything one patch removes from or adds to a target's list lies inside
-//! the edited node's body range — one contiguous run of that list. So the
-//! first time a patch touches a target's list it binary-searches that run by
-//! `begin` (a copy of every node's, four bytes each, kept by the plan) and
-//! marks it stale (it is exactly what the patch removes); the
-//! restricted traversal's new entries for that list (already in descending
-//! `begin`) overwrite the stale run in order, and the list is settled once:
-//! stale entries left over are drained, new ones beyond the run were pushed
-//! onto the end and are rotated into place. The inverse lists are an
-//! unordered index: nothing reads their order.
+//! refreshes its lists, counts and populations equal a fresh build's, entry
+//! for entry and in order — which is also why step 1 can read "who names the
+//! subtree" off the tree instead of keeping inverse lists. A fresh traversal
+//! lists each target's sources in strictly descending
+//! [`Node::begin`](crate::Node::begin), and everything one patch removes
+//! from or adds to a target's list lies inside the edited node's body range
+//! — one contiguous run of that list. So the first time a patch touches a
+//! target's list it binary-searches that run by `begin` (a copy of every
+//! node's, four bytes each, kept by the plan) and marks it stale (it is
+//! exactly what the patch removes); the link's new entries for that list
+//! (already in descending `begin`) overwrite the stale run in order, and the
+//! list is settled once: stale entries left over are drained, new ones
+//! beyond the run were pushed onto the end and are rotated into place.
 //!
 //! Per-node contributions are cached so totals update by subtraction and
 //! re-addition of only the dirty nodes.
 
 use crate::node::{NodeId, Octree};
 use crate::stats::{node_op_counts, OpCounts};
-use crate::traversal::{
-    empty_lists, fork_width, reserve_exactly, trim, InteractionLists, Mac, Traversal,
-};
+use crate::traversal::{fork_width, trim, InteractionLists, Mac, Traversal};
 use rayon::prelude::*;
 
 /// How [`IncrementalLists::refresh_counts`] serviced a request.
@@ -61,8 +61,8 @@ pub enum PlanRefresh {
 }
 
 /// Relatedness of a traversal-state endpoint to the edited node: outside its
-/// story entirely, a (strict or non-strict) ancestor, or inside the post-edit
-/// visible subtree.
+/// story entirely, a (strict or non-strict) ancestor, or inside the visible
+/// subtree of the tree being traversed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Rel {
     Out,
@@ -70,19 +70,16 @@ enum Rel {
     Sub,
 }
 
+/// A state of the restricted traversal: target, source, and how each
+/// relates to the edited node.
+type State = (NodeId, NodeId, Rel, Rel);
+
 /// Interaction lists + per-node op counts that are patched through
 /// [`Octree::collapse`] / [`Octree::push_down`] edits instead of recomputed.
 #[derive(Clone, Debug)]
 pub struct IncrementalLists {
     mac: Mac,
     lists: InteractionLists,
-    /// `rev_m2l[b]` = every target `a` with `b ∈ lists.m2l[a]` (a multiset:
-    /// ascending after a rebuild, in patch order after edits — no solve, job
-    /// or count reads it in order). The O(degree) handle on "who references
-    /// this node?".
-    rev_m2l: Vec<Vec<NodeId>>,
-    /// Likewise for P2P source lists.
-    rev_p2p: Vec<Vec<NodeId>>,
     /// Cached contribution of each node to `totals` (zero when invisible).
     node_counts: Vec<OpCounts>,
     totals: OpCounts,
@@ -104,10 +101,11 @@ pub struct IncrementalLists {
     /// entry of target `a`'s M2L (`kind` 0) or P2P (1) list; [`Cursor::IDLE`]
     /// between patches. Pure scratch.
     cursor: Vec<[Cursor; 2]>,
-    /// Warm buffers of [`IncrementalLists::rebuild`]'s traversal and
-    /// inverse lists; pure scratch.
+    /// Warm stack of a patch's two restricted traversals; pure scratch.
+    stack: Vec<State>,
+    /// Warm buffers of [`IncrementalLists::rebuild`]'s traversal; pure
+    /// scratch.
     traversal: Traversal,
-    inverse: InverseScratch,
 }
 
 /// Where a patch puts a target's next new entry in one of its lists.
@@ -130,6 +128,12 @@ impl Cursor {
         at: Cursor::UNPLACED,
         stale: 0,
         pushed: 0,
+    };
+    /// The cursor of a list the patch emptied whole: new entries go from
+    /// its start.
+    const EMPTIED: Cursor = Cursor {
+        at: 0,
+        ..Cursor::IDLE
     };
 
     /// Place an unplaced cursor on list `v` of a patch whose edited node
@@ -164,13 +168,6 @@ impl Cursor {
     }
 }
 
-/// Drop `x` from an inverse list, whose order nothing reads.
-fn remove_one(v: &mut Vec<NodeId>, x: NodeId) {
-    if let Some(pos) = v.iter().position(|&e| e == x) {
-        v.swap_remove(pos);
-    }
-}
-
 /// Put source `b` into a forward list at the cursor: over the next stale
 /// entry while any is left, else onto the end for [`Cursor::settle`].
 fn put_at_cursor(v: &mut Vec<NodeId>, b: NodeId, cursor: &mut Cursor) {
@@ -184,30 +181,106 @@ fn put_at_cursor(v: &mut Vec<NodeId>, b: NodeId, cursor: &mut Cursor) {
     }
 }
 
-/// `rev[b]` = every target whose forward list names `b`, pushed in
-/// ascending target order: the inverse lists serially, as the audit and
-/// tests derive them.
-fn invert(fwd: &[Vec<NodeId>]) -> Vec<Vec<NodeId>> {
-    let mut rev = vec![Vec::new(); fwd.len()];
-    for (a, sources) in fwd.iter().enumerate() {
-        for &b in sources {
-            rev[b as usize].push(a as NodeId);
-        }
+/// Append the visible subtree rooted at `id`, `id` first, to `out`, and
+/// return where it starts.
+fn push_visible_subtree(tree: &Octree, id: NodeId, out: &mut Vec<NodeId>) -> usize {
+    let start = out.len();
+    out.push(id);
+    // Breadth first, with `out` as its own queue.
+    let mut next = start;
+    while let Some(&n) = out.get(next) {
+        next += 1;
+        out.extend(tree.visible_children(n));
     }
-    rev
+    start
 }
 
-/// The post-/pre-edit visible subtree rooted at `id`, including `id`.
-fn visible_subtree(tree: &Octree, id: NodeId) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    let mut stack = vec![id];
-    while let Some(n) = stack.pop() {
-        out.push(n);
-        for c in tree.visible_children(n) {
-            stack.push(c);
+/// The list of kind `kind`: M2L (0) or P2P (1).
+fn of_kind(lists: &mut InteractionLists, kind: usize) -> &mut Vec<Vec<NodeId>> {
+    match kind {
+        0 => &mut lists.m2l,
+        _ => &mut lists.p2p,
+    }
+}
+
+/// The dual traversal of `tree` as it stands, restricted to the states
+/// related to the edit at `edit`, whose strict and non-strict ancestors
+/// `is_anc` marks. Each state it visits makes the decision a fresh
+/// traversal makes there, and its children are visited in the fresh
+/// traversal's order, so each target receives its pairs in that order.
+///
+/// Without `sources_only` it prunes a state whose two sides are both
+/// unrelated to the edit, and hands `emit` every pair (list kind, target,
+/// source) it ends on with an endpoint in the visible subtree of `edit`:
+/// the pairs a patch links. With `sources_only` it prunes a state whose
+/// source is unrelated or whose target lies in the subtree, and hands on
+/// the pairs whose source lies in the subtree and whose target does not:
+/// the entries a patch unlinks from lists it does not empty whole.
+/// `stack` is warm scratch.
+fn restricted(
+    tree: &Octree,
+    mac: Mac,
+    edit: NodeId,
+    is_anc: impl Fn(NodeId) -> bool,
+    stack: &mut Vec<State>,
+    sources_only: bool,
+    mut emit: impl FnMut(usize, NodeId, NodeId),
+) {
+    let keep = |ra: Rel, rb: Rel| match sources_only {
+        false => ra != Rel::Out || rb != Rel::Out,
+        true => rb != Rel::Out && ra != Rel::Sub,
+    };
+    let child_rel = |parent: Rel, child: NodeId| match parent {
+        Rel::Anc if child == edit => Rel::Sub,
+        Rel::Anc if is_anc(child) => Rel::Anc,
+        Rel::Anc => Rel::Out,
+        rel => rel,
+    };
+    let root_rel = match edit == Octree::ROOT {
+        true => Rel::Sub,
+        false => Rel::Anc,
+    };
+    stack.clear();
+    if tree.node(Octree::ROOT).count() > 0 && keep(root_rel, root_rel) {
+        stack.push((Octree::ROOT, Octree::ROOT, root_rel, root_rel));
+    }
+    while let Some((a, b, ra, rb)) = stack.pop() {
+        let na = tree.node(a);
+        let nb = tree.node(b);
+        if na.count() == 0 || nb.count() == 0 {
+            continue;
+        }
+        let a_leaf = na.is_leaf();
+        let b_leaf = nb.is_leaf();
+        // The list the pair joins, M2L (0) or P2P (1), if it ends here.
+        let kind = if a != b && mac.accepts(tree, a, b) {
+            Some(0)
+        } else {
+            (a_leaf && b_leaf).then_some(1)
+        };
+        if let Some(kind) = kind {
+            // With `sources_only`, no target kept lies in the subtree.
+            if ra == Rel::Sub || rb == Rel::Sub {
+                emit(kind, a, b);
+            }
+            continue;
+        }
+        if !a_leaf && (b_leaf || na.half_width >= nb.half_width) {
+            for c in tree.visible_children(a) {
+                let rc = child_rel(ra, c);
+                if keep(rc, rb) {
+                    stack.push((c, b, rc, rb));
+                }
+            }
+        } else {
+            for c in tree.visible_children(b) {
+                let rc = child_rel(rb, c);
+                if keep(ra, rc) {
+                    stack.push((a, c, ra, rc));
+                }
+            }
         }
     }
-    out
 }
 
 /// Empty `v` and refill it with `n` copies of `value`, in place.
@@ -217,35 +290,14 @@ fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
     trim(v);
 }
 
-/// Warm buffers of [`IncrementalLists::fill_inverse_lists`]; pure scratch.
-#[derive(Clone, Debug, Default)]
-struct InverseScratch {
-    /// One row per id range, each `[M2L | P2P]`, `2n` counts long:
-    /// `rows[w][b]` counts the entries naming source `b` in range `w`'s
-    /// targets.
-    rows: Vec<u32>,
-    /// `spread[a][kind]`: the lowest and highest source target `a`'s M2L
-    /// (`kind` 0) or P2P (1) list names.
-    spread: Vec<[(NodeId, NodeId); 2]>,
-}
-
-impl InverseScratch {
-    fn heap_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<u32>()
-            + self.spread.capacity() * std::mem::size_of::<[(NodeId, NodeId); 2]>()
-    }
-}
-
 /// Equal plans hold the same state — everything a build determines: the
-/// MAC, forward and inverse lists in their order, per-node counts, totals,
-/// populations, stamps and epoch. Scratch is not state.
+/// MAC, the lists in their order, per-node counts, totals, populations,
+/// stamps and epoch. Scratch is not state.
 impl PartialEq for IncrementalLists {
     fn eq(&self, other: &Self) -> bool {
         self.mac.theta.to_bits() == other.mac.theta.to_bits()
             && self.lists.m2l == other.lists.m2l
             && self.lists.p2p == other.lists.p2p
-            && self.rev_m2l == other.rev_m2l
-            && self.rev_p2p == other.rev_p2p
             && self.node_counts == other.node_counts
             && self.totals == other.totals
             && self.body_count == other.body_count
@@ -286,13 +338,11 @@ fn count_nodes(
 }
 
 impl IncrementalLists {
-    /// Full build: one dual traversal plus inverse lists and per-node counts.
+    /// Full build: one dual traversal plus per-node counts.
     pub fn build(tree: &Octree, mac: Mac) -> Self {
         let mut plan = IncrementalLists {
             mac,
             lists: InteractionLists::default(),
-            rev_m2l: Vec::new(),
-            rev_p2p: Vec::new(),
             node_counts: Vec::new(),
             totals: OpCounts::default(),
             body_count: Vec::new(),
@@ -301,8 +351,8 @@ impl IncrementalLists {
             epoch: 0,
             walk: Vec::new(),
             cursor: Vec::new(),
+            stack: Vec::new(),
             traversal: Traversal::default(),
-            inverse: InverseScratch::default(),
         };
         plan.rebuild(tree);
         plan
@@ -311,11 +361,9 @@ impl IncrementalLists {
     /// Throw the incremental state away and re-derive everything from a
     /// fresh traversal of `tree`, into the storage the plan already holds.
     ///
-    /// From `MIN_FORK_NODES` (1 024) arena nodes up each stage
-    /// runs through workers — the traversal one task per child of the root,
-    /// the inverse lists one range of targets and then one of sources per
-    /// worker, the per-node counts one range of nodes per worker — and every
-    /// list comes out the
+    /// From `MIN_FORK_NODES` (1 024) arena nodes up both stages run through
+    /// workers — the traversal one task per child of the root, the per-node
+    /// counts one range of nodes per worker — and every list comes out the
     /// same, entry for entry and in order, at any width. Once warm, a
     /// rebuild of an unchanged tree allocates nothing on one worker and only
     /// the forks' bookkeeping on more.
@@ -324,7 +372,6 @@ impl IncrementalLists {
         let workers = fork_width(tree);
         self.traversal
             .fill(tree, self.mac, &mut self.lists, workers);
-        self.fill_inverse_lists(workers);
 
         refill(&mut self.node_counts, n, OpCounts::default());
         self.totals = count_nodes(tree, &self.lists, &mut self.node_counts, workers, |id| {
@@ -342,86 +389,23 @@ impl IncrementalLists {
         self.epoch = 0;
     }
 
-    /// Refill `rev_m2l`/`rev_p2p` from the forward lists, each at exactly
-    /// its length, every `rev_*[b]` in ascending target order. Node ids are
-    /// cut into one range per worker. A first fork gives each worker a
-    /// range of targets: it counts the entries naming each source into a
-    /// row of its own, and notes the lowest and highest source each list
-    /// names. A second gives each worker a range of sources: it sums their
-    /// rows and reserves, then scans, in ascending id, only the lists whose
-    /// sources reach its range. An entry is read once to count and once
-    /// more for every range its list spans — lists name nearby cells, so
-    /// mostly one.
-    fn fill_inverse_lists(&mut self, workers: usize) {
-        let n = self.lists.m2l.len();
-        for rev in [&mut self.rev_m2l, &mut self.rev_p2p] {
-            empty_lists(rev, n);
-        }
-        let span = n.div_ceil(workers).max(1);
-        let InverseScratch { rows, spread } = &mut self.inverse;
-        refill(rows, 2 * n * n.div_ceil(span), 0);
-        refill(spread, n, [(NodeId::MAX, 0); 2]);
-        let lists = &self.lists;
-        let kinds = || [&lists.m2l, &lists.p2p].into_iter().enumerate();
-        rows.par_chunks_mut((2 * n).max(1))
-            .zip(spread.par_chunks_mut(span))
-            .enumerate()
-            .for_each(|(w, (row, spread))| {
-                for (a, spread) in (w * span..).zip(spread) {
-                    for (kind, fwd) in kinds() {
-                        let (low, high) = &mut spread[kind];
-                        for &b in &fwd[a] {
-                            row[kind * n + b as usize] += 1;
-                            (*low, *high) = ((*low).min(b), (*high).max(b));
-                        }
-                    }
-                }
-            });
-        let (rows, spread) = (&**rows, &**spread);
-        self.rev_m2l
-            .par_chunks_mut(span)
-            .zip(self.rev_p2p.par_chunks_mut(span))
-            .enumerate()
-            .for_each(|(r, (rev_m2l, rev_p2p))| {
-                let first = r * span;
-                for ((kind, fwd), rev) in kinds().zip([rev_m2l, rev_p2p]) {
-                    for (b, list) in (first..).zip(rev.iter_mut()) {
-                        let count = rows[kind * n + b..].iter().step_by(2 * n).sum::<u32>();
-                        reserve_exactly(list, count as usize);
-                    }
-                    let mine = first..first + rev.len();
-                    for (a, sources) in fwd.iter().enumerate() {
-                        let (low, high) = spread[a][kind];
-                        if high < first as NodeId || low as usize >= mine.end {
-                            continue;
-                        }
-                        for &b in sources.iter().filter(|&&b| mine.contains(&(b as usize))) {
-                            rev[b as usize - first].push(a as NodeId);
-                        }
-                    }
-                }
-            });
-    }
-
     pub fn mac(&self) -> Mac {
         self.mac
     }
 
-    /// Structural heap footprint of the plan: forward and inverse lists at
-    /// capacity granularity, the per-node caches, and the warm refresh and
+    /// Structural heap footprint of the plan: the lists at capacity
+    /// granularity, the per-node caches, and the warm refresh, patch and
     /// rebuild scratch. Counterpart of [`Octree::heap_bytes`] for the list
     /// half of the execution plan.
     pub fn heap_bytes(&self) -> usize {
         self.lists.heap_bytes()
-            + crate::traversal::nested_vec_bytes(&self.rev_m2l)
-            + crate::traversal::nested_vec_bytes(&self.rev_p2p)
             + self.node_counts.capacity() * std::mem::size_of::<OpCounts>()
             + (self.body_count.capacity() + self.begin.capacity()) * std::mem::size_of::<u32>()
             + self.stamp.capacity() * std::mem::size_of::<u32>()
             + self.walk.capacity() * std::mem::size_of::<NodeId>()
             + self.cursor.capacity() * std::mem::size_of::<[Cursor; 2]>()
+            + self.stack.capacity() * std::mem::size_of::<State>()
             + self.traversal.heap_bytes()
-            + self.inverse.heap_bytes()
     }
 
     pub fn lists(&self) -> &InteractionLists {
@@ -447,17 +431,14 @@ impl IncrementalLists {
     /// calls it (after a completed step, before trusting cached state).
     ///
     /// Two checks: no scratch stamp postdates the epoch clock; and the plan
-    /// is what a fresh build of `tree` holds — forward lists equal to a
-    /// fresh [`crate::dual_traversal`] entry for entry, inverse lists the
-    /// mirror of the forward lists as multisets (inverted here, not by the
-    /// build's code), per-node [`OpCounts`] a serial recount of the visible
-    /// nodes and zero elsewhere, totals their sum, populations and `begin`
-    /// keys the tree's.
+    /// is what a fresh build of `tree` holds — lists equal to a fresh
+    /// [`crate::dual_traversal`] entry for entry, per-node [`OpCounts`] a
+    /// serial recount of the visible nodes and zero elsewhere, totals their
+    /// sum, populations and `begin` keys the tree's.
     pub fn audit(&self, tree: &Octree) -> Result<(), String> {
         let n = tree.num_nodes();
-        let sized = self.rev_m2l.len() == n && self.rev_p2p.len() == n && self.stamp.len() == n;
-        let sized = sized && self.begin.len() == n && self.node_counts.len() == n;
-        if !sized || self.body_count.len() != n {
+        let sized = self.stamp.len() == n && self.begin.len() == n;
+        if !sized || self.node_counts.len() != n || self.body_count.len() != n {
             return Err(format!("plan arrays are not sized for {n} nodes"));
         }
         if let Some(i) = self.stamp.iter().position(|&s| s > self.epoch) {
@@ -467,22 +448,12 @@ impl IncrementalLists {
             ));
         }
         let fresh = crate::dual_traversal(tree, self.mac);
-        for (what, got, want, rev) in [
-            ("M2L", &self.lists.m2l, &fresh.m2l, &self.rev_m2l),
-            ("P2P", &self.lists.p2p, &fresh.p2p, &self.rev_p2p),
+        for (what, got, want) in [
+            ("M2L", &self.lists.m2l, &fresh.m2l),
+            ("P2P", &self.lists.p2p, &fresh.p2p),
         ] {
             if got != want {
                 return Err(format!("{what} lists differ from a fresh traversal"));
-            }
-            let mirror = invert(want);
-            if let Some(b) = (0..n).find(|&b| {
-                let mut got = rev[b].clone();
-                got.sort_unstable();
-                got != mirror[b]
-            }) {
-                return Err(format!(
-                    "inverse {what} list of {b} is not the lists' mirror"
-                ));
             }
         }
         let mut visible = vec![false; n];
@@ -523,9 +494,8 @@ impl IncrementalLists {
 
     /// Chaos-harness corruption hook: silently drop the tail entry of the
     /// first non-empty M2L (or, failing that, P2P) list *without* updating
-    /// the inverse lists or counts — exactly the kind of rot
-    /// [`IncrementalLists::audit`] must catch. Returns false when there was
-    /// nothing to truncate.
+    /// the counts — exactly the kind of rot [`IncrementalLists::audit`] must
+    /// catch. Returns false when there was nothing to truncate.
     pub fn corrupt_truncate_list(&mut self) -> bool {
         if let Some(l) = self.lists.m2l.iter_mut().find(|l| !l.is_empty()) {
             l.pop();
@@ -560,10 +530,7 @@ impl IncrementalLists {
         if tree.node(id).is_leaf() {
             return false;
         }
-        let affected_old = visible_subtree(tree, id);
-        let done = tree.collapse(id);
-        debug_assert!(done);
-        self.patch(tree, id, &affected_old);
+        self.patch(tree, id, Octree::collapse);
         true
     }
 
@@ -572,10 +539,10 @@ impl IncrementalLists {
     /// [`IncrementalLists::apply_collapse`], refresh after a rebin first.
     pub fn apply_push_down(&mut self, tree: &mut Octree, id: NodeId) -> bool {
         let _mem = telemetry::AllocScope::enter("plan.patch");
-        if !tree.push_down(id) {
+        if tree.refuses_push_down(id) {
             return false;
         }
-        self.patch(tree, id, &[id]);
+        self.patch(tree, id, Octree::push_down);
         true
     }
 
@@ -682,161 +649,116 @@ impl IncrementalLists {
         }
     }
 
-    /// The shared patch path: `edit` has just been collapsed or pushed down;
-    /// `affected_old` is its pre-edit visible subtree.
-    fn patch(&mut self, tree: &Octree, edit: NodeId, affected_old: &[NodeId]) {
+    /// The shared patch path: unlink on the pre-edit tree, apply `edit_fn`
+    /// (which must apply) to `edit`, link on the post-edit tree, then settle
+    /// and recount every node touched.
+    fn patch(&mut self, tree: &mut Octree, edit: NodeId, edit_fn: fn(&mut Octree, NodeId) -> bool) {
+        let mut dirty = Vec::new();
+        let anc = self.mark_ancestors(tree, edit);
+        self.unlink(tree, edit, anc, &mut dirty);
+        let done = edit_fn(tree, edit);
+        debug_assert!(done);
         let n = tree.num_nodes();
         if self.lists.m2l.len() < n {
             // A push-down drew eight fresh nodes from the arena.
             self.lists.m2l.resize_with(n, Vec::new);
             self.lists.p2p.resize_with(n, Vec::new);
-            self.rev_m2l.resize_with(n, Vec::new);
-            self.rev_p2p.resize_with(n, Vec::new);
             self.node_counts.resize(n, OpCounts::default());
             self.body_count.resize(n, 0);
             self.begin.resize(n, 0);
             self.stamp.resize(n, 0);
             self.cursor.resize(n, [Cursor::IDLE; 2]);
         }
-        let mut dirty: Vec<NodeId> = Vec::new();
-        let range = tree.node(edit).begin..tree.node(edit).end;
+        self.link(tree, edit, anc, &mut dirty);
+        self.recount(tree, &dirty);
+    }
 
-        // 1. Drop every list entry with an endpoint in the old subtree. The
-        //    inverse lists make the source side O(degree); removals tolerate
-        //    already-cleared targets (both endpoints in the subtree). A list
-        //    inside the subtree is emptied whole; in one outside, the run of
-        //    entries inside the subtree is marked stale, for step 2 to
-        //    overwrite and step 3 to drain.
-        for &a in affected_old {
-            let ai = a as usize;
-            for (kind, (fwd, rev)) in [
-                (&mut self.lists.m2l, &mut self.rev_m2l),
-                (&mut self.lists.p2p, &mut self.rev_p2p),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                for b in std::mem::take(&mut fwd[ai]) {
-                    remove_one(&mut rev[b as usize], a);
-                }
-                self.cursor[ai][kind] = Cursor {
-                    at: 0,
-                    ..Cursor::IDLE
-                };
-                for t in std::mem::take(&mut rev[ai]) {
-                    self.cursor[t as usize][kind].place(&self.begin, &fwd[t as usize], &range);
-                    dirty.push(t);
-                }
-            }
-            dirty.push(a);
-        }
-
-        // 2. Restricted dual traversal: same decisions as a fresh traversal
-        //    of the post-edit tree, but states unrelated to the edit on both
-        //    sides are pruned, and only pairs with an endpoint in the new
-        //    subtree are emitted (everything else is already in the lists).
+    /// Stamp `edit` and its ancestors with a new epoch, and return it: the
+    /// restricted traversals' ancestor test, the same before and after the
+    /// edit.
+    fn mark_ancestors(&mut self, tree: &Octree, edit: NodeId) -> u32 {
         self.epoch += 1;
-        let anc = self.epoch;
-        {
-            let mut u = edit;
-            loop {
-                self.stamp[u as usize] = anc;
-                if u == Octree::ROOT {
-                    break;
-                }
-                u = tree.node(u).parent;
+        let mut u = edit;
+        loop {
+            self.stamp[u as usize] = self.epoch;
+            if u == Octree::ROOT {
+                return self.epoch;
             }
+            u = tree.node(u).parent;
         }
-        if tree.node(Octree::ROOT).count() > 0 {
-            let root_rel = if edit == Octree::ROOT {
-                Rel::Sub
-            } else {
-                Rel::Anc
-            };
-            let mut stack: Vec<(NodeId, NodeId, Rel, Rel)> =
-                vec![(Octree::ROOT, Octree::ROOT, root_rel, root_rel)];
-            while let Some((a, b, ra, rb)) = stack.pop() {
-                let na = tree.node(a);
-                let nb = tree.node(b);
-                if na.count() == 0 || nb.count() == 0 {
-                    continue;
-                }
-                let a_leaf = na.is_leaf();
-                let b_leaf = nb.is_leaf();
-                // The list the pair joins, M2L (0) or P2P (1), if it ends here.
-                let kind = if a != b && self.mac.accepts(tree, a, b) {
-                    Some(0)
-                } else {
-                    (a_leaf && b_leaf).then_some(1)
-                };
-                if let Some(kind) = kind {
-                    if ra == Rel::Sub || rb == Rel::Sub {
-                        let (fwd, rev) = match kind {
-                            0 => (&mut self.lists.m2l, &mut self.rev_m2l),
-                            _ => (&mut self.lists.p2p, &mut self.rev_p2p),
-                        };
-                        let (cursor, list) =
-                            (&mut self.cursor[a as usize][kind], &mut fwd[a as usize]);
-                        cursor.place(&self.begin, list, &range);
-                        put_at_cursor(list, b, cursor);
-                        rev[b as usize].push(a);
-                        dirty.push(a);
-                    }
-                    continue;
-                }
-                let stamp = &self.stamp;
-                let child_rel = |parent: Rel, child: NodeId| match parent {
-                    Rel::Sub => Rel::Sub,
-                    Rel::Out => Rel::Out,
-                    Rel::Anc => {
-                        if child == edit {
-                            Rel::Sub
-                        } else if stamp[child as usize] == anc {
-                            Rel::Anc
-                        } else {
-                            Rel::Out
-                        }
-                    }
-                };
-                let split_a = !a_leaf && (b_leaf || na.half_width >= nb.half_width);
-                if split_a {
-                    for c in tree.visible_children(a) {
-                        let rc = child_rel(ra, c);
-                        if rc == Rel::Out && rb == Rel::Out {
-                            continue;
-                        }
-                        stack.push((c, b, rc, rb));
-                    }
-                } else {
-                    for c in tree.visible_children(b) {
-                        let rc = child_rel(rb, c);
-                        if ra == Rel::Out && rc == Rel::Out {
-                            continue;
-                        }
-                        stack.push((a, c, ra, rc));
-                    }
-                }
-            }
-        }
+    }
 
-        // 3. Every target touched above is dirty, and is settled as it is
-        //    recounted. Everything in the new subtree gets a fresh
-        //    contribution too (newly visible nodes need one, the edited node
-        //    changed role); hidden old-subtree nodes drop to zero via the
-        //    visibility check.
-        let subtree = visible_subtree(tree, edit);
-        for &c in &subtree {
+    /// Unlink, on the pre-edit `tree`: empty the lists of the visible
+    /// subtree of `edit`, whose new entries then go from their start, and
+    /// place the cursor of every other target whose list names a node of
+    /// that subtree on the run of those entries — the targets the restricted
+    /// traversal pruned to the subtree's sources ends on. Each target
+    /// touched goes to `dirty`.
+    fn unlink(&mut self, tree: &Octree, edit: NodeId, anc: u32, dirty: &mut Vec<NodeId>) {
+        let start = push_visible_subtree(tree, edit, dirty);
+        for &a in &dirty[start..] {
+            let a = a as usize;
+            self.lists.m2l[a] = Vec::new();
+            self.lists.p2p[a] = Vec::new();
+            self.cursor[a] = [Cursor::EMPTIED; 2];
+        }
+        let range = tree.node(edit).begin..tree.node(edit).end;
+        let stamp = &self.stamp;
+        restricted(
+            tree,
+            self.mac,
+            edit,
+            |u| stamp[u as usize] == anc,
+            &mut self.stack,
+            true,
+            |kind, a, _| {
+                let cursor = &mut self.cursor[a as usize][kind];
+                let list = &of_kind(&mut self.lists, kind)[a as usize];
+                cursor.place(&self.begin, list, &range);
+                // An empty run means a list out of step with the tree: a
+                // patch after a rebin without the refresh in between.
+                debug_assert!(cursor.stale > 0, "target {a} names no node of {edit}");
+                dirty.push(a);
+            },
+        );
+    }
+
+    /// Link, on the post-edit `tree`: the restricted traversal's pairs with
+    /// an endpoint in the visible subtree of `edit` go into their lists at
+    /// the cursors, and the subtree's `begin` keys are refreshed. Every
+    /// target touched, and the subtree, go to `dirty`.
+    fn link(&mut self, tree: &Octree, edit: NodeId, anc: u32, dirty: &mut Vec<NodeId>) {
+        let range = tree.node(edit).begin..tree.node(edit).end;
+        let stamp = &self.stamp;
+        restricted(
+            tree,
+            self.mac,
+            edit,
+            |u| stamp[u as usize] == anc,
+            &mut self.stack,
+            false,
+            |kind, a, b| {
+                let cursor = &mut self.cursor[a as usize][kind];
+                let list = &mut of_kind(&mut self.lists, kind)[a as usize];
+                cursor.place(&self.begin, list, &range);
+                put_at_cursor(list, b, cursor);
+                dirty.push(a);
+            },
+        );
+        // Everything in the new subtree gets a fresh contribution too (newly
+        // visible nodes need one, the edited node changed role); hidden
+        // old-subtree nodes drop to zero via the visibility check.
+        let start = push_visible_subtree(tree, edit, dirty);
+        for &c in &dirty[start..] {
             self.begin[c as usize] = tree.node(c).begin;
         }
-        dirty.extend(subtree);
-        self.recount(tree, &dirty);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{build_adaptive, BuildParams};
+    use crate::build::{build_adaptive, build_adaptive_in_cube, BuildParams};
     use crate::stats::count_ops;
     use crate::traversal::dual_traversal;
     use geom::Vec3;
@@ -1033,44 +955,102 @@ mod tests {
         assert!(err.contains("M2L lists"), "{err}");
     }
 
-    #[test]
-    fn built_inverse_lists_are_the_ascending_mirror_at_every_width() {
-        let pos = random_points(20_000, 82);
-        let tree = build_adaptive(&pos, BuildParams::with_s(16));
-        assert!(tree.num_nodes() > 2048, "{} nodes", tree.num_nodes());
-        for width in [1, 2, 3, 8] {
-            let plan = rayon::ThreadPoolBuilder::new()
-                .num_threads(width)
-                .build()
-                .unwrap()
-                .install(|| IncrementalLists::build(&tree, Mac::default()));
-            assert!(plan.rev_m2l == invert(&plan.lists.m2l), "width {width}");
-            assert!(plan.rev_p2p == invert(&plan.lists.p2p), "width {width}");
+    /// Nineteen bodies in twenty in a tight clump inside the root's
+    /// (+, +, +) octant, the rest spread over the whole cube.
+    fn clump(n: usize, seed: u64) -> Vec<Vec3> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| match i % 20 {
+                0 => Vec3::splat(0.0),
+                _ => Vec3::splat(0.5),
+            } + {
+                let spread: f64 = if i % 20 == 0 { 1.0 } else { 0.05 };
+                let mut coord = || rng.random_range(-spread..spread);
+                Vec3::new(coord(), coord(), coord())
+            })
+            .collect()
+    }
+
+    /// Unlink before the edit at `edit`, on a copy of `plan`, against a
+    /// brute-force scan of a fresh traversal: the old visible subtree's
+    /// lists are emptied, every other target whose fresh list names a node
+    /// of that subtree has its cursor on exactly those entries (one run),
+    /// no other target is placed, and the touched targets are the dirty
+    /// ones.
+    fn assert_unlink_finds_every_removal(tree: &Octree, plan: &IncrementalLists, edit: NodeId) {
+        let fresh = dual_traversal(tree, plan.mac());
+        let mut old = vec![false; tree.num_nodes()];
+        for v in tree.visible_nodes() {
+            let mut u = v;
+            while u != edit && u != Octree::ROOT {
+                u = tree.node(u).parent;
+            }
+            old[v as usize] = u == edit;
+        }
+        let mut plan = plan.clone();
+        let mut dirty = Vec::new();
+        let anc = plan.mark_ancestors(tree, edit);
+        plan.unlink(tree, edit, anc, &mut dirty);
+        let mut touched = vec![false; tree.num_nodes()];
+        for &d in &dirty {
+            touched[d as usize] = true;
+        }
+        for t in 0..tree.num_nodes() {
+            for (kind, fwd) in [&fresh.m2l, &fresh.p2p].into_iter().enumerate() {
+                let cursor = plan.cursor[t][kind];
+                let list = &of_kind(&mut plan.lists, kind)[t];
+                let named: Vec<u32> = (0..fwd[t].len() as u32)
+                    .filter(|&i| old[fwd[t][i as usize] as usize])
+                    .collect();
+                if old[t] {
+                    assert!(list.is_empty() && cursor.at == 0, "{edit}: {t} not emptied");
+                } else if named.is_empty() {
+                    assert_eq!(cursor.at, Cursor::UNPLACED, "{edit}: {t} placed");
+                } else {
+                    let run: Vec<u32> = (cursor.at..cursor.at + cursor.stale).collect();
+                    assert_eq!(run, named, "{edit}: run of {t}, kind {kind}");
+                }
+            }
+            let marked = plan.cursor[t].iter().any(|c| c.at != Cursor::UNPLACED);
+            assert_eq!(touched[t], marked, "{edit}: {t} dirty");
         }
     }
 
     #[test]
-    fn audit_refuses_inverse_lists_that_are_not_the_mirror() {
-        let pos = random_points(900, 83);
-        let tree = build_adaptive(&pos, BuildParams::with_s(16));
-        let plan = IncrementalLists::build(&tree, Mac::default());
-        let b = (plan.rev_m2l.iter().position(|l| l.len() > 1)).expect("a source named twice");
-        let mut dropped = plan.clone();
-        dropped.rev_m2l[b].pop();
-        let mut doubled = plan.clone();
-        doubled.rev_m2l[b][0] = doubled.rev_m2l[b][1];
-        let mut shuffled = plan.clone();
-        shuffled.rev_m2l[b].reverse();
-        for (what, plan) in [("dropped", dropped), ("doubled", doubled)] {
-            let err = plan.audit(&tree).unwrap_err();
-            assert!(
-                err.contains(&format!("inverse M2L list of {b}")),
-                "{what}: {err}"
-            );
+    fn unlink_finds_exactly_the_targets_that_name_the_old_subtree() {
+        let plummer = nbody::plummer(4000, 1.0, 1.0, 84).pos;
+        let clumped = clump(4000, 85);
+        let mut collapsed = build_adaptive(&plummer, BuildParams::with_s(12));
+        let internal: Vec<NodeId> = (collapsed.visible_nodes().into_iter().rev())
+            .filter(|&id| id != Octree::ROOT && !collapsed.node(id).is_leaf())
+            .collect();
+        for id in internal.into_iter().step_by(3) {
+            assert!(collapsed.collapse(id));
         }
-        shuffled
-            .audit(&tree)
-            .expect("order of an inverse list is free");
+        let trees = [
+            build_adaptive(&plummer, BuildParams::with_s(16)),
+            build_adaptive_in_cube(&clumped, BuildParams::with_s(16), Vec3::ZERO, 1.0),
+            collapsed,
+        ];
+        let mut rng = StdRng::seed_from_u64(86);
+        for (tree, theta) in trees.iter().zip([0.6, 0.35, 0.8]) {
+            let plan = IncrementalLists::build(tree, Mac::new(theta));
+            let visible = tree.visible_nodes();
+            let collapses: Vec<NodeId> = (visible.iter().copied())
+                .filter(|&id| !tree.node(id).is_leaf())
+                .collect();
+            let push_downs: Vec<NodeId> = (visible.iter().copied())
+                .filter(|&id| !tree.refuses_push_down(id) && tree.node(id).count() > 0)
+                .collect();
+            assert!(collapses.len() >= 10 && push_downs.len() >= 10);
+            assert_unlink_finds_every_removal(tree, &plan, Octree::ROOT);
+            for cands in [&collapses, &push_downs] {
+                for _ in 0..20 {
+                    let edit = cands[rng.random_range(0..cands.len())];
+                    assert_unlink_finds_every_removal(tree, &plan, edit);
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,14 +28,6 @@ pub struct OpCounts {
     pub active_nodes: u64,
 }
 
-impl OpCounts {
-    /// Sum of the five far-field (CPU) op counts, weighted 1:1 — only for
-    /// quick sanity checks; real costing applies per-op coefficients.
-    pub fn far_field_total(&self) -> u64 {
-        self.p2m_bodies + self.m2m_ops + self.m2l_ops + self.l2l_ops + self.l2p_bodies
-    }
-}
-
 impl std::ops::AddAssign for OpCounts {
     fn add_assign(&mut self, o: OpCounts) {
         self.p2m_bodies += o.p2m_bodies;
@@ -153,23 +145,6 @@ pub fn count_ops(tree: &Octree, lists: &InteractionLists) -> OpCounts {
     c
 }
 
-/// The paper's `Interactions(t)` per target leaf: `p_t · Σ_{u ∈ U(t)} p_u`,
-/// the quantity the multi-GPU partitioner balances. Returned as
-/// `(leaf_id, interactions)` in traversal order.
-pub fn leaf_interactions(tree: &Octree, lists: &InteractionLists) -> Vec<(NodeId, u64)> {
-    tree.active_leaves()
-        .into_iter()
-        .map(|id| {
-            let nt = tree.node(id).count() as u64;
-            let srcs: u64 = lists.p2p[id as usize]
-                .iter()
-                .map(|&b| tree.node(b).count() as u64)
-                .sum();
-            (id, nt * srcs)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,24 +210,6 @@ mod tests {
         // (its Fig 3).
         assert!(cc.p2p_interactions > cf.p2p_interactions);
         assert!(cc.m2l_ops < cf.m2l_ops);
-    }
-
-    #[test]
-    fn leaf_interactions_sum_to_total() {
-        let pos = random_points(600, 34);
-        let tree = build_adaptive(&pos, BuildParams::with_s(16));
-        let lists = dual_traversal(&tree, Mac::default());
-        let per_leaf = leaf_interactions(&tree, &lists);
-        let c = count_ops(&tree, &lists);
-        let sum: u64 = per_leaf.iter().map(|&(_, v)| v).sum();
-        // per-leaf counts include self pairs as p_t * p_t (paper's formula
-        // counts p_u for u = t too); count_ops excludes the diagonal.
-        let diag: u64 = tree
-            .active_leaves()
-            .iter()
-            .map(|&id| tree.node(id).count() as u64)
-            .sum();
-        assert_eq!(sum, c.p2p_interactions + diag);
     }
 
     #[test]

@@ -2,12 +2,12 @@ use crate::node::{NodeId, Octree};
 use rayon::prelude::*;
 
 /// Fewest arena nodes a traversal or plan rebuild forks for. A rebuild's
-/// three forks cost ≈ 0.09 ms: on two workers a warm rebuild breaks even
-/// near 300 nodes (0.5 ms), is ahead by 1.1–1.3× up to 1 600 nodes and by
-/// 1.6× at 2 600. Under this size the gain is a fraction of a
-/// millisecond that no step shows (a balanced run on 330–460-node trees
-/// reads the same either way), so those trees keep the path that spawns
-/// nothing.
+/// forks cost ≈ 0.09 ms (measured with three): on two workers a warm
+/// rebuild breaks even near 300 nodes (0.5 ms), is ahead by 1.1–1.3× up to
+/// 1 600 nodes and by 1.6× at 2 600. Under this size the gain is a fraction
+/// of a millisecond that no step shows (a balanced run on 330–460-node
+/// trees reads the same either way), so those trees keep the path that
+/// spawns nothing.
 pub(crate) const MIN_FORK_NODES: usize = 1024;
 
 /// Workers a traversal or plan rebuild of `tree` uses: the pool's width from
@@ -54,17 +54,6 @@ pub(crate) fn empty_lists(spine: &mut Vec<Vec<NodeId>>, n: usize) {
     spine.resize_with(n, Vec::new);
     trim(spine);
     spine.iter_mut().for_each(Vec::clear);
-}
-
-/// Empty `v` for a refill of exactly `len` elements: a list whose room for
-/// them is within what pushing would have grown to keeps its allocation,
-/// any other is reallocated at exactly `len`.
-pub(crate) fn reserve_exactly<T>(v: &mut Vec<T>, len: usize) {
-    v.clear();
-    if v.capacity() > fresh_capacity(len) {
-        v.shrink_to(len);
-    }
-    v.reserve_exact(len);
 }
 
 /// Multipole acceptance criterion: cells `A`, `B` are *well separated* when

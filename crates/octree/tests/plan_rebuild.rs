@@ -1,7 +1,7 @@
 //! A plan rebuild is the same plan at any width, and a patched plan is the
 //! plan a build gives. `IncrementalLists::build` and `rebuild` traverse
-//! through workers, one task per child of the root, and fill the inverse
-//! lists and per-node counts one range per worker; at widths 1, 2, 3 and 8
+//! through workers, one task per child of the root, and count per-node
+//! contributions one range per worker; at widths 1, 2, 3 and 8
 //! (real forked threads under `ThreadPool::install`) the plan — every list
 //! in its order, every count, population, stamp and the epoch, as
 //! `IncrementalLists`'s equality compares them — must equal the width-1

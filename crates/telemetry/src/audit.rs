@@ -55,12 +55,6 @@ impl PredictionAudit {
     pub fn rel_error(&self) -> f64 {
         rel_err(self.pred_total(), self.actual_total())
     }
-    pub fn rel_error_cpu(&self) -> f64 {
-        rel_err(self.pred_cpu, self.actual_cpu)
-    }
-    pub fn rel_error_gpu(&self) -> f64 {
-        rel_err(self.pred_gpu, self.actual_gpu)
-    }
 
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(160);

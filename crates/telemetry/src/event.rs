@@ -122,15 +122,6 @@ impl EventRecord {
         }
     }
 
-    /// Fetch a signed integer field as `i64`.
-    pub fn field_i64(&self, name: &str) -> Option<i64> {
-        match self.field(name)? {
-            Value::I64(v) => Some(*v),
-            Value::U64(v) => i64::try_from(*v).ok(),
-            _ => None,
-        }
-    }
-
     /// Fetch a string field.
     pub fn field_str(&self, name: &str) -> Option<&str> {
         match self.field(name)? {

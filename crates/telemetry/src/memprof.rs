@@ -64,15 +64,6 @@ pub struct ScopeStats {
     pub peak_live_bytes: u64,
 }
 
-impl ScopeStats {
-    /// Net bytes retained across all activations (saturating at zero: a
-    /// scope that frees buffers allocated elsewhere nets negative, which
-    /// is "no retained footprint" for reporting purposes).
-    pub fn net_bytes(&self) -> u64 {
-        self.alloc_bytes.saturating_sub(self.free_bytes)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Feature ON: the real implementation.
 // ---------------------------------------------------------------------------

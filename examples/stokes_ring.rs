@@ -50,7 +50,7 @@ fn main() {
         }
         ring.positions_mut().copy_from_slice(&pos[..n_ring]);
         engine.rebin(&pos);
-        engine.tree_mut().enforce_s();
+        engine.enforce_s();
 
         if step % 15 == 0 {
             // Aspect ratio of the ring's bounding box in the xy-plane.

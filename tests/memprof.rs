@@ -219,10 +219,9 @@ fn warm_rebuild_allocs(n: usize) -> (u64, u64) {
 
 /// A rebuild refills the plan's own lists, counts and stamps in place, so
 /// on one worker a rebuild of a tree that did not change allocates nothing.
-/// With more workers its three forks (traversal, inverse lists, counts) put
-/// their bookkeeping in the scope, as `rebin`'s do: the same allocations for
-/// a tree twice the size, a few KB, so no list or buffer can hide among
-/// them.
+/// With more workers its two forks (traversal, counts) put their
+/// bookkeeping in the scope, as `rebin`'s do: the same allocations for a
+/// tree twice the size, a few KB, so no list or buffer can hide among them.
 #[test]
 fn rebuild_of_an_unchanged_tree_allocates_nothing_at_one_worker() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());

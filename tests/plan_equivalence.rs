@@ -64,7 +64,7 @@ proptest! {
     /// After any interleaving of plan-routed Collapse/PushDown edits, the
     /// patched lists and counts equal a fresh dual traversal + count of the
     /// same tree, at both MAC regimes, and the plan passes its audit (equal
-    /// to a fresh build, inverse lists as multisets).
+    /// to a fresh build).
     #[test]
     fn patched_plan_equals_fresh_build(
         pts in arb_points(300),
