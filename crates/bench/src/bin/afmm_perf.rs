@@ -13,7 +13,9 @@
 //! gate when its bootstrap CIs don't overlap *and* the median delta clears
 //! the relative-MAD threshold (see `bench::harness::compare`). Reports embed
 //! structural introspection snapshots, so a regression comes with the
-//! tree/plan/GPU/cost-model context needed to attribute it. `run` and
+//! tree/plan/GPU/cost-model context needed to attribute it; `compare` also
+//! notes when the two reports' host blocks (cores, P2P width) differ, since
+//! their wall rows then come from different machines. `run` and
 //! `baseline` print the `solve_step` wall ledger and `memory_profile`'s
 //! footprint and — under `--features memprof` — its allocator table, all
 //! read back from the report.
@@ -248,6 +250,13 @@ fn cmd_compare(args: &[String]) -> ExitCode {
     let (om, nm) = bench::harness::compare::modes(&old, &new);
     if om != nm {
         eprintln!("# note: comparing a \"{om}\" baseline against a \"{nm}\" report");
+    }
+    if old.host != new.host {
+        eprintln!(
+            "# note: baseline host {} differs from this report's {}",
+            old.host.to_json(),
+            new.host.to_json()
+        );
     }
     if result.regressions() > 0 {
         eprintln!(

@@ -7,7 +7,7 @@
 //! ```json
 //! {
 //!   "schema_version": 1,
-//!   "host": {"os": "...", "arch": "...", "cpus": 8},
+//!   "host": {"os": "...", "arch": "...", "cpus": 8, "p2p_width": 8},
 //!   "commit": "abc123... | unknown",
 //!   "config": {"mode": "quick|full|smoke", "reps": 5, "warmup": 1, "seed": 7},
 //!   "scenarios": [
@@ -261,7 +261,7 @@ impl Scenario {
 /// written and read at [`SCHEMA_VERSION`] only.
 #[derive(Clone, Debug)]
 pub struct BenchReport {
-    /// `{"os", "arch", "cpus"}` of the measuring host.
+    /// `{"os", "arch", "cpus", "p2p_width"}` of the measuring host.
     pub host: Json,
     /// Git commit the measured binary was built from, or "unknown".
     pub commit: String,
@@ -275,7 +275,9 @@ impl BenchReport {
         self.scenarios.iter().find(|s| s.name == name)
     }
 
-    /// Fingerprint of the current host.
+    /// Fingerprint of the current host, with the targets per register its
+    /// near field runs ([`fmm_math::p2p_width`]: 8 with AVX2, else 4), which
+    /// the near-field wall rows scale with.
     pub fn current_host() -> Json {
         let cpus = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -284,6 +286,7 @@ impl BenchReport {
             ("os", Json::Str(std::env::consts::OS.to_string())),
             ("arch", Json::Str(std::env::consts::ARCH.to_string())),
             ("cpus", Json::F64(cpus as f64)),
+            ("p2p_width", Json::F64(fmm_math::p2p_width() as f64)),
         ])
     }
 

@@ -96,8 +96,10 @@ pub trait Kernel: Send + Sync {
     );
 
     /// The solver's P2P: [`Kernel::p2p_tile`]'s pair formula in single
-    /// precision (four pairs per SSE2 register), from the targets loaded into
-    /// `tgt` to every source of `src`, added into `out`.
+    /// precision (eight targets per AVX2 register where the CPU has AVX2,
+    /// four per SSE2 register where not: [`crate::p2p_width`]), from the
+    /// targets loaded into `tgt` to every source of `src`, added into `out`.
+    /// The width changes no bit: each lane is one target's sum.
     ///
     /// Each source is split into `hi + lo` f32 coordinates once, and every
     /// separation is formed from both halves, so it keeps f32 precision

@@ -1,7 +1,7 @@
 use crate::expansion::ExpansionOps;
 use crate::kernel::Kernel;
 use crate::powers::power_series;
-use crate::tile::{BodyTile, FieldTile, SplitTile, LANES};
+use crate::tile::{BodyTile, FieldTile, PairRow, SplitPoint, SplitRow, SplitTile};
 use geom::Vec3;
 
 /// The Newtonian gravity / Coulomb kernel `1/r` (one harmonic channel).
@@ -26,6 +26,61 @@ impl GravityKernel {
     pub fn new(softening: f64) -> Self {
         assert!(softening >= 0.0);
         GravityKernel { softening }
+    }
+
+    /// The pair row [`Kernel::p2p_split`] sweeps `src` with.
+    pub(crate) fn split_row<'a>(&self, src: BodyTile<'a>) -> GravityRow<'a> {
+        GravityRow {
+            q: src.channel(0),
+            eps2: (self.softening * self.softening) as f32,
+        }
+    }
+}
+
+/// Gravity's split pair row: one source tile's masses, and ε² in f32.
+#[derive(Clone, Copy)]
+pub(crate) struct GravityRow<'a> {
+    q: &'a [f64],
+    eps2: f32,
+}
+
+impl PairRow for GravityRow<'_> {
+    fn skips_own(self) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    fn row<const W: usize>(self, t: &mut SplitRow<'_>, s: SplitPoint, j: usize) {
+        let (qj, eps2) = (self.q[j] as f32, self.eps2);
+        let pot = t.pot.as_chunks_mut::<W>().0;
+        let nb = pot.len();
+        let [xh, xl, yh, yl, zh, zl] =
+            [t.xh, t.xl, t.yh, t.yl, t.zh, t.zl].map(|l| &l.as_chunks::<W>().0[..nb]);
+        let (ax, ay, az) = (
+            &mut t.ax.as_chunks_mut::<W>().0[..nb],
+            &mut t.ay.as_chunks_mut::<W>().0[..nb],
+            &mut t.az.as_chunks_mut::<W>().0[..nb],
+        );
+        // `p2p_tile`'s row in f32, one chunk of targets at a time (read
+        // whole before it is written, so it vectorises as one register),
+        // the separation from both halves.
+        for b in 0..nb {
+            let (xh, xl, yh, yl, zh, zl) = (xh[b], xl[b], yh[b], yl[b], zh[b], zl[b]);
+            let (mut p, mut x, mut y, mut z) = (pot[b], ax[b], ay[b], az[b]);
+            for k in 0..W {
+                let dx = (s.xh - xh[k]) + (s.xl - xl[k]);
+                let dy = (s.yh - yh[k]) + (s.yl - yl[k]);
+                let dz = (s.zh - zh[k]) + (s.zl - zl[k]);
+                let r2 = dx * dx + dy * dy + dz * dz + eps2;
+                let inv_r = 1.0 / r2.sqrt();
+                let w = qj * (inv_r * inv_r * inv_r);
+                p[k] += qj * inv_r;
+                x[k] += dx * w;
+                y[k] += dy * w;
+                z[k] += dz * w;
+            }
+            (pot[b], ax[b], ay[b], az[b]) = (p, x, y, z);
+        }
     }
 }
 
@@ -149,38 +204,7 @@ impl Kernel for GravityKernel {
         src: BodyTile<'_>,
         self_tile: bool,
     ) {
-        let eps2 = (self.softening * self.softening) as f32;
-        let q = src.channel(0);
-        // `move`: the row's constants are its own copies, which stay in
-        // registers across the row instead of being reloaded per block.
-        tgt.sweep(out, src, self_tile, true, move |t, s, j| {
-            let qj = q[j] as f32;
-            let nb = t.pot.len();
-            let (xh, xl, yh, yl) = (&t.xh[..nb], &t.xl[..nb], &t.yh[..nb], &t.yl[..nb]);
-            let (zh, zl) = (&t.zh[..nb], &t.zl[..nb]);
-            let pot = &mut t.pot[..nb];
-            let (ax, ay, az) = (&mut t.ax[..nb], &mut t.ay[..nb], &mut t.az[..nb]);
-            // `p2p_tile`'s row in f32, one block of targets at a time (read
-            // whole before it is written, so it vectorises as one register),
-            // the separation from both halves.
-            for b in 0..nb {
-                let (xh, xl, yh, yl, zh, zl) = (xh[b], xl[b], yh[b], yl[b], zh[b], zl[b]);
-                let (mut p, mut x, mut y, mut z) = (pot[b], ax[b], ay[b], az[b]);
-                for k in 0..LANES {
-                    let dx = (s.xh - xh[k]) + (s.xl - xl[k]);
-                    let dy = (s.yh - yh[k]) + (s.yl - yl[k]);
-                    let dz = (s.zh - zh[k]) + (s.zl - zl[k]);
-                    let r2 = dx * dx + dy * dy + dz * dz + eps2;
-                    let inv_r = 1.0 / r2.sqrt();
-                    let w = qj * (inv_r * inv_r * inv_r);
-                    p[k] += qj * inv_r;
-                    x[k] += dx * w;
-                    y[k] += dy * w;
-                    z[k] += dz * w;
-                }
-                (pot[b], ax[b], ay[b], az[b]) = (p, x, y, z);
-            }
-        });
+        tgt.sweep(out, src, self_tile, self.split_row(src));
     }
 
     fn p2p_flops_per_pair(&self) -> f64 {

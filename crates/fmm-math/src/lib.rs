@@ -19,7 +19,7 @@
 //! | M2L | [`ExpansionOps::m2l_batch`]: [`M2L_LANES`] sources into one target, side by side in `f32` lanes over per-node [`ExpansionOps::source_form`]s in cell units (each lane in units of the larger of its source and target cell; orders up to [`MAX_ORDER`]; kernel-independent, one lane tensor shared across channels; only the `2n+1` harmonic components per order are contracted), summed per `β` in `f64` into the `f64` local; [`ExpansionOps::m2l`] is its one-source `f64` oracle. The 7-channel Stokeslet costs 5.2× gravity per source in full batches at p = 6 (5.1× one source at a time through the oracle) |
 //! | L2L | [`ExpansionOps::l2l`] (kernel-independent) |
 //! | L2P | [`Kernel::l2p_tile`] |
-//! | P2P | [`Kernel::p2p_split`]: the pairs in f32 over split (`hi + lo`) coordinates, four targets per SSE2 register in a [`SplitTile`], each source tile's f32 sums added into the f64 output; [`Kernel::p2p_tile`] is its f64 oracle, which every direct-sum reference runs |
+//! | P2P | [`Kernel::p2p_split`]: the pairs in f32 over split (`hi + lo`) coordinates in a [`SplitTile`], eight targets per AVX2 register where the CPU has it and four per SSE2 register where not ([`p2p_width`]; the lanes are targets, so the bits are the same), each source tile's f32 sums added into the f64 output; [`Kernel::p2p_tile`] is its f64 oracle, which every direct-sum reference runs |
 //!
 //! The three body-touching operators run on structure-of-arrays
 //! [`BodyTile`]s; [`Kernel::p2m`] / [`Kernel::l2p`] / [`Kernel::p2p`] are
@@ -50,4 +50,4 @@ pub use multiindex::{nterms, MultiIndexSet, MAX_ORDER};
 pub use powers::power_series;
 pub use stokeslet::{StokesletKernel, STOKESLET_CHANNELS};
 pub use tensor::DerivScratch;
-pub use tile::{BodyTile, FieldTile, SplitTile, TILE_BLOCK};
+pub use tile::{p2p_width, BodyTile, FieldTile, SplitTile, TILE_BLOCK};

@@ -1,7 +1,7 @@
 use crate::expansion::ExpansionOps;
 use crate::kernel::Kernel;
 use crate::powers::power_series;
-use crate::tile::{BodyTile, FieldTile, SplitTile, LANES};
+use crate::tile::{BodyTile, FieldTile, PairRow, SplitPoint, SplitRow, SplitTile};
 use geom::Vec3;
 
 /// Number of harmonic channels in the Stokeslet decomposition.
@@ -45,9 +45,72 @@ impl StokesletKernel {
         StokesletKernel { epsilon, mu }
     }
 
+    /// The pair row [`Kernel::p2p_split`] sweeps `src` with.
+    pub(crate) fn split_row<'a>(&self, src: BodyTile<'a>) -> StokesletRow<'a> {
+        let e2 = self.epsilon * self.epsilon;
+        StokesletRow {
+            f: [src.channel(0), src.channel(1), src.channel(2)],
+            pref: self.prefactor(),
+            e2: e2 as f32,
+            // As `p2p_tile`: only the singular limit drops its own index.
+            skip_own: e2 == 0.0,
+        }
+    }
+
     #[inline]
     fn prefactor(&self) -> f64 {
         1.0 / (8.0 * std::f64::consts::PI * self.mu)
+    }
+}
+
+/// The Stokeslet's split pair row: one source tile's forces, the
+/// prefactor they are scaled by, and ε² in f32.
+#[derive(Clone, Copy)]
+pub(crate) struct StokesletRow<'a> {
+    f: [&'a [f64]; 3],
+    pref: f64,
+    e2: f32,
+    skip_own: bool,
+}
+
+impl PairRow for StokesletRow<'_> {
+    fn skips_own(self) -> bool {
+        self.skip_own
+    }
+
+    #[inline(always)]
+    fn row<const W: usize>(self, t: &mut SplitRow<'_>, s: SplitPoint, j: usize) {
+        let [fx, fy, fz] = self.f.map(|f| (f[j] * self.pref) as f32);
+        let e2 = self.e2;
+        let ux = t.ax.as_chunks_mut::<W>().0;
+        let nb = ux.len();
+        let [xh, xl, yh, yl, zh, zl] =
+            [t.xh, t.xl, t.yh, t.yl, t.zh, t.zl].map(|l| &l.as_chunks::<W>().0[..nb]);
+        let (uy, uz) = (
+            &mut t.ay.as_chunks_mut::<W>().0[..nb],
+            &mut t.az.as_chunks_mut::<W>().0[..nb],
+        );
+        // `p2p_tile`'s row in f32, one chunk of targets at a time (read
+        // whole before it is written, so it vectorises as one register),
+        // the separation from both halves.
+        for b in 0..nb {
+            let (xh, xl, yh, yl, zh, zl) = (xh[b], xl[b], yh[b], yl[b], zh[b], zl[b]);
+            let (mut x, mut y, mut z) = (ux[b], uy[b], uz[b]);
+            for k in 0..W {
+                let dx = (xh[k] - s.xh) + (xl[k] - s.xl);
+                let dy = (yh[k] - s.yh) + (yl[k] - s.yl);
+                let dz = (zh[k] - s.zh) + (zl[k] - s.zl);
+                let r2 = dx * dx + dy * dy + dz * dz;
+                let re2 = r2 + e2;
+                let inv = 1.0 / (re2 * re2.sqrt());
+                let iso = (r2 + 2.0 * e2) * inv;
+                let fd = (fx * dx + fy * dy + fz * dz) * inv;
+                x[k] += fx * iso + dx * fd;
+                y[k] += fy * iso + dy * fd;
+                z[k] += fz * iso + dz * fd;
+            }
+            (ux[b], uy[b], uz[b]) = (x, y, z);
+        }
     }
 }
 
@@ -197,45 +260,7 @@ impl Kernel for StokesletKernel {
         src: BodyTile<'_>,
         self_tile: bool,
     ) {
-        let e2 = self.epsilon * self.epsilon;
-        let pref = self.prefactor();
-        let (fx, fy, fz) = (src.channel(0), src.channel(1), src.channel(2));
-        // As `p2p_tile`: only the singular limit drops its own index.
-        let skip_own = e2 == 0.0;
-        let e2 = e2 as f32;
-        // `move`: the row's constants stay in registers (see gravity's).
-        tgt.sweep(out, src, self_tile, skip_own, move |t, s, j| {
-            let (fx, fy, fz) = (
-                (fx[j] * pref) as f32,
-                (fy[j] * pref) as f32,
-                (fz[j] * pref) as f32,
-            );
-            let nb = t.ax.len();
-            let (xh, xl, yh, yl) = (&t.xh[..nb], &t.xl[..nb], &t.yh[..nb], &t.yl[..nb]);
-            let (zh, zl) = (&t.zh[..nb], &t.zl[..nb]);
-            let (ux, uy, uz) = (&mut t.ax[..nb], &mut t.ay[..nb], &mut t.az[..nb]);
-            // `p2p_tile`'s row in f32, one block of targets at a time (read
-            // whole before it is written, so it vectorises as one register),
-            // the separation from both halves.
-            for b in 0..nb {
-                let (xh, xl, yh, yl, zh, zl) = (xh[b], xl[b], yh[b], yl[b], zh[b], zl[b]);
-                let (mut x, mut y, mut z) = (ux[b], uy[b], uz[b]);
-                for k in 0..LANES {
-                    let dx = (xh[k] - s.xh) + (xl[k] - s.xl);
-                    let dy = (yh[k] - s.yh) + (yl[k] - s.yl);
-                    let dz = (zh[k] - s.zh) + (zl[k] - s.zl);
-                    let r2 = dx * dx + dy * dy + dz * dz;
-                    let re2 = r2 + e2;
-                    let inv = 1.0 / (re2 * re2.sqrt());
-                    let iso = (r2 + 2.0 * e2) * inv;
-                    let fd = (fx * dx + fy * dy + fz * dz) * inv;
-                    x[k] += fx * iso + dx * fd;
-                    y[k] += fy * iso + dy * fd;
-                    z[k] += fz * iso + dz * fd;
-                }
-                (ux[b], uy[b], uz[b]) = (x, y, z);
-            }
-        });
+        tgt.sweep(out, src, self_tile, self.split_row(src));
     }
 
     fn p2p_flops_per_pair(&self) -> f64 {

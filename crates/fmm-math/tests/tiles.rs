@@ -13,9 +13,10 @@ use geom::Vec3;
 use proptest::prelude::*;
 use rand::prelude::*;
 
-/// Lane remainders on either side of the 2-wide (SSE2) and 4-wide loops,
-/// plus one past the adapter block.
-const SIZES: [usize; 7] = [0, 1, 2, 3, 5, 63, TILE_BLOCK + 1];
+/// Lane remainders on either side of the f64 tile form's 2-wide (SSE2)
+/// loop and the split form's 4-wide (SSE2) and 8-wide (AVX2) rows, plus one
+/// past the adapter block.
+const SIZES: [usize; 13] = [0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 63, TILE_BLOCK + 1];
 
 fn points(rng: &mut StdRng, n: usize) -> Vec<Vec3> {
     (0..n)
@@ -235,7 +236,7 @@ proptest! {
     }
 
     /// The split form against the same references, every size pairing
-    /// (across the 4-wide f32 loop's remainders and past one
+    /// (across the 4- and 8-wide f32 rows' remainders and past one
     /// `TILE_BLOCK` of sources), one scratch reused throughout, and
     /// continuing the f64 sums `out` already held.
     #[test]
