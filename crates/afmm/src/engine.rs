@@ -438,9 +438,10 @@ impl<K: Kernel> FmmEngine<K> {
             })
     }
 
-    /// Verify the live plan: stamp/epoch monotonicity, and equality with a
-    /// fresh build of the tree ([`ExecutionPlan::audit`]). A missing or
-    /// stale plan passes vacuously — nothing cached is being trusted.
+    /// Verify the live plan: stamp/epoch monotonicity, and equality, field by
+    /// field, with a fresh plan build of the tree ([`ExecutionPlan::audit`]),
+    /// so it costs about a plan build. A missing or stale plan passes
+    /// vacuously — nothing cached is being trusted.
     /// Between a [`FmmEngine::rebin`] and the next
     /// [`FmmEngine::refresh_plan`] the counts lag the tree legitimately, so
     /// the audit runs on a reconciled copy of the plan.

@@ -36,7 +36,8 @@ pub struct SupervisorConfig {
     /// Rung-1 retries before escalating.
     pub max_retries: usize,
     /// Audit every N-th step (1 = every step, 0 = audits off). The plan
-    /// audit traverses the tree, so it costs about a plan build.
+    /// audit builds a fresh plan of the tree and compares it with the live
+    /// one, so it costs about a plan build.
     pub audit_every: usize,
     /// Take an automatic checkpoint every N-th step (0 = manual only via
     /// [`Supervisor::checkpoint_now`]).

@@ -393,21 +393,9 @@ impl Octree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::random_points;
     use rand::prelude::*;
     use rand::rngs::StdRng;
-
-    fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                Vec3::new(
-                    rng.random_range(-1.0..1.0),
-                    rng.random_range(-1.0..1.0),
-                    rng.random_range(-1.0..1.0),
-                )
-            })
-            .collect()
-    }
 
     #[test]
     fn build_respects_leaf_capacity() {

@@ -34,3 +34,15 @@ pub use node::{Node, NodeId, Octree, TreeSnapshot, NONE};
 pub use plan::{IncrementalLists, PlanRefresh};
 pub use stats::{count_ops, node_op_counts, OpCounts, TreeStats};
 pub use traversal::{dual_traversal, InteractionLists, Mac};
+
+/// `n` points uniform in the cube [-1, 1)³, drawn from `seed`: the bodies of
+/// the unit tests.
+#[cfg(test)]
+fn random_points(n: usize, seed: u64) -> Vec<geom::Vec3> {
+    use rand::prelude::*;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut coord = move || rng.random_range(-1.0..1.0);
+    (0..n)
+        .map(|_| geom::Vec3::new(coord(), coord(), coord()))
+        .collect()
+}

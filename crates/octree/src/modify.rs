@@ -114,22 +114,8 @@ impl Octree {
 mod tests {
     use crate::build::{build_adaptive, BuildParams};
     use crate::node::Octree;
+    use crate::random_points;
     use geom::Vec3;
-    use rand::prelude::*;
-    use rand::rngs::StdRng;
-
-    fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                Vec3::new(
-                    rng.random_range(-1.0..1.0),
-                    rng.random_range(-1.0..1.0),
-                    rng.random_range(-1.0..1.0),
-                )
-            })
-            .collect()
-    }
 
     fn leaf_count_total(t: &Octree) -> usize {
         t.visible_leaves().iter().map(|&l| t.node(l).count()).sum()

@@ -1,5 +1,5 @@
 use crate::rebin::RebinScratch;
-use geom::Vec3;
+use geom::{Vec3, MAX_MORTON_LEVEL};
 
 /// Index of a node in the tree arena.
 pub type NodeId = u32;
@@ -316,6 +316,12 @@ impl Octree {
                 "node {id} has body range {}..{}, not within 0..{bodies}",
                 n.begin, n.end
             ));
+        }
+        // Levels stop at the Morton limit — push-downs included — which a
+        // plan patch's ancestor path is sized for.
+        let deep = |n: &Node| u32::from(n.level) > MAX_MORTON_LEVEL;
+        if u32::from(self.max_level) > MAX_MORTON_LEVEL || self.nodes.iter().any(deep) {
+            return Err(format!("a level past the Morton limit {MAX_MORTON_LEVEL}"));
         }
         let root = self.node(Self::ROOT);
         if root.count() != self.order.len() {

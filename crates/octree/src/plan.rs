@@ -9,17 +9,20 @@
 //! decisions depend only on geometry, populations and leafness of nodes
 //! outside the edited subtree — all unchanged.
 //!
-//! [`IncrementalLists`] exploits this with the dual traversal *restricted*
-//! to states related to the edit (ancestor-or-subtree on a side; states
-//! unrelated to it are pruned). A patch
+//! [`IncrementalLists`] exploits this by running the build's own traversal
+//! with a pruning rule: each side of a state is tagged out of the edit's
+//! story, an ancestor of the edit, or inside its subtree, a child inheriting
+//! its parent's tag (only a child of an ancestor is classified afresh,
+//! against the edit's ancestor path), and a state is visited only if its
+//! tags can still lead to a changed pair. A patch
 //!
 //! 1. **unlinks**, on the pre-edit tree: empties the lists of the old
-//!    visible subtree, then runs the restricted traversal pruned to states
-//!    whose *source* is related to the edit, to find every other target
-//!    whose list names a node of that subtree;
+//!    visible subtree, then runs the traversal pruned to states whose
+//!    *source* is related to the edit and whose target is not in the
+//!    subtree, to find every other target whose list names a node of it;
 //! 2. applies the tree edit;
-//! 3. **links**, on the post-edit tree: runs the restricted traversal with
-//!    both sides related, emitting only pairs with an endpoint in the
+//! 3. **links**, on the post-edit tree: runs the traversal pruned to states
+//!    with a related side, keeping only pairs with an endpoint in the
 //!    post-edit subtree;
 //! 4. recomputes the per-node [`OpCounts`] contributions of the dirty set —
 //!    the edited subtree plus every target whose list was touched.
@@ -42,9 +45,12 @@
 //! Per-node contributions are cached so totals update by subtraction and
 //! re-addition of only the dirty nodes.
 
-use crate::node::{NodeId, Octree};
+use crate::node::{NodeId, Octree, NONE};
 use crate::stats::{node_op_counts, OpCounts};
-use crate::traversal::{fork_width, trim, InteractionLists, Mac, Traversal};
+use crate::traversal::{
+    fork_width, traverse, trim, Entry, InteractionLists, Mac, Prune, Traversal,
+};
+use geom::MAX_MORTON_LEVEL;
 use rayon::prelude::*;
 
 /// How [`IncrementalLists::refresh_counts`] serviced a request.
@@ -60,19 +66,51 @@ pub enum PlanRefresh {
     Rebuilt,
 }
 
-/// Relatedness of a traversal-state endpoint to the edited node: outside its
-/// story entirely, a (strict or non-strict) ancestor, or inside the visible
-/// subtree of the tree being traversed.
+/// How a side of a patch's traversal state relates to the edited node:
+/// outside its story entirely, a strict ancestor whose child toward the edit
+/// is at the given level, or inside the visible subtree of the tree being
+/// traversed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Rel {
     Out,
-    Anc,
+    Anc(u16),
     Sub,
 }
 
-/// A state of the restricted traversal: target, source, and how each
-/// relates to the edited node.
-type State = (NodeId, NodeId, Rel, Rel);
+/// A patch's pruning rule for [`traverse`]: the edit's ancestor path. With
+/// `SOURCES_ONLY` (the unlink's rule) it keeps a state only while its source
+/// is related and its target is not in the subtree; without (the link's),
+/// while either side is related.
+struct Near<const SOURCES_ONLY: bool> {
+    edit: NodeId,
+    /// `path[l]`: the edit's ancestor at level `l`, the edit itself at its
+    /// own level.
+    path: [NodeId; MAX_MORTON_LEVEL as usize + 1],
+}
+
+impl<const SOURCES_ONLY: bool> Prune for Near<SOURCES_ONLY> {
+    type Tag = Rel;
+
+    #[inline(always)]
+    fn tag(&self, parent: Rel, child: NodeId) -> Rel {
+        match parent {
+            Rel::Anc(l) if self.path[l as usize] == child => match child == self.edit {
+                true => Rel::Sub,
+                false => Rel::Anc(l + 1),
+            },
+            Rel::Anc(_) => Rel::Out,
+            rel => rel,
+        }
+    }
+
+    #[inline(always)]
+    fn keep(&self, ta: Rel, tb: Rel) -> bool {
+        match SOURCES_ONLY {
+            false => ta != Rel::Out || tb != Rel::Out,
+            true => tb != Rel::Out && ta != Rel::Sub,
+        }
+    }
+}
 
 /// Interaction lists + per-node op counts that are patched through
 /// [`Octree::collapse`] / [`Octree::push_down`] edits instead of recomputed.
@@ -90,19 +128,17 @@ pub struct IncrementalLists {
     /// tree by builds, refreshes and patches: the key the patch
     /// binary-searches lists by, four bytes a node instead of a whole node.
     begin: Vec<u32>,
-    /// Epoch-stamped scratch marks (ancestor path, dirty dedup, visibility)
+    /// Epoch-stamped scratch marks (dirty dedup, visibility)
     /// so per-patch set membership needs no O(n) clear.
     stamp: Vec<u32>,
     epoch: u32,
-    /// Warm DFS stack for [`IncrementalLists::refresh_counts`]'s visibility
-    /// walk; pure scratch, excluded from equality and audits.
+    /// Warm queue of [`IncrementalLists::refresh_counts`]'s visibility walk;
+    /// pure scratch, excluded from equality and audits.
     walk: Vec<NodeId>,
     /// `cursor[a][kind]`: where the patch in progress puts the next new
     /// entry of target `a`'s M2L (`kind` 0) or P2P (1) list; [`Cursor::IDLE`]
     /// between patches. Pure scratch.
     cursor: Vec<[Cursor; 2]>,
-    /// Warm stack of a patch's two restricted traversals; pure scratch.
-    stack: Vec<State>,
     /// Warm buffers of [`IncrementalLists::rebuild`]'s traversal; pure
     /// scratch.
     traversal: Traversal,
@@ -195,91 +231,36 @@ fn push_visible_subtree(tree: &Octree, id: NodeId, out: &mut Vec<NodeId>) -> usi
     start
 }
 
-/// The list of kind `kind`: M2L (0) or P2P (1).
-fn of_kind(lists: &mut InteractionLists, kind: usize) -> &mut Vec<Vec<NodeId>> {
-    match kind {
-        0 => &mut lists.m2l,
-        _ => &mut lists.p2p,
-    }
-}
-
-/// The dual traversal of `tree` as it stands, restricted to the states
-/// related to the edit at `edit`, whose strict and non-strict ancestors
-/// `is_anc` marks. Each state it visits makes the decision a fresh
-/// traversal makes there, and its children are visited in the fresh
-/// traversal's order, so each target receives its pairs in that order.
-///
-/// Without `sources_only` it prunes a state whose two sides are both
-/// unrelated to the edit, and hands `emit` every pair (list kind, target,
-/// source) it ends on with an endpoint in the visible subtree of `edit`:
-/// the pairs a patch links. With `sources_only` it prunes a state whose
-/// source is unrelated or whose target lies in the subtree, and hands on
-/// the pairs whose source lies in the subtree and whose target does not:
-/// the entries a patch unlinks from lists it does not empty whole.
-/// `stack` is warm scratch.
-fn restricted(
+/// The dual traversal of `tree` as it stands, pruned by [`Near`] to the
+/// states related to the edit at `edit`, handing `emit` every pair (list,
+/// target, source) it ends on with an endpoint in the visible subtree
+/// of `edit`. Each state it visits makes the decision a fresh traversal
+/// makes there, in the fresh traversal's order, so each target receives its
+/// pairs in that order. Without `SOURCES_ONLY` these are the pairs a patch
+/// links; with it, no kept target lies in the subtree, and they are the
+/// entries a patch unlinks from lists it does not empty whole.
+fn restricted<const SOURCES_ONLY: bool>(
     tree: &Octree,
     mac: Mac,
     edit: NodeId,
-    is_anc: impl Fn(NodeId) -> bool,
-    stack: &mut Vec<State>,
-    sources_only: bool,
-    mut emit: impl FnMut(usize, NodeId, NodeId),
+    mut emit: impl FnMut(Entry, NodeId, NodeId),
 ) {
-    let keep = |ra: Rel, rb: Rel| match sources_only {
-        false => ra != Rel::Out || rb != Rel::Out,
-        true => rb != Rel::Out && ra != Rel::Sub,
-    };
-    let child_rel = |parent: Rel, child: NodeId| match parent {
-        Rel::Anc if child == edit => Rel::Sub,
-        Rel::Anc if is_anc(child) => Rel::Anc,
-        Rel::Anc => Rel::Out,
-        rel => rel,
-    };
-    let root_rel = match edit == Octree::ROOT {
-        true => Rel::Sub,
-        false => Rel::Anc,
-    };
-    stack.clear();
-    if tree.node(Octree::ROOT).count() > 0 && keep(root_rel, root_rel) {
-        stack.push((Octree::ROOT, Octree::ROOT, root_rel, root_rel));
+    let mut path = [NONE; MAX_MORTON_LEVEL as usize + 1];
+    let mut u = edit;
+    while u != NONE {
+        let node = tree.node(u);
+        path[node.level as usize] = u;
+        u = node.parent;
     }
-    while let Some((a, b, ra, rb)) = stack.pop() {
-        let na = tree.node(a);
-        let nb = tree.node(b);
-        if na.count() == 0 || nb.count() == 0 {
-            continue;
-        }
-        let a_leaf = na.is_leaf();
-        let b_leaf = nb.is_leaf();
-        // The list the pair joins, M2L (0) or P2P (1), if it ends here.
-        let kind = if a != b && mac.accepts(tree, a, b) {
-            Some(0)
-        } else {
-            (a_leaf && b_leaf).then_some(1)
-        };
-        if let Some(kind) = kind {
-            // With `sources_only`, no target kept lies in the subtree.
+    let near = Near::<SOURCES_ONLY> { edit, path };
+    // The root, tagged as the child of an ancestor above it.
+    let root = (Octree::ROOT, near.tag(Rel::Anc(0), Octree::ROOT));
+    if near.keep(root.1, root.1) {
+        traverse(tree, mac, &near, root, root, &mut |e, (a, ra), (b, rb)| {
             if ra == Rel::Sub || rb == Rel::Sub {
-                emit(kind, a, b);
+                emit(e, a, b);
             }
-            continue;
-        }
-        if !a_leaf && (b_leaf || na.half_width >= nb.half_width) {
-            for c in tree.visible_children(a) {
-                let rc = child_rel(ra, c);
-                if keep(rc, rb) {
-                    stack.push((c, b, rc, rb));
-                }
-            }
-        } else {
-            for c in tree.visible_children(b) {
-                let rc = child_rel(rb, c);
-                if keep(ra, rc) {
-                    stack.push((a, c, ra, rc));
-                }
-            }
-        }
+        });
     }
 }
 
@@ -351,7 +332,6 @@ impl IncrementalLists {
             epoch: 0,
             walk: Vec::new(),
             cursor: Vec::new(),
-            stack: Vec::new(),
             traversal: Traversal::default(),
         };
         plan.rebuild(tree);
@@ -404,7 +384,6 @@ impl IncrementalLists {
             + self.stamp.capacity() * std::mem::size_of::<u32>()
             + self.walk.capacity() * std::mem::size_of::<NodeId>()
             + self.cursor.capacity() * std::mem::size_of::<[Cursor; 2]>()
-            + self.stack.capacity() * std::mem::size_of::<State>()
             + self.traversal.heap_bytes()
     }
 
@@ -431,10 +410,9 @@ impl IncrementalLists {
     /// calls it (after a completed step, before trusting cached state).
     ///
     /// Two checks: no scratch stamp postdates the epoch clock; and the plan
-    /// is what a fresh build of `tree` holds — lists equal to a fresh
-    /// [`crate::dual_traversal`] entry for entry, per-node [`OpCounts`] a
-    /// serial recount of the visible nodes and zero elsewhere, totals their
-    /// sum, populations and `begin` keys the tree's.
+    /// is what [`IncrementalLists::build`] makes of `tree` — lists entry for
+    /// entry and in order, per-node [`OpCounts`], totals, populations and
+    /// `begin` keys, compared field by field. It costs about a plan build.
     pub fn audit(&self, tree: &Octree) -> Result<(), String> {
         let n = tree.num_nodes();
         let sized = self.stamp.len() == n && self.begin.len() == n;
@@ -447,46 +425,33 @@ impl IncrementalLists {
                 self.stamp[i], self.epoch
             ));
         }
-        let fresh = crate::dual_traversal(tree, self.mac);
+        let fresh = IncrementalLists::build(tree, self.mac);
         for (what, got, want) in [
-            ("M2L", &self.lists.m2l, &fresh.m2l),
-            ("P2P", &self.lists.p2p, &fresh.p2p),
+            ("M2L", &self.lists.m2l, &fresh.lists.m2l),
+            ("P2P", &self.lists.p2p, &fresh.lists.p2p),
         ] {
             if got != want {
                 return Err(format!("{what} lists differ from a fresh traversal"));
             }
         }
-        let mut visible = vec![false; n];
-        for id in tree.visible_nodes() {
-            visible[id as usize] = true;
-        }
-        let mut sum = OpCounts::default();
-        for (id, &got) in self.node_counts.iter().enumerate() {
-            let want = match visible[id] {
-                true => node_op_counts(tree, &fresh, id as NodeId),
-                false => OpCounts::default(),
-            };
-            if got != want {
-                return Err(format!(
-                    "node_counts[{id}] = {got:?} but recount gives {want:?}"
-                ));
-            }
-            sum += got;
-        }
-        if sum != self.totals {
+        if let Some(i) = (0..n).find(|&i| self.node_counts[i] != fresh.node_counts[i]) {
             return Err(format!(
-                "totals {:?} differ from per-node sum {sum:?}",
-                self.totals
+                "node_counts[{i}] = {:?} but recount gives {:?}",
+                self.node_counts[i], fresh.node_counts[i]
             ));
         }
-        if let Some(i) =
-            (0..n).find(|&i| self.body_count[i] != tree.node(i as NodeId).count() as u32)
-        {
+        if self.totals != fresh.totals {
+            return Err(format!(
+                "totals {:?} differ from per-node sum {:?}",
+                self.totals, fresh.totals
+            ));
+        }
+        if let Some(i) = (0..n).find(|&i| self.body_count[i] != fresh.body_count[i]) {
             return Err(format!(
                 "body_count[{i}] differs from the tree's population"
             ));
         }
-        if let Some(i) = (0..n).find(|&i| self.begin[i] != tree.node(i as NodeId).begin) {
+        if let Some(i) = (0..n).find(|&i| self.begin[i] != fresh.begin[i]) {
             return Err(format!("begin[{i}] differs from the tree's"));
         }
         Ok(())
@@ -569,29 +534,16 @@ impl IncrementalLists {
         }
         // Mark the visible set: flips on hidden nodes (stale ranges under a
         // collapsed subtree) are invisible to the traversal and harmless.
-        // The DFS runs on the warm `walk` stack instead of materialising
-        // `tree.visible_nodes()`; stamping order is irrelevant.
+        // The walk's queue is warm: each node enters it at most once.
         self.epoch += 1;
         let visible = self.epoch;
-        let mut walk = std::mem::take(&mut self.walk);
-        walk.clear();
-        // Each node enters the stack exactly once, so `n` bounds its depth.
-        if walk.capacity() < n {
-            walk.reserve(n - walk.len());
-        }
-        walk.push(Octree::ROOT);
-        let mut seen = 0;
-        while let Some(id) = walk.pop() {
+        self.walk.clear();
+        self.walk.reserve(n);
+        push_visible_subtree(tree, Octree::ROOT, &mut self.walk);
+        for &id in &self.walk {
             self.stamp[id as usize] = visible;
-            seen += 1;
-            let node = tree.node(id);
-            if !node.is_leaf() {
-                for o in 0..8 {
-                    walk.push(node.first_child + o);
-                }
-            }
         }
-        self.walk = walk;
+        let seen = self.walk.len();
         let mut moved = false;
         for i in 0..n {
             self.begin[i] = tree.node(i as NodeId).begin;
@@ -654,8 +606,7 @@ impl IncrementalLists {
     /// and recount every node touched.
     fn patch(&mut self, tree: &mut Octree, edit: NodeId, edit_fn: fn(&mut Octree, NodeId) -> bool) {
         let mut dirty = Vec::new();
-        let anc = self.mark_ancestors(tree, edit);
-        self.unlink(tree, edit, anc, &mut dirty);
+        self.unlink(tree, edit, &mut dirty);
         let done = edit_fn(tree, edit);
         debug_assert!(done);
         let n = tree.num_nodes();
@@ -669,32 +620,17 @@ impl IncrementalLists {
             self.stamp.resize(n, 0);
             self.cursor.resize(n, [Cursor::IDLE; 2]);
         }
-        self.link(tree, edit, anc, &mut dirty);
+        self.link(tree, edit, &mut dirty);
         self.recount(tree, &dirty);
-    }
-
-    /// Stamp `edit` and its ancestors with a new epoch, and return it: the
-    /// restricted traversals' ancestor test, the same before and after the
-    /// edit.
-    fn mark_ancestors(&mut self, tree: &Octree, edit: NodeId) -> u32 {
-        self.epoch += 1;
-        let mut u = edit;
-        loop {
-            self.stamp[u as usize] = self.epoch;
-            if u == Octree::ROOT {
-                return self.epoch;
-            }
-            u = tree.node(u).parent;
-        }
     }
 
     /// Unlink, on the pre-edit `tree`: empty the lists of the visible
     /// subtree of `edit`, whose new entries then go from their start, and
     /// place the cursor of every other target whose list names a node of
-    /// that subtree on the run of those entries — the targets the restricted
-    /// traversal pruned to the subtree's sources ends on. Each target
-    /// touched goes to `dirty`.
-    fn unlink(&mut self, tree: &Octree, edit: NodeId, anc: u32, dirty: &mut Vec<NodeId>) {
+    /// that subtree on the run of those entries — the targets the traversal
+    /// pruned to the subtree's sources ends on. Each target touched goes to
+    /// `dirty`.
+    fn unlink(&mut self, tree: &Octree, edit: NodeId, dirty: &mut Vec<NodeId>) {
         let start = push_visible_subtree(tree, edit, dirty);
         for &a in &dirty[start..] {
             let a = a as usize;
@@ -703,48 +639,30 @@ impl IncrementalLists {
             self.cursor[a] = [Cursor::EMPTIED; 2];
         }
         let range = tree.node(edit).begin..tree.node(edit).end;
-        let stamp = &self.stamp;
-        restricted(
-            tree,
-            self.mac,
-            edit,
-            |u| stamp[u as usize] == anc,
-            &mut self.stack,
-            true,
-            |kind, a, _| {
-                let cursor = &mut self.cursor[a as usize][kind];
-                let list = &of_kind(&mut self.lists, kind)[a as usize];
-                cursor.place(&self.begin, list, &range);
-                // An empty run means a list out of step with the tree: a
-                // patch after a rebin without the refresh in between.
-                debug_assert!(cursor.stale > 0, "target {a} names no node of {edit}");
-                dirty.push(a);
-            },
-        );
+        restricted::<true>(tree, self.mac, edit, |e, a, _| {
+            let cursor = &mut self.cursor[a as usize][e as usize];
+            let list = &self.lists.of(e)[a as usize];
+            cursor.place(&self.begin, list, &range);
+            // An empty run means a list out of step with the tree: a
+            // patch after a rebin without the refresh in between.
+            debug_assert!(cursor.stale > 0, "target {a} names no node of {edit}");
+            dirty.push(a);
+        });
     }
 
-    /// Link, on the post-edit `tree`: the restricted traversal's pairs with
-    /// an endpoint in the visible subtree of `edit` go into their lists at
-    /// the cursors, and the subtree's `begin` keys are refreshed. Every
-    /// target touched, and the subtree, go to `dirty`.
-    fn link(&mut self, tree: &Octree, edit: NodeId, anc: u32, dirty: &mut Vec<NodeId>) {
+    /// Link, on the post-edit `tree`: the patch traversal's pairs with an
+    /// endpoint in the visible subtree of `edit` go into their lists at the
+    /// cursors, and the subtree's `begin` keys are refreshed. Every target
+    /// touched, and the subtree, go to `dirty`.
+    fn link(&mut self, tree: &Octree, edit: NodeId, dirty: &mut Vec<NodeId>) {
         let range = tree.node(edit).begin..tree.node(edit).end;
-        let stamp = &self.stamp;
-        restricted(
-            tree,
-            self.mac,
-            edit,
-            |u| stamp[u as usize] == anc,
-            &mut self.stack,
-            false,
-            |kind, a, b| {
-                let cursor = &mut self.cursor[a as usize][kind];
-                let list = &mut of_kind(&mut self.lists, kind)[a as usize];
-                cursor.place(&self.begin, list, &range);
-                put_at_cursor(list, b, cursor);
-                dirty.push(a);
-            },
-        );
+        restricted::<false>(tree, self.mac, edit, |e, a, b| {
+            let cursor = &mut self.cursor[a as usize][e as usize];
+            let list = &mut self.lists.of(e)[a as usize];
+            cursor.place(&self.begin, list, &range);
+            put_at_cursor(list, b, cursor);
+            dirty.push(a);
+        });
         // Everything in the new subtree gets a fresh contribution too (newly
         // visible nodes need one, the edited node changed role); hidden
         // old-subtree nodes drop to zero via the visibility check.
@@ -759,24 +677,12 @@ impl IncrementalLists {
 mod tests {
     use super::*;
     use crate::build::{build_adaptive, build_adaptive_in_cube, BuildParams};
+    use crate::random_points;
     use crate::stats::count_ops;
     use crate::traversal::dual_traversal;
     use geom::Vec3;
     use rand::prelude::*;
     use rand::rngs::StdRng;
-
-    fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                Vec3::new(
-                    rng.random_range(-1.0..1.0),
-                    rng.random_range(-1.0..1.0),
-                    rng.random_range(-1.0..1.0),
-                )
-            })
-            .collect()
-    }
 
     /// Patched plan ≡ fresh traversal + fresh counts, entry for entry, and
     /// it passes its audit (which compares it with a fresh build).
@@ -942,17 +848,33 @@ mod tests {
     }
 
     #[test]
-    fn audit_refuses_a_reordered_list() {
+    fn audit_refuses_every_kind_of_rot() {
         let pos = random_points(900, 81);
         let tree = build_adaptive(&pos, BuildParams::with_s(16));
-        let mut plan = IncrementalLists::build(&tree, Mac::default());
+        let plan = IncrementalLists::build(&tree, Mac::default());
         plan.audit(&tree).unwrap();
-        let list = (plan.lists.m2l.iter_mut())
-            .find(|l| l.len() > 1)
-            .expect("a list of two");
-        list.swap(0, 1);
-        let err = plan.audit(&tree).unwrap_err();
-        assert!(err.contains("M2L lists"), "{err}");
+        type Rot = fn(&mut IncrementalLists);
+        let rots: [(&str, Rot); 7] = [
+            ("M2L lists", |p| {
+                let list = p.lists.m2l.iter_mut().find(|l| l.len() > 1);
+                list.expect("a list of two").swap(0, 1);
+            }),
+            ("P2P lists", |p| {
+                let list = p.lists.p2p.iter_mut().find(|l| !l.is_empty());
+                list.expect("a P2P list").pop();
+            }),
+            ("node_counts[1]", |p| p.node_counts[1].l2l_ops += 1),
+            ("totals", |p| p.totals.m2l_ops += 1),
+            ("body_count[1]", |p| p.body_count[1] += 1),
+            ("begin[1]", |p| p.begin[1] += 1),
+            ("stamp[1]", |p| p.stamp[1] = p.epoch + 1),
+        ];
+        for (want, rot) in rots {
+            let mut bad = plan.clone();
+            rot(&mut bad);
+            let err = bad.audit(&tree).expect_err(want);
+            assert!(err.starts_with(want), "{want}: {err}");
+        }
     }
 
     /// Nineteen bodies in twenty in a tight clump inside the root's
@@ -971,34 +893,43 @@ mod tests {
             .collect()
     }
 
-    /// Unlink before the edit at `edit`, on a copy of `plan`, against a
-    /// brute-force scan of a fresh traversal: the old visible subtree's
-    /// lists are emptied, every other target whose fresh list names a node
-    /// of that subtree has its cursor on exactly those entries (one run),
-    /// no other target is placed, and the touched targets are the dirty
-    /// ones.
-    fn assert_unlink_finds_every_removal(tree: &Octree, plan: &IncrementalLists, edit: NodeId) {
-        let fresh = dual_traversal(tree, plan.mac());
-        let mut old = vec![false; tree.num_nodes()];
+    /// Which nodes lie in the visible subtree of `edit`.
+    fn visible_subtree(tree: &Octree, edit: NodeId) -> Vec<bool> {
+        let mut inside = vec![false; tree.num_nodes()];
         for v in tree.visible_nodes() {
             let mut u = v;
             while u != edit && u != Octree::ROOT {
                 u = tree.node(u).parent;
             }
-            old[v as usize] = u == edit;
+            inside[v as usize] = u == edit;
         }
+        inside
+    }
+
+    /// A patch's two walks around `edit_fn` at `edit`, on copies of `tree`
+    /// and `plan`, against brute-force scans of fresh traversals.
+    ///
+    /// Unlink, before the edit: the old visible subtree's lists are emptied,
+    /// every other target whose fresh list names a node of that subtree has
+    /// its cursor on exactly those entries (one run), no other target is
+    /// placed, and the touched targets are the dirty ones. Link, after it:
+    /// each target receives, in order, exactly the fresh traversal's pairs
+    /// with an endpoint in the new visible subtree.
+    fn assert_patch_walks_are_exact(
+        tree: &Octree,
+        plan: &IncrementalLists,
+        edit: NodeId,
+        edit_fn: fn(&mut Octree, NodeId) -> bool,
+    ) {
+        let fresh = dual_traversal(tree, plan.mac());
+        let old = visible_subtree(tree, edit);
         let mut plan = plan.clone();
         let mut dirty = Vec::new();
-        let anc = plan.mark_ancestors(tree, edit);
-        plan.unlink(tree, edit, anc, &mut dirty);
-        let mut touched = vec![false; tree.num_nodes()];
-        for &d in &dirty {
-            touched[d as usize] = true;
-        }
+        plan.unlink(tree, edit, &mut dirty);
         for t in 0..tree.num_nodes() {
             for (kind, fwd) in [&fresh.m2l, &fresh.p2p].into_iter().enumerate() {
                 let cursor = plan.cursor[t][kind];
-                let list = &of_kind(&mut plan.lists, kind)[t];
+                let list = &[&plan.lists.m2l, &plan.lists.p2p][kind][t];
                 let named: Vec<u32> = (0..fwd[t].len() as u32)
                     .filter(|&i| old[fwd[t][i as usize] as usize])
                     .collect();
@@ -1012,7 +943,25 @@ mod tests {
                 }
             }
             let marked = plan.cursor[t].iter().any(|c| c.at != Cursor::UNPLACED);
-            assert_eq!(touched[t], marked, "{edit}: {t} dirty");
+            assert_eq!(dirty.contains(&(t as NodeId)), marked, "{edit}: {t} dirty");
+        }
+
+        let mut after = tree.clone();
+        assert!(edit_fn(&mut after, edit));
+        let fresh = dual_traversal(&after, plan.mac());
+        let new = visible_subtree(&after, edit);
+        let n = after.num_nodes();
+        let mut got = [vec![Vec::<NodeId>::new(); n], vec![Vec::new(); n]];
+        restricted::<false>(&after, plan.mac(), edit, |e, a, b| {
+            got[e as usize][a as usize].push(b);
+        });
+        for (kind, fwd) in [&fresh.m2l, &fresh.p2p].into_iter().enumerate() {
+            for t in 0..n {
+                let want: Vec<NodeId> = (fwd[t].iter().copied())
+                    .filter(|&b| new[t] || new[b as usize])
+                    .collect();
+                assert_eq!(got[kind][t], want, "{edit}: link of {t}, kind {kind}");
+            }
         }
     }
 
@@ -1032,6 +981,7 @@ mod tests {
             build_adaptive_in_cube(&clumped, BuildParams::with_s(16), Vec3::ZERO, 1.0),
             collapsed,
         ];
+        let collapse: fn(&mut Octree, NodeId) -> bool = Octree::collapse;
         let mut rng = StdRng::seed_from_u64(86);
         for (tree, theta) in trees.iter().zip([0.6, 0.35, 0.8]) {
             let plan = IncrementalLists::build(tree, Mac::new(theta));
@@ -1043,14 +993,24 @@ mod tests {
                 .filter(|&id| !tree.refuses_push_down(id) && tree.node(id).count() > 0)
                 .collect();
             assert!(collapses.len() >= 10 && push_downs.len() >= 10);
-            assert_unlink_finds_every_removal(tree, &plan, Octree::ROOT);
-            for cands in [&collapses, &push_downs] {
+            assert_patch_walks_are_exact(tree, &plan, Octree::ROOT, collapse);
+            for (cands, edit_fn) in [(&collapses, collapse), (&push_downs, Octree::push_down)] {
                 for _ in 0..20 {
                     let edit = cands[rng.random_range(0..cands.len())];
-                    assert_unlink_finds_every_removal(tree, &plan, edit);
+                    assert_patch_walks_are_exact(tree, &plan, edit, edit_fn);
                 }
             }
         }
+
+        // An internal node a rebin emptied: its body range is empty, and a
+        // neighbour's may start where it would.
+        let mut tree = build_adaptive(&plummer, BuildParams::with_s(16));
+        tree.rebin(&plummer.iter().map(|&p| p * 0.1).collect::<Vec<_>>());
+        let emptied = (tree.visible_nodes().into_iter())
+            .find(|&id| tree.node(id).count() == 0 && !tree.node(id).is_leaf())
+            .expect("an internal node the rebin emptied");
+        let plan = IncrementalLists::build(&tree, Mac::default());
+        assert_patch_walks_are_exact(&tree, &plan, emptied, collapse);
     }
 
     #[test]

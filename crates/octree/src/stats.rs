@@ -149,23 +149,8 @@ pub fn count_ops(tree: &Octree, lists: &InteractionLists) -> OpCounts {
 mod tests {
     use super::*;
     use crate::build::{build_adaptive, BuildParams};
+    use crate::random_points;
     use crate::traversal::{dual_traversal, Mac};
-    use geom::Vec3;
-    use rand::prelude::*;
-    use rand::rngs::StdRng;
-
-    fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                Vec3::new(
-                    rng.random_range(-1.0..1.0),
-                    rng.random_range(-1.0..1.0),
-                    rng.random_range(-1.0..1.0),
-                )
-            })
-            .collect()
-    }
 
     #[test]
     fn body_counts_conserved() {

@@ -176,6 +176,21 @@ fn snapshots_with_unsorted_codes_are_refused() {
     assert!(err.contains("not ascending"), "{err}");
 }
 
+/// Nor may a snapshot reach past the Morton limit, where a push-down would
+/// outgrow the ancestor path a plan patch keeps per level.
+#[test]
+fn snapshots_deeper_than_the_morton_limit_are_refused() {
+    let snap = build(&[Vec3::splat(0.3), Vec3::splat(-0.6)]).snapshot();
+    let mut max_deep = snap.clone();
+    max_deep.max_level = 22;
+    let mut node_deep = snap;
+    node_deep.nodes.last_mut().unwrap().level = 22;
+    for deep in [max_deep, node_deep] {
+        let err = Octree::from_snapshot(deep).unwrap_err();
+        assert!(err.contains("Morton limit"), "{err}");
+    }
+}
+
 fn build_with(pos: &[Vec3], s: usize, max_level: u16) -> Octree {
     let params = BuildParams {
         s,
