@@ -2,8 +2,8 @@
 //! `FineGrainedOptimize` (§VI.B) and the CPU-only S sweep.
 //!
 //! Tree edits made here go through the engine ([`FmmEngine::enforce_s`],
-//! [`FmmEngine::apply_collapse`], ...), which patches its
-//! [`crate::ExecutionPlan`] across them; each is charged
+//! [`FmmEngine::apply_collapse`], ...), which patches its plan
+//! ([`octree::IncrementalLists`]) across them; each is charged
 //! [`lbtime::plan_patch`], and only a wholesale rebuild pays for a
 //! re-traversal.
 

@@ -161,7 +161,7 @@ mod tests {
     use super::*;
     use crate::config::{FmmParams, HeteroNode};
     use crate::engine::FmmEngine;
-    use crate::exec::time_step;
+    use crate::exec::{time_step, ExecPolicy};
     use fmm_math::{GravityKernel, Kernel};
     use nbody::plummer;
 
@@ -174,7 +174,7 @@ mod tests {
         let mut e = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, s);
         let counts = e.refresh_lists();
         let flops = e.kernel.op_flops(e.expansion_ops());
-        let timing = time_step(e.tree(), e.lists(), &flops, node).unwrap();
+        let timing = time_step(e.tree(), e.lists(), &flops, node, ExecPolicy::default()).unwrap();
         let mut model = CostModel::new();
         model.observe(&counts, &timing, &flops, node);
         (model, counts, timing, e)
@@ -209,7 +209,7 @@ mod tests {
         }
         let counts = e.refresh_lists();
         let flops = e.kernel.op_flops(e.expansion_ops());
-        let real = time_step(e.tree(), e.lists(), &flops, &node).unwrap();
+        let real = time_step(e.tree(), e.lists(), &flops, &node, ExecPolicy::default()).unwrap();
         let pred = model.predict(&counts, &node);
         let cpu_rel = (pred.t_cpu - real.t_cpu).abs() / real.t_cpu;
         let gpu_rel = (pred.t_gpu - real.t_gpu).abs() / real.t_gpu;

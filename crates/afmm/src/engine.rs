@@ -1,13 +1,12 @@
 use crate::config::{FmmParams, HeteroNode};
-use crate::exec::{time_step_impl, ExecPolicy, TimingReport};
-use crate::plan::ExecutionPlan;
+use crate::exec::{ExecPolicy, TimingReport};
 use fmm_math::{
     BodyTile, ExpansionOps, FieldTile, Kernel, M2lScratch, M2lSource, OpFlops, SplitTile, M2L_LANES,
 };
 use geom::Vec3;
 use octree::{
-    build_adaptive, build_adaptive_in_cube, BuildParams, EnforceOutcome, InteractionLists, NodeId,
-    Octree, OpCounts, PlanRefresh, NONE,
+    build_adaptive, build_adaptive_in_cube, BuildParams, EnforceOutcome, IncrementalLists,
+    InteractionLists, NodeId, Octree, OpCounts, PlanRefresh, NONE,
 };
 use rayon::prelude::*;
 
@@ -16,6 +15,22 @@ static EMPTY_LISTS: InteractionLists = InteractionLists {
     m2l: Vec::new(),
     p2p: Vec::new(),
 };
+
+/// How far the engine's plan is behind its tree.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PlanState {
+    /// No plan, or the tree may have changed behind its back
+    /// ([`FmmEngine::tree_mut`], [`FmmEngine::rebuild`]): the next refresh
+    /// rebuilds it instead of trusting its incremental state.
+    Stale,
+    /// The plan describes the tree.
+    Live,
+    /// Bodies were re-binned since the plan last reconciled its per-node
+    /// counts ([`FmmEngine::rebin`]). Its lists are trusted, but its
+    /// populations lag the tree by design until [`FmmEngine::refresh_plan`],
+    /// which [`FmmEngine::audit_plan`] must not mistake for rot.
+    Rebinned,
+}
 
 /// Result of one FMM solve, in **original body order**: a potential-like
 /// scalar and a vector field per body (acceleration for gravity, velocity
@@ -149,19 +164,12 @@ pub struct FmmEngine<K: Kernel> {
     /// stride, node-major): a level reads the arena it writes into, so it is
     /// built here and then copied over. Sized to the widest level.
     level_scratch: Vec<f64>,
-    /// The persistent execution plan: interaction lists, op counts and GPU
-    /// jobs, built lazily and *patched* across the engine's tree edits
+    /// The persistent plan: interaction lists and op counts, built lazily
+    /// and *patched* across the engine's tree edits
     /// ([`FmmEngine::apply_collapse`], [`FmmEngine::enforce_s`], ...).
-    plan: Option<ExecutionPlan>,
-    /// Set whenever the tree may have changed behind the plan's back
-    /// ([`FmmEngine::tree_mut`], [`FmmEngine::rebuild`]); the next refresh
-    /// then rebuilds the plan instead of trusting its incremental state.
-    plan_stale: bool,
-    /// Bodies were re-binned since the plan last reconciled its per-node
-    /// counts ([`FmmEngine::rebin`] sets it, [`FmmEngine::refresh_plan`]
-    /// clears it). Until then the plan's populations lag the tree by
-    /// design, which [`FmmEngine::audit_plan`] must not mistake for rot.
-    pub(crate) counts_pending: bool,
+    plan: Option<IncrementalLists>,
+    /// Whether `plan` can be trusted as it stands.
+    pub(crate) plan_state: PlanState,
     /// Telemetry handle for the solve-phase spans; disabled by default.
     rec: telemetry::Recorder,
     /// Which device [`FmmEngine::time_step`] charges P2M/L2P to (the CPU by
@@ -229,8 +237,7 @@ impl<K: Kernel> FmmEngine<K> {
             locals: Vec::new(),
             level_scratch: Vec::new(),
             plan: None,
-            plan_stale: true,
-            counts_pending: false,
+            plan_state: PlanState::Stale,
             rec: telemetry::Recorder::disabled(),
             exec_policy: ExecPolicy::default(),
         }
@@ -276,7 +283,7 @@ impl<K: Kernel> FmmEngine<K> {
     /// [`FmmEngine::apply_push_down`] / [`FmmEngine::enforce_s`], which keep
     /// the plan alive by patching it.
     pub fn tree_mut(&mut self) -> &mut Octree {
-        self.plan_stale = true;
+        self.plan_state = PlanState::Stale;
         &mut self.tree
     }
 
@@ -293,14 +300,19 @@ impl<K: Kernel> FmmEngine<K> {
     pub fn counts(&self) -> OpCounts {
         self.plan
             .as_ref()
-            .map(ExecutionPlan::counts)
+            .map(IncrementalLists::counts)
             .unwrap_or_default()
     }
 
     /// Is there a plan whose incremental state is trusted (no untracked
     /// tree edits since it was built)?
     pub(crate) fn has_live_plan(&self) -> bool {
-        self.plan.is_some() && !self.plan_stale
+        self.plan_state != PlanState::Stale
+    }
+
+    /// The plan, unless it is stale.
+    fn live_plan(&self) -> Option<&IncrementalLists> {
+        self.plan.as_ref().filter(|_| self.has_live_plan())
     }
 
     /// Rebuild the decomposition from scratch at leaf capacity `s` (the
@@ -311,7 +323,7 @@ impl<K: Kernel> FmmEngine<K> {
             Some((c, hw)) => build_adaptive_in_cube(pos, bp, c, hw),
             None => build_adaptive(pos, bp),
         };
-        self.plan_stale = true;
+        self.plan_state = PlanState::Stale;
     }
 
     /// Re-sort moved bodies into the unchanged tree structure. The plan
@@ -319,7 +331,9 @@ impl<K: Kernel> FmmEngine<K> {
     /// not, so the next refresh patches counts instead of re-traversing.
     pub fn rebin(&mut self, pos: &[Vec3]) {
         self.tree.rebin(pos);
-        self.counts_pending = true;
+        if self.plan_state == PlanState::Live {
+            self.plan_state = PlanState::Rebinned;
+        }
     }
 
     /// Change the leaf capacity the *current* tree enforces, without
@@ -336,9 +350,9 @@ impl<K: Kernel> FmmEngine<K> {
     /// patch recounts the targets it touches, which would hide a cell the
     /// rebin emptied or filled from the refresh that must re-traverse for
     /// it. The boolean reports whether the plan was live on entry.
-    fn plan_for_edit(&mut self) -> (&mut ExecutionPlan, &mut Octree, bool) {
+    fn plan_for_edit(&mut self) -> (&mut IncrementalLists, &mut Octree, bool) {
         let live = self.has_live_plan();
-        if !live || self.counts_pending {
+        if self.plan_state != PlanState::Live {
             self.refresh_plan();
         }
         let plan = self.plan.as_mut().expect("plan refreshed above");
@@ -368,27 +382,26 @@ impl<K: Kernel> FmmEngine<K> {
         let (plan, tree, live) = self.plan_for_edit();
         let out = tree.enforce_s_with(
             plan,
-            ExecutionPlan::apply_collapse,
-            ExecutionPlan::apply_push_down,
+            IncrementalLists::apply_collapse,
+            IncrementalLists::apply_push_down,
         );
         (out, live)
     }
 
     /// Bring the plan in sync with the current tree: full (re)build when no
     /// trusted plan exists, otherwise a cheap count reconciliation
-    /// ([`ExecutionPlan::refresh_counts`]).
+    /// ([`IncrementalLists::refresh_counts`]).
     pub fn refresh_plan(&mut self) -> PlanRefresh {
-        self.counts_pending = false;
+        let stale = self.plan_state == PlanState::Stale;
+        self.plan_state = PlanState::Live;
         match self.plan.as_mut() {
-            Some(plan) if !self.plan_stale => plan.refresh_counts(&self.tree),
+            Some(plan) if !stale => plan.refresh_counts(&self.tree),
             Some(plan) => {
                 plan.rebuild(&self.tree);
-                self.plan_stale = false;
                 PlanRefresh::Rebuilt
             }
             None => {
-                self.plan = Some(ExecutionPlan::build(&self.tree, self.params.mac));
-                self.plan_stale = false;
+                self.plan = Some(IncrementalLists::build(&self.tree, self.params.mac));
                 PlanRefresh::Rebuilt
             }
         }
@@ -403,26 +416,16 @@ impl<K: Kernel> FmmEngine<K> {
         self.counts()
     }
 
-    /// Time one virtual solve of the current tree on `node`, reusing the
-    /// plan's cached interaction lists and GPU job list (regenerated only
-    /// if a tree edit invalidated them), under the engine's [`ExecPolicy`]
-    /// (see [`FmmEngine::set_exec_policy`]).
+    /// Time one virtual solve of the current tree on `node` from the
+    /// refreshed plan's interaction lists, under the engine's
+    /// [`ExecPolicy`] (see [`FmmEngine::set_exec_policy`]).
     pub fn time_step(
         &mut self,
         flops: &OpFlops,
         node: &HeteroNode,
     ) -> Result<TimingReport, crate::Error> {
         self.refresh_plan();
-        let plan = self.plan.as_mut().expect("plan refreshed above");
-        plan.ensure_jobs(&self.tree);
-        time_step_impl(
-            &self.tree,
-            plan.lists(),
-            Some(plan.jobs()),
-            flops,
-            node,
-            self.exec_policy,
-        )
+        crate::exec::time_step(&self.tree, self.lists(), flops, node, self.exec_policy)
     }
 
     // ---- resilience: audits, checkpointing, chaos hooks ----
@@ -438,18 +441,18 @@ impl<K: Kernel> FmmEngine<K> {
             })
     }
 
-    /// Verify the live plan: stamp/epoch monotonicity, and equality, field by
-    /// field, with a fresh plan build of the tree ([`ExecutionPlan::audit`]),
-    /// so it costs about a plan build. A missing or stale plan passes
+    /// Verify the live plan: stamp/epoch monotonicity, and equality, field
+    /// by field, with a fresh plan build of the tree
+    /// ([`IncrementalLists::audit`]), so it costs about a plan build. A missing or stale plan passes
     /// vacuously — nothing cached is being trusted.
     /// Between a [`FmmEngine::rebin`] and the next
     /// [`FmmEngine::refresh_plan`] the counts lag the tree legitimately, so
     /// the audit runs on a reconciled copy of the plan.
     pub fn audit_plan(&self) -> Result<(), crate::Error> {
-        let Some(plan) = self.plan.as_ref().filter(|_| !self.plan_stale) else {
+        let Some(plan) = self.live_plan() else {
             return Ok(());
         };
-        let reconciled = self.counts_pending.then(|| {
+        let reconciled = (self.plan_state == PlanState::Rebinned).then(|| {
             let mut copy = plan.clone();
             copy.refresh_counts(&self.tree);
             copy
@@ -485,7 +488,7 @@ impl<K: Kernel> FmmEngine<K> {
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.tree.heap_bytes()
-            + self.plan.as_ref().map_or(0, ExecutionPlan::heap_bytes)
+            + self.plan.as_ref().map_or(0, IncrementalLists::heap_bytes)
             + self.bodies.heap_bytes()
             + self.field.heap_bytes()
             + self.multipoles.capacity() * size_of::<f64>()
@@ -498,10 +501,7 @@ impl<K: Kernel> FmmEngine<K> {
     /// supervisor tracks this across steps to verify the plan clock never
     /// runs backwards.
     pub fn plan_epoch(&self) -> Option<u32> {
-        match &self.plan {
-            Some(plan) if !self.plan_stale => Some(plan.epoch()),
-            _ => None,
-        }
+        self.live_plan().map(IncrementalLists::epoch)
     }
 
     /// Capture the complete engine state for checkpointing. Scratch buffers
@@ -533,11 +533,9 @@ impl<K: Kernel> FmmEngine<K> {
     /// deliberately does *not* mark the plan stale — the whole point is to
     /// rot cached state behind the engine's back and prove the audits catch
     /// it. Returns `None` when there is no live plan to corrupt.
-    pub fn plan_mut_for_chaos(&mut self) -> Option<&mut ExecutionPlan> {
-        if self.plan_stale {
-            return None;
-        }
-        self.plan.as_mut()
+    pub fn plan_mut_for_chaos(&mut self) -> Option<&mut IncrementalLists> {
+        let live = self.has_live_plan();
+        self.plan.as_mut().filter(|_| live)
     }
 
     /// Run one full FMM solve: gather bodies into tree order, traverse,

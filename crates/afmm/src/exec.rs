@@ -122,28 +122,17 @@ pub fn record_phase_spans(
 /// P2P interaction list, in traversal order (the order the paper's partition
 /// walk consumes).
 pub fn build_gpu_jobs(tree: &Octree, lists: &InteractionLists) -> Vec<P2pJob> {
-    gpu_job_leaves(tree, lists)
-        .map(|id| gpu_job(tree, lists, id))
-        .collect()
-}
-
-/// The leaves [`build_gpu_jobs`] makes a job of, in its order.
-pub(crate) fn gpu_job_leaves<'a>(
-    tree: &Octree,
-    lists: &'a InteractionLists,
-) -> impl Iterator<Item = NodeId> + 'a {
     tree.active_leaves()
         .into_iter()
         .filter(|&id| !lists.p2p[id as usize].is_empty())
-}
-
-/// The job of target leaf `id`: its population and each source's.
-pub(crate) fn gpu_job(tree: &Octree, lists: &InteractionLists, id: NodeId) -> P2pJob {
-    let sources = lists.p2p[id as usize]
-        .iter()
-        .map(|&b| tree.node(b).count())
-        .collect();
-    P2pJob::new(tree.node(id).count(), sources)
+        .map(|id| {
+            let sources = lists.p2p[id as usize]
+                .iter()
+                .map(|&b| tree.node(b).count())
+                .collect();
+            P2pJob::new(tree.node(id).count(), sources)
+        })
+        .collect()
 }
 
 /// What runs where — [`ExecPolicy::default`] is the paper's split (all
@@ -271,9 +260,16 @@ fn add_downsweep(
     }
 }
 
-/// Time one FMM solve of the given tree + interaction lists on `node`:
-/// far-field DAG makespan on the virtual cores, near-field kernels on the
-/// simulated GPUs (or folded into the CPU DAG when there are none).
+/// Time one FMM solve of the given tree + interaction lists on `node`
+/// under `policy`: far-field DAG makespan on the virtual cores, near-field
+/// kernels ([`build_gpu_jobs`]) on the simulated GPUs, or folded into the
+/// CPU DAG when there are none.
+///
+/// With `policy.offload_pl` and online GPUs present, P2M/L2P leave the CPU
+/// DAG and run as an additional per-leaf expansion kernel on the devices
+/// (modeled at the GPU's expansion efficiency); expansion kernels are
+/// assumed to overlap the CPU's translation phase, as the paper's proposal
+/// implies.
 ///
 /// A node whose GPUs have all dropped offline (see [`gpu_sim::FaultEvent`])
 /// is timed like a CPU-only node: the near field folds back into the CPU
@@ -285,51 +281,13 @@ pub fn time_step(
     lists: &InteractionLists,
     flops: &OpFlops,
     node: &HeteroNode,
-) -> Result<TimingReport, Error> {
-    time_step_policy(tree, lists, flops, node, ExecPolicy::default())
-}
-
-/// As [`time_step`], under an explicit execution policy. With
-/// `policy.offload_pl` and online GPUs present, P2M/L2P leave the CPU DAG
-/// and run as an additional per-leaf expansion kernel on the devices
-/// (modeled at the GPU's expansion efficiency); expansion kernels are
-/// assumed to overlap the CPU's translation phase, as the paper's proposal
-/// implies.
-pub fn time_step_policy(
-    tree: &Octree,
-    lists: &InteractionLists,
-    flops: &OpFlops,
-    node: &HeteroNode,
-    policy: ExecPolicy,
-) -> Result<TimingReport, Error> {
-    time_step_impl(tree, lists, None, flops, node, policy)
-}
-
-/// The timing behind [`time_step_policy`]. With `jobs`, a pre-built
-/// (plan-cached) GPU job list is consumed instead of re-derived from the
-/// lists — how [`crate::FmmEngine::time_step`] comes in; the jobs must
-/// correspond to the given tree + lists (the `ExecutionPlan` maintains that).
-pub(crate) fn time_step_impl(
-    tree: &Octree,
-    lists: &InteractionLists,
-    jobs: Option<&[P2pJob]>,
-    flops: &OpFlops,
-    node: &HeteroNode,
     policy: ExecPolicy,
 ) -> Result<TimingReport, Error> {
     let gpu_active = node.num_online_gpus() > 0;
     let offload = policy.offload_pl && gpu_active;
     let (t_gpu, gpu) = match &node.gpus {
         Some(gpus) if gpu_active => {
-            let built;
-            let jobs = match jobs {
-                Some(j) => j,
-                None => {
-                    built = build_gpu_jobs(tree, lists);
-                    &built
-                }
-            };
-            let timing = gpus.execute(jobs)?;
+            let timing = gpus.execute(&build_gpu_jobs(tree, lists))?;
             let mut t = timing.gpu_time().ok_or(Error::MissingGpuTiming)?;
             if offload {
                 let cyc = gpus.spec(0).expansion_cycles_per_flop
@@ -378,19 +336,23 @@ mod tests {
         e.kernel.op_flops(e.expansion_ops())
     }
 
+    /// The engine's tree and lists timed on `node` under `policy`.
+    pub(super) fn timed(
+        e: &FmmEngine<GravityKernel>,
+        f: &OpFlops,
+        node: &HeteroNode,
+        policy: ExecPolicy,
+    ) -> TimingReport {
+        time_step(e.tree(), e.lists(), f, node, policy).unwrap()
+    }
+
     #[test]
     fn more_cores_reduce_cpu_time() {
         let e = engine_with_lists(4000, 32);
         let f = flops_of(&e);
-        let t1 = time_step(e.tree(), e.lists(), &f, &HeteroNode::system_a(1, 1))
-            .unwrap()
-            .t_cpu;
-        let t4 = time_step(e.tree(), e.lists(), &f, &HeteroNode::system_a(4, 1))
-            .unwrap()
-            .t_cpu;
-        let t10 = time_step(e.tree(), e.lists(), &f, &HeteroNode::system_a(10, 1))
-            .unwrap()
-            .t_cpu;
+        let t1 = timed(&e, &f, &HeteroNode::system_a(1, 1), ExecPolicy::default()).t_cpu;
+        let t4 = timed(&e, &f, &HeteroNode::system_a(4, 1), ExecPolicy::default()).t_cpu;
+        let t10 = timed(&e, &f, &HeteroNode::system_a(10, 1), ExecPolicy::default()).t_cpu;
         assert!(t4 < t1 && t10 < t4, "t1={t1} t4={t4} t10={t10}");
         let sp10 = t1 / t10;
         assert!(sp10 > 5.0 && sp10 <= 10.5, "10-core speedup {sp10}");
@@ -402,7 +364,7 @@ mod tests {
         let f = flops_of(&e);
         let node = HeteroNode::serial();
         let graph = build_task_graph(e.tree(), e.lists(), &f, true);
-        let r = time_step(e.tree(), e.lists(), &f, &node).unwrap();
+        let r = timed(&e, &f, &node, ExecPolicy::default());
         let expect = graph.total_work() / node.cpu.rate_flops
             + graph.len() as f64 * node.cpu.task_overhead_s;
         assert!(
@@ -418,8 +380,8 @@ mod tests {
     fn gpu_offload_removes_p2p_from_cpu() {
         let e = engine_with_lists(3000, 48);
         let f = flops_of(&e);
-        let cpu_only = time_step(e.tree(), e.lists(), &f, &HeteroNode::system_a(4, 0)).unwrap();
-        let hetero = time_step(e.tree(), e.lists(), &f, &HeteroNode::system_a(4, 1)).unwrap();
+        let cpu_only = timed(&e, &f, &HeteroNode::system_a(4, 0), ExecPolicy::default());
+        let hetero = timed(&e, &f, &HeteroNode::system_a(4, 1), ExecPolicy::default());
         assert!(hetero.t_cpu < cpu_only.t_cpu, "P2P must leave the CPU DAG");
         assert!(hetero.t_gpu > 0.0);
         assert!(cpu_only.t_gpu == 0.0);
@@ -481,7 +443,12 @@ mod tests {
         let e = engine_with_lists(4000, 32);
         let f = flops_of(&e);
         for cores in [1usize, 4, 10] {
-            let r = time_step(e.tree(), e.lists(), &f, &HeteroNode::system_a(cores, 1)).unwrap();
+            let r = timed(
+                &e,
+                &f,
+                &HeteroNode::system_a(cores, 1),
+                ExecPolicy::default(),
+            );
             let pr = r.parallel_rate();
             assert!(
                 pr >= 1.0 && pr <= cores as f64 + 1e-9,
@@ -495,8 +462,8 @@ mod tests {
         let e = engine_with_lists(2500, 40);
         let f = flops_of(&e);
         let node = HeteroNode::system_a(10, 4);
-        let a = time_step(e.tree(), e.lists(), &f, &node).unwrap();
-        let b = time_step(e.tree(), e.lists(), &f, &node).unwrap();
+        let a = timed(&e, &f, &node, ExecPolicy::default());
+        let b = timed(&e, &f, &node, ExecPolicy::default());
         assert_eq!(a.t_cpu, b.t_cpu);
         assert_eq!(a.t_gpu, b.t_gpu);
     }
@@ -506,7 +473,7 @@ mod tests {
         let mut e = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &[], 8);
         e.refresh_lists();
         let f = flops_of(&e);
-        let r = time_step(e.tree(), e.lists(), &f, &HeteroNode::system_a(4, 2)).unwrap();
+        let r = timed(&e, &f, &HeteroNode::system_a(4, 2), ExecPolicy::default());
         assert_eq!(r.t_cpu, 0.0);
         assert_eq!(r.t_gpu, 0.0);
         assert_eq!(r.compute(), 0.0);
@@ -520,6 +487,7 @@ mod offload_tests {
     use crate::engine::FmmEngine;
     use fmm_math::{GravityKernel, Kernel};
     use nbody::plummer;
+    use tests::timed;
 
     #[test]
     fn offload_moves_pl_work_between_devices() {
@@ -528,15 +496,8 @@ mod offload_tests {
         e.refresh_lists();
         let flops = e.kernel.op_flops(e.expansion_ops());
         let node = HeteroNode::system_a(4, 4);
-        let base = time_step(e.tree(), e.lists(), &flops, &node).unwrap();
-        let off = time_step_policy(
-            e.tree(),
-            e.lists(),
-            &flops,
-            &node,
-            ExecPolicy { offload_pl: true },
-        )
-        .unwrap();
+        let base = timed(&e, &flops, &node, ExecPolicy::default());
+        let off = timed(&e, &flops, &node, ExecPolicy { offload_pl: true });
         assert!(off.t_cpu < base.t_cpu, "P2M/L2P must leave the CPU DAG");
         assert!(off.t_gpu > base.t_gpu, "...and land on the GPUs");
     }
@@ -557,18 +518,8 @@ mod offload_tests {
         while s <= 4096 {
             e.rebuild(&b.pos, s);
             e.refresh_lists();
-            let base = time_step(e.tree(), e.lists(), &flops, &node)
-                .unwrap()
-                .compute();
-            let off = time_step_policy(
-                e.tree(),
-                e.lists(),
-                &flops,
-                &node,
-                ExecPolicy { offload_pl: true },
-            )
-            .unwrap()
-            .compute();
+            let base = timed(&e, &flops, &node, ExecPolicy::default()).compute();
+            let off = timed(&e, &flops, &node, ExecPolicy { offload_pl: true }).compute();
             best_base = best_base.min(base);
             best_off = best_off.min(off);
             s *= 2;
@@ -586,15 +537,8 @@ mod offload_tests {
         e.refresh_lists();
         let flops = e.kernel.op_flops(e.expansion_ops());
         let node = HeteroNode::serial();
-        let base = time_step(e.tree(), e.lists(), &flops, &node).unwrap();
-        let off = time_step_policy(
-            e.tree(),
-            e.lists(),
-            &flops,
-            &node,
-            ExecPolicy { offload_pl: true },
-        )
-        .unwrap();
+        let base = timed(&e, &flops, &node, ExecPolicy::default());
+        let off = timed(&e, &flops, &node, ExecPolicy { offload_pl: true });
         assert_eq!(base.t_cpu, off.t_cpu);
         assert_eq!(base.t_gpu, off.t_gpu);
     }

@@ -45,7 +45,6 @@ mod engine;
 mod error;
 pub mod exec;
 mod filter;
-mod plan;
 pub mod replay;
 mod simulate;
 pub mod supervisor;
@@ -61,11 +60,9 @@ pub use cost::{CostModel, Prediction};
 pub use engine::{FmmEngine, FmmSolution};
 pub use error::Error;
 pub use exec::{
-    build_gpu_jobs, build_task_graph, record_phase_spans, time_step, time_step_policy, ExecPolicy,
-    TimingReport,
+    build_gpu_jobs, build_task_graph, record_phase_spans, time_step, ExecPolicy, TimingReport,
 };
 pub use filter::{FilterSnapshot, TimingFilter};
-pub use plan::ExecutionPlan;
 pub use supervisor::{RecoveryAction, Supervisor, SupervisorConfig, SupervisorReport};
 // Fault-injection vocabulary, re-exported so drivers need only `afmm`.
 pub use gpu_sim::{DeviceStatus, FaultEvent, FaultSchedule, TimedFault};

@@ -773,7 +773,7 @@ mod tests {
         loop {
             step_both(&mut whole, &mut resumed);
             steps += 1;
-            if steps >= 3 && whole.engine.has_live_plan() && whole.engine.counts_pending {
+            if steps >= 3 && whole.engine.plan_state == crate::engine::PlanState::Rebinned {
                 break;
             }
             assert!(steps < 40, "balancer never left a live plan pending");

@@ -87,7 +87,8 @@ fn mac_ablation() {
     for theta in [0.3f64, 0.45, 0.6, 0.75, 0.9] {
         let lists = octree::dual_traversal(&tree, Mac::new(theta));
         let counts = octree::count_ops(&tree, &lists);
-        let timing = afmm::time_step(&tree, &lists, &flops, &node).unwrap();
+        let timing =
+            afmm::time_step(&tree, &lists, &flops, &node, afmm::ExecPolicy::default()).unwrap();
         rows.push(vec![
             format!("{theta}"),
             counts.m2l_ops.to_string(),
@@ -116,14 +117,28 @@ fn prediction_ablation() {
     // Observe once at S=128, then predict trees at other S without
     // re-observing — the regime the paper's FGO relies on.
     let counts = engine.refresh_lists();
-    let timing = afmm::time_step(engine.tree(), engine.lists(), &flops, &node).unwrap();
+    let timing = afmm::time_step(
+        engine.tree(),
+        engine.lists(),
+        &flops,
+        &node,
+        afmm::ExecPolicy::default(),
+    )
+    .unwrap();
     let mut model = CostModel::new();
     model.observe(&counts, &timing, &flops, &node);
     let mut rows = Vec::new();
     for s in [64usize, 96, 128, 192, 256, 512] {
         engine.rebuild(&bodies.pos, s);
         let c = engine.refresh_lists();
-        let real = afmm::time_step(engine.tree(), engine.lists(), &flops, &node).unwrap();
+        let real = afmm::time_step(
+            engine.tree(),
+            engine.lists(),
+            &flops,
+            &node,
+            afmm::ExecPolicy::default(),
+        )
+        .unwrap();
         let pred = model.predict(&c, &node);
         rows.push(vec![
             s.to_string(),

@@ -9,7 +9,7 @@
 //! balanced ones barely move — exactly the situation the paper describes
 //! for its 4C4G run.
 
-use afmm::{time_step, time_step_policy, ExecPolicy, FmmEngine, FmmParams, HeteroNode};
+use afmm::{time_step, ExecPolicy, FmmEngine, FmmParams, HeteroNode};
 use bench::{fmt_s, print_tsv, s_grid};
 use fmm_math::{GravityKernel, Kernel};
 
@@ -35,10 +35,16 @@ fn main() {
         for &s in &grid {
             engine.rebuild(&bodies.pos, s);
             engine.refresh_lists();
-            let base = time_step(engine.tree(), engine.lists(), &flops, &node)
-                .unwrap()
-                .compute();
-            let off = time_step_policy(
+            let base = time_step(
+                engine.tree(),
+                engine.lists(),
+                &flops,
+                &node,
+                ExecPolicy::default(),
+            )
+            .unwrap()
+            .compute();
+            let off = time_step(
                 engine.tree(),
                 engine.lists(),
                 &flops,

@@ -21,8 +21,7 @@ use afmm::{
 use fmm_math::{GravityKernel, Kernel, StokesletKernel};
 use geom::Vec3;
 use octree::{
-    build_adaptive, count_ops, dual_traversal, BuildParams, IncrementalLists, Mac, NodeId, Octree,
-    PlanRefresh,
+    build_adaptive, dual_traversal, BuildParams, IncrementalLists, Mac, NodeId, Octree, PlanRefresh,
 };
 
 use super::report::{BenchReport, Metric, Scenario};
@@ -392,7 +391,8 @@ fn solve_step(cfg: &SuiteConfig) -> Scenario {
 
 /// Result of one plan-economy measurement at a fixed S.
 struct PlanEconomy {
-    /// One full `dual_traversal` + `count_ops` pass, microseconds.
+    /// One warm `IncrementalLists::rebuild` of the unedited tree, into the
+    /// storage the plan already holds, microseconds.
     rebuild_us: f64,
     /// One plan-routed collapse or push-down, microseconds.
     patch_us_per_edit: f64,
@@ -418,10 +418,6 @@ fn twigs(tree: &Octree, limit: usize) -> Vec<NodeId> {
 /// Measure rebuild-vs-patch once on `tree` (left structurally unchanged:
 /// every collapse is reverted by its push-down).
 fn measure_plan_economy(tree: &mut Octree, mac: Mac, max_edits: usize) -> PlanEconomy {
-    let (rebuild_s, _) = wall(|| {
-        let lists = dual_traversal(tree, mac);
-        count_ops(tree, &lists)
-    });
     let victims = twigs(tree, max_edits);
     let mut plan = IncrementalLists::build(tree, mac);
     let mut applied = 0usize;
@@ -432,6 +428,8 @@ fn measure_plan_economy(tree: &mut Octree, mac: Mac, max_edits: usize) -> PlanEc
         }
     });
     assert_eq!(applied, 2 * victims.len(), "every twig edit must apply");
+    // The edits reverted: rebuild the same tree the patches started from.
+    let (rebuild_s, _) = wall(|| plan.rebuild(tree));
     PlanEconomy {
         rebuild_us: rebuild_s * 1e6,
         patch_us_per_edit: patch_s * 1e6 / applied.max(1) as f64,

@@ -50,10 +50,11 @@ pub struct SnapshotParts<'a> {
 
 /// Structural heap-footprint accounting, assembled by a scenario from the
 /// `heap_bytes()` methods on [`nbody::Bodies`], [`Octree`],
-/// [`afmm::ExecutionPlan`] / engine scratch, and the telemetry recorder's
-/// ring buffer. Byte figures are capacity-granular (reserved headroom is
-/// real memory); the divisor counts normalize them into the per-body /
-/// per-node / per-list-entry densities a size change is judged by.
+/// [`afmm::FmmEngine`] (its plan and solve scratch), and the telemetry
+/// recorder's ring buffer. Byte figures are capacity-granular (reserved
+/// headroom is real memory); the divisor counts normalize them into the
+/// per-body / per-node / per-list-entry densities a size change is judged
+/// by.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MemFootprint {
     pub bodies_bytes: usize,
@@ -369,7 +370,8 @@ mod tests {
         let node = afmm::HeteroNode::system_a(4, 2);
         let counts = octree::count_ops(&tree, &lists);
         let flops = crate::default_flops(&fmm_math::GravityKernel::default());
-        let timing = afmm::time_step(&tree, &lists, &flops, &node).unwrap();
+        let timing =
+            afmm::time_step(&tree, &lists, &flops, &node, afmm::ExecPolicy::default()).unwrap();
         let mut cost = CostModel::new();
         cost.observe(&counts, &timing, &flops, &node);
 

@@ -3,7 +3,7 @@
 //! evaluation. Each binary prints a self-describing TSV series to stdout;
 //! EXPERIMENTS.md records paper-vs-measured for each.
 
-use afmm::{time_step, FmmParams, HeteroNode, TimingReport};
+use afmm::{time_step, ExecPolicy, FmmParams, HeteroNode, TimingReport};
 use fmm_math::{Kernel, OpFlops};
 use gpu_sim::KernelTiming;
 use octree::{count_ops, dual_traversal, InteractionLists, Octree, OpCounts};
@@ -103,7 +103,8 @@ pub fn time_tree(
     let params = FmmParams::default();
     let lists = dual_traversal(tree, params.mac);
     let counts = count_ops(tree, &lists);
-    let timing = time_step(tree, &lists, flops, node).expect("healthy node cannot fail");
+    let timing = time_step(tree, &lists, flops, node, ExecPolicy::default())
+        .expect("healthy node cannot fail");
     (timing, counts, lists)
 }
 

@@ -106,34 +106,51 @@ impl SimGpu {
     /// borrowed in issue order, so a device's share of a launch is read
     /// where it lies.
     pub fn run_kernel<'a>(&self, jobs: impl IntoIterator<Item = &'a P2pJob>) -> KernelReport {
+        self.dispatch(
+            jobs.into_iter()
+                .filter(|job| job.targets > 0 && job.total_sources() > 0)
+                .map(|job| {
+                    let steps = job.total_sources() as u64;
+                    (job.targets, steps, self.block_cycles(job))
+                }),
+        )
+    }
+
+    /// Execute a kernel of offloaded expansion work (one thread per body).
+    /// `useful_pairs`/`occupied_pairs` count body-slots here, so
+    /// [`KernelReport::efficiency`] reports warp occupancy as usual.
+    pub fn run_expansion_kernel<'a>(
+        &self,
+        jobs: impl IntoIterator<Item = &'a ExpansionJob>,
+    ) -> KernelReport {
+        self.dispatch(
+            jobs.into_iter()
+                .filter(|job| job.bodies > 0 && job.cycles_per_body > 0.0)
+                .map(|job| (job.bodies, 1, job.cycles_per_body)),
+        )
+    }
+
+    /// The block scheduler both kernel kinds run on. Each item is one job
+    /// as `(threads, steps, cycles)`: its threads go in blocks of
+    /// `block_size`, every thread takes `steps` useful steps and every
+    /// block runs `cycles`. A partial block occupies its threads padded up
+    /// to whole warps, and its idle threads step along doing nothing.
+    fn dispatch(&self, jobs: impl Iterator<Item = (usize, u64, f64)>) -> KernelReport {
         let bs = self.spec.block_size;
         let ws = self.spec.warp_size.max(1);
         let mut sm_load = vec![0.0f64; self.spec.sms.max(1)];
         let mut useful = 0u64;
         let mut occupied = 0u64;
         let mut blocks = 0usize;
-
-        for job in jobs {
-            if job.targets == 0 {
-                continue;
-            }
-            let nsrc = job.total_sources() as u64;
-            if nsrc == 0 {
-                continue;
-            }
-            let cyc = self.block_cycles(job);
-            let full_blocks = job.targets / bs;
-            let rem = job.targets % bs;
-            useful += job.targets as u64 * nsrc;
-            // Full blocks occupy bs threads; the partial block occupies its
-            // targets padded up to whole warps, and its idle threads step
-            // through the same source stream doing nothing.
-            occupied += full_blocks as u64 * bs as u64 * nsrc;
+        for (threads, steps, cycles) in jobs {
+            let full_blocks = threads / bs;
+            let rem = threads % bs;
+            useful += threads as u64 * steps;
+            occupied += full_blocks as u64 * bs as u64 * steps;
             let mut nblocks = full_blocks;
             if rem > 0 {
                 nblocks += 1;
-                let padded = rem.div_ceil(ws) * ws;
-                occupied += padded as u64 * nsrc;
+                occupied += (rem.div_ceil(ws) * ws) as u64 * steps;
             }
             blocks += nblocks;
             for _ in 0..nblocks {
@@ -144,55 +161,7 @@ impl SimGpu {
                     .enumerate()
                     .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
                     .expect("at least one SM");
-                sm_load[slot] += cyc;
-            }
-        }
-
-        let max_cycles = sm_load.iter().copied().fold(0.0, f64::max);
-        let elapsed = if blocks == 0 {
-            0.0
-        } else {
-            max_cycles / self.spec.clock_hz + self.spec.launch_overhead_s
-        };
-        KernelReport {
-            elapsed_s: elapsed,
-            useful_pairs: useful,
-            occupied_pairs: occupied,
-            blocks,
-        }
-    }
-
-    /// Execute a kernel of offloaded expansion work (one thread per body).
-    /// `useful_pairs`/`occupied_pairs` count body-slots here, so
-    /// [`KernelReport::efficiency`] reports warp occupancy as usual.
-    pub fn run_expansion_kernel(&self, jobs: &[ExpansionJob]) -> KernelReport {
-        let bs = self.spec.block_size;
-        let ws = self.spec.warp_size.max(1);
-        let mut sm_load = vec![0.0f64; self.spec.sms.max(1)];
-        let mut useful = 0u64;
-        let mut occupied = 0u64;
-        let mut blocks = 0usize;
-        for job in jobs {
-            if job.bodies == 0 || job.cycles_per_body <= 0.0 {
-                continue;
-            }
-            useful += job.bodies as u64;
-            let full_blocks = job.bodies / bs;
-            let rem = job.bodies % bs;
-            occupied += full_blocks as u64 * bs as u64;
-            let mut nblocks = full_blocks;
-            if rem > 0 {
-                nblocks += 1;
-                occupied += (rem.div_ceil(ws) * ws) as u64;
-            }
-            blocks += nblocks;
-            for _ in 0..nblocks {
-                let (slot, _) = sm_load
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
-                    .expect("at least one SM");
-                sm_load[slot] += job.cycles_per_body;
+                sm_load[slot] += cycles;
             }
         }
         let max_cycles = sm_load.iter().copied().fold(0.0, f64::max);

@@ -142,20 +142,6 @@ impl GpuSystem {
         })
     }
 
-    /// A mixed-device system (extension beyond the paper, which assumes
-    /// identical GPUs). [`GpuSystem::execute_weighted`] partitions work in
-    /// proportion to each device's peak throughput.
-    pub fn heterogeneous(specs: Vec<GpuSpec>) -> Result<Self, Error> {
-        if specs.is_empty() {
-            return Err(Error::NoGpus);
-        }
-        let status = vec![DeviceStatus::default(); specs.len()];
-        Ok(GpuSystem {
-            gpus: specs.into_iter().map(SimGpu::new).collect(),
-            status,
-        })
-    }
-
     pub fn num_gpus(&self) -> usize {
         self.gpus.len()
     }
@@ -248,48 +234,14 @@ impl GpuSystem {
         }
     }
 
-    fn online_indices(&self) -> Vec<usize> {
-        (0..self.gpus.len())
-            .filter(|&i| self.status[i].online)
-            .collect()
-    }
-
     /// Partition `jobs` by the paper's interaction-count walk across the
     /// *online* devices and run one kernel per device. When online devices
     /// are unevenly slowed, the walk is weighted by `1 / slowdown` so a
     /// throttled device receives proportionally less work.
     pub fn execute(&self, jobs: &[P2pJob]) -> Result<KernelTiming, Error> {
-        let online = self.checked_online(jobs.is_empty())?;
         let weights: Vec<u64> = jobs.iter().map(P2pJob::interactions).collect();
-        let assignment = if self.uniform_slowdown(&online) {
-            partition_by_interactions(&weights, online.len().max(1))
-        } else {
-            let shares: Vec<f64> = online
-                .iter()
-                .map(|&i| 1.0 / self.status[i].slowdown)
-                .collect();
-            partition_by_interactions_weighted(&weights, &shares)
-        };
-        Ok(self.run_scattered(jobs, &online, assignment))
-    }
-
-    /// Partition `jobs` by the speed-weighted walk (each online device's
-    /// share is proportional to its effective pair throughput — peak
-    /// divided by slowdown) and run one kernel per device. On a nominal
-    /// homogeneous system this is identical to [`GpuSystem::execute`].
-    pub fn execute_weighted(&self, jobs: &[P2pJob]) -> Result<KernelTiming, Error> {
-        let online = self.checked_online(jobs.is_empty())?;
-        let weights: Vec<u64> = jobs.iter().map(P2pJob::interactions).collect();
-        let shares: Vec<f64> = online
-            .iter()
-            .map(|&i| self.gpus[i].spec.peak_pairs_per_sec() / self.status[i].slowdown)
-            .collect();
-        let assignment = if online.is_empty() {
-            vec![]
-        } else {
-            partition_by_interactions_weighted(&weights, &shares)
-        };
-        Ok(self.run_scattered(jobs, &online, assignment))
+        let assignment = self.partition_online(&weights)?;
+        Ok(self.run_full(jobs, assignment))
     }
 
     /// Partition offloaded expansion jobs by body count (the analogue of
@@ -299,37 +251,11 @@ impl GpuSystem {
         &self,
         jobs: &[crate::device::ExpansionJob],
     ) -> Result<KernelTiming, Error> {
-        let online = self.checked_online(jobs.is_empty())?;
         let weights: Vec<u64> = jobs.iter().map(|j| j.bodies as u64).collect();
-        let online_assignment = if self.uniform_slowdown(&online) {
-            partition_by_interactions(&weights, online.len().max(1))
-        } else {
-            let shares: Vec<f64> = online
-                .iter()
-                .map(|&i| 1.0 / self.status[i].slowdown)
-                .collect();
-            partition_by_interactions_weighted(&weights, &shares)
-        };
-        let mut assignment = vec![Vec::new(); self.gpus.len()];
-        for (slot, idxs) in online.iter().zip(online_assignment) {
-            assignment[*slot] = idxs;
-        }
-        let per_gpu = self
-            .gpus
-            .iter()
-            .zip(&assignment)
-            .enumerate()
-            .map(|(d, (gpu, idxs))| {
-                let mine: Vec<_> = idxs.iter().map(|&i| jobs[i]).collect();
-                let mut r = gpu.run_expansion_kernel(&mine);
-                r.elapsed_s *= self.status[d].slowdown;
-                r
-            })
-            .collect();
-        Ok(KernelTiming {
-            per_gpu,
-            assignment,
-        })
+        let assignment = self.partition_online(&weights)?;
+        Ok(self.run(assignment, |gpu, idxs| {
+            gpu.run_expansion_kernel(idxs.iter().map(|&i| &jobs[i]))
+        }))
     }
 
     /// Run one kernel per device with a caller-provided partition (used by
@@ -354,47 +280,57 @@ impl GpuSystem {
         Ok(self.run_full(jobs, assignment))
     }
 
-    /// `Err(NoOnlineGpus)` when there is real work but nothing to run it
-    /// on; otherwise the online device list (possibly empty for an empty
-    /// launch).
-    fn checked_online(&self, jobs_empty: bool) -> Result<Vec<usize>, Error> {
-        let online = self.online_indices();
-        if online.is_empty() && !jobs_empty {
+    /// The walk over `weights` across the online devices, scattered back
+    /// to device indexing: equal shares when the online devices run at one
+    /// speed, `1 / slowdown` shares otherwise. `Err(NoOnlineGpus)` when
+    /// there is real work but nothing to run it on.
+    fn partition_online(&self, weights: &[u64]) -> Result<Vec<Vec<usize>>, Error> {
+        let online: Vec<usize> = (0..self.gpus.len())
+            .filter(|&i| self.status[i].online)
+            .collect();
+        if online.is_empty() && !weights.is_empty() {
             return Err(Error::NoOnlineGpus);
         }
-        Ok(online)
-    }
-
-    fn uniform_slowdown(&self, online: &[usize]) -> bool {
-        online
+        let uniform = online
             .windows(2)
-            .all(|w| self.status[w[0]].slowdown == self.status[w[1]].slowdown)
-    }
-
-    /// Scatter an online-indexed assignment back to full device indexing
-    /// and run it.
-    fn run_scattered(
-        &self,
-        jobs: &[P2pJob],
-        online: &[usize],
-        online_assignment: Vec<Vec<usize>>,
-    ) -> KernelTiming {
+            .all(|w| self.status[w[0]].slowdown == self.status[w[1]].slowdown);
+        let online_assignment = if uniform {
+            partition_by_interactions(weights, online.len().max(1))
+        } else {
+            let shares: Vec<f64> = online
+                .iter()
+                .map(|&i| 1.0 / self.status[i].slowdown)
+                .collect();
+            partition_by_interactions_weighted(weights, &shares)
+        };
         let mut assignment = vec![Vec::new(); self.gpus.len()];
         for (slot, idxs) in online.iter().zip(online_assignment) {
             assignment[*slot] = idxs;
         }
-        self.run_full(jobs, assignment)
+        Ok(assignment)
     }
 
     fn run_full(&self, jobs: &[P2pJob], assignment: Vec<Vec<usize>>) -> KernelTiming {
+        self.run(assignment, |gpu, idxs| {
+            gpu.run_kernel(idxs.iter().map(|&i| &jobs[i]))
+        })
+    }
+
+    /// Run one kernel per device on its share of `assignment`, each
+    /// device's time stretched by its slowdown.
+    fn run(
+        &self,
+        assignment: Vec<Vec<usize>>,
+        kernel: impl Fn(&SimGpu, &[usize]) -> KernelReport,
+    ) -> KernelTiming {
         let per_gpu = self
             .gpus
             .iter()
+            .zip(&self.status)
             .zip(&assignment)
-            .enumerate()
-            .map(|(d, (gpu, idxs))| {
-                let mut r = gpu.run_kernel(idxs.iter().map(|&i| &jobs[i]));
-                r.elapsed_s *= self.status[d].slowdown;
+            .map(|((gpu, status), idxs)| {
+                let mut r = kernel(gpu, idxs);
+                r.elapsed_s *= status.slowdown;
                 r
             })
             .collect();
@@ -572,42 +508,6 @@ mod tests {
             GpuSystem::homogeneous(0, GpuSpec::default()).unwrap_err(),
             Error::NoGpus
         );
-        assert_eq!(GpuSystem::heterogeneous(vec![]).unwrap_err(), Error::NoGpus);
-    }
-
-    #[test]
-    fn weighted_equals_plain_on_homogeneous_system() {
-        let jobs = plummer_like_jobs(200);
-        let sys = homog(3);
-        let a = sys.execute(&jobs).unwrap();
-        let b = sys.execute_weighted(&jobs).unwrap();
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.gpu_time(), b.gpu_time());
-    }
-
-    #[test]
-    fn weighted_partition_balances_mixed_devices() {
-        // One full-speed C2050 and one half-clock device: the weighted walk
-        // must beat the equal-share walk.
-        let fast = GpuSpec::default();
-        let slow = GpuSpec {
-            clock_hz: fast.clock_hz / 2.0,
-            ..fast
-        };
-        let sys = GpuSystem::heterogeneous(vec![fast, slow]).unwrap();
-        let jobs = plummer_like_jobs(600);
-        let equal = sys.execute(&jobs).unwrap().gpu_time().unwrap();
-        let weighted = sys.execute_weighted(&jobs).unwrap().gpu_time().unwrap();
-        assert!(
-            weighted < 0.85 * equal,
-            "weighted {weighted} should clearly beat equal-share {equal}"
-        );
-        // And the fast device must carry roughly 2/3 of the interactions.
-        let t = sys.execute_weighted(&jobs).unwrap();
-        let w0: u64 = t.per_gpu[0].useful_pairs;
-        let w1: u64 = t.per_gpu[1].useful_pairs;
-        let frac = w0 as f64 / (w0 + w1) as f64;
-        assert!((0.55..0.8).contains(&frac), "fast-device share {frac}");
     }
 
     #[test]
@@ -630,6 +530,57 @@ mod tests {
             .gpu_time()
             .unwrap();
         assert!(t4 < 0.4 * t1, "expansion offload must scale: {t1} -> {t4}");
+    }
+
+    /// Four devices, one slowed 2×: the slowdown-weighted walk of both
+    /// launch kinds, pinned to the bit.
+    #[test]
+    fn slowed_device_partition_is_pinned_for_both_launch_kinds() {
+        use crate::device::ExpansionJob;
+        let mut sys = homog(4);
+        sys.apply_event(&FaultEvent::GpuSlowdown {
+            device: 2,
+            factor: 2.0,
+        })
+        .unwrap();
+        let p2p = sys.execute(&plummer_like_jobs(40)).unwrap();
+        let ex_jobs: Vec<ExpansionJob> = (0..40)
+            .map(|i| ExpansionJob {
+                bodies: 40 + (i * 37) % 150,
+                cycles_per_body: 30_000.0,
+            })
+            .collect();
+        let ex = sys.execute_expansions(&ex_jobs).unwrap();
+        // The throttled device takes half a share in both walks.
+        let groups: Vec<Vec<usize>> = [0..12, 12..24, 24..30, 30..40]
+            .into_iter()
+            .map(|r| r.collect())
+            .collect();
+        let bits = |t: &KernelTiming| -> Vec<u64> {
+            t.per_gpu.iter().map(|r| r.elapsed_s.to_bits()).collect()
+        };
+        assert_eq!(p2p.assignment, groups);
+        assert_eq!(
+            bits(&p2p),
+            [
+                4559252313851128596,
+                4558824028575678122,
+                4562957089256872365,
+                4558095783200942110
+            ]
+        );
+        assert_eq!(p2p.gpu_time().unwrap().to_bits(), 4562957089256872365);
+        assert_eq!(ex.assignment, groups);
+        assert_eq!(
+            bits(&ex),
+            [
+                4544953919200304813,
+                4544953919200304813,
+                4546429658726201577,
+                4544953919200304813
+            ]
+        );
+        assert_eq!(ex.gpu_time().unwrap().to_bits(), 4546429658726201577);
     }
 
     // ---- fault handling ----
@@ -701,10 +652,6 @@ mod tests {
             .unwrap();
         let jobs = plummer_like_jobs(10);
         assert_eq!(sys.execute(&jobs).unwrap_err(), Error::NoOnlineGpus);
-        assert_eq!(
-            sys.execute_weighted(&jobs).unwrap_err(),
-            Error::NoOnlineGpus
-        );
         // An empty launch is still well-defined.
         assert_eq!(sys.execute(&[]).unwrap().gpu_time(), Some(0.0));
     }

@@ -11,7 +11,7 @@
 //!   test harnesses. Deterministic on a fixed workload, so CI can gate the
 //!   steady-state solve path at **zero** allocations with no noise band.
 //! * **Structural accounting** (`heap_bytes()` on `Bodies`, `Octree`,
-//!   `IncrementalLists`, `ExecutionPlan`, [`Recorder`](crate::Recorder)):
+//!   `IncrementalLists`, `FmmEngine`, [`Recorder`](crate::Recorder)):
 //!   *how big are the load-bearing structures?* Computed from container
 //!   capacities, available with or without the feature, and attributable
 //!   to bytes-per-body / bytes-per-node ratios.

@@ -29,7 +29,14 @@ fn main() {
     let mut pos = bodies.pos.clone();
     for step in 0..20 {
         let counts = engine.refresh_lists();
-        let timing = afmm::time_step(engine.tree(), engine.lists(), &flops, &node).unwrap();
+        let timing = afmm::time_step(
+            engine.tree(),
+            engine.lists(),
+            &flops,
+            &node,
+            afmm::ExecPolicy::default(),
+        )
+        .unwrap();
         model.observe(&counts, &timing, &flops, &node);
         println!(
             "{step:4}  {:12} {:5}  {:.5} s {:.5} s",
@@ -58,7 +65,14 @@ fn main() {
     }
     engine.rebin(&pos);
     let counts = engine.refresh_lists();
-    let timing = afmm::time_step(engine.tree(), engine.lists(), &flops, &node).unwrap();
+    let timing = afmm::time_step(
+        engine.tree(),
+        engine.lists(),
+        &flops,
+        &node,
+        afmm::ExecPolicy::default(),
+    )
+    .unwrap();
     println!(
         "after disturbance: compute {:.5} s (best was {:.5} s)",
         timing.compute(),
@@ -74,7 +88,14 @@ fn main() {
         before_nodes,
         engine.tree().visible_nodes().len()
     );
-    let after = afmm::time_step(engine.tree(), engine.lists(), &flops, &node).unwrap();
+    let after = afmm::time_step(
+        engine.tree(),
+        engine.lists(),
+        &flops,
+        &node,
+        afmm::ExecPolicy::default(),
+    )
+    .unwrap();
     println!("compute after repair: {:.5} s\n", after.compute());
     let _ = counts;
 
@@ -82,7 +103,14 @@ fn main() {
     // Deliberately over-coarse tree: the GPU drowns in direct work.
     engine.rebuild(&pos, 1024);
     let counts = engine.refresh_lists();
-    let timing = afmm::time_step(engine.tree(), engine.lists(), &flops, &node).unwrap();
+    let timing = afmm::time_step(
+        engine.tree(),
+        engine.lists(),
+        &flops,
+        &node,
+        afmm::ExecPolicy::default(),
+    )
+    .unwrap();
     model.observe(&counts, &timing, &flops, &node);
     let before = model.predict(&counts, &node);
     println!(
@@ -94,7 +122,14 @@ fn main() {
         "FGO ran {} batch(es) in {:.5} s of LB time; predicted cpu {:.5} s, gpu {:.5} s",
         out.rounds, out.lb_time, out.prediction.t_cpu, out.prediction.t_gpu
     );
-    let realized = afmm::time_step(engine.tree(), engine.lists(), &flops, &node).unwrap();
+    let realized = afmm::time_step(
+        engine.tree(),
+        engine.lists(),
+        &flops,
+        &node,
+        afmm::ExecPolicy::default(),
+    )
+    .unwrap();
     println!(
         "realized after FGO: cpu {:.5} s, gpu {:.5} s (prediction error {:.1}%)",
         realized.t_cpu,

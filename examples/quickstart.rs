@@ -47,7 +47,14 @@ fn main() {
     for s in [16usize, 128, 1024] {
         engine.rebuild(&bodies.pos, s);
         engine.refresh_lists();
-        let t = afmm::time_step(engine.tree(), engine.lists(), &flops, &node).unwrap();
+        let t = afmm::time_step(
+            engine.tree(),
+            engine.lists(),
+            &flops,
+            &node,
+            afmm::ExecPolicy::default(),
+        )
+        .unwrap();
         println!(
             "{s:5}  {:.4} s   {:.4} s   {:.4} s",
             t.t_cpu,

@@ -20,7 +20,14 @@ fn measure(
 ) -> (f64, f64) {
     let counts = engine.refresh_lists();
     let flops = engine.kernel.op_flops(engine.expansion_ops());
-    let t = afmm::time_step(engine.tree(), engine.lists(), &flops, node).unwrap();
+    let t = afmm::time_step(
+        engine.tree(),
+        engine.lists(),
+        &flops,
+        node,
+        afmm::ExecPolicy::default(),
+    )
+    .unwrap();
     model.observe(&counts, &t, &flops, node);
     (t.t_cpu, t.t_gpu)
 }
@@ -75,9 +82,15 @@ fn settled_s_is_near_the_sweep_optimum() {
     while s <= 4096 {
         engine.rebuild(&b.pos, s);
         engine.refresh_lists();
-        let t = afmm::time_step(engine.tree(), engine.lists(), &flops, &node)
-            .unwrap()
-            .compute();
+        let t = afmm::time_step(
+            engine.tree(),
+            engine.lists(),
+            &flops,
+            &node,
+            afmm::ExecPolicy::default(),
+        )
+        .unwrap()
+        .compute();
         best = best.min(t);
         s = (s as f64 * 1.5).ceil() as usize;
     }

@@ -140,7 +140,14 @@ fn balancer_survives_adversarial_timings() {
             // Occasionally observe real timings so the model stays usable.
             let counts = engine.refresh_lists();
             let flops = engine.kernel.op_flops(engine.expansion_ops());
-            let t = afmm::time_step(engine.tree(), engine.lists(), &flops, &node).unwrap();
+            let t = afmm::time_step(
+                engine.tree(),
+                engine.lists(),
+                &flops,
+                &node,
+                afmm::ExecPolicy::default(),
+            )
+            .unwrap();
             model.observe(&counts, &t, &flops, &node);
             let (tc, tg) = match rng.random_range(0..4u32) {
                 0 => (t.t_cpu, t.t_gpu),

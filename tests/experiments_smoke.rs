@@ -12,7 +12,7 @@ fn flops() -> fmm_math::OpFlops {
 
 fn time_tree(tree: &Octree, node: &HeteroNode) -> afmm::TimingReport {
     let lists = dual_traversal(tree, Mac::default());
-    afmm::time_step(tree, &lists, &flops(), node).unwrap()
+    afmm::time_step(tree, &lists, &flops(), node, afmm::ExecPolicy::default()).unwrap()
 }
 
 /// Fig 3's essence: on an adaptive tree, CPU cost falls and GPU cost rises
@@ -124,7 +124,14 @@ fn fig10_shape_fgo_bridges_the_gap() {
     let counts = engine.refresh_lists();
     let f =
         StokesletKernel::new(1e-3, 1.0).op_flops(&ExpansionOps::new(FmmParams::default().order));
-    let timing = afmm::time_step(engine.tree(), engine.lists(), &f, &node).unwrap();
+    let timing = afmm::time_step(
+        engine.tree(),
+        engine.lists(),
+        &f,
+        &node,
+        afmm::ExecPolicy::default(),
+    )
+    .unwrap();
     let mut model = CostModel::new();
     model.observe(&counts, &timing, &f, &node);
     let before = model.predict(&counts, &node);
@@ -135,7 +142,14 @@ fn fig10_shape_fgo_bridges_the_gap() {
         out.prediction.compute(),
         before.compute()
     );
-    let realized = afmm::time_step(engine.tree(), engine.lists(), &f, &node).unwrap();
+    let realized = afmm::time_step(
+        engine.tree(),
+        engine.lists(),
+        &f,
+        &node,
+        afmm::ExecPolicy::default(),
+    )
+    .unwrap();
     assert!(realized.compute() < timing.compute());
 }
 
@@ -148,8 +162,8 @@ fn extension_shape_offload() {
     let lists = dual_traversal(&tree, Mac::default());
     let f = flops();
     let starved = HeteroNode::system_a(2, 4);
-    let base = afmm::time_step(&tree, &lists, &f, &starved).unwrap();
-    let off = afmm::time_step_policy(
+    let base = afmm::time_step(&tree, &lists, &f, &starved, afmm::ExecPolicy::default()).unwrap();
+    let off = afmm::time_step(
         &tree,
         &lists,
         &f,

@@ -1,12 +1,14 @@
-//! Property tests of the persistent execution plan (satellite of the plan
-//! layer): a plan patched through an arbitrary interleaving of Collapse and
-//! PushDown edits must be *indistinguishable* from one rebuilt from scratch —
-//! the same interaction lists entry for entry and in order, the same op
-//! counts, and the same GPU job list. One fixed case also rebins between
-//! patches, on a tree big enough to fork, at widths 1, 2, 3 and 8.
+//! Property tests of the persistent plan: a plan patched through an
+//! arbitrary interleaving of Collapse and PushDown edits must be
+//! *indistinguishable* from one rebuilt from scratch — the same interaction
+//! lists entry for entry and in order, and the same op counts. (The GPU job
+//! list is `build_gpu_jobs` of the tree and lists, so equal lists give equal
+//! jobs.) One fixed case also rebins between patches, on a tree big enough
+//! to fork, at widths 1, 2, 3 and 8.
 
-use afmm::{build_gpu_jobs, ExecutionPlan};
-use octree::{build_adaptive, count_ops, dual_traversal, BuildParams, Mac, Octree};
+use octree::{
+    build_adaptive, count_ops, dual_traversal, BuildParams, IncrementalLists, Mac, Octree,
+};
 use proptest::prelude::*;
 
 fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<geom::Vec3>> {
@@ -39,7 +41,7 @@ fn arb_theta() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.35), Just(0.8)]
 }
 
-fn apply_ops(plan: &mut ExecutionPlan, tree: &mut Octree, ops: &[PlanOp]) -> usize {
+fn apply_ops(plan: &mut IncrementalLists, tree: &mut Octree, ops: &[PlanOp]) -> usize {
     let mut applied = 0;
     for op in ops {
         match *op {
@@ -74,7 +76,7 @@ proptest! {
     ) {
         let mac = Mac::new(theta);
         let mut tree = build_adaptive(&pts, BuildParams::with_s(s));
-        let mut plan = ExecutionPlan::build(&tree, mac);
+        let mut plan = IncrementalLists::build(&tree, mac);
         apply_ops(&mut plan, &mut tree, &ops);
         prop_assert!(tree.check_invariants().is_ok());
 
@@ -83,27 +85,6 @@ proptest! {
         prop_assert_eq!(&plan.lists().p2p, &fresh.p2p);
         prop_assert_eq!(plan.counts(), count_ops(&tree, &fresh));
         prop_assert_eq!(plan.audit(&tree), Ok(()));
-    }
-
-    /// The plan's cached GPU job list always matches what `build_gpu_jobs`
-    /// derives — against its own lists (the cache is not stale) and against
-    /// a fresh traversal's lists, exactly.
-    #[test]
-    fn patched_jobs_match_rebuilt_jobs(
-        pts in arb_points(300),
-        s in 4usize..64,
-        ops in arb_plan_ops(),
-        theta in arb_theta(),
-    ) {
-        let mac = Mac::new(theta);
-        let mut tree = build_adaptive(&pts, BuildParams::with_s(s));
-        let mut plan = ExecutionPlan::build(&tree, mac);
-        apply_ops(&mut plan, &mut tree, &ops);
-
-        let cached = plan.gpu_jobs(&tree).to_vec();
-        prop_assert_eq!(&cached, &build_gpu_jobs(&tree, plan.lists()));
-        let fresh = dual_traversal(&tree, mac);
-        prop_assert_eq!(&cached, &build_gpu_jobs(&tree, &fresh));
     }
 
     /// Plan-routed no-ops (collapsing a leaf, pushing down an internal node)
@@ -116,7 +97,7 @@ proptest! {
     ) {
         let mac = Mac::new(theta);
         let mut tree = build_adaptive(&pts, BuildParams::with_s(s));
-        let mut plan = ExecutionPlan::build(&tree, mac);
+        let mut plan = IncrementalLists::build(&tree, mac);
         let before = plan.lists().clone();
         let before_counts = plan.counts();
         for id in tree.visible_nodes() {
@@ -133,9 +114,9 @@ proptest! {
 }
 
 /// Patch, rebin, refresh and patch again on a tree big enough that every
-/// rebuild and recount forks: at widths 1, 2, 3 and 8 the plan's lists, op
-/// counts and GPU jobs equal `ExecutionPlan::build` on the tree it ends on,
-/// and it passes its audit.
+/// rebuild and recount forks: at widths 1, 2, 3 and 8 the plan's lists and
+/// op counts equal `IncrementalLists::build` on the tree it ends on, and it
+/// passes its audit.
 #[test]
 fn a_patched_rebinned_plan_equals_a_build_at_every_width() {
     let start = nbody::plummer(20_000, 1.0, 1.0, 41).pos;
@@ -154,7 +135,7 @@ fn a_patched_rebinned_plan_equals_a_build_at_every_width() {
         pool.install(|| {
             let mut tree = build_adaptive(&start, BuildParams::with_s(16));
             assert!(tree.num_nodes() > 2048, "{} nodes", tree.num_nodes());
-            let mut plan = ExecutionPlan::build(&tree, mac);
+            let mut plan = IncrementalLists::build(&tree, mac);
             assert!(apply_ops(&mut plan, &mut tree, &ops[..20]) > 10);
             // From every ninth leaf holding two or more bodies, one body
             // jumps onto another body's spot: bodies change leaves, no
@@ -174,12 +155,10 @@ fn a_patched_rebinned_plan_equals_a_build_at_every_width() {
                 "{refreshed:?}"
             );
             assert!(apply_ops(&mut plan, &mut tree, &ops[20..]) > 10);
-            let mut fresh = ExecutionPlan::build(&tree, mac);
+            let fresh = IncrementalLists::build(&tree, mac);
             assert!(plan.lists().m2l == fresh.lists().m2l, "width {width}: m2l");
             assert!(plan.lists().p2p == fresh.lists().p2p, "width {width}: p2p");
             assert_eq!(plan.counts(), fresh.counts(), "width {width}: counts");
-            let jobs = plan.gpu_jobs(&tree).to_vec();
-            assert!(jobs == fresh.gpu_jobs(&tree), "width {width}: GPU jobs");
             plan.audit(&tree).expect("patched plan audits");
         });
     }

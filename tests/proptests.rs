@@ -240,7 +240,7 @@ proptest! {
         let mut e = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &pts, s);
         let counts = e.refresh_lists();
         let flops = fmm_math::Kernel::op_flops(&e.kernel, e.expansion_ops());
-        let timing = afmm::time_step(e.tree(), e.lists(), &flops, &node).unwrap();
+        let timing = afmm::time_step(e.tree(), e.lists(), &flops, &node, afmm::ExecPolicy::default()).unwrap();
         let mut model = CostModel::new();
         model.observe(&counts, &timing, &flops, &node);
         let pred = model.predict(&counts, &node);
