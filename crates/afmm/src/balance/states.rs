@@ -46,14 +46,8 @@ impl LoadBalancer {
         if now_online == 0 {
             // Graceful CPU-only fallback. The sweep rebuilds the tree once
             // per probe; charge each rebuild as LB time.
-            let (s, _t) = search_best_s_cpu_only(engine, node, pos, &self.cfg);
+            let (s, _t, probes) = search_best_s_cpu_only(engine, node, pos, &self.cfg);
             self.s = s;
-            let mut probes = 0usize;
-            let mut sp = self.cfg.s_min;
-            while sp <= self.cfg.s_max {
-                probes += 1;
-                sp = ((sp as f64 * 1.6).ceil() as usize).max(sp + 1);
-            }
             rep.lb_time += probes as f64 * lbtime::rebuild(node, pos.len());
             rep.rebuilt = true;
             self.transition(LbState::Observation, "all_gpus_offline");
@@ -498,20 +492,23 @@ fn apply_batch<K: Kernel>(
         .collect()
 }
 
-/// Sweep S on a geometric grid and return the value minimizing the virtual
-/// compute time — how the paper picks S for CPU-only runs ("the S that
-/// minimized the time for this single core case") and how every strategy's
-/// initial S is validated in the benches.
+/// Sweep S on a geometric grid and return `(S, compute, probes)`: the value
+/// minimizing the virtual compute time, that time, and how many S values
+/// the sweep rebuilt the tree for — how the paper picks S for CPU-only runs
+/// ("the S that minimized the time for this single core case") and how
+/// every strategy's initial S is validated in the benches.
 pub fn search_best_s_cpu_only<K: Kernel>(
     engine: &mut FmmEngine<K>,
     node: &HeteroNode,
     pos: &[geom::Vec3],
     cfg: &LbConfig,
-) -> (usize, f64) {
+) -> (usize, f64, usize) {
     let flops = engine.kernel.op_flops(engine.expansion_ops());
     let mut best = (cfg.s_min, f64::INFINITY);
+    let mut probes = 0usize;
     let mut s = cfg.s_min;
     while s <= cfg.s_max {
+        probes += 1;
         engine.rebuild(pos, s);
         // With zero online GPUs the near field folds into the CPU DAG, so
         // this timing never takes a fallible GPU path.
@@ -526,5 +523,5 @@ pub fn search_best_s_cpu_only<K: Kernel>(
     }
     engine.rebuild(pos, best.0);
     engine.refresh_lists();
-    best
+    (best.0, best.1, probes)
 }

@@ -383,8 +383,14 @@ fn cpu_only_s_sweep_finds_interior_optimum() {
     let mut h = Harness::new(3000, HeteroNode::serial(), 32);
     let cfg = LbConfig::default();
     let pos = h.pos.clone();
-    let (s, t) = search_best_s_cpu_only(&mut h.engine, &h.node, &pos, &cfg);
+    let (s, t, probes) = search_best_s_cpu_only(&mut h.engine, &h.node, &pos, &cfg);
     assert!(t > 0.0);
+    // One rebuild per point of the ×1.6 grid from s_min to s_max.
+    let grid = std::iter::successors(Some(cfg.s_min), |&s| {
+        Some(((s as f64 * 1.6).ceil() as usize).max(s + 1))
+    })
+    .take_while(|&s| s <= cfg.s_max);
+    assert_eq!(probes, grid.count());
     assert!(
         s > cfg.s_min && s < cfg.s_max,
         "serial-optimal S should be interior, got {s}"

@@ -1,4 +1,4 @@
-use gpu_sim::{GpuSpec, GpuSystem};
+use gpu_sim::GpuSystem;
 use octree::Mac;
 use sched_sim::MemoryModel;
 
@@ -103,7 +103,7 @@ impl HeteroNode {
         let gpus = if n_gpus == 0 {
             None
         } else {
-            Some(GpuSystem::homogeneous(n_gpus, GpuSpec::tesla_c2050()).expect("n_gpus > 0 here"))
+            Some(GpuSystem::homogeneous(n_gpus).expect("n_gpus > 0 here"))
         };
         HeteroNode {
             cpu: CpuSpec::xeon_x5670(cores),

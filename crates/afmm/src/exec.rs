@@ -1,7 +1,7 @@
 use crate::config::HeteroNode;
 use crate::error::Error;
 use fmm_math::OpFlops;
-use gpu_sim::{KernelTiming, P2pJob};
+use gpu_sim::{GpuJob, KernelTiming};
 use octree::{InteractionLists, NodeId, Octree, NONE};
 use sched_sim::{simulate, TaskGraph, TaskId};
 
@@ -118,19 +118,17 @@ pub fn record_phase_spans(
     );
 }
 
-/// Build the GPU work list: one [`P2pJob`] per active leaf with a non-empty
-/// P2P interaction list, in traversal order (the order the paper's partition
-/// walk consumes).
-pub fn build_gpu_jobs(tree: &Octree, lists: &InteractionLists) -> Vec<P2pJob> {
+/// Build the GPU work list: one [`GpuJob::p2p`] per active leaf with a
+/// non-empty P2P interaction list, in traversal order (the order the paper's
+/// partition walk consumes). Each job is priced from the leaf's list as it
+/// is made, with no per-job allocation.
+pub fn build_gpu_jobs(tree: &Octree, lists: &InteractionLists) -> Vec<GpuJob> {
     tree.active_leaves()
         .into_iter()
         .filter(|&id| !lists.p2p[id as usize].is_empty())
         .map(|id| {
-            let sources = lists.p2p[id as usize]
-                .iter()
-                .map(|&b| tree.node(b).count())
-                .collect();
-            P2pJob::new(tree.node(id).count(), sources)
+            let sources = lists.p2p[id as usize].iter().map(|&b| tree.node(b).count());
+            GpuJob::p2p(tree.node(id).count(), sources)
         })
         .collect()
 }
@@ -266,8 +264,8 @@ fn add_downsweep(
 /// CPU DAG when there are none.
 ///
 /// With `policy.offload_pl` and online GPUs present, P2M/L2P leave the CPU
-/// DAG and run as an additional per-leaf expansion kernel on the devices
-/// (modeled at the GPU's expansion efficiency); expansion kernels are
+/// DAG and run as an additional launch of per-leaf [`GpuJob::expansion`]
+/// jobs (modeled at the GPU's expansion efficiency); expansion kernels are
 /// assumed to overlap the CPU's translation phase, as the paper's proposal
 /// implies.
 ///
@@ -290,17 +288,13 @@ pub fn time_step(
             let timing = gpus.execute(&build_gpu_jobs(tree, lists))?;
             let mut t = timing.gpu_time().ok_or(Error::MissingGpuTiming)?;
             if offload {
-                let cyc = gpus.spec(0).expansion_cycles_per_flop
-                    * (flops.p2m_per_body + flops.l2p_per_body);
-                let ex_jobs: Vec<gpu_sim::ExpansionJob> = tree
+                let flops_per_body = flops.p2m_per_body + flops.l2p_per_body;
+                let ex_jobs: Vec<GpuJob> = tree
                     .active_leaves()
                     .into_iter()
-                    .map(|id| gpu_sim::ExpansionJob {
-                        bodies: tree.node(id).count(),
-                        cycles_per_body: cyc,
-                    })
+                    .map(|id| GpuJob::expansion(tree.node(id).count(), flops_per_body))
                     .collect();
-                let ex = gpus.execute_expansions(&ex_jobs)?;
+                let ex = gpus.execute(&ex_jobs)?;
                 t += ex.gpu_time().ok_or(Error::MissingGpuTiming)?;
             }
             (t, Some(timing))
@@ -394,7 +388,7 @@ mod tests {
     fn gpu_jobs_cover_all_interactions() {
         let e = engine_with_lists(2000, 32);
         let jobs = build_gpu_jobs(e.tree(), e.lists());
-        let job_pairs: u64 = jobs.iter().map(P2pJob::interactions).sum();
+        let job_pairs: u64 = jobs.iter().map(GpuJob::work).sum();
         // Jobs count the diagonal (p_t × p_t includes self pairs), counts
         // exclude it.
         let diag: u64 = e
@@ -466,6 +460,123 @@ mod tests {
         let b = timed(&e, &f, &node, ExecPolicy::default());
         assert_eq!(a.t_cpu, b.t_cpu);
         assert_eq!(a.t_gpu, b.t_gpu);
+    }
+
+    /// One Plummer tree timed on four GPU mixes, with and without the
+    /// §VIII.E offload: `t_cpu`, `t_gpu` and every device's P2P kernel time
+    /// pinned to the bit, and the partition pinned by its group sizes (the
+    /// walk hands out contiguous runs of jobs in order).
+    #[test]
+    fn time_step_bits_are_pinned() {
+        let e = engine_with_lists(6000, 64);
+        let f = flops_of(&e);
+        let faulted = |cores, event| {
+            let mut node = HeteroNode::system_a(cores, 4);
+            let gpus = node.gpus.as_mut().unwrap();
+            gpus.apply_event(&event).unwrap();
+            node
+        };
+        let nodes = [
+            HeteroNode::system_a(10, 4),
+            HeteroNode::system_a(10, 1),
+            faulted(
+                4,
+                gpu_sim::FaultEvent::GpuSlowdown {
+                    device: 2,
+                    factor: 2.0,
+                },
+            ),
+            faulted(4, gpu_sim::FaultEvent::GpuDropout { device: 1 }),
+        ];
+        let mut got = Vec::new();
+        for node in &nodes {
+            for offload_pl in [false, true] {
+                let r = timed(&e, &f, node, ExecPolicy { offload_pl });
+                let gpu = r.gpu.unwrap();
+                let flat: Vec<usize> = gpu.assignment.concat();
+                assert_eq!(flat, (0..flat.len()).collect::<Vec<_>>());
+                got.push((
+                    [r.t_cpu.to_bits(), r.t_gpu.to_bits()],
+                    gpu.per_gpu
+                        .iter()
+                        .map(|k| k.elapsed_s.to_bits())
+                        .collect::<Vec<_>>(),
+                    gpu.assignment.iter().map(Vec::len).collect::<Vec<_>>(),
+                ));
+            }
+        }
+        let nominal = [
+            4568458818145100754,
+            4568399066734948955,
+            4568496112649423688,
+            4567777090646724531,
+        ];
+        let slowed = [
+            4569286114515189075,
+            4569243205784408925,
+            4569902075360780768,
+            4568570701658069557,
+        ];
+        let dropped = [
+            4569989095870867616,
+            0,
+            4571107931000555651,
+            4569567226854225388,
+        ];
+        let want: [([u64; 2], &[u64], &[usize]); 8] = [
+            (
+                [4581658699536883409, 4568496112649423688],
+                &nominal,
+                &[95, 91, 97, 86],
+            ),
+            (
+                [4581554708899471632, 4568693139916777927],
+                &nominal,
+                &[95, 91, 97, 86],
+            ),
+            (
+                [4581658699536883409, 4576796320386730985],
+                &[4576796320386730985],
+                &[369],
+            ),
+            (
+                [4581554708899471632, 4576953370351548091],
+                &[4576796320386730985],
+                &[369],
+            ),
+            (
+                [4587537967985854557, 4569902075360780768],
+                &slowed,
+                &[107, 108, 56, 98],
+            ),
+            (
+                [4587424346130423671, 4570166778117914990],
+                &slowed,
+                &[107, 108, 56, 98],
+            ),
+            (
+                [4587537967985854557, 4571107931000555651],
+                &dropped,
+                &[119, 0, 135, 115],
+            ),
+            (
+                [4587424346130423671, 4571261627968875229],
+                &dropped,
+                &[119, 0, 135, 115],
+            ),
+        ];
+        assert_eq!(got.len(), want.len());
+        for (i, ((times, elapsed, groups), (w_times, w_elapsed, w_groups))) in
+            got.iter().zip(want).enumerate()
+        {
+            assert_eq!(*times, w_times, "case {i}: t_cpu, t_gpu");
+            assert_eq!(
+                elapsed.as_slice(),
+                w_elapsed,
+                "case {i}: per-device elapsed_s"
+            );
+            assert_eq!(groups.as_slice(), w_groups, "case {i}: assignment");
+        }
     }
 
     #[test]

@@ -89,13 +89,6 @@ pub struct SupervisorReport {
     pub checkpoints_taken: u64,
 }
 
-impl SupervisorReport {
-    /// Did any rung above "none" ever fire?
-    pub fn any_recovery(&self) -> bool {
-        self.retries + self.rebuilds + self.cpu_fallbacks + self.restores > 0
-    }
-}
-
 /// Escalation-ladder wrapper around one [`StrategyTracker`]. The kernel is
 /// `Copy` (stateless configuration) so restore rungs can rebuild engines;
 /// the node configuration is captured pristine at construction for the same
@@ -405,7 +398,6 @@ mod tests {
             let (_, action) = sup.step(&pos).unwrap();
             assert_eq!(action, RecoveryAction::None);
         }
-        assert!(!sup.report().any_recovery());
         assert_eq!(sup.report().audit_failures, 0);
     }
 

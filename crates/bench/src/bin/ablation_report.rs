@@ -48,8 +48,7 @@ fn partition_ablation() {
         let lists = octree::dual_traversal(&tree, Mac::default());
         let jobs = afmm::build_gpu_jobs(&tree, &lists);
         for gpus in [2usize, 4] {
-            let sys = gpu_sim::GpuSystem::homogeneous(gpus, gpu_sim::GpuSpec::default())
-                .expect("positive device count");
+            let sys = gpu_sim::GpuSystem::homogeneous(gpus).expect("positive device count");
             let smart = bench::gpu_time_or_zero(&sys.execute(&jobs).unwrap());
             let naive = bench::gpu_time_or_zero(
                 &sys.execute_with_partition(&jobs, partition_by_node_count(jobs.len(), gpus))

@@ -761,6 +761,10 @@ fn memory_profile(cfg: &SuiteConfig) -> Scenario {
 
 fn memory_profile_one_worker(cfg: &SuiteConfig) -> Scenario {
     use telemetry::memprof;
+    // What is live before the scenario starts (earlier scenarios' results,
+    // the output path) differs from run to run and is not this workload's;
+    // the peak row counts from here.
+    let live_before = memprof::global().live_bytes;
     let s = 96;
     let b = nbody::plummer(cfg.n_solve, 1.0, 1.0, cfg.seed + 9);
     let mut engine = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, s);
@@ -863,7 +867,7 @@ fn memory_profile_one_worker(cfg: &SuiteConfig) -> Scenario {
         metrics.push(Metric::virtual_point(
             "peak_live_bytes_per_body",
             "B",
-            global.peak_live_bytes as f64 / n,
+            global.peak_live_bytes.saturating_sub(live_before) as f64 / n,
         ));
         metrics.push(Metric::virtual_point(
             "patch_bytes_per_edit",

@@ -147,8 +147,8 @@ mod tests {
 
     #[test]
     fn real_timing_passes_through_helpers() {
-        let sys = gpu_sim::GpuSystem::homogeneous(2, gpu_sim::GpuSpec::default()).unwrap();
-        let jobs = vec![gpu_sim::P2pJob::new(64, vec![256])];
+        let sys = gpu_sim::GpuSystem::homogeneous(2).unwrap();
+        let jobs = [gpu_sim::GpuJob::p2p(64, [256])];
         let t = sys.execute(&jobs).unwrap();
         assert_eq!(gpu_time_or_zero(&t), t.gpu_time().unwrap());
         assert!(gpu_time_or_zero(&t) > 0.0);

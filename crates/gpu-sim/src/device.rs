@@ -1,50 +1,61 @@
-use crate::spec::GpuSpec;
+use crate::spec::C2050;
 
-/// The near-field work of one target leaf node: `targets` bodies, each of
-/// which must interact with every body of every source node in its
-/// interaction list. `source_counts[i]` is the body count of the i-th source
-/// node (sources are loaded tile-wise per node, as in the paper's Fig. 5).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct P2pJob {
-    pub targets: usize,
-    pub source_counts: Vec<usize>,
+/// One job of a GPU launch, priced once when it is made: `threads` threads
+/// go in blocks of [`C2050`]'s `block_size`, every thread takes `steps`
+/// useful steps, and every block of the job — full or partial — runs
+/// `block_cycles` cycles.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct GpuJob {
+    pub threads: usize,
+    pub steps: u64,
+    pub block_cycles: f64,
 }
 
-impl P2pJob {
-    pub fn new(targets: usize, source_counts: Vec<usize>) -> Self {
-        P2pJob {
-            targets,
-            source_counts,
+impl GpuJob {
+    /// The near-field work of one target leaf: `targets` bodies, one thread
+    /// each, interacting with every body of every source node in the leaf's
+    /// interaction list; `source_counts` yields each source node's body
+    /// count in list order. Every block walks the same source stream: per
+    /// source node, tiles of `block_size` bodies are loaded cooperatively,
+    /// then each thread processes the loaded bodies serially (the paper's
+    /// Fig. 5).
+    pub fn p2p(targets: usize, source_counts: impl IntoIterator<Item = usize>) -> Self {
+        let mut steps = 0u64;
+        let mut block_cycles = 0.0;
+        for n in source_counts {
+            if n == 0 {
+                continue;
+            }
+            steps += n as u64;
+            let tiles = n.div_ceil(C2050.block_size) as f64;
+            block_cycles += tiles * C2050.tile_load_cycles + n as f64 * C2050.pair_cycles;
+        }
+        GpuJob {
+            threads: targets,
+            steps,
+            block_cycles,
         }
     }
 
-    /// Total source bodies across the interaction list.
-    pub fn total_sources(&self) -> usize {
-        self.source_counts.iter().sum()
+    /// Per-leaf expansion work offloaded to the GPU — the paper's proposed
+    /// extension ("the way forward in such an unbalanced situation is to
+    /// move additional work to the GPU... the P2M expansion formation and
+    /// L2P expansion evaluation"). One thread per body, each running
+    /// `flops_per_body` flops of expansion arithmetic.
+    pub fn expansion(bodies: usize, flops_per_body: f64) -> Self {
+        GpuJob {
+            threads: bodies,
+            steps: 1,
+            block_cycles: C2050.expansion_cycles_per_flop * flops_per_body,
+        }
     }
 
-    /// Useful body-body interactions: `targets × total_sources` — the
-    /// paper's `Interactions(t)`.
-    pub fn interactions(&self) -> u64 {
-        self.targets as u64 * self.total_sources() as u64
+    /// Useful thread-steps, the weight the partition walk consumes: the
+    /// paper's `Interactions(t)` (`targets × total sources`) for P2P work,
+    /// the body count for expansion work.
+    pub fn work(&self) -> u64 {
+        self.threads as u64 * self.steps
     }
-}
-
-/// Per-leaf expansion work offloaded to the GPU — the paper's proposed
-/// extension ("the way forward in such an unbalanced situation is to move
-/// additional work to the GPU... the P2M expansion formation and L2P
-/// expansion evaluation"). One thread per body; each thread runs
-/// `cycles_per_body` cycles of expansion arithmetic.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ExpansionJob {
-    pub bodies: usize,
-    pub cycles_per_body: f64,
-}
-
-/// One simulated GPU.
-#[derive(Clone, Debug, Default)]
-pub struct SimGpu {
-    pub spec: GpuSpec,
 }
 
 /// Per-kernel execution report of one device.
@@ -52,10 +63,11 @@ pub struct SimGpu {
 pub struct KernelReport {
     /// Simulated kernel time in seconds (SM makespan + launch overhead).
     pub elapsed_s: f64,
-    /// Useful interactions performed.
+    /// Useful thread-steps performed: interactions of P2P work, body-slots
+    /// of expansion work.
     pub useful_pairs: u64,
-    /// Thread-slots × source-steps actually occupied, counting idle threads
-    /// of partial blocks. `useful_pairs / occupied_pairs` is the SIMT
+    /// Thread-slots × steps actually occupied, counting idle threads of
+    /// partial blocks. `useful_pairs / occupied_pairs` is the SIMT
     /// efficiency of the kernel.
     pub occupied_pairs: u64,
     /// Blocks issued.
@@ -74,108 +86,60 @@ impl KernelReport {
     }
 }
 
-impl SimGpu {
-    pub fn new(spec: GpuSpec) -> Self {
-        SimGpu { spec }
-    }
-
-    /// Cycles one block of this job spends marching through all sources.
-    ///
-    /// Every block of the job — full or partial — walks the same source
-    /// stream: per source node, tiles of `block_size` are loaded
-    /// cooperatively, then each thread serially processes the loaded bodies.
-    fn block_cycles(&self, job: &P2pJob) -> f64 {
-        let bs = self.spec.block_size;
-        let mut cycles = 0.0;
-        for &n in &job.source_counts {
-            if n == 0 {
-                continue;
-            }
-            let tiles = n.div_ceil(bs) as f64;
-            cycles += tiles * self.spec.tile_load_cycles + n as f64 * self.spec.pair_cycles;
+/// Execute one kernel covering `jobs` on one device and report its
+/// simulated timing.
+///
+/// Each job's threads go in blocks of `block_size`; a partial block
+/// occupies its threads padded up to whole warps, and its idle threads step
+/// along doing nothing. Blocks are dispatched greedily to the least-loaded
+/// SM slot in issue order — the hardware's block scheduler. Kernel time is
+/// the maximum SM load plus the fixed launch overhead. The jobs are
+/// borrowed in issue order, so a device's share of a launch is read where
+/// it lies.
+pub fn run_kernel<'a>(jobs: impl IntoIterator<Item = &'a GpuJob>) -> KernelReport {
+    let bs = C2050.block_size;
+    let ws = C2050.warp_size;
+    let mut sm_load = [0.0f64; C2050.sms];
+    let mut useful = 0u64;
+    let mut occupied = 0u64;
+    let mut blocks = 0usize;
+    for job in jobs
+        .into_iter()
+        .filter(|job| job.threads > 0 && job.steps > 0 && job.block_cycles > 0.0)
+    {
+        let (threads, steps) = (job.threads, job.steps);
+        let full_blocks = threads / bs;
+        let rem = threads % bs;
+        useful += threads as u64 * steps;
+        occupied += full_blocks as u64 * bs as u64 * steps;
+        let mut nblocks = full_blocks;
+        if rem > 0 {
+            nblocks += 1;
+            occupied += (rem.div_ceil(ws) * ws) as u64 * steps;
         }
-        cycles
-    }
-
-    /// Execute a kernel covering `jobs` and report its simulated timing.
-    ///
-    /// Blocks are created per job (one thread per target body, padded to
-    /// whole warps) and dispatched greedily to the least-loaded SM slot in
-    /// issue order — the hardware's block scheduler. Kernel time is the
-    /// maximum SM load plus the fixed launch overhead. The jobs are
-    /// borrowed in issue order, so a device's share of a launch is read
-    /// where it lies.
-    pub fn run_kernel<'a>(&self, jobs: impl IntoIterator<Item = &'a P2pJob>) -> KernelReport {
-        self.dispatch(
-            jobs.into_iter()
-                .filter(|job| job.targets > 0 && job.total_sources() > 0)
-                .map(|job| {
-                    let steps = job.total_sources() as u64;
-                    (job.targets, steps, self.block_cycles(job))
-                }),
-        )
-    }
-
-    /// Execute a kernel of offloaded expansion work (one thread per body).
-    /// `useful_pairs`/`occupied_pairs` count body-slots here, so
-    /// [`KernelReport::efficiency`] reports warp occupancy as usual.
-    pub fn run_expansion_kernel<'a>(
-        &self,
-        jobs: impl IntoIterator<Item = &'a ExpansionJob>,
-    ) -> KernelReport {
-        self.dispatch(
-            jobs.into_iter()
-                .filter(|job| job.bodies > 0 && job.cycles_per_body > 0.0)
-                .map(|job| (job.bodies, 1, job.cycles_per_body)),
-        )
-    }
-
-    /// The block scheduler both kernel kinds run on. Each item is one job
-    /// as `(threads, steps, cycles)`: its threads go in blocks of
-    /// `block_size`, every thread takes `steps` useful steps and every
-    /// block runs `cycles`. A partial block occupies its threads padded up
-    /// to whole warps, and its idle threads step along doing nothing.
-    fn dispatch(&self, jobs: impl Iterator<Item = (usize, u64, f64)>) -> KernelReport {
-        let bs = self.spec.block_size;
-        let ws = self.spec.warp_size.max(1);
-        let mut sm_load = vec![0.0f64; self.spec.sms.max(1)];
-        let mut useful = 0u64;
-        let mut occupied = 0u64;
-        let mut blocks = 0usize;
-        for (threads, steps, cycles) in jobs {
-            let full_blocks = threads / bs;
-            let rem = threads % bs;
-            useful += threads as u64 * steps;
-            occupied += full_blocks as u64 * bs as u64 * steps;
-            let mut nblocks = full_blocks;
-            if rem > 0 {
-                nblocks += 1;
-                occupied += (rem.div_ceil(ws) * ws) as u64 * steps;
-            }
-            blocks += nblocks;
-            for _ in 0..nblocks {
-                // Least-loaded slot; ties broken by lowest index for
-                // determinism.
-                let (slot, _) = sm_load
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
-                    .expect("at least one SM");
-                sm_load[slot] += cycles;
-            }
+        blocks += nblocks;
+        for _ in 0..nblocks {
+            // Least-loaded slot; ties broken by lowest index for
+            // determinism.
+            let (slot, _) = sm_load
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
+                .expect("at least one SM");
+            sm_load[slot] += job.block_cycles;
         }
-        let max_cycles = sm_load.iter().copied().fold(0.0, f64::max);
-        let elapsed = if blocks == 0 {
-            0.0
-        } else {
-            max_cycles / self.spec.clock_hz + self.spec.launch_overhead_s
-        };
-        KernelReport {
-            elapsed_s: elapsed,
-            useful_pairs: useful,
-            occupied_pairs: occupied,
-            blocks,
-        }
+    }
+    let max_cycles = sm_load.iter().copied().fold(0.0, f64::max);
+    let elapsed = if blocks == 0 {
+        0.0
+    } else {
+        max_cycles / C2050.clock_hz + C2050.launch_overhead_s
+    };
+    KernelReport {
+        elapsed_s: elapsed,
+        useful_pairs: useful,
+        occupied_pairs: occupied,
+        blocks,
     }
 }
 
@@ -183,33 +147,27 @@ impl SimGpu {
 mod tests {
     use super::*;
 
-    fn gpu() -> SimGpu {
-        SimGpu::new(GpuSpec::tesla_c2050())
-    }
-
     #[test]
     fn empty_kernel_is_instant_and_efficient() {
-        let r = gpu().run_kernel(&[]);
+        let r = run_kernel(&[]);
         assert_eq!(r.elapsed_s, 0.0);
         assert_eq!(r.efficiency(), 1.0);
-        let r2 = gpu().run_kernel(&[P2pJob::new(0, vec![128]), P2pJob::new(64, vec![])]);
+        let r2 = run_kernel(&[GpuJob::p2p(0, [128]), GpuJob::p2p(64, [])]);
         assert_eq!(r2.elapsed_s, 0.0);
         assert_eq!(r2.blocks, 0);
     }
 
     #[test]
     fn time_scales_with_sources() {
-        let g = gpu();
-        let t1 = g.run_kernel(&[P2pJob::new(128, vec![1024])]).elapsed_s;
-        let t4 = g.run_kernel(&[P2pJob::new(128, vec![4096])]).elapsed_s;
-        let ratio = (t4 - g.spec.launch_overhead_s) / (t1 - g.spec.launch_overhead_s);
+        let t1 = run_kernel(&[GpuJob::p2p(128, [1024])]).elapsed_s;
+        let t4 = run_kernel(&[GpuJob::p2p(128, [4096])]).elapsed_s;
+        let ratio = (t4 - C2050.launch_overhead_s) / (t1 - C2050.launch_overhead_s);
         assert!((ratio - 4.0).abs() < 0.1, "ratio {ratio}");
     }
 
     #[test]
     fn full_blocks_are_fully_efficient() {
-        let g = gpu();
-        let r = g.run_kernel(&[P2pJob::new(256, vec![512])]); // 2 full blocks
+        let r = run_kernel(&[GpuJob::p2p(256, [512])]); // 2 full blocks
         assert_eq!(r.blocks, 2);
         assert_eq!(r.efficiency(), 1.0);
     }
@@ -218,31 +176,26 @@ mod tests {
     fn small_targets_with_many_sources_waste_threads() {
         // The paper's warning case: a tiny target node interacting with a
         // large source stream has terrible SIMT efficiency.
-        let g = gpu();
-        let r = g.run_kernel(&[P2pJob::new(3, vec![10_000])]);
+        let r = run_kernel(&[GpuJob::p2p(3, [10_000])]);
         assert!(r.efficiency() < 0.2, "efficiency {}", r.efficiency());
         // ... and takes as long as a 32-target (one-warp) job would.
-        let r32 = g.run_kernel(&[P2pJob::new(32, vec![10_000])]);
+        let r32 = run_kernel(&[GpuJob::p2p(32, [10_000])]);
         assert_eq!(r.elapsed_s, r32.elapsed_s);
     }
 
     #[test]
     fn partial_block_time_equals_full_block_time() {
-        let g = gpu();
-        let t_partial = g.run_kernel(&[P2pJob::new(1, vec![2048])]).elapsed_s;
-        let t_full = g
-            .run_kernel(&[P2pJob::new(g.spec.block_size, vec![2048])])
-            .elapsed_s;
+        let t_partial = run_kernel(&[GpuJob::p2p(1, [2048])]).elapsed_s;
+        let t_full = run_kernel(&[GpuJob::p2p(C2050.block_size, [2048])]).elapsed_s;
         assert_eq!(t_partial, t_full);
     }
 
     #[test]
     fn many_blocks_fill_all_sms() {
-        let g = gpu();
         // 28 identical one-block jobs on 14 SMs: exactly two rounds.
-        let jobs: Vec<_> = (0..28).map(|_| P2pJob::new(128, vec![1000])).collect();
-        let one = g.run_kernel(&jobs[..1]).elapsed_s - g.spec.launch_overhead_s;
-        let all = g.run_kernel(&jobs).elapsed_s - g.spec.launch_overhead_s;
+        let jobs: Vec<_> = (0..28).map(|_| GpuJob::p2p(128, [1000])).collect();
+        let one = run_kernel(&jobs[..1]).elapsed_s - C2050.launch_overhead_s;
+        let all = run_kernel(&jobs).elapsed_s - C2050.launch_overhead_s;
         assert!((all / one - 2.0).abs() < 1e-9);
     }
 
@@ -250,28 +203,26 @@ mod tests {
     fn tile_loads_charged_per_source_node() {
         // Same total sources split across many nodes costs more (more tile
         // loads of partial tiles).
-        let g = gpu();
-        let lumped = g.run_kernel(&[P2pJob::new(128, vec![4096])]).elapsed_s;
-        let split = g.run_kernel(&[P2pJob::new(128, vec![16; 256])]).elapsed_s;
+        let lumped = run_kernel(&[GpuJob::p2p(128, [4096])]).elapsed_s;
+        let split = run_kernel(&[GpuJob::p2p(128, [16; 256])]).elapsed_s;
         assert!(split > lumped);
     }
 
     #[test]
     fn deterministic() {
-        let g = gpu();
         let jobs: Vec<_> = (1..40)
-            .map(|i| P2pJob::new(i * 7 % 200 + 1, vec![i * 31 % 900 + 1]))
+            .map(|i| GpuJob::p2p(i * 7 % 200 + 1, [i * 31 % 900 + 1]))
             .collect();
-        let a = g.run_kernel(&jobs);
-        let b = g.run_kernel(&jobs);
+        let a = run_kernel(&jobs);
+        let b = run_kernel(&jobs);
         assert_eq!(a.elapsed_s, b.elapsed_s);
         assert_eq!(a.useful_pairs, b.useful_pairs);
     }
 
     #[test]
     fn interactions_formula() {
-        let j = P2pJob::new(10, vec![5, 7, 3]);
-        assert_eq!(j.total_sources(), 15);
-        assert_eq!(j.interactions(), 150);
+        let j = GpuJob::p2p(10, [5, 7, 3]);
+        assert_eq!(j.steps, 15);
+        assert_eq!(j.work(), 150);
     }
 }

@@ -166,11 +166,6 @@ impl FaultSchedule {
     pub fn len(&self) -> usize {
         self.events.len()
     }
-
-    /// Last scheduled step, if any.
-    pub fn max_step(&self) -> Option<usize> {
-        self.events.last().map(|e| e.step)
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +189,6 @@ mod tests {
             ]
         );
         assert_eq!(s.events_at(4).count(), 0);
-        assert_eq!(s.max_step(), Some(10));
     }
 
     #[test]

@@ -1,37 +1,17 @@
 /// The paper's multi-GPU work division: walk the target-node list in order,
 /// accumulating `Interactions(t)`; once the running count for the current
-/// GPU meets or exceeds `total / n_gpus`, start filling the next GPU.
+/// GPU meets or exceeds its quota, start filling the next GPU.
+///
+/// Device `i` with relative speed `shares[i]` is filled until it holds
+/// `⌈total · shares[i] / Σ shares⌉`; with equal (unit) shares that is the
+/// paper's `⌈total / n_gpus⌉` for every device — heterogeneous device
+/// mixes are the extension.
 ///
 /// Every target node goes to exactly one GPU ("there is no target node whose
-/// calculations are spread out over more than one GPU"). Returns `n_gpus`
-/// groups of indices into `weights`; trailing groups may be empty when there
-/// are fewer nodes than GPUs.
-pub fn partition_by_interactions(weights: &[u64], n_gpus: usize) -> Vec<Vec<usize>> {
-    assert!(n_gpus >= 1);
-    let mut groups = vec![Vec::new(); n_gpus];
-    if weights.is_empty() {
-        return groups;
-    }
-    let total: u64 = weights.iter().sum();
-    let share = total.div_ceil(n_gpus as u64).max(1);
-    let mut g = 0usize;
-    let mut acc = 0u64;
-    for (i, &w) in weights.iter().enumerate() {
-        groups[g].push(i);
-        acc += w;
-        if acc >= share && g + 1 < n_gpus {
-            g += 1;
-            acc = 0;
-        }
-    }
-    groups
-}
-
-/// Extension of the paper's walk to *heterogeneous* device mixes: device
-/// `i` with relative speed `shares[i]` is filled until it holds
-/// `total · shares[i] / Σ shares` interactions, then the walk moves on.
-/// With equal shares this reduces exactly to [`partition_by_interactions`].
-pub fn partition_by_interactions_weighted(weights: &[u64], shares: &[f64]) -> Vec<Vec<usize>> {
+/// calculations are spread out over more than one GPU"). Returns
+/// `shares.len()` groups of indices into `weights`; trailing groups may be
+/// empty when there are fewer nodes than GPUs.
+pub fn partition_by_interactions(weights: &[u64], shares: &[f64]) -> Vec<Vec<usize>> {
     let n = shares.len();
     assert!(n >= 1);
     assert!(shares.iter().all(|&s| s > 0.0 && s.is_finite()));
@@ -41,16 +21,17 @@ pub fn partition_by_interactions_weighted(weights: &[u64], shares: &[f64]) -> Ve
     }
     let total: u64 = weights.iter().sum();
     let share_sum: f64 = shares.iter().sum();
+    let quota = |g: usize| (total as f64 * shares[g] / share_sum).ceil().max(1.0) as u64;
     let mut g = 0usize;
     let mut acc = 0u64;
-    let mut quota = (total as f64 * shares[0] / share_sum).ceil().max(1.0) as u64;
+    let mut target = quota(0);
     for (i, &w) in weights.iter().enumerate() {
         groups[g].push(i);
         acc += w;
-        if acc >= quota && g + 1 < n {
+        if acc >= target && g + 1 < n {
             g += 1;
             acc = 0;
-            quota = (total as f64 * shares[g] / share_sum).ceil().max(1.0) as u64;
+            target = quota(g);
         }
     }
     groups
@@ -77,6 +58,11 @@ pub fn partition_by_node_count(n_items: usize, n_gpus: usize) -> Vec<Vec<usize>>
 mod tests {
     use super::*;
 
+    /// The walk over `n` devices of one speed.
+    fn walk(weights: &[u64], n: usize) -> Vec<Vec<usize>> {
+        partition_by_interactions(weights, &vec![1.0; n])
+    }
+
     fn covers_exactly_once(groups: &[Vec<usize>], n: usize) {
         let mut seen = vec![false; n];
         for g in groups {
@@ -92,7 +78,7 @@ mod tests {
     fn interaction_partition_covers_all_items() {
         let w: Vec<u64> = (0..57).map(|i| (i * 37 % 100 + 1) as u64).collect();
         for n in [1usize, 2, 3, 4, 8] {
-            let groups = partition_by_interactions(&w, n);
+            let groups = walk(&w, n);
             assert_eq!(groups.len(), n);
             covers_exactly_once(&groups, w.len());
         }
@@ -101,7 +87,7 @@ mod tests {
     #[test]
     fn uniform_weights_split_evenly() {
         let w = vec![10u64; 40];
-        let groups = partition_by_interactions(&w, 4);
+        let groups = walk(&w, 4);
         for g in &groups {
             assert_eq!(g.len(), 10, "{groups:?}");
         }
@@ -115,7 +101,7 @@ mod tests {
         let n = 4;
         let total: u64 = w.iter().sum();
         let share = total.div_ceil(n as u64);
-        let groups = partition_by_interactions(&w, n);
+        let groups = walk(&w, n);
         for g in &groups {
             let sum: u64 = g.iter().map(|&i| w[i]).sum();
             let max_item = g.iter().map(|&i| w[i]).max().unwrap_or(0);
@@ -129,7 +115,7 @@ mod tests {
     #[test]
     fn order_is_preserved() {
         let w = vec![5u64; 10];
-        let groups = partition_by_interactions(&w, 3);
+        let groups = walk(&w, 3);
         let flat: Vec<usize> = groups.concat();
         assert_eq!(flat, (0..10).collect::<Vec<_>>());
     }
@@ -137,21 +123,21 @@ mod tests {
     #[test]
     fn one_gpu_gets_everything() {
         let w = vec![1u64, 2, 3];
-        let groups = partition_by_interactions(&w, 1);
+        let groups = walk(&w, 1);
         assert_eq!(groups, vec![vec![0, 1, 2]]);
     }
 
     #[test]
     fn more_gpus_than_items() {
         let w = vec![100u64, 100];
-        let groups = partition_by_interactions(&w, 4);
+        let groups = walk(&w, 4);
         assert_eq!(groups.len(), 4);
         covers_exactly_once(&groups, 2);
     }
 
     #[test]
     fn empty_weights() {
-        let groups = partition_by_interactions(&[], 3);
+        let groups = walk(&[], 3);
         assert_eq!(groups, vec![Vec::<usize>::new(); 3]);
     }
 

@@ -1,10 +1,8 @@
-/// Architectural parameters of one simulated GPU.
+/// Architectural parameters of the simulated GPU.
 ///
-/// The defaults model a Fermi-class Tesla C2050 running the paper's
-/// all-pairs P2P kernel. Only ratios matter for the reproduced figures; the
-/// absolute rates are calibrated so that one GPU is roughly 30–60× a single
-/// 2010-era CPU core on P2P work, matching the heterogeneous balance the
-/// paper reports.
+/// Only ratios matter for the reproduced figures; the absolute rates are
+/// calibrated so that one GPU is roughly 30–60× a single 2010-era CPU core
+/// on P2P work, matching the heterogeneous balance the paper reports.
 #[derive(Clone, Copy, Debug)]
 pub struct GpuSpec {
     /// Number of streaming multiprocessors (block slots).
@@ -28,44 +26,16 @@ pub struct GpuSpec {
     pub expansion_cycles_per_flop: f64,
 }
 
-impl GpuSpec {
-    /// A Tesla C2050-like device (14 SMs, 1.15 GHz), ECC on, single
-    /// precision — the paper's Test System A accelerator.
-    pub fn tesla_c2050() -> Self {
-        GpuSpec {
-            sms: 14,
-            block_size: 128,
-            warp_size: 32,
-            clock_hz: 1.15e9,
-            pair_cycles: 200.0,
-            tile_load_cycles: 200.0,
-            launch_overhead_s: 20e-6,
-            expansion_cycles_per_flop: 16.0,
-        }
-    }
-
-    /// Peak useful throughput in body-body interactions per second, reached
-    /// only when every thread of every block is a real target.
-    pub fn peak_pairs_per_sec(&self) -> f64 {
-        self.sms as f64 * self.block_size as f64 / self.pair_cycles * self.clock_hz
-    }
-}
-
-impl Default for GpuSpec {
-    fn default() -> Self {
-        GpuSpec::tesla_c2050()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn c2050_throughput_in_plausible_band() {
-        let s = GpuSpec::tesla_c2050();
-        let p = s.peak_pairs_per_sec();
-        // Mid-10^10 pairs/s: the regime of published Fermi all-pairs codes.
-        assert!(p > 1e10 && p < 1e11, "peak {p}");
-    }
-}
+/// The one device model: a Tesla C2050-like device (14 SMs, 1.15 GHz), ECC
+/// on, single precision — the paper's Test System A accelerator, running its
+/// all-pairs P2P kernel.
+pub const C2050: GpuSpec = GpuSpec {
+    sms: 14,
+    block_size: 128,
+    warp_size: 32,
+    clock_hz: 1.15e9,
+    pair_cycles: 200.0,
+    tile_load_cycles: 200.0,
+    launch_overhead_s: 20e-6,
+    expansion_cycles_per_flop: 16.0,
+};

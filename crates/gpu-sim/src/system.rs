@@ -1,10 +1,9 @@
-use crate::device::{KernelReport, P2pJob, SimGpu};
+use crate::device::{run_kernel, GpuJob, KernelReport};
 use crate::error::Error;
 use crate::faults::FaultEvent;
-use crate::partition::{partition_by_interactions, partition_by_interactions_weighted};
-use crate::spec::GpuSpec;
+use crate::partition::partition_by_interactions;
 
-/// Timing of one multi-GPU P2P launch: one kernel per device, as in the
+/// Timing of one multi-GPU launch: one kernel per device, as in the
 /// paper ("for a single FMM solve, a single kernel is launched on each
 /// GPU").
 #[derive(Clone, Debug)]
@@ -121,29 +120,29 @@ impl Default for DeviceStatus {
 }
 
 /// A set of simulated GPUs sharing the node, executing the AFMM's direct
-/// work each time step. Devices can degrade or drop out at runtime via
-/// [`GpuSystem::apply_event`]; work is then partitioned across the online
-/// devices only, weighted by their effective (slowdown-adjusted) speed.
+/// work each time step. Every device is the one [`crate::C2050`] model, so
+/// a device is just its health. Devices can degrade or drop out at runtime
+/// via [`GpuSystem::apply_event`]; work is then partitioned across the
+/// online devices only, weighted by their effective (slowdown-adjusted)
+/// speed.
 #[derive(Clone, Debug)]
 pub struct GpuSystem {
-    gpus: Vec<SimGpu>,
     status: Vec<DeviceStatus>,
 }
 
 impl GpuSystem {
     /// `n` identical devices.
-    pub fn homogeneous(n: usize, spec: GpuSpec) -> Result<Self, Error> {
+    pub fn homogeneous(n: usize) -> Result<Self, Error> {
         if n == 0 {
             return Err(Error::NoGpus);
         }
         Ok(GpuSystem {
-            gpus: vec![SimGpu::new(spec); n],
             status: vec![DeviceStatus::default(); n],
         })
     }
 
     pub fn num_gpus(&self) -> usize {
-        self.gpus.len()
+        self.status.len()
     }
 
     /// Devices currently accepting work.
@@ -151,16 +150,8 @@ impl GpuSystem {
         self.status.iter().filter(|s| s.online).count()
     }
 
-    pub fn is_online(&self, i: usize) -> bool {
-        self.status.get(i).is_some_and(|s| s.online)
-    }
-
-    pub fn status(&self, i: usize) -> Option<&DeviceStatus> {
-        self.status.get(i)
-    }
-
     /// Per-device health, index = device — the piece of GPU state a
-    /// checkpoint must carry (specs are configuration, health is state).
+    /// checkpoint must carry (the device model is fixed, health is state).
     pub fn statuses(&self) -> &[DeviceStatus] {
         &self.status
     }
@@ -184,10 +175,6 @@ impl GpuSystem {
         Ok(())
     }
 
-    pub fn spec(&self, i: usize) -> &GpuSpec {
-        &self.gpus[i].spec
-    }
-
     /// Apply one fault event. Host-side events (`ExternalCpuLoad`,
     /// `TimingNoise`) are validated but not stored here — they belong to
     /// the CPU timing model — so the return distinguishes them: `Ok(true)`
@@ -202,7 +189,7 @@ impl GpuSystem {
         };
         match *event {
             FaultEvent::GpuSlowdown { device, factor } => {
-                check_device(device, self.gpus.len())?;
+                check_device(device, self.status.len())?;
                 if !factor.is_finite() || factor < 1.0 {
                     return Err(Error::BadFactor { factor });
                 }
@@ -210,12 +197,12 @@ impl GpuSystem {
                 Ok(true)
             }
             FaultEvent::GpuDropout { device } => {
-                check_device(device, self.gpus.len())?;
+                check_device(device, self.status.len())?;
                 self.status[device].online = false;
                 Ok(true)
             }
             FaultEvent::GpuRecover { device } => {
-                check_device(device, self.gpus.len())?;
+                check_device(device, self.status.len())?;
                 self.status[device] = DeviceStatus::default();
                 Ok(true)
             }
@@ -237,25 +224,13 @@ impl GpuSystem {
     /// Partition `jobs` by the paper's interaction-count walk across the
     /// *online* devices and run one kernel per device. When online devices
     /// are unevenly slowed, the walk is weighted by `1 / slowdown` so a
-    /// throttled device receives proportionally less work.
-    pub fn execute(&self, jobs: &[P2pJob]) -> Result<KernelTiming, Error> {
-        let weights: Vec<u64> = jobs.iter().map(P2pJob::interactions).collect();
+    /// throttled device receives proportionally less work. P2P jobs and
+    /// offloaded expansion jobs launch alike: the walk's weight is each
+    /// job's [`GpuJob::work`].
+    pub fn execute(&self, jobs: &[GpuJob]) -> Result<KernelTiming, Error> {
+        let weights: Vec<u64> = jobs.iter().map(GpuJob::work).collect();
         let assignment = self.partition_online(&weights)?;
-        Ok(self.run_full(jobs, assignment))
-    }
-
-    /// Partition offloaded expansion jobs by body count (the analogue of
-    /// the interaction walk) across the online devices and run one
-    /// expansion kernel per device.
-    pub fn execute_expansions(
-        &self,
-        jobs: &[crate::device::ExpansionJob],
-    ) -> Result<KernelTiming, Error> {
-        let weights: Vec<u64> = jobs.iter().map(|j| j.bodies as u64).collect();
-        let assignment = self.partition_online(&weights)?;
-        Ok(self.run(assignment, |gpu, idxs| {
-            gpu.run_expansion_kernel(idxs.iter().map(|&i| &jobs[i]))
-        }))
+        Ok(self.run(jobs, assignment))
     }
 
     /// Run one kernel per device with a caller-provided partition (used by
@@ -263,12 +238,12 @@ impl GpuSystem {
     /// count, and no offline device may receive work.
     pub fn execute_with_partition(
         &self,
-        jobs: &[P2pJob],
+        jobs: &[GpuJob],
         assignment: Vec<Vec<usize>>,
     ) -> Result<KernelTiming, Error> {
-        if assignment.len() != self.gpus.len() {
+        if assignment.len() != self.status.len() {
             return Err(Error::PartitionMismatch {
-                expected: self.gpus.len(),
+                expected: self.status.len(),
                 got: assignment.len(),
             });
         }
@@ -277,59 +252,57 @@ impl GpuSystem {
                 return Err(Error::OfflineDeviceAssigned { device: d });
             }
         }
-        Ok(self.run_full(jobs, assignment))
+        Ok(self.run(jobs, assignment))
     }
 
     /// The walk over `weights` across the online devices, scattered back
-    /// to device indexing: equal shares when the online devices run at one
-    /// speed, `1 / slowdown` shares otherwise. `Err(NoOnlineGpus)` when
-    /// there is real work but nothing to run it on.
+    /// to device indexing: unit shares when the online devices run at one
+    /// speed (so no share rounding enters), `1 / slowdown` shares
+    /// otherwise. `Err(NoOnlineGpus)` when there is real work but nothing
+    /// to run it on.
     fn partition_online(&self, weights: &[u64]) -> Result<Vec<Vec<usize>>, Error> {
-        let online: Vec<usize> = (0..self.gpus.len())
+        let mut assignment = vec![Vec::new(); self.status.len()];
+        let online: Vec<usize> = (0..self.status.len())
             .filter(|&i| self.status[i].online)
             .collect();
-        if online.is_empty() && !weights.is_empty() {
-            return Err(Error::NoOnlineGpus);
+        if online.is_empty() {
+            return if weights.is_empty() {
+                Ok(assignment)
+            } else {
+                Err(Error::NoOnlineGpus)
+            };
         }
         let uniform = online
             .windows(2)
             .all(|w| self.status[w[0]].slowdown == self.status[w[1]].slowdown);
-        let online_assignment = if uniform {
-            partition_by_interactions(weights, online.len().max(1))
-        } else {
-            let shares: Vec<f64> = online
-                .iter()
-                .map(|&i| 1.0 / self.status[i].slowdown)
-                .collect();
-            partition_by_interactions_weighted(weights, &shares)
-        };
-        let mut assignment = vec![Vec::new(); self.gpus.len()];
-        for (slot, idxs) in online.iter().zip(online_assignment) {
+        let shares: Vec<f64> = online
+            .iter()
+            .map(|&i| {
+                if uniform {
+                    1.0
+                } else {
+                    1.0 / self.status[i].slowdown
+                }
+            })
+            .collect();
+        for (slot, idxs) in online
+            .iter()
+            .zip(partition_by_interactions(weights, &shares))
+        {
             assignment[*slot] = idxs;
         }
         Ok(assignment)
     }
 
-    fn run_full(&self, jobs: &[P2pJob], assignment: Vec<Vec<usize>>) -> KernelTiming {
-        self.run(assignment, |gpu, idxs| {
-            gpu.run_kernel(idxs.iter().map(|&i| &jobs[i]))
-        })
-    }
-
     /// Run one kernel per device on its share of `assignment`, each
     /// device's time stretched by its slowdown.
-    fn run(
-        &self,
-        assignment: Vec<Vec<usize>>,
-        kernel: impl Fn(&SimGpu, &[usize]) -> KernelReport,
-    ) -> KernelTiming {
+    fn run(&self, jobs: &[GpuJob], assignment: Vec<Vec<usize>>) -> KernelTiming {
         let per_gpu = self
-            .gpus
+            .status
             .iter()
-            .zip(&self.status)
             .zip(&assignment)
-            .map(|((gpu, status), idxs)| {
-                let mut r = kernel(gpu, idxs);
+            .map(|(status, idxs)| {
+                let mut r = run_kernel(idxs.iter().map(|&i| &jobs[i]));
                 r.elapsed_s *= status.slowdown;
                 r
             })
@@ -347,18 +320,18 @@ mod tests {
 
     /// A workload with many similar jobs — the regime of the paper's
     /// Table I GPU-scaling measurement.
-    fn plummer_like_jobs(n: usize) -> Vec<P2pJob> {
+    fn plummer_like_jobs(n: usize) -> Vec<GpuJob> {
         (0..n)
             .map(|i| {
                 let t = 60 + (i * 131) % 80;
-                let srcs = vec![64 + (i * 17) % 70; 20 + i % 9];
-                P2pJob::new(t, srcs)
+                let srcs = std::iter::repeat_n(64 + (i * 17) % 70, 20 + i % 9);
+                GpuJob::p2p(t, srcs)
             })
             .collect()
     }
 
     fn homog(n: usize) -> GpuSystem {
-        GpuSystem::homogeneous(n, GpuSpec::default()).unwrap()
+        GpuSystem::homogeneous(n).unwrap()
     }
 
     #[test]
@@ -401,7 +374,7 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-        let expect: u64 = jobs.iter().map(P2pJob::interactions).sum();
+        let expect: u64 = jobs.iter().map(GpuJob::work).sum();
         assert_eq!(timing.total_pairs(), expect);
     }
 
@@ -410,8 +383,8 @@ mod tests {
         use crate::partition::partition_by_node_count;
         // Heavily skewed: early nodes tiny, late nodes huge. Node-count
         // partition puts all the weight on the last GPU.
-        let mut jobs = vec![P2pJob::new(4, vec![16]); 60];
-        jobs.extend((0..20).map(|_| P2pJob::new(128, vec![512; 30])));
+        let mut jobs = vec![GpuJob::p2p(4, [16]); 60];
+        jobs.extend((0..20).map(|_| GpuJob::p2p(128, [512; 30])));
         let sys = homog(4);
         let smart = sys.execute(&jobs).unwrap().gpu_time().unwrap();
         let naive = sys
@@ -427,14 +400,13 @@ mod tests {
 
     #[test]
     fn efficiency_reflects_leaf_sizes() {
-        let spec = GpuSpec::default();
-        let sys = GpuSystem::homogeneous(2, spec).unwrap();
+        let sys = homog(2);
         // Full blocks everywhere.
-        let good: Vec<P2pJob> = (0..50)
-            .map(|_| P2pJob::new(spec.block_size, vec![512]))
+        let good: Vec<GpuJob> = (0..50)
+            .map(|_| GpuJob::p2p(crate::C2050.block_size, [512]))
             .collect();
         // Tiny targets, huge source streams.
-        let bad: Vec<P2pJob> = (0..50).map(|_| P2pJob::new(3, vec![512; 10])).collect();
+        let bad: Vec<GpuJob> = (0..50).map(|_| GpuJob::p2p(3, [512; 10])).collect();
         assert_eq!(sys.execute(&good).unwrap().efficiency(), Some(1.0));
         assert!(sys.execute(&bad).unwrap().efficiency().unwrap() < 0.2);
     }
@@ -504,31 +476,16 @@ mod tests {
 
     #[test]
     fn zero_devices_is_an_error() {
-        assert_eq!(
-            GpuSystem::homogeneous(0, GpuSpec::default()).unwrap_err(),
-            Error::NoGpus
-        );
+        assert_eq!(GpuSystem::homogeneous(0).unwrap_err(), Error::NoGpus);
     }
 
     #[test]
     fn expansion_kernels_scale_with_devices() {
-        use crate::device::ExpansionJob;
-        let jobs: Vec<ExpansionJob> = (0..200)
-            .map(|i| ExpansionJob {
-                bodies: 64 + i % 128,
-                cycles_per_body: 50_000.0,
-            })
+        let jobs: Vec<GpuJob> = (0..200)
+            .map(|i| GpuJob::expansion(64 + i % 128, 3125.0))
             .collect();
-        let t1 = homog(1)
-            .execute_expansions(&jobs)
-            .unwrap()
-            .gpu_time()
-            .unwrap();
-        let t4 = homog(4)
-            .execute_expansions(&jobs)
-            .unwrap()
-            .gpu_time()
-            .unwrap();
+        let t1 = homog(1).execute(&jobs).unwrap().gpu_time().unwrap();
+        let t4 = homog(4).execute(&jobs).unwrap().gpu_time().unwrap();
         assert!(t4 < 0.4 * t1, "expansion offload must scale: {t1} -> {t4}");
     }
 
@@ -536,7 +493,6 @@ mod tests {
     /// launch kinds, pinned to the bit.
     #[test]
     fn slowed_device_partition_is_pinned_for_both_launch_kinds() {
-        use crate::device::ExpansionJob;
         let mut sys = homog(4);
         sys.apply_event(&FaultEvent::GpuSlowdown {
             device: 2,
@@ -544,13 +500,10 @@ mod tests {
         })
         .unwrap();
         let p2p = sys.execute(&plummer_like_jobs(40)).unwrap();
-        let ex_jobs: Vec<ExpansionJob> = (0..40)
-            .map(|i| ExpansionJob {
-                bodies: 40 + (i * 37) % 150,
-                cycles_per_body: 30_000.0,
-            })
+        let ex_jobs: Vec<GpuJob> = (0..40)
+            .map(|i| GpuJob::expansion(40 + (i * 37) % 150, 1875.0))
             .collect();
-        let ex = sys.execute_expansions(&ex_jobs).unwrap();
+        let ex = sys.execute(&ex_jobs).unwrap();
         // The throttled device takes half a share in both walks.
         let groups: Vec<Vec<usize>> = [0..12, 12..24, 24..30, 30..40]
             .into_iter()
@@ -593,7 +546,6 @@ mod tests {
         sys.apply_event(&FaultEvent::GpuDropout { device: 1 })
             .unwrap();
         assert_eq!(sys.num_online(), 1);
-        assert!(!sys.is_online(1));
         let after = sys.execute(&jobs).unwrap();
         // Device 1 idles; device 0 carries everything and takes about twice
         // as long.
@@ -690,7 +642,7 @@ mod tests {
             .apply_event(&FaultEvent::ExternalCpuLoad { factor: 2.0 })
             .unwrap());
         assert_eq!(sys.num_online(), 2);
-        assert_eq!(sys.status(0).unwrap().slowdown, 1.0);
+        assert_eq!(sys.statuses()[0].slowdown, 1.0);
     }
 
     #[test]

@@ -1,15 +1,41 @@
 //! Property tests of the simulated GPU system: timing model monotonicity,
 //! efficiency bounds, partition coverage, and device-count scaling.
 
-use gpu_sim::{partition_by_interactions, GpuSpec, GpuSystem, P2pJob, SimGpu};
+use gpu_sim::{partition_by_interactions, run_kernel, GpuJob, GpuSystem, C2050};
 use proptest::prelude::*;
 
-fn arb_jobs(max: usize) -> impl Strategy<Value = Vec<P2pJob>> {
+/// Leaves as `(targets, source counts)`.
+fn arb_leaves(max: usize) -> impl Strategy<Value = Vec<(usize, Vec<usize>)>> {
     prop::collection::vec(
-        (1usize..400, prop::collection::vec(1usize..300, 1..12))
-            .prop_map(|(t, s)| P2pJob::new(t, s)),
+        (1usize..400, prop::collection::vec(1usize..300, 1..12)),
         1..max,
     )
+}
+
+fn arb_jobs(max: usize) -> impl Strategy<Value = Vec<GpuJob>> {
+    arb_leaves(max).prop_map(|leaves| leaves.into_iter().map(|(t, s)| GpuJob::p2p(t, s)).collect())
+}
+
+/// The paper's walk as first written, over `n` devices of one speed: the
+/// reference the share-weighted walk must reduce to.
+fn plain_walk(weights: &[u64], n: usize) -> Vec<Vec<usize>> {
+    let mut groups = vec![Vec::new(); n];
+    if weights.is_empty() {
+        return groups;
+    }
+    let total: u64 = weights.iter().sum();
+    let share = total.div_ceil(n as u64).max(1);
+    let mut g = 0usize;
+    let mut acc = 0u64;
+    for (i, &w) in weights.iter().enumerate() {
+        groups[g].push(i);
+        acc += w;
+        if acc >= share && g + 1 < n {
+            g += 1;
+            acc = 0;
+        }
+    }
+    groups
 }
 
 proptest! {
@@ -18,11 +44,10 @@ proptest! {
     /// Kernel time never decreases when a job is added.
     #[test]
     fn kernel_time_monotone_in_jobs(jobs in arb_jobs(40), extra in arb_jobs(4)) {
-        let gpu = SimGpu::new(GpuSpec::default());
-        let t0 = gpu.run_kernel(&jobs).elapsed_s;
+        let t0 = run_kernel(&jobs).elapsed_s;
         let mut more = jobs.clone();
         more.extend(extra);
-        let t1 = gpu.run_kernel(&more).elapsed_s;
+        let t1 = run_kernel(&more).elapsed_s;
         prop_assert!(t1 + 1e-15 >= t0);
     }
 
@@ -30,21 +55,21 @@ proptest! {
     /// useful work.
     #[test]
     fn efficiency_bounds(jobs in arb_jobs(40)) {
-        let r = SimGpu::new(GpuSpec::default()).run_kernel(&jobs);
+        let r = run_kernel(&jobs);
         prop_assert!(r.occupied_pairs >= r.useful_pairs);
         let e = r.efficiency();
         prop_assert!(e > 0.0 && e <= 1.0, "efficiency {e}");
-        let expect: u64 = jobs.iter().map(P2pJob::interactions).sum();
+        let expect: u64 = jobs.iter().map(GpuJob::work).sum();
         prop_assert_eq!(r.useful_pairs, expect);
     }
 
     /// Kernel time is bounded below by the total useful work over all SM
     /// thread slots, and above by serializing every block on one SM.
     #[test]
-    fn kernel_time_bounds(jobs in arb_jobs(30)) {
-        let spec = GpuSpec::default();
-        let gpu = SimGpu::new(spec);
-        let r = gpu.run_kernel(&jobs);
+    fn kernel_time_bounds(leaves in arb_leaves(30)) {
+        let spec = C2050;
+        let jobs: Vec<GpuJob> = leaves.iter().map(|(t, s)| GpuJob::p2p(*t, s.clone())).collect();
+        let r = run_kernel(&jobs);
         if r.blocks == 0 {
             return Ok(());
         }
@@ -55,13 +80,12 @@ proptest! {
             / spec.clock_hz;
         prop_assert!(elapsed >= lower * 0.999, "elapsed {elapsed} < lower {lower}");
         // Upper bound: one SM runs everything serially (with tile loads).
-        let serial: f64 = jobs
+        let serial: f64 = leaves
             .iter()
-            .filter(|j| j.targets > 0 && j.total_sources() > 0)
-            .map(|j| {
-                let blocks = j.targets.div_ceil(spec.block_size) as f64;
-                let cyc: f64 = j
-                    .source_counts
+            .filter(|(t, s)| *t > 0 && s.iter().sum::<usize>() > 0)
+            .map(|(t, s)| {
+                let blocks = t.div_ceil(spec.block_size) as f64;
+                let cyc: f64 = s
                     .iter()
                     .map(|&n| {
                         n.div_ceil(spec.block_size) as f64 * spec.tile_load_cycles
@@ -81,8 +105,8 @@ proptest! {
     /// scheduling-anomaly factor.)
     #[test]
     fn more_gpus_bounded_regression(jobs in arb_jobs(40), n in 1usize..4) {
-        let time = |gpus: usize, jobs: &[P2pJob]| {
-            GpuSystem::homogeneous(gpus, GpuSpec::default())
+        let time = |gpus: usize, jobs: &[GpuJob]| {
+            GpuSystem::homogeneous(gpus)
                 .unwrap()
                 .execute(jobs)
                 .unwrap()
@@ -93,7 +117,7 @@ proptest! {
         let t_m = time(n + 1, &jobs);
         prop_assert!(t_m <= 1.5 * t_1 + 1e-12, "1->{} gpus: {t_1} -> {t_m}", n + 1);
         // And with enough uniform work, scaling genuinely helps.
-        let big: Vec<P2pJob> = (0..256).map(|_| P2pJob::new(128, vec![256; 8])).collect();
+        let big: Vec<GpuJob> = (0..256).map(|_| GpuJob::p2p(128, [256; 8])).collect();
         let b1 = time(1, &big);
         let b4 = time(4, &big);
         prop_assert!(b4 < 0.35 * b1, "b1 {b1} b4 {b4}");
@@ -103,32 +127,34 @@ proptest! {
     /// same however jobs are split.
     #[test]
     fn totals_partition_invariant(jobs in arb_jobs(40), n in 1usize..6) {
-        let sys = GpuSystem::homogeneous(n, GpuSpec::default()).unwrap();
+        let sys = GpuSystem::homogeneous(n).unwrap();
         let t = sys.execute(&jobs).unwrap();
-        let expect: u64 = jobs.iter().map(P2pJob::interactions).sum();
+        let expect: u64 = jobs.iter().map(GpuJob::work).sum();
         prop_assert_eq!(t.total_pairs(), expect);
     }
 
     /// The partition walk never assigns out of order and never skips.
     #[test]
     fn partition_walk_correct(weights in prop::collection::vec(0u64..100_000, 0..300), n in 1usize..9) {
-        let groups = partition_by_interactions(&weights, n);
+        let groups = partition_by_interactions(&weights, &vec![1.0; n]);
         let flat: Vec<usize> = groups.concat();
         prop_assert_eq!(flat, (0..weights.len()).collect::<Vec<_>>());
     }
 }
 
 proptest! {
-    /// With equal shares the weighted walk reduces exactly to the paper's.
+    /// With equal shares the weighted walk reduces exactly to the paper's,
+    /// also at paper scale: 1M bodies give ≈ 6k leaf jobs of ≈ 1e7
+    /// interactions each.
     #[test]
     fn weighted_with_equal_shares_is_plain(
         weights in prop::collection::vec(0u64..10_000, 0..200),
+        big in prop::collection::vec(0u64..20_000_000, 5_000..7_000),
         n in 1usize..6,
     ) {
-        let plain = partition_by_interactions(&weights, n);
-        let weighted =
-            gpu_sim::partition_by_interactions_weighted(&weights, &vec![1.0; n]);
-        prop_assert_eq!(plain, weighted);
+        for w in [&weights, &big] {
+            prop_assert_eq!(plain_walk(w, n), partition_by_interactions(w, &vec![1.0; n]));
+        }
     }
 
     /// The weighted walk covers every item exactly once in order.
@@ -137,7 +163,7 @@ proptest! {
         weights in prop::collection::vec(0u64..10_000, 0..200),
         shares in prop::collection::vec(0.1f64..10.0, 1..6),
     ) {
-        let groups = gpu_sim::partition_by_interactions_weighted(&weights, &shares);
+        let groups = partition_by_interactions(&weights, &shares);
         prop_assert_eq!(groups.len(), shares.len());
         let flat: Vec<usize> = groups.concat();
         prop_assert_eq!(flat, (0..weights.len()).collect::<Vec<_>>());

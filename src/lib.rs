@@ -60,7 +60,7 @@ pub mod prelude {
     };
     pub use fmm_math::{ExpansionOps, GravityKernel, Kernel, StokesletKernel};
     pub use geom::{Aabb, Vec3};
-    pub use gpu_sim::{GpuSpec, GpuSystem, P2pJob};
+    pub use gpu_sim::{GpuJob, GpuSystem};
     pub use nbody::{Bodies, ElasticRing, Leapfrog};
     pub use octree::{build_adaptive, build_uniform, BuildParams, Mac, Octree};
     pub use sched_sim::{MemoryModel, SimConfig, TaskGraph};

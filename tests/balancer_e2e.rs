@@ -107,7 +107,7 @@ fn serial_sweep_matches_paper_protocol() {
     let b = nbody::plummer(3000, 1.0, 1.0, 2003);
     let node = HeteroNode::serial();
     let mut engine = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, 64);
-    let (s, t) = search_best_s_cpu_only(&mut engine, &node, &b.pos, &cfg());
+    let (s, t, _) = search_best_s_cpu_only(&mut engine, &node, &b.pos, &cfg());
     assert!(t > 0.0 && s >= 8);
     assert_eq!(engine.tree().s_value(), s, "engine left at the optimal S");
 }

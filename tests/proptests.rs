@@ -192,7 +192,7 @@ proptest! {
         weights in prop::collection::vec(0u64..10_000, 1..200),
         n_gpus in 1usize..8,
     ) {
-        let groups = partition_by_interactions(&weights, n_gpus);
+        let groups = partition_by_interactions(&weights, &vec![1.0; n_gpus]);
         prop_assert_eq!(groups.len(), n_gpus);
         let flat: Vec<usize> = groups.concat();
         let expect: Vec<usize> = (0..weights.len()).collect();
