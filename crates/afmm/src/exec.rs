@@ -274,6 +274,14 @@ fn add_downsweep(
 /// DAG instead of erroring — the resilience fallback. `Err` means the GPU
 /// system itself rejected a valid-looking launch (a device dropped between
 /// the check and the launch, or an internal contract broke).
+///
+/// The two halves are pure functions of the tree and the lists, so they
+/// are priced side by side ([`rayon::join`]): the task graph built and
+/// simulated on the caller's thread while one worker builds and launches
+/// the GPU jobs. The graph's many small allocations so stay in the
+/// caller's heap arena. On a tree under [`octree::fork_width`]'s size
+/// both run on the caller's thread. Only the GPU half can fail, so the
+/// result, `Err` included, is the one the serial order gives.
 pub fn time_step(
     tree: &Octree,
     lists: &InteractionLists,
@@ -283,26 +291,35 @@ pub fn time_step(
 ) -> Result<TimingReport, Error> {
     let gpu_active = node.num_online_gpus() > 0;
     let offload = policy.offload_pl && gpu_active;
-    let (t_gpu, gpu) = match &node.gpus {
-        Some(gpus) if gpu_active => {
-            let timing = gpus.execute(&build_gpu_jobs(tree, lists))?;
-            let mut t = timing.gpu_time().ok_or(Error::MissingGpuTiming)?;
-            if offload {
-                let flops_per_body = flops.p2m_per_body + flops.l2p_per_body;
-                let ex_jobs: Vec<GpuJob> = tree
-                    .active_leaves()
-                    .into_iter()
-                    .map(|id| GpuJob::expansion(tree.node(id).count(), flops_per_body))
-                    .collect();
-                let ex = gpus.execute(&ex_jobs)?;
-                t += ex.gpu_time().ok_or(Error::MissingGpuTiming)?;
+    let gpu_half = || -> Result<(f64, Option<KernelTiming>), Error> {
+        match &node.gpus {
+            Some(gpus) if gpu_active => {
+                let timing = gpus.execute(&build_gpu_jobs(tree, lists))?;
+                let mut t = timing.gpu_time().ok_or(Error::MissingGpuTiming)?;
+                if offload {
+                    let flops_per_body = flops.p2m_per_body + flops.l2p_per_body;
+                    let ex_jobs: Vec<GpuJob> = tree
+                        .active_leaves()
+                        .into_iter()
+                        .map(|id| GpuJob::expansion(tree.node(id).count(), flops_per_body))
+                        .collect();
+                    let ex = gpus.execute(&ex_jobs)?;
+                    t += ex.gpu_time().ok_or(Error::MissingGpuTiming)?;
+                }
+                Ok((t, Some(timing)))
             }
-            (t, Some(timing))
+            _ => Ok((0.0, None)),
         }
-        _ => (0.0, None),
     };
-    let graph = build_task_graph_with(tree, lists, flops, !gpu_active, !offload);
-    let sim = simulate(&graph, &node.cpu.to_sim_config());
+    let cpu_half = || {
+        let graph = build_task_graph_with(tree, lists, flops, !gpu_active, !offload);
+        simulate(&graph, &node.cpu.to_sim_config())
+    };
+    let (sim, gpu) = match octree::fork_width(tree) {
+        1 => (cpu_half(), gpu_half()),
+        _ => rayon::join(cpu_half, gpu_half),
+    };
+    let (t_gpu, gpu) = gpu?;
     Ok(TimingReport {
         t_cpu: sim.makespan,
         t_gpu,
@@ -588,6 +605,56 @@ mod tests {
         assert_eq!(r.t_cpu, 0.0);
         assert_eq!(r.t_gpu, 0.0);
         assert_eq!(r.compute(), 0.0);
+    }
+
+    /// Every bit of a report: the three times, then each device's kernel.
+    fn report_bits(r: &TimingReport) -> Vec<u64> {
+        let mut bits = [r.t_cpu, r.t_gpu, r.cpu_work_seconds]
+            .map(f64::to_bits)
+            .to_vec();
+        for (k, jobs) in r
+            .gpu
+            .iter()
+            .flat_map(|g| g.per_gpu.iter().zip(&g.assignment))
+        {
+            bits.extend([k.elapsed_s.to_bits(), k.useful_pairs, k.occupied_pairs]);
+            bits.extend([k.blocks, jobs.len()].map(|n| n as u64));
+            bits.extend(jobs.iter().map(|&j| j as u64));
+        }
+        bits
+    }
+
+    #[test]
+    fn time_step_bits_do_not_depend_on_the_width() {
+        let e = engine_with_lists(12_000, 16);
+        assert!(
+            e.tree().num_nodes() >= 1024,
+            "a tree this small is timed inline"
+        );
+        let f = flops_of(&e);
+        let mut one_offline = HeteroNode::system_a(4, 4);
+        let drop = gpu_sim::FaultEvent::GpuDropout { device: 1 };
+        one_offline
+            .gpus
+            .as_mut()
+            .unwrap()
+            .apply_event(&drop)
+            .unwrap();
+        for node in [HeteroNode::system_a(10, 4), one_offline] {
+            for offload_pl in [false, true] {
+                let policy = ExecPolicy { offload_pl };
+                let at = |width: usize| {
+                    let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build();
+                    report_bits(&pool.unwrap().install(|| timed(&e, &f, &node, policy)))
+                };
+                assert_eq!(
+                    at(1),
+                    at(2),
+                    "{} GPUs online, {policy:?}",
+                    node.num_online_gpus()
+                );
+            }
+        }
     }
 }
 

@@ -175,18 +175,11 @@ const BLOCK: usize = 8;
 /// the lanes are targets, each runs the same IEEE operations at either
 /// width, so both give the same bits.
 pub fn p2p_width() -> usize {
-    if avx2() {
+    if geom::avx2() {
         8
     } else {
         4
     }
-}
-
-fn avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    false
 }
 
 /// The target lanes and f32 accumulators a P2P row runs over, a whole
@@ -283,7 +276,7 @@ impl SplitTile {
         row: impl PairRow,
     ) {
         #[cfg(target_arch = "x86_64")]
-        if avx2() {
+        if geom::avx2() {
             // SAFETY: a `#[target_feature]` function's one precondition is
             // that the CPU has the feature. `sweep_avx2` is compiled for
             // AVX2 alone, and `avx2()` just read it from the running CPU.

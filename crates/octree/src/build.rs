@@ -68,6 +68,10 @@ fn body_ids_fit(bodies: usize) -> bool {
 /// Sorts after every real pair: Morton codes are 63 bits wide.
 const SPENT: (u64, u32) = (u64::MAX, u32::MAX);
 
+/// Bodies encoded as one row ([`Encoder::codes`]) by the build and the
+/// rebin.
+pub(crate) const ROW: usize = 64;
+
 /// Clamped Morton codes of positions in a fixed root cube.
 #[derive(Clone, Copy)]
 pub(crate) struct Encoder {
@@ -84,11 +88,58 @@ impl Encoder {
         }
     }
 
-    #[inline]
+    /// The code of each of `pos` into `codes`, of the same length. Bodies
+    /// that drifted outside the fixed root cube clamp to the boundary
+    /// cells, NaN to cell 0; rebuilds recenter the cube. The row runs four
+    /// bodies per register where the CPU has AVX2 and two where it has not,
+    /// with the same codes.
+    pub(crate) fn codes(&self, pos: &[Vec3], codes: &mut [u64]) {
+        #[cfg(target_arch = "x86_64")]
+        if geom::avx2() {
+            // SAFETY: a `#[target_feature]` function's one precondition is
+            // that the CPU has the feature. `codes_avx2` is compiled for
+            // AVX2 alone, and `avx2()` just read it from the running CPU.
+            return unsafe { self.codes_avx2(pos, codes) };
+        }
+        self.codes_row(pos, codes)
+    }
+
+    /// [`Encoder::codes_row`] compiled for AVX2: it is
+    /// `#[inline(always)]`, so its loop lands here in 256-bit registers.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn codes_avx2(&self, pos: &[Vec3], codes: &mut [u64]) {
+        self.codes_row(pos, codes)
+    }
+
+    /// One loop the compiler vectorises. A float-to-integer `as` cast
+    /// saturates and maps NaN to 0 one lane at a time, so the cell is cut
+    /// without one: `max(0)` (NaN becomes 0) and `min(top cell)` bound `v`,
+    /// adding 2⁵² rounds it to the nearest integer and leaves that integer
+    /// in the low bits of the sum, and one is taken off when the rounding
+    /// went up. That is `v`'s integer part, the cell a scalar
+    /// `max(0) as u64 … min(top)` gives, NaN and ±∞ included.
+    #[inline(always)]
+    fn codes_row(&self, pos: &[Vec3], codes: &mut [u64]) {
+        assert_eq!(pos.len(), codes.len());
+        const ROUND: f64 = (1u64 << 52) as f64;
+        let top = ((1u64 << MAX_MORTON_LEVEL) - 1) as f64;
+        let cell = |v: f64| {
+            let v = v.max(0.0).min(top);
+            let sum = v + ROUND;
+            sum.to_bits() - ROUND.to_bits() - u64::from(sum - ROUND > v)
+        };
+        for (code, &p) in codes.iter_mut().zip(pos) {
+            let u = (p - self.origin) * self.scale;
+            *code = morton_encode(cell(u.x), cell(u.y), cell(u.z));
+        }
+    }
+
+    /// One body's code, a body at a time: the oracle the row is tested
+    /// against.
+    #[cfg(test)]
     pub(crate) fn code(&self, p: Vec3) -> u64 {
         let max_cell = (1u64 << MAX_MORTON_LEVEL) - 1;
-        // Bodies that drifted outside the fixed root cube clamp to the
-        // boundary cells; rebuilds recenter the cube.
         let cell = |v: f64| (v.max(0.0) as u64).min(max_cell);
         let u = (p - self.origin) * self.scale;
         morton_encode(cell(u.x), cell(u.y), cell(u.z))
@@ -125,8 +176,14 @@ fn sort_bodies_into(
         .enumerate()
         .for_each(|(r, run)| {
             let first = r * run_len;
-            for (i, (pair, &p)) in run.iter_mut().zip(&pos[first..]).enumerate() {
-                *pair = (encoder.code(p), (first + i) as u32);
+            let (mut codes, mut id) = ([0; ROW], first as u32);
+            for (pairs, pos) in run.chunks_mut(ROW).zip(pos[first..].chunks(ROW)) {
+                let codes = &mut codes[..pairs.len()];
+                encoder.codes(&pos[..pairs.len()], codes);
+                for (pair, &code) in pairs.iter_mut().zip(&*codes) {
+                    *pair = (code, id);
+                    id += 1;
+                }
             }
             run.sort_unstable();
         });
@@ -396,6 +453,71 @@ mod tests {
     use crate::random_points;
     use rand::prelude::*;
     use rand::rngs::StdRng;
+
+    /// Rows of every length 1–[`ROW`] give the scalar encoder's codes, code
+    /// for code, at both widths: NaN, ±∞, negatives, values past the top
+    /// cell, exact cell boundaries and their neighbours, subnormals, and
+    /// random points, in two cubes.
+    #[test]
+    fn row_codes_match_the_scalar_encoder() {
+        let top = (1u64 << MAX_MORTON_LEVEL) as f64;
+        let mut specials = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            -1.0,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 3.0,
+            1e300,
+        ];
+        // In the unit cube at the origin a cell is 1/2^21 wide, so k cells
+        // is an exact boundary: the cube's faces, the top cell, and past it.
+        for k in [1.0, 2.0, 1023.0, top / 2.0, top - 1.0, top, top + 1.0] {
+            let x = k / top;
+            specials.extend([x, x.next_down(), x.next_up()]);
+        }
+        let cubes = [(Vec3::splat(0.5), 0.5), (Vec3::new(-3.0, 0.25, 7.0), 1e-3)];
+        let mut rng = StdRng::seed_from_u64(71);
+        for (center, half_width) in cubes {
+            let encoder = Encoder::new(center, half_width);
+            let mut coord = |axis: f64| match rng.random_bool(0.4) {
+                true => specials[rng.random_range(0..specials.len())],
+                false => axis + half_width * rng.random_range(-1.2..1.2),
+            };
+            let mut pos: Vec<Vec3> = (0..600)
+                .map(|_| Vec3::new(coord(center.x), coord(center.y), coord(center.z)))
+                .collect();
+            for &x in &specials {
+                pos.extend([
+                    Vec3::new(x, 0.5, 0.5),
+                    Vec3::new(0.5, x, 0.5),
+                    Vec3::new(0.5, 0.5, x),
+                ]);
+            }
+            let want: Vec<u64> = pos.iter().map(|&p| encoder.code(p)).collect();
+            for len in 1..=ROW {
+                for (at, row) in pos.chunks(len).enumerate() {
+                    let want = &want[at * len..][..row.len()];
+                    let mut got = [u64::MAX; ROW];
+                    let got = &mut got[..row.len()];
+                    encoder.codes_row(row, got);
+                    assert_eq!(got, want, "row of {len}, SSE2");
+                    #[cfg(target_arch = "x86_64")]
+                    if geom::avx2() {
+                        got.fill(u64::MAX);
+                        // SAFETY: the CPU has AVX2; `avx2()` just read it.
+                        unsafe { encoder.codes_avx2(row, got) };
+                        assert_eq!(got, want, "row of {len}, AVX2");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn build_respects_leaf_capacity() {

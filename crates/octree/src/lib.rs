@@ -33,7 +33,7 @@ pub use modify::EnforceOutcome;
 pub use node::{Node, NodeId, Octree, TreeSnapshot, NONE};
 pub use plan::{IncrementalLists, PlanRefresh};
 pub use stats::{count_ops, node_op_counts, OpCounts, TreeStats};
-pub use traversal::{dual_traversal, InteractionLists, Mac};
+pub use traversal::{dual_traversal, fork_width, InteractionLists, Mac};
 
 /// `n` points uniform in the cube [-1, 1)³, drawn from `seed`: the bodies of
 /// the unit tests.

@@ -8,7 +8,7 @@
 //! bodies that left their leaf together, then merges each leaf's stayers
 //! with its arrivals.
 
-use crate::build::{merge_sorted, run_count, Encoder, MAX_RUNS};
+use crate::build::{merge_sorted, run_count, Encoder, MAX_RUNS, ROW};
 use crate::node::{Node, NodeId, Octree};
 use geom::{Vec3, MAX_MORTON_LEVEL};
 use rayon::prelude::*;
@@ -137,10 +137,31 @@ fn count_below(pairs: &[(u64, u32)], key: u64) -> usize {
     below + pairs[below..bound.min(pairs.len())].partition_point(|p| p.0 < key)
 }
 
-/// Positions fetched ahead of encoding them. Tree order visits bodies in
-/// no order of their ids, so each fetch likely misses the cache; issued
-/// back to back, independent of any arithmetic, the misses overlap.
-const GATHER: usize = 64;
+/// Shifts per pair an insertion sort may spend before
+/// [`sort_nearly_sorted`] hands the rest to `sort_unstable`.
+const SHIFTS_PER_PAIR: usize = 8;
+
+/// Sort `pairs`, which are nearly sorted: a leaf's stayers arrive in their
+/// old code order and most keep it, so an insertion sort moves few of
+/// them. Once the shifts pass [`SHIFTS_PER_PAIR`] per pair the input is
+/// not nearly sorted, and `sort_unstable` finishes it. Keys `(code, id)`
+/// are unique, so either way the result is the one sorted order.
+fn sort_nearly_sorted(pairs: &mut [(u64, u32)]) {
+    let mut budget = SHIFTS_PER_PAIR * pairs.len();
+    for i in 1..pairs.len() {
+        let key = pairs[i];
+        let mut at = i;
+        while at > 0 && key < pairs[at - 1] {
+            pairs[at] = pairs[at - 1];
+            at -= 1;
+        }
+        pairs[at] = key;
+        match budget.checked_sub(i - at) {
+            Some(left) => budget = left,
+            None => return pairs.sort_unstable(),
+        }
+    }
+}
 
 /// One worker's share of the sift: a run of leaves and the window of the
 /// pair buffer their old ranges cover.
@@ -160,17 +181,25 @@ impl Sift<'_> {
     /// range stays and goes to the front of the window, every other body
     /// leaves to the back. Then sort each leaf's stayers and, as one run,
     /// the window's leavers.
+    ///
+    /// Positions are gathered [`ROW`] at a time and encoded as one row.
+    /// Tree order visits bodies in no order of their ids, so each fetch
+    /// likely misses the cache; issued back to back, independent of any
+    /// arithmetic, the misses overlap. The row is as long as the gather, so
+    /// a leaf's short last batch encodes only its own bodies.
     fn run(&mut self, order: &[u32], pos: &[Vec3], encoder: Encoder) {
         let (mut front, mut back) = (0, self.pairs.len());
-        let mut near = [Vec3::ZERO; GATHER];
+        let mut near = [Vec3::ZERO; ROW];
+        let mut codes = [0; ROW];
         for slot in self.leaves.iter_mut() {
             let start = front;
-            for ids in order[slot.old_begin as usize..slot.old_end as usize].chunks(GATHER) {
+            for ids in order[slot.old_begin as usize..slot.old_end as usize].chunks(ROW) {
                 for (p, &id) in near.iter_mut().zip(ids) {
                     *p = pos[id as usize];
                 }
-                for (&p, &id) in near.iter().zip(ids) {
-                    let code = encoder.code(p);
+                let codes = &mut codes[..ids.len()];
+                encoder.codes(&near[..ids.len()], codes);
+                for (&code, &id) in codes.iter().zip(ids) {
                     if (slot.lo..slot.hi).contains(&code) {
                         self.pairs[front] = (code, id);
                         front += 1;
@@ -180,7 +209,7 @@ impl Sift<'_> {
                     }
                 }
             }
-            self.pairs[start..front].sort_unstable();
+            sort_nearly_sorted(&mut self.pairs[start..front]);
             slot.stay_at = (self.first + start) as u32;
             slot.stay = (front - start) as u32;
         }
@@ -245,8 +274,9 @@ impl Octree {
     ///
     /// 1. walk each visible leaf's old slice of `order`, encoding each
     ///    body's new code: a body whose code still carries the leaf's prefix
-    ///    stays, any other leaves; sort each leaf's stayers, and the leavers
-    ///    as one run per worker;
+    ///    stays, any other leaves; sort each leaf's stayers — nearly sorted
+    ///    already, so mostly by insertion — and the leavers as one run per
+    ///    worker;
     /// 2. walk the leaves against the leaver runs — sorted, so already in
     ///    leaf order — to count each leaf's arrivals; its new start is a
     ///    prefix sum of the new populations;
@@ -372,6 +402,73 @@ impl Octree {
             let (begin, end) = (nodes[first].begin, nodes[first + 7].end);
             let node = &mut nodes[id as usize];
             (node.begin, node.end) = (begin, end);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
+
+    fn shuffle(pairs: &mut [(u64, u32)], rng: &mut StdRng) {
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, rng.random_range(0..i + 1));
+        }
+    }
+
+    /// Pairs out of order: the shifts an insertion sort of `pairs` makes.
+    fn inversions(pairs: &[(u64, u32)]) -> usize {
+        let later = |i: usize| pairs[i + 1..].iter().filter(|&&q| q < pairs[i]).count();
+        (0..pairs.len()).map(later).sum()
+    }
+
+    /// Reversed, shuffled, nearly sorted and equal-code inputs sort as
+    /// `sort_unstable` sorts them, whether the shifts stay within the
+    /// budget or run past it.
+    #[test]
+    fn nearly_sorted_sort_gives_the_one_sorted_order() {
+        let mut rng = StdRng::seed_from_u64(81);
+        for n in [0, 1, 2, 3, 17, 64, 181, 1000] {
+            let budget = SHIFTS_PER_PAIR * n;
+            let mut sorted: Vec<(u64, u32)> = (0..n as u32)
+                .map(|id| (rng.random_range(0..n as u64 / 2 + 1), id))
+                .collect();
+            sorted.sort_unstable();
+            let reversed: Vec<_> = sorted.iter().rev().copied().collect();
+            let mut shuffled = sorted.clone();
+            shuffle(&mut shuffled, &mut rng);
+            let mut nearly = sorted.clone();
+            for _ in 0..n / 8 {
+                let i = rng.random_range(0..n);
+                let j = (i + rng.random_range(0..4usize)).min(n - 1);
+                nearly.swap(i, j);
+            }
+            let mut equal: Vec<(u64, u32)> = (0..n as u32).map(|id| (7, id)).collect();
+            shuffle(&mut equal, &mut rng);
+            assert!(
+                inversions(&nearly) <= budget,
+                "n {n}: nearly sorted in budget"
+            );
+            if n >= 64 {
+                for over in [&reversed, &shuffled, &equal] {
+                    assert!(inversions(over) > budget, "n {n}: past the budget");
+                }
+            }
+            for (name, input) in [
+                ("sorted", sorted.clone()),
+                ("reversed", reversed),
+                ("shuffled", shuffled),
+                ("nearly sorted", nearly),
+                ("equal codes", equal),
+            ] {
+                let mut want = input.clone();
+                want.sort_unstable();
+                let mut got = input;
+                sort_nearly_sorted(&mut got);
+                assert_eq!(got, want, "{name}, n {n}");
+            }
         }
     }
 }

@@ -11,8 +11,9 @@ use rayon::prelude::*;
 pub(crate) const MIN_FORK_NODES: usize = 1024;
 
 /// Workers a traversal or plan rebuild of `tree` uses: the pool's width from
-/// [`MIN_FORK_NODES`] up, one below.
-pub(crate) fn fork_width(tree: &Octree) -> usize {
+/// `MIN_FORK_NODES` (1 024) arena nodes up, one below. Other work priced
+/// per node of the tree forks by the same rule.
+pub fn fork_width(tree: &Octree) -> usize {
     if tree.num_nodes() < MIN_FORK_NODES {
         1
     } else {

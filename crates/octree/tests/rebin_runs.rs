@@ -14,7 +14,9 @@
 //! search on the sorted codes, hidden nodes keeping the ranges they had:
 //! smooth drift moving 0.1–5 % of the bodies to another leaf, bodies
 //! crossing three levels and more, leaves emptying and filling, overfull
-//! leaves at `max_level`, and trees after random collapses and push-downs.
+//! leaves at `max_level`, trees after random collapses and push-downs, and
+//! every body re-drawn inside its own leaf, which leaves each leaf's stayers
+//! in random order.
 
 use geom::{morton_encode, Vec3, MAX_MORTON_LEVEL};
 use octree::{build_adaptive_in_cube, BuildParams, NodeId, Octree, TreeSnapshot};
@@ -403,4 +405,31 @@ fn trees_after_random_collapses_and_push_downs_rebin_like_the_full_sort() {
         tree.rebin(&moved);
         pos = moved;
     }
+}
+
+#[test]
+fn bodies_redrawn_inside_their_leaf_rebin_like_the_full_sort() {
+    // Nobody leaves, and each leaf's stayers come in random order: a leaf of
+    // k of them averages k(k − 1)/4 inversions, past any budget linear in k
+    // once k is large, so an adaptive stayer sort must finish with its
+    // fallback on the full leaves.
+    let pos = cloud(40_000, 61);
+    let tree = build_with(&pos, 96, 21);
+    let full = tree
+        .visible_leaves()
+        .into_iter()
+        .filter(|&l| tree.node(l).count() >= 64)
+        .count();
+    assert!(full > 100, "{full} leaves of 64 bodies or more");
+    let mut rng = StdRng::seed_from_u64(62);
+    let mut moved = pos.clone();
+    for leaf in tree.visible_leaves() {
+        let node = tree.node(leaf);
+        for i in node.range() {
+            let mut at = || node.half_width * rng.random_range(-0.999..0.999);
+            moved[tree.order()[i] as usize] = node.center + Vec3::new(at(), at(), at());
+        }
+    }
+    assert!(leaver_share(&tree, &moved) < 1e-3);
+    assert_rebins_like_the_reference(&tree, &moved, "redrawn in the leaf");
 }

@@ -3,9 +3,9 @@
 //!
 //! The build environment cannot reach crates.io, so the workspace vendors
 //! the surface it needs: `par_iter()` / `into_par_iter()` / `par_chunks_mut()`
-//! pipelines through `zip` / `enumerate` into `for_each[_init]`, and
-//! `ThreadPoolBuilder` → `ThreadPool::install` / `current_num_threads()` to
-//! fix the width. Signatures carry rayon's own bounds, so upstream rayon
+//! pipelines through `zip` / `enumerate` into `for_each[_init]`, [`join`],
+//! and `ThreadPoolBuilder` → `ThreadPool::install` / `current_num_threads()`
+//! to fix the width. Signatures carry rayon's own bounds, so upstream rayon
 //! stays a one-line `Cargo.toml` swap.
 //!
 //! A terminal op forks `k − 1` scoped workers, the caller working as worker
@@ -40,6 +40,43 @@ fn host_width() -> usize {
 /// Inside a worker it is 1 (upstream reports the pool's width there).
 pub fn current_num_threads() -> usize {
     WIDTH.get().unwrap_or_else(host_width)
+}
+
+/// rayon's `join`: runs `oper_a` and `oper_b`, potentially in parallel, and
+/// returns both results. With width 2 or more `oper_b` runs on one forked
+/// worker while the caller runs `oper_a`, and the worker is joined before
+/// this returns; both run as workers, so `par_*` calls inside either run
+/// inline. At width 1, or from inside a worker, both run on the caller's
+/// thread, `oper_a` first, and nothing is spawned. A panic reaches the
+/// caller after the forked worker is joined; when both sides panic,
+/// `oper_a`'s does.
+pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    if current_num_threads() < 2 {
+        return (oper_a(), oper_b());
+    }
+    #[cfg(test)]
+    tests::SPAWNS.set(tests::SPAWNS.get() + 1);
+    std::thread::scope(|s| {
+        let b = s.spawn(|| {
+            let _inline = WidthGuard::set(1);
+            oper_b()
+        });
+        let a = {
+            let _inline = WidthGuard::set(1);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(oper_a))
+        };
+        let b = b.join();
+        match (a, b) {
+            (Ok(a), Ok(b)) => (a, b),
+            (Err(payload), _) | (_, Err(payload)) => std::panic::resume_unwind(payload),
+        }
+    })
 }
 
 /// Overrides this thread's width until dropped, so also on unwind.
@@ -268,7 +305,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
-    use crate::{current_num_threads, ThreadPoolBuilder};
+    use crate::{current_num_threads, host_width, ThreadPoolBuilder};
     use std::cell::Cell;
     use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -439,6 +476,77 @@ mod tests {
                 })
             });
             assert_eq!(sum.load(Ordering::Relaxed), 199 * 200 / 2);
+        }
+    }
+
+    #[test]
+    fn join_forks_one_worker_and_returns_both_results() {
+        // Each side waits for the other, so the call returns only if they
+        // run at the same time, on two threads.
+        let both_here = Barrier::new(2);
+        let side = || {
+            both_here.wait();
+            (std::thread::current().id(), current_num_threads())
+        };
+        let before = SPAWNS.get();
+        let (a, b) = at_width(2, || crate::join(side, side));
+        assert_eq!(SPAWNS.get() - before, 1);
+        assert_ne!(a.0, b.0);
+        assert_eq!(a.0, std::thread::current().id(), "the caller runs `oper_a`");
+        assert_eq!((a.1, b.1), (1, 1), "nested calls inside either run inline");
+        assert_eq!(current_num_threads(), host_width());
+    }
+
+    #[test]
+    fn join_at_width_one_or_inside_a_worker_spawns_nothing() {
+        let me = std::thread::current().id();
+        let before = SPAWNS.get();
+        let order = Mutex::new(Vec::new());
+        let (a, b) = at_width(1, || {
+            crate::join(
+                || order.lock().unwrap().push('a'),
+                || order.lock().unwrap().push('b'),
+            );
+            crate::join(
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            )
+        });
+        assert_eq!((a, b), (me, me));
+        assert_eq!(order.into_inner().unwrap(), ['a', 'b']);
+        at_width(2, || {
+            [0usize, 1].par_iter().for_each(|_| {
+                let spawned = SPAWNS.get();
+                let worker = std::thread::current().id();
+                let (a, b) = crate::join(
+                    || std::thread::current().id(),
+                    || std::thread::current().id(),
+                );
+                assert_eq!((a, b), (worker, worker));
+                assert_eq!(SPAWNS.get(), spawned);
+            })
+        });
+        assert_eq!(SPAWNS.get() - before, 1, "only the pipeline's own fork");
+    }
+
+    #[test]
+    fn join_panics_reach_the_caller() {
+        for k in [1, 2] {
+            let ran = AtomicUsize::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                at_width(k, || {
+                    crate::join(|| ran.fetch_add(1, Ordering::SeqCst), || panic!("side b"))
+                })
+            }));
+            let payload = caught.expect_err("the panic must not be swallowed");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"side b"), "width {k}");
+            assert_eq!(ran.load(Ordering::SeqCst), 1, "width {k}");
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                at_width(k, || crate::join(|| panic!("side a"), || panic!("side b")))
+            }));
+            let payload = caught.expect_err("the panic must not be swallowed");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"side a"), "width {k}");
+            assert_eq!(current_num_threads(), host_width());
         }
     }
 
