@@ -156,11 +156,6 @@ impl ChaosPlan {
         }
         s
     }
-
-    /// Does the plan contain any corruption event at all?
-    pub fn has_corruption(&self) -> bool {
-        self.events.iter().any(|tc| tc.event.is_corruption())
-    }
 }
 
 /// Inject one corruption event into a supervised run. `pos` is the driver's
@@ -248,7 +243,7 @@ mod tests {
                 plan.events.windows(2).all(|w| w[0].step <= w[1].step),
                 "seed {seed} out of order"
             );
-            if plan.has_corruption() {
+            if plan.events.iter().any(|tc| tc.event.is_corruption()) {
                 corrupting += 1;
             }
         }

@@ -56,11 +56,11 @@ impl TimingReport {
 /// a realized step.
 ///
 /// The executor reports only the task graph's makespan, so per-phase
-/// durations are *attributed*: each phase gets its share of CPU work
-/// (`counts × flops / effective core rate`) scaled to wall time by the
-/// step's parallel rate — the same realized-execution arithmetic
-/// [`crate::CostModel::observe`] uses. P2P takes the measured GPU makespan
-/// when devices are online and its CPU share otherwise.
+/// durations are *attributed*: the CPU-side phases share `t_cpu` in
+/// proportion to their work (`counts × flops`), so the per-task overhead
+/// and idle cores are spread over them and their spans sum to the
+/// makespan. P2P takes the measured GPU makespan when devices are online
+/// and its CPU share otherwise.
 pub fn record_phase_spans(
     rec: &telemetry::Recorder,
     counts: &octree::OpCounts,
@@ -71,49 +71,57 @@ pub fn record_phase_spans(
     if !rec.is_enabled() {
         return;
     }
-    let eff = node.cpu.rate_flops * node.cpu.memory.rate_factor(node.cpu.cores);
-    let wall = |flops: f64| flops / eff / timing.parallel_rate();
+    let on_gpu = node.num_online_gpus() > 0;
+    let p2p_flops = flops.p2p_per_pair * counts.p2p_interactions as f64;
     let phases: [(&'static str, f64, u64); 5] = [
         (
             "phase.p2m",
-            wall(flops.p2m_per_body * counts.p2m_bodies as f64),
+            flops.p2m_per_body * counts.p2m_bodies as f64,
             counts.p2m_bodies,
         ),
         (
             "phase.m2m",
-            wall(flops.m2m * counts.m2m_ops as f64),
+            flops.m2m * counts.m2m_ops as f64,
             counts.m2m_ops,
         ),
         (
             "phase.m2l",
-            wall(flops.m2l * counts.m2l_ops as f64),
+            flops.m2l * counts.m2l_ops as f64,
             counts.m2l_ops,
         ),
         (
             "phase.l2l",
-            wall(flops.l2l * counts.l2l_ops as f64),
+            flops.l2l * counts.l2l_ops as f64,
             counts.l2l_ops,
         ),
         (
             "phase.l2p",
-            wall(flops.l2p_per_body * counts.l2p_bodies as f64),
+            flops.l2p_per_body * counts.l2p_bodies as f64,
             counts.l2p_bodies,
         ),
     ];
-    for (name, dur, ops) in phases {
-        rec.span(name, dur, vec![("ops", telemetry::Value::U64(ops))]);
+    let cpu_flops = phases.iter().map(|p| p.1).sum::<f64>() + if on_gpu { 0.0 } else { p2p_flops };
+    let wall = |f: f64| {
+        if cpu_flops > 0.0 {
+            timing.t_cpu * (f / cpu_flops)
+        } else {
+            0.0
+        }
+    };
+    for (name, f, ops) in phases {
+        rec.span(name, wall(f), vec![("ops", telemetry::Value::U64(ops))]);
     }
-    let p2p_dur = if node.num_online_gpus() > 0 {
+    let p2p_dur = if on_gpu {
         timing.t_gpu
     } else {
-        wall(flops.p2p_per_pair * counts.p2p_interactions as f64)
+        wall(p2p_flops)
     };
     rec.span(
         "phase.p2p",
         p2p_dur,
         vec![
             ("ops", telemetry::Value::U64(counts.p2p_interactions)),
-            ("on_gpu", telemetry::Value::Bool(node.num_online_gpus() > 0)),
+            ("on_gpu", telemetry::Value::Bool(on_gpu)),
         ],
     );
 }

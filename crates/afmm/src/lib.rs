@@ -67,7 +67,7 @@ pub use supervisor::{RecoveryAction, Supervisor, SupervisorConfig, SupervisorRep
 // Fault-injection vocabulary, re-exported so drivers need only `afmm`.
 pub use gpu_sim::{DeviceStatus, FaultEvent, FaultSchedule, TimedFault};
 pub use replay::{
-    diff_traces, validate_trace, validate_trace_report, DiffEntry, TraceDiff, ValidateOptions,
-    ValidationReport, Violation, DEFAULT_PHASE_TOLERANCE,
+    diff_traces, validate_trace, validate_trace_report, DiffEntry, TraceDiff, ValidationReport,
+    Violation, DEFAULT_PHASE_TOLERANCE,
 };
 pub use simulate::{GravitySim, RunSummary, StepRecord, StrategyTracker};

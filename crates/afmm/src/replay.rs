@@ -51,35 +51,19 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// The validator's default phase-reconciliation tolerance.
+/// Maximum tolerated relative gap between a step's summed CPU-side
+/// `phase.*` span durations and its reported scheduler makespan
+/// (`step.record.t_sched`). The attributed spans share the makespan out
+/// ([`crate::record_phase_spans`]), so a recorded step sums to it up to
+/// rounding, while a zeroed or scaled span from a corrupted trace does
+/// not. Steps missing either side (older traces) are skipped.
 pub const DEFAULT_PHASE_TOLERANCE: f64 = 0.2;
 
-/// Tunables of [`validate_trace`].
-#[derive(Debug, Clone, Copy)]
-pub struct ValidateOptions {
-    /// Maximum tolerated audited relative prediction error on steps where
-    /// the balancer did not act. Deliberately generous: the audit gate in CI
-    /// already alarms at far lower error; this invariant catches corrupt
-    /// traces and runaway models, not modeling noise.
-    pub audit_tolerance: f64,
-    /// Maximum tolerated relative gap between a step's summed CPU-side
-    /// `phase.*` span durations and its reported scheduler makespan
-    /// (`step.record.t_sched`). The attributed spans undershoot by the
-    /// task-overhead share, well inside [`DEFAULT_PHASE_TOLERANCE`], while
-    /// a zeroed or scaled span from a corrupted trace does not. Steps
-    /// missing either side (older traces) are skipped. The CLI's
-    /// `--phase-tol` sets this.
-    pub phase_tolerance: f64,
-}
-
-impl Default for ValidateOptions {
-    fn default() -> Self {
-        ValidateOptions {
-            audit_tolerance: 10.0,
-            phase_tolerance: DEFAULT_PHASE_TOLERANCE,
-        }
-    }
-}
+/// Maximum tolerated audited relative prediction error on steps where the
+/// balancer did not act. Deliberately generous: the audit gate in CI
+/// already alarms at far lower error; this invariant catches corrupt traces
+/// and runaway models, not modeling noise.
+const AUDIT_TOLERANCE: f64 = 10.0;
 
 /// Outcome of [`validate_trace_report`]: the violations plus the realized
 /// phase-reconciliation quality, so callers can report *how close* the
@@ -126,8 +110,8 @@ const LEGAL_TRANSITIONS: &[(&str, &str, &str)] = &[
 ///
 /// Thin wrapper over [`validate_trace_report`] for callers that only need
 /// the violation list.
-pub fn validate_trace(records: &[EventRecord], opts: &ValidateOptions) -> Vec<Violation> {
-    validate_trace_report(records, opts).violations
+pub fn validate_trace(records: &[EventRecord]) -> Vec<Violation> {
+    validate_trace_report(records).violations
 }
 
 /// Replay a trace, collect every invariant violation, and report the
@@ -136,7 +120,7 @@ pub fn validate_trace(records: &[EventRecord], opts: &ValidateOptions) -> Vec<Vi
 /// `records` must be in emission order (as read back by
 /// [`telemetry::TraceReader`]); the validator re-checks that via
 /// `seq_monotone` rather than sorting.
-pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) -> ValidationReport {
+pub fn validate_trace_report(records: &[EventRecord]) -> ValidationReport {
     let mut report = ValidationReport::default();
     let mut out = Vec::new();
     let mut last_seq: Option<u64> = None;
@@ -336,7 +320,7 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
                             report.max_phase_residual = residual;
                             report.max_phase_residual_step = Some(r.step);
                         }
-                        if gap > opts.phase_tolerance * t_sched.max(1e-12) + 1e-12 {
+                        if gap > DEFAULT_PHASE_TOLERANCE * t_sched.max(1e-12) + 1e-12 {
                             out.push(Violation {
                                 invariant: "phase_reconciliation",
                                 seq: r.seq,
@@ -388,14 +372,14 @@ pub fn validate_trace_report(records: &[EventRecord], opts: &ValidateOptions) ->
                 // Acted steps knowingly invalidate the forecast; skip them.
                 let acted = r.field_bool("acted").unwrap_or(false);
                 if let Some(err) = r.field_f64("rel_error") {
-                    if !acted && err.is_finite() && err > opts.audit_tolerance {
+                    if !acted && err.is_finite() && err > AUDIT_TOLERANCE {
                         out.push(Violation {
                             invariant: "audit_drift",
                             seq: r.seq,
                             step: r.step,
                             detail: format!(
                                 "prediction error {err:.3} exceeds tolerance {:.3}",
-                                opts.audit_tolerance
+                                AUDIT_TOLERANCE
                             ),
                         });
                     }
@@ -588,7 +572,7 @@ mod tests {
             step_record(4, 1, 64, "incremental", 2),
             step_record(5, 2, 74, "observation", 2),
         ];
-        let v = validate_trace(&recs, &ValidateOptions::default());
+        let v = validate_trace(&recs);
         assert!(v.is_empty(), "unexpected violations: {v:?}");
     }
 
@@ -599,7 +583,7 @@ mod tests {
             transition(1, 0, "search", "frozen", "repair_failed", 64),
             step_record(2, 0, 64, "search", 2),
         ];
-        let v = validate_trace(&recs, &ValidateOptions::default());
+        let v = validate_trace(&recs);
         assert!(
             v.iter().any(|x| x.invariant == "transition_legality"),
             "{v:?}"
@@ -616,7 +600,7 @@ mod tests {
             transition(2, 1, "search", "recovery", "device_count_changed", 64),
             step_record(3, 1, 64, "search", 2),
         ];
-        let v = validate_trace(&recs, &ValidateOptions::default());
+        let v = validate_trace(&recs);
         let hits: Vec<_> = v
             .iter()
             .filter(|x| x.invariant == "recovery_cause")
@@ -638,14 +622,14 @@ mod tests {
             transition(3, 1, "search", "recovery", "device_count_changed", 64),
             step_record(4, 1, 64, "search", 1),
         ];
-        let v = validate_trace(&recs, &ValidateOptions::default());
+        let v = validate_trace(&recs);
         assert!(v.is_empty(), "unexpected violations: {v:?}");
     }
 
     #[test]
     fn s_out_of_bounds_is_flagged() {
         let recs = vec![config(0), step_record(1, 0, 5000, "search", 2)];
-        let v = validate_trace(&recs, &ValidateOptions::default());
+        let v = validate_trace(&recs);
         assert!(v.iter().any(|x| x.invariant == "s_bounds"), "{v:?}");
     }
 
@@ -678,7 +662,7 @@ mod tests {
             ),
             step_record(6, 2, 64, "observation", 2),
         ];
-        let v = validate_trace(&recs, &ValidateOptions::default());
+        let v = validate_trace(&recs);
         assert!(
             v.iter().any(|x| x.invariant == "enforce_provenance"),
             "{v:?}"
@@ -697,7 +681,7 @@ mod tests {
             event(0, 0, "anomaly.step_time", vec![("score", Value::F64(9.0))]),
         );
         resequence(&mut with_anomaly);
-        let v = validate_trace(&with_anomaly, &ValidateOptions::default());
+        let v = validate_trace(&with_anomaly);
         assert!(
             v.iter().any(|x| x.invariant == "enforce_provenance"),
             "{v:?}"
@@ -717,7 +701,7 @@ mod tests {
             ),
         );
         resequence(&mut recs);
-        let v = validate_trace(&recs, &ValidateOptions::default());
+        let v = validate_trace(&recs);
         assert!(v.is_empty(), "unexpected violations: {v:?}");
     }
 
@@ -739,7 +723,7 @@ mod tests {
             // seq goes backwards here:
             step_record(1, 0, 64, "search", 2),
         ];
-        let v = validate_trace(&recs, &ValidateOptions::default());
+        let v = validate_trace(&recs);
         assert!(v.iter().any(|x| x.invariant == "audit_drift"), "{v:?}");
         assert!(v.iter().any(|x| x.invariant == "seq_monotone"), "{v:?}");
     }
@@ -747,10 +731,10 @@ mod tests {
     #[test]
     fn missing_config_is_flagged() {
         let recs = vec![step_record(0, 0, 64, "search", 2)];
-        let v = validate_trace(&recs, &ValidateOptions::default());
+        let v = validate_trace(&recs);
         assert!(v.iter().any(|x| x.invariant == "missing_config"), "{v:?}");
         // An empty trace, by contrast, is trivially legal.
-        assert!(validate_trace(&[], &ValidateOptions::default()).is_empty());
+        assert!(validate_trace(&[]).is_empty());
     }
 
     fn phase_span(seq: u64, step: u64, name: &'static str, dur: f64) -> EventRecord {
@@ -787,7 +771,7 @@ mod tests {
             phase_span(5, 0, "phase.l2p", 0.1),
             step_record_with_sched(6, 0, 64, "search", 1.0),
         ];
-        let v = validate_trace(&recs, &ValidateOptions::default());
+        let v = validate_trace(&recs);
         assert!(v.is_empty(), "unexpected violations: {v:?}");
     }
 
@@ -804,7 +788,7 @@ mod tests {
             phase_span(5, 0, "phase.l2p", 0.1),
             step_record_with_sched(6, 0, 64, "search", 1.0),
         ];
-        let v = validate_trace(&recs, &ValidateOptions::default());
+        let v = validate_trace(&recs);
         assert!(
             v.iter().any(|x| x.invariant == "phase_reconciliation"),
             "{v:?}"
@@ -826,7 +810,7 @@ mod tests {
             p2p,
             step_record_with_sched(6, 0, 64, "search", 1.0),
         ];
-        let v = validate_trace(&recs, &ValidateOptions::default());
+        let v = validate_trace(&recs);
         assert!(v.is_empty(), "unexpected violations: {v:?}");
     }
 
@@ -839,7 +823,7 @@ mod tests {
             phase_span(1, 0, "phase.m2l", 123.0),
             step_record(2, 0, 64, "search", 2),
         ];
-        let v = validate_trace(&recs, &ValidateOptions::default());
+        let v = validate_trace(&recs);
         assert!(v.is_empty(), "unexpected violations: {v:?}");
     }
 
@@ -854,36 +838,11 @@ mod tests {
             phase_span(3, 1, "phase.m2l", 0.98),
             step_record_with_sched(4, 1, 64, "search", 1.0),
         ];
-        let rep = validate_trace_report(&recs, &ValidateOptions::default());
+        let rep = validate_trace_report(&recs);
         assert!(rep.violations.is_empty(), "{:?}", rep.violations);
         assert_eq!(rep.reconciled_steps, 2);
         assert!((rep.max_phase_residual - 0.1).abs() < 1e-12);
         assert_eq!(rep.max_phase_residual_step, Some(0));
-    }
-
-    #[test]
-    fn caller_override_beats_trace_tolerance() {
-        // A pre-PR-14 header recorded 50% (no longer read); the caller (CLI
-        // --phase-tol) demands 1%.
-        let mut cfg = config(0);
-        cfg.fields.push(("phase_tolerance", Value::F64(0.5)));
-        let recs = vec![
-            cfg,
-            phase_span(1, 0, "phase.m2l", 0.9),
-            step_record_with_sched(2, 0, 64, "search", 1.0),
-        ];
-        let opts = ValidateOptions {
-            phase_tolerance: 0.01,
-            ..ValidateOptions::default()
-        };
-        let rep = validate_trace_report(&recs, &opts);
-        assert!(
-            rep.violations
-                .iter()
-                .any(|x| x.invariant == "phase_reconciliation"),
-            "{:?}",
-            rep.violations
-        );
     }
 
     #[test]

@@ -1,13 +1,15 @@
 use crate::balance::{lbtime, LbConfig, LbState, LoadBalancer, Strategy};
 use crate::config::{FmmParams, HeteroNode};
-use crate::cost::CostModel;
+use crate::cost::{CostModel, Prediction};
 use crate::engine::FmmEngine;
 use crate::error::Error;
+use crate::exec::TimingReport;
 use crate::filter::TimingFilter;
 use fmm_math::{GravityKernel, Kernel, OpFlops};
 use geom::Vec3;
 use gpu_sim::{FaultEvent, FaultSchedule};
 use nbody::Bodies;
+use octree::OpCounts;
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -108,6 +110,21 @@ impl RunSummary {
     }
 }
 
+/// One step as the tracker measured it: what its `maintain` closes the
+/// step with.
+struct Measured {
+    /// Balancer state and leaf capacity the step ran under.
+    state: LbState,
+    s: usize,
+    counts: OpCounts,
+    timing: TimingReport,
+    /// The model's forecast for the step, when telemetry is on.
+    predicted: Option<Prediction>,
+    /// The measured times: `timing`'s, disturbed by the fault script.
+    t_cpu: f64,
+    t_gpu: f64,
+}
+
 /// Replays a shared body trajectory through one load-balancing strategy,
 /// producing that strategy's timing series without re-solving the physics.
 ///
@@ -176,26 +193,6 @@ impl<K: Kernel> StrategyTracker<K> {
         }
     }
 
-    /// Like [`StrategyTracker::new`], but with a telemetry recorder wired
-    /// through the whole stack: the engine (solve spans), the balancer
-    /// (state-transition flight recorder) and the tracker itself (per-step
-    /// records, phase spans, prediction audits).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_telemetry(
-        kernel: K,
-        params: FmmParams,
-        node: HeteroNode,
-        strategy: Strategy,
-        cfg: LbConfig,
-        pos0: &[Vec3],
-        domain: Option<(Vec3, f64)>,
-        rec: telemetry::Recorder,
-    ) -> Self {
-        let mut tracker = Self::new(kernel, params, node, strategy, cfg, pos0, domain);
-        tracker.set_recorder(rec);
-        tracker
-    }
-
     /// Attach a recorder after construction; shared (via clone) with the
     /// engine and the balancer. Emits a `run.config` header event so
     /// offline replay knows the bounds and thresholds the balancer was
@@ -257,8 +254,11 @@ impl<K: Kernel> StrategyTracker<K> {
         &self.node
     }
 
-    /// Apply every fault event scheduled for `step_idx` to the tracked node.
-    fn apply_faults(&mut self, step_idx: usize) -> Result<(), Error> {
+    /// Start step `records.len()`: set the recorder's step clock and apply
+    /// every fault event scheduled for the step to the tracked node.
+    fn open(&mut self) -> Result<(), Error> {
+        let step_idx = self.records.len();
+        self.rec.set_step(step_idx as u64);
         let due: Vec<FaultEvent> = self.faults.events_at(step_idx).copied().collect();
         for ev in due {
             match ev {
@@ -291,15 +291,24 @@ impl<K: Kernel> StrategyTracker<K> {
     /// re-bin moved bodies, time the solve on the (possibly degraded)
     /// virtual node, and feed the balancer *filtered* measurements.
     pub fn step(&mut self, pos: &[Vec3]) -> Result<StepRecord, Error> {
-        let step_idx = self.records.len();
-        self.rec.set_step(step_idx as u64);
-        self.apply_faults(step_idx)?;
+        self.open()?;
         let mut t_lb = 0.0;
         if !self.first {
             self.engine.rebin(pos);
             t_lb += lbtime::rebin(&self.node, pos.len());
         }
         self.first = false;
+        let m = self.measure()?;
+        // The balancer steers by outlier-filtered times so a lone spike
+        // cannot fire its regression trigger.
+        let steer = (self.filter_cpu.push(m.t_cpu), self.filter_gpu.push(m.t_gpu));
+        Ok(self.maintain(pos, m, steer, t_lb))
+    }
+
+    /// Time the current tree on the (possibly degraded) virtual node, let
+    /// the cost model observe it, and disturb the measurement as the fault
+    /// script says.
+    fn measure(&mut self) -> Result<Measured, Error> {
         let state = self.balancer.state();
         let s = self.engine.tree().s_value();
         let counts = self.engine.refresh_lists();
@@ -323,10 +332,30 @@ impl<K: Kernel> StrategyTracker<K> {
         if !t_cpu.is_finite() || !t_gpu.is_finite() {
             return Err(Error::NonFiniteTiming { t_cpu, t_gpu });
         }
-        // The balancer steers by outlier-filtered times so a lone spike
-        // cannot fire its regression trigger.
-        let f_cpu = self.filter_cpu.push(t_cpu);
-        let f_gpu = self.filter_gpu.push(t_gpu);
+        Ok(Measured {
+            state,
+            s,
+            counts,
+            timing,
+            predicted,
+            t_cpu,
+            t_gpu,
+        })
+    }
+
+    /// Close the step: the balancer maintains the tree at `pos`, steering by
+    /// the `(t_cpu, t_gpu)` it is given; then the forecast is audited, the
+    /// step's telemetry emitted and its record pushed. `t_lb` is the
+    /// maintenance already paid this step.
+    fn maintain(
+        &mut self,
+        pos: &[Vec3],
+        m: Measured,
+        (f_cpu, f_gpu): (f64, f64),
+        mut t_lb: f64,
+    ) -> StepRecord {
+        let step_idx = self.records.len();
+        let (counts, timing) = (&m.counts, &m.timing);
         let rep =
             self.balancer
                 .post_step(&mut self.engine, &self.model, &self.node, pos, f_cpu, f_gpu);
@@ -337,8 +366,8 @@ impl<K: Kernel> StrategyTracker<K> {
             self.filter_gpu.reset();
         }
         t_lb += rep.lb_time;
-        if let Some(pred) = predicted {
-            let audit = pred.audit(step_idx as u64, &timing, acted);
+        if let Some(pred) = m.predicted {
+            let audit = pred.audit(step_idx as u64, timing, acted);
             if self.rec.is_enabled() {
                 self.rec.event(
                     "audit.prediction",
@@ -353,7 +382,7 @@ impl<K: Kernel> StrategyTracker<K> {
             self.audits.push(audit);
         }
         if self.rec.is_enabled() {
-            crate::exec::record_phase_spans(&self.rec, &counts, &self.flops, &self.node, &timing);
+            crate::exec::record_phase_spans(&self.rec, counts, &self.flops, &self.node, timing);
             if let Some(gpu) = timing.gpu.as_ref() {
                 gpu.record_util_events(&self.rec);
             }
@@ -362,10 +391,10 @@ impl<K: Kernel> StrategyTracker<K> {
             // describe the step as it ran — i.e. *before* any transition the
             // balancer made in post_step above.
             let step_fields = vec![
-                ("s", telemetry::Value::U64(s as u64)),
-                ("state", telemetry::Value::Str(state.name().into())),
-                ("t_cpu", telemetry::Value::F64(t_cpu)),
-                ("t_gpu", telemetry::Value::F64(t_gpu)),
+                ("s", telemetry::Value::U64(m.s as u64)),
+                ("state", telemetry::Value::Str(m.state.name().into())),
+                ("t_cpu", telemetry::Value::F64(m.t_cpu)),
+                ("t_gpu", telemetry::Value::F64(m.t_gpu)),
                 ("t_lb", telemetry::Value::F64(t_lb)),
                 ("acted", telemetry::Value::Bool(acted)),
                 (
@@ -382,17 +411,17 @@ impl<K: Kernel> StrategyTracker<K> {
         }
         let rec = StepRecord {
             step: step_idx,
-            s,
-            state,
-            t_cpu,
-            t_gpu,
+            s: m.s,
+            state: m.state,
+            t_cpu: m.t_cpu,
+            t_gpu: m.t_gpu,
             t_lb,
             gpu_efficiency: timing.gpu_efficiency(),
             p2p_interactions: counts.p2p_interactions,
             m2l_ops: counts.m2l_ops,
         };
         self.records.push(rec);
-        Ok(rec)
+        rec
     }
 
     pub fn records(&self) -> &[StepRecord] {
@@ -548,17 +577,15 @@ impl<K: Kernel> StrategyTracker<K> {
 /// A fully numeric gravitational simulation on the heterogeneous node:
 /// each step solves the AFMM (exact physics), integrates the bodies
 /// (semi-implicit Euler, the per-step-force variant of leapfrog), and runs
-/// the balancer's maintenance — the paper's end-to-end loop.
+/// the balancer's maintenance — the paper's end-to-end loop. Timing,
+/// balancing, auditing, telemetry and records are the [`StrategyTracker`]'s
+/// it owns: a recorder or a fault script attaches through
+/// [`GravitySim::tracker_mut`].
 pub struct GravitySim {
     pub bodies: Bodies,
     pub g: f64,
     pub dt: f64,
-    engine: FmmEngine<GravityKernel>,
-    flops: OpFlops,
-    model: CostModel,
-    balancer: LoadBalancer,
-    node: HeteroNode,
-    records: Vec<StepRecord>,
+    tracker: StrategyTracker<GravityKernel>,
 }
 
 impl GravitySim {
@@ -575,36 +602,28 @@ impl GravitySim {
         domain: Option<(Vec3, f64)>,
     ) -> Self {
         bodies.validate().expect("invalid body set");
-        let balancer = LoadBalancer::new(strategy, cfg);
-        let s0 = balancer.s();
         let kernel = GravityKernel::new(softening);
-        let engine = match domain {
-            Some((c, hw)) => FmmEngine::with_domain(kernel, params, &bodies.pos, s0, c, hw),
-            None => FmmEngine::new(kernel, params, &bodies.pos, s0),
-        };
-        let flops = engine.kernel.op_flops(engine.expansion_ops());
+        let tracker =
+            StrategyTracker::new(kernel, params, node, strategy, cfg, &bodies.pos, domain);
         GravitySim {
             bodies,
             g,
             dt,
-            engine,
-            flops,
-            model: CostModel::new(),
-            balancer,
-            node,
-            records: Vec::new(),
+            tracker,
         }
     }
 
-    /// One full time step: solve, integrate, maintain.
+    /// One full time step: solve, integrate, maintain — the tracker's own
+    /// steps around the solve and the position update, with two deliberate
+    /// differences from [`StrategyTracker::step`]. The tree is maintained on
+    /// the positions *after* the update (the paper's order; the tracker
+    /// maintains on the positions it timed), and the balancer steers by the
+    /// raw times, not filtered ones.
     pub fn step(&mut self) -> Result<StepRecord, Error> {
-        let state = self.balancer.state();
-        let s = self.engine.tree().s_value();
-        let sol = self.engine.try_solve(&self.bodies.pos, &self.bodies.mass)?;
-        let counts = self.engine.counts();
-        let timing = self.engine.time_step(&self.flops, &self.node)?;
-        self.model
-            .observe(&counts, &timing, &self.flops, &self.node);
+        let t = &mut self.tracker;
+        t.open()?;
+        let sol = t.engine.try_solve(&self.bodies.pos, &self.bodies.mass)?;
+        let m = t.measure()?;
 
         // Semi-implicit Euler: kick with the fresh forces, then drift.
         let (g, dt) = (self.g, self.dt);
@@ -614,52 +633,20 @@ impl GravitySim {
             self.bodies.pos[i] += v * dt;
         }
 
-        // Maintenance for the next step (paper: after the position update).
-        let mut t_lb = lbtime::rebin(&self.node, self.bodies.len());
-        self.engine.rebin(&self.bodies.pos);
-        let rep = self.balancer.post_step(
-            &mut self.engine,
-            &self.model,
-            &self.node,
-            &self.bodies.pos,
-            timing.t_cpu,
-            timing.t_gpu,
-        );
-        t_lb += rep.lb_time;
-
-        let rec = StepRecord {
-            step: self.records.len(),
-            s,
-            state,
-            t_cpu: timing.t_cpu,
-            t_gpu: timing.t_gpu,
-            t_lb,
-            gpu_efficiency: timing.gpu_efficiency(),
-            p2p_interactions: counts.p2p_interactions,
-            m2l_ops: counts.m2l_ops,
-        };
-        self.records.push(rec);
-        Ok(rec)
+        let t_lb = lbtime::rebin(&t.node, self.bodies.len());
+        t.engine.rebin(&self.bodies.pos);
+        let raw = (m.t_cpu, m.t_gpu);
+        Ok(t.maintain(&self.bodies.pos, m, raw, t_lb))
     }
 
-    pub fn positions(&self) -> &[Vec3] {
-        &self.bodies.pos
+    /// The tracker that times, balances and records this simulation.
+    pub fn tracker(&self) -> &StrategyTracker<GravityKernel> {
+        &self.tracker
     }
 
-    pub fn records(&self) -> &[StepRecord] {
-        &self.records
-    }
-
-    pub fn summary(&self) -> RunSummary {
-        RunSummary::from_records(&self.records)
-    }
-
-    pub fn engine(&self) -> &FmmEngine<GravityKernel> {
-        &self.engine
-    }
-
-    pub fn balancer(&self) -> &LoadBalancer {
-        &self.balancer
+    /// Mutable tracker access: attach a recorder or a fault script.
+    pub fn tracker_mut(&mut self) -> &mut StrategyTracker<GravityKernel> {
+        &mut self.tracker
     }
 }
 
@@ -773,22 +760,24 @@ mod tests {
         loop {
             step_both(&mut whole, &mut resumed);
             steps += 1;
-            if steps >= 3 && whole.engine.plan_state == crate::engine::PlanState::Rebinned {
+            if steps >= 3 && whole.tracker.engine.plan_state == crate::engine::PlanState::Rebinned {
                 break;
             }
             assert!(steps < 40, "balancer never left a live plan pending");
         }
-        let snap = whole.engine.checkpoint_state();
+        let snap = whole.tracker.engine.checkpoint_state();
         whole
+            .tracker
             .engine
             .audit_plan()
             .expect("pending counts are not rot");
 
         let text = crate::checkpoint::engine_to_json(&snap);
         let snap = crate::checkpoint::engine_from_json(&text).unwrap();
-        resumed.engine = FmmEngine::restore_state(resumed.engine.kernel, snap)
-            .expect("a mid-step snapshot restores");
-        resumed.engine.audit_tree().unwrap();
+        let t = &mut resumed.tracker;
+        t.engine =
+            FmmEngine::restore_state(t.engine.kernel, snap).expect("a mid-step snapshot restores");
+        t.engine.audit_tree().unwrap();
 
         for _ in 0..3 {
             step_both(&mut whole, &mut resumed);
@@ -965,7 +954,7 @@ mod tests {
         let rec = telemetry::Recorder::enabled();
         let sink = telemetry::VecSink::new();
         rec.set_sink(sink.clone());
-        let mut tracker = StrategyTracker::with_telemetry(
+        let mut tracker = StrategyTracker::new(
             fmm_math::GravityKernel::default(),
             FmmParams::default(),
             HeteroNode::system_a(10, 2),
@@ -973,8 +962,8 @@ mod tests {
             small_cfg(),
             &setup.bodies.pos,
             Some((setup.domain_center, setup.domain_half_width)),
-            rec.clone(),
         );
+        tracker.set_recorder(rec.clone());
         let mut pos = setup.bodies.pos.clone();
         for _ in 0..12 {
             tracker.step(&pos).unwrap();

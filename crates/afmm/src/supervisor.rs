@@ -7,7 +7,7 @@
 //! contained panic — the supervisor walks an escalation ladder, cheapest
 //! rung first:
 //!
-//! 1. **Retry** — transient disturbances (a fault window that closed, one
+//! 1. **Retry** (once) — transient disturbances (a fault window that closed, one
 //!    garbage measurement) clear on their own.
 //! 2. **Rebuild** — throw away the tree and plan and re-derive both from
 //!    the positions ([`StrategyTracker::heal_rebuild`]). Heals any cached-
@@ -30,28 +30,13 @@ use fmm_math::Kernel;
 use geom::Vec3;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Tunables of the supervisor.
-#[derive(Clone, Copy, Debug)]
+/// Tunables of the supervisor. Every step is audited, and the first rung
+/// retries once.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SupervisorConfig {
-    /// Rung-1 retries before escalating.
-    pub max_retries: usize,
-    /// Audit every N-th step (1 = every step, 0 = audits off). The plan
-    /// audit builds a fresh plan of the tree and compares it with the live
-    /// one, so it costs about a plan build.
-    pub audit_every: usize,
     /// Take an automatic checkpoint every N-th step (0 = manual only via
     /// [`Supervisor::checkpoint_now`]).
     pub checkpoint_every: usize,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            max_retries: 1,
-            audit_every: 1,
-            checkpoint_every: 0,
-        }
-    }
 }
 
 /// The rung that produced a supervised step's result.
@@ -237,16 +222,16 @@ impl<K: Kernel + Copy> Supervisor<K> {
         // A non-finite position would silently poison Morton codes and
         // every float sum downstream — refuse before stepping.
         FmmEngine::<K>::audit_bodies(pos)?;
-        if self.cfg.audit_every != 0 && self.step_index().is_multiple_of(self.cfg.audit_every) {
-            let audits = self
-                .tracker
-                .engine()
-                .audit_tree()
-                .and_then(|()| self.tracker.engine().audit_plan());
-            if let Err(e) = audits {
-                self.note_audit_failure(&e);
-                return Err(e);
-            }
+        // The plan audit builds a fresh plan of the tree and compares it
+        // with the live one, so it costs about a plan build.
+        let audits = self
+            .tracker
+            .engine()
+            .audit_tree()
+            .and_then(|()| self.tracker.engine().audit_plan());
+        if let Err(e) = audits {
+            self.note_audit_failure(&e);
+            return Err(e);
         }
         let stepped = catch_unwind(AssertUnwindSafe(|| self.tracker.step(pos)));
         let rec = match stepped {
@@ -314,17 +299,14 @@ impl<K: Kernel + Copy> Supervisor<K> {
     fn escalate(
         &mut self,
         pos: &[Vec3],
-        first_err: Error,
+        mut last_err: Error,
     ) -> Result<(StepRecord, RecoveryAction), Error> {
-        let mut last_err = first_err;
-        // Rung 1: retry.
-        for _ in 0..self.cfg.max_retries {
-            self.report.retries += 1;
-            self.emit_rung("supervisor.retry", &last_err);
-            match self.attempt(pos) {
-                Ok(r) => return Ok((r, RecoveryAction::Retry)),
-                Err(e) => last_err = e,
-            }
+        // Rung 1: retry once.
+        self.report.retries += 1;
+        self.emit_rung("supervisor.retry", &last_err);
+        match self.attempt(pos) {
+            Ok(r) => return Ok((r, RecoveryAction::Retry)),
+            Err(e) => last_err = e,
         }
         // Rungs 2 and 3 rebuild from the positions — pointless if the
         // positions themselves are the corruption.
@@ -465,7 +447,6 @@ mod tests {
             tracker(1000, 604),
             SupervisorConfig {
                 checkpoint_every: 2,
-                ..Default::default()
             },
         );
         for _ in 0..5 {

@@ -102,40 +102,28 @@ fn run_scenario(seed: u64, steps: usize, base_bodies: usize, trace: bool) -> Out
         ..Default::default()
     };
     let kernel = GravityKernel::default();
-    let mut tracker = if trace {
+    let mut tracker = StrategyTracker::new(
+        kernel,
+        FmmParams::default(),
+        node,
+        Strategy::Full,
+        cfg,
+        &b.pos,
+        None,
+    );
+    if trace {
         let rec = telemetry::Recorder::enabled();
         let path = bench::out_path("BENCH_chaos_trace.jsonl");
         match telemetry::JsonlSink::create(&path) {
             Ok(sink) => rec.set_sink(sink),
             Err(e) => eprintln!("# trace sink unavailable ({e}); events kept in-memory only"),
         }
-        StrategyTracker::with_telemetry(
-            kernel,
-            FmmParams::default(),
-            node,
-            Strategy::Full,
-            cfg,
-            &b.pos,
-            None,
-            rec,
-        )
-    } else {
-        StrategyTracker::new(
-            kernel,
-            FmmParams::default(),
-            node,
-            Strategy::Full,
-            cfg,
-            &b.pos,
-            None,
-        )
-    };
+        tracker.set_recorder(rec);
+    }
     tracker.set_fault_schedule(plan.fault_schedule());
     let mut sup = Supervisor::new(
         tracker,
         SupervisorConfig {
-            max_retries: 1,
-            audit_every: 1,
             checkpoint_every: 8,
         },
     );

@@ -4,8 +4,7 @@
 //! ```text
 //! afmm-trace export   <trace.jsonl> [-o out.json]   Chrome trace_event JSON
 //! afmm-trace summary  <trace.jsonl>                 event counts + timeline
-//! afmm-trace validate <trace.jsonl> [--audit-tol X] [--phase-tol X]
-//!                                                   replay invariant check
+//! afmm-trace validate <trace.jsonl>                 replay invariant check
 //! afmm-trace diff     <a.jsonl> <b.jsonl>           step-aligned comparison
 //! ```
 //!
@@ -17,16 +16,13 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use afmm::{diff_traces, validate_trace_report, ValidateOptions};
+use afmm::{diff_traces, validate_trace_report, DEFAULT_PHASE_TOLERANCE};
 use telemetry::{ChromeTraceExporter, EventRecord, Value};
 
 const USAGE: &str = "usage: afmm-trace <export|summary|validate|diff> <trace.jsonl> [...]
   export   <trace.jsonl> [-o out.json]    write Chrome trace_event JSON
   summary  <trace.jsonl>                  print event counts and LB timeline
-  validate <trace.jsonl> [--audit-tol X] [--phase-tol X]
-                                          check replay invariants; --phase-tol
-                                          overrides the default 0.2
-                                          phase-reconciliation tolerance
+  validate <trace.jsonl>                  check replay invariants
   diff     <a.jsonl> <b.jsonl>            step-aligned trajectory comparison";
 
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
@@ -143,36 +139,19 @@ fn cmd_summary(args: &[String]) -> ExitCode {
 }
 
 fn cmd_validate(args: &[String]) -> ExitCode {
-    let mut input = None;
-    let mut opts = ValidateOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--audit-tol" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) if t > 0.0 => opts.audit_tolerance = t,
-                _ => return fail("--audit-tol requires a positive number"),
-            },
-            "--phase-tol" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) if t > 0.0 => opts.phase_tolerance = t,
-                _ => return fail("--phase-tol requires a positive number"),
-            },
-            _ if input.is_none() => input = Some(a.clone()),
-            _ => return fail(format!("unexpected argument \"{a}\"\n{USAGE}")),
-        }
-    }
-    let Some(input) = input else {
+    let [input] = args else {
         return fail(USAGE);
     };
-    let records = match load(&input) {
+    let records = match load(input) {
         Ok(r) => r,
         Err(e) => return fail(e),
     };
-    let report = validate_trace_report(&records, &opts);
+    let report = validate_trace_report(&records);
     if report.reconciled_steps > 0 {
         eprintln!(
             "# phase reconciliation: max residual {:.3e} (tolerance {:.3e}) at step {} over {} step(s)",
             report.max_phase_residual,
-            opts.phase_tolerance,
+            DEFAULT_PHASE_TOLERANCE,
             report.max_phase_residual_step.unwrap_or(0),
             report.reconciled_steps
         );

@@ -108,17 +108,18 @@ fn main() {
     let mut rows = Vec::new();
     for step in 0..steps {
         let r1 = t1
-            .step(dynamics.positions())
+            .step(&dynamics.bodies.pos)
             .expect("strategy-1 step failed");
         let r2 = t2
-            .step(dynamics.positions())
+            .step(&dynamics.bodies.pos)
             .expect("strategy-2 step failed");
         let r3 = t3
-            .step(dynamics.positions())
+            .step(&dynamics.bodies.pos)
             .expect("strategy-3 step failed");
         // Half-mass radius: tracks the collapse/rebound of the cloud.
         let mut radii: Vec<f64> = dynamics
-            .positions()
+            .bodies
+            .pos
             .iter()
             .map(|p| (*p - setup.domain_center).norm())
             .collect();

@@ -51,19 +51,6 @@ impl Args {
 
     /// Next positional as `usize`, or `default` when absent.
     pub fn opt_usize(&mut self, what: &str, default: usize) -> Result<usize, UsageError> {
-        self.opt_parsed(what, default)
-    }
-
-    /// Next positional as `f64`, or `default` when absent.
-    pub fn opt_f64(&mut self, what: &str, default: f64) -> Result<f64, UsageError> {
-        self.opt_parsed(what, default)
-    }
-
-    fn opt_parsed<T: std::str::FromStr>(
-        &mut self,
-        what: &str,
-        default: T,
-    ) -> Result<T, UsageError> {
         match self.argv.get(self.next) {
             None => Ok(default),
             Some(raw) => {
@@ -132,7 +119,6 @@ mod tests {
     fn defaults_when_absent() {
         let mut a = args(&[]);
         assert_eq!(a.opt_usize("steps", 120).unwrap(), 120);
-        assert_eq!(a.opt_f64("theta", 0.5).unwrap(), 0.5);
         assert!(a.finish().is_ok());
     }
 

@@ -549,7 +549,7 @@ fn balancer_convergence(cfg: &SuiteConfig) -> Scenario {
         } else {
             telemetry::Recorder::disabled()
         };
-        let mut tracker = StrategyTracker::with_telemetry(
+        let mut tracker = StrategyTracker::new(
             GravityKernel::default(),
             FmmParams::default(),
             HeteroNode::system_a(cfg.cores, cfg.gpus),
@@ -557,8 +557,8 @@ fn balancer_convergence(cfg: &SuiteConfig) -> Scenario {
             LbConfig::default(),
             &setup.bodies.pos,
             Some((setup.domain_center, setup.domain_half_width)),
-            rec,
         );
+        tracker.set_recorder(rec);
         let clump = geom::Vec3::new(
             0.4 * setup.domain_half_width,
             0.4 * setup.domain_half_width,
@@ -668,7 +668,7 @@ fn balancer_faults(cfg: &SuiteConfig) -> Scenario {
     let recover_step = 2 * cfg.fault_steps / 3;
     let run = || -> (f64, afmm::RunSummary, usize) {
         let b = nbody::plummer(cfg.n_fault, 1.0, 1.0, cfg.seed + 5);
-        let mut tracker = StrategyTracker::with_telemetry(
+        let mut tracker = StrategyTracker::new(
             GravityKernel::default(),
             FmmParams::default(),
             HeteroNode::system_a(cfg.cores, cfg.gpus.max(2)),
@@ -676,8 +676,8 @@ fn balancer_faults(cfg: &SuiteConfig) -> Scenario {
             LbConfig::default(),
             &b.pos,
             None,
-            telemetry::Recorder::enabled(),
         );
+        tracker.set_recorder(telemetry::Recorder::enabled());
         let mut schedule = FaultSchedule::new();
         schedule.push(fault_step, FaultEvent::GpuDropout { device: 0 });
         schedule.push(recover_step, FaultEvent::GpuRecover { device: 0 });

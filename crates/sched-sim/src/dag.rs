@@ -61,17 +61,6 @@ pub struct DagResult {
     pub tasks_executed: usize,
 }
 
-impl DagResult {
-    /// Mean CPU-core utilization in [0, 1] over the CPU makespan.
-    pub fn cpu_utilization(&self) -> f64 {
-        if self.cpu_makespan <= 0.0 || self.busy.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = self.busy.iter().sum();
-        total / (self.cpu_makespan * self.busy.len() as f64)
-    }
-}
-
 /// Per-task durations in seconds on the given config: CPU costs convert
 /// through the effective core rate (memory model at `cores` active cores)
 /// plus the per-task overhead; GPU costs are already seconds.
@@ -458,7 +447,6 @@ mod tests {
         let r = schedule(&g, &cpu(4));
         assert_eq!(r.makespan, 0.0);
         assert_eq!(r.tasks_executed, 0);
-        assert_eq!(r.cpu_utilization(), 0.0);
     }
 
     #[test]

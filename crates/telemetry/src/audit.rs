@@ -78,7 +78,6 @@ impl PredictionAudit {
 pub struct AuditTrail {
     window: usize,
     audits: VecDeque<PredictionAudit>,
-    total: u64,
 }
 
 impl AuditTrail {
@@ -90,7 +89,6 @@ impl AuditTrail {
         AuditTrail {
             window: window.max(1),
             audits: VecDeque::new(),
-            total: 0,
         }
     }
 
@@ -99,7 +97,6 @@ impl AuditTrail {
             self.audits.pop_front();
         }
         self.audits.push_back(audit);
-        self.total += 1;
     }
 
     /// Audits currently in the window, oldest first.
@@ -113,11 +110,6 @@ impl AuditTrail {
 
     pub fn is_empty(&self) -> bool {
         self.audits.is_empty()
-    }
-
-    /// Audits ever pushed (including ones rolled out of the window).
-    pub fn total_recorded(&self) -> u64 {
-        self.total
     }
 
     /// Summary over the current window; zeros when empty.
@@ -211,8 +203,9 @@ mod tests {
             t.push(audit(i, 1.0, 1.0));
         }
         assert_eq!(t.len(), 3);
-        assert_eq!(t.total_recorded(), 5);
         assert_eq!(t.audits().next().unwrap().step, 2);
+        // Stats are over the *window*, not over everything ever pushed.
+        assert_eq!(t.stats().count, 3);
     }
 
     #[test]
@@ -246,7 +239,6 @@ mod tests {
         t.push(audit(0, 1.5, 1.0));
         t.push(audit(1, 1.1, 1.0));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.total_recorded(), 2);
         assert_eq!(t.audits().next().unwrap().step, 1);
         let s = t.stats();
         assert_eq!(s.count, 1);
@@ -263,26 +255,11 @@ mod tests {
             t.push(audit(i, 1.0 + 0.1 * (i + 1) as f64, 1.0));
         }
         assert_eq!(t.len(), 4);
-        assert_eq!(t.total_recorded(), 4);
         assert_eq!(t.audits().next().unwrap().step, 0);
         // One more evicts exactly one, from the front.
         t.push(audit(4, 1.0, 1.0));
         assert_eq!(t.len(), 4);
-        assert_eq!(t.total_recorded(), 5);
         assert_eq!(t.audits().next().unwrap().step, 1);
-    }
-
-    #[test]
-    fn total_recorded_diverges_from_len_after_eviction() {
-        let mut t = AuditTrail::with_window(2);
-        assert_eq!((t.len(), t.total_recorded()), (0, 0));
-        for i in 0..10 {
-            t.push(audit(i, 1.0, 1.0));
-        }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.total_recorded(), 10);
-        // Stats are over the *window*, not over everything ever recorded.
-        assert_eq!(t.stats().count, 2);
     }
 
     #[test]

@@ -46,10 +46,10 @@ fn main() {
     for step in 0..steps {
         let rec = sim.step().unwrap();
         // Separation of the two cluster centroids (split by body index).
-        let pos = sim.positions();
+        let pos = &sim.bodies.pos;
         let c1: Vec3 = pos[..n / 2].iter().copied().sum::<Vec3>() / (n / 2) as f64;
         let c2: Vec3 = pos[n / 2..].iter().copied().sum::<Vec3>() / (n - n / 2) as f64;
-        let stats = TreeStats::gather(sim.engine().tree());
+        let stats = TreeStats::gather(sim.tracker().engine().tree());
         let state_changed = last_state != Some(rec.state);
         last_state = Some(rec.state);
         if step % 10 == 0 || state_changed {
@@ -67,7 +67,7 @@ fn main() {
             );
         }
     }
-    let summary = sim.summary();
+    let summary = sim.tracker().summary();
     println!(
         "\n{} steps: total compute {:.3}s, total LB {:.3}s ({:.2}% of compute)",
         summary.steps,

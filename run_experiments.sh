@@ -1,9 +1,17 @@
 #!/bin/bash
-# Regenerate every experiment output into results/.
+# Regenerate every experiment output into results/. Runs from the
+# repository root (the directory holding this script); stops at the first
+# binary that fails and exits non-zero with its name.
 set -u
-cd /root/repo
+cd "$(dirname "$0")" || exit 1
 R=results
-run() { echo "== $1 =="; cargo run -p bench --release --bin "$1" ${3:-} > "$R/$2" 2>/dev/null; }
+run() {
+    echo "== $1 =="
+    if ! cargo run -p bench --release --bin "$1" > "$R/$2"; then
+        echo "FAILED: $1" >&2
+        exit 1
+    fi
+}
 run fig3_adaptive_cost fig3.tsv
 run fig4_uniform_gap fig4.tsv
 run fig6_cpu_speedup fig6.tsv

@@ -56,7 +56,6 @@ pub mod prelude {
         ChaosPlan, CostModel, FaultEvent, FaultSchedule, FmmEngine, FmmParams, GravitySim,
         HeteroNode, LbConfig, LbState, LoadBalancer, Prediction, RecoveryAction, Strategy,
         StrategyTracker, Supervisor, SupervisorConfig, SupervisorReport, TimedFault, TimingFilter,
-        ValidateOptions,
     };
     pub use fmm_math::{ExpansionOps, GravityKernel, Kernel, StokesletKernel};
     pub use geom::{Aabb, Vec3};

@@ -134,8 +134,9 @@ fn gravity_sim_full_run_is_deterministic() {
             sim.step().unwrap();
         }
         (
-            sim.positions().to_vec(),
-            sim.records()
+            sim.bodies.pos.clone(),
+            sim.tracker()
+                .records()
                 .iter()
                 .map(|r| (r.s, r.t_cpu, r.t_gpu))
                 .collect::<Vec<_>>(),
@@ -204,7 +205,7 @@ fn fgo_disabled_config_never_runs_fgo() {
 #[test]
 fn prediction_audit_median_within_bound_on_convergence_workload() {
     let setup = nbody::collapsing_plummer(6000, 1.0, 10);
-    let mut tracker = StrategyTracker::with_telemetry(
+    let mut tracker = StrategyTracker::new(
         GravityKernel::default(),
         FmmParams::default(),
         HeteroNode::system_a(10, 4),
@@ -212,8 +213,8 @@ fn prediction_audit_median_within_bound_on_convergence_workload() {
         LbConfig::default(),
         &setup.bodies.pos,
         Some((setup.domain_center, setup.domain_half_width)),
-        Recorder::enabled(),
     );
+    tracker.set_recorder(Recorder::enabled());
     let clump = Vec3::new(0.4, 0.4, 0.4) * setup.domain_half_width;
     let mut pos = setup.bodies.pos.clone();
     for step in 0..24 {

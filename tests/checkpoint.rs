@@ -425,7 +425,6 @@ fn supervisor_restore_continues_bit_identically() {
         tracker(&b.pos),
         SupervisorConfig {
             checkpoint_every: 10,
-            ..Default::default()
         },
     );
     while reference.step_index() < 40 {
@@ -440,7 +439,6 @@ fn supervisor_restore_continues_bit_identically() {
         tracker(&b.pos),
         SupervisorConfig {
             checkpoint_every: 10,
-            ..Default::default()
         },
     );
     let mut poisoned = false;
@@ -479,7 +477,6 @@ fn supervisor_restore_keeps_the_exec_policy() {
             t,
             SupervisorConfig {
                 checkpoint_every: 10,
-                ..Default::default()
             },
         );
         let mut restored = false;

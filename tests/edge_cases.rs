@@ -204,7 +204,7 @@ fn gravity_sim_survives_tight_binary() {
     for _ in 0..100 {
         sim.step().unwrap();
     }
-    assert!(sim.positions().iter().all(|p| p.is_finite()));
+    assert!(sim.bodies.pos.iter().all(|p| p.is_finite()));
     assert!(sim.bodies.vel.iter().all(|v| v.is_finite()));
 }
 

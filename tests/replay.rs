@@ -12,7 +12,7 @@ fn traced_lines(steps: usize, seed: u64, drift: bool) -> Vec<String> {
     let rec = Recorder::enabled();
     let sink = VecSink::new();
     rec.set_sink(sink.clone());
-    let mut tracker = StrategyTracker::with_telemetry(
+    let mut tracker = StrategyTracker::new(
         GravityKernel::default(),
         FmmParams::default(),
         HeteroNode::system_a(10, 2),
@@ -23,8 +23,8 @@ fn traced_lines(steps: usize, seed: u64, drift: bool) -> Vec<String> {
         },
         &setup.bodies.pos,
         Some((setup.domain_center, setup.domain_half_width)),
-        rec.clone(),
     );
+    tracker.set_recorder(rec.clone());
     let mut pos = setup.bodies.pos.clone();
     for step in 0..steps {
         tracker.step(&pos).unwrap();
@@ -45,7 +45,7 @@ fn parse(lines: &[String]) -> Vec<EventRecord> {
 }
 
 fn violated_invariants(records: &[EventRecord]) -> Vec<&'static str> {
-    validate_trace(records, &ValidateOptions::default())
+    validate_trace(records)
         .into_iter()
         .map(|v| v.invariant)
         .collect()
@@ -54,7 +54,7 @@ fn violated_invariants(records: &[EventRecord]) -> Vec<&'static str> {
 #[test]
 fn clean_hundred_step_run_validates() {
     let records = parse(&traced_lines(100, 4242, true));
-    let violations = validate_trace(&records, &ValidateOptions::default());
+    let violations = validate_trace(&records);
     assert!(
         violations.is_empty(),
         "clean run should satisfy all invariants, got: {:?}",
@@ -200,7 +200,56 @@ fn validate_via_file_round_trip() {
         std::fs::write(&path, text).unwrap();
         let records = telemetry::read_trace(&path).unwrap();
         let _ = std::fs::remove_file(&path);
-        let violations = validate_trace(&records, &ValidateOptions::default());
+        let violations = validate_trace(&records);
         assert!(violations.is_empty(), "{violations:?}");
+    }
+}
+
+/// A `GravitySim` takes a recorder through the tracker it owns: its trace
+/// holds one `step.record` per step and satisfies every replay invariant,
+/// and recording moves no bit of the run.
+#[test]
+fn recorded_gravity_sim_validates_and_matches_its_unrecorded_twin() {
+    let steps = 40;
+    for strategy in [Strategy::StaticS, Strategy::EnforceOnly, Strategy::Full] {
+        let mk = || {
+            let setup = nbody::collapsing_plummer(1000, 1.0, 4303);
+            GravitySim::new(
+                setup.bodies,
+                1.0,
+                1e-3,
+                0.05,
+                FmmParams {
+                    order: 4,
+                    ..Default::default()
+                },
+                HeteroNode::system_a(10, 1),
+                strategy,
+                LbConfig {
+                    eps_switch_s: 2e-3,
+                    ..Default::default()
+                },
+                Some((setup.domain_center, setup.domain_half_width)),
+            )
+        };
+        let (mut plain, mut traced) = (mk(), mk());
+        let rec = Recorder::enabled();
+        let sink = VecSink::new();
+        rec.set_sink(sink.clone());
+        traced.tracker_mut().set_recorder(rec);
+        for _ in 0..steps {
+            let (a, b) = (plain.step().unwrap(), traced.step().unwrap());
+            // Debug prints floats shortest-round-trip: equal text, equal bits.
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{strategy:?}");
+        }
+        assert_eq!(plain.bodies.pos, traced.bodies.pos, "{strategy:?}");
+
+        let records = parse(&sink.lines());
+        let step_records = records.iter().filter(|r| r.name == "step.record").count();
+        assert_eq!(step_records, steps, "{strategy:?}");
+        let violations = validate_trace(&records);
+        assert!(violations.is_empty(), "{strategy:?}: {violations:?}");
+        assert_eq!(traced.tracker().audits().len(), steps - 1, "{strategy:?}");
+        assert!(plain.tracker().audits().is_empty());
     }
 }

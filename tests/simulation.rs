@@ -33,7 +33,7 @@ fn plummer_sphere_stays_virialized_under_fmm_dynamics() {
         sim.step().unwrap();
     }
     let e1 = nbody::total_energy(&sim.bodies, g, 0.05).total();
-    let r1 = half_mass_radius(sim.positions());
+    let r1 = half_mass_radius(&sim.bodies.pos);
     assert!(((e1 - e0) / e0).abs() < 0.03, "energy {e0} -> {e1}");
     assert!(
         (r1 / r0 - 1.0).abs() < 0.25,
@@ -71,7 +71,7 @@ fn cold_cloud_collapses() {
     for _ in 0..steps {
         sim.step().unwrap();
     }
-    let r1 = half_mass_radius(sim.positions());
+    let r1 = half_mass_radius(&sim.bodies.pos);
     assert!(r1 < 0.8 * r0, "no collapse: {r0} -> {r1}");
 }
 

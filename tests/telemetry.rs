@@ -21,7 +21,7 @@ fn dynamic_run_emits_full_trace() {
     let rec = Recorder::enabled();
     let sink = VecSink::new();
     rec.set_sink(sink.clone());
-    let mut tracker = StrategyTracker::with_telemetry(
+    let mut tracker = StrategyTracker::new(
         GravityKernel::default(),
         FmmParams::default(),
         HeteroNode::system_a(10, 2),
@@ -29,8 +29,8 @@ fn dynamic_run_emits_full_trace() {
         small_cfg(),
         &setup.bodies.pos,
         Some((setup.domain_center, setup.domain_half_width)),
-        rec.clone(),
     );
+    tracker.set_recorder(rec.clone());
     let mut pos = setup.bodies.pos.clone();
     for _ in 0..15 {
         tracker.step(&pos).unwrap();

@@ -133,7 +133,7 @@ fn traced_run_lines(steps: usize) -> Vec<String> {
     let rec = Recorder::enabled();
     let sink = VecSink::new();
     rec.set_sink(sink.clone());
-    let mut tracker = StrategyTracker::with_telemetry(
+    let mut tracker = StrategyTracker::new(
         GravityKernel::default(),
         FmmParams::default(),
         HeteroNode::system_a(10, 2),
@@ -144,8 +144,8 @@ fn traced_run_lines(steps: usize) -> Vec<String> {
         },
         &setup.bodies.pos,
         Some((setup.domain_center, setup.domain_half_width)),
-        rec.clone(),
     );
+    tracker.set_recorder(rec.clone());
     let mut sched = FaultSchedule::new();
     sched.push(steps * 2 / 3, FaultEvent::GpuDropout { device: 1 });
     tracker.set_fault_schedule(sched);
