@@ -291,7 +291,9 @@ impl LoadBalancer {
     ///
     /// The caller has timed the step it reports ([`FmmEngine::time_step`] or
     /// a solve), so the engine's plan is live: every tree edit made from
-    /// here patches it, and is charged [`lbtime::plan_patch`].
+    /// here patches it, and is charged [`lbtime::plan_patch`]. `model` has
+    /// observed that step ([`CostModel::observe`]): Search and Recovery
+    /// price their candidate S values with it and finish within this call.
     pub fn post_step<K: Kernel>(
         &mut self,
         engine: &mut FmmEngine<K>,
@@ -330,7 +332,7 @@ impl LoadBalancer {
         match self.state {
             LbState::Frozen => {}
             LbState::Search | LbState::Recovery => {
-                self.search_step(engine, node, pos, t_cpu, t_gpu, &mut rep)
+                self.search_step(engine, model, node, pos, t_cpu, t_gpu, &mut rep)
             }
             LbState::Incremental => {
                 self.incremental_step(engine, model, node, pos, t_cpu, t_gpu, &mut rep)

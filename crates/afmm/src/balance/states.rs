@@ -15,7 +15,7 @@ use crate::config::HeteroNode;
 use crate::cost::{CostModel, Prediction};
 use crate::engine::FmmEngine;
 use fmm_math::Kernel;
-use octree::{NodeId, Octree, PlanRefresh};
+use octree::{NodeId, Octree, PlanRefresh, PriceScratch};
 
 impl LoadBalancer {
     /// React to a changed online-device count: with survivors, re-bisect S
@@ -81,42 +81,99 @@ impl LoadBalancer {
         self.incr_flipped = false;
     }
 
+    /// Search, or Recovery over its warm bracket, in one step. The step just
+    /// measured narrows the bracket `[lo, hi]` on S; from there each
+    /// candidate is priced from the tree's sorted codes ([`Octree::price`])
+    /// with the observed cost model, charged [`lbtime::predict`], and
+    /// narrows it in turn. The first candidate is the bracket's geometric
+    /// midpoint. Once both ends carry g = ln(t_cpu / t_gpu), the next is the
+    /// regula-falsi root of g in ln S ([`regula_falsi`]), or the midpoint
+    /// when that root is not strictly inside. Search ends when the gap is
+    /// at most `eps_switch_s`, the bracket is within 1.25×, or the candidate
+    /// repeats; a tree at another S is then rebuilt once, at the last
+    /// candidate, charged [`lbtime::rebuild`]. Each candidate is recorded as
+    /// an `lb.price` event, and the compute Search leaves with — measured,
+    /// or the last candidate's prediction — is the best seen.
+    ///
+    /// In a fitted cube the prices are of the current cube's trees, and so
+    /// approximate: the Incremental walk that follows corrects by measuring.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn search_step<K: Kernel>(
         &mut self,
         engine: &mut FmmEngine<K>,
+        model: &CostModel,
         node: &HeteroNode,
         pos: &[geom::Vec3],
         t_cpu: f64,
         t_gpu: f64,
         rep: &mut LbReport,
     ) {
-        let compute = t_cpu.max(t_gpu);
-        let diff = (t_cpu - t_gpu).abs();
-        let bracket_done = self.hi <= self.lo + self.lo / 4;
         // A node with no (online) GPUs has nothing to balance *between*: any
         // S trades CPU work against CPU work, so the state machine defers to
         // an external S sweep (see `search_best_s_cpu_only`) and freezes.
-        if node.num_online_gpus() == 0 || diff <= self.cfg.eps_switch_s || bracket_done {
-            self.leave_search(compute);
+        if node.num_online_gpus() == 0 {
+            self.leave_search(t_cpu.max(t_gpu));
             return;
         }
-        if t_cpu > t_gpu {
-            // CPU dominates: shift work toward the GPU with a larger S.
-            self.lo = self.s;
-        } else {
-            self.hi = self.s;
+        debug_assert!(model.is_observed(), "Search prices with an observed model");
+        let mac = engine.params().mac;
+        let mut scratch = PriceScratch::default();
+        let (mut t_cpu, mut t_gpu) = (t_cpu, t_gpu);
+        // g at each end of the bracket once known, and which end moved last.
+        let (mut g_lo, mut g_hi) = (None, None);
+        let mut moved_lo = None;
+        let mut priced = false;
+        loop {
+            if (t_cpu - t_gpu).abs() <= self.cfg.eps_switch_s || self.hi <= self.lo + self.lo / 4 {
+                break;
+            }
+            let g = (t_cpu / t_gpu).ln();
+            // CPU dominant: shift work toward the GPU with a larger S.
+            let lo_moves = t_cpu > t_gpu;
+            let (end, g_end, g_kept) = match lo_moves {
+                true => (&mut self.lo, &mut g_lo, &mut g_hi),
+                false => (&mut self.hi, &mut g_hi, &mut g_lo),
+            };
+            *end = self.s;
+            *g_end = Some(g);
+            // Illinois: an end kept twice running has its g halved, so the
+            // next root moves off it.
+            if moved_lo == Some(lo_moves) {
+                *g_kept = g_kept.map(|g| g / 2.0);
+            }
+            moved_lo = Some(lo_moves);
+            let next = match (g_lo, g_hi) {
+                (Some(g_lo), Some(g_hi)) => regula_falsi(self.lo, self.hi, g_lo, g_hi),
+                _ => None,
+            };
+            let next = next.unwrap_or_else(|| geometric_mid(self.lo, self.hi));
+            if next == self.s {
+                break;
+            }
+            self.s = next;
+            let (counts, entries) = engine.tree().price(next, mac, &mut scratch);
+            rep.lb_time += lbtime::predict(node, entries);
+            let pred = model.predict(&counts, node);
+            self.recorder().event(
+                "lb.price",
+                vec![
+                    ("s", telemetry::Value::U64(next as u64)),
+                    ("entries", telemetry::Value::U64(entries as u64)),
+                    ("pred_cpu", telemetry::Value::F64(pred.t_cpu)),
+                    ("pred_gpu", telemetry::Value::F64(pred.t_gpu)),
+                ],
+            );
+            (t_cpu, t_gpu) = (pred.t_cpu, pred.t_gpu);
+            priced = true;
         }
-        let mid = geometric_mid(self.lo, self.hi);
-        if mid == self.s {
-            self.leave_search(compute);
-            return;
+        if priced && self.s != engine.tree().s_value() {
+            engine.rebuild(pos, self.s);
+            // Leave the plan live, as the step's timing left it.
+            engine.refresh_plan();
+            rep.lb_time += lbtime::rebuild(node, pos.len());
+            rep.rebuilt = true;
         }
-        self.s = mid;
-        // Search probes jump S far enough that structure changes wholesale;
-        // the honest cost is a full rebuild.
-        engine.rebuild(pos, self.s);
-        rep.lb_time += lbtime::rebuild(node, pos.len());
-        rep.rebuilt = true;
+        self.leave_search(t_cpu.max(t_gpu));
     }
 
     /// The Incremental walk, steered by the *measured compute time* rather
@@ -350,6 +407,16 @@ impl LoadBalancer {
 /// size driver of a prediction pass).
 fn list_entries<K: Kernel>(engine: &FmmEngine<K>) -> usize {
     engine.lists().num_m2l() + engine.lists().num_p2p_pairs()
+}
+
+/// The root in `(lo, hi)` of the line through `(ln lo, g_lo)` and
+/// `(ln hi, g_hi)`, rounded to a leaf capacity, when it falls strictly
+/// inside: regula falsi in ln S, where t_cpu/t_gpu moves by powers.
+fn regula_falsi(lo: usize, hi: usize, g_lo: f64, g_hi: f64) -> Option<usize> {
+    let (x_lo, x_hi) = ((lo as f64).ln(), (hi as f64).ln());
+    let x = x_lo + g_lo * (x_hi - x_lo) / (g_lo - g_hi);
+    let s = x.exp().round();
+    (s > lo as f64 && s < hi as f64).then_some(s as usize)
 }
 
 /// Result of one [`fine_grained_optimize`] invocation.

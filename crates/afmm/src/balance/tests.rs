@@ -403,3 +403,87 @@ fn cpu_only_s_sweep_finds_interior_optimum() {
         assert!(tp >= t, "S={probe} beat the sweep optimum");
     }
 }
+
+/// Step `h` once from `from` (Search or Recovery): the balancer must leave
+/// it within that one `post_step`, rebuilt once at its last priced
+/// candidate. Each `lb.price` event must name what `Octree::price` gives on
+/// the tree the step measured, and the step's LB time must be one
+/// prediction pass per candidate, in order, plus one rebuild.
+fn assert_priced_in_one_step(
+    h: &mut Harness,
+    lb: &mut LoadBalancer,
+    rec: &telemetry::Recorder,
+    from: LbState,
+) {
+    assert_eq!(lb.state(), from);
+    let (tc, tg) = h.measure();
+    let measured = h.engine.tree().clone();
+    let seen = rec.events_named("lb.price").len();
+    let pos = h.pos.clone();
+    let rep = lb.post_step(&mut h.engine, &h.model, &h.node, &pos, tc, tg);
+    assert_eq!(lb.state(), LbState::Incremental, "{from:?} took one step");
+    assert!(rep.rebuilt);
+    let priced = &rec.events_named("lb.price")[seen..];
+    assert!(!priced.is_empty(), "{from:?} priced no candidate");
+    let mac = h.engine.params().mac;
+    let mut scratch = octree::PriceScratch::default();
+    let mut want = 0.0;
+    for e in priced {
+        let s = e.field_u64("s").unwrap() as usize;
+        let (counts, entries) = measured.price(s, mac, &mut scratch);
+        assert_eq!(e.field_u64("entries"), Some(entries as u64), "S {s}");
+        let pred = h.model.predict(&counts, &h.node);
+        assert_eq!(e.field_f64("pred_cpu"), Some(pred.t_cpu), "S {s}");
+        assert_eq!(e.field_f64("pred_gpu"), Some(pred.t_gpu), "S {s}");
+        want += lbtime::predict(&h.node, entries);
+    }
+    want += lbtime::rebuild(&h.node, pos.len());
+    assert_eq!(rep.lb_time, want);
+    let last = priced.last().unwrap().field_u64("s").unwrap() as usize;
+    assert_eq!((lb.s(), h.engine.tree().s_value()), (last, last));
+    assert!(
+        h.engine.plan_epoch().is_some(),
+        "the rebuilt tree has a plan"
+    );
+}
+
+#[test]
+fn search_prices_its_candidates_and_rebuilds_once() {
+    let mut h = Harness::new(6000, HeteroNode::system_a(10, 2), 64);
+    let mut lb = LoadBalancer::new(Strategy::Full, cfg_for_tests());
+    let rec = telemetry::Recorder::enabled();
+    lb.set_recorder(rec.clone());
+    h.engine.rebuild(&h.pos.clone(), lb.s());
+    assert_priced_in_one_step(&mut h, &mut lb, &rec, LbState::Search);
+}
+
+#[test]
+fn recovery_prices_from_its_warm_bracket_and_rebuilds_once() {
+    let mut h = Harness::new(6000, HeteroNode::system_a(10, 2), 64);
+    let mut lb = LoadBalancer::new(Strategy::Full, cfg_for_tests());
+    let rec = telemetry::Recorder::enabled();
+    lb.set_recorder(rec.clone());
+    h.engine.rebuild(&h.pos.clone(), lb.s());
+    for _ in 0..40 {
+        let (tc, tg) = h.measure();
+        let pos = h.pos.clone();
+        lb.post_step(&mut h.engine, &h.model, &h.node, &pos, tc, tg);
+        if lb.state() == LbState::Observation {
+            break;
+        }
+    }
+    assert_eq!(lb.state(), LbState::Observation);
+    let settled = lb.s();
+    h.node
+        .gpus
+        .as_mut()
+        .unwrap()
+        .apply_event(&gpu_sim::FaultEvent::GpuDropout { device: 1 })
+        .unwrap();
+    let (tc, tg) = h.measure();
+    let pos = h.pos.clone();
+    lb.post_step(&mut h.engine, &h.model, &h.node, &pos, tc, tg);
+    assert_priced_in_one_step(&mut h, &mut lb, &rec, LbState::Recovery);
+    let bracket = (settled / 8).max(lb.cfg.s_min)..=settled * 8;
+    assert!(bracket.contains(&lb.s()), "S {} left {bracket:?}", lb.s());
+}

@@ -315,9 +315,25 @@ impl<K: Kernel> FmmEngine<K> {
         self.plan.as_ref().filter(|_| self.has_live_plan())
     }
 
-    /// Rebuild the decomposition from scratch at leaf capacity `s` (the
-    /// paper's Search state does this every step).
+    /// Rebuild the decomposition at leaf capacity `s` for the bodies at
+    /// `pos`. In a fixed cube this re-bins them and re-splits the sorted
+    /// codes at `s` ([`Octree::resplit`]): the tree a full build gives, node
+    /// for node, without sorting again or holding a second tree. An engine
+    /// that fits its cube to the bodies builds afresh in the fitted cube.
     pub fn rebuild(&mut self, pos: &[Vec3], s: usize) {
+        match self.domain {
+            Some(_) if pos.len() == self.tree.num_bodies() => {
+                self.tree.rebin(pos);
+                self.tree.resplit(s);
+                self.plan_state = PlanState::Stale;
+            }
+            _ => self.build_fresh(pos, s),
+        }
+    }
+
+    /// Build the decomposition from scratch at leaf capacity `s`, trusting
+    /// nothing of the tree it replaces.
+    pub(crate) fn build_fresh(&mut self, pos: &[Vec3], s: usize) {
         let bp = Self::build_params(&self.params, s);
         self.tree = match self.domain {
             Some((c, hw)) => build_adaptive_in_cube(pos, bp, c, hw),

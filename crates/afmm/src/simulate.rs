@@ -558,7 +558,7 @@ impl<K: Kernel> StrategyTracker<K> {
     /// they are after any balancer-driven rebuild.
     pub fn heal_rebuild(&mut self, pos: &[Vec3]) {
         let s = self.balancer.s();
-        self.engine.rebuild(pos, s);
+        self.engine.build_fresh(pos, s);
         self.filter_cpu.reset();
         self.filter_gpu.reset();
     }

@@ -21,7 +21,8 @@ use afmm::{
 use fmm_math::{GravityKernel, Kernel, StokesletKernel};
 use geom::Vec3;
 use octree::{
-    build_adaptive, dual_traversal, BuildParams, IncrementalLists, Mac, NodeId, Octree, PlanRefresh,
+    build_adaptive, dual_traversal, BuildParams, IncrementalLists, Mac, NodeId, Octree,
+    PlanRefresh, PriceScratch,
 };
 
 use super::report::{BenchReport, Metric, Scenario};
@@ -918,6 +919,8 @@ fn memory_profile_one_worker(cfg: &SuiteConfig) -> Scenario {
 /// reads the way the rebin does: `plan_rebuild_ms`
 /// (`IncrementalLists::rebuild` of a live plan, host width) gated,
 /// `plan_rebuild_1w_ms` and `plan_rebuild_speedup` informing.
+/// `price_ms`, informing, is one `Octree::price` of the same tree at twice
+/// its S, host width: what Search pays per candidate it prices.
 fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
     let s = 64;
     let b = nbody::plummer(cfg.n_rebin, 1.0, 1.0, cfg.seed + 10);
@@ -996,6 +999,14 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
     let rebuild_1w = crate::one_worker(|| rebuilds(&mut plan));
     let rebuild_speedup = ratio(&rebuild_1w, &rebuild);
 
+    let mut scratch = PriceScratch::default();
+    let price: Vec<f64> = sample(cfg.warmup, cfg.reps, || {
+        std::hint::black_box(tree.price(2 * s, Mac::default(), &mut scratch));
+    })
+    .into_iter()
+    .map(|s| s * 1e3)
+    .collect();
+
     let snapshot = gather(&SnapshotParts {
         tree: Some(&tree),
         lists: Some(plan.lists()),
@@ -1022,6 +1033,7 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
             Metric::wall("plan_rebuild_speedup", "x", rebuild_speedup, cfg.seed)
                 .higher_is_better()
                 .informational(),
+            Metric::wall("price_ms", "ms", price, cfg.seed).informational(),
         ],
         snapshot,
     }

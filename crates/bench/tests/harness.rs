@@ -224,8 +224,8 @@ fn smoke_suite_runs_and_gates() {
     assert!((0.98..=1.0).contains(&frac), "phases cover {frac} of solve");
 
     // Tree maintenance: the host-width rebin, Patched refresh and plan
-    // rebuild costs gate, the one-worker readings, the ratios and the share
-    // of bodies a rebin moves to another leaf inform.
+    // rebuild costs gate, the one-worker readings, the ratios, the share
+    // of bodies a rebin moves to another leaf and one pricing inform.
     let maintenance = report.scenario("tree_maintenance").unwrap();
     for (name, gate) in [
         ("rebin_ns_per_body", true),
@@ -236,6 +236,7 @@ fn smoke_suite_runs_and_gates() {
         ("plan_rebuild_ms", true),
         ("plan_rebuild_1w_ms", false),
         ("plan_rebuild_speedup", false),
+        ("price_ms", false),
     ] {
         let m = maintenance.metric(name).unwrap_or_else(|| panic!("{name}"));
         assert_eq!(m.gate, gate, "{name}");

@@ -318,7 +318,7 @@ fn alloc_children(nodes: &mut Vec<Node>, id: NodeId, bounds: &[usize; 9]) -> Nod
 /// The root cube is the smallest padded cube containing all bodies.
 pub fn build_adaptive(pos: &[Vec3], params: BuildParams) -> Octree {
     let (center, hw) = Aabb::cube_containing(pos, params.pad);
-    build_in_cube(pos, params, center, hw, SplitRule::Adaptive)
+    build_in_cube(pos, params, center, hw, SplitRule::Adaptive { s: params.s })
 }
 
 /// Build an adaptive octree inside a **fixed** root cube — the paper's
@@ -332,7 +332,8 @@ pub fn build_adaptive_in_cube(
     half_width: f64,
 ) -> Octree {
     assert!(half_width > 0.0);
-    build_in_cube(pos, params, center, half_width, SplitRule::Adaptive)
+    let rule = SplitRule::Adaptive { s: params.s };
+    build_in_cube(pos, params, center, half_width, rule)
 }
 
 /// Build a *uniform* fixed-depth octree (the classic FMM decomposition the
@@ -348,12 +349,71 @@ pub fn build_uniform(pos: &[Vec3], depth: u16, pad: f64) -> Octree {
     build_in_cube(pos, params, center, hw, SplitRule::Uniform)
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum SplitRule {
+#[derive(Clone, Copy)]
+pub(crate) enum SplitRule {
     /// Split while count > S (leaves at any level).
-    Adaptive,
+    Adaptive { s: usize },
     /// Split every node until `max_level` (complete tree).
     Uniform,
+}
+
+impl SplitRule {
+    /// Whether node `n` splits, in a tree no deeper than `max_level`.
+    fn splits(self, n: &Node, max_level: u16) -> bool {
+        n.level < max_level
+            && match self {
+                SplitRule::Adaptive { s } => n.count() > s,
+                SplitRule::Uniform => true,
+            }
+    }
+}
+
+/// The paper's "node buffer": the arena capacity a tree over `bodies` at
+/// leaf capacity `s` reserves up front, a comfortable multiple of the
+/// expected leaf count, so PushDown allocates nothing in steady state.
+fn node_reservation(bodies: usize, s: usize) -> usize {
+    let expected = bodies.checked_div(s).map_or(64, |l| (l + 1) * 4);
+    expected.min(1 << 22)
+}
+
+/// Refill `nodes` with the tree `rule` cuts from the sorted `codes` inside
+/// the root cube `(center, half_width)`, no deeper than `max_level`: a
+/// depth-first subdivision from the root, eight consecutive children per
+/// split, their ranges found by binary search on the codes. The one
+/// encoding of the split rule — the build, the re-split
+/// ([`Octree::resplit`]) and the pricer ([`Octree::price`]) all cut their
+/// arenas here, so at the same codes and S they hold the same nodes in the
+/// same slots. `nodes` keeps its capacity; `stack` is the walk's scratch.
+pub(crate) fn subdivide(
+    codes: &[u64],
+    (center, half_width): (Vec3, f64),
+    rule: SplitRule,
+    max_level: u16,
+    nodes: &mut Vec<Node>,
+    stack: &mut Vec<NodeId>,
+) {
+    nodes.clear();
+    nodes.push(Node {
+        center,
+        half_width,
+        level: 0,
+        parent: NONE,
+        first_child: NONE,
+        begin: 0,
+        end: codes.len() as u32,
+        collapsed: false,
+    });
+    stack.clear();
+    stack.push(Octree::ROOT);
+    while let Some(id) = stack.pop() {
+        let n = nodes[id as usize];
+        if !rule.splits(&n, max_level) {
+            continue;
+        }
+        let bounds = octant_bounds(codes, n.range(), n.level + 1);
+        let first = alloc_children(nodes, id, &bounds);
+        stack.extend(first..first + 8);
+    }
 }
 
 fn build_in_cube(
@@ -371,40 +431,9 @@ fn build_in_cube(
     let encoder = Encoder::new(center, half_width);
     sort_bodies_into(pos, encoder, &mut pairs, &mut order, &mut codes);
 
-    let mut nodes = Vec::new();
-    // Reserve the paper's "node buffer" up front: a comfortable multiple of
-    // the expected leaf count to make PushDown allocation-free in steady
-    // state.
-    let expected = pos.len().checked_div(params.s).map_or(64, |l| (l + 1) * 4);
-    nodes.reserve(expected.min(1 << 22));
-    nodes.push(Node {
-        center,
-        half_width,
-        level: 0,
-        parent: NONE,
-        first_child: NONE,
-        begin: 0,
-        end: pos.len() as u32,
-        collapsed: false,
-    });
-
-    // Iterative DFS subdivision.
-    let mut stack: Vec<NodeId> = vec![0];
-    while let Some(id) = stack.pop() {
-        let n = nodes[id as usize];
-        let split = match rule {
-            SplitRule::Adaptive => n.count() > params.s && n.level < max_level,
-            SplitRule::Uniform => n.level < max_level,
-        };
-        if !split {
-            continue;
-        }
-        let bounds = octant_bounds(&codes, n.range(), n.level + 1);
-        let first = alloc_children(&mut nodes, id, &bounds);
-        for o in 0..8 {
-            stack.push(first + o);
-        }
-    }
+    let mut nodes = Vec::with_capacity(node_reservation(pos.len(), params.s));
+    let cube = (center, half_width);
+    subdivide(&codes, cube, rule, max_level, &mut nodes, &mut Vec::new());
 
     // The pair buffer becomes rebin scratch, already as long as a rebin
     // needs it.
@@ -421,6 +450,33 @@ fn build_in_cube(
 }
 
 impl Octree {
+    /// Rebuild the node arena at leaf capacity `s` from the sorted codes the
+    /// tree already holds: the tree [`build_adaptive_in_cube`] gives in the
+    /// tree's root cube, node for node, for the positions of the last build
+    /// or [`Octree::rebin`], since both leave `(code, id)` ascending. No
+    /// sort and no permutation: `order`, `codes` and the rebin scratch stay,
+    /// and the arena takes a fresh build's capacity for `s`. Hidden
+    /// subtrees go with the old arena.
+    pub fn resplit(&mut self, s: usize) {
+        assert!(s >= 1, "leaf capacity S must be at least 1");
+        let reserve = node_reservation(self.num_bodies(), s);
+        let nodes = &mut self.nodes;
+        nodes.clear();
+        nodes.shrink_to(reserve);
+        nodes.reserve_exact(reserve);
+        let cube = (self.root_center, self.root_half_width);
+        let rule = SplitRule::Adaptive { s };
+        subdivide(
+            &self.codes,
+            cube,
+            rule,
+            self.max_level,
+            nodes,
+            &mut Vec::new(),
+        );
+        self.s_value = s;
+    }
+
     /// Partition the body range of `id` among its eight children by Morton
     /// code. Children must already be allocated.
     pub(crate) fn repartition_children(&mut self, id: NodeId) {

@@ -19,11 +19,15 @@
 //!   — leaf by leaf, sorting only the bodies that changed leaf.
 //! * [`dual_traversal`] produces the M2L and P2P interaction lists with a
 //!   multipole acceptance criterion, using only the paper's six operations.
+//! * The sorted codes fix the tree at every S: [`Octree::resplit`] cuts a
+//!   new arena from them, and [`Octree::price`] counts a candidate S's
+//!   operations without building it — what the balancer's Search prices.
 
 mod build;
 mod modify;
 mod node;
 mod plan;
+mod price;
 mod rebin;
 mod stats;
 mod traversal;
@@ -32,6 +36,7 @@ pub use build::{build_adaptive, build_adaptive_in_cube, build_uniform, BuildPara
 pub use modify::EnforceOutcome;
 pub use node::{Node, NodeId, Octree, TreeSnapshot, NONE};
 pub use plan::{IncrementalLists, PlanRefresh};
+pub use price::PriceScratch;
 pub use stats::{count_ops, node_op_counts, OpCounts, TreeStats};
 pub use traversal::{dual_traversal, fork_width, InteractionLists, Mac};
 

@@ -256,7 +256,8 @@ fn restricted<const SOURCES_ONLY: bool>(
     // The root, tagged as the child of an ancestor above it.
     let root = (Octree::ROOT, near.tag(Rel::Anc(0), Octree::ROOT));
     if near.keep(root.1, root.1) {
-        traverse(tree, mac, &near, root, root, &mut |e, (a, ra), (b, rb)| {
+        let nodes = &tree.nodes;
+        traverse(nodes, mac, &near, root, root, &mut |e, (a, ra), (b, rb)| {
             if ra == Rel::Sub || rb == Rel::Sub {
                 emit(e, a, b);
             }

@@ -1,4 +1,4 @@
-use crate::node::{NodeId, Octree};
+use crate::node::{Node, NodeId, Octree};
 use rayon::prelude::*;
 
 /// Fewest arena nodes a traversal or plan rebuild forks for. A rebuild's
@@ -73,8 +73,12 @@ impl Mac {
 
     #[inline]
     pub fn accepts(&self, tree: &Octree, a: NodeId, b: NodeId) -> bool {
-        let na = tree.node(a);
-        let nb = tree.node(b);
+        self.separates(tree.node(a), tree.node(b))
+    }
+
+    /// [`Mac::accepts`] on the two cells themselves.
+    #[inline]
+    pub(crate) fn separates(&self, na: &Node, nb: &Node) -> bool {
         let d2 = na.center.dist_sq(nb.center);
         let r = na.radius() + nb.radius();
         r * r < self.theta * self.theta * d2
@@ -193,11 +197,13 @@ impl Prune for () {
     }
 }
 
-/// The dual traversal of every state descending from `(a, b)` that `prune`
-/// keeps, handing each pair it emits, tags and all, to `emit` in emission
-/// order. This is the one encoding of the traversal's rule: plan builds run
-/// it with `()` tags, a plan patch with tags that relate each side to the
-/// edit (`crate::plan`). Children are visited last octant first, so every
+/// The dual traversal of every state descending from `(a, b)` over the
+/// arena `nodes` that `prune` keeps, handing each pair it emits, tags and
+/// all, to `emit` in emission order. This is the one encoding of the
+/// traversal's rule: plan builds run it with `()` tags over a tree's arena,
+/// a plan patch with tags that relate each side to the edit
+/// (`crate::plan`), and [`Octree::price`] with `()` tags over a candidate's
+/// arena that no tree owns. Children are visited last octant first, so every
 /// list names its sources in strictly descending `Node::begin` — the order
 /// the solve's float sums follow, and the one a plan patch keeps.
 ///
@@ -207,19 +213,19 @@ impl Prune for () {
 /// 56–68 ms).
 #[inline(always)]
 pub(crate) fn traverse<P: Prune>(
-    tree: &Octree,
+    nodes: &[Node],
     mac: Mac,
     prune: &P,
     a: (NodeId, P::Tag),
     b: (NodeId, P::Tag),
     emit: &mut impl FnMut(Entry, (NodeId, P::Tag), (NodeId, P::Tag)),
 ) {
-    let na = tree.node(a.0);
-    let nb = tree.node(b.0);
+    let na = &nodes[a.0 as usize];
+    let nb = &nodes[b.0 as usize];
     if na.count() == 0 || nb.count() == 0 {
         return;
     }
-    if a.0 != b.0 && mac.accepts(tree, a.0, b.0) {
+    if a.0 != b.0 && mac.separates(na, nb) {
         emit(Entry::M2l, a, b);
         return;
     }
@@ -232,7 +238,7 @@ pub(crate) fn traverse<P: Prune>(
     // Split the larger cell (tie: split the target side first so local
     // work sinks toward the leaves).
     split(
-        tree,
+        nodes,
         mac,
         prune,
         a,
@@ -246,7 +252,7 @@ pub(crate) fn traverse<P: Prune>(
 /// `(a, c)` for every child of `b`: the one call a traversal recurses
 /// through, so the states that end at once cost none.
 fn split<P: Prune>(
-    tree: &Octree,
+    nodes: &[Node],
     mac: Mac,
     prune: &P,
     a: (NodeId, P::Tag),
@@ -255,19 +261,19 @@ fn split<P: Prune>(
     emit: &mut impl FnMut(Entry, (NodeId, P::Tag), (NodeId, P::Tag)),
 ) {
     if split_a {
-        let first = tree.node(a.0).first_child;
+        let first = nodes[a.0 as usize].first_child;
         for c in (first..first + 8).rev() {
             let c = (c, prune.tag(a.1, c));
             if prune.keep(c.1, b.1) {
-                traverse(tree, mac, prune, c, b, emit);
+                traverse(nodes, mac, prune, c, b, emit);
             }
         }
     } else {
-        let first = tree.node(b.0).first_child;
+        let first = nodes[b.0 as usize].first_child;
         for c in (first..first + 8).rev() {
             let c = (c, prune.tag(b.1, c));
             if prune.keep(a.1, c.1) {
-                traverse(tree, mac, prune, a, c, emit);
+                traverse(nodes, mac, prune, a, c, emit);
             }
         }
     }
@@ -324,7 +330,7 @@ impl Traversal {
             let InteractionLists { m2l, p2p } = lists;
             let root = (Octree::ROOT, ());
             traverse(
-                tree,
+                &tree.nodes,
                 mac,
                 &(),
                 root,
@@ -376,13 +382,20 @@ impl Traversal {
                 return; // an empty octant: no state under it emits
             };
             let (child, root) = ((child, ()), (Octree::ROOT, ()));
-            traverse(tree, mac, &(), child, root, &mut |e, (a, _), (b, _)| {
-                let at = slot[a as usize] as usize;
-                match e {
-                    Entry::M2l => m2l[at].push(b),
-                    Entry::P2p => p2p[at].push(b),
-                }
-            });
+            traverse(
+                &tree.nodes,
+                mac,
+                &(),
+                child,
+                root,
+                &mut |e, (a, _), (b, _)| {
+                    let at = slot[a as usize] as usize;
+                    match e {
+                        Entry::M2l => m2l[at].push(b),
+                        Entry::P2p => p2p[at].push(b),
+                    }
+                },
+            );
         });
         for piece in pieces.iter_mut() {
             let moved = piece.m2l.drain(..).zip(piece.p2p.drain(..));

@@ -12,6 +12,8 @@
 //! * **a rebuild refills in place** — a warm plan rebuilt over an unchanged
 //!   tree allocates nothing on one worker and only its forks' bookkeeping on
 //!   more;
+//! * **a warm pricing allocates nothing** — `Octree::price` at the paper's
+//!   N, on one worker, once its scratch has held as large a candidate;
 //! * **structural/allocator agreement** — the `heap_bytes()` walks over
 //!   bodies + octree + plan land within 15% of what the allocator says is
 //!   actually live for those structures.
@@ -28,7 +30,7 @@ use std::sync::Mutex;
 use afmm::{FmmEngine, FmmParams};
 use fmm_math::GravityKernel;
 use geom::Vec3;
-use octree::{build_adaptive, BuildParams, IncrementalLists, Mac, PlanRefresh};
+use octree::{build_adaptive, BuildParams, IncrementalLists, Mac, PlanRefresh, PriceScratch};
 use proptest::prelude::*;
 use telemetry::memprof;
 
@@ -236,6 +238,36 @@ fn rebuild_of_an_unchanged_tree_allocates_nothing_at_one_worker() {
         assert_eq!(small.0 == 0, width == 1, "width {width}: {small:?}");
         assert!(small.1 < 8192, "width {width}: {small:?}");
     }
+}
+
+/// `Octree::price` cuts a candidate's nodes into its scratch and tallies
+/// the traversal in locals, so at 1M bodies on one worker a pricing whose
+/// scratch has held a candidate as large allocates nothing — whatever S it
+/// priced last.
+#[test]
+fn warm_price_allocates_nothing_at_one_worker() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    if !memprof::counting() {
+        return; // feature off: nothing to measure
+    }
+    let (pos, _) = plummer_points(1_000_000, 19);
+    at_width(1, || {
+        let tree = build_adaptive(&pos, BuildParams::with_s(64));
+        let mut scratch = PriceScratch::default();
+        tree.price(181, Mac::default(), &mut scratch);
+        for s in [181, 861, 435, 181] {
+            let before = memprof::scope_stats("test.price").unwrap_or_default();
+            {
+                let _mem = telemetry::AllocScope::enter("test.price");
+                tree.price(s, Mac::default(), &mut scratch);
+            }
+            let after = memprof::scope_stats("test.price").unwrap_or_default();
+            assert_eq!(
+                after.allocs, before.allocs,
+                "S {s}: a warm pricing allocated"
+            );
+        }
+    });
 }
 
 /// A restored tree carries no scratch: its first `rebin` re-warms the pair
