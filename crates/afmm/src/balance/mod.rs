@@ -49,17 +49,15 @@ impl Strategy {
     }
 }
 
-/// The load balancer's state (paper §V). Each state persists over multiple
-/// time steps; `Frozen` is the terminal state of [`Strategy::StaticS`].
+/// The load balancer's state (paper §V). Search finishes within the first
+/// step; Incremental and Observation persist over many; `Frozen` is the
+/// terminal state of [`Strategy::StaticS`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LbState {
     Search,
     Incremental,
     Observation,
     Frozen,
-    /// A device dropped out or came back: re-bisect S over a warm-started
-    /// bracket around the last settled value (Strategy 3 only).
-    Recovery,
 }
 
 impl LbState {
@@ -69,7 +67,6 @@ impl LbState {
             LbState::Incremental => "incremental",
             LbState::Observation => "observation",
             LbState::Frozen => "frozen",
-            LbState::Recovery => "recovery",
         }
     }
 }
@@ -130,21 +127,28 @@ pub struct LbReport {
     pub fgo_rounds: usize,
 }
 
-/// Plain-data image of a [`LoadBalancer`] for checkpointing: every field of
-/// the state machine, so a restored balancer makes bit-identical decisions
-/// from the next step onward.
+/// The Incremental walk in progress, created on its first step.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Walk {
+    /// Best (S, measured compute) of the walk.
+    pub best: (usize, f64),
+    /// Direction (`true` = grow S); seeded from dominance on the first step.
+    pub up: bool,
+    /// The one allowed direction reversal has been spent.
+    pub flipped: bool,
+}
+
+/// Plain-data image of a [`LoadBalancer`] for checkpointing: everything one
+/// step hands to the next, so a restored balancer makes bit-identical
+/// decisions from the next step onward.
 #[derive(Clone, Debug)]
 pub struct BalancerSnapshot {
     pub cfg: LbConfig,
     pub strategy: Strategy,
     pub state: LbState,
     pub s: usize,
-    pub lo: usize,
-    pub hi: usize,
     pub best_compute: f64,
-    pub incr_best: Option<(usize, f64)>,
-    pub incr_dir_up: Option<bool>,
-    pub incr_flipped: bool,
+    pub walk: Option<Walk>,
     pub last_online: Option<usize>,
     pub reset_best_next: bool,
 }
@@ -157,16 +161,10 @@ pub struct LoadBalancer {
     strategy: Strategy,
     state: LbState,
     s: usize,
-    lo: usize,
-    hi: usize,
     best_compute: f64,
-    /// Best (S, measured compute) of the current Incremental walk.
-    incr_best: Option<(usize, f64)>,
-    /// Walk direction (`true` = grow S); seeded from dominance on entry.
-    incr_dir_up: Option<bool>,
-    /// The one allowed direction reversal has been spent.
-    incr_flipped: bool,
-    /// Online device count seen last step (None until a GPU node is seen).
+    /// The Incremental walk in progress (`None` outside Incremental).
+    walk: Option<Walk>,
+    /// Online device count seen last step (None before the first step).
     last_online: Option<usize>,
     /// Strategy 2: the next step's compute time becomes the new best.
     reset_best_next: bool,
@@ -187,12 +185,8 @@ impl LoadBalancer {
             strategy,
             state: LbState::Search,
             s,
-            lo: cfg.s_min,
-            hi: cfg.s_max,
             best_compute: f64::INFINITY,
-            incr_best: None,
-            incr_dir_up: None,
-            incr_flipped: false,
+            walk: None,
             last_online: None,
             reset_best_next: false,
             rec: telemetry::Recorder::disabled(),
@@ -200,7 +194,7 @@ impl LoadBalancer {
     }
 
     /// Attach a telemetry recorder: every state transition, `Enforce_S`
-    /// outcome, FGO batch decision and Recovery entry is emitted as a
+    /// outcome, FGO batch decision and device-count change is emitted as a
     /// structured `lb.*` event through it.
     pub fn set_recorder(&mut self, rec: telemetry::Recorder) {
         self.rec = rec;
@@ -235,12 +229,8 @@ impl LoadBalancer {
             strategy: self.strategy,
             state: self.state,
             s: self.s,
-            lo: self.lo,
-            hi: self.hi,
             best_compute: self.best_compute,
-            incr_best: self.incr_best,
-            incr_dir_up: self.incr_dir_up,
-            incr_flipped: self.incr_flipped,
+            walk: self.walk,
             last_online: self.last_online,
             reset_best_next: self.reset_best_next,
         }
@@ -254,12 +244,8 @@ impl LoadBalancer {
             strategy: snap.strategy,
             state: snap.state,
             s: snap.s,
-            lo: snap.lo,
-            hi: snap.hi,
             best_compute: snap.best_compute,
-            incr_best: snap.incr_best,
-            incr_dir_up: snap.incr_dir_up,
-            incr_flipped: snap.incr_flipped,
+            walk: snap.walk,
             last_online: snap.last_online,
             reset_best_next: snap.reset_best_next,
             rec: telemetry::Recorder::disabled(),
@@ -292,8 +278,9 @@ impl LoadBalancer {
     /// The caller has timed the step it reports ([`FmmEngine::time_step`] or
     /// a solve), so the engine's plan is live: every tree edit made from
     /// here patches it, and is charged [`lbtime::plan_patch`]. `model` has
-    /// observed that step ([`CostModel::observe`]): Search and Recovery
-    /// price their candidate S values with it and finish within this call.
+    /// observed that step ([`CostModel::observe`]): Search prices its
+    /// candidate S values with it and finishes within this call, as does the
+    /// warm search that answers a change in the online device count.
     pub fn post_step<K: Kernel>(
         &mut self,
         engine: &mut FmmEngine<K>,
@@ -313,26 +300,33 @@ impl LoadBalancer {
             self.best_compute = compute;
             self.reset_best_next = false;
         }
-        // Resilience: a device dropping out (or coming back) invalidates the
-        // settled balance point outright — the measurement that just arrived
-        // describes a machine that no longer exists. Only the full strategy
-        // reacts; StaticS/EnforceOnly are the paper's less adaptive
-        // baselines and keep their decomposition.
-        if let Some(gpus) = node.gpus.as_ref() {
-            let now = gpus.num_online();
-            let before = self.last_online.replace(now);
-            if matches!(before, Some(b) if b != now)
-                && self.strategy == Strategy::Full
-                && self.state != LbState::Frozen
-            {
-                self.enter_recovery(engine, node, pos, now, &mut rep);
-                return rep;
-            }
+        // Resilience: a device dropping out (or coming back, or the whole GPU
+        // system being dropped) invalidates the settled balance point
+        // outright — the step just measured ran on a new machine, so S is
+        // searched afresh from its times, warm (see `search_step`). Only the
+        // full strategy reacts; StaticS/EnforceOnly are the paper's less
+        // adaptive baselines and keep their decomposition.
+        let now = node.num_online_gpus();
+        let before = self.last_online.replace(now);
+        let changed = matches!(before, Some(b) if b != now)
+            && self.strategy == Strategy::Full
+            && self.state != LbState::Frozen;
+        if changed {
+            self.rec.event(
+                "lb.recovery",
+                vec![
+                    ("online", telemetry::Value::U64(now as u64)),
+                    ("s", telemetry::Value::U64(self.s as u64)),
+                ],
+            );
         }
         match self.state {
             LbState::Frozen => {}
-            LbState::Search | LbState::Recovery => {
-                self.search_step(engine, model, node, pos, t_cpu, t_gpu, &mut rep)
+            _ if changed => {
+                self.search_step(engine, model, node, pos, t_cpu, t_gpu, true, &mut rep)
+            }
+            LbState::Search => {
+                self.search_step(engine, model, node, pos, t_cpu, t_gpu, false, &mut rep)
             }
             LbState::Incremental => {
                 self.incremental_step(engine, model, node, pos, t_cpu, t_gpu, &mut rep)

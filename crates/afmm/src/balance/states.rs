@@ -8,8 +8,8 @@
 //! re-traversal.
 
 use super::{
-    geometric_mid, lbtime, LbConfig, LbReport, LbState, LoadBalancer, Strategy, FGO_BATCH_FRAC,
-    FGO_MAX_ROUNDS, INCR_FACTOR, INCR_TOL, REGRESSION_FRAC,
+    geometric_mid, lbtime, LbConfig, LbReport, LbState, LoadBalancer, Strategy, Walk,
+    FGO_BATCH_FRAC, FGO_MAX_ROUNDS, INCR_FACTOR, INCR_TOL, REGRESSION_FRAC,
 };
 use crate::config::HeteroNode;
 use crate::cost::{CostModel, Prediction};
@@ -18,82 +18,43 @@ use fmm_math::Kernel;
 use octree::{NodeId, Octree, PlanRefresh, PriceScratch};
 
 impl LoadBalancer {
-    /// React to a changed online-device count: with survivors, re-bisect S
-    /// over a warm bracket around the settled value (the
-    /// [`LbState::Recovery`] state, which runs the Search bisection); with
-    /// none, fall back to the CPU-only plan — sweep S as the paper does for
-    /// CPU-only runs and keep stepping on the cores alone.
-    pub(super) fn enter_recovery<K: Kernel>(
-        &mut self,
-        engine: &mut FmmEngine<K>,
-        node: &HeteroNode,
-        pos: &[geom::Vec3],
-        now_online: usize,
-        rep: &mut LbReport,
-    ) {
-        self.incr_best = None;
-        self.incr_dir_up = None;
-        self.incr_flipped = false;
-        self.best_compute = f64::INFINITY;
-        self.reset_best_next = true;
-        self.recorder().event(
-            "lb.recovery",
-            vec![
-                ("online", telemetry::Value::U64(now_online as u64)),
-                ("s", telemetry::Value::U64(self.s() as u64)),
-            ],
-        );
-        if now_online == 0 {
-            // Graceful CPU-only fallback. The sweep rebuilds the tree once
-            // per probe; charge each rebuild as LB time.
-            let (s, _t, probes) = search_best_s_cpu_only(engine, node, pos, &self.cfg);
-            self.s = s;
-            rep.lb_time += probes as f64 * lbtime::rebuild(node, pos.len());
-            rep.rebuilt = true;
-            self.transition(LbState::Observation, "all_gpus_offline");
-            return;
-        }
-        // Survivors remain: warm-start the bisection on a bracket spanning
-        // both sides of the settled S (the crossover may move either way
-        // depending on which resource the lost/gained device relieves).
-        self.lo = (self.s / 8).max(self.cfg.s_min);
-        self.hi = self
-            .s
-            .saturating_mul(8)
-            .min(self.cfg.s_max)
-            .max(self.lo + 1);
-        self.transition(LbState::Recovery, "device_count_changed");
-    }
-
-    fn leave_search(&mut self, compute: f64) {
+    /// Hand over from a search, with the compute it leaves with as the best
+    /// seen. A warm search exits the same way a cold one does: it only
+    /// localizes the crossover, and the compute-guided walk is what finds
+    /// the machine's actual optimum.
+    fn leave_search(&mut self, compute: f64, warm: bool) {
+        let cause = if warm {
+            "device_count_changed"
+        } else {
+            "search_settled"
+        };
         self.best_compute = compute;
         let to = match self.strategy {
             Strategy::StaticS => LbState::Frozen,
             Strategy::EnforceOnly => LbState::Observation,
-            // Recovery exits the same way a cold search does: the bisection
-            // only localizes the crossover, and the compute-guided walk is
-            // what finds the surviving hardware's actual optimum.
             Strategy::Full => LbState::Incremental,
         };
-        self.transition(to, "search_settled");
-        self.incr_best = None;
-        self.incr_dir_up = None;
-        self.incr_flipped = false;
+        self.transition(to, cause);
+        self.walk = None;
     }
 
-    /// Search, or Recovery over its warm bracket, in one step. The step just
-    /// measured narrows the bracket `[lo, hi]` on S; from there each
-    /// candidate is priced from the tree's sorted codes ([`Octree::price`])
-    /// with the observed cost model, charged [`lbtime::predict`], and
-    /// narrows it in turn. The first candidate is the bracket's geometric
-    /// midpoint. Once both ends carry g = ln(t_cpu / t_gpu), the next is the
-    /// regula-falsi root of g in ln S ([`regula_falsi`]), or the midpoint
-    /// when that root is not strictly inside. Search ends when the gap is
-    /// at most `eps_switch_s`, the bracket is within 1.25×, or the candidate
-    /// repeats; a tree at another S is then rebuilt once, at the last
-    /// candidate, charged [`lbtime::rebuild`]. Each candidate is recorded as
-    /// an `lb.price` event, and the compute Search leaves with — measured,
-    /// or the last candidate's prediction — is the best seen.
+    /// Search S within one step: cold over `[s_min, s_max]`, or `warm` — in
+    /// the step that sees the online device count change — over `[s/8, 8s]`
+    /// around the settled S, as the crossover may move either way depending
+    /// on which resource the lost or gained device relieves. The step just
+    /// measured narrows the bracket; from there
+    /// each candidate is priced from the tree's sorted codes
+    /// ([`Octree::price`]) with the observed cost model, charged
+    /// [`lbtime::predict`], and narrows it in turn. The first candidate is
+    /// the bracket's geometric midpoint. Once both ends carry
+    /// g = ln(t_cpu / t_gpu), the next is the regula-falsi root of g in ln S
+    /// ([`regula_falsi`]), or the midpoint when that root is not strictly
+    /// inside. Search ends when the gap is at most `eps_switch_s`, the
+    /// bracket is within 1.25×, or the candidate repeats; a tree at another
+    /// S is then rebuilt once, at the last candidate, charged
+    /// [`lbtime::rebuild`]. Each candidate is recorded as an `lb.price`
+    /// event, and the compute Search leaves with — measured, or the last
+    /// candidate's prediction — is the best seen.
     ///
     /// In a fitted cube the prices are of the current cube's trees, and so
     /// approximate: the Incremental walk that follows corrects by measuring.
@@ -106,14 +67,33 @@ impl LoadBalancer {
         pos: &[geom::Vec3],
         t_cpu: f64,
         t_gpu: f64,
+        warm: bool,
         rep: &mut LbReport,
     ) {
         // A node with no (online) GPUs has nothing to balance *between*: any
-        // S trades CPU work against CPU work, so the state machine defers to
-        // an external S sweep (see `search_best_s_cpu_only`) and freezes.
+        // S trades CPU work against CPU work. A run that just lost its last
+        // GPU falls back to the CPU-only plan — it sweeps S as the paper does
+        // for CPU-only runs, charging each probe's rebuild, and the next
+        // step's compute is Observation's baseline; otherwise the state
+        // machine defers to an external S sweep.
         if node.num_online_gpus() == 0 {
-            self.leave_search(t_cpu.max(t_gpu));
+            if !warm {
+                self.leave_search(t_cpu.max(t_gpu), false);
+                return;
+            }
+            let (s, _t, probes) = search_best_s_cpu_only(engine, node, pos, &self.cfg);
+            self.s = s;
+            rep.lb_time += probes as f64 * lbtime::rebuild(node, pos.len());
+            rep.rebuilt = true;
+            self.reset_best_next = true;
+            self.walk = None;
+            self.transition(LbState::Observation, "all_gpus_offline");
             return;
+        }
+        let (mut lo, mut hi) = (self.cfg.s_min, self.cfg.s_max);
+        if warm {
+            lo = (self.s / 8).max(self.cfg.s_min);
+            hi = self.s.saturating_mul(8).min(self.cfg.s_max).max(lo + 1);
         }
         debug_assert!(model.is_observed(), "Search prices with an observed model");
         let mac = engine.params().mac;
@@ -124,15 +104,15 @@ impl LoadBalancer {
         let mut moved_lo = None;
         let mut priced = false;
         loop {
-            if (t_cpu - t_gpu).abs() <= self.cfg.eps_switch_s || self.hi <= self.lo + self.lo / 4 {
+            if (t_cpu - t_gpu).abs() <= self.cfg.eps_switch_s || hi <= lo + lo / 4 {
                 break;
             }
             let g = (t_cpu / t_gpu).ln();
             // CPU dominant: shift work toward the GPU with a larger S.
             let lo_moves = t_cpu > t_gpu;
             let (end, g_end, g_kept) = match lo_moves {
-                true => (&mut self.lo, &mut g_lo, &mut g_hi),
-                false => (&mut self.hi, &mut g_hi, &mut g_lo),
+                true => (&mut lo, &mut g_lo, &mut g_hi),
+                false => (&mut hi, &mut g_hi, &mut g_lo),
             };
             *end = self.s;
             *g_end = Some(g);
@@ -143,10 +123,10 @@ impl LoadBalancer {
             }
             moved_lo = Some(lo_moves);
             let next = match (g_lo, g_hi) {
-                (Some(g_lo), Some(g_hi)) => regula_falsi(self.lo, self.hi, g_lo, g_hi),
+                (Some(g_lo), Some(g_hi)) => regula_falsi(lo, hi, g_lo, g_hi),
                 _ => None,
             };
-            let next = next.unwrap_or_else(|| geometric_mid(self.lo, self.hi));
+            let next = next.unwrap_or_else(|| geometric_mid(lo, hi));
             if next == self.s {
                 break;
             }
@@ -173,7 +153,7 @@ impl LoadBalancer {
             rep.lb_time += lbtime::rebuild(node, pos.len());
             rep.rebuilt = true;
         }
-        self.leave_search(t_cpu.max(t_gpu));
+        self.leave_search(t_cpu.max(t_gpu), warm);
     }
 
     /// The Incremental walk, steered by the *measured compute time* rather
@@ -196,24 +176,27 @@ impl LoadBalancer {
         rep: &mut LbReport,
     ) {
         let compute = t_cpu.max(t_gpu);
-        if self.incr_dir_up.is_none() {
-            // CPU dominant: shift near-field work to the GPUs with larger S.
-            self.incr_dir_up = Some(t_cpu >= t_gpu);
-        }
         let mut exhausted = false;
-        match self.incr_best {
-            None => self.incr_best = Some((self.s, compute)),
-            Some((_, c_best)) if compute < c_best => {
-                self.incr_best = Some((self.s, compute));
+        let mut walk = match self.walk {
+            None => Walk {
+                best: (self.s, compute),
+                // CPU dominant: shift near-field work to the GPUs with
+                // larger S.
+                up: t_cpu >= t_gpu,
+                flipped: false,
+            },
+            Some(mut w) => {
+                if compute < w.best.1 {
+                    w.best = (self.s, compute);
+                } else if compute > w.best.1 * (1.0 + INCR_TOL) {
+                    // Walked off the basin in this direction.
+                    exhausted = true;
+                }
+                // Otherwise within the tolerance band of the best: keep
+                // walking through the local bump.
+                w
             }
-            Some((_, c_best)) if compute > c_best * (1.0 + INCR_TOL) => {
-                // Walked off the basin in this direction.
-                exhausted = true;
-            }
-            // Within the tolerance band of the best: keep walking through
-            // the local bump.
-            Some(_) => {}
-        }
+        };
         let step_from = |s: usize, up: bool| {
             if up {
                 ((s as f64 * INCR_FACTOR).ceil() as usize).min(self.cfg.s_max)
@@ -221,27 +204,28 @@ impl LoadBalancer {
                 ((s as f64 / INCR_FACTOR).floor() as usize).max(self.cfg.s_min)
             }
         };
-        let mut next = step_from(self.s, self.incr_dir_up == Some(true));
+        let mut next = step_from(self.s, walk.up);
         if next == self.s {
             // Pinned at a bound: this direction is exhausted too.
             exhausted = true;
         }
         if exhausted {
-            if self.incr_flipped {
+            if walk.flipped {
                 // Both directions explored: settle at the walk's best.
-                self.finish_incremental(engine, model, node, pos, rep);
+                self.finish_incremental(engine, model, node, pos, walk, rep);
                 return;
             }
             // Reverse once, restarting the probes from the walk's best S.
-            self.incr_flipped = true;
-            self.incr_dir_up = self.incr_dir_up.map(|d| !d);
-            let base = self.incr_best.map_or(self.s, |(s, _)| s);
-            next = step_from(base, self.incr_dir_up == Some(true));
+            walk.flipped = true;
+            walk.up = !walk.up;
+            let base = walk.best.0;
+            next = step_from(base, walk.up);
             if next == base || next == self.s {
-                self.finish_incremental(engine, model, node, pos, rep);
+                self.finish_incremental(engine, model, node, pos, walk, rep);
                 return;
             }
         }
+        self.walk = Some(walk);
         self.s = next;
         // An Incremental probe only perturbs the S-neighborhood: re-bin the
         // moved bodies and Enforce_S the new capacity via plan patches —
@@ -291,20 +275,21 @@ impl LoadBalancer {
         model: &CostModel,
         node: &HeteroNode,
         pos: &[geom::Vec3],
+        walk: Walk,
         rep: &mut LbReport,
     ) {
-        if let Some((s_best, c_best)) = self.incr_best {
-            if self.s != s_best {
-                // Settling is worth a clean tree: rebuild at the walk's best
-                // S rather than patching backwards through the probes.
-                self.s = s_best;
-                engine.rebuild(pos, self.s);
-                engine.refresh_lists();
-                rep.lb_time += lbtime::rebuild(node, pos.len());
-                rep.rebuilt = true;
-            }
-            self.best_compute = c_best;
+        self.walk = None;
+        let (s_best, c_best) = walk.best;
+        if self.s != s_best {
+            // Settling is worth a clean tree: rebuild at the walk's best S
+            // rather than patching backwards through the probes.
+            self.s = s_best;
+            engine.rebuild(pos, self.s);
+            engine.refresh_lists();
+            rep.lb_time += lbtime::rebuild(node, pos.len());
+            rep.rebuilt = true;
         }
+        self.best_compute = c_best;
         if self.cfg.use_fgo && self.strategy == Strategy::Full {
             // Gate and verify FGO on the undisturbed virtual timing so the
             // before/after comparison is apples-to-apples even when the
@@ -344,9 +329,6 @@ impl LoadBalancer {
                 }
             }
         }
-        self.incr_best = None;
-        self.incr_dir_up = None;
-        self.incr_flipped = false;
         self.transition(LbState::Observation, "incremental_settled");
     }
 
@@ -394,9 +376,7 @@ impl LoadBalancer {
                 if pred.compute() > limit {
                     // Local repair failed: re-run the global adjustment.
                     self.transition(LbState::Incremental, "repair_failed");
-                    self.incr_best = None;
-                    self.incr_dir_up = None;
-                    self.incr_flipped = false;
+                    self.walk = None;
                 }
             }
         }

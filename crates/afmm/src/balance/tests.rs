@@ -325,16 +325,23 @@ fn device_dropout_enters_recovery_then_settles() {
         .unwrap()
         .apply_event(&gpu_sim::FaultEvent::GpuDropout { device: 1 })
         .unwrap();
+    let rec = telemetry::Recorder::enabled();
+    lb.set_recorder(rec.clone());
     let (tc, tg) = h.measure();
     let pos = h.pos.clone();
     lb.post_step(&mut h.engine, &h.model, &h.node, &pos, tc, tg);
     assert_eq!(
-        lb.state(),
-        LbState::Recovery,
+        rec.events_named("lb.recovery").len(),
+        1,
         "dropout must trigger recovery"
     );
-    // The warm bisection plus the bidirectional Incremental walk must
-    // terminate back in Observation.
+    assert_eq!(
+        lb.state(),
+        LbState::Incremental,
+        "the warm search runs in the step that sees the dropout"
+    );
+    // The bidirectional Incremental walk must terminate back in
+    // Observation.
     for _ in 0..60 {
         let (tc, tg) = h.measure();
         let pos = h.pos.clone();
@@ -404,9 +411,9 @@ fn cpu_only_s_sweep_finds_interior_optimum() {
     }
 }
 
-/// Step `h` once from `from` (Search or Recovery): the balancer must leave
-/// it within that one `post_step`, rebuilt once at its last priced
-/// candidate. Each `lb.price` event must name what `Octree::price` gives on
+/// Step `h` once from `from`, in which it searches (cold from Search, warm
+/// when the device count just changed): the balancer must finish the search
+/// within that one `post_step`, rebuilt once at its last priced candidate. Each `lb.price` event must name what `Octree::price` gives on
 /// the tree the step measured, and the step's LB time must be one
 /// prediction pass per candidate, in order, plus one rebuild.
 fn assert_priced_in_one_step(
@@ -480,10 +487,8 @@ fn recovery_prices_from_its_warm_bracket_and_rebuilds_once() {
         .unwrap()
         .apply_event(&gpu_sim::FaultEvent::GpuDropout { device: 1 })
         .unwrap();
-    let (tc, tg) = h.measure();
-    let pos = h.pos.clone();
-    lb.post_step(&mut h.engine, &h.model, &h.node, &pos, tc, tg);
-    assert_priced_in_one_step(&mut h, &mut lb, &rec, LbState::Recovery);
+    assert_priced_in_one_step(&mut h, &mut lb, &rec, LbState::Observation);
+    assert_eq!(rec.events_named("lb.recovery").len(), 1);
     let bracket = (settled / 8).max(lb.cfg.s_min)..=settled * 8;
     assert!(bracket.contains(&lb.s()), "S {} left {bracket:?}", lb.s());
 }

@@ -5,7 +5,7 @@
 //! traces — wrapped in an envelope:
 //!
 //! ```json
-//! {"schema_version":3,"kind":"tracker","checksum":"<fnv1a64 hex>","payload":{...}}
+//! {"schema_version":4,"kind":"tracker","checksum":"<fnv1a64 hex>","payload":{...}}
 //! ```
 //!
 //! The checksum is FNV-1a-64 over the exact payload bytes, so any bit flip
@@ -22,7 +22,7 @@
 //! the bit patterns, and no input — truncated, tampered or hostile — makes
 //! a restore panic: every failure is an [`Error::Checkpoint`].
 
-use crate::balance::{BalancerSnapshot, LbConfig, LbState, Strategy};
+use crate::balance::{BalancerSnapshot, LbConfig, LbState, Strategy, Walk};
 use crate::config::FmmParams;
 use crate::cost::CostModel;
 use crate::error::Error;
@@ -36,7 +36,7 @@ use telemetry::json::{push_opt, push_seq, Json};
 
 /// Version of the on-disk schema. Bump on any incompatible layout change;
 /// restore refuses snapshots from a different version.
-pub const SCHEMA_VERSION: u32 = 3;
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Plain-data image of an [`FmmEngine`](crate::FmmEngine): numerical
 /// parameters and the octree. The execution plan is derived from the tree
@@ -60,7 +60,6 @@ pub struct TrackerSnapshot {
     pub model: CostModel,
     pub balancer: BalancerSnapshot,
     pub records: Vec<StepRecord>,
-    pub first: bool,
     pub faults: FaultSchedule,
     /// Per-device status at checkpoint time (`None` on CPU-only nodes).
     pub gpu_status: Option<Vec<DeviceStatus>>,
@@ -143,8 +142,6 @@ fn w_engine(out: &mut String, e: &EngineSnapshot) {
 fn w_filter(out: &mut String, f: &FilterSnapshot) {
     out.push_str("{\"window\":");
     push_seq(out, f.window.iter().copied(), w_f64);
-    let _ = write!(out, ",\"k\":{},\"alpha\":", f.k);
-    w_f64(out, f.alpha);
     out.push_str(",\"ewma\":");
     push_opt(out, f.ewma, w_f64);
     let _ = write!(out, ",\"rejected\":{}}}", f.rejected);
@@ -186,26 +183,20 @@ fn w_balancer(out: &mut String, b: &BalancerSnapshot) {
     w_f64(out, c.eps_switch_s);
     let _ = write!(
         out,
-        ",\"use_fgo\":{},\"strategy\":\"{}\",\"state\":\"{}\",\"s\":{},\"lo\":{},\"hi\":{},\"best\":",
+        ",\"use_fgo\":{},\"strategy\":\"{}\",\"state\":\"{}\",\"s\":{},\"best\":",
         c.use_fgo,
         b.strategy.name(),
         b.state.name(),
-        b.s,
-        b.lo,
-        b.hi
+        b.s
     );
     w_f64(out, b.best_compute);
-    out.push_str(",\"incr_best\":");
-    push_opt(out, b.incr_best, |out, (s, t)| {
-        let _ = write!(out, "[{s},");
-        w_f64(out, t);
-        out.push(']');
+    out.push_str(",\"walk\":");
+    push_opt(out, b.walk, |out, w| {
+        let _ = write!(out, "[{},", w.best.0);
+        w_f64(out, w.best.1);
+        let _ = write!(out, ",{},{}]", w.up, w.flipped);
     });
-    out.push_str(",\"incr_dir_up\":");
-    push_opt(out, b.incr_dir_up, |out, up| {
-        let _ = write!(out, "{up}");
-    });
-    let _ = write!(out, ",\"incr_flipped\":{},\"last_online\":", b.incr_flipped);
+    out.push_str(",\"last_online\":");
     push_opt(out, b.last_online, |out, n| {
         let _ = write!(out, "{n}");
     });
@@ -242,7 +233,7 @@ fn w_tracker(out: &mut String, t: &TrackerSnapshot) {
     w_balancer(out, &t.balancer);
     out.push_str(",\"records\":");
     push_seq(out, &t.records, w_record);
-    let _ = write!(out, ",\"first\":{},\"faults\":", t.first);
+    out.push_str(",\"faults\":");
     push_seq(out, t.faults.events(), |out, tf| {
         let _ = write!(out, "[{},", tf.step);
         w_fault_event(out, &tf.event);
@@ -414,8 +405,6 @@ fn r_engine(v: &Json) -> Read<EngineSnapshot> {
 fn r_filter(v: &Json) -> Read<FilterSnapshot> {
     Ok(FilterSnapshot {
         window: r_vec(field(v, "window")?, r_f64)?,
-        k: r_int(field(v, "k")?)?,
-        alpha: r_f64(field(v, "alpha")?)?,
         ewma: r_opt(field(v, "ewma")?, r_f64)?,
         rejected: r_u64(field(v, "rejected")?)?,
     })
@@ -436,7 +425,6 @@ fn r_state(v: &Json) -> Read<LbState> {
         "incremental" => Ok(LbState::Incremental),
         "observation" => Ok(LbState::Observation),
         "frozen" => Ok(LbState::Frozen),
-        "recovery" => Ok(LbState::Recovery),
         other => Err(format!("unknown LB state '{other}'")),
     }
 }
@@ -452,15 +440,15 @@ fn r_balancer(v: &Json) -> Read<BalancerSnapshot> {
         strategy: r_strategy(field(v, "strategy")?)?,
         state: r_state(field(v, "state")?)?,
         s: r_int(field(v, "s")?)?,
-        lo: r_int(field(v, "lo")?)?,
-        hi: r_int(field(v, "hi")?)?,
         best_compute: r_f64(field(v, "best")?)?,
-        incr_best: r_opt(field(v, "incr_best")?, |p| {
-            let [s, t] = r_tuple(p, "incr_best")?;
-            Ok((r_int(s)?, r_f64(t)?))
+        walk: r_opt(field(v, "walk")?, |p| {
+            let [s, t, up, flipped] = r_tuple(p, "walk")?;
+            Ok(Walk {
+                best: (r_int(s)?, r_f64(t)?),
+                up: r_bool(up)?,
+                flipped: r_bool(flipped)?,
+            })
         })?,
-        incr_dir_up: r_opt(field(v, "incr_dir_up")?, r_bool)?,
-        incr_flipped: r_bool(field(v, "incr_flipped")?)?,
         last_online: r_opt(field(v, "last_online")?, r_int)?,
         reset_best_next: r_bool(field(v, "reset_best_next")?)?,
     })
@@ -550,7 +538,6 @@ fn r_tracker(v: &Json) -> Read<TrackerSnapshot> {
         model,
         balancer: r_balancer(field(v, "balancer")?)?,
         records: r_vec(field(v, "records")?, r_record)?,
-        first: r_bool(field(v, "first")?)?,
         faults,
         gpu_status,
         cpu_load: r_f64(field(v, "cpu_load")?)?,
@@ -700,16 +687,16 @@ mod tests {
     }
 
     /// The writer's bytes are pinned: the engine payload's checksum and
-    /// length for this seeded engine as schema v3 writes them — v3 dropped
-    /// the plan (v2 changed the balancer's image, not the engine's). If
-    /// this moves, old checkpoints stop restoring and `SCHEMA_VERSION` must
-    /// move too.
+    /// length for this seeded engine as schema v4 writes them — v4 changed
+    /// the balancer's and the filters' images, not the engine's; v3 dropped
+    /// the plan. If this moves, old checkpoints stop restoring and
+    /// `SCHEMA_VERSION` must move too.
     #[test]
     fn engine_checkpoint_bytes_are_pinned() {
         let text = engine_to_json(&sample_engine().checkpoint_state());
         assert!(
             text.starts_with(
-                "{\"schema_version\":3,\"kind\":\"engine\",\"checksum\":\"c22aca8f6c0c6fe0\","
+                "{\"schema_version\":4,\"kind\":\"engine\",\"checksum\":\"c22aca8f6c0c6fe0\","
             ),
             "{}",
             &text[..80]
@@ -738,7 +725,7 @@ mod tests {
     fn wrong_schema_version_is_refused() {
         let e = sample_engine();
         let text = engine_to_json(&e.checkpoint_state());
-        let older = text.replacen("\"schema_version\":3", "\"schema_version\":2", 1);
+        let older = text.replacen("\"schema_version\":4", "\"schema_version\":3", 1);
         assert_ne!(older, text);
         let err = engine_from_json(&older).unwrap_err();
         assert!(

@@ -3,7 +3,7 @@
 //! The balancer's state machine reacts to *every* measured time: a single
 //! OS-scheduling spike in Observation can fire the 5% regression trigger
 //! and cost an `Enforce_S` pass for nothing. [`TimingFilter`] sits between
-//! the raw measurement and the balancer: a median over the last `k`
+//! the raw measurement and the balancer: a median over the last five
 //! samples once enough history exists, an EWMA while history is short, and
 //! outright rejection of non-finite or negative samples (the estimate
 //! simply holds). Both estimators are positively homogeneous — scaling all
@@ -11,64 +11,40 @@
 //! the CPU/GPU *ratio* the balancer steers by.
 //!
 //! Whenever the balancer changes the decomposition (rebuild, enforce,
-//! FGO), past samples describe a tree that no longer exists; callers must
+//! FGO), or the machine changes under it (a device drops out or comes
+//! back), past samples describe a step that no longer exists; callers must
 //! [`TimingFilter::reset`] then.
 
-/// Smallest EWMA weight [`TimingFilter::new`] clamps `alpha` to.
-const ALPHA_MIN: f64 = 1e-3;
+/// Median window length.
+const K: usize = 5;
+/// EWMA weight of the newest sample during warm-up.
+const ALPHA: f64 = 0.5;
 
 /// The samples [`TimingFilter::push`] ingests: finite and non-negative.
 fn valid_sample(raw: f64) -> bool {
     raw.is_finite() && raw >= 0.0
 }
 
-/// Median-of-k filter with EWMA warm-up. Never panics, for any input.
-#[derive(Clone, Debug)]
+/// Median-of-5 filter with EWMA warm-up (weight 0.5). Never panics, for
+/// any input.
+#[derive(Clone, Debug, Default)]
 pub struct TimingFilter {
     window: Vec<f64>,
-    k: usize,
-    alpha: f64,
     ewma: Option<f64>,
     rejected: u64,
 }
 
 /// Plain-data image of a [`TimingFilter`] for checkpointing: the exact
-/// window contents (order matters — it is a FIFO), warm-up EWMA and
-/// configuration, so a restored filter produces bit-identical estimates.
+/// window contents (order matters — it is a FIFO) and warm-up EWMA, so a
+/// restored filter produces bit-identical estimates.
 #[derive(Clone, Debug)]
 pub struct FilterSnapshot {
     pub window: Vec<f64>,
-    pub k: usize,
-    pub alpha: f64,
     pub ewma: Option<f64>,
     pub rejected: u64,
 }
 
-impl Default for TimingFilter {
-    /// Median over 5 samples, EWMA α = 0.5 during warm-up.
-    fn default() -> Self {
-        TimingFilter::new(5, 0.5)
-    }
-}
-
 impl TimingFilter {
-    /// `k` = median window length (min 1); `alpha` = EWMA weight of the
-    /// newest sample, clamped into [1e-3, 1] (0.5 when not finite).
-    pub fn new(k: usize, alpha: f64) -> Self {
-        let alpha = if alpha.is_finite() {
-            alpha.clamp(ALPHA_MIN, 1.0)
-        } else {
-            0.5
-        };
-        TimingFilter {
-            window: Vec::new(),
-            k: k.max(1),
-            alpha,
-            ewma: None,
-            rejected: 0,
-        }
-    }
-
     /// Ingest one raw measurement and return the filtered estimate.
     /// Non-finite or negative samples are rejected — counted in
     /// [`TimingFilter::rejected`] — and the previous estimate (or 0.0 before
@@ -80,10 +56,10 @@ impl TimingFilter {
         }
         self.ewma = Some(match self.ewma {
             None => raw,
-            Some(e) => self.alpha * raw + (1.0 - self.alpha) * e,
+            Some(e) => ALPHA * raw + (1.0 - ALPHA) * e,
         });
         self.window.push(raw);
-        if self.window.len() > self.k {
+        if self.window.len() > K {
             self.window.remove(0);
         }
         self.estimate().unwrap_or(0.0)
@@ -128,29 +104,19 @@ impl TimingFilter {
     pub fn snapshot(&self) -> FilterSnapshot {
         FilterSnapshot {
             window: self.window.clone(),
-            k: self.k,
-            alpha: self.alpha,
             ewma: self.ewma,
             rejected: self.rejected,
         }
     }
 
     /// Reconstruct a filter from a snapshot verbatim, refusing state the
-    /// live filter can never hold: an `alpha` outside what
-    /// [`TimingFilter::new`] clamps to, `k = 0`, a window longer than `k`,
-    /// or a window sample or EWMA that [`TimingFilter::push`] would reject.
+    /// live filter can never hold: a window longer than five samples, or a
+    /// window sample or EWMA that [`TimingFilter::push`] would reject.
     pub fn from_snapshot(snap: FilterSnapshot) -> Result<Self, String> {
-        if !(ALPHA_MIN..=1.0).contains(&snap.alpha) {
+        if snap.window.len() > K {
             return Err(format!(
-                "filter alpha {} outside [{ALPHA_MIN}, 1]",
-                snap.alpha
-            ));
-        }
-        if snap.k == 0 || snap.window.len() > snap.k {
-            return Err(format!(
-                "filter window of {} samples does not fit k = {}",
-                snap.window.len(),
-                snap.k
+                "filter window of {} samples does not fit k = {K}",
+                snap.window.len()
             ));
         }
         if let Some(x) = snap
@@ -163,8 +129,6 @@ impl TimingFilter {
         }
         Ok(TimingFilter {
             window: snap.window,
-            k: snap.k,
-            alpha: snap.alpha,
             ewma: snap.ewma,
             rejected: snap.rejected,
         })
@@ -177,7 +141,7 @@ mod tests {
 
     #[test]
     fn warm_up_uses_ewma_then_median_takes_over() {
-        let mut f = TimingFilter::new(5, 0.5);
+        let mut f = TimingFilter::default();
         assert_eq!(f.push(1.0), 1.0);
         assert_eq!(f.push(3.0), 2.0); // EWMA: 0.5·3 + 0.5·1
         assert_eq!(f.push(2.0), 2.0); // median of [1, 3, 2]
@@ -226,7 +190,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_is_bit_identical() {
-        let mut f = TimingFilter::new(4, 0.3);
+        let mut f = TimingFilter::default();
         for x in [0.5, f64::NAN, 0.7, 0.1, 0.9, 0.2] {
             f.push(x);
         }
@@ -252,7 +216,7 @@ mod tests {
 
     #[test]
     fn reset_mid_stream_restarts_warm_up() {
-        let mut f = TimingFilter::new(5, 0.5);
+        let mut f = TimingFilter::default();
         for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
             f.push(x);
         }
@@ -265,30 +229,6 @@ mod tests {
         assert_eq!(f.push(10.0), 10.0);
         assert_eq!(f.push(20.0), 15.0); // EWMA: 0.5·20 + 0.5·10
         assert_eq!(f.samples(), 2);
-    }
-
-    #[test]
-    fn k1_window_never_reaches_median_and_stays_ewma() {
-        // With k = 1 the window holds a single sample, so the 3-sample
-        // median threshold is unreachable: the EWMA governs forever.
-        let mut f = TimingFilter::new(1, 0.5);
-        assert_eq!(f.push(4.0), 4.0);
-        assert_eq!(f.push(8.0), 6.0); // 0.5·8 + 0.5·4
-        assert_eq!(f.push(2.0), 4.0); // 0.5·2 + 0.5·6
-        assert_eq!(f.samples(), 1, "window capped at one sample");
-        assert_eq!(f.estimate(), Some(4.0));
-    }
-
-    #[test]
-    fn alpha_one_ewma_degenerates_to_last_sample() {
-        let mut f = TimingFilter::new(9, 1.0);
-        assert_eq!(f.push(3.0), 3.0);
-        assert_eq!(f.push(7.0), 7.0, "α = 1 keeps only the newest sample");
-        // Once the median activates it takes over from the degenerate EWMA.
-        assert_eq!(f.push(5.0), 5.0); // median of [3, 7, 5]
-        f.reset();
-        assert_eq!(f.push(0.25), 0.25);
-        assert_eq!(f.push(0.75), 0.75);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod supervisor;
 
 pub use balance::{
     fine_grained_optimize, lbtime, search_best_s_cpu_only, BalancerSnapshot, FgoOutcome, LbConfig,
-    LbReport, LbState, LoadBalancer, Strategy,
+    LbReport, LbState, LoadBalancer, Strategy, Walk,
 };
 pub use chaos::{ChaosEvent, ChaosPlan, TimedChaos};
 pub use checkpoint::{EngineSnapshot, TrackerSnapshot, SCHEMA_VERSION};

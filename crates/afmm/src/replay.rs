@@ -4,7 +4,7 @@
 //!
 //! The validator is the read-side contract of the balancer's flight
 //! recorder: every `lb.transition` must be an edge the state machine can
-//! actually take, Recovery must be provoked by a device-count change,
+//! actually take, every `lb.recovery` must answer a device-count change,
 //! Observation-state `Enforce_S` must have a recorded cause, S must stay
 //! inside the configured bounds, and the cost model must not silently
 //! drift. A trace that fails here either came from a corrupted file or
@@ -19,7 +19,8 @@
 //! | `transition_legality`  | an `lb.transition` edge the machine cannot take  |
 //! | `state_continuity`     | transition `from` ≠ reconstructed current state, |
 //! |                        | or `step.record.state` ≠ state at step start     |
-//! | `recovery_cause`       | Recovery without device-count change evidence    |
+//! | `recovery_cause`       | `lb.recovery` where the online GPU count stayed, |
+//! |                        | or a device-change transition without one        |
 //! | `s_bounds`             | S outside `[s_min, s_max]` from `run.config`     |
 //! | `enforce_provenance`   | Observation-state enforce not preceded by an     |
 //! |                        | `lb.regression` in the same step                 |
@@ -85,25 +86,19 @@ pub struct ValidationReport {
 /// trace is a `transition_legality` violation.
 const LEGAL_TRANSITIONS: &[(&str, &str, &str)] = &[
     // Search settles by strategy: StaticS freezes, EnforceOnly observes,
-    // Full walks incrementally. Recovery exits through the same path.
+    // Full walks incrementally.
     ("search", "frozen", "search_settled"),
     ("search", "observation", "search_settled"),
     ("search", "incremental", "search_settled"),
-    ("recovery", "frozen", "search_settled"),
-    ("recovery", "observation", "search_settled"),
-    ("recovery", "incremental", "search_settled"),
     // The Incremental walk exhausts both directions and hands off.
     ("incremental", "observation", "incremental_settled"),
     // Observation falls back to the global walk when local repair fails.
     ("observation", "incremental", "repair_failed"),
-    // Recovery is entered *solely* on a device-count change.
-    ("search", "recovery", "device_count_changed"),
-    ("incremental", "recovery", "device_count_changed"),
-    ("observation", "recovery", "device_count_changed"),
+    // A device-count change runs a warm search in the step that sees it,
+    // which hands over to a new walk (from Incremental the state stays).
+    ("observation", "incremental", "device_count_changed"),
     // Total GPU loss: CPU-only sweep, then straight to Observation.
-    ("search", "observation", "all_gpus_offline"),
     ("incremental", "observation", "all_gpus_offline"),
-    ("recovery", "observation", "all_gpus_offline"),
 ];
 
 /// Replay a trace and collect every invariant violation (empty = legal run).
@@ -240,34 +235,17 @@ pub fn validate_trace_report(records: &[EventRecord]) -> ValidationReport {
                         ),
                     });
                 }
-                if to == "recovery" {
-                    // Evidence: an lb.recovery event in the same step and a
-                    // step-record online count that actually changed.
-                    let has_marker = records
+                if matches!(cause, "device_count_changed" | "all_gpus_offline")
+                    && !records
                         .iter()
-                        .any(|m| m.name == "lb.recovery" && m.step == r.step);
-                    if !has_marker {
-                        out.push(Violation {
-                            invariant: "recovery_cause",
-                            seq: r.seq,
-                            step: r.step,
-                            detail: "recovery entered without an lb.recovery marker".into(),
-                        });
-                    }
-                    if let (Some(before), Some(during)) =
-                        (online_before(r.step), online_during(r.step))
-                    {
-                        if before == during {
-                            out.push(Violation {
-                                invariant: "recovery_cause",
-                                seq: r.seq,
-                                step: r.step,
-                                detail: format!(
-                                    "recovery entered but online GPU count stayed {during}"
-                                ),
-                            });
-                        }
-                    }
+                        .any(|m| m.name == "lb.recovery" && m.step == r.step)
+                {
+                    out.push(Violation {
+                        invariant: "recovery_cause",
+                        seq: r.seq,
+                        step: r.step,
+                        detail: format!("{cause} transition without an lb.recovery marker"),
+                    });
                 }
                 if let (Some(s), Some((lo, hi))) = (r.field_u64("s"), s_bounds) {
                     if s < lo || s > hi {
@@ -331,6 +309,20 @@ pub fn validate_trace_report(records: &[EventRecord]) -> ValidationReport {
                                 ),
                             });
                         }
+                    }
+                }
+            }
+            "lb.recovery" => {
+                // Evidence: the step-record online count actually changed.
+                if let (Some(before), Some(during)) = (online_before(r.step), online_during(r.step))
+                {
+                    if before == during {
+                        out.push(Violation {
+                            invariant: "recovery_cause",
+                            seq: r.seq,
+                            step: r.step,
+                            detail: format!("lb.recovery but the online GPU count stayed {during}"),
+                        });
                     }
                 }
             }
@@ -590,16 +582,52 @@ mod tests {
         );
     }
 
+    /// Steps 0 and 1 of a legal run on two GPUs: Search, then a walk that
+    /// settles.
+    fn settled() -> Vec<EventRecord> {
+        vec![
+            config(0),
+            transition(1, 0, "search", "incremental", "search_settled", 64),
+            step_record(2, 0, 64, "search", 2),
+            transition(
+                3,
+                1,
+                "incremental",
+                "observation",
+                "incremental_settled",
+                64,
+            ),
+            step_record(4, 1, 64, "incremental", 2),
+        ]
+    }
+
+    fn recovery_marker(seq: u64, step: u64, online: u64) -> EventRecord {
+        event(
+            seq,
+            step,
+            "lb.recovery",
+            vec![("online", Value::U64(online)), ("s", Value::U64(64))],
+        )
+    }
+
     #[test]
     fn recovery_without_evidence_is_flagged() {
-        let recs = vec![
-            config(0),
-            step_record(1, 0, 64, "search", 2),
-            // Recovery claimed, but no lb.recovery marker and the online
-            // count never changed.
-            transition(2, 1, "search", "recovery", "device_count_changed", 64),
-            step_record(3, 1, 64, "search", 2),
-        ];
+        let mut recs = settled();
+        recs.extend([
+            // A device-change transition with no lb.recovery marker...
+            transition(
+                5,
+                2,
+                "observation",
+                "incremental",
+                "device_count_changed",
+                64,
+            ),
+            step_record(6, 2, 64, "observation", 1),
+            // ...and a marker on a step whose online count never changed.
+            recovery_marker(7, 3, 1),
+            step_record(8, 3, 64, "incremental", 1),
+        ]);
         let v = validate_trace(&recs);
         let hits: Vec<_> = v
             .iter()
@@ -610,18 +638,24 @@ mod tests {
 
     #[test]
     fn legal_recovery_passes() {
-        let recs = vec![
-            config(0),
-            step_record(1, 0, 64, "search", 2),
-            event(
+        let mut recs = settled();
+        recs.extend([
+            // One GPU drops: a warm search in this step, then a new walk.
+            recovery_marker(5, 2, 1),
+            transition(
+                6,
                 2,
-                1,
-                "lb.recovery",
-                vec![("online", Value::U64(1)), ("s", Value::U64(64))],
+                "observation",
+                "incremental",
+                "device_count_changed",
+                90,
             ),
-            transition(3, 1, "search", "recovery", "device_count_changed", 64),
-            step_record(4, 1, 64, "search", 1),
-        ];
+            step_record(7, 2, 64, "observation", 1),
+            // The last GPU drops mid-walk: the CPU-only sweep.
+            recovery_marker(8, 3, 0),
+            transition(9, 3, "incremental", "observation", "all_gpus_offline", 40),
+            step_record(10, 3, 90, "incremental", 0),
+        ]);
         let v = validate_trace(&recs);
         assert!(v.is_empty(), "unexpected violations: {v:?}");
     }

@@ -142,7 +142,6 @@ pub struct StrategyTracker<K: Kernel> {
     balancer: LoadBalancer,
     node: HeteroNode,
     records: Vec<StepRecord>,
-    first: bool,
     /// Injected disturbances, keyed by step index (see [`FaultSchedule`]).
     faults: FaultSchedule,
     /// Current external-CPU-load multiplier on measured CPU time.
@@ -181,7 +180,6 @@ impl<K: Kernel> StrategyTracker<K> {
             balancer,
             node,
             records: Vec::new(),
-            first: true,
             faults: FaultSchedule::new(),
             cpu_load: 1.0,
             noise_sigma: 0.0,
@@ -255,10 +253,13 @@ impl<K: Kernel> StrategyTracker<K> {
     }
 
     /// Start step `records.len()`: set the recorder's step clock and apply
-    /// every fault event scheduled for the step to the tracked node.
+    /// every fault event scheduled for the step to the tracked node. When
+    /// the online device count changes, the timing filters start over: their
+    /// samples timed another machine.
     fn open(&mut self) -> Result<(), Error> {
         let step_idx = self.records.len();
         self.rec.set_step(step_idx as u64);
+        let online = self.node.num_online_gpus();
         let due: Vec<FaultEvent> = self.faults.events_at(step_idx).copied().collect();
         for ev in due {
             match ev {
@@ -284,6 +285,10 @@ impl<K: Kernel> StrategyTracker<K> {
                 }
             }
         }
+        if self.node.num_online_gpus() != online {
+            self.filter_cpu.reset();
+            self.filter_gpu.reset();
+        }
         Ok(())
     }
 
@@ -293,11 +298,11 @@ impl<K: Kernel> StrategyTracker<K> {
     pub fn step(&mut self, pos: &[Vec3]) -> Result<StepRecord, Error> {
         self.open()?;
         let mut t_lb = 0.0;
-        if !self.first {
+        // Step 0 times the tree `new` built; later steps re-bin first.
+        if !self.records.is_empty() {
             self.engine.rebin(pos);
             t_lb += lbtime::rebin(&self.node, pos.len());
         }
-        self.first = false;
         let m = self.measure()?;
         // The balancer steers by outlier-filtered times so a lone spike
         // cannot fire its regression trigger.
@@ -457,7 +462,6 @@ impl<K: Kernel> StrategyTracker<K> {
             model: self.model,
             balancer: self.balancer.snapshot(),
             records: self.records.clone(),
-            first: self.first,
             faults: self.faults.clone(),
             gpu_status: self.node.gpus.as_ref().map(|g| g.statuses().to_vec()),
             cpu_load: self.cpu_load,
@@ -539,7 +543,6 @@ impl<K: Kernel> StrategyTracker<K> {
             balancer: LoadBalancer::from_snapshot(snap.balancer),
             node,
             records: snap.records,
-            first: snap.first,
             faults: snap.faults,
             cpu_load: snap.cpu_load,
             noise_sigma: snap.noise_sigma,
@@ -564,9 +567,10 @@ impl<K: Kernel> StrategyTracker<K> {
     }
 
     /// Last-line degradation: drop the GPU system and run everything —
-    /// including P2P — on the CPU cores. The balancer sees the device count
-    /// change and re-optimizes S for the new machine. Irreversible for this
-    /// tracker; a later restore from checkpoint brings the GPUs back.
+    /// including P2P — on the CPU cores. The balancer sees the online count
+    /// fall to zero on the next step and sweeps S for the cores alone.
+    /// Irreversible for this tracker; a later restore from checkpoint brings
+    /// the GPUs back.
     pub fn force_cpu_only(&mut self) {
         self.node.gpus = None;
         self.filter_cpu.reset();
@@ -814,6 +818,42 @@ mod tests {
                 assert_eq!(online, 2, "both devices online at step {i}");
             }
         }
+    }
+
+    /// A dropout in a settled run: the step that sees it must steer the
+    /// balancer by its own measured times, not by a median of samples
+    /// timed on the machine that was.
+    #[test]
+    fn a_device_change_restarts_the_timing_filters() {
+        let b = plummer(6000, 1.0, 1.0, 7001);
+        let mut t = StrategyTracker::new(
+            fmm_math::GravityKernel::default(),
+            FmmParams::default(),
+            HeteroNode::system_a(10, 2),
+            Strategy::Full,
+            small_cfg(),
+            &b.pos,
+            None,
+        );
+        t.set_fault_schedule(FaultSchedule::new().with(45, FaultEvent::GpuDropout { device: 1 }));
+        for _ in 0..45 {
+            t.step(&b.pos).unwrap();
+        }
+        assert_eq!(t.balancer().state(), LbState::Observation);
+        assert_eq!(
+            t.filter_gpu.samples(),
+            5,
+            "premise: a full pre-fault window"
+        );
+        let before = *t.records().last().unwrap();
+        // Step 45 as `step` runs it, up to the times `maintain` passes on
+        // to `post_step`.
+        t.open().unwrap();
+        t.engine.rebin(&b.pos);
+        let m = t.measure().unwrap();
+        assert_ne!(m.t_gpu, before.t_gpu, "premise: the dropout moves t_gpu");
+        let steer = (t.filter_cpu.push(m.t_cpu), t.filter_gpu.push(m.t_gpu));
+        assert_eq!(steer, (m.t_cpu, m.t_gpu));
     }
 
     #[test]

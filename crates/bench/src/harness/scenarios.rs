@@ -690,11 +690,18 @@ fn balancer_faults(cfg: &SuiteConfig) -> Scenario {
                     .expect("dropout must degrade, not fail");
             }
         });
-        let recovery_steps = tracker
-            .records()
+        let records = tracker.records();
+        // From each device change to the next step the balancer runs in
+        // Observation (or to the run's end, when it never gets there).
+        let recovery_steps: usize = [fault_step, recover_step]
             .iter()
-            .filter(|r| r.state == LbState::Recovery)
-            .count();
+            .map(|&change| {
+                records[change + 1..]
+                    .iter()
+                    .position(|r| r.state == LbState::Observation)
+                    .map_or(records.len() - change, |i| i + 1)
+            })
+            .sum();
         (t, tracker.summary(), recovery_steps)
     };
 

@@ -124,5 +124,5 @@ fn faulted_tracker_records_keep_their_golden_bits() {
             }
         }
     }
-    assert_eq!(format!("{:016x}", records.0), "ea6d8988948655e6");
+    assert_eq!(format!("{:016x}", records.0), "f386ec6135eb0bfb");
 }

@@ -25,6 +25,13 @@ fn tracker(
     )
 }
 
+/// The steps at which the tracker's balancer answered a device-count
+/// change (its `lb.recovery` events).
+fn recovery_steps(t: &StrategyTracker<GravityKernel>) -> Vec<u64> {
+    let events = t.recorder().events_named("lb.recovery");
+    events.iter().map(|e| e.step).collect()
+}
+
 /// Drop GPU 1 of 2 mid-run: the balancer must enter recovery, re-converge
 /// within a bounded number of steps, and end with compute within 2x the
 /// pre-fault steady state.
@@ -32,6 +39,7 @@ fn tracker(
 fn dropout_of_one_gpu_reconverges_within_bound() {
     let b = nbody::plummer(6000, 1.0, 1.0, 7001);
     let mut t = tracker(HeteroNode::system_a(10, 2), afmm::Strategy::Full, &b.pos);
+    t.set_recorder(Recorder::enabled());
     let mut sched = FaultSchedule::new();
     sched.push(45, FaultEvent::GpuDropout { device: 1 });
     t.set_fault_schedule(sched);
@@ -42,19 +50,15 @@ fn dropout_of_one_gpu_reconverges_within_bound() {
     for i in 0..110 {
         let rec = t.step(&b.pos).unwrap();
         computes.push(rec.compute());
-        if i >= 45 {
-            if rec.state == LbState::Recovery {
-                saw_recovery = true;
-            }
-            if saw_recovery && settled_after.is_none() && rec.state == LbState::Observation {
-                settled_after = Some(i);
-            }
+        if saw_recovery && settled_after.is_none() && rec.state == LbState::Observation {
+            settled_after = Some(i);
         }
+        saw_recovery = recovery_steps(&t) == [45];
     }
     assert_eq!(t.node().num_online_gpus(), 1, "device 1 must stay offline");
     assert!(
         saw_recovery,
-        "dropout must push the balancer through Recovery"
+        "the dropout step must answer with lb.recovery"
     );
     let settled = settled_after.expect("balancer must re-settle into Observation");
     assert!(
@@ -70,6 +74,37 @@ fn dropout_of_one_gpu_reconverges_within_bound() {
         "post-fault steady state {steady_after} vs pre-fault {steady_before}"
     );
     assert!(computes.iter().all(|c| c.is_finite() && *c > 0.0));
+}
+
+/// The supervisor's last rung before a restore drops the GPU system outright
+/// ([`StrategyTracker::force_cpu_only`]): the balancer must see the online
+/// count fall to zero on the next step, as when the last device drops out,
+/// and settle on the CPU-only sweep's S.
+#[test]
+fn forced_cpu_only_is_seen_as_a_device_change() {
+    let b = nbody::plummer(6000, 1.0, 1.0, 7001);
+    let mut t = tracker(HeteroNode::system_a(10, 2), afmm::Strategy::Full, &b.pos);
+    t.set_recorder(Recorder::enabled());
+    for _ in 0..40 {
+        t.step(&b.pos).unwrap();
+    }
+    t.force_cpu_only();
+    t.step(&b.pos).unwrap();
+    let events = t.recorder().events_named("lb.recovery");
+    assert_eq!(events.len(), 1, "the CPU-only rung must fire lb.recovery");
+    assert_eq!(
+        (events[0].step, events[0].field_u64("online")),
+        (40, Some(0))
+    );
+    assert_eq!(t.balancer().state(), LbState::Observation);
+    // The sweep, run afresh on the same positions and the same cores.
+    let cfg = t.balancer().cfg;
+    let mut fresh = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, 64);
+    let (swept, _, _) = search_best_s_cpu_only(&mut fresh, t.node(), &b.pos, &cfg);
+    assert_eq!(
+        (t.balancer().s(), t.engine().tree().s_value()),
+        (swept, swept)
+    );
 }
 
 /// Losing every GPU must not abort the run: the tracker falls back to a
@@ -244,13 +279,15 @@ proptest! {
     }
 }
 
-/// Back-to-back dropouts on a 4-GPU node: the second device dies while the
-/// balancer is still in Recovery from the first. The run must absorb both,
-/// finish with exactly two devices online, and re-settle.
+/// Back-to-back dropouts on a 4-GPU node: the second device dies in the
+/// step after the first, while the balancer walks from its warm search.
+/// The run must absorb both, finish with exactly two devices online, and
+/// re-settle.
 #[test]
 fn double_dropout_during_recovery_reconverges() {
     let b = nbody::plummer(6000, 1.0, 1.0, 7010);
     let mut t = tracker(HeteroNode::system_a(10, 4), afmm::Strategy::Full, &b.pos);
+    t.set_recorder(Recorder::enabled());
     let mut sched = FaultSchedule::new();
     sched.push(40, FaultEvent::GpuDropout { device: 1 });
     sched.push(41, FaultEvent::GpuDropout { device: 3 });
@@ -269,14 +306,15 @@ fn double_dropout_during_recovery_reconverges() {
         2,
         "both dropped devices stay offline"
     );
-    assert!(
-        state_at[40..].contains(&LbState::Recovery),
-        "the dropouts must push the balancer through Recovery"
+    assert_eq!(
+        recovery_steps(&t),
+        [40, 41],
+        "each dropout is answered by lb.recovery in the step that sees it"
     );
     assert_eq!(
         state_at[41],
-        LbState::Recovery,
-        "test premise: the second dropout lands while still in Recovery"
+        LbState::Incremental,
+        "test premise: the second dropout lands in the walk the first started"
     );
     assert!(
         state_at[60..].contains(&LbState::Observation),

@@ -57,7 +57,7 @@ fn dynamic_run_emits_full_trace() {
     // causes and states.
     let transitions = rec.events_named("lb.transition");
     assert!(!transitions.is_empty(), "Full strategy must leave Search");
-    let states = ["search", "incremental", "observation", "frozen", "recovery"];
+    let states = ["search", "incremental", "observation", "frozen"];
     for t in &transitions {
         for key in ["from", "to"] {
             match t.field(key) {
