@@ -101,12 +101,20 @@ impl Default for LbConfig {
 /// does. Lone measurement spikes are the [`crate::TimingFilter`]'s to
 /// suppress, before the balancer sees them.
 const REGRESSION_FRAC: f64 = 0.05;
-/// Multiplicative S step of the Incremental state.
+/// How far either way of the S just measured a warm search brackets, and a
+/// priced run of the Incremental walk reaches: `[s/8, 8s]`.
+const WINDOW: usize = 8;
+/// Multiplicative S step between the candidates Incremental prices.
 const INCR_FACTOR: f64 = 1.15;
-/// Incremental keeps walking while compute stays within this fraction of
-/// the walk's best — one 1.15× step often lands on a local bump
-/// (block-quantization effects) that a strict per-step comparison would
-/// mistake for the optimum.
+/// Incremental prices on past a candidate only while the price falls by
+/// more than this fraction from one candidate to the next, and steps only
+/// to a candidate priced this far below the S just measured: a flat
+/// stretch of price is not worth a measured step.
+const PRICE_GAIN: f64 = 0.01;
+/// The guard on the price: a measured step that comes in over the walk's
+/// best by more than this fraction settles the walk back at its best. The
+/// model has no floor for an SM makespan of only a few leaves, so a price
+/// can promise what the kernel does not deliver.
 const INCR_TOL: f64 = 0.05;
 /// FGO batch size as a fraction of the active leaf count.
 const FGO_BATCH_FRAC: f64 = 0.03;
@@ -132,10 +140,6 @@ pub struct LbReport {
 pub struct Walk {
     /// Best (S, measured compute) of the walk.
     pub best: (usize, f64),
-    /// Direction (`true` = grow S); seeded from dominance on the first step.
-    pub up: bool,
-    /// The one allowed direction reversal has been spent.
-    pub flipped: bool,
 }
 
 /// Plain-data image of a [`LoadBalancer`] for checkpointing: everything one
@@ -280,7 +284,9 @@ impl LoadBalancer {
     /// here patches it, and is charged [`lbtime::plan_patch`]. `model` has
     /// observed that step ([`CostModel::observe`]): Search prices its
     /// candidate S values with it and finishes within this call, as does the
-    /// warm search that answers a change in the online device count.
+    /// warm search that answers a change in the online device count, and
+    /// Incremental prices the neighbours of the S just measured before it
+    /// takes a step.
     pub fn post_step<K: Kernel>(
         &mut self,
         engine: &mut FmmEngine<K>,

@@ -9,7 +9,7 @@
 
 use super::{
     geometric_mid, lbtime, LbConfig, LbReport, LbState, LoadBalancer, Strategy, Walk,
-    FGO_BATCH_FRAC, FGO_MAX_ROUNDS, INCR_FACTOR, INCR_TOL, REGRESSION_FRAC,
+    FGO_BATCH_FRAC, FGO_MAX_ROUNDS, INCR_FACTOR, INCR_TOL, PRICE_GAIN, REGRESSION_FRAC, WINDOW,
 };
 use crate::config::HeteroNode;
 use crate::cost::{CostModel, Prediction};
@@ -51,13 +51,15 @@ impl LoadBalancer {
     /// ([`regula_falsi`]), or the midpoint when that root is not strictly
     /// inside. Search ends when the gap is at most `eps_switch_s`, the
     /// bracket is within 1.25×, or the candidate repeats; a tree at another
-    /// S is then rebuilt once, at the last candidate, charged
+    /// S is then rebuilt once, at the cheapest candidate priced, charged
     /// [`lbtime::rebuild`]. Each candidate is recorded as an `lb.price`
-    /// event, and the compute Search leaves with — measured, or the last
-    /// candidate's prediction — is the best seen.
+    /// event, and the compute Search leaves with — measured, or the
+    /// cheapest candidate's prediction — is the best seen.
     ///
-    /// In a fitted cube the prices are of the current cube's trees, and so
-    /// approximate: the Incremental walk that follows corrects by measuring.
+    /// The bracket chases the crossover of t_cpu and t_gpu, which need not
+    /// be the optimum: the Incremental walk that follows prices on from
+    /// there. In a fitted cube the prices are of the current cube's trees,
+    /// and so approximate: the walk's measured steps correct them.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn search_step<K: Kernel>(
         &mut self,
@@ -92,17 +94,21 @@ impl LoadBalancer {
         }
         let (mut lo, mut hi) = (self.cfg.s_min, self.cfg.s_max);
         if warm {
-            lo = (self.s / 8).max(self.cfg.s_min);
-            hi = self.s.saturating_mul(8).min(self.cfg.s_max).max(lo + 1);
+            lo = (self.s / WINDOW).max(self.cfg.s_min);
+            hi = self
+                .s
+                .saturating_mul(WINDOW)
+                .min(self.cfg.s_max)
+                .max(lo + 1);
         }
         debug_assert!(model.is_observed(), "Search prices with an observed model");
-        let mac = engine.params().mac;
         let mut scratch = PriceScratch::default();
         let (mut t_cpu, mut t_gpu) = (t_cpu, t_gpu);
         // g at each end of the bracket once known, and which end moved last.
         let (mut g_lo, mut g_hi) = (None, None);
         let mut moved_lo = None;
-        let mut priced = false;
+        // The cheapest candidate priced: (S, predicted compute).
+        let mut cheapest: Option<(usize, f64)> = None;
         loop {
             if (t_cpu - t_gpu).abs() <= self.cfg.eps_switch_s || hi <= lo + lo / 4 {
                 break;
@@ -131,39 +137,63 @@ impl LoadBalancer {
                 break;
             }
             self.s = next;
-            let (counts, entries) = engine.tree().price(next, mac, &mut scratch);
-            rep.lb_time += lbtime::predict(node, entries);
-            let pred = model.predict(&counts, node);
-            self.recorder().event(
-                "lb.price",
-                vec![
-                    ("s", telemetry::Value::U64(next as u64)),
-                    ("entries", telemetry::Value::U64(entries as u64)),
-                    ("pred_cpu", telemetry::Value::F64(pred.t_cpu)),
-                    ("pred_gpu", telemetry::Value::F64(pred.t_gpu)),
-                ],
-            );
+            let pred = self.price(engine, model, node, next, &mut scratch, rep);
+            if cheapest.is_none_or(|(_, c)| pred.compute() < c) {
+                cheapest = Some((next, pred.compute()));
+            }
             (t_cpu, t_gpu) = (pred.t_cpu, pred.t_gpu);
-            priced = true;
         }
-        if priced && self.s != engine.tree().s_value() {
-            engine.rebuild(pos, self.s);
-            // Leave the plan live, as the step's timing left it.
-            engine.refresh_plan();
-            rep.lb_time += lbtime::rebuild(node, pos.len());
-            rep.rebuilt = true;
-        }
-        self.leave_search(t_cpu.max(t_gpu), warm);
+        let compute = match cheapest {
+            Some((s, c)) => {
+                self.s = s;
+                if s != engine.tree().s_value() {
+                    engine.rebuild(pos, s);
+                    // Leave the plan live, as the step's timing left it.
+                    engine.refresh_plan();
+                    rep.lb_time += lbtime::rebuild(node, pos.len());
+                    rep.rebuilt = true;
+                }
+                c
+            }
+            None => t_cpu.max(t_gpu),
+        };
+        self.leave_search(compute, warm);
     }
 
-    /// The Incremental walk, steered by the *measured compute time* rather
-    /// than by which side dominates. Dominance only seeds the initial
-    /// direction; after that each 1.15× probe keeps walking while compute
-    /// stays within `INCR_TOL` of the walk's best (riding over local
-    /// bumps from block quantization). When a direction is exhausted —
-    /// compute climbs out of the tolerance band or S pins at a bound —
-    /// the walk reverses once from its best S so both sides of the start
-    /// are explored, then settles at the walk's best.
+    /// Price the tree at leaf capacity `s` from the current tree's sorted
+    /// codes ([`Octree::price`]) with the observed model, charge it
+    /// [`lbtime::predict`], and record it as an `lb.price` event.
+    fn price<K: Kernel>(
+        &self,
+        engine: &FmmEngine<K>,
+        model: &CostModel,
+        node: &HeteroNode,
+        s: usize,
+        scratch: &mut PriceScratch,
+        rep: &mut LbReport,
+    ) -> Prediction {
+        let (counts, entries) = engine.tree().price(s, engine.params().mac, scratch);
+        rep.lb_time += lbtime::predict(node, entries);
+        let pred = model.predict(&counts, node);
+        self.recorder().event(
+            "lb.price",
+            vec![
+                ("s", telemetry::Value::U64(s as u64)),
+                ("entries", telemetry::Value::U64(entries as u64)),
+                ("pred_cpu", telemetry::Value::F64(pred.t_cpu)),
+                ("pred_gpu", telemetry::Value::F64(pred.t_gpu)),
+            ],
+        );
+        pred
+    }
+
+    /// The Incremental walk, steered by the price and checked by the
+    /// measured compute time. From the S just measured it prices the ×1.15
+    /// neighbours ([`LoadBalancer::priced_best`]) and takes one measured
+    /// step to the cheapest S the price reaches downhill; where no
+    /// neighbour pays, it settles at the walk's best. A measured step that
+    /// comes in over the walk's best by more than `INCR_TOL` settles the
+    /// walk back at its best.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn incremental_step<K: Kernel>(
         &mut self,
@@ -176,61 +206,24 @@ impl LoadBalancer {
         rep: &mut LbReport,
     ) {
         let compute = t_cpu.max(t_gpu);
-        let mut exhausted = false;
-        let mut walk = match self.walk {
-            None => Walk {
-                best: (self.s, compute),
-                // CPU dominant: shift near-field work to the GPUs with
-                // larger S.
-                up: t_cpu >= t_gpu,
-                flipped: false,
-            },
-            Some(mut w) => {
-                if compute < w.best.1 {
-                    w.best = (self.s, compute);
-                } else if compute > w.best.1 * (1.0 + INCR_TOL) {
-                    // Walked off the basin in this direction.
-                    exhausted = true;
-                }
-                // Otherwise within the tolerance band of the best: keep
-                // walking through the local bump.
-                w
-            }
-        };
-        let step_from = |s: usize, up: bool| {
-            if up {
-                ((s as f64 * INCR_FACTOR).ceil() as usize).min(self.cfg.s_max)
-            } else {
-                ((s as f64 / INCR_FACTOR).floor() as usize).max(self.cfg.s_min)
-            }
-        };
-        let mut next = step_from(self.s, walk.up);
-        if next == self.s {
-            // Pinned at a bound: this direction is exhausted too.
-            exhausted = true;
+        let mut walk = self.walk.take().unwrap_or(Walk {
+            best: (self.s, compute),
+        });
+        if compute < walk.best.1 {
+            walk.best = (self.s, compute);
+        } else if compute > walk.best.1 * (1.0 + INCR_TOL) {
+            self.finish_incremental(engine, model, node, pos, walk, rep);
+            return;
         }
-        if exhausted {
-            if walk.flipped {
-                // Both directions explored: settle at the walk's best.
-                self.finish_incremental(engine, model, node, pos, walk, rep);
-                return;
-            }
-            // Reverse once, restarting the probes from the walk's best S.
-            walk.flipped = true;
-            walk.up = !walk.up;
-            let base = walk.best.0;
-            next = step_from(base, walk.up);
-            if next == base || next == self.s {
-                self.finish_incremental(engine, model, node, pos, walk, rep);
-                return;
-            }
-        }
+        let Some(next) = self.priced_best(engine, model, node, walk.best.0, rep) else {
+            self.finish_incremental(engine, model, node, pos, walk, rep);
+            return;
+        };
         self.walk = Some(walk);
         self.s = next;
-        // An Incremental probe only perturbs the S-neighborhood: re-bin the
-        // moved bodies and Enforce_S the new capacity via plan patches —
-        // paying rebin + enforce + patch cost, not a full rebuild +
-        // re-traversal.
+        // A step of the walk re-bins the moved bodies and Enforce_S's the
+        // new capacity via plan patches — paying rebin + enforce + patch
+        // cost, not a full rebuild + re-traversal.
         engine.rebin(pos);
         rep.lb_time += lbtime::rebin(node, pos.len());
         if engine.refresh_plan() == PlanRefresh::Rebuilt {
@@ -240,6 +233,61 @@ impl LoadBalancer {
         }
         engine.set_s(next);
         self.enforce(engine, node, rep);
+    }
+
+    /// The S the price says to step to from the S just measured, if any.
+    /// In each direction it prices the ×1.15 neighbour, and the next one on
+    /// while the price falls by more than `PRICE_GAIN` from candidate to
+    /// candidate, within `[s/8, 8s]`. A candidate priced exactly as the last
+    /// is the same tree (`Enforce_S` changes nothing over a range of S) and
+    /// is crossed, not counted as a stop. The cheapest candidate reached
+    /// wins; by construction it is priced `PRICE_GAIN` below the tree just
+    /// measured, whose prediction costs nothing (the model observed its
+    /// counts). Away from the walk's best (at `best_s`) only the direction
+    /// away from it is priced, so steps that do not improve on the best
+    /// never lead back to it, and the walk ends.
+    fn priced_best<K: Kernel>(
+        &self,
+        engine: &FmmEngine<K>,
+        model: &CostModel,
+        node: &HeteroNode,
+        best_s: usize,
+        rep: &mut LbReport,
+    ) -> Option<usize> {
+        let mut scratch = PriceScratch::default();
+        let here = model.predict(&engine.counts(), node);
+        let lo = (self.s / WINDOW).max(self.cfg.s_min);
+        let hi = self.s.saturating_mul(WINDOW).min(self.cfg.s_max);
+        let mut target: Option<(usize, f64)> = None;
+        for up in [true, false] {
+            if self.s != best_s && up != (self.s > best_s) {
+                continue;
+            }
+            let (mut s, mut last) = (self.s, here);
+            loop {
+                let next = if up {
+                    ((s as f64 * INCR_FACTOR).ceil() as usize).min(hi)
+                } else {
+                    ((s as f64 / INCR_FACTOR).floor() as usize).max(lo)
+                };
+                if next == s {
+                    break;
+                }
+                s = next;
+                let price = self.price(engine, model, node, s, &mut scratch, rep);
+                if price == last {
+                    continue;
+                }
+                if price.compute() >= last.compute() * (1.0 - PRICE_GAIN) {
+                    break;
+                }
+                last = price;
+                if target.is_none_or(|(_, t)| price.compute() < t) {
+                    target = Some((s, price.compute()));
+                }
+            }
+        }
+        target.map(|(s, _)| s)
     }
 
     /// One Enforce_S pass through the plan, recorded and charged: the walk,

@@ -42,26 +42,46 @@ fn cfg_for_tests() -> LbConfig {
 }
 
 #[test]
-fn search_converges_to_crossover() {
+fn search_settles_no_worse_than_the_crossover() {
+    // At 6k on 10C2G the crossover of t_cpu and t_gpu is not the optimum
+    // (GPU time keeps falling as leaves fill their blocks), so the walk
+    // that follows Search must settle at least as well as the crossover.
     let mut h = Harness::new(6000, HeteroNode::system_a(10, 2), 64);
     let mut lb = LoadBalancer::new(Strategy::Full, cfg_for_tests());
     h.engine.rebuild(&h.pos.clone(), lb.s());
     let mut steps = 0;
-    while lb.state() == LbState::Search && steps < 25 {
+    while lb.state() != LbState::Observation && steps < 25 {
         let (tc, tg) = h.measure();
         let pos = h.pos.clone();
         lb.post_step(&mut h.engine, &h.model, &h.node, &pos, tc, tg);
         steps += 1;
     }
-    assert!(steps < 25, "binary search did not converge");
-    assert_ne!(lb.state(), LbState::Search);
-    // At the S the search settled on, CPU and GPU times are of the same
-    // order (within the bracket resolution).
+    assert_eq!(
+        lb.state(),
+        LbState::Observation,
+        "no settle in {steps} steps"
+    );
     let (tc, tg) = h.measure();
-    let ratio = tc.max(tg) / tc.min(tg).max(1e-12);
+    let settled = tc.max(tg);
+    // The crossover, measured: the two ×1.6 grid points around the first
+    // S at which the GPU dominates, and the better of them.
+    let pos = h.pos.clone();
+    let mut below = None;
+    let mut s = lb.cfg.s_min;
+    let crossover = loop {
+        assert!(s <= lb.cfg.s_max, "no crossover on the grid");
+        h.engine.rebuild(&pos, s);
+        let (tc, tg) = h.measure();
+        if tg >= tc {
+            break below.map_or(tg, |b: f64| b.min(tg));
+        }
+        below = Some(tc);
+        s = (s as f64 * 1.6).ceil() as usize;
+    };
     assert!(
-        ratio < 4.0,
-        "crossover imbalance ratio {ratio} (tc={tc}, tg={tg})"
+        settled <= crossover,
+        "settled at S {} with {settled} s, crossover {crossover} s",
+        lb.s()
     );
 }
 
@@ -413,7 +433,8 @@ fn cpu_only_s_sweep_finds_interior_optimum() {
 
 /// Step `h` once from `from`, in which it searches (cold from Search, warm
 /// when the device count just changed): the balancer must finish the search
-/// within that one `post_step`, rebuilt once at its last priced candidate. Each `lb.price` event must name what `Octree::price` gives on
+/// within that one `post_step`, rebuilt once at its cheapest priced
+/// candidate. Each `lb.price` event must name what `Octree::price` gives on
 /// the tree the step measured, and the step's LB time must be one
 /// prediction pass per candidate, in order, plus one rebuild.
 fn assert_priced_in_one_step(
@@ -435,6 +456,7 @@ fn assert_priced_in_one_step(
     let mac = h.engine.params().mac;
     let mut scratch = octree::PriceScratch::default();
     let mut want = 0.0;
+    let mut cheapest = (0, f64::INFINITY);
     for e in priced {
         let s = e.field_u64("s").unwrap() as usize;
         let (counts, entries) = measured.price(s, mac, &mut scratch);
@@ -443,11 +465,15 @@ fn assert_priced_in_one_step(
         assert_eq!(e.field_f64("pred_cpu"), Some(pred.t_cpu), "S {s}");
         assert_eq!(e.field_f64("pred_gpu"), Some(pred.t_gpu), "S {s}");
         want += lbtime::predict(&h.node, entries);
+        if pred.compute() < cheapest.1 {
+            cheapest = (s, pred.compute());
+        }
     }
     want += lbtime::rebuild(&h.node, pos.len());
     assert_eq!(rep.lb_time, want);
-    let last = priced.last().unwrap().field_u64("s").unwrap() as usize;
-    assert_eq!((lb.s(), h.engine.tree().s_value()), (last, last));
+    let s = cheapest.0;
+    assert_eq!((lb.s(), h.engine.tree().s_value()), (s, s));
+    assert_eq!(lb.best_compute(), cheapest.1);
     assert!(
         h.engine.plan_epoch().is_some(),
         "the rebuilt tree has a plan"
@@ -491,4 +517,34 @@ fn recovery_prices_from_its_warm_bracket_and_rebuilds_once() {
     assert_eq!(rec.events_named("lb.recovery").len(), 1);
     let bracket = (settled / 8).max(lb.cfg.s_min)..=settled * 8;
     assert!(bracket.contains(&lb.s()), "S {} left {bracket:?}", lb.s());
+}
+
+#[test]
+fn a_priced_step_that_misses_settles_back_at_the_best() {
+    // At 3k on 10C4G the price, which has no floor for the SM makespan of
+    // a tree of one leaf, says the one-leaf tree is cheapest; the measured
+    // step there misses, and the walk settles back at its best.
+    let mut h = Harness::new(3000, HeteroNode::system_a(10, 4), 181);
+    let mut lb = LoadBalancer::new(Strategy::Full, cfg_for_tests());
+    let mut seen = Vec::new();
+    while lb.state() != LbState::Observation && seen.len() < 10 {
+        let (tc, tg) = h.measure();
+        seen.push((lb.s(), tc.max(tg)));
+        let pos = h.pos.clone();
+        lb.post_step(&mut h.engine, &h.model, &h.node, &pos, tc, tg);
+    }
+    assert_eq!(lb.state(), LbState::Observation, "{seen:?}");
+    let (best_s, best) =
+        seen.iter()
+            .copied()
+            .fold((0, f64::INFINITY), |a, b| if b.1 < a.1 { b } else { a });
+    let (missed_s, missed) = *seen.last().unwrap();
+    assert!(
+        missed_s >= h.pos.len(),
+        "the last step is the one-leaf tree"
+    );
+    assert!(missed > best * (1.0 + INCR_TOL), "{seen:?}");
+    assert_eq!(lb.s(), best_s);
+    let (tc, tg) = h.measure();
+    assert_eq!(tc.max(tg), best, "settled on the tree measured best");
 }

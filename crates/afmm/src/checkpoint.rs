@@ -5,7 +5,7 @@
 //! traces — wrapped in an envelope:
 //!
 //! ```json
-//! {"schema_version":4,"kind":"tracker","checksum":"<fnv1a64 hex>","payload":{...}}
+//! {"schema_version":5,"kind":"tracker","checksum":"<fnv1a64 hex>","payload":{...}}
 //! ```
 //!
 //! The checksum is FNV-1a-64 over the exact payload bytes, so any bit flip
@@ -36,7 +36,7 @@ use telemetry::json::{push_opt, push_seq, Json};
 
 /// Version of the on-disk schema. Bump on any incompatible layout change;
 /// restore refuses snapshots from a different version.
-pub const SCHEMA_VERSION: u32 = 4;
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Plain-data image of an [`FmmEngine`](crate::FmmEngine): numerical
 /// parameters and the octree. The execution plan is derived from the tree
@@ -194,7 +194,7 @@ fn w_balancer(out: &mut String, b: &BalancerSnapshot) {
     push_opt(out, b.walk, |out, w| {
         let _ = write!(out, "[{},", w.best.0);
         w_f64(out, w.best.1);
-        let _ = write!(out, ",{},{}]", w.up, w.flipped);
+        out.push(']');
     });
     out.push_str(",\"last_online\":");
     push_opt(out, b.last_online, |out, n| {
@@ -226,7 +226,7 @@ fn w_tracker(out: &mut String, t: &TrackerSnapshot) {
         m.c_cpu_pair,
         m.c_node,
         m.parallel_rate,
-        m.c_gpu_pair,
+        m.c_gpu_block,
     ];
     push_seq(out, coeffs, w_f64);
     let _ = write!(out, ",\"model_observed\":{},\"balancer\":", m.is_observed());
@@ -442,11 +442,9 @@ fn r_balancer(v: &Json) -> Read<BalancerSnapshot> {
         s: r_int(field(v, "s")?)?,
         best_compute: r_f64(field(v, "best")?)?,
         walk: r_opt(field(v, "walk")?, |p| {
-            let [s, t, up, flipped] = r_tuple(p, "walk")?;
+            let [s, t] = r_tuple(p, "walk")?;
             Ok(Walk {
                 best: (r_int(s)?, r_f64(t)?),
-                up: r_bool(up)?,
-                flipped: r_bool(flipped)?,
             })
         })?,
         last_online: r_opt(field(v, "last_online")?, r_int)?,
@@ -495,7 +493,7 @@ fn r_fault_event(v: &Json) -> Read<FaultEvent> {
 }
 
 fn r_tracker(v: &Json) -> Read<TrackerSnapshot> {
-    let [p2m, m2m, m2l, l2l, l2p, cpu_pair, node, rate, gpu_pair] =
+    let [p2m, m2m, m2l, l2l, l2p, cpu_pair, node, rate, gpu_block] =
         r_tuple(field(v, "model")?, "model")?;
     let mut model = CostModel::new();
     model.c_p2m = r_f64(p2m)?;
@@ -506,7 +504,7 @@ fn r_tracker(v: &Json) -> Read<TrackerSnapshot> {
     model.c_cpu_pair = r_f64(cpu_pair)?;
     model.c_node = r_f64(node)?;
     model.parallel_rate = r_f64(rate)?;
-    model.c_gpu_pair = r_f64(gpu_pair)?;
+    model.c_gpu_block = r_f64(gpu_block)?;
     model.set_observed(r_bool(field(v, "model_observed")?)?);
     // Rebuild through push(): within-step insertion order is preserved for
     // an already-sorted script, and cross-step order is re-established even
@@ -687,16 +685,16 @@ mod tests {
     }
 
     /// The writer's bytes are pinned: the engine payload's checksum and
-    /// length for this seeded engine as schema v4 writes them — v4 changed
-    /// the balancer's and the filters' images, not the engine's; v3 dropped
-    /// the plan. If this moves, old checkpoints stop restoring and
+    /// length for this seeded engine as schema v5 writes them — v5 changed
+    /// the cost model's GPU coefficient and v4 the balancer's and the
+    /// filters' images, not the engine's; v3 dropped the plan. If this moves, old checkpoints stop restoring and
     /// `SCHEMA_VERSION` must move too.
     #[test]
     fn engine_checkpoint_bytes_are_pinned() {
         let text = engine_to_json(&sample_engine().checkpoint_state());
         assert!(
             text.starts_with(
-                "{\"schema_version\":4,\"kind\":\"engine\",\"checksum\":\"c22aca8f6c0c6fe0\","
+                "{\"schema_version\":5,\"kind\":\"engine\",\"checksum\":\"c22aca8f6c0c6fe0\","
             ),
             "{}",
             &text[..80]
@@ -725,7 +723,7 @@ mod tests {
     fn wrong_schema_version_is_refused() {
         let e = sample_engine();
         let text = engine_to_json(&e.checkpoint_state());
-        let older = text.replacen("\"schema_version\":4", "\"schema_version\":3", 1);
+        let older = text.replacen("\"schema_version\":5", "\"schema_version\":4", 1);
         assert_ne!(older, text);
         let err = engine_from_json(&older).unwrap_err();
         assert!(

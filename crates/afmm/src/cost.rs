@@ -5,7 +5,7 @@ use octree::OpCounts;
 
 /// Predicted step times for a (possibly hypothetical) tree, from the
 /// observational cost model: `T = Σ_op M(op) · C(op)`.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Prediction {
     pub t_cpu: f64,
     pub t_gpu: f64,
@@ -49,9 +49,12 @@ impl Prediction {
 /// ("a single value that encompasses the collective effects of CPU speed,
 /// the number of cores, memory speed and the number of retained terms");
 /// the observed effective parallelism converts work back to wall time. The
-/// GPU coefficient divides the **maximum kernel time** by the **total P2P
-/// interactions over all GPUs** — a whole-system efficiency number that
-/// shifts with warp occupancy as the tree changes, exactly as in the paper.
+/// GPU coefficient divides the **maximum kernel time** by the **total GPU
+/// block-steps over all GPUs** (`OpCounts::gpu_block_steps`): the unit the
+/// kernel is charged in, so the idle threads of partial blocks — the warp
+/// occupancy that shifts as the tree changes — are in the count, and the
+/// coefficient carries only what the count cannot see (SM makespan, launch
+/// overhead, the split over devices).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CostModel {
     /// CPU core-seconds per body expanded (P2M).
@@ -73,9 +76,9 @@ pub struct CostModel {
     /// Observed effective parallelism of the far-field phase
     /// (core-equivalents, ≥ 1).
     pub parallel_rate: f64,
-    /// GPU-system seconds per direct interaction: max kernel time divided by
-    /// total interactions over all GPUs.
-    pub c_gpu_pair: f64,
+    /// GPU-system seconds per block-step: max kernel time divided by the
+    /// total block-steps over all GPUs.
+    pub c_gpu_block: f64,
     observed: bool,
 }
 
@@ -121,8 +124,8 @@ impl CostModel {
         self.c_cpu_pair = flops.p2p_per_pair / eff;
         self.c_node = 2.0 * node.cpu.task_overhead_s;
         self.parallel_rate = timing.parallel_rate();
-        if timing.gpu.is_some() && counts.p2p_interactions > 0 {
-            self.c_gpu_pair = timing.t_gpu / counts.p2p_interactions as f64;
+        if timing.gpu.is_some() && counts.gpu_block_steps > 0 {
+            self.c_gpu_block = timing.t_gpu / counts.gpu_block_steps as f64;
         }
         self.observed = true;
     }
@@ -144,7 +147,7 @@ impl CostModel {
         let mut cpu_work = self.far_field_core_seconds(counts);
         let t_gpu;
         if node.gpus.is_some() {
-            t_gpu = self.c_gpu_pair * counts.p2p_interactions as f64;
+            t_gpu = self.c_gpu_block * counts.gpu_block_steps as f64;
         } else {
             t_gpu = 0.0;
             cpu_work += self.c_cpu_pair * counts.p2p_interactions as f64;
@@ -228,18 +231,54 @@ mod tests {
     }
 
     #[test]
-    fn bigger_s_predicts_more_gpu_less_cpu() {
+    fn bigger_s_moves_the_prediction_as_time_step_moves() {
+        // Observed at S = 32, predicted at 24 and 256: each side's predicted
+        // change has the sign of the change `time_step` realizes. At 4k on
+        // 10C2G the GPU time *falls* from S 24 to 256 (3.94 → 2.72 ms), as
+        // larger leaves fill their blocks.
         let node = HeteroNode::system_a(10, 2);
         let (model, _c, _t, mut e) = observed_model(4000, 32, &node);
         let b = plummer(4000, 1.0, 1.0, 301);
-        e.rebuild(&b.pos, 24);
-        let fine = e.refresh_lists();
-        e.rebuild(&b.pos, 256);
-        let coarse = e.refresh_lists();
-        let p_fine = model.predict(&fine, &node);
-        let p_coarse = model.predict(&coarse, &node);
-        assert!(p_coarse.t_gpu > p_fine.t_gpu);
-        assert!(p_coarse.t_cpu < p_fine.t_cpu);
+        let flops = e.kernel.op_flops(e.expansion_ops());
+        let mut at = |s: usize| {
+            e.rebuild(&b.pos, s);
+            let counts = e.refresh_lists();
+            let real = time_step(e.tree(), e.lists(), &flops, &node, ExecPolicy::default());
+            (model.predict(&counts, &node), real.unwrap())
+        };
+        let (p_fine, t_fine) = at(24);
+        let (p_coarse, t_coarse) = at(256);
+        assert!(t_coarse.t_gpu < t_fine.t_gpu && t_coarse.t_cpu < t_fine.t_cpu);
+        assert!(
+            p_coarse.t_gpu < p_fine.t_gpu,
+            "GPU {p_fine:?} -> {p_coarse:?}"
+        );
+        assert!(
+            p_coarse.t_cpu < p_fine.t_cpu,
+            "CPU {p_fine:?} -> {p_coarse:?}"
+        );
+    }
+
+    #[test]
+    fn gpu_prediction_tracks_time_step_across_s() {
+        // Observed at one S, the model's t_gpu is within 10 % of
+        // `time_step`'s at every point of a ×1.35 grid from 24 to 1700
+        // (12k Plummer, 10C1G): the block-step count carries the partial
+        // blocks the kernel is charged for, from leaves of a few bodies to
+        // leaves of many blocks.
+        let node = HeteroNode::system_a(10, 1);
+        let (model, _c, _t, mut e) = observed_model(12_000, 96, &node);
+        let b = plummer(12_000, 1.0, 1.0, 301);
+        let flops = e.kernel.op_flops(e.expansion_ops());
+        let grid = std::iter::successors(Some(24usize), |&s| Some((s as f64 * 1.35) as usize));
+        for s in grid.take_while(|&s| s <= 1700) {
+            e.rebuild(&b.pos, s);
+            let counts = e.refresh_lists();
+            let real = time_step(e.tree(), e.lists(), &flops, &node, ExecPolicy::default());
+            let real = real.unwrap().t_gpu;
+            let rel = (model.predict(&counts, &node).t_gpu - real) / real;
+            assert!(rel.abs() < 0.10, "S {s}: t_gpu off by {rel}");
+        }
     }
 
     #[test]

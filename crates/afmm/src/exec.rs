@@ -257,7 +257,7 @@ fn add_downsweep(
             cost += flops.l2p_per_body * node.count() as f64;
         }
         if include_p2p {
-            cost += flops.p2p_per_pair * lists.leaf_pairs(tree, id) as f64;
+            cost += flops.p2p_per_pair * lists.leaf_p2p(tree, id).0 as f64;
         }
     }
     let task = graph.add(cost, vec![parent_task]);
@@ -424,6 +424,44 @@ mod tests {
             .map(|&id| e.tree().node(id).count() as u64)
             .sum();
         assert_eq!(job_pairs, e.counts().p2p_interactions + diag);
+    }
+
+    #[test]
+    fn gpu_block_steps_are_the_jobs_blocks_times_steps_and_tiles() {
+        // The count the cost model prices the GPU with is the kernel's own
+        // charge: per job ⌈threads/B⌉ blocks, each running its `steps`
+        // source bodies and its tile loads (recovered from `block_cycles`,
+        // exact in f64), over every ×1.6 grid point of S from 8 to 4096.
+        let spec = gpu_sim::C2050;
+        let n = 3000;
+        for (name, pos) in [
+            ("plummer", plummer(n, 1.0, 1.0, 211).pos),
+            ("uniform", nbody::uniform_cube(n, 2.0, 212).pos),
+            (
+                "two clusters",
+                nbody::two_clusters(n, 0.5, 1.0, 8.0, 0.0, 213).pos,
+            ),
+        ] {
+            let mut s = 8;
+            while s <= 4096 {
+                let e = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &pos, s);
+                let tree = e.tree();
+                let lists = octree::dual_traversal(tree, e.params().mac);
+                let recount: u64 = build_gpu_jobs(tree, &lists)
+                    .iter()
+                    .map(|job| {
+                        let tiles = (job.block_cycles - job.steps as f64 * spec.pair_cycles)
+                            / spec.tile_load_cycles;
+                        let blocks = job.threads.div_ceil(spec.block_size) as u64;
+                        blocks * (job.steps + tiles as u64)
+                    })
+                    .sum();
+                let counts = octree::count_ops(tree, &lists);
+                assert_eq!(counts.gpu_block_steps, recount, "{name}, S {s}");
+                assert!(recount > 0, "{name}, S {s}");
+                s = (s as f64 * 1.6).ceil() as usize;
+            }
+        }
     }
 
     #[test]

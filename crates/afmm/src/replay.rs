@@ -90,7 +90,8 @@ const LEGAL_TRANSITIONS: &[(&str, &str, &str)] = &[
     ("search", "frozen", "search_settled"),
     ("search", "observation", "search_settled"),
     ("search", "incremental", "search_settled"),
-    // The Incremental walk exhausts both directions and hands off.
+    // The Incremental walk settles where no neighbour's price pays, or
+    // where a measured step misses its best.
     ("incremental", "observation", "incremental_settled"),
     // Observation falls back to the global walk when local repair fails.
     ("observation", "incremental", "repair_failed"),

@@ -21,7 +21,9 @@
 //! the virtual node at full fidelity independently.
 //!
 //! Output: per-step total time (Fig 8) and S value (Fig 9) for each
-//! strategy, then the Table II summary.
+//! strategy, then the Table II summary, whose strict order of relative
+//! cost per step (1 > 2 > 3) the run asserts. Below ≈ 50k bodies the
+//! strategies tie within 1 % and the assertion fails.
 
 use afmm::{FmmParams, GravitySim, HeteroNode, LbConfig, RunSummary, Strategy, StrategyTracker};
 use bench::print_tsv;
@@ -176,6 +178,14 @@ fn main() {
             "rel_cost_per_step",
         ],
         &rows,
+    );
+
+    // The paper's shape: each strategy costs strictly less per step than
+    // the one before it.
+    let rel = summaries.map(|s| s.mean_total_per_step / mean3);
+    assert!(
+        rel[0] > rel[1] && rel[1] > rel[2],
+        "Table II out of order: relative cost per step {rel:?}"
     );
 
     // ---- §IX.A scalars ----

@@ -221,6 +221,7 @@ fn plan_snapshot(tree: &Octree, lists: &InteractionLists, counts: Option<OpCount
                     "p2p_interactions",
                     Json::F64(counts.p2p_interactions as f64),
                 ),
+                ("gpu_block_steps", Json::F64(counts.gpu_block_steps as f64)),
                 ("active_nodes", Json::F64(counts.active_nodes as f64)),
             ]),
         ),
@@ -347,7 +348,7 @@ fn cost_snapshot(cost: &CostModel) -> Json {
         ("c_l2p", Json::F64(cost.c_l2p)),
         ("c_cpu_pair", Json::F64(cost.c_cpu_pair)),
         ("c_node", Json::F64(cost.c_node)),
-        ("c_gpu_pair", Json::F64(cost.c_gpu_pair)),
+        ("c_gpu_block", Json::F64(cost.c_gpu_block)),
         ("parallel_rate", Json::F64(cost.parallel_rate)),
     ])
 }

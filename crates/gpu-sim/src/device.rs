@@ -50,6 +50,18 @@ impl GpuJob {
         }
     }
 
+    /// Block-steps of one P2P list entry, the unit [`GpuJob::p2p`] charges:
+    /// ⌈`targets`/B⌉ blocks, each streaming `sources` bodies in
+    /// ⌈`sources`/B⌉ tiles, with B the [`C2050`]'s `block_size`. A tile
+    /// load costs what one source body does (`tile_load_cycles` equals
+    /// `pair_cycles`), so a job's blocks run `pair_cycles` times the sum of
+    /// this over its sources, cycle for cycle.
+    #[inline]
+    pub fn p2p_block_steps(targets: usize, sources: usize) -> u64 {
+        let bs = C2050.block_size;
+        (targets.div_ceil(bs) * (sources + sources.div_ceil(bs))) as u64
+    }
+
     /// Useful thread-steps, the weight the partition walk consumes: the
     /// paper's `Interactions(t)` (`targets × total sources`) for P2P work,
     /// the body count for expansion work.

@@ -11,6 +11,7 @@ use crate::build::{subdivide, SplitRule};
 use crate::node::{Node, NodeId, Octree};
 use crate::stats::OpCounts;
 use crate::traversal::{traverse, Entry, Mac, MIN_FORK_NODES};
+use gpu_sim::GpuJob;
 use rayon::prelude::*;
 
 /// Reusable buffers of [`Octree::price`]: the candidate's node records and
@@ -23,30 +24,34 @@ pub struct PriceScratch {
 }
 
 /// What one traversal task emits: M2L translations, direct body-body
-/// interactions, and list entries of both kinds.
+/// interactions, GPU block-steps, and list entries of both kinds.
 #[derive(Clone, Copy, Default)]
 struct Tally {
     m2l: u64,
     p2p: u64,
+    gpu: u64,
     entries: usize,
 }
 
 impl Tally {
     /// Count the pair the traversal ended on, P2P by
-    /// [`crate::InteractionLists::leaf_pairs`]' rule: a leaf with itself
-    /// makes `n · (n − 1)` interactions, two leaves `n_a · n_b`.
+    /// [`crate::InteractionLists::leaf_p2p`]'s rule: a leaf with itself
+    /// makes `n · (n − 1)` interactions, two leaves `n_a · n_b`, and every
+    /// entry its GPU block-steps.
     #[inline(always)]
     fn add(&mut self, nodes: &[Node], e: Entry, a: NodeId, b: NodeId) {
         self.entries += 1;
         match e {
             Entry::M2l => self.m2l += 1,
             Entry::P2p => {
-                let na = nodes[a as usize].count() as u64;
+                let na = nodes[a as usize].count();
+                let nb = nodes[b as usize].count();
                 self.p2p += if a == b {
-                    na * na.saturating_sub(1)
+                    (na * na.saturating_sub(1)) as u64
                 } else {
-                    na * nodes[b as usize].count() as u64
+                    (na * nb) as u64
                 };
+                self.gpu += GpuJob::p2p_block_steps(na, nb);
             }
         }
     }
@@ -55,6 +60,7 @@ impl Tally {
         Tally {
             m2l: self.m2l + o.m2l,
             p2p: self.p2p + o.p2p,
+            gpu: self.gpu + o.gpu,
             entries: self.entries + o.entries,
         }
     }
@@ -127,6 +133,7 @@ impl Octree {
         };
         counts.m2l_ops = tally.m2l;
         counts.p2p_interactions = tally.p2p;
+        counts.gpu_block_steps = tally.gpu;
         (counts, tally.entries)
     }
 }

@@ -23,6 +23,12 @@ pub struct OpCounts {
     pub l2p_bodies: u64,
     /// Direct body-body interactions (the GPU's work).
     pub p2p_interactions: u64,
+    /// The GPU's work in the unit its kernel is charged: per P2P list entry
+    /// (target a, source b), ⌈n_a/B⌉ blocks of B threads each streaming
+    /// n_b bodies plus ⌈n_b/B⌉ tile loads
+    /// ([`gpu_sim::GpuJob::p2p_block_steps`]). Unlike `p2p_interactions` it
+    /// counts the idle threads of partial blocks.
+    pub gpu_block_steps: u64,
     /// Non-empty visible nodes — each spawns one upsweep and one downsweep
     /// task, so this drives the task-overhead share of the CPU cost.
     pub active_nodes: u64,
@@ -36,6 +42,7 @@ impl std::ops::AddAssign for OpCounts {
         self.l2l_ops += o.l2l_ops;
         self.l2p_bodies += o.l2p_bodies;
         self.p2p_interactions += o.p2p_interactions;
+        self.gpu_block_steps += o.gpu_block_steps;
         self.active_nodes += o.active_nodes;
     }
 }
@@ -48,6 +55,7 @@ impl std::ops::SubAssign for OpCounts {
         self.l2l_ops -= o.l2l_ops;
         self.l2p_bodies -= o.l2p_bodies;
         self.p2p_interactions -= o.p2p_interactions;
+        self.gpu_block_steps -= o.gpu_block_steps;
         self.active_nodes -= o.active_nodes;
     }
 }
@@ -122,7 +130,7 @@ pub fn node_op_counts(tree: &Octree, lists: &InteractionLists, id: NodeId) -> Op
     if n.is_leaf() {
         c.p2m_bodies = n.count() as u64;
         c.l2p_bodies = n.count() as u64;
-        c.p2p_interactions = lists.leaf_pairs(tree, id);
+        (c.p2p_interactions, c.gpu_block_steps) = lists.leaf_p2p(tree, id);
     } else {
         // One M2M per non-empty child, one L2L per non-empty child.
         for ch in tree.visible_children(id) {

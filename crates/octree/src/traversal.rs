@@ -1,4 +1,5 @@
 use crate::node::{Node, NodeId, Octree};
+use gpu_sim::GpuJob;
 use rayon::prelude::*;
 
 /// Fewest arena nodes a traversal or plan rebuild forks for. A rebuild's
@@ -125,22 +126,28 @@ impl InteractionLists {
         self.p2p.iter().map(Vec::len).sum()
     }
 
-    /// Direct body-body interactions of leaf `id` per its P2P list, diagonal
-    /// excluded (matching `OpCounts::p2p_interactions`). This is the one
-    /// canonical P2P pair count — op counting, task-graph costing and plan
+    /// The P2P work of leaf `id` per its P2P list, in one pass: its direct
+    /// body-body interactions, diagonal excluded (matching
+    /// `OpCounts::p2p_interactions`), and its GPU block-steps, each entry
+    /// priced by [`gpu_sim::GpuJob::p2p_block_steps`], the tile rule the
+    /// simulated kernel charges, with the leaf itself among its sources
+    /// whole (matching `OpCounts::gpu_block_steps`). This is the one
+    /// canonical P2P count — op counting, task-graph costing and plan
     /// maintenance all read it from here.
-    pub fn leaf_pairs(&self, tree: &Octree, id: NodeId) -> u64 {
-        let nt = tree.node(id).count() as u64;
-        self.p2p[id as usize]
-            .iter()
-            .map(|&b| {
-                if b == id {
-                    nt * nt.saturating_sub(1)
-                } else {
-                    nt * tree.node(b).count() as u64
-                }
-            })
-            .sum()
+    pub fn leaf_p2p(&self, tree: &Octree, id: NodeId) -> (u64, u64) {
+        let nt = tree.node(id).count();
+        let mut pairs = 0u64;
+        let mut block_steps = 0u64;
+        for &b in &self.p2p[id as usize] {
+            let nb = tree.node(b).count();
+            pairs += if b == id {
+                (nt * nt.saturating_sub(1)) as u64
+            } else {
+                (nt * nb) as u64
+            };
+            block_steps += GpuJob::p2p_block_steps(nt, nb);
+        }
+        (pairs, block_steps)
     }
 }
 
