@@ -111,6 +111,10 @@ const INCR_FACTOR: f64 = 1.15;
 /// to a candidate priced this far below the S just measured: a flat
 /// stretch of price is not worth a measured step.
 const PRICE_GAIN: f64 = 0.01;
+/// Most roots one crossing refinement prices (see `states::crossing_root`),
+/// each a price of its own: at 1M, 7–45 ms of host time and ≈ 45 ms of
+/// `lbtime::predict`.
+const REFINE_PRICES: usize = 3;
 /// The guard on the price: a measured step that comes in over the walk's
 /// best by more than this fraction settles the walk back at its best. The
 /// model has no floor for an SM makespan of only a few leaves, so a price
@@ -241,9 +245,41 @@ impl LoadBalancer {
     }
 
     /// Reconstruct a balancer from a snapshot verbatim (recorder starts
-    /// disabled; reattach one with [`LoadBalancer::set_recorder`]).
-    pub fn from_snapshot(snap: BalancerSnapshot) -> Self {
-        LoadBalancer {
+    /// disabled; reattach one with [`LoadBalancer::set_recorder`]), refusing
+    /// state the live balancer can never hold: bounds [`LoadBalancer::new`]
+    /// would reject, an S or a walk's S outside them, a switching threshold
+    /// that is not finite, a NaN best compute (+∞ is the best before the
+    /// first observation), or a walk compute that is NaN or negative.
+    pub fn from_snapshot(snap: BalancerSnapshot) -> Result<Self, String> {
+        let LbConfig { s_min, s_max, .. } = snap.cfg;
+        if s_min < 1 || s_min >= s_max {
+            return Err(format!("balancer bounds S {s_min}..{s_max} are empty"));
+        }
+        let bounded = |s: usize| (s_min..=s_max).contains(&s);
+        if !bounded(snap.s) {
+            return Err(format!(
+                "balancer S {} is outside {s_min}..={s_max}",
+                snap.s
+            ));
+        }
+        if !snap.cfg.eps_switch_s.is_finite() {
+            return Err(format!(
+                "balancer switching threshold {} is not finite",
+                snap.cfg.eps_switch_s
+            ));
+        }
+        if snap.best_compute.is_nan() {
+            return Err("balancer best compute is NaN".into());
+        }
+        if let Some(Walk { best: (s, compute) }) = snap.walk {
+            if !bounded(s) {
+                return Err(format!("walk S {s} is outside {s_min}..={s_max}"));
+            }
+            if compute.is_nan() || compute < 0.0 {
+                return Err(format!("walk compute {compute} is not a time"));
+            }
+        }
+        Ok(LoadBalancer {
             cfg: snap.cfg,
             strategy: snap.strategy,
             state: snap.state,
@@ -253,7 +289,7 @@ impl LoadBalancer {
             last_online: snap.last_online,
             reset_best_next: snap.reset_best_next,
             rec: telemetry::Recorder::disabled(),
-        }
+        })
     }
 
     pub fn strategy(&self) -> Strategy {

@@ -9,7 +9,8 @@
 
 use super::{
     geometric_mid, lbtime, LbConfig, LbReport, LbState, LoadBalancer, Strategy, Walk,
-    FGO_BATCH_FRAC, FGO_MAX_ROUNDS, INCR_FACTOR, INCR_TOL, PRICE_GAIN, REGRESSION_FRAC, WINDOW,
+    FGO_BATCH_FRAC, FGO_MAX_ROUNDS, INCR_FACTOR, INCR_TOL, PRICE_GAIN, REFINE_PRICES,
+    REGRESSION_FRAC, WINDOW,
 };
 use crate::config::HeteroNode;
 use crate::cost::{CostModel, Prediction};
@@ -49,9 +50,11 @@ impl LoadBalancer {
     /// the bracket's geometric midpoint. Once both ends carry
     /// g = ln(t_cpu / t_gpu), the next is the regula-falsi root of g in ln S
     /// ([`regula_falsi`]), or the midpoint when that root is not strictly
-    /// inside. Search ends when the gap is at most `eps_switch_s`, the
-    /// bracket is within 1.25×, or the candidate repeats; a tree at another
-    /// S is then rebuilt once, at the cheapest candidate priced, charged
+    /// inside. The bracket ends when the gap is at most `eps_switch_s`, the
+    /// bracket is within 1.25×, or the candidate repeats; the crossing
+    /// refinement ([`LoadBalancer::refine_crossing`]) may then price a few
+    /// roots closer to the crossing, and a tree at another S is rebuilt
+    /// once, at the cheapest candidate priced, charged
     /// [`lbtime::rebuild`]. Each candidate is recorded as an `lb.price`
     /// event, and the compute Search leaves with — measured, or the
     /// cheapest candidate's prediction — is the best seen.
@@ -107,8 +110,9 @@ impl LoadBalancer {
         // g at each end of the bracket once known, and which end moved last.
         let (mut g_lo, mut g_hi) = (None, None);
         let mut moved_lo = None;
-        // The cheapest candidate priced: (S, predicted compute).
-        let mut cheapest: Option<(usize, f64)> = None;
+        // Every S priced in this step, the tree just measured first.
+        let here = model.predict(&engine.counts(), node);
+        let mut priced = vec![(engine.tree().s_value(), here)];
         loop {
             if (t_cpu - t_gpu).abs() <= self.cfg.eps_switch_s || hi <= lo + lo / 4 {
                 break;
@@ -138,13 +142,15 @@ impl LoadBalancer {
             }
             self.s = next;
             let pred = self.price(engine, model, node, next, &mut scratch, rep);
-            if cheapest.is_none_or(|(_, c)| pred.compute() < c) {
-                cheapest = Some((next, pred.compute()));
-            }
+            priced.push((next, pred));
             (t_cpu, t_gpu) = (pred.t_cpu, pred.t_gpu);
         }
-        let compute = match cheapest {
-            Some((s, c)) => {
+        self.refine_crossing(engine, model, node, &mut priced, &mut scratch, rep);
+        // The tree just measured is a point of the refinement, not a
+        // candidate: Search moves to the cheapest S it priced.
+        let compute = match cheapest(&priced[1..]) {
+            Some((s, pred)) => {
+                let c = pred.compute();
                 self.s = s;
                 if s != engine.tree().s_value() {
                     engine.rebuild(pos, s);
@@ -185,6 +191,32 @@ impl LoadBalancer {
             ],
         );
         pred
+    }
+
+    /// Refine toward the priced crossing of t_cpu and t_gpu. `priced` holds
+    /// every S priced in this `post_step`, the tree just measured included,
+    /// and gains each root priced here. While [`crossing_root`] names a root
+    /// between the cheapest point and its nearest neighbour across
+    /// g = ln(t_cpu / t_gpu) = 0, it prices that root ([`LoadBalancer::price`]),
+    /// at most `REFINE_PRICES` times. Returns the cheapest root priced.
+    pub(super) fn refine_crossing<K: Kernel>(
+        &self,
+        engine: &FmmEngine<K>,
+        model: &CostModel,
+        node: &HeteroNode,
+        priced: &mut Vec<(usize, Prediction)>,
+        scratch: &mut PriceScratch,
+        rep: &mut LbReport,
+    ) -> Option<(usize, Prediction)> {
+        let before = priced.len();
+        for _ in 0..REFINE_PRICES {
+            let Some(root) = crossing_root(priced) else {
+                break;
+            };
+            let pred = self.price(engine, model, node, root, scratch, rep);
+            priced.push((root, pred));
+        }
+        cheapest(&priced[before..])
     }
 
     /// The Incremental walk, steered by the price and checked by the
@@ -243,9 +275,11 @@ impl LoadBalancer {
     /// is crossed, not counted as a stop. The cheapest candidate reached
     /// wins; by construction it is priced `PRICE_GAIN` below the tree just
     /// measured, whose prediction costs nothing (the model observed its
-    /// counts). Away from the walk's best (at `best_s`) only the direction
-    /// away from it is priced, so steps that do not improve on the best
-    /// never lead back to it, and the walk ends.
+    /// counts). The crossing refinement then prices between the grid points
+    /// ([`LoadBalancer::refine_crossing`]), and its cheapest root wins where
+    /// it beats both. Away from the walk's best (at `best_s`) only the
+    /// direction away from it is priced, so steps that do not improve on the
+    /// best never lead back to it, and the walk ends.
     fn priced_best<K: Kernel>(
         &self,
         engine: &FmmEngine<K>,
@@ -256,6 +290,7 @@ impl LoadBalancer {
     ) -> Option<usize> {
         let mut scratch = PriceScratch::default();
         let here = model.predict(&engine.counts(), node);
+        let mut priced = vec![(self.s, here)];
         let lo = (self.s / WINDOW).max(self.cfg.s_min);
         let hi = self.s.saturating_mul(WINDOW).min(self.cfg.s_max);
         let mut target: Option<(usize, f64)> = None;
@@ -275,6 +310,7 @@ impl LoadBalancer {
                 }
                 s = next;
                 let price = self.price(engine, model, node, s, &mut scratch, rep);
+                priced.push((s, price));
                 if price == last {
                     continue;
                 }
@@ -287,7 +323,11 @@ impl LoadBalancer {
                 }
             }
         }
-        target.map(|(s, _)| s)
+        let bar = target.map_or(here.compute() * (1.0 - PRICE_GAIN), |(_, t)| t);
+        match self.refine_crossing(engine, model, node, &mut priced, &mut scratch, rep) {
+            Some((s, root)) if root.compute() < bar => Some(s),
+            _ => target.map(|(s, _)| s),
+        }
     }
 
     /// One Enforce_S pass through the plan, recorded and charged: the walk,
@@ -435,6 +475,42 @@ impl LoadBalancer {
 /// size driver of a prediction pass).
 fn list_entries<K: Kernel>(engine: &FmmEngine<K>) -> usize {
     engine.lists().num_m2l() + engine.lists().num_p2p_pairs()
+}
+
+/// The first of the cheapest points in `priced`.
+fn cheapest(priced: &[(usize, Prediction)]) -> Option<(usize, Prediction)> {
+    priced
+        .iter()
+        .copied()
+        .min_by(|a, b| a.1.compute().total_cmp(&b.1.compute()))
+}
+
+/// The next S the crossing refinement prices, if any: the regula-falsi root
+/// ([`regula_falsi`]) between the cheapest point of `priced` and its nearest
+/// neighbour (in ln S) on the other side of g = ln(t_cpu / t_gpu) = 0. There
+/// is none when no point lies across, when the crossing of t_cpu and t_gpu,
+/// each interpolated linearly between the two points, is not priced more
+/// than `PRICE_GAIN` below the cheapest point (a free estimate), or when the
+/// root is not strictly inside or was priced already.
+pub(super) fn crossing_root(priced: &[(usize, Prediction)]) -> Option<usize> {
+    let gap = |p: &Prediction| p.t_cpu - p.t_gpu;
+    let (s, p) = cheapest(priced)?;
+    let dist = |t: usize| (t as f64 / s as f64).ln().abs();
+    let &(t, q) = priced
+        .iter()
+        .filter(|(_, q)| gap(&p) * gap(q) < 0.0)
+        .min_by(|a, b| dist(a.0).total_cmp(&dist(b.0)))?;
+    let w = gap(&p) / (gap(&p) - gap(&q));
+    let at_crossing = p.t_cpu + w * (q.t_cpu - p.t_cpu);
+    if at_crossing >= p.compute() * (1.0 - PRICE_GAIN) {
+        return None;
+    }
+    let g = |p: &Prediction| (p.t_cpu / p.t_gpu).ln();
+    let root = match s < t {
+        true => regula_falsi(s, t, g(&p), g(&q)),
+        false => regula_falsi(t, s, g(&q), g(&p)),
+    }?;
+    (!priced.iter().any(|&(s, _)| s == root)).then_some(root)
 }
 
 /// The root in `(lo, hi)` of the line through `(ln lo, g_lo)` and

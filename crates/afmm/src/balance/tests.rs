@@ -1,5 +1,7 @@
+use super::states::crossing_root;
 use super::*;
 use crate::config::FmmParams;
+use crate::cost::Prediction;
 use fmm_math::{GravityKernel, Kernel};
 use nbody::plummer;
 
@@ -547,4 +549,144 @@ fn a_priced_step_that_misses_settles_back_at_the_best() {
     assert_eq!(lb.s(), best_s);
     let (tc, tg) = h.measure();
     assert_eq!(tc.max(tg), best, "settled on the tree measured best");
+}
+
+#[test]
+fn the_walk_settles_on_the_measured_crossing() {
+    // At 25k on 10C2G the optimum is the crossing of t_cpu and t_gpu, and
+    // it lies between two points of a ×1.15 grid. The refinement lands on
+    // it: the settled tree measures within 1 % of the best of a ×1.02 grid
+    // spanning the crossing's two ×1.15 neighbours. A walk that stops on
+    // its own ×1.15 grid settles at S = 242, 2.1 % over.
+    let mut h = Harness::new(25_000, HeteroNode::system_a(10, 2), 64);
+    let mut lb = LoadBalancer::new(Strategy::Full, cfg_for_tests());
+    h.engine.rebuild(&h.pos.clone(), lb.s());
+    let mut seen = Vec::new();
+    while lb.state() != LbState::Observation && seen.len() < 25 {
+        let (tc, tg) = h.measure();
+        seen.push((lb.s(), tc.max(tg)));
+        let pos = h.pos.clone();
+        lb.post_step(&mut h.engine, &h.model, &h.node, &pos, tc, tg);
+    }
+    assert_eq!(lb.state(), LbState::Observation, "{seen:?}");
+    let (tc, tg) = h.measure();
+    let settled = tc.max(tg);
+    let pos = h.pos.clone();
+    let mut at = |s: usize| {
+        h.engine.rebuild(&pos, s);
+        let (tc, tg) = h.measure();
+        (tg >= tc, tc.max(tg))
+    };
+    // The ×1.15 grid from s_min, and its first GPU-bound point, bisected.
+    let grid: Vec<usize> = std::iter::successors(Some(lb.cfg.s_min), |&s| {
+        Some((s as f64 * INCR_FACTOR).ceil() as usize)
+    })
+    .take_while(|&s| s <= lb.cfg.s_max)
+    .collect();
+    let (mut cpu, mut gpu) = (0, grid.len() - 1);
+    assert!(
+        !at(grid[cpu]).0 && at(grid[gpu]).0,
+        "no crossing on the grid"
+    );
+    while gpu - cpu > 1 {
+        let mid = (cpu + gpu) / 2;
+        match at(grid[mid]).0 {
+            true => gpu = mid,
+            false => cpu = mid,
+        }
+    }
+    let (lo, hi) = (grid[cpu], grid[gpu]);
+    let fine = std::iter::successors(Some(lo), |&s| Some((s as f64 * 1.02).ceil() as usize));
+    let best = fine
+        .take_while(|&s| s < hi)
+        .chain([hi])
+        .map(|s| (s, at(s).1))
+        .fold((0, f64::INFINITY), |a, b| if b.1 < a.1 { b } else { a });
+    assert!(
+        settled <= best.1 * 1.01,
+        "settled at S {} with {settled} s; best in {lo}..={hi} is {best:?}; walk {seen:?}",
+        lb.s()
+    );
+}
+
+#[test]
+fn no_crossing_means_no_extra_price() {
+    // At 12k on 10C1G (the regime of the benchmark's balanced collapse)
+    // Search prices a point on each side of the crossing (38 and 144), but
+    // the crossing interpolated between them is not `PRICE_GAIN` below the
+    // cheapest point, nor is one in the walk's step. So the refinement
+    // prices nothing: each step prices exactly what the rules without it
+    // price (pinned here, as they read before it), and given the step's
+    // points it names no root.
+    let mut h = Harness::new(12_000, HeteroNode::system_a(10, 1), 64);
+    let mut lb = LoadBalancer::new(Strategy::Full, cfg_for_tests());
+    let rec = telemetry::Recorder::enabled();
+    lb.set_recorder(rec.clone());
+    h.engine.rebuild(&h.pos.clone(), lb.s());
+    let mut steps = Vec::new();
+    while lb.state() != LbState::Observation && steps.len() < 10 {
+        let (tc, tg) = h.measure();
+        let here = h.model.predict(&h.engine.counts(), &h.node);
+        let here = (h.engine.tree().s_value(), here);
+        let seen = rec.events_named("lb.price").len();
+        let pos = h.pos.clone();
+        lb.post_step(&mut h.engine, &h.model, &h.node, &pos, tc, tg);
+        let events = rec.events_named("lb.price");
+        let priced = events[seen..].iter().map(|e| {
+            let pred = Prediction {
+                t_cpu: e.field_f64("pred_cpu").unwrap(),
+                t_gpu: e.field_f64("pred_gpu").unwrap(),
+            };
+            (e.field_u64("s").unwrap() as usize, pred)
+        });
+        let points: Vec<_> = std::iter::once(here).chain(priced).collect();
+        steps.push(points[1..].iter().map(|&(s, _)| s).collect::<Vec<_>>());
+        assert_eq!(crossing_root(&points), None, "{points:?}");
+    }
+    assert_eq!(lb.state(), LbState::Observation);
+    assert_eq!(steps, [vec![38, 144], vec![166, 125]]);
+}
+
+#[test]
+fn the_refinement_prices_nothing_without_a_crossing_that_pays() {
+    let mut h = Harness::new(3000, HeteroNode::system_a(10, 2), 64);
+    h.measure();
+    let mut lb = LoadBalancer::new(Strategy::Full, cfg_for_tests());
+    let rec = telemetry::Recorder::enabled();
+    lb.set_recorder(rec.clone());
+    let p = |t_cpu: f64, t_gpu: f64| Prediction { t_cpu, t_gpu };
+    let cases = [
+        // CPU-bound everywhere: no neighbour across g = 0.
+        vec![(100, p(0.010, 0.005)), (115, p(0.009, 0.005))],
+        // Across, but the interpolated crossing (0.00995) is not 1 % below
+        // the cheapest point (0.0100).
+        vec![(100, p(0.0100, 0.0099)), (115, p(0.0098, 0.0101))],
+        // The crossing pays, but its root (125) was priced already.
+        vec![
+            (100, p(0.012, 0.008)),
+            (125, p(0.013, 0.005)),
+            (200, p(0.006, 0.014)),
+        ],
+    ];
+    for priced in cases {
+        assert_eq!(crossing_root(&priced), None, "{priced:?}");
+        let mut grown = priced.clone();
+        let mut scratch = octree::PriceScratch::default();
+        let mut rep = LbReport::default();
+        let root = lb.refine_crossing(
+            &h.engine,
+            &h.model,
+            &h.node,
+            &mut grown,
+            &mut scratch,
+            &mut rep,
+        );
+        assert_eq!(root, None);
+        assert_eq!(grown, priced);
+        assert_eq!(rep.lb_time, 0.0);
+        assert!(rec.events_named("lb.price").is_empty());
+    }
+    // Where the crossing pays, the root is strictly inside the bracket.
+    let pays = [(100, p(0.012, 0.008)), (200, p(0.006, 0.014))];
+    assert_eq!(crossing_root(&pays), Some(125));
 }

@@ -282,6 +282,29 @@ mod tests {
     }
 
     #[test]
+    fn the_crossing_is_priced_at_scale() {
+        // At 100k on 10C4G, observed at one S, both predicted times are
+        // within 10 % of `time_step`'s at every point of a ×1.35 grid from
+        // 24 to 1700: the crossing refinement trusts their ratio.
+        let node = HeteroNode::system_a(10, 4);
+        let (model, _c, _t, mut e) = observed_model(100_000, 96, &node);
+        let b = plummer(100_000, 1.0, 1.0, 301);
+        let flops = e.kernel.op_flops(e.expansion_ops());
+        let grid = std::iter::successors(Some(24usize), |&s| Some((s as f64 * 1.35) as usize));
+        for s in grid.take_while(|&s| s <= 1700) {
+            e.rebuild(&b.pos, s);
+            let counts = e.refresh_lists();
+            let real = time_step(e.tree(), e.lists(), &flops, &node, ExecPolicy::default());
+            let real = real.unwrap();
+            let pred = model.predict(&counts, &node);
+            let gpu = (pred.t_gpu - real.t_gpu) / real.t_gpu;
+            let cpu = (pred.t_cpu - real.t_cpu) / real.t_cpu;
+            assert!(gpu.abs() < 0.10, "S {s}: t_gpu off by {gpu}");
+            assert!(cpu.abs() < 0.10, "S {s}: t_cpu off by {cpu}");
+        }
+    }
+
+    #[test]
     fn unobserved_model_predicts_zero() {
         let model = CostModel::new();
         assert!(!model.is_observed());

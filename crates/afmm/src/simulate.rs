@@ -535,12 +535,13 @@ impl<K: Kernel> StrategyTracker<K> {
         }
         let filter_cpu = TimingFilter::from_snapshot(snap.filter_cpu).map_err(Error::Checkpoint)?;
         let filter_gpu = TimingFilter::from_snapshot(snap.filter_gpu).map_err(Error::Checkpoint)?;
+        let balancer = LoadBalancer::from_snapshot(snap.balancer).map_err(Error::Checkpoint)?;
         let flops = engine.kernel.op_flops(engine.expansion_ops());
         let tracker = StrategyTracker {
             engine,
             flops,
             model: snap.model,
-            balancer: LoadBalancer::from_snapshot(snap.balancer),
+            balancer,
             node,
             records: snap.records,
             faults: snap.faults,

@@ -590,3 +590,111 @@ fn root_cube_that_is_not_the_recorded_one_is_refused() {
         tree.nodes[0].half_width = tree.root_half_width;
     });
 }
+
+/// `text` with the value of `"key":` inside its balancer object replaced by
+/// `value`, resealed.
+fn with_balancer_field(text: &str, key: &str, value: &str) -> String {
+    resealed(text, |payload| {
+        let (head, balancer) = payload.split_once("\"balancer\":").unwrap();
+        let pat = format!("\"{key}\":");
+        let (before, rest) = balancer.split_once(&pat).unwrap();
+        let end = match rest.strip_prefix('[') {
+            Some(arr) => arr.find(']').unwrap() + 2,
+            None => rest.find([',', '}']).unwrap(),
+        };
+        format!("{head}\"balancer\":{before}{pat}{value}{}", &rest[end..])
+    })
+}
+
+/// Restore `snap` with each `(key, value)` of `edits` written into its
+/// balancer object.
+fn restore_balancer(snap: &str, edits: &[(&str, String)]) -> Result<(), afmm::Error> {
+    let text = edits
+        .iter()
+        .fold(snap.to_string(), |t, (k, v)| with_balancer_field(&t, k, v));
+    restore(&text)
+}
+
+fn bits(x: f64) -> String {
+    x.to_bits().to_string()
+}
+
+/// A walk tuple `[s, compute]` as the checkpoint writes it.
+fn walk(s: usize, compute: f64) -> String {
+    format!("[{s},{}]", bits(compute))
+}
+
+/// Bounds `LoadBalancer::new` asserts against — S ≥ 1 is what
+/// `Octree::price` asserts — are refused on restore: a zero `s_min`.
+#[test]
+fn balancer_s_min_of_zero_is_refused() {
+    let snap = tracker_checkpoint();
+    assert!(restore_balancer(&snap, &[("s_min", "1".into())]).is_ok());
+    let result = restore_balancer(&snap, &[("s_min", "0".into())]);
+    assert_refused(result, "s_min 0", "bounds");
+}
+
+/// An empty S range (`s_min ≥ s_max`) is refused on restore.
+#[test]
+fn balancer_bounds_that_do_not_ascend_are_refused() {
+    let snap = tracker_checkpoint();
+    for (lo, hi) in [(8, 8), (4096, 8)] {
+        let edits = [("s_min", lo.to_string()), ("s_max", hi.to_string())];
+        let result = restore_balancer(&snap, &edits);
+        assert_refused(result, &format!("bounds {lo}..{hi}"), "bounds");
+    }
+}
+
+/// A balancer S outside `[s_min, s_max]` is refused on restore.
+#[test]
+fn balancer_s_outside_its_bounds_is_refused() {
+    let snap = tracker_checkpoint();
+    assert!(restore_balancer(&snap, &[("s", "4096".into())]).is_ok());
+    for s in [0, 7, 4097] {
+        let result = restore_balancer(&snap, &[("s", s.to_string())]);
+        assert_refused(result, &format!("S {s}"), "outside");
+    }
+}
+
+/// A walk whose S lies outside `[s_min, s_max]` is refused on restore.
+#[test]
+fn walk_s_outside_the_bounds_is_refused() {
+    let snap = tracker_checkpoint();
+    assert!(restore_balancer(&snap, &[("walk", walk(8, 1e-3))]).is_ok());
+    for s in [0, 7, 5000] {
+        let result = restore_balancer(&snap, &[("walk", walk(s, 1e-3))]);
+        assert_refused(result, &format!("walk S {s}"), "outside");
+    }
+}
+
+/// A switching threshold that is not finite is refused on restore.
+#[test]
+fn non_finite_switching_threshold_is_refused() {
+    let snap = tracker_checkpoint();
+    assert!(restore_balancer(&snap, &[("eps", bits(0.15))]).is_ok());
+    for eps in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let result = restore_balancer(&snap, &[("eps", bits(eps))]);
+        assert_refused(result, &format!("eps {eps}"), "threshold");
+    }
+}
+
+/// A NaN best compute is refused on restore; +∞, the best before the first
+/// observation, is not.
+#[test]
+fn nan_best_compute_is_refused() {
+    let snap = tracker_checkpoint();
+    assert!(restore_balancer(&snap, &[("best", bits(f64::INFINITY))]).is_ok());
+    let result = restore_balancer(&snap, &[("best", bits(f64::NAN))]);
+    assert_refused(result, "best NaN", "NaN");
+}
+
+/// A walk compute that is NaN or negative is refused on restore.
+#[test]
+fn walk_compute_that_is_not_a_time_is_refused() {
+    let snap = tracker_checkpoint();
+    assert!(restore_balancer(&snap, &[("walk", walk(64, 0.0))]).is_ok());
+    for compute in [f64::NAN, -1e-3, f64::NEG_INFINITY] {
+        let result = restore_balancer(&snap, &[("walk", walk(64, compute))]);
+        assert_refused(result, &format!("walk compute {compute}"), "not a time");
+    }
+}
