@@ -77,8 +77,8 @@ impl LbState {
 pub struct LbConfig {
     pub s_min: usize,
     pub s_max: usize,
-    /// Leave Search / skip FGO when |t_cpu − t_gpu| is at most this (paper:
-    /// 0.15 s).
+    /// Leave Search when |t_cpu − t_gpu| is at most this, and skip FGO when
+    /// the settled tree's predicted gap is (paper: 0.15 s).
     pub eps_switch_s: f64,
     /// Enable `FineGrainedOptimize` (off reproduces the paper's Fig 10
     /// baseline).

@@ -352,11 +352,12 @@ impl LoadBalancer {
     }
 
     /// Exit Incremental → Observation: restore the walk's best S if the
-    /// walk drifted past it, then — if CPU and GPU times still differ
-    /// materially — bridge the residual gap locally with FGO. The walk's
-    /// best measured compute becomes Observation's regression baseline, so
-    /// the baseline is in the same (possibly disturbed) units as the
-    /// measurements Observation will compare against it.
+    /// walk drifted past it, then — if the predicted CPU and GPU times of
+    /// the settled tree still differ by more than `eps_switch_s` — bridge
+    /// the residual gap locally with FGO. The walk's best measured compute
+    /// becomes Observation's regression baseline, so the baseline is in the
+    /// same (possibly disturbed) units as the measurements Observation will
+    /// compare against it.
     fn finish_incremental<K: Kernel>(
         &mut self,
         engine: &mut FmmEngine<K>,
@@ -379,42 +380,16 @@ impl LoadBalancer {
         }
         self.best_compute = c_best;
         if self.cfg.use_fgo && self.strategy == Strategy::Full {
-            // Gate and verify FGO on the undisturbed virtual timing so the
-            // before/after comparison is apples-to-apples even when the
-            // balancer's fed measurements carry noise or external load.
-            let flops = engine.kernel.op_flops(engine.expansion_ops());
-            let before = engine.time_step(&flops, node).ok();
-            rep.lb_time += lbtime::predict(node, list_entries(engine));
-            if let Some(before) = before {
-                if (before.t_cpu - before.t_gpu).abs() > self.cfg.eps_switch_s {
-                    let out = fine_grained_optimize(engine, model, node);
-                    rep.lb_time += out.lb_time;
-                    rep.fgo_rounds = out.rounds;
-                    if out.rounds > 0 {
-                        // The model's predicted win can be spurious away
-                        // from the uniform-gap boundary; roll the edits
-                        // back if they don't realize.
-                        let realized = engine.time_step(&flops, node).ok().map(|t| t.compute());
-                        rep.lb_time += lbtime::predict(node, list_entries(engine));
-                        if matches!(realized, Some(r) if r > before.compute()) {
-                            self.recorder().event(
-                                "lb.fgo_rollback",
-                                vec![
-                                    ("before", telemetry::Value::F64(before.compute())),
-                                    (
-                                        "realized",
-                                        telemetry::Value::F64(realized.unwrap_or(f64::NAN)),
-                                    ),
-                                    ("rounds", telemetry::Value::U64(out.rounds as u64)),
-                                ],
-                            );
-                            engine.rebuild(pos, self.s);
-                            engine.refresh_lists();
-                            rep.lb_time += lbtime::rebuild(node, pos.len());
-                            rep.rebuilt = true;
-                        }
-                    }
-                }
+            // Gate on the settled tree's price, which costs nothing: the
+            // plan holds its counts (reconciled here with a rebin made since
+            // the step was timed, as the next step's timing would). The
+            // model judges FGO's batches too, and reverts the one that
+            // does not pay.
+            let settled = model.predict(&engine.refresh_lists(), node);
+            if (settled.t_cpu - settled.t_gpu).abs() > self.cfg.eps_switch_s {
+                let out = fine_grained_optimize(engine, model, node);
+                rep.lb_time += out.lb_time;
+                rep.fgo_rounds = out.rounds;
             }
         }
         self.transition(LbState::Observation, "incremental_settled");
@@ -666,8 +641,8 @@ fn apply_batch<K: Kernel>(
 /// Sweep S on a geometric grid and return `(S, compute, probes)`: the value
 /// minimizing the virtual compute time, that time, and how many S values
 /// the sweep rebuilt the tree for — how the paper picks S for CPU-only runs
-/// ("the S that minimized the time for this single core case") and how
-/// every strategy's initial S is validated in the benches.
+/// ("the S that minimized the time for this single core case"), and what
+/// the balancer falls back to when its last GPU goes offline.
 pub fn search_best_s_cpu_only<K: Kernel>(
     engine: &mut FmmEngine<K>,
     node: &HeteroNode,

@@ -217,18 +217,7 @@ fn w_tracker(out: &mut String, t: &TrackerSnapshot) {
     w_engine(out, &t.engine);
     out.push_str(",\"model\":");
     let m = &t.model;
-    let coeffs = [
-        m.c_p2m,
-        m.c_m2m,
-        m.c_m2l,
-        m.c_l2l,
-        m.c_l2p,
-        m.c_cpu_pair,
-        m.c_node,
-        m.parallel_rate,
-        m.c_gpu_block,
-    ];
-    push_seq(out, coeffs, w_f64);
+    push_seq(out, m.coefficients().map(|(_, c)| c), w_f64);
     let _ = write!(out, ",\"model_observed\":{},\"balancer\":", m.is_observed());
     w_balancer(out, &t.balancer);
     out.push_str(",\"records\":");

@@ -68,7 +68,7 @@ pub struct CostModel {
     /// CPU core-seconds per body evaluated (L2P).
     pub c_l2p: f64,
     /// CPU core-seconds per direct interaction (used when the node has no
-    /// GPUs and P2P runs on the cores).
+    /// online GPU and P2P runs on the cores).
     pub c_cpu_pair: f64,
     /// CPU core-seconds of task-runtime overhead per non-empty node (one
     /// upsweep + one downsweep task each).
@@ -93,6 +93,22 @@ impl CostModel {
     /// Have coefficients been observed yet (at least one solve)?
     pub fn is_observed(&self) -> bool {
         self.observed
+    }
+
+    /// Every coefficient with its name, in the order a checkpoint writes
+    /// them.
+    pub fn coefficients(&self) -> [(&'static str, f64); 9] {
+        [
+            ("c_p2m", self.c_p2m),
+            ("c_m2m", self.c_m2m),
+            ("c_m2l", self.c_m2l),
+            ("c_l2l", self.c_l2l),
+            ("c_l2p", self.c_l2p),
+            ("c_cpu_pair", self.c_cpu_pair),
+            ("c_node", self.c_node),
+            ("parallel_rate", self.parallel_rate),
+            ("c_gpu_block", self.c_gpu_block),
+        ]
     }
 
     /// Restore the observation flag on a model rebuilt from a checkpoint
@@ -146,7 +162,9 @@ impl CostModel {
     pub fn predict(&self, counts: &OpCounts, node: &HeteroNode) -> Prediction {
         let mut cpu_work = self.far_field_core_seconds(counts);
         let t_gpu;
-        if node.gpus.is_some() {
+        // As `exec::time_step` runs it: P2P goes to the cores once no
+        // device is online, installed or not.
+        if node.num_online_gpus() > 0 {
             t_gpu = self.c_gpu_block * counts.gpu_block_steps as f64;
         } else {
             t_gpu = 0.0;
@@ -228,6 +246,30 @@ mod tests {
         assert_eq!(pred.t_gpu, 0.0);
         let rel = (pred.t_cpu - timing.t_cpu).abs() / timing.t_cpu;
         assert!(rel < 0.05, "serial prediction off by {rel}");
+    }
+
+    #[test]
+    fn every_gpu_offline_is_priced_as_a_cpu_only_node() {
+        // A fault that takes every device offline leaves the GPU system
+        // installed; `time_step` then runs P2P on the cores, and the model
+        // must price it there too, not at the stale GPU coefficient.
+        let mut node = HeteroNode::system_a(4, 1);
+        let (model, counts, _t, e) = observed_model(6000, 64, &node);
+        let gpus = node.gpus.as_mut().unwrap();
+        gpus.apply_event(&gpu_sim::FaultEvent::GpuDropout { device: 0 })
+            .unwrap();
+        let flops = e.kernel.op_flops(e.expansion_ops());
+        let real = time_step(e.tree(), e.lists(), &flops, &node, ExecPolicy::default()).unwrap();
+        let pred = model.predict(&counts, &node);
+        let rel = (pred.t_cpu - real.t_cpu) / real.t_cpu;
+        assert!(
+            pred.t_gpu == 0.0 && rel.abs() < 0.05,
+            "predicted {pred:?}, time_step reads cpu {} gpu {}",
+            real.t_cpu,
+            real.t_gpu
+        );
+        let cpu_only = HeteroNode { gpus: None, ..node };
+        assert_eq!(pred, model.predict(&counts, &cpu_only));
     }
 
     #[test]

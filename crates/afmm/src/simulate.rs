@@ -533,6 +533,13 @@ impl<K: Kernel> StrategyTracker<K> {
                 snap.noise_sigma
             )));
         }
+        // Every price the balancer makes multiplies by these.
+        let coeffs = snap.model.coefficients();
+        if let Some((name, c)) = coeffs.iter().find(|(_, c)| !c.is_finite() || *c < 0.0) {
+            return Err(Error::Checkpoint(format!(
+                "cost-model coefficient {name} = {c} is not finite and non-negative"
+            )));
+        }
         let filter_cpu = TimingFilter::from_snapshot(snap.filter_cpu).map_err(Error::Checkpoint)?;
         let filter_gpu = TimingFilter::from_snapshot(snap.filter_gpu).map_err(Error::Checkpoint)?;
         let balancer = LoadBalancer::from_snapshot(snap.balancer).map_err(Error::Checkpoint)?;
@@ -855,6 +862,39 @@ mod tests {
         assert_ne!(m.t_gpu, before.t_gpu, "premise: the dropout moves t_gpu");
         let steer = (t.filter_cpu.push(m.t_cpu), t.filter_gpu.push(m.t_gpu));
         assert_eq!(steer, (m.t_cpu, m.t_gpu));
+    }
+
+    /// FGO's gate reads the model's prediction of the settled tree, which
+    /// is free: with a threshold no gap reaches, a run with FGO on pays
+    /// nothing for it and records exactly what the run with FGO off does.
+    #[test]
+    fn a_shut_fgo_gate_costs_nothing() {
+        let b = plummer(3000, 1.0, 1.0, 7002);
+        let run = |use_fgo: bool| {
+            let cfg = LbConfig {
+                eps_switch_s: 1.0,
+                use_fgo,
+                ..Default::default()
+            };
+            let mut t = StrategyTracker::new(
+                fmm_math::GravityKernel::default(),
+                FmmParams::default(),
+                HeteroNode::system_a(10, 2),
+                Strategy::Full,
+                cfg,
+                &b.pos,
+                None,
+            );
+            for _ in 0..10 {
+                t.step(&b.pos).unwrap();
+            }
+            assert_eq!(t.balancer().state(), LbState::Observation);
+            t.records().to_vec()
+        };
+        for (on, off) in run(true).iter().zip(run(false).iter()) {
+            // Debug-prints floats shortest-round-trip: equal text is equal bits.
+            assert_eq!(format!("{on:?}"), format!("{off:?}"));
+        }
     }
 
     #[test]

@@ -698,3 +698,35 @@ fn walk_compute_that_is_not_a_time_is_refused() {
         assert_refused(result, &format!("walk compute {compute}"), "not a time");
     }
 }
+
+/// `text` with coefficient `i` of its cost-model tuple set to `value`,
+/// resealed.
+fn with_model_coefficient(text: &str, i: usize, value: f64) -> String {
+    resealed(text, |payload| {
+        let (head, rest) = payload.split_once("\"model\":[").unwrap();
+        let (coeffs, tail) = rest.split_once(']').unwrap();
+        let mut coeffs: Vec<String> = coeffs.split(',').map(str::to_string).collect();
+        coeffs[i] = bits(value);
+        format!("{head}\"model\":[{}]{tail}", coeffs.join(","))
+    })
+}
+
+/// A cost-model coefficient that is not a finite, non-negative number —
+/// any of the nine, `parallel_rate` included — is refused on restore: every
+/// price the balancer makes multiplies by it. Zero, an unobserved model's
+/// coefficient, is accepted.
+#[test]
+fn cost_model_coefficients_that_are_not_rates_are_refused() {
+    let snap = tracker_checkpoint();
+    for i in 0..9 {
+        assert!(restore(&with_model_coefficient(&snap, i, 0.0)).is_ok());
+        for value in [f64::NAN, f64::INFINITY, -1e-12] {
+            let result = restore(&with_model_coefficient(&snap, i, value));
+            assert_refused(
+                result,
+                &format!("coefficient {i} = {value}"),
+                "finite and non-negative",
+            );
+        }
+    }
+}

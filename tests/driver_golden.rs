@@ -2,7 +2,10 @@
 //! `StepRecord` a `GravitySim` and a faulted `StrategyTracker` produce is
 //! hashed by bit pattern and pinned, so a refactor of either driver must
 //! leave the virtual clock, the balancer's path and the physics exactly as
-//! they were.
+//! they were. Two hashes cover the records: the path (every field but
+//! `t_lb`: S, state, compute, counts) and the balancer's modeled time
+//! (`t_lb` alone), so a change that only re-prices load-balancing work
+//! shows as that, and the path stays pinned through it.
 
 use afmm_repro::afmm::StepRecord;
 use afmm_repro::prelude::*;
@@ -22,13 +25,12 @@ impl Fnv {
         }
     }
 
-    fn record(&mut self, r: &StepRecord) {
+    fn path(&mut self, r: &StepRecord) {
         self.word(r.step as u64);
         self.word(r.s as u64);
         self.word(r.state as u64);
         self.word(r.t_cpu.to_bits());
         self.word(r.t_gpu.to_bits());
-        self.word(r.t_lb.to_bits());
         self.word(r.gpu_efficiency.to_bits());
         self.word(r.p2p_interactions);
         self.word(r.m2l_ops);
@@ -50,9 +52,34 @@ fn small_cfg() -> LbConfig {
     }
 }
 
-/// A collapsing cloud stepped by `GravitySim` under one strategy: the hash
-/// of its records and the hash of its final positions.
-fn gravity_sim_bits(strategy: Strategy) -> (u64, u64) {
+/// The two hashes of a run's records: its path and its `t_lb` series.
+struct Records {
+    path: Fnv,
+    t_lb: Fnv,
+}
+
+impl Records {
+    fn new() -> Self {
+        Records {
+            path: Fnv::new(),
+            t_lb: Fnv::new(),
+        }
+    }
+
+    fn push(&mut self, r: &StepRecord) {
+        self.path.path(r);
+        self.t_lb.word(r.t_lb.to_bits());
+    }
+
+    /// `"<path> <t_lb>"` in hex.
+    fn hex(&self) -> String {
+        format!("{:016x} {:016x}", self.path.0, self.t_lb.0)
+    }
+}
+
+/// A collapsing cloud stepped by `GravitySim` under one strategy: the
+/// hashes of its records (path, then `t_lb`) and of its final positions.
+fn gravity_sim_bits(strategy: Strategy) -> String {
     let setup = nbody::collapsing_plummer(1500, 1.0, 4301);
     let mut sim = GravitySim::new(
         setup.bodies,
@@ -68,29 +95,27 @@ fn gravity_sim_bits(strategy: Strategy) -> (u64, u64) {
         small_cfg(),
         Some((setup.domain_center, setup.domain_half_width)),
     );
-    let mut records = Fnv::new();
+    let mut records = Records::new();
     for i in 0..30 {
         let r = sim.step().unwrap();
         assert_eq!(r.step, i);
-        records.record(&r);
+        records.push(&r);
     }
     let mut pos = Fnv::new();
     pos.positions(&sim.bodies.pos);
-    (records.0, pos.0)
+    format!("{} {:016x}", records.hex(), pos.0)
 }
 
 #[test]
 fn gravity_sim_records_keep_their_golden_bits() {
     let got = [Strategy::StaticS, Strategy::EnforceOnly, Strategy::Full].map(gravity_sim_bits);
-    let want: [(u64, u64); 3] = [
-        (0xbbde_da04_cdc0_bfb6, 0x6771_55ea_abbc_c298),
-        (0x7440_0459_b182_017f, 0x6771_55ea_abbc_c298),
-        (0x783f_584d_a049_2370, 0xca80_d73d_cad5_b5ac),
+    // Each line: path, t_lb, final positions.
+    let want = [
+        "40b00cb57455eb32 64c41da293f71a25 677155eaabbcc298",
+        "bc2362bbb2af1937 64c41da293f71a25 677155eaabbcc298",
+        "79e6223b699ad936 1214d601e16daecd ca80d73dcad5b5ac",
     ];
-    assert_eq!(
-        got.map(|(r, p)| format!("{r:016x} {p:016x}")),
-        want.map(|(r, p)| format!("{r:016x} {p:016x}"))
-    );
+    assert_eq!(got, want);
 }
 
 #[test]
@@ -113,16 +138,17 @@ fn faulted_tracker_records_keep_their_golden_bits() {
     );
     let clump = Vec3::new(2.0, -1.0, 0.5);
     let mut pos = b.pos.clone();
-    let mut records = Fnv::new();
+    let mut records = Records::new();
     for i in 0..35 {
         let r = tracker.step(&pos).unwrap();
         assert_eq!(r.step, i);
-        records.record(&r);
+        records.push(&r);
         if i < 20 {
             for p in &mut pos {
                 *p = *p + (clump - *p) * 0.03;
             }
         }
     }
-    assert_eq!(format!("{:016x}", records.0), "b860c8f33f8d2223");
+    // Path, then t_lb.
+    assert_eq!(records.hex(), "f952ebd3568a70c6 e6496c012c507eb0");
 }
