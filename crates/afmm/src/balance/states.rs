@@ -258,10 +258,13 @@ impl LoadBalancer {
         // cost, not a full rebuild + re-traversal.
         engine.rebin(pos);
         rep.lb_time += lbtime::rebin(node, pos.len());
-        if engine.refresh_plan() == PlanRefresh::Rebuilt {
-            // Motion flipped cells between empty and non-empty; the plan
-            // had to re-traverse after all.
-            rep.lb_time += lbtime::predict(node, list_entries(engine));
+        match engine.refresh_plan() {
+            // Motion emptied or filled cells: the plan was patched through
+            // each, as through an edit.
+            PlanRefresh::Patched { flips, .. } => rep.lb_time += lbtime::plan_patch(node, flips),
+            // The plan was stale or absent and had to re-traverse.
+            PlanRefresh::Rebuilt => rep.lb_time += lbtime::predict(node, list_entries(engine)),
+            PlanRefresh::Clean => {}
         }
         engine.set_s(next);
         self.enforce(engine, node, rep);

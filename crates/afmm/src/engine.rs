@@ -26,9 +26,10 @@ pub(crate) enum PlanState {
     /// The plan describes the tree.
     Live,
     /// Bodies were re-binned since the plan last reconciled its per-node
-    /// counts ([`FmmEngine::rebin`]). Its lists are trusted, but its
-    /// populations lag the tree by design until [`FmmEngine::refresh_plan`],
-    /// which [`FmmEngine::audit_plan`] must not mistake for rot.
+    /// counts ([`FmmEngine::rebin`]). Its lists and populations describe the
+    /// bodies before the rebin by design until [`FmmEngine::refresh_plan`]
+    /// patches them, which [`FmmEngine::audit_plan`] must not mistake for
+    /// rot.
     Rebinned,
 }
 
@@ -363,9 +364,10 @@ impl<K: Kernel> FmmEngine<K> {
     /// Edits never invalidate the plan: a stale or absent one is brought up
     /// first — the traversal the next solve would have paid — and then
     /// patched like a live one. So is one a rebin left behind the tree: a
-    /// patch recounts the targets it touches, which would hide a cell the
-    /// rebin emptied or filled from the refresh that must re-traverse for
-    /// it. The boolean reports whether the plan was live on entry.
+    /// patch walks the tree as it stands, while the plan's lists and keys
+    /// still describe the bodies before the rebin — the refresh patches
+    /// them through every cell the rebin emptied or filled first. The
+    /// boolean reports whether the plan was live on entry.
     fn plan_for_edit(&mut self) -> (&mut IncrementalLists, &mut Octree, bool) {
         let live = self.has_live_plan();
         if self.plan_state != PlanState::Live {
@@ -405,8 +407,9 @@ impl<K: Kernel> FmmEngine<K> {
     }
 
     /// Bring the plan in sync with the current tree: full (re)build when no
-    /// trusted plan exists, otherwise a cheap count reconciliation
-    /// ([`IncrementalLists::refresh_counts`]).
+    /// trusted plan exists, otherwise a reconciliation after the rebin
+    /// ([`IncrementalLists::refresh_counts`]) — a recount, with the lists
+    /// patched through any cell the rebin emptied or filled.
     pub fn refresh_plan(&mut self) -> PlanRefresh {
         let stale = self.plan_state == PlanState::Stale;
         self.plan_state = PlanState::Live;

@@ -751,11 +751,12 @@ fn balancer_faults(cfg: &SuiteConfig) -> Scenario {
 /// real allocation-behavior change. The hard invariant is
 /// `steady_gate_allocs == 0`: a warm cached-plan step performs zero heap
 /// allocations inside the `rebin` and `plan.refresh` scopes. The gate
-/// phase holds positions fixed so every refresh provably stays on the
-/// cached-plan path at any workload scale (under motion an emptiness flip
-/// legitimately rebuilds, which allocates); the motion phase's refresh
-/// cost is reported as an informational metric instead, and the
-/// patch-path zero-alloc property is covered by `tests/memprof.rs`.
+/// phase holds positions fixed so every refresh provably finds no cell
+/// emptied or filled at any workload scale (under motion a refresh that
+/// patches such a flip may grow the lists it links into, which allocates);
+/// the motion phase's refresh cost is reported as an informational metric
+/// instead, and the flip-free zero-alloc property under motion is covered
+/// by `tests/memprof.rs`.
 ///
 /// Structural footprint metrics come from the `heap_bytes()` family and
 /// work with or without the feature.
@@ -778,10 +779,9 @@ fn memory_profile_one_worker(cfg: &SuiteConfig) -> Scenario {
     let mut engine = FmmEngine::new(GravityKernel::default(), FmmParams::default(), &b.pos, s);
 
     // Steady-state motion model: a uniform contraction mild enough that
-    // refreshes mostly take the patch path (occasional emptiness flips at
-    // large N rebuild, which is the correct dynamic-workload behavior —
-    // that is why the zero-alloc gate below measures a frozen-position
-    // phase instead).
+    // refreshes mostly only recount (an occasional emptiness flip at large
+    // N is patched into the lists, which may grow them — that is why the
+    // zero-alloc gate below measures a frozen-position phase instead).
     let mut pos = b.pos.clone();
     let step = |engine: &mut FmmEngine<GravityKernel>, pos: &mut Vec<geom::Vec3>| {
         for p in pos.iter_mut() {
@@ -921,8 +921,14 @@ fn memory_profile_one_worker(cfg: &SuiteConfig) -> Scenario {
 /// leaf (exact, informing): the bodies it sorts across leaves, the rest
 /// being sorted within their own. `refresh_ms`, gated,
 /// is a live plan's `refresh_counts` after bodies moved between busy leaves
-/// — the Patched path, which recounts every visible node through workers —
-/// two per breath, averaged. The plan rebuild on the same tree
+/// — a Patched refresh that finds no flip and recounts every visible node
+/// through workers — two per breath, averaged. `refresh_flip_ms`,
+/// informing, is the refresh after each half of the breath, which empties
+/// and fills cells at the cloud's edge: the lists are patched through each
+/// topmost flip before the recount — averaged over the refreshes that
+/// found one. `flips_per_breath` (exact, informing) is how many topmost
+/// flips the two refreshes patch, averaged over the timed breaths. The plan
+/// rebuild on the same tree
 /// reads the way the rebin does: `plan_rebuild_ms`
 /// (`IncrementalLists::rebuild` of a live plan, host width) gated,
 /// `plan_rebuild_1w_ms` and `plan_rebuild_speedup` informing.
@@ -944,19 +950,27 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
     };
     // One sample is a breath — in by 0.2 %, back out — so the cloud stays in
     // its root cube and a few per cent of the bodies change leaf each time;
-    // only the two rebins are on the clock. Such a breath empties or fills
-    // cells at the cloud's edge, so the refreshes are timed after hops that
-    // cannot: the plan catches up, a few bodies hop to another busy leaf and
-    // back, and the refresh after each hop is on the clock.
-    let mut breath = |tree: &mut Octree, plan: &mut IncrementalLists| -> (f64, Option<f64>) {
-        let mut rebin_s = 0.0;
+    // the two rebins are on one clock. Each half of a breath empties or
+    // fills cells at the cloud's edge, and the other half undoes it: the
+    // refresh after each half, which patches those flips, is on another.
+    // The flip-free refreshes are timed after hops that cannot flip: a few
+    // bodies hop to another busy leaf and back, and the refresh after each
+    // hop is on the clock.
+    type Breath = (f64, Option<f64>, Option<f64>, usize);
+    let mut breath = |tree: &mut Octree, plan: &mut IncrementalLists| -> Breath {
+        let (mut rebin_s, mut flip_s, mut flipped, mut flips) = (0.0, 0.0, 0, 0);
         for scale in [0.998, 1.0 / 0.998] {
             for p in pos.iter_mut() {
                 *p *= scale;
             }
             rebin_s += wall(|| tree.rebin(&pos)).0;
+            if let (secs, PlanRefresh::Patched { flips: f @ 1.., .. }) =
+                wall(|| plan.refresh_counts(tree))
+            {
+                (flip_s, flipped, flips) = (flip_s + secs, flipped + 1, flips + f);
+            }
         }
-        plan.refresh_counts(tree);
+        let refresh_flip_ms = (flipped > 0).then(|| flip_s * 1e3 / flipped as f64);
         let (mut refresh_s, mut patched) = (0.0, 0);
         let home = pos.clone();
         for (body, spot) in hops(tree, &pos) {
@@ -968,13 +982,14 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
             }
             tree.rebin(&pos);
             let (secs, outcome) = wall(|| plan.refresh_counts(tree));
-            if let PlanRefresh::Patched { .. } = outcome {
+            if let PlanRefresh::Patched { flips: 0, .. } = outcome {
                 refresh_s += secs;
                 patched += 1;
             }
         }
         let refresh_ms = (patched > 0).then(|| refresh_s * 1e3 / patched as f64);
-        (rebin_s * 1e9 / (2 * cfg.n_rebin) as f64, refresh_ms)
+        let rebin_ns = rebin_s * 1e9 / (2 * cfg.n_rebin) as f64;
+        (rebin_ns, refresh_ms, refresh_flip_ms, flips)
     };
     let mut breaths = |tree: &mut Octree, plan: &mut IncrementalLists| {
         for _ in 0..cfg.warmup.max(1) {
@@ -983,18 +998,20 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
         let samples: Vec<_> = (0..cfg.reps).map(|_| breath(tree, plan)).collect();
         let rebin: Vec<f64> = samples.iter().map(|s| s.0).collect();
         let refresh: Vec<f64> = samples.iter().filter_map(|s| s.1).collect();
-        (rebin, refresh)
+        let refresh_flip: Vec<f64> = samples.iter().filter_map(|s| s.2).collect();
+        let flips = samples.iter().map(|s| s.3).sum::<usize>() as f64 / cfg.reps.max(1) as f64;
+        (rebin, refresh, refresh_flip, flips)
     };
-    let (samples, refresh) = breaths(&mut tree, &mut live);
-    let (samples_1w, _) = crate::one_worker(|| breaths(&mut tree, &mut live));
+    let (samples, refresh, refresh_flip, flips_per_breath) = breaths(&mut tree, &mut live);
+    let (samples_1w, ..) = crate::one_worker(|| breaths(&mut tree, &mut live));
     drop(live);
     let ratio = |one: &[f64], wide: &[f64]| -> Vec<f64> {
         one.iter().zip(wide).map(|(w1, wk)| w1 / wk).collect()
     };
     let speedup = ratio(&samples_1w, &samples);
 
-    // The plan over the same tree, rebuilt whole while live: what a Search
-    // probe or a refresh that finds a cell emptied or filled pays.
+    // The plan over the same tree, rebuilt whole while live: what a refresh
+    // of a plan gone stale (the tree rebuilt under it) pays.
     let mut plan = IncrementalLists::build(&tree, Mac::default());
     let rebuilds = |plan: &mut IncrementalLists| -> Vec<f64> {
         sample(cfg.warmup, cfg.reps, || plan.rebuild(&tree))
@@ -1035,6 +1052,8 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
                 .informational(),
             Metric::virtual_point("rebin_leavers_frac", "ratio", leavers_frac).informational(),
             Metric::wall("refresh_ms", "ms", refresh, cfg.seed),
+            Metric::wall("refresh_flip_ms", "ms", refresh_flip, cfg.seed).informational(),
+            Metric::virtual_point("flips_per_breath", "count", flips_per_breath).informational(),
             Metric::wall("plan_rebuild_ms", "ms", rebuild, cfg.seed),
             Metric::wall("plan_rebuild_1w_ms", "ms", rebuild_1w, cfg.seed).informational(),
             Metric::wall("plan_rebuild_speedup", "x", rebuild_speedup, cfg.seed)

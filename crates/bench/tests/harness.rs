@@ -223,7 +223,7 @@ fn smoke_suite_runs_and_gates() {
     let frac = summarize(&accounted, 11).median;
     assert!((0.98..=1.0).contains(&frac), "phases cover {frac} of solve");
 
-    // Tree maintenance: the host-width rebin, Patched refresh and plan
+    // Tree maintenance: the host-width rebin, flip-free refresh and plan
     // rebuild costs gate, the one-worker readings, the ratios, the share
     // of bodies a rebin moves to another leaf and one pricing inform.
     let maintenance = report.scenario("tree_maintenance").unwrap();
@@ -241,6 +241,12 @@ fn smoke_suite_runs_and_gates() {
         let m = maintenance.metric(name).unwrap_or_else(|| panic!("{name}"));
         assert_eq!(m.gate, gate, "{name}");
         assert!(m.stats.median > 0.0, "{name}");
+    }
+    // The refresh that patches a breath's flips, and their count, inform;
+    // the smoke cloud is small enough that its breath may flip no cell.
+    for name in ["refresh_flip_ms", "flips_per_breath"] {
+        let m = maintenance.metric(name).unwrap_or_else(|| panic!("{name}"));
+        assert!(!m.gate && m.stats.median >= 0.0, "{name}");
     }
 
     // Accuracy: one exact, gated error row per distribution, kernel and leaf

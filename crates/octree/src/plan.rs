@@ -44,8 +44,17 @@
 //!
 //! Per-node contributions are cached so totals update by subtraction and
 //! re-addition of only the dirty nodes.
+//!
+//! Body motion ([`Octree::rebin`]) leaves the structure alone, so a refresh
+//! ([`IncrementalLists::refresh_counts`]) mostly only recounts. A visible
+//! cell the motion emptied or filled is the one exception — empty cells are
+//! skipped — and it too changes only the states with an endpoint in its
+//! subtree: each topmost such cell is patched like an edit, unlinked if it
+//! emptied, linked if it filled, with the walks reading emptiness from the
+//! plan's populations so each flip is patched against the tree as the ones
+//! before it left it.
 
-use crate::node::{NodeId, Octree, NONE};
+use crate::node::{Node, NodeId, Octree, NONE};
 use crate::stats::{node_op_counts, OpCounts};
 use crate::traversal::{
     fork_width, traverse, trim, Entry, InteractionLists, Mac, Prune, Traversal,
@@ -58,11 +67,13 @@ use rayon::prelude::*;
 pub enum PlanRefresh {
     /// No population changed; nothing to do.
     Clean,
-    /// Populations moved without a visible flip: every visible node's
-    /// contribution was recounted in place (`recounted` of them).
-    Patched { recounted: usize },
-    /// A visible cell flipped between empty and non-empty (or the arena
-    /// grew), which changes the traversal itself — the plan re-traversed.
+    /// Populations moved: the lists were patched through the `flips`
+    /// topmost visible cells that emptied or filled (none when no visible
+    /// cell flipped), and every visible node's contribution was recounted
+    /// in place (`recounted` of them).
+    Patched { recounted: usize, flips: usize },
+    /// The plan's arena no longer matched the tree's (the tree was rebuilt
+    /// under it): the plan re-traversed.
     Rebuilt,
 }
 
@@ -81,14 +92,18 @@ enum Rel {
 /// `SOURCES_ONLY` (the unlink's rule) it keeps a state only while its source
 /// is related and its target is not in the subtree; without (the link's),
 /// while either side is related.
-struct Near<const SOURCES_ONLY: bool> {
+struct Near<'a, const SOURCES_ONLY: bool> {
     edit: NodeId,
     /// `path[l]`: the edit's ancestor at level `l`, the edit itself at its
     /// own level.
     path: [NodeId; MAX_MORTON_LEVEL as usize + 1],
+    /// The populations a cell's emptiness is read from: the plan's own
+    /// while a refresh patches the cells a rebin emptied or filled one at a
+    /// time, the tree's (`None`) for an edit.
+    occupancy: Option<&'a [u32]>,
 }
 
-impl<const SOURCES_ONLY: bool> Prune for Near<SOURCES_ONLY> {
+impl<const SOURCES_ONLY: bool> Prune for Near<'_, SOURCES_ONLY> {
     type Tag = Rel;
 
     #[inline(always)]
@@ -108,6 +123,14 @@ impl<const SOURCES_ONLY: bool> Prune for Near<SOURCES_ONLY> {
         match SOURCES_ONLY {
             false => ta != Rel::Out || tb != Rel::Out,
             true => tb != Rel::Out && ta != Rel::Sub,
+        }
+    }
+
+    #[inline(always)]
+    fn empty(&self, node: &Node, id: NodeId) -> bool {
+        match self.occupancy {
+            Some(count) => count[id as usize] == 0,
+            None => node.count() == 0,
         }
     }
 }
@@ -132,9 +155,12 @@ pub struct IncrementalLists {
     /// so per-patch set membership needs no O(n) clear.
     stamp: Vec<u32>,
     epoch: u32,
-    /// Warm queue of [`IncrementalLists::refresh_counts`]'s visibility walk;
-    /// pure scratch, excluded from equality and audits.
+    /// Warm queue of [`IncrementalLists::refresh_counts`]'s visibility walk,
+    /// then its topmost flips; pure scratch, excluded from equality and
+    /// audits.
     walk: Vec<NodeId>,
+    /// Warm list of the nodes a patch touches; pure scratch.
+    dirty: Vec<NodeId>,
     /// `cursor[a][kind]`: where the patch in progress puts the next new
     /// entry of target `a`'s M2L (`kind` 0) or P2P (1) list; [`Cursor::IDLE`]
     /// between patches. Pure scratch.
@@ -238,11 +264,13 @@ fn push_visible_subtree(tree: &Octree, id: NodeId, out: &mut Vec<NodeId>) -> usi
 /// makes there, in the fresh traversal's order, so each target receives its
 /// pairs in that order. Without `SOURCES_ONLY` these are the pairs a patch
 /// links; with it, no kept target lies in the subtree, and they are the
-/// entries a patch unlinks from lists it does not empty whole.
+/// entries a patch unlinks from lists it does not empty whole. A cell is
+/// empty as `occupancy` has it where given, else as the tree does.
 fn restricted<const SOURCES_ONLY: bool>(
     tree: &Octree,
     mac: Mac,
     edit: NodeId,
+    occupancy: Option<&[u32]>,
     mut emit: impl FnMut(Entry, NodeId, NodeId),
 ) {
     let mut path = [NONE; MAX_MORTON_LEVEL as usize + 1];
@@ -252,7 +280,11 @@ fn restricted<const SOURCES_ONLY: bool>(
         path[node.level as usize] = u;
         u = node.parent;
     }
-    let near = Near::<SOURCES_ONLY> { edit, path };
+    let near = Near::<SOURCES_ONLY> {
+        edit,
+        path,
+        occupancy,
+    };
     // The root, tagged as the child of an ancestor above it.
     let root = (Octree::ROOT, near.tag(Rel::Anc(0), Octree::ROOT));
     if near.keep(root.1, root.1) {
@@ -332,6 +364,7 @@ impl IncrementalLists {
             stamp: Vec::new(),
             epoch: 0,
             walk: Vec::new(),
+            dirty: Vec::new(),
             cursor: Vec::new(),
             traversal: Traversal::default(),
         };
@@ -383,7 +416,7 @@ impl IncrementalLists {
             + self.node_counts.capacity() * std::mem::size_of::<OpCounts>()
             + (self.body_count.capacity() + self.begin.capacity()) * std::mem::size_of::<u32>()
             + self.stamp.capacity() * std::mem::size_of::<u32>()
-            + self.walk.capacity() * std::mem::size_of::<NodeId>()
+            + (self.walk.capacity() + self.dirty.capacity()) * std::mem::size_of::<NodeId>()
             + self.cursor.capacity() * std::mem::size_of::<[Cursor; 2]>()
             + self.traversal.heap_bytes()
     }
@@ -489,8 +522,8 @@ impl IncrementalLists {
     /// Patch the plan through `tree.collapse(id)`. Returns false (tree and
     /// plan untouched) when the collapse is a no-op. After an
     /// [`Octree::rebin`], call [`IncrementalLists::refresh_counts`] first:
-    /// a patch recounts the targets it touches, which would hide a cell the
-    /// rebin emptied or filled from the refresh that must re-traverse.
+    /// a patch walks the tree as it stands, and until the refresh the lists
+    /// and the `begin` keys still describe the bodies as they were.
     pub fn apply_collapse(&mut self, tree: &mut Octree, id: NodeId) -> bool {
         let _mem = telemetry::AllocScope::enter("plan.patch");
         if tree.node(id).is_leaf() {
@@ -512,20 +545,20 @@ impl IncrementalLists {
         true
     }
 
-    /// Reconcile per-node counts after body motion ([`Octree::rebin`]): the
-    /// structure is unchanged, but leaf populations — and with them P2P pair
-    /// counts and P2M/L2P body counts — moved. If any *visible* node flipped
-    /// between empty and non-empty the traversal shape itself changed (empty
-    /// cells are skipped), so the plan falls back to one full re-traversal.
-    /// The flip check is serial; when populations moved without a flip,
-    /// every visible node's contribution is recounted through workers, one
-    /// range of nodes each, as a rebuild counts. The Clean/Patched paths
-    /// perform **zero heap allocations** on one worker once the plan's
+    /// Reconcile the plan after body motion ([`Octree::rebin`]): the
+    /// structure is unchanged, but populations moved — and with them P2P
+    /// pair counts and P2M/L2P body counts. A visible cell that emptied or
+    /// filled also changes the traversal itself (empty cells are skipped):
+    /// the lists are patched through each topmost such cell the way an edit
+    /// patches them, in the plan's own storage. Then every visible
+    /// node's contribution is recounted through workers, one range of nodes
+    /// each, as a rebuild counts. A refresh that finds no visible flip
+    /// performs **zero heap allocations** on one worker once the plan's
     /// scratch is warm — the steady-state invariant gated by the
     /// `memory_profile` scenario via the `plan.refresh` allocation scope —
-    /// and only the recount's fork bookkeeping on more. Only the Rebuilt
-    /// fallback (an emptiness flip or arena growth) and the first,
-    /// buffer-warming call may touch the allocator otherwise.
+    /// and only the recount's fork bookkeeping on more; a flip patch may
+    /// grow the lists it links into. Only a plan whose arena no longer
+    /// matches the tree's (the tree was rebuilt under it) is rebuilt.
     pub fn refresh_counts(&mut self, tree: &Octree) -> PlanRefresh {
         let _mem = telemetry::AllocScope::enter("plan.refresh");
         let n = tree.num_nodes();
@@ -545,23 +578,17 @@ impl IncrementalLists {
             self.stamp[id as usize] = visible;
         }
         let seen = self.walk.len();
+        let flips = self.patch_flips(tree);
         let mut moved = false;
         for i in 0..n {
             self.begin[i] = tree.node(i as NodeId).begin;
             let now = tree.node(i as NodeId).count() as u32;
-            let before = self.body_count[i];
-            if now == before {
-                continue;
+            if now != self.body_count[i] {
+                self.body_count[i] = now;
+                moved |= self.stamp[i] == visible;
             }
-            let shown = self.stamp[i] == visible;
-            if shown && (now == 0) != (before == 0) {
-                self.rebuild(tree);
-                return PlanRefresh::Rebuilt;
-            }
-            self.body_count[i] = now;
-            moved |= shown;
         }
-        if !moved {
+        if !moved && flips == 0 {
             return PlanRefresh::Clean;
         }
         let stamp = &self.stamp;
@@ -572,13 +599,76 @@ impl IncrementalLists {
             fork_width(tree),
             |id| stamp[id as usize] == visible,
         );
-        PlanRefresh::Patched { recounted: seen }
+        PlanRefresh::Patched {
+            recounted: seen,
+            flips,
+        }
     }
 
-    /// Settle the lists of `dirty` ([`Cursor::settle`]), recompute their
-    /// cached contributions (dedup via stamps) and fold them into the
-    /// totals.
+    /// Patch the lists through every visible cell of `tree` that emptied or
+    /// filled since the plan last saw it, `walk` holding the visible nodes
+    /// parents first; returns how many topmost flips there were (a flipped
+    /// cell's flipped descendants flip with it, the same way).
+    ///
+    /// Each topmost flip is an edit whose subtree lost or gained every pair
+    /// it takes part in: no other traversal state changes its decision. The
+    /// walks read emptiness from the plan's populations, updated subtree by
+    /// subtree as each flip is patched, so a flip not yet patched still
+    /// looks as it did — two neighbouring cells that both filled do not
+    /// each link the other's pairs. The cells that emptied are unlinked
+    /// first, while the `begin` keys and populations still describe the
+    /// bodies as they were, so each run a cursor takes is the old one. Every
+    /// list left then names cells busy before and after the rebin, still in
+    /// descending `begin` once the keys are the new ones, and the cells that
+    /// filled are linked at their new ranges.
+    fn patch_flips(&mut self, tree: &Octree) -> usize {
+        let body_count = &self.body_count;
+        let flipped = |id: NodeId| (tree.node(id).count() == 0) != (body_count[id as usize] == 0);
+        self.walk.retain(|&id| {
+            let parent = tree.node(id).parent;
+            flipped(id) && (parent == NONE || !flipped(parent))
+        });
+        if self.walk.is_empty() {
+            return 0;
+        }
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for filled in [false, true] {
+            if filled {
+                for (i, begin) in self.begin.iter_mut().enumerate() {
+                    *begin = tree.node(i as NodeId).begin;
+                }
+            }
+            for k in 0..self.walk.len() {
+                let id = self.walk[k];
+                if (tree.node(id).count() > 0) == filled {
+                    dirty.clear();
+                    match filled {
+                        false => self.unlink(tree, id, true, &mut dirty),
+                        true => self.link(tree, id, true, &mut dirty),
+                    }
+                    self.settle(&dirty);
+                }
+            }
+        }
+        self.dirty = dirty;
+        self.walk.len()
+    }
+
+    /// Put every list of `dirty` in order ([`Cursor::settle`]); a list
+    /// named twice is settled once.
+    fn settle(&mut self, dirty: &[NodeId]) {
+        for &d in dirty {
+            let d = d as usize;
+            let [m2l, p2p] = &mut self.cursor[d];
+            m2l.settle(&mut self.lists.m2l[d]);
+            p2p.settle(&mut self.lists.p2p[d]);
+        }
+    }
+
+    /// Settle the lists of `dirty`, recompute their cached contributions
+    /// (dedup via stamps) and fold them into the totals.
     fn recount(&mut self, tree: &Octree, dirty: &[NodeId]) {
+        self.settle(dirty);
         self.epoch += 1;
         let epoch = self.epoch;
         for &d in dirty {
@@ -587,9 +677,6 @@ impl IncrementalLists {
                 continue;
             }
             self.stamp[di] = epoch;
-            let [m2l, p2p] = &mut self.cursor[di];
-            m2l.settle(&mut self.lists.m2l[di]);
-            p2p.settle(&mut self.lists.p2p[di]);
             self.totals -= self.node_counts[di];
             let c = if tree.is_visible(d) {
                 node_op_counts(tree, &self.lists, d)
@@ -598,7 +685,6 @@ impl IncrementalLists {
             };
             self.node_counts[di] = c;
             self.totals += c;
-            self.body_count[di] = tree.node(d).count() as u32;
         }
     }
 
@@ -606,8 +692,9 @@ impl IncrementalLists {
     /// (which must apply) to `edit`, link on the post-edit tree, then settle
     /// and recount every node touched.
     fn patch(&mut self, tree: &mut Octree, edit: NodeId, edit_fn: fn(&mut Octree, NodeId) -> bool) {
-        let mut dirty = Vec::new();
-        self.unlink(tree, edit, &mut dirty);
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.clear();
+        self.unlink(tree, edit, false, &mut dirty);
         let done = edit_fn(tree, edit);
         debug_assert!(done);
         let n = tree.num_nodes();
@@ -621,26 +708,32 @@ impl IncrementalLists {
             self.stamp.resize(n, 0);
             self.cursor.resize(n, [Cursor::IDLE; 2]);
         }
-        self.link(tree, edit, &mut dirty);
+        self.link(tree, edit, false, &mut dirty);
         self.recount(tree, &dirty);
+        self.dirty = dirty;
     }
 
-    /// Unlink, on the pre-edit `tree`: empty the lists of the visible
-    /// subtree of `edit`, whose new entries then go from their start, and
-    /// place the cursor of every other target whose list names a node of
-    /// that subtree on the run of those entries — the targets the traversal
-    /// pruned to the subtree's sources ends on. Each target touched goes to
-    /// `dirty`.
-    fn unlink(&mut self, tree: &Octree, edit: NodeId, dirty: &mut Vec<NodeId>) {
+    /// Unlink, on the tree as the plan holds it: empty the lists of the
+    /// visible subtree of `edit`, whose new entries then go from their
+    /// start, and place the cursor of every other target whose list names a
+    /// node of that subtree on the run of those entries — the targets the
+    /// traversal pruned to the subtree's sources ends on. The run is found
+    /// by the plan's `begin` keys and populations, and with `flip` the walk
+    /// reads emptiness from those populations too; the subtree's are then
+    /// brought to the tree's. Each target touched goes to `dirty`.
+    fn unlink(&mut self, tree: &Octree, edit: NodeId, flip: bool, dirty: &mut Vec<NodeId>) {
         let start = push_visible_subtree(tree, edit, dirty);
+        let subtree = start..dirty.len();
         for &a in &dirty[start..] {
             let a = a as usize;
             self.lists.m2l[a] = Vec::new();
             self.lists.p2p[a] = Vec::new();
             self.cursor[a] = [Cursor::EMPTIED; 2];
         }
-        let range = tree.node(edit).begin..tree.node(edit).end;
-        restricted::<true>(tree, self.mac, edit, |e, a, _| {
+        let begin = self.begin[edit as usize];
+        let range = begin..begin + self.body_count[edit as usize];
+        let occupancy = flip.then_some(&self.body_count[..]);
+        restricted::<true>(tree, self.mac, edit, occupancy, |e, a, _| {
             let cursor = &mut self.cursor[a as usize][e as usize];
             let list = &self.lists.of(e)[a as usize];
             cursor.place(&self.begin, list, &range);
@@ -649,28 +742,35 @@ impl IncrementalLists {
             debug_assert!(cursor.stale > 0, "target {a} names no node of {edit}");
             dirty.push(a);
         });
+        for &c in &dirty[subtree] {
+            self.body_count[c as usize] = tree.node(c).count() as u32;
+        }
     }
 
-    /// Link, on the post-edit `tree`: the patch traversal's pairs with an
-    /// endpoint in the visible subtree of `edit` go into their lists at the
-    /// cursors, and the subtree's `begin` keys are refreshed. Every target
-    /// touched, and the subtree, go to `dirty`.
-    fn link(&mut self, tree: &Octree, edit: NodeId, dirty: &mut Vec<NodeId>) {
-        let range = tree.node(edit).begin..tree.node(edit).end;
-        restricted::<false>(tree, self.mac, edit, |e, a, b| {
-            let cursor = &mut self.cursor[a as usize][e as usize];
-            let list = &mut self.lists.of(e)[a as usize];
-            cursor.place(&self.begin, list, &range);
-            put_at_cursor(list, b, cursor);
-            dirty.push(a);
-        });
+    /// Link, on the post-edit `tree`: the subtree's `begin` keys and
+    /// populations are brought to the tree's, then the patch traversal's
+    /// pairs with an endpoint in the visible subtree of `edit` go into
+    /// their lists at the cursors — with `flip` the walk reads emptiness
+    /// from the plan's populations. Every target touched, and the subtree,
+    /// go to `dirty`.
+    fn link(&mut self, tree: &Octree, edit: NodeId, flip: bool, dirty: &mut Vec<NodeId>) {
         // Everything in the new subtree gets a fresh contribution too (newly
         // visible nodes need one, the edited node changed role); hidden
         // old-subtree nodes drop to zero via the visibility check.
         let start = push_visible_subtree(tree, edit, dirty);
         for &c in &dirty[start..] {
             self.begin[c as usize] = tree.node(c).begin;
+            self.body_count[c as usize] = tree.node(c).count() as u32;
         }
+        let range = tree.node(edit).begin..tree.node(edit).end;
+        let occupancy = flip.then_some(&self.body_count[..]);
+        restricted::<false>(tree, self.mac, edit, occupancy, |e, a, b| {
+            let cursor = &mut self.cursor[a as usize][e as usize];
+            let list = &mut self.lists.of(e)[a as usize];
+            cursor.place(&self.begin, list, &range);
+            put_at_cursor(list, b, cursor);
+            dirty.push(a);
+        });
     }
 }
 
@@ -833,18 +933,29 @@ mod tests {
     }
 
     #[test]
-    fn refresh_counts_rebuilds_on_emptiness_flip() {
+    fn refresh_counts_patches_emptiness_flips() {
         let pos = random_points(600, 79);
         let mut tree = build_adaptive(&pos, BuildParams::with_s(8));
         let mut plan = IncrementalLists::build(&tree, Mac::default());
-        // Crush everything into one corner: many cells empty out.
+        // Crush everything into one corner: many cells empty out, and the
+        // corner's empty cells fill.
         let moved: Vec<Vec3> = pos
             .iter()
             .map(|p| Vec3::new(-0.9, -0.9, -0.9) + *p * 0.01)
             .collect();
         tree.rebin(&moved);
         let outcome = plan.refresh_counts(&tree);
-        assert_eq!(outcome, PlanRefresh::Rebuilt);
+        let PlanRefresh::Patched { flips, .. } = outcome else {
+            panic!("{outcome:?}");
+        };
+        assert!(flips > 1, "{flips} flips");
+        assert_matches_fresh(&tree, &plan);
+        // And back out: the crushed cells empty, the rest fill again.
+        tree.rebin(&pos);
+        assert!(matches!(
+            plan.refresh_counts(&tree),
+            PlanRefresh::Patched { flips: 2.., .. }
+        ));
         assert_matches_fresh(&tree, &plan);
     }
 
@@ -926,7 +1037,7 @@ mod tests {
         let old = visible_subtree(tree, edit);
         let mut plan = plan.clone();
         let mut dirty = Vec::new();
-        plan.unlink(tree, edit, &mut dirty);
+        plan.unlink(tree, edit, false, &mut dirty);
         for t in 0..tree.num_nodes() {
             for (kind, fwd) in [&fresh.m2l, &fresh.p2p].into_iter().enumerate() {
                 let cursor = plan.cursor[t][kind];
@@ -953,7 +1064,7 @@ mod tests {
         let new = visible_subtree(&after, edit);
         let n = after.num_nodes();
         let mut got = [vec![Vec::<NodeId>::new(); n], vec![Vec::new(); n]];
-        restricted::<false>(&after, plan.mac(), edit, |e, a, b| {
+        restricted::<false>(&after, plan.mac(), edit, None, |e, a, b| {
             got[e as usize][a as usize].push(b);
         });
         for (kind, fwd) in [&fresh.m2l, &fresh.p2p].into_iter().enumerate() {

@@ -182,18 +182,23 @@ pub(crate) enum Entry {
     P2p,
 }
 
-/// How a traversal tags the two sides of its states, and which states it
-/// visits. A child's tag follows from its parent's alone, so a relation
-/// carried down the walk is never derived again per state.
+/// How a traversal tags the two sides of its states, which states it
+/// visits, and which cells it sees as empty. A child's tag follows from its
+/// parent's alone, so a relation carried down the walk is never derived
+/// again per state.
 pub(crate) trait Prune {
     type Tag: Copy;
     /// The tag of `child`, a child of a side tagged `parent`.
     fn tag(&self, parent: Self::Tag, child: NodeId) -> Self::Tag;
     /// Whether a state whose sides are tagged `ta`, `tb` is visited.
     fn keep(&self, ta: Self::Tag, tb: Self::Tag) -> bool;
+    /// Whether node `id`, the cell `node`, holds no bodies: a state with an
+    /// empty side ends at once.
+    fn empty(&self, node: &Node, id: NodeId) -> bool;
 }
 
-/// The full traversal: no tags, every state visited.
+/// The full traversal: no tags, every state visited, a cell as empty as
+/// its body range.
 impl Prune for () {
     type Tag = ();
     #[inline(always)]
@@ -201,6 +206,10 @@ impl Prune for () {
     #[inline(always)]
     fn keep(&self, _: (), _: ()) -> bool {
         true
+    }
+    #[inline(always)]
+    fn empty(&self, node: &Node, _: NodeId) -> bool {
+        node.count() == 0
     }
 }
 
@@ -229,7 +238,7 @@ pub(crate) fn traverse<P: Prune>(
 ) {
     let na = &nodes[a.0 as usize];
     let nb = &nodes[b.0 as usize];
-    if na.count() == 0 || nb.count() == 0 {
+    if prune.empty(na, a.0) || prune.empty(nb, b.0) {
         return;
     }
     if a.0 != b.0 && mac.separates(na, nb) {

@@ -217,8 +217,9 @@ fn degenerate_trees_are_the_same_at_every_width() {
     assert_width_invariant(&empty, "empty tree");
 }
 
-/// Motion that empties and fills cells: the refresh rebuilds the live plan
-/// in its own storage, and the result is the fresh plan of the moved tree.
+/// A tree rebuilt under a live plan, at another leaf capacity: the refresh
+/// rebuilds the plan in its own storage, and the result is the fresh plan
+/// of the new tree.
 #[test]
 fn a_rebuilt_refresh_in_recycled_storage_equals_a_fresh_build() {
     let start = plummer(20_000, 13);
@@ -226,9 +227,9 @@ fn a_rebuilt_refresh_in_recycled_storage_equals_a_fresh_build() {
     let mac = Mac::default();
     for width in WIDTHS {
         let (refreshed, tree) = at_width(width, || {
-            let mut tree = build_adaptive(&start, BuildParams::with_s(16));
-            let mut plan = IncrementalLists::build(&tree, mac);
-            tree.rebin(&moved);
+            let mut plan =
+                IncrementalLists::build(&build_adaptive(&start, BuildParams::with_s(16)), mac);
+            let tree = build_adaptive(&moved, BuildParams::with_s(12));
             assert_eq!(plan.refresh_counts(&tree), PlanRefresh::Rebuilt);
             assert_capacity_bounded(&plan, "refreshed");
             (plan, tree)
@@ -325,7 +326,14 @@ fn a_patched_refresh_recounts_like_a_serial_recount_at_every_width() {
         let mut plan = plan.clone();
         let outcome = at_width(width, || plan.refresh_counts(&tree));
         let visible = tree.visible_nodes().len();
-        assert_eq!(outcome, PlanRefresh::Patched { recounted: visible });
+        let flips = 0;
+        assert_eq!(
+            outcome,
+            PlanRefresh::Patched {
+                recounted: visible,
+                flips
+            }
+        );
         let what = format!("width {width}");
         assert_same(&plan, &serial, &what);
         assert_reference(&plan, &want, &what);
@@ -384,5 +392,138 @@ fn a_patched_rebinned_and_refreshed_plan_equals_a_build_at_every_width() {
         let what = format!("width {width}");
         assert_reference(&plan, &reference(&tree, mac), &what);
         plan.audit(&tree).expect(&what);
+    }
+}
+
+/// The positions `pos` with every body of the cells `from` moved onto the
+/// spot of a body outside them, so each of those cells empties and no
+/// other cell does.
+fn vacate(tree: &Octree, pos: &[Vec3], from: &[NodeId], seed: u64) -> Vec<Vec3> {
+    let mut leaving = vec![false; pos.len()];
+    for &id in from {
+        for i in tree.node(id).range() {
+            leaving[tree.order()[i] as usize] = true;
+        }
+    }
+    let stay: Vec<usize> = (0..pos.len()).filter(|&b| !leaving[b]).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut moved = pos.to_vec();
+    for b in (0..pos.len()).filter(|&b| leaving[b]) {
+        moved[b] = pos[stay[rng.random_range(0..stay.len())]];
+    }
+    moved
+}
+
+/// The positions `pos` with one body moved to the centre of each empty leaf
+/// of `to`, each taken from a leaf that keeps another: those leaves fill and
+/// no cell empties.
+fn fill(tree: &Octree, pos: &[Vec3], to: &[NodeId]) -> Vec<Vec3> {
+    let mut donors = (tree.active_leaves().into_iter())
+        .flat_map(|leaf| tree.node(leaf).range().skip(1))
+        .map(|i| tree.order()[i] as usize);
+    let mut moved = pos.to_vec();
+    for &id in to {
+        moved[donors.next().expect("a donor")] = tree.node(id).center;
+    }
+    moved
+}
+
+/// Twenty collapses and push-downs of random visible nodes through `plan`.
+fn random_edits(tree: &mut Octree, plan: &mut IncrementalLists, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..20 {
+        let visible = tree.visible_nodes();
+        let id = visible[rng.random_range(0..visible.len())];
+        match tree.node(id).is_leaf() {
+            true => plan.apply_push_down(tree, id),
+            false => plan.apply_collapse(tree, id),
+        };
+    }
+}
+
+/// `plan`'s lists are a build's of `tree` entry for entry, its counts are
+/// the build's and it passes its audit.
+fn assert_built(tree: &Octree, plan: &IncrementalLists, what: &str) {
+    let fresh = IncrementalLists::build(tree, plan.mac());
+    assert!(plan.lists().m2l == fresh.lists().m2l, "{what}: m2l");
+    assert!(plan.lists().p2p == fresh.lists().p2p, "{what}: p2p");
+    assert_eq!(plan.counts(), fresh.counts(), "{what}: counts");
+    plan.audit(tree).expect(what);
+}
+
+/// Motion that empties or fills visible cells — leaves that empty, empty
+/// leaves that fill, a whole internal subtree that empties and refills, a
+/// collapsed cell (hidden structure under it) that empties and refills —
+/// at widths 1, 2, 3 and 8: the refresh patches the plan through the flips
+/// instead of rebuilding it, and the plan is a build's of the moved tree,
+/// and still is after twenty collapses and push-downs patched on top.
+#[test]
+fn a_refresh_patches_emptied_and_filled_cells_at_every_width() {
+    let mac = Mac::default();
+    for (n, s) in [(3_000, 4), (5_000, 16)] {
+        let start = plummer(n, 37 + s as u64);
+        let tree = build_adaptive(&start, BuildParams::with_s(s));
+        let visible = tree.visible_nodes();
+        let leaves = tree.active_leaves();
+        let empty: Vec<NodeId> = (visible.iter().copied())
+            .filter(|&id| tree.node(id).is_leaf() && tree.node(id).count() == 0)
+            .collect();
+        let subtree = |skip: usize| {
+            (visible.iter().copied())
+                .filter(|&id| tree.node(id).level >= 2 && !tree.node(id).is_leaf())
+                .filter(|&id| (4 * s..=40 * s).contains(&tree.node(id).count()))
+                .nth(skip)
+                .expect("an internal node")
+        };
+        assert!(leaves.len() > 100 && empty.len() > 10, "s = {s}");
+        let emptied_leaves: Vec<NodeId> = leaves.iter().copied().step_by(9).collect();
+        let filled_leaves: Vec<NodeId> = empty.iter().copied().step_by(2).collect();
+        let (internal, collapsed) = (subtree(0), subtree(3));
+        let cases = [
+            (
+                "leaves empty",
+                None,
+                vec![vacate(&tree, &start, &emptied_leaves, 41)],
+            ),
+            (
+                "empty leaves fill",
+                None,
+                vec![fill(&tree, &start, &filled_leaves)],
+            ),
+            (
+                "a subtree empties and refills",
+                None,
+                vec![vacate(&tree, &start, &[internal], 43), start.clone()],
+            ),
+            (
+                "a collapsed cell empties and refills",
+                Some(collapsed),
+                vec![vacate(&tree, &start, &[collapsed], 47), start.clone()],
+            ),
+        ];
+        for (what, collapse, motions) in cases {
+            for width in WIDTHS {
+                at_width(width, || {
+                    let mut tree = tree.clone();
+                    let mut plan = IncrementalLists::build(&tree, mac);
+                    if let Some(id) = collapse {
+                        assert!(plan.apply_collapse(&mut tree, id));
+                    }
+                    for (k, moved) in motions.iter().enumerate() {
+                        let what = format!("s = {s}, {what}, motion {k}, width {width}");
+                        tree.rebin(moved);
+                        let outcome = plan.refresh_counts(&tree);
+                        assert!(
+                            matches!(outcome, PlanRefresh::Patched { flips: 1.., .. }),
+                            "{what}: {outcome:?}"
+                        );
+                        assert_built(&tree, &plan, &what);
+                        let mut edited = (tree.clone(), plan.clone());
+                        random_edits(&mut edited.0, &mut edited.1, 53 + k as u64);
+                        assert_built(&edited.0, &edited.1, &format!("{what}, edited"));
+                    }
+                });
+            }
+        }
     }
 }
