@@ -171,14 +171,14 @@ impl LoadBalancer {
     /// [`lbtime::predict`], and record it as an `lb.price` event.
     fn price<K: Kernel>(
         &self,
-        engine: &FmmEngine<K>,
+        engine: &mut FmmEngine<K>,
         model: &CostModel,
         node: &HeteroNode,
         s: usize,
         scratch: &mut PriceScratch,
         rep: &mut LbReport,
     ) -> Prediction {
-        let (counts, entries) = engine.tree().price(s, engine.params().mac, scratch);
+        let (counts, entries) = engine.price(s, scratch);
         rep.lb_time += lbtime::predict(node, entries);
         let pred = model.predict(&counts, node);
         self.recorder().event(
@@ -201,7 +201,7 @@ impl LoadBalancer {
     /// at most `REFINE_PRICES` times. Returns the cheapest root priced.
     pub(super) fn refine_crossing<K: Kernel>(
         &self,
-        engine: &FmmEngine<K>,
+        engine: &mut FmmEngine<K>,
         model: &CostModel,
         node: &HeteroNode,
         priced: &mut Vec<(usize, Prediction)>,
@@ -285,7 +285,7 @@ impl LoadBalancer {
     /// best never lead back to it, and the walk ends.
     fn priced_best<K: Kernel>(
         &self,
-        engine: &FmmEngine<K>,
+        engine: &mut FmmEngine<K>,
         model: &CostModel,
         node: &HeteroNode,
         best_s: usize,

@@ -715,7 +715,7 @@ fn the_refinement_prices_nothing_without_a_crossing_that_pays() {
         let mut scratch = octree::PriceScratch::default();
         let mut rep = LbReport::default();
         let root = lb.refine_crossing(
-            &h.engine,
+            &mut h.engine,
             &h.model,
             &h.node,
             &mut grown,

@@ -6,7 +6,7 @@ use fmm_math::{
 use geom::Vec3;
 use octree::{
     build_adaptive, build_adaptive_in_cube, BuildParams, EnforceOutcome, IncrementalLists,
-    InteractionLists, NodeId, Octree, OpCounts, PlanRefresh, NONE,
+    InteractionLists, NodeId, Octree, OpCounts, PlanRefresh, PriceScratch, NONE,
 };
 use rayon::prelude::*;
 
@@ -274,18 +274,36 @@ impl<K: Kernel> FmmEngine<K> {
         &self.ops
     }
 
+    /// The engine's tree. Its bodies are grouped by visible leaf always,
+    /// but after a [`FmmEngine::rebin`] they are sorted within each leaf
+    /// only once a path that reads that order has run
+    /// ([`Octree::leaves_sorted`]): the solve, a rebuild, a tree edit,
+    /// [`FmmEngine::price`], [`FmmEngine::tree_mut`]. Leaf membership, node
+    /// ranges and populations — all the plan, the counts and
+    /// [`FmmEngine::time_step`] read — are the sorted tree's either way. A
+    /// reader of the order through this handle (the repo benchmark's
+    /// probes, say) sees a regrouped tree as it stands.
     pub fn tree(&self) -> &Octree {
         &self.tree
     }
 
-    /// Raw mutable tree access. Any edit made through this handle happens
-    /// behind the plan's back, so it marks the plan stale (next refresh is a
-    /// full rebuild). Prefer [`FmmEngine::apply_collapse`] /
-    /// [`FmmEngine::apply_push_down`] / [`FmmEngine::enforce_s`], which keep
-    /// the plan alive by patching it.
+    /// Raw mutable tree access, its leaves sorted first. Any edit made
+    /// through this handle happens behind the plan's back, so it marks the
+    /// plan stale (next refresh is a full rebuild). Prefer
+    /// [`FmmEngine::apply_collapse`] / [`FmmEngine::apply_push_down`] /
+    /// [`FmmEngine::enforce_s`], which keep the plan alive by patching it.
     pub fn tree_mut(&mut self) -> &mut Octree {
         self.plan_state = PlanState::Stale;
+        self.tree.sort_leaves();
         &mut self.tree
+    }
+
+    /// The operation counts and list entries of the tree at leaf capacity
+    /// `s` under the engine's MAC ([`Octree::price`]), the leaves sorted
+    /// first: a price is cut from the sorted codes.
+    pub fn price(&mut self, s: usize, scratch: &mut PriceScratch) -> (OpCounts, usize) {
+        self.tree.sort_leaves();
+        self.tree.price(s, self.params.mac, scratch)
     }
 
     /// Interaction lists of the current plan (most recent
@@ -343,11 +361,13 @@ impl<K: Kernel> FmmEngine<K> {
         self.plan_state = PlanState::Stale;
     }
 
-    /// Re-sort moved bodies into the unchanged tree structure. The plan
-    /// stays alive: leaf populations moved but the traversal structure did
-    /// not, so the next refresh patches counts instead of re-traversing.
+    /// Regroup moved bodies into the unchanged tree structure
+    /// ([`Octree::regroup`]): each leaf gets its bodies, sorted within it
+    /// only when a path that reads that order first runs. The plan stays
+    /// alive: leaf populations moved but the traversal structure did not,
+    /// so the next refresh patches counts instead of re-traversing.
     pub fn rebin(&mut self, pos: &[Vec3]) {
-        self.tree.rebin(pos);
+        self.tree.regroup(pos);
         if self.plan_state == PlanState::Live {
             self.plan_state = PlanState::Rebinned;
         }
@@ -366,9 +386,12 @@ impl<K: Kernel> FmmEngine<K> {
     /// patched like a live one. So is one a rebin left behind the tree: a
     /// patch walks the tree as it stands, while the plan's lists and keys
     /// still describe the bodies before the rebin — the refresh patches
-    /// them through every cell the rebin emptied or filled first. The
-    /// boolean reports whether the plan was live on entry.
+    /// them through every cell the rebin emptied or filled first. A
+    /// push-down cuts its children's ranges from the sorted codes, so the
+    /// leaves are sorted first. The boolean reports whether the plan was
+    /// live on entry.
     fn plan_for_edit(&mut self) -> (&mut IncrementalLists, &mut Octree, bool) {
+        self.tree.sort_leaves();
         let live = self.has_live_plan();
         if self.plan_state != PlanState::Live {
             self.refresh_plan();
@@ -595,6 +618,8 @@ impl<K: Kernel> FmmEngine<K> {
 
         self.refresh_lists();
 
+        // The near field sums each leaf's bodies in tree order.
+        self.tree.sort_leaves();
         self.bodies.gather(self.tree.order(), pos, strength, sd);
         self.field.reset(n);
 

@@ -810,8 +810,9 @@ fn memory_profile_one_worker(cfg: &SuiteConfig) -> Scenario {
     let refresh_motion = memprof::scope_stats("plan.refresh").unwrap_or_default();
 
     // Gate phase: positions frozen, so every refresh takes the cached-plan
-    // Clean path — rebin still re-sorts every body. Zero allocations in
-    // the gated scopes is the hard invariant.
+    // Clean path — the rebin still regroups every body, and the solve's
+    // leaf sort (in the same `rebin` scope) reads every leaf. Zero
+    // allocations in the gated scopes is the hard invariant.
     memprof::reset_scopes();
     for _ in 0..steps {
         engine.rebin(&pos);
@@ -917,6 +918,9 @@ fn memory_profile_one_worker(cfg: &SuiteConfig) -> Scenario {
 /// runs at the host's width and is gated; `rebin_1w_ns_per_body` is the same
 /// re-binning on one worker and `rebin_speedup` their per-repetition ratio —
 /// both inform, they vary with the host's core count.
+/// `sort_leaves_ns_per_body`, informing, is `Octree::sort_leaves` after
+/// each half of the same breath taken again by `Octree::regroup`: what a
+/// step that reads the order within leaves adds to one that does not.
 /// `rebin_leavers_frac` is the share of bodies one rebin moves to another
 /// leaf (exact, informing): the bodies it sorts across leaves, the rest
 /// being sorted within their own. `refresh_ms`, gated,
@@ -956,7 +960,7 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
     // The flip-free refreshes are timed after hops that cannot flip: a few
     // bodies hop to another busy leaf and back, and the refresh after each
     // hop is on the clock.
-    type Breath = (f64, Option<f64>, Option<f64>, usize);
+    type Breath = (f64, f64, Option<f64>, Option<f64>, usize);
     let mut breath = |tree: &mut Octree, plan: &mut IncrementalLists| -> Breath {
         let (mut rebin_s, mut flip_s, mut flipped, mut flips) = (0.0, 0.0, 0, 0);
         for scale in [0.998, 1.0 / 0.998] {
@@ -988,8 +992,20 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
             }
         }
         let refresh_ms = (patched > 0).then(|| refresh_s * 1e3 / patched as f64);
-        let rebin_ns = rebin_s * 1e9 / (2 * cfg.n_rebin) as f64;
-        (rebin_ns, refresh_ms, refresh_flip_ms, flips)
+        // The breath again as two regroups, each half's leaf sort on the
+        // clock, and the plan brought up to the tree.
+        let mut sort_s = 0.0;
+        for scale in [0.998, 1.0 / 0.998] {
+            for p in pos.iter_mut() {
+                *p *= scale;
+            }
+            tree.regroup(&pos);
+            sort_s += wall(|| tree.sort_leaves()).0;
+        }
+        plan.refresh_counts(tree);
+        let per_body = |secs: f64| secs * 1e9 / (2 * cfg.n_rebin) as f64;
+        let (rebin_ns, sort_ns) = (per_body(rebin_s), per_body(sort_s));
+        (rebin_ns, sort_ns, refresh_ms, refresh_flip_ms, flips)
     };
     let mut breaths = |tree: &mut Octree, plan: &mut IncrementalLists| {
         for _ in 0..cfg.warmup.max(1) {
@@ -997,12 +1013,13 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
         }
         let samples: Vec<_> = (0..cfg.reps).map(|_| breath(tree, plan)).collect();
         let rebin: Vec<f64> = samples.iter().map(|s| s.0).collect();
-        let refresh: Vec<f64> = samples.iter().filter_map(|s| s.1).collect();
-        let refresh_flip: Vec<f64> = samples.iter().filter_map(|s| s.2).collect();
-        let flips = samples.iter().map(|s| s.3).sum::<usize>() as f64 / cfg.reps.max(1) as f64;
-        (rebin, refresh, refresh_flip, flips)
+        let sort: Vec<f64> = samples.iter().map(|s| s.1).collect();
+        let refresh: Vec<f64> = samples.iter().filter_map(|s| s.2).collect();
+        let refresh_flip: Vec<f64> = samples.iter().filter_map(|s| s.3).collect();
+        let flips = samples.iter().map(|s| s.4).sum::<usize>() as f64 / cfg.reps.max(1) as f64;
+        (rebin, sort, refresh, refresh_flip, flips)
     };
-    let (samples, refresh, refresh_flip, flips_per_breath) = breaths(&mut tree, &mut live);
+    let (samples, sort, refresh, refresh_flip, flips_per_breath) = breaths(&mut tree, &mut live);
     let (samples_1w, ..) = crate::one_worker(|| breaths(&mut tree, &mut live));
     drop(live);
     let ratio = |one: &[f64], wide: &[f64]| -> Vec<f64> {
@@ -1050,6 +1067,7 @@ fn tree_maintenance(cfg: &SuiteConfig) -> Scenario {
             Metric::wall("rebin_speedup", "x", speedup, cfg.seed)
                 .higher_is_better()
                 .informational(),
+            Metric::wall("sort_leaves_ns_per_body", "ns", sort, cfg.seed).informational(),
             Metric::virtual_point("rebin_leavers_frac", "ratio", leavers_frac).informational(),
             Metric::wall("refresh_ms", "ms", refresh, cfg.seed),
             Metric::wall("refresh_flip_ms", "ms", refresh_flip, cfg.seed).informational(),

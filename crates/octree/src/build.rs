@@ -441,6 +441,7 @@ fn build_in_cube(
         nodes,
         order,
         codes,
+        leaves_sorted: true,
         s_value: params.s,
         root_center: center,
         root_half_width: half_width,
@@ -456,9 +457,11 @@ impl Octree {
     /// or [`Octree::rebin`], since both leave `(code, id)` ascending. No
     /// sort and no permutation: `order`, `codes` and the rebin scratch stay,
     /// and the arena takes a fresh build's capacity for `s`. Hidden
-    /// subtrees go with the old arena.
+    /// subtrees go with the old arena. Panics unless the leaves are sorted
+    /// ([`Octree::sort_leaves`]).
     pub fn resplit(&mut self, s: usize) {
         assert!(s >= 1, "leaf capacity S must be at least 1");
+        self.assert_leaves_sorted("resplit");
         let reserve = node_reservation(self.num_bodies(), s);
         let nodes = &mut self.nodes;
         nodes.clear();

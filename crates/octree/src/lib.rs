@@ -14,9 +14,11 @@
 //!   buffer before allocating.
 //! * [`Octree::enforce_s`] restores the S invariant after bodies move
 //!   (collapse under-full parents, push down over-full leaves).
-//! * [`Octree::rebin`] re-sorts moved bodies into the *unchanged* tree
-//!   structure — exactly what the paper's strategy 1/2 need between rebuilds
-//!   — leaf by leaf, sorting only the bodies that changed leaf.
+//! * [`Octree::regroup`] re-groups moved bodies into the *unchanged* tree
+//!   structure — exactly what the paper's strategy 1/2 need between
+//!   rebuilds — leaf by leaf, sorting only the bodies that changed leaf;
+//!   [`Octree::sort_leaves`] restores the (code, id) order within each leaf
+//!   for whatever reads it, and [`Octree::rebin`] is the two together.
 //! * [`dual_traversal`] produces the M2L and P2P interaction lists with a
 //!   multipole acceptance criterion, using only the paper's six operations.
 //! * The sorted codes fix the tree at every S: [`Octree::resplit`] cuts a

@@ -30,7 +30,10 @@ impl Octree {
     /// are drawn from the arena buffer.
     ///
     /// Returns false when `id` is not a leaf or sits at the maximum level.
+    /// Panics unless the leaves are sorted ([`Octree::sort_leaves`]): the
+    /// children's ranges are found by binary search on the codes.
     pub fn push_down(&mut self, id: NodeId) -> bool {
+        self.assert_leaves_sorted("push_down");
         if self.refuses_push_down(id) {
             return false;
         }

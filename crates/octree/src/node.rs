@@ -1,4 +1,4 @@
-use crate::rebin::RebinScratch;
+use crate::rebin::{key_span, sort_leaf, RebinScratch};
 use geom::{Vec3, MAX_MORTON_LEVEL};
 
 /// Index of a node in the tree arena.
@@ -77,10 +77,17 @@ pub struct Octree {
     pub(crate) nodes: Vec<Node>,
     /// `order[i]` = original body id at tree-order position `i`.
     pub(crate) order: Vec<u32>,
-    /// Morton code of the body at tree-order position `i`, non-decreasing
-    /// (bodies with equal codes ascend by id): child ranges are found by
-    /// binary search on it.
+    /// Morton code of the body at tree-order position `i`. Each visible
+    /// leaf's range holds exactly the codes of its cell; while
+    /// `leaves_sorted`, the whole array is non-decreasing (bodies with equal
+    /// codes ascend by id), and child ranges are found by binary search on
+    /// it.
     pub(crate) codes: Vec<u64>,
+    /// Whether each visible leaf's slice of `order`/`codes` is sorted by
+    /// (code, id). State, not a knob: [`Octree::regroup`] clears it,
+    /// [`Octree::sort_leaves`] and [`Octree::rebin`] set it, and every other
+    /// constructor or edit leaves a sorted tree sorted.
+    pub(crate) leaves_sorted: bool,
     /// Leaf-capacity parameter S the tree was last built/enforced with.
     pub(crate) s_value: usize,
     /// Root cube fixed at build time; re-binning clamps to it.
@@ -111,6 +118,22 @@ impl Octree {
         self.order.len()
     }
 
+    /// Is each visible leaf's slice of [`Octree::order`] sorted by
+    /// (code, id)? Only a [`Octree::regroup`] leaves it false.
+    #[inline]
+    pub fn leaves_sorted(&self) -> bool {
+        self.leaves_sorted
+    }
+
+    /// Panic unless the leaves are sorted: `what` reads the order within
+    /// them.
+    pub(crate) fn assert_leaves_sorted(&self, what: &str) {
+        assert!(
+            self.leaves_sorted,
+            "{what} reads the order within leaves: sort_leaves first"
+        );
+    }
+
     /// The S the tree currently enforces.
     #[inline]
     pub fn s_value(&self) -> usize {
@@ -133,6 +156,11 @@ impl Octree {
     }
 
     /// Tree-order body permutation: position `i` holds original body id.
+    /// The bodies are always grouped by visible leaf — each leaf's range
+    /// holds exactly the bodies in its cell — and sorted by (code, id)
+    /// within each leaf unless the last maintenance was a bare
+    /// [`Octree::regroup`]; [`Octree::sort_leaves`] restores that, and
+    /// [`Octree::leaves_sorted`] says which holds.
     #[inline]
     pub fn order(&self) -> &[u32] {
         &self.order
@@ -254,14 +282,27 @@ impl Octree {
     }
 
     /// Capture the complete tree state for checkpointing. The snapshot is an
-    /// exact image: [`Octree::from_snapshot`] reconstructs a tree whose every
-    /// field — including the Morton codes that drive re-binning — is
-    /// bit-identical to the original.
+    /// exact image of the sorted tree: [`Octree::from_snapshot`]
+    /// reconstructs a tree whose every field — including the Morton codes
+    /// that drive re-binning — is bit-identical to the original after
+    /// [`Octree::sort_leaves`]. A tree whose leaves are unsorted is sorted
+    /// in the copy, so the image does not depend on when it was taken.
     pub fn snapshot(&self) -> TreeSnapshot {
+        let (mut order, mut codes) = (self.order.clone(), self.codes.clone());
+        if !self.leaves_sorted {
+            let leaves = self.visible_leaves();
+            let widest = leaves.iter().map(|&l| self.node(l).count()).max();
+            let mut keys = vec![(0, 0); widest.unwrap_or(0)];
+            for leaf in leaves {
+                let r = self.node(leaf).range();
+                let keys = &mut keys[..r.len()];
+                sort_leaf(&mut order[r.clone()], &mut codes[r], keys);
+            }
+        }
         TreeSnapshot {
             nodes: self.nodes.clone(),
-            order: self.order.clone(),
-            codes: self.codes.clone(),
+            order,
+            codes,
             s_value: self.s_value,
             root_center: self.root_center,
             root_half_width: self.root_half_width,
@@ -287,6 +328,7 @@ impl Octree {
             nodes: snap.nodes,
             order: snap.order,
             codes: snap.codes,
+            leaves_sorted: true,
             s_value: snap.s_value,
             root_center: snap.root_center,
             root_half_width: snap.root_half_width,
@@ -394,21 +436,40 @@ impl Octree {
             }
             seen[b] = true;
         }
-        // Tree order is ascending (code, body): every child range is found
-        // by binary search on `codes`, before any rebin has rewritten them.
+        // Sorted, tree order is ascending (code, body): every child range is
+        // found by binary search on `codes`, before any rebin has rewritten
+        // them. Regrouped, only each leaf's membership is kept: below, every
+        // visible leaf's slice holds codes of its own cell alone, and as the
+        // leaves tile the bodies and their cells are disjoint, exactly the
+        // bodies whose codes lie in its key range.
         let keys = || self.codes.iter().zip(&self.order);
-        if let Some(i) = keys().zip(keys().skip(1)).position(|(a, b)| a >= b) {
+        let descent = || keys().zip(keys().skip(1)).position(|(a, b)| a >= b);
+        if let Some(i) = self.leaves_sorted.then(descent).flatten() {
             return Err(format!(
                 "tree order is not ascending by (code, body) at position {}",
                 i + 1
             ));
         }
-        // Visible children of each visible parent tile its range exactly.
-        for id in self.visible_nodes() {
+        // Visible children of each visible parent tile its range exactly,
+        // and each visible leaf holds codes of its cell's keys alone. The
+        // cell of child `o` of a node whose keys start at `lo` starts `o`
+        // spans of its level further on.
+        let mut stack = vec![(Self::ROOT, 0u64)];
+        while let Some((id, lo)) = stack.pop() {
             let n = self.node(id);
             if n.is_leaf() {
+                let keys = lo..lo + key_span(n.level);
+                if let Some(i) = n.range().find(|&i| !keys.contains(&self.codes[i])) {
+                    return Err(format!(
+                        "body {} at position {i} has code {:#x}, outside the keys \
+                         {:#x}..{:#x} of leaf {id}",
+                        self.order[i], self.codes[i], keys.start, keys.end
+                    ));
+                }
                 continue;
             }
+            let span = key_span(n.level + 1);
+            stack.extend((0..8).map(|o| (n.first_child + o, lo + u64::from(o) * span)));
             let mut pos = n.begin;
             for o in 0..8 {
                 let c = self.node(n.first_child + o);

@@ -93,9 +93,11 @@ impl Octree {
     /// and active nodes read off them. The traversal then counts what it
     /// emits instead of listing it. From 1 024 candidate nodes up it forks
     /// one task per child of the root, as a plan rebuild does, each tallying
-    /// in a local of its own that is summed after the join.
+    /// in a local of its own that is summed after the join. Panics unless
+    /// the leaves are sorted ([`Octree::sort_leaves`]).
     pub fn price(&self, s: usize, mac: Mac, scratch: &mut PriceScratch) -> (OpCounts, usize) {
         assert!(s >= 1, "leaf capacity S must be at least 1");
+        self.assert_leaves_sorted("price");
         let PriceScratch { nodes, stack } = scratch;
         let cube = (self.root_center, self.root_half_width);
         let rule = SplitRule::Adaptive { s };

@@ -17,6 +17,13 @@
 //! leaves at `max_level`, trees after random collapses and push-downs, and
 //! every body re-drawn inside its own leaf, which leaves each leaf's stayers
 //! in random order.
+//!
+//! A regroup alone leaves each leaf's bodies unsorted: after one to three of
+//! them, under drift, breathing (leaves empty and fill) and teleports of
+//! Plummer, uniform and two-cluster bodies, every node range is `rebin`'s
+//! and every leaf slice holds the sorted slice's bodies; `sort_leaves` then
+//! gives the full sort. `price`, `resplit` and `push_down` refuse an
+//! unsorted tree.
 
 use geom::{morton_encode, Vec3, MAX_MORTON_LEVEL};
 use octree::{build_adaptive_in_cube, BuildParams, NodeId, Octree, TreeSnapshot};
@@ -432,4 +439,168 @@ fn bodies_redrawn_inside_their_leaf_rebin_like_the_full_sort() {
     }
     assert!(leaver_share(&tree, &moved) < 1e-3);
     assert_rebins_like_the_reference(&tree, &moved, "redrawn in the leaf");
+}
+
+/// `n` bodies in two tight clusters on opposite sides of the cube.
+fn two_clusters(n: usize, seed: u64) -> Vec<Vec3> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            let centre = Vec3::splat(if i % 2 == 0 { -0.5 } else { 0.4 });
+            let mut at = || rng.random_range(-0.08..0.08);
+            centre + Vec3::new(at(), at(), at())
+        })
+        .collect()
+}
+
+/// The motions a regroup is checked under, each applied again at every
+/// step: a drift that moves a few per cent of the bodies to another leaf,
+/// the cloud breathing out so that cells at its edge empty and fill, and a
+/// tenth of the bodies teleporting.
+type Motion = fn(&[Vec3], &mut StdRng) -> Vec<Vec3>;
+const MOTIONS: [(&str, Motion); 3] = [
+    ("drift", |pos, rng| {
+        let mut v = || rng.random_range(-2e-3..2e-3);
+        pos.iter().map(|&p| p + Vec3::new(v(), v(), v())).collect()
+    }),
+    ("breath", |pos, _| pos.iter().map(|&p| p * 1.05).collect()),
+    ("jumps", |pos, rng| {
+        let mut jumps = pos.to_vec();
+        teleport(&mut jumps, 0.1, rng);
+        jumps
+    }),
+];
+
+/// Each visible leaf's slice of `got` holds the bodies of the same leaf's
+/// slice of `want`, in any order: the bodies are grouped as the sorted tree
+/// groups them. A snapshot sorts a copy of the leaves, so `got`'s is
+/// `want`'s.
+fn assert_grouped_like(got: &Octree, want: &Octree, case: &str) {
+    assert!(image(got) == image(want), "{case}: snapshot");
+    for leaf in want.visible_leaves() {
+        let r = want.node(leaf).range();
+        let mut ids = got.order()[r.clone()].to_vec();
+        ids.sort_unstable();
+        let mut want_ids = want.order()[r].to_vec();
+        want_ids.sort_unstable();
+        assert!(ids == want_ids, "{case}: leaf {leaf} holds other bodies");
+    }
+}
+
+/// Regroups without a sort in between, one to three of them, group the
+/// bodies exactly as `rebin` does — every node range equal, every leaf
+/// slice a permutation of the sorted one — and pass the audit; a
+/// `sort_leaves` then gives the full sort's order and codes, body by body.
+/// Plummer, uniform and two-cluster bodies, with leavers and with leaves
+/// that empty and fill, at widths 1, 2, 3 and 8.
+#[test]
+fn regroups_group_like_rebin_and_sort_to_the_full_sort() {
+    let mut rng = StdRng::seed_from_u64(63);
+    let clouds = [
+        ("plummer", cloud(25_000, 64)),
+        ("uniform", bodies(25_000, 65)),
+        ("two clusters", two_clusters(25_000, 66)),
+    ];
+    for (name, start) in clouds {
+        let tree = build(&start);
+        let (mut emptied, mut filled, mut unsorted) = (0, 0, 0);
+        for (motion, apply) in MOTIONS {
+            let mut steps = vec![apply(&start, &mut rng)];
+            for _ in 1..3 {
+                let next = apply(steps.last().unwrap(), &mut rng);
+                steps.push(next);
+            }
+            // The sorted reference after each step, and its populations.
+            let mut sorted = vec![tree.clone()];
+            for pos in &steps {
+                let mut next = sorted.last().unwrap().clone();
+                next.rebin(pos);
+                sorted.push(next);
+            }
+            for pair in sorted.windows(2) {
+                for leaf in tree.visible_leaves() {
+                    let (before, after) = (pair[0].node(leaf).count(), pair[1].node(leaf).count());
+                    emptied += usize::from(before > 0 && after == 0);
+                    filled += usize::from(before == 0 && after > 0);
+                }
+            }
+            for width in WIDTHS {
+                for k in 1..=3 {
+                    let case = format!("{name}, {motion}, width {width}, {k} regroups");
+                    let mut grouped = tree.clone();
+                    for (i, pos) in steps[..k].iter().enumerate() {
+                        at_width(width, || grouped.regroup(pos));
+                        assert!(!grouped.leaves_sorted(), "{case}");
+                        grouped.check_invariants().expect(&case);
+                        assert_grouped_like(&grouped, &sorted[i + 1], &format!("{case}, step {i}"));
+                        unsorted += usize::from(grouped.order() != sorted[i + 1].order());
+                    }
+                    at_width(width, || grouped.sort_leaves());
+                    let (order, codes) = full_sort(&steps[k - 1]);
+                    let got = image(&grouped);
+                    assert!(got.0 == order && got.1 == codes, "{case}: sorted");
+                    assert!(grouped.leaves_sorted(), "{case}");
+                    grouped.check_invariants().expect(&case);
+                }
+            }
+        }
+        assert!(
+            emptied > 0 && filled > 0,
+            "{name}: {emptied} emptied, {filled} filled"
+        );
+        assert!(unsorted > 0, "{name}: every regroup left its leaves sorted");
+    }
+}
+
+/// `sort_leaves` on a sorted tree changes nothing, and a snapshot of a
+/// regrouped tree is the snapshot of the same tree sorted.
+#[test]
+fn sorting_is_idempotent_and_snapshots_see_the_sorted_tree() {
+    let pos = cloud(20_000, 67);
+    let mut tree = build(&pos);
+    let mut moved = pos.clone();
+    teleport(&mut moved, 0.05, &mut StdRng::seed_from_u64(68));
+    tree.regroup(&moved);
+    let snap = tree.snapshot();
+    tree.sort_leaves();
+    let sorted = image(&tree);
+    tree.sort_leaves();
+    assert!(image(&tree) == sorted, "a second sort moved bodies");
+    let again = tree.snapshot();
+    assert!(snap.order == again.order && snap.codes == again.codes);
+    Octree::from_snapshot(snap).expect("the snapshot of a regrouped tree");
+}
+
+/// A regrouped tree whose leaves are not sorted yet.
+fn regrouped() -> Octree {
+    let pos = cloud(6000, 69);
+    let mut tree = build(&pos);
+    let moved: Vec<Vec3> = pos.iter().map(|&p| p * 1.02).collect();
+    tree.regroup(&moved);
+    tree
+}
+
+#[test]
+#[should_panic(expected = "sort_leaves first")]
+fn price_refuses_an_unsorted_tree() {
+    let tree = regrouped();
+    tree.price(
+        48,
+        octree::Mac::default(),
+        &mut octree::PriceScratch::default(),
+    );
+}
+
+#[test]
+#[should_panic(expected = "sort_leaves first")]
+fn resplit_refuses_an_unsorted_tree() {
+    regrouped().resplit(48);
+}
+
+#[test]
+#[should_panic(expected = "sort_leaves first")]
+fn push_down_refuses_an_unsorted_tree() {
+    let mut tree = regrouped();
+    let leaf = tree.active_leaves()[0];
+    tree.push_down(leaf);
 }

@@ -8,7 +8,8 @@
 //!   lists it links into);
 //! * **a forked rebin allocates for its forks only** — with more workers and
 //!   bodies enough for two runs the `rebin` scope holds the calling thread's
-//!   share of two fork-joins: the same few allocations at any body count;
+//!   share of one join and two fork-joins: the same few allocations at any
+//!   body count;
 //! * **a rebuild refills in place** — a warm plan rebuilt over an unchanged
 //!   tree allocates nothing on one worker and only its forks' bookkeeping on
 //!   more;
@@ -174,8 +175,9 @@ fn warm_rebin_allocs(n: usize) -> (u64, u64) {
     measured
 }
 
-/// With bodies enough for one run per worker, `rebin` forks twice (sift the
-/// leaves' bodies, place them) and the calling thread's share of a fork — the handle
+/// With bodies enough for one run per worker, `rebin` joins once (encode the
+/// codes in two halves) and forks twice (sift the leaves' bodies, place
+/// them), and the calling thread's share of a fork — the handle
 /// list, its own batch buffer, what `thread::spawn` allocates — lands in the
 /// `rebin` scope. That is all that may: the same allocations at 70 000 bodies
 /// and at 140 000 (eight runs' worth either way), a few KB, so a buffer that
